@@ -38,10 +38,12 @@ from .inversion import (  # noqa: F401
     stationary_potential_terms,
 )
 from .spinors import (  # noqa: F401
+    Bilinears,
     MatrixSpinor,
     NullDensity,
     Observables,
     assemble,
+    bilinears,
     from_components,
     hestenes_matrix,
     observables,

@@ -26,7 +26,7 @@ x axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -90,6 +90,10 @@ class SolutionSpec:
     waveform: Waveform | None = None
     omega: float = 1.0
     units: UnitSystem = NATURAL
+    # built once in __post_init__; left out of __eq__, __hash__ and repr,
+    # which the normalization cache keys on
+    _base: "SolutionSpec | None" = field(init=False, default=None,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         fam = Family(self.family)
@@ -118,6 +122,9 @@ class SolutionSpec:
                 raise ValueError("need omega > 0")
         if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and self.p_perp <= 0:
             raise ValueError("free beam needs p_perp > 0")
+        if fam in DRESSED_BASE:
+            object.__setattr__(self, "_base", replace(
+                self, family=DRESSED_BASE[fam], waveform=None))
 
     @property
     def is_dressed(self) -> bool:
@@ -125,9 +132,7 @@ class SolutionSpec:
 
     def static_base(self) -> "SolutionSpec":
         """The stationary spec a dressed family is built on."""
-        if not self.is_dressed:
-            return self
-        return replace(self, family=DRESSED_BASE[self.family], waveform=None)
+        return self if self._base is None else self._base
 
 
 def _pw(base: float, k: int) -> float:

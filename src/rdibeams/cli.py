@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from . import catalog as cat
 from . import verify
-from .spinors import observables
+from .spinors import bilinears
 from .units import NATURAL, SI
 from .waveforms import circular, linear, pulse
 
@@ -143,17 +143,17 @@ def cmd_eval(args) -> int:
             if math.hypot(x, y) < exclude:
                 continue
             psi = col(t, x, y, z)
-            obs = observables(psi)
+            bil = bilinears(psi)
             eA = cat.potential(spec, t, x, y, z)
             smp = cat.fields(spec, t, x, y, z)
             row = [t, x, y, z]
             for comp in psi:
                 row.extend([comp.real, comp.imag])
-            row.extend(obs.current.tolist())
+            row.extend(bil.current.tolist())
             row.extend(eA.tolist())
             row.extend(smp.electric.tolist())
             row.extend(smp.magnetic.tolist())
-            row.extend([obs.rho, obs.beta])
+            row.extend([float(bil.rho), float(bil.beta)])
             yield row
 
     try:
@@ -193,14 +193,24 @@ def cmd_verify(args) -> int:
         except ValueError:
             raise UsageError(f"unknown family {fam_arg!r}")
     checks = set(cfg["check"]) if cfg.get("check") else None
+    unknown = sorted(checks - set(verify.CHECK_TOLERANCES)) if checks else []
+    if unknown:
+        raise UsageError(f"unknown check(s) {', '.join(unknown)}; known: "
+                         + ", ".join(verify.CHECK_TOLERANCES))
+    points = int(cfg.get("points", 100))
+    if points < 1:
+        raise UsageError(f"need --points >= 1, got {points}")
     report = verify.run_suite(
         families=families,
         checks=checks,
-        points=int(cfg.get("points", 100)),
+        points=points,
         seed=int(cfg.get("seed", 20240801)),
         h=float(cfg.get("fd_step", 1e-3)),
         negative_control=cfg.get("negative_control"),
     )
+    if not report.records:
+        raise UsageError("the selected checks do not apply to the selected "
+                         "families; nothing was checked")
     # the echoed config carries only run-defining parameters, so reports
     # with the same seed are byte-identical regardless of where they land
     meta = {"config": {k: cfg[k] for k in sorted(cfg)

@@ -7,9 +7,18 @@ with psi = Psi u1, u1 = (1,0,0,0)^T.  The component dictionary is
     psi = (r0 - i r3,  r2 - i r1,  s3 + i s0,  s1 + i s2)^T
     Psi = r0 + s_k alpha_k + PSEUDO s0 - r_k PSEUDO alpha_k
 
-Every local observable (current, spin density, density, duality angle,
-tetrad, spin plane) is computed from Psi by trace projection, which keeps
-one convention authoritative.
+The current, spin density and rho exp(i beta) are Dirac bilinears
+psi-bar Gamma psi = psi^dagger gamma0 Gamma psi, each one contraction of psi
+with a constant 4x4 matrix (`bilinears`):
+
+    J^mu           = psi-bar gamma^mu psi
+    rho s^mu       = psi-bar gamma^mu gamma5 psi
+    rho cos(beta)  = psi-bar psi
+    rho sin(beta)  = -Re(psi-bar i gamma5 psi)
+
+They equal the trace projections of Psi gamma_mu rev(Psi) and Psi rev(Psi).
+Only the spatial tetrad vectors e1, e2 and the spin plane are still formed
+from the matrix Psi, by sandwich products checked for vector grade.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sta
-from .sta import ALPHA, GAMMA, GAMMA_UP, ID, PSEUDO
+from .sta import ALPHA, GAMMA, GAMMA0, GAMMA5, GAMMA_UP, ID, PSEUDO
 from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
@@ -153,6 +162,47 @@ def plane_wave(p, m: float, spin_axis=(0.0, 0.0, 1.0), angle: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
+# gamma0 Gamma for the ten bilinears, in the order J^mu, rho s^mu,
+# rho cos(beta), rho sin(beta); each is Hermitian, so every contraction
+# psi^dagger (gamma0 Gamma) psi is real
+_BILINEAR_MATRICES = np.stack(
+    [GAMMA0 @ g for g in GAMMA_UP]
+    + [GAMMA0 @ g @ GAMMA5 for g in GAMMA_UP]
+    + [GAMMA0, -GAMMA0 @ PSEUDO])
+
+
+@dataclass(frozen=True)
+class Bilinears:
+    """Dirac bilinears of a spinor, or of a batch of spinors along the
+    leading axes (vectors carry a trailing axis of length 4)."""
+
+    current: Array       # J^mu
+    spin_density: Array  # rho * s^mu
+    scalar: Array        # rho * cos(beta), signed
+    pseudo: Array        # rho * sin(beta)
+
+    @property
+    def rho(self) -> Array:
+        return np.hypot(self.scalar, self.pseudo)
+
+    @property
+    def beta(self) -> Array:
+        return np.arctan2(self.pseudo, self.scalar)
+
+
+def bilinears(psi: Array) -> Bilinears:
+    """J^mu, rho s^mu and rho exp(i beta) of column spinors psi[..., 4].
+
+    Raises NullDensity when psi^dagger psi vanishes anywhere in the batch.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    vals = np.einsum("...i,kij,...j->...k", psi.conj(), _BILINEAR_MATRICES,
+                     psi).real
+    if (vals[..., 0] <= 0.0).any():
+        raise NullDensity("psi has zero norm at this point")
+    return Bilinears(vals[..., 0:4], vals[..., 4:8], vals[..., 8], vals[..., 9])
+
+
 @dataclass(frozen=True)
 class Observables:
     current: Array            # J^mu
@@ -167,36 +217,26 @@ class Observables:
     undefined: bool
 
 
-def observables(psi: Array, Psi: Array | None = None,
-                rho_floor: float = 1e-10) -> Observables:
-    """All local bilinear observables of a column spinor.
+def observables(psi: Array, rho_floor: float = 1e-10) -> Observables:
+    """All local bilinear observables of one column spinor.
 
     Raises NullDensity when psi^dagger psi vanishes.  When the invariant
     density rho falls below `rho_floor` relative to J^0 the velocity, spin,
     tetrad and spin-plane entries are flagged undefined (None) instead of
-    being extrapolated.
+    being extrapolated.  e0 and e3 are the velocity and spin; e1, e2 and the
+    spin plane come from the matrix spinor.
     """
     psi = np.asarray(psi, dtype=complex)
-    j0 = float(np.vdot(psi, psi).real)
-    if j0 <= 0.0:
-        raise NullDensity("psi has zero norm at this point")
-    if Psi is None:
-        Psi = hestenes_matrix(psi)
-    rev = sta.reversion(Psi)
-    prod = Psi @ rev
-    scalar = float(np.trace(prod).real) / 4.0
-    pseudo = -float(np.trace(prod @ PSEUDO).real) / 4.0
-    rho = float(np.hypot(scalar, pseudo))
-    beta = float(np.arctan2(pseudo, scalar))
-
-    vectors = [Psi @ g @ rev for g in GAMMA]
-    current = sta.to_vector(vectors[0])
-    spin_density = sta.to_vector(vectors[3])
-
-    if rho < rho_floor * j0:
+    bil = bilinears(psi)
+    current, spin_density = bil.current, bil.spin_density
+    rho, beta, scalar = float(bil.rho), float(bil.beta), float(bil.scalar)
+    if rho < rho_floor * current[0]:
         return Observables(current, spin_density, rho, beta, scalar,
                            None, None, None, None, True)
-    tetrad = tuple(sta.to_vector(v) / rho for v in vectors)
+    Psi = hestenes_matrix(psi)
+    rev = sta.reversion(Psi)
+    velocity, spin = current / rho, spin_density / rho
+    e1, e2 = (sta.to_vector(Psi @ GAMMA[k] @ rev) / rho for k in (1, 2))
     # e2 e1 = exp(-PSEUDO beta) Psi gamma2 gamma1 rev(Psi) / rho
     dual_inv = np.cos(beta) * ID - np.sin(beta) * PSEUDO
     spin_plane = dual_inv @ Psi @ GAMMA[2] @ GAMMA[1] @ rev / rho
@@ -206,9 +246,9 @@ def observables(psi: Array, Psi: Array | None = None,
         rho=rho,
         beta=beta,
         scalar=scalar,
-        velocity=current / rho,
-        spin=spin_density / rho,
-        tetrad=tetrad,
+        velocity=velocity,
+        spin=spin,
+        tetrad=(velocity, e1, e2, spin),
         spin_plane=spin_plane,
         undefined=False,
     )

@@ -128,12 +128,12 @@ def dirac_residual_of_field(spec: cat.SolutionSpec, col, point,
 
 def continuity_residual(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP) -> float:
-    """|d_mu J^mu| from the observables of the spinor field."""
+    """|d_mu J^mu| from the bilinear current of the spinor field."""
     col = cat.spinor(spec)
     c = spec.units.c
 
     def current(*q):
-        return spinors.observables(col(*q)).current
+        return spinors.bilinears(col(*q)).current
 
     total = 0.0
     for mu in range(4):
@@ -407,7 +407,7 @@ def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
     col = cat.spinor(spec)
 
     def rhs(q):
-        return spinors.observables(col(*q)).current
+        return spinors.bilinears(col(*q)).current
 
     path = numerics.rk4_path(rhs, x0, s_max, steps)
     half = numerics.rk4_path(rhs, x0, s_max, 2 * steps)
@@ -462,14 +462,12 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
             continue
         arc = 0.5 * math.pi * r0 / abs(bil["J_phi"])  # quarter revolution
         path = numerics.rk4_path(
-            lambda q: spinors.observables(col(*q)).current,
+            lambda q: spinors.bilinears(col(*q)).current,
             (0.0, r0, 0.0, 0.0), arc, steps)
         delta_ct = (path[-1, 0] - path[0, 0]) * base.units.c
         # signed proper time accumulated along the path
-        dtau = 0.0
-        ds = arc / steps
-        for q in path[:-1]:
-            dtau += spinors.observables(col(*q)).scalar * ds
+        psis = np.array([col(*q) for q in path[:-1]])
+        dtau = float(np.sum(spinors.bilinears(psis).scalar)) * (arc / steps)
         total += 2.0 * math.pi * w * lam * (dtau / delta_ct) * bil["J"][0]
     return 1.0 / total
 
@@ -500,7 +498,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        """Every record passed, and there was at least one."""
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def to_json(self, include_timing: bool = False) -> str:
         def plain(v):
@@ -669,7 +668,7 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                 tol = CHECK_TOLERANCES["gauge"]
                 records.append(CheckRecord("gauge", label, grid_desc,
                                            worst, tol, worst <= tol))
-            if want("inversion"):
+            if want("inversion") or want("constraints"):
                 sub = pts[:: max(1, len(pts) // 8)]
                 worst_pot = worst_con = 0.0
                 skipped = 0

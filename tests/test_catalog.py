@@ -1,6 +1,7 @@
 """Solution-catalog checks: eigenvalues, profiles, normalization, spinors,
 potentials, fields, averages, kinematic closed forms."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -543,3 +544,19 @@ def test_spec_validation():
                          waveform=waveforms.circular(0.1), p_z=0.5)
     with pytest.raises(ValueError):
         cat.SolutionSpec(cat.Family.FREE_BESSEL, p_perp=0.0)
+
+
+def test_static_base_is_built_once_and_leaves_identity_alone():
+    wf = waveforms.circular(0.3)
+    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=1, waveform=wf,
+                            omega=1.1)
+    base = spec.static_base()
+    assert base is spec.static_base()
+    assert base == cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, omega=1.1)
+    assert base.static_base() is base
+    twin = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=1, waveform=wf,
+                            omega=1.1)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(twin) == repr(spec) and "_base" not in repr(spec)
+    moved = replace(spec, omega=1.3)
+    assert moved.static_base().omega == 1.3 and moved != spec

@@ -146,6 +146,41 @@ def test_verify_negative_control_exit_code(tmp_path, capsys):
         assert rec["max_residual"] > 1e-4
 
 
+def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--check", "doesnotexist", "--points", "5",
+                     "--out", str(out)])
+    assert code == 2
+    assert "doesnotexist" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_zero_points_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--points", "0", "--out", str(out)])
+    assert code == 2
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_checks_absent_from_family_is_usage_error(tmp_path):
+    # the radial-profile check runs on stationary families only
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--family", "redmond", "--check", "ode",
+                     "--points", "2", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_verify_constraints_check_runs_inversion(tmp_path):
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--family", "uniform-b", "--check",
+                     "constraints", "--points", "2", "--out", str(out)])
+    assert code == 0
+    names = {rec["name"] for rec in json.loads(out.read_text())["records"]}
+    assert names == {"inversion", "constraints"}
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "uniform-b", "n": 1,

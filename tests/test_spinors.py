@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rdibeams import catalog as cat
-from rdibeams import numerics, spinors, sta
+from rdibeams import numerics, spinors, sta, verify
+from rdibeams.waveforms import pulse
 
 
 def test_component_dictionary_round_trip():
@@ -193,3 +194,80 @@ def test_spin_plane_matches_cross_product_form():
             continue
         direct = spinors.spin_plane_from_vectors(obs.velocity, obs.spin)
         np.testing.assert_allclose(obs.spin_plane, direct, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# bilinear kernel against the trace-projection formulas
+# ---------------------------------------------------------------------------
+
+
+def _trace_oracle(psi):
+    """(J, rho s, rho cos beta, rho sin beta) by trace projection of the
+    matrix spinor: the reference the contraction kernel must reproduce."""
+    Psi = spinors.hestenes_matrix(psi)
+    rev = sta.reversion(Psi)
+    prod = Psi @ rev
+    return (sta.to_vector(Psi @ sta.GAMMA[0] @ rev),
+            sta.to_vector(Psi @ sta.GAMMA[3] @ rev),
+            np.trace(prod).real / 4.0,
+            -np.trace(prod @ sta.PSEUDO).real / 4.0)
+
+
+def _oracle_spinors():
+    """200 random spinors over six decades of scale, then ten sample points
+    of every default spec (all seven families) and of each dressed family
+    driven by a pulse."""
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    out = list(scale * (rng.normal(size=(200, 4))
+                        + 1j * rng.normal(size=(200, 4))))
+    specs = [s for group in verify.default_specs().values() for s in group]
+    specs += [cat.SolutionSpec(cat.Family.REDMOND, n=1, l=1,
+                               waveform=pulse(0.2), omega=1.0),
+              cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=1,
+                               waveform=pulse(0.2), omega=1.0)]
+    for spec in specs:
+        col = cat.spinor(spec)
+        out += [col(*pt) for pt in rng.uniform(0.5, 5.0, size=(10, 4))]
+    return np.array(out)
+
+
+def test_bilinears_match_trace_oracle():
+    psis = _oracle_spinors()
+    for psi in psis:
+        cur, spin, scalar, pseudo = _trace_oracle(psi)
+        tol = 1e-13 * cur[0]
+        bil = spinors.bilinears(psi)
+        obs = spinors.observables(psi)
+        for got in (bil.current, obs.current):
+            np.testing.assert_allclose(got, cur, rtol=0, atol=tol)
+        for got in (bil.spin_density, obs.spin_density):
+            np.testing.assert_allclose(got, spin, rtol=0, atol=tol)
+        for got in (bil.scalar, obs.scalar, obs.rho * math.cos(obs.beta)):
+            assert abs(got - scalar) <= tol
+        for got in (bil.pseudo, obs.rho * math.sin(obs.beta)):
+            assert abs(got - pseudo) <= tol
+
+
+def test_bilinears_batch_equals_scalar_calls():
+    psis = _oracle_spinors()
+    batch = spinors.bilinears(psis)
+    assert batch.current.shape == batch.spin_density.shape == psis.shape
+    for k, psi in enumerate(psis):
+        one = spinors.bilinears(psi)
+        np.testing.assert_array_equal(batch.current[k], one.current)
+        np.testing.assert_array_equal(batch.spin_density[k], one.spin_density)
+        assert batch.scalar[k] == one.scalar and batch.pseudo[k] == one.pseudo
+        assert batch.rho[k] == one.rho and batch.beta[k] == one.beta
+    grid = spinors.bilinears(psis[:60].reshape(3, 20, 4))
+    np.testing.assert_array_equal(grid.current.reshape(60, 4),
+                                  batch.current[:60])
+
+
+def test_bilinears_null_density():
+    with pytest.raises(spinors.NullDensity):
+        spinors.bilinears(np.zeros(4, dtype=complex))
+    batch = np.ones((5, 4), dtype=complex)
+    batch[3] = 0.0
+    with pytest.raises(spinors.NullDensity):
+        spinors.bilinears(batch)

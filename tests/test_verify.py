@@ -83,7 +83,7 @@ def test_continuity_detects_non_solution():
     from rdibeams import numerics
 
     def current(*q):
-        return spinors.observables(fake(*q)).current
+        return spinors.bilinears(fake(*q)).current
 
     pt = (1.0, 1.2, 0.8, 0.6)
     total = sum(numerics.partial4(current, pt, mu, 1e-3).real[mu]
@@ -264,7 +264,7 @@ def test_redmond_streamline_centroid_tracks_drive():
     col = cat.spinor(spec)
 
     def rhs(q):
-        return spinors.observables(col(*q)).current
+        return spinors.bilinears(col(*q)).current
 
     from rdibeams import numerics
 
