@@ -34,7 +34,6 @@ from .inversion import (  # noqa: F401
     circularity_residual,
     invert,
     radial_ode_residual,
-    stationary_potential,
     stationary_potential_terms,
 )
 from .spinors import (  # noqa: F401

@@ -418,8 +418,10 @@ def laser_dress_matrix(Psi_static_field, waveform: Waveform, eps: float,
     return dressed
 
 
-def spinor(spec: SolutionSpec):
-    """Column-spinor field (t, x, y, z) -> psi for the chosen family."""
+def spinor(spec: SolutionSpec, fault=None):
+    """Column-spinor field (t, x, y, z) -> psi for the chosen family;
+    `fault(profile, lam)`, when given, replaces the profile right after it
+    is read (the verifier's negative controls inject faults through it)."""
     base = spec.static_base()
     u = base.units
     c, hbar = u.c, u.hbar
@@ -430,6 +432,8 @@ def spinor(spec: SolutionSpec):
     def static_field(t, x, y, z):
         lam = lam_of_r(base, math.hypot(x, y))
         pr = profile(base, lam)
+        if fault is not None:
+            pr = fault(pr, lam)
         phi = math.atan2(y, x)
         phase = np.exp(-1j * (eps * t - base.p_z * z) / hbar
                        + 0.5j * M * phi)
@@ -446,13 +450,10 @@ def spinor(spec: SolutionSpec):
     return laser_dress(static_field, spec.waveform, eps, spec.omega, u)
 
 
-def spinor_at(spec: SolutionSpec, t, x, y, z) -> Array:
-    return spinor(spec)(t, x, y, z)
-
-
-def matrix_spinor(spec: SolutionSpec):
-    """Matrix-spinor field Psi with Psi u1 = psi (even-subalgebra lift)."""
-    col = spinor(spec)
+def matrix_spinor(spec: SolutionSpec, fault=None):
+    """Matrix-spinor field Psi with Psi u1 = psi (even-subalgebra lift);
+    `fault` as for `spinor`."""
+    col = spinor(spec, fault)
 
     def field(t, x, y, z):
         return spinors.hestenes_matrix(col(t, x, y, z))

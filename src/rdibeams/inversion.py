@@ -12,8 +12,8 @@ inversion leaves only the vector grade: the 12 constrained trace projections
 (scalar, the six bivectors, the four trivectors and the pseudoscalar) must
 vanish.
 
-The module also carries the closed-form stationary potential, its
-spin-divergence / tetrad-rotation / momentum decomposition, and the
+The module also carries the spin-divergence / tetrad-rotation / momentum
+decomposition of the stationary potential, and the
 circular-orbit residual |eA_0| that vanishes exactly when the radial profile
 solves its second-order equation.
 """
@@ -56,7 +56,6 @@ class PotentialSample:
     @property
     def constrained_residual(self) -> float:
         """Largest magnitude among the 12 projections that must vanish."""
-        duals = np.asarray(sta.GAMMA16_SQUARE)
         vals = np.abs(self.coefficients)
         return float(max(vals[k - 1] for k in sta.CONSTRAINED_INDICES))
 
@@ -103,15 +102,6 @@ def invert(Psi_field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
 # ---------------------------------------------------------------------------
 # closed-form stationary potential and its decomposition
 # ---------------------------------------------------------------------------
-
-
-def stationary_potential(spec: cat.SolutionSpec, t, x, y, z) -> Array:
-    """Closed-form eA^mu of a stationary family, built from the magnetic
-    envelope H: the transverse components carry (B^2 / 4 c^2 hbar lam)
-    d ln H / d lam and eA_0 = eA_3 = 0."""
-    if spec.is_dressed:
-        raise ValueError("stationary families only")
-    return cat.potential(spec, t, x, y, z)
 
 
 def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
@@ -223,17 +213,20 @@ def circularity_residual(spec: cat.SolutionSpec, lam: float) -> float:
     return abs(eps / c - base.m * c * j0 / sigma + term)
 
 
-def radial_ode_residual(spec: cat.SolutionSpec, lam: float) -> float:
+def radial_ode_residual(spec: cat.SolutionSpec, lam: float,
+                        fault=None) -> float:
     """Residual of the profile equation
 
         f'' - 4 (m^2 c^4 + p_z^2 c^2 - eps^2) f / B^2
             + f' ((M+1)/lam + 2 H'/H) = 0,
 
-    normalized by the local profile scale."""
+    normalized by the local profile scale; `fault` as for `catalog.spinor`."""
     base = spec.static_base()
     c = base.units.c
     eps = cat.eigenvalue(base)
     pr = cat.profile(base, lam)
+    if fault is not None:
+        pr = fault(pr, lam)
     gap = 4.0 * ((base.m * c * c) ** 2 + (base.p_z * c) ** 2 - eps ** 2) \
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \

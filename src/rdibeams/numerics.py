@@ -37,13 +37,6 @@ def partial4(fn, point, mu, h=DEFAULT_STEP):
     return deriv4(slice_fn, point[mu], h)
 
 
-def richardson_partial(fn, point, mu, h=DEFAULT_STEP):
-    """(derivative at h/2, |difference|/15 error estimate) along mu."""
-    d1 = partial4(fn, point, mu, h)
-    d2 = partial4(fn, point, mu, h / 2.0)
-    return d2, np.max(np.abs(d2 - d1)) / 15.0
-
-
 def spatial_divergence(vec_fn, point, h=DEFAULT_STEP):
     """div F of a 3-vector field F(t,x,y,z) at fixed time."""
     return sum(
@@ -91,28 +84,6 @@ def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48):
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def radial_average(radial_fn, decay="gauss", tol=1e-10, lam_max=None):
-    """2*pi * integral_0^inf radial_fn(lam) lam dlam by adaptive Simpson.
-
-    `decay` picks the cutoff heuristic: "gauss" for exp(-2 lam^2) tails,
-    "exp" for exp(-kappa lam) tails (pass lam_max to override).
-    """
-    if lam_max is None:
-        lam_max = 6.0 if decay == "gauss" else 220.0
-    val = adaptive_simpson(lambda u: radial_fn(u) * u, 0.0, lam_max, tol=tol)
-    return 2.0 * np.pi * val
-
-
-def plane_average(fn_polar, decay="gauss", nphi=64, tol=1e-10, lam_max=None):
-    """integral fn(lam, phi) lam dlam dphi with trapezoid azimuthal rule."""
-    phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-
-    def ring(lam):
-        return float(np.mean([fn_polar(lam, p) for p in phis]))
-
-    return radial_average(ring, decay=decay, tol=tol, lam_max=lam_max)
 
 
 def rk4_path(rhs, x0, s_total, steps):

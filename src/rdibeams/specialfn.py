@@ -155,15 +155,6 @@ def hyp1f1_poly(n: int, b: float, x: float) -> float:
     return total
 
 
-def hyp1f1_poly_deriv(n: int, b: float, x: float) -> float:
-    """d/dx 1F1(-n; b; x) = (-n/b) 1F1(-(n-1); b+1; x)."""
-    if n == 0:
-        return 0.0
-    if b == 0.0:
-        raise DomainError("1F1 derivative pole at b = 0")
-    return (-n / b) * hyp1f1_poly(n - 1, b + 1.0, x)
-
-
 def tricomi_u_poly(n: int, b: float, x: float) -> float:
     """Tricomi U(-n, b, x) for terminating (polynomial) parameters.
 

@@ -32,8 +32,6 @@ from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
 
-U1 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-
 # basis for the even-subalgebra expansion, ordered to match _coeffs below
 _EVEN_BASIS = np.stack([
     ID, ALPHA[0], ALPHA[1], ALPHA[2],

@@ -5,19 +5,21 @@ Dirac residuals (column and matrix form), current continuity, Lorentz gauge,
 Maxwell sources, potential inversion agreement, the radial profile equation,
 kinematic/tetrad invariants, the Bessel addition theorem, the dual-path
 dressed-beam equivalence, the null-rotation block identity, and streamline
-integration.  Negative controls (scaled potential, perturbed profile) assert
-detection power, not only agreement.
+integration.  The standard suite is one table, CHECKS, run over seeded
+uniform points in the box [0.5, 5]^4 (natural units).
 
-Sampling policy: seeded uniform points in the box [0.5, 5]^4 (natural
-units); points whose invariant density falls below 1e-10 of the local
-probability density are excluded from relative-residual statistics and
-counted separately.
+Negative controls assert detection power, not only agreement.
+scale-potential scales eA by 1.01 in the dirac check; perturb-profile
+applies `perturb_profile` in the real profile readers, which reaches the
+dirac check of every family and the ode check.  A control that reaches none
+of the selected checks is a SelectionError (a usage error in the CLI).
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,6 @@ from .waveforms import Waveform, circular, linear, pulse
 Array = np.ndarray
 
 BOX_LOW, BOX_HIGH = 0.5, 5.0
-RHO_FLOOR = 1e-10
 
 
 class StepUnstable(RuntimeError):
@@ -46,20 +47,36 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
+NEGATIVE_CONTROLS = ("scale-potential", "perturb-profile")
+
+
+def perturb_profile(pr: dict, lam: float) -> dict:
+    """Fault of the perturb-profile negative control, the `fault` hook of
+    the real profile readers: f becomes f (1 + 0.01 lam), carried by the
+    product rule into f', f'' and amp = lam^(M/2) f, ampd = lam^(M/2) f'."""
+    g = 1.0 + 0.01 * lam
+    return dict(pr, f=pr["f"] * g, fp=pr["fp"] * g + 0.01 * pr["f"],
+                fpp=pr["fpp"] * g + 0.02 * pr["fp"], amp=pr["amp"] * g,
+                ampd=pr["ampd"] * g + 0.01 * pr["amp"])
+
+
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
-                   potential_scale: float = 1.0) -> float:
+                   fault: str | None = None) -> float:
     """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi.
 
     Both the column form and the matrix form are evaluated; the returned
     value is the larger of the two (they agree for a consistent lift).
-    `potential_scale` != 1 injects a fault for negative controls.
+    `fault` names a negative control to inject: "scale-potential" scales
+    eA by 1.01, "perturb-profile" builds the spinor on `perturb_profile`.
     """
     u = spec.units
     c, hbar = u.c, u.hbar
-    col = cat.spinor(spec)
-    Psi_field = cat.matrix_spinor(spec)
+    hook = perturb_profile if fault == "perturb-profile" else None
+    col = cat.spinor(spec, hook)
+    Psi_field = cat.matrix_spinor(spec, hook)
     psi = col(*point)
-    eA = potential_scale * cat.potential(spec, *point)
+    eA = (1.01 if fault == "scale-potential" else 1.0) \
+        * cat.potential(spec, *point)
     slash_A = sta.from_vector(eA)
 
     dcol = np.zeros(4, dtype=complex)
@@ -78,52 +95,6 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     res_mat = np.linalg.norm(mat[:, 0]) / scale
     res_full = np.linalg.norm(mat) / (2.0 * scale)
     return max(res_col, res_mat, res_full)
-
-
-def perturbed_spinor(spec: cat.SolutionSpec):
-    """Stationary column rebuilt with the faulted profile f (1 + 0.01 lam);
-    for negative controls (no longer a solution)."""
-    base = spec.static_base()
-    u = base.units
-    c, hbar = u.c, u.hbar
-    eps = cat.eigenvalue(base)
-    A = base.m * c * c + eps
-    M = base.M
-
-    def field(t, x, y, z):
-        lam = cat.lam_of_r(base, math.hypot(x, y))
-        pr = cat.profile(base, lam)
-        amp = pr["amp"] * (1.0 + 0.01 * lam)
-        ampd = pr["ampd"] * (1.0 + 0.01 * lam) + 0.01 * pr["amp"]
-        phi = math.atan2(y, x)
-        phase = np.exp(-1j * (eps * t - base.p_z * z) / hbar + 0.5j * M * phi)
-        common = pr["H"] * phase
-        return np.array([
-            (A / base.B) * amp * common,
-            0.0,
-            (c * base.p_z / base.B) * amp * common,
-            -0.5j * ampd * pr["H"] * phase * np.exp(1j * phi),
-        ])
-
-    return field
-
-
-def dirac_residual_of_field(spec: cat.SolutionSpec, col, point,
-                            h: float = numerics.DEFAULT_STEP) -> float:
-    """Column-form Dirac residual of an arbitrary spinor field against the
-    family potential."""
-    u = spec.units
-    c, hbar = u.c, u.hbar
-    psi = col(*point)
-    slash_A = sta.from_vector(cat.potential(spec, *point))
-    dcol = np.zeros(4, dtype=complex)
-    for mu in range(4):
-        dc = numerics.partial4(col, point, mu, h)
-        if mu == 0:
-            dc = dc / c
-        dcol = dcol + sta.GAMMA_UP[mu] @ (1j * hbar * dc)
-    scale = max(spec.m * c * float(np.linalg.norm(psi)), 1e-30)
-    return float(np.linalg.norm(dcol - slash_A @ psi - spec.m * c * psi)) / scale
 
 
 def continuity_residual(spec: cat.SolutionSpec, point,
@@ -601,179 +572,159 @@ def spec_label(spec: cat.SolutionSpec) -> str:
     return " ".join(bits)
 
 
-CHECK_TOLERANCES = {
-    "dirac": 1e-7,
-    "continuity": 1e-7,
-    "gauge": 2e-7,
-    "inversion": 2e-7,
-    "constraints": 2e-7,
-    "maxwell": 1e-6,
-    "ode": 1e-8,
-    "circularity": 1e-8,
-    "kinematics": 1e-10,
-    "volkov": 1e-10,
-    "nullrotor": 1e-12,
-    "fields": 1e-9,
-}
+class SelectionError(ValueError):
+    """Unknown check or control name, or a control that reaches no check."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the suite table CHECKS."""
+
+    name: str
+    tolerance: float
+    measure: Callable  # (spec, xs, h, fault) -> (worst residual, extra)
+    # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
+    # lams) pair in place of the sampled points, or None: every point
+    source: int | tuple | None = None
+    applies: Callable = lambda spec: True
+    faults: tuple = ()  # the negative controls passed on to the measure
+    paired: tuple = ()  # (name, tolerance, extra key) of a second record
+
+    def run(self, spec, label, grid, pts, h, fault) -> list:
+        if isinstance(self.source, tuple):
+            grid, pts = self.source
+        elif self.source is not None:
+            pts = pts[:: max(1, len(pts) // self.source)]
+        worst, extra = self.measure(spec, pts, h,
+                                    fault if fault in self.faults else None)
+        out = [CheckRecord(self.name, label, grid, worst, self.tolerance,
+                           worst <= self.tolerance, extra)]
+        if self.paired:
+            name, tol, key = self.paired
+            out.append(CheckRecord(name, label, grid, extra[key], tol,
+                                   extra[key] <= tol))
+        return out
+
+
+def _each(residual):
+    return lambda spec, xs, h, fault: (
+        max(residual(spec, x, h, fault) for x in xs), {})
+
+
+def _inversion(spec, xs, h, fault):
+    worst_pot = worst_con = 0.0
+    skipped = 0
+    for pt in xs:
+        try:
+            res = inversion_agreement(spec, pt, h)
+        except inversion.SingularSpinor:
+            skipped += 1  # null-current circle; counted apart
+            continue
+        bound = max(2e-7, 10.0 * res["richardson"])
+        worst_pot = max(worst_pot, res["potential_diff"] / bound)
+        worst_con = max(worst_con, res["constrained"])
+    return worst_pot, {"constrained": worst_con, "skipped": skipped}
+
+
+def _kinematics(spec, xs, h, fault):
+    kin = kinematics_check(spec, xs)
+    worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
+                                 "beta0"))
+    return worst, {k: kin[k] for k in ("beta_pi_fraction", "excluded")}
+
+
+def _circularity(spec, lams, h, fault):
+    vals = []
+    for lam in lams:
+        try:
+            vals.append(inversion.circularity_residual(spec, lam))
+        except inversion.SingularSpinor:
+            continue
+    return max(vals), {}
+
+
+# Each row runs, in this order, on every default spec it applies to.  The
+# measures call their residuals through the module attribute at call time,
+# so patching that attribute reaches the suite.
+CHECKS = (
+    Check("dirac", 1e-7,
+          _each(lambda s, x, h, fault: dirac_residual(s, x, h, fault)),
+          faults=NEGATIVE_CONTROLS),
+    Check("continuity", 1e-7,
+          _each(lambda s, x, h, _: continuity_residual(s, x, h)), source=12),
+    Check("gauge", 2e-7,
+          _each(lambda s, x, h, _: lorentz_gauge_residual(s, x, h)), source=12),
+    Check("inversion", 1.0, _inversion, source=8,
+          paired=("constraints", 2e-7, "constrained")),
+    Check("maxwell", 1e-6,
+          _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
+    Check("kinematics", 1e-10, _kinematics, source=25),
+    Check("ode", 1e-8,
+          _each(lambda s, lam, h, fault: inversion.radial_ode_residual(
+              s, lam, perturb_profile if fault else None)),
+          source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
+          applies=lambda s: not s.is_dressed, faults=("perturb-profile",)),
+    Check("circularity", 1e-8, _circularity,
+          source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
+          applies=lambda s: not s.is_dressed),
+    Check("volkov", 1e-10, _each(lambda s, x, h, _: volkov_equivalence(s, x)),
+          source=50, applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
+    Check("fields", 1e-9,
+          _each(lambda s, x, h, _: abs(field_invariants(s, x)["E_dot_B"])),
+          source=20, applies=lambda s: s.is_dressed
+          and s.family is not cat.Family.VOLKOV_BESSEL),
+)
+CHECK_NAMES = (*(name for c in CHECKS for name in (c.name, *c.paired[:1])),
+               "nullrotor")
 
 
 def run_suite(families=None, checks=None, points: int = 100, seed: int = 20240801,
               h: float = numerics.DEFAULT_STEP,
               negative_control: str | None = None) -> VerificationReport:
-    """Run the standard verification suite and assemble the report.
+    """Run the selected rows of CHECKS on the default specs, then the
+    suite-level null-rotation check.
 
-    `negative_control` in {"scale-potential", "perturb-profile"} injects the
-    corresponding fault; the affected checks then fail at their normal
-    tolerances (the run exits nonzero with the failing checks named), which
-    is what demonstrates the suite's detection power.
-    """
+    `negative_control` (one of NEGATIVE_CONTROLS) injects its fault into the
+    rows it reaches, which must then fail at their normal tolerances.
+    Raises SelectionError for an unknown name and for a control that
+    reaches no selected row."""
     t0 = time.perf_counter()
-    all_specs = default_specs()
-    if families:
-        wanted = {cat.Family(f) for f in families}
-        all_specs = {k: v for k, v in all_specs.items() if k in wanted}
+    wanted = {cat.Family(f) for f in families or cat.Family}
+    specs = [spec for fam, group in default_specs().items() if fam in wanted
+             for spec in group]
+    checks = set(CHECK_NAMES if checks is None else checks)
+    if checks - set(CHECK_NAMES):
+        raise SelectionError(
+            f"unknown check(s) {', '.join(sorted(checks - set(CHECK_NAMES)))}"
+            f"; known: {', '.join(CHECK_NAMES)}")
+    rows = [c for c in CHECKS if checks & {c.name, *c.paired[:1]}]
+    if negative_control not in (None, *NEGATIVE_CONTROLS):
+        raise SelectionError(f"unknown negative control {negative_control!r}")
+    if negative_control and not any(negative_control in c.faults
+                                    and c.applies(s) for c in rows for s in specs):
+        raise SelectionError(f"negative control {negative_control} touches "
+                             "none of the selected checks")
     records = []
     rng = np.random.default_rng(seed)
-    pot_scale = 1.01 if negative_control == "scale-potential" else 1.0
     grid_desc = f"uniform[{BOX_LOW},{BOX_HIGH}]^4 x{points} seed={seed}"
-
-    def want(name):
-        return checks is None or name in checks
-
-    for fam, specs in all_specs.items():
-        for spec in specs:
-            pts = sample_points(rng, points)
-            label = spec_label(spec)
-            if want("dirac"):
-                if negative_control == "perturb-profile" and not spec.is_dressed:
-                    bad = perturbed_spinor(spec)
-                    worst = max(dirac_residual_of_field(spec, bad, pt, h)
-                                for pt in pts[:: max(1, len(pts) // 20)])
-                else:
-                    worst = max(
-                        dirac_residual(spec, pt, h, potential_scale=pot_scale)
-                        for pt in pts)
-                tol = CHECK_TOLERANCES["dirac"]
-                records.append(CheckRecord("dirac", label, grid_desc,
-                                           worst, tol, worst <= tol))
-            if want("continuity"):
-                sub = pts[:: max(1, len(pts) // 12)]
-                worst = max(continuity_residual(spec, pt, h) for pt in sub)
-                tol = CHECK_TOLERANCES["continuity"]
-                records.append(CheckRecord("continuity", label, grid_desc,
-                                           worst, tol, worst <= tol))
-            if want("gauge"):
-                sub = pts[:: max(1, len(pts) // 12)]
-                worst = max(lorentz_gauge_residual(spec, pt, h) for pt in sub)
-                tol = CHECK_TOLERANCES["gauge"]
-                records.append(CheckRecord("gauge", label, grid_desc,
-                                           worst, tol, worst <= tol))
-            if want("inversion") or want("constraints"):
-                sub = pts[:: max(1, len(pts) // 8)]
-                worst_pot = worst_con = 0.0
-                skipped = 0
-                for pt in sub:
-                    try:
-                        res = inversion_agreement(spec, pt, h)
-                    except inversion.SingularSpinor:
-                        skipped += 1  # null-current circle; counted apart
-                        continue
-                    bound = max(CHECK_TOLERANCES["inversion"],
-                                10.0 * res["richardson"])
-                    worst_pot = max(worst_pot, res["potential_diff"] / bound)
-                    worst_con = max(worst_con, res["constrained"])
-                records.append(CheckRecord(
-                    "inversion", label, grid_desc, worst_pot, 1.0,
-                    worst_pot <= 1.0,
-                    extra={"constrained": worst_con, "skipped": skipped}))
-                records.append(CheckRecord(
-                    "constraints", label, grid_desc, worst_con,
-                    CHECK_TOLERANCES["constraints"],
-                    worst_con <= CHECK_TOLERANCES["constraints"]))
-            if want("maxwell"):
-                sub = pts[:: max(1, len(pts) // 8)]
-                worst = max(maxwell_residual(spec, pt, h) for pt in sub)
-                tol = CHECK_TOLERANCES["maxwell"]
-                records.append(CheckRecord("maxwell", label, grid_desc,
-                                           worst, tol, worst <= tol))
-            if want("kinematics"):
-                kin = kinematics_check(spec, pts[:: max(1, len(pts) // 25)])
-                worst = max(kin[k] for k in ("vv", "ss", "vs", "gram",
-                                             "plane", "pseudo", "beta0"))
-                tol = CHECK_TOLERANCES["kinematics"]
-                records.append(CheckRecord(
-                    "kinematics", label, grid_desc, worst, tol, worst <= tol,
-                    extra={"beta_pi_fraction": kin["beta_pi_fraction"],
-                           "excluded": kin["excluded"]}))
-            if want("ode") and not spec.is_dressed:
-                lams = np.linspace(0.05, 4.0, 200)
-                if negative_control == "perturb-profile":
-                    worst = max(_perturbed_ode_residual(spec, lam)
-                                for lam in lams)
-                else:
-                    worst = max(inversion.radial_ode_residual(spec, lam)
-                                for lam in lams)
-                tol = CHECK_TOLERANCES["ode"]
-                records.append(CheckRecord(
-                    "ode", label, "lam linspace(0.05,4)x200", worst, tol,
-                    worst <= tol))
-            if want("circularity") and not spec.is_dressed:
-                lams = np.linspace(0.1, 3.0, 40)
-                vals = []
-                for lam in lams:
-                    try:
-                        vals.append(inversion.circularity_residual(spec, lam))
-                    except inversion.SingularSpinor:
-                        continue
-                worst = max(vals)
-                tol = CHECK_TOLERANCES["circularity"]
-                records.append(CheckRecord("circularity", label,
-                                           "lam linspace(0.1,3)x40", worst,
-                                           tol, worst <= tol))
-            if want("volkov") and spec.family is cat.Family.VOLKOV_BESSEL:
-                sub = pts[:: max(1, len(pts) // 50)]
-                worst = max(volkov_equivalence(spec, pt) for pt in sub)
-                tol = CHECK_TOLERANCES["volkov"]
-                records.append(CheckRecord("volkov", label, grid_desc,
-                                           worst, tol, worst <= tol))
-            if want("fields") and spec.is_dressed \
-                    and spec.family is not cat.Family.VOLKOV_BESSEL:
-                worst = 0.0
-                for pt in pts[:: max(1, len(pts) // 20)]:
-                    fi = field_invariants(spec, pt)
-                    worst = max(worst, abs(fi["E_dot_B"]))
-                tol = CHECK_TOLERANCES["fields"]
-                records.append(CheckRecord("fields", label, grid_desc,
-                                           worst, tol, worst <= tol))
-    if want("nullrotor"):
+    for spec in specs:
+        pts = sample_points(rng, points)
+        label = spec_label(spec)
+        for check in rows:
+            if check.applies(spec):
+                records += check.run(spec, label, grid_desc, pts, h,
+                                     negative_control)
+    if "nullrotor" in checks:  # the null-rotation generator, once per run
         wf = default_waveform()
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))
         worst = 0.0
         for xi in rng.uniform(0.0, 2.0 * math.pi, size=20):
             res = null_rotation_block_residual(wf, xi, eps, 1.1)
             worst = max(worst, res["block_diff"], res["nilpotency"])
-        tol = CHECK_TOLERANCES["nullrotor"]
-        records.append(CheckRecord("nullrotor", "generator", "xi x20",
-                                   worst, tol, worst <= tol))
-    report = VerificationReport(
+        records.append(CheckRecord("nullrotor", "generator", "xi x20", worst,
+                                   1e-12, worst <= 1e-12))
+    return VerificationReport(
         solution_id="standard-suite" if not negative_control
         else f"negative-control:{negative_control}",
         seed=seed, fd_step=h, records=records,
         wall_clock=time.perf_counter() - t0)
-    return report
-
-
-def _perturbed_ode_residual(spec: cat.SolutionSpec, lam: float) -> float:
-    """Residual of the radial equation for f (1 + 0.01 lam) (fault model)."""
-    base = spec.static_base()
-    c = base.units.c
-    eps = cat.eigenvalue(base)
-    pr = cat.profile(base, lam)
-    f = pr["f"] * (1.0 + 0.01 * lam)
-    fp = pr["fp"] * (1.0 + 0.01 * lam) + 0.01 * pr["f"]
-    fpp = pr["fpp"] * (1.0 + 0.01 * lam) + 0.02 * pr["fp"]
-    gap = 4.0 * ((base.m * c * c) ** 2 + (base.p_z * c) ** 2 - eps ** 2) \
-        / base.B ** 2
-    res = fpp - gap * f + fp * ((base.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])
-    scale = max(abs(f), abs(fp), abs(fpp), 1e-30)
-    return abs(res) / scale

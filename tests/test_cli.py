@@ -172,6 +172,33 @@ def test_verify_checks_absent_from_family_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_verify_negative_control_touching_no_check_is_usage_error(tmp_path,
+                                                                   capsys):
+    # a control whose fault reaches none of the selected checks would report
+    # a detection it never made
+    for control, check in (("scale-potential", "ode"),
+                           ("perturb-profile", "continuity")):
+        out = tmp_path / f"{control}.json"
+        code = cli.main(["verify", "--negative-control", control,
+                         "--check", check, "--points", "5", "--out", str(out)])
+        assert code == 2
+        assert "touches none" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_unknown_negative_control_in_config_is_usage_error(tmp_path,
+                                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"negative_control": "bogus",
+                               "family": "uniform-b", "check": ["dirac"],
+                               "points": 3}))
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_constraints_check_runs_inversion(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--family", "uniform-b", "--check",

@@ -8,7 +8,7 @@ import pytest
 
 from rdibeams import catalog as cat
 from rdibeams import specialfn as sf
-from rdibeams import spinors, verify, waveforms
+from rdibeams import inversion, numerics, spinors, verify, waveforms
 
 
 def test_dirac_residual_plane_wave_baseline():
@@ -45,19 +45,43 @@ def test_dirac_residual_detects_scaled_potential():
     rng = np.random.default_rng(2)
     worst = max(
         verify.dirac_residual(spec, tuple(rng.uniform(0.5, 5, 4)),
-                              potential_scale=1.01)
+                              fault="scale-potential")
         for _ in range(10))
     assert worst > 1e-4
 
 
 def test_dirac_residual_detects_perturbed_profile():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    bad = verify.perturbed_spinor(spec)
     rng = np.random.default_rng(3)
     worst = max(
-        verify.dirac_residual_of_field(spec, bad, tuple(rng.uniform(0.5, 4, 4)))
+        verify.dirac_residual(spec, tuple(rng.uniform(0.5, 4, 4)),
+                              fault="perturb-profile")
         for _ in range(10))
     assert worst > 1e-4
+
+
+def test_perturb_profile_hook_follows_the_product_rule():
+    # the hook returns the profile data of f (1 + 0.01 lam): its lam
+    # derivatives (checked by finite differences), the same H, and the
+    # axis-regular pair amp = lam^(M/2) f, ampd = lam^(M/2) f'
+    spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1)
+    lam = 1.3
+    pr = cat.profile(spec, lam)
+    bad = verify.perturb_profile(pr, lam)
+    assert bad["H"] == pr["H"] and bad["Hp"] == pr["Hp"]
+
+    def f(x):
+        return cat.profile(spec, x)["f"] * (1.0 + 0.01 * x)
+
+    def amp(x):
+        return cat.profile(spec, x)["amp"] * (1.0 + 0.01 * x)
+
+    assert bad["f"] == pytest.approx(f(lam), rel=1e-14)
+    assert bad["fp"] == pytest.approx(numerics.deriv4(f, lam).real, rel=1e-9)
+    assert bad["fpp"] == pytest.approx(
+        numerics.deriv4(lambda x: numerics.deriv4(f, x), lam).real, rel=1e-6)
+    assert bad["amp"] == pytest.approx(amp(lam), rel=1e-14)
+    assert bad["ampd"] == pytest.approx(lam ** 0.5 * bad["fp"], rel=1e-12)
 
 
 def test_continuity_residuals():
@@ -312,15 +336,87 @@ def test_suite_determinism():
 def test_negative_control_suites_detect_faults():
     # injected faults drive the checks past their tolerances: the suite
     # fails, and the residuals sit far above the 1e-4 detection floor
-    rep = verify.run_suite(families=["uniform-b"], checks={"dirac"},
+    rep = verify.run_suite(families=["uniform-b"], checks={"dirac", "ode"},
                            points=5, seed=6,
                            negative_control="scale-potential")
     assert not rep.passed
     for r in rep.records:
-        assert r.max_residual > 1e-4
-    rep = verify.run_suite(families=["uniform-b"], checks={"dirac", "ode"},
-                           points=5, seed=6,
+        # the scaled potential reaches the dirac check only
+        assert (r.max_residual > 1e-4) == (r.name == "dirac"), r.name
+    # the profile fault reaches the dressed families through the real
+    # spinor evaluator as well
+    rep = verify.run_suite(families=["uniform-b", "redmond"],
+                           checks={"dirac", "ode"}, points=5, seed=6,
                            negative_control="perturb-profile")
     assert not rep.passed
+    assert {r.family.split()[0] for r in rep.records} == {"uniform-b",
+                                                          "redmond"}
     for r in rep.records:
         assert r.max_residual > 1e-4
+
+
+def test_negative_control_selection_errors():
+    with pytest.raises(ValueError, match="bogus"):
+        verify.run_suite(families=["uniform-b"], checks={"dirac"}, points=2,
+                         negative_control="bogus")
+    # ode, the only other check the profile fault reaches, applies to
+    # stationary families only
+    with pytest.raises(verify.SelectionError, match="touches none"):
+        verify.run_suite(families=["redmond"], checks={"ode", "gauge"},
+                         points=2, negative_control="perturb-profile")
+
+
+STATIONARY_RECORDS = ["dirac", "continuity", "gauge", "inversion",
+                      "constraints", "maxwell", "kinematics", "ode",
+                      "circularity"]
+DRESSED_RECORDS = ["dirac", "continuity", "gauge", "inversion",
+                   "constraints", "maxwell", "kinematics"]
+
+
+def test_suite_record_sequence():
+    expected = []
+    for family, names in (
+            ("free-bessel", STATIONARY_RECORDS),
+            ("uniform-b", STATIONARY_RECORDS),
+            ("uniform-b-split", STATIONARY_RECORDS),
+            ("radial-b", STATIONARY_RECORDS),
+            ("volkov-bessel", DRESSED_RECORDS + ["volkov"]),
+            ("redmond", DRESSED_RECORDS + ["fields"]),
+            ("radial-b-laser", DRESSED_RECORDS + ["fields"])):
+        expected += [(name, family) for _ in range(3) for name in names]
+    expected.append(("nullrotor", "generator"))
+    rep = verify.run_suite(points=2)
+    assert len(expected) == 181
+    assert [(r.name, r.family.split()[0]) for r in rep.records] == expected
+
+
+# the attribute each check's residual is read through at call time
+CHECK_RESIDUALS = {
+    "dirac": (verify, "dirac_residual"),
+    "continuity": (verify, "continuity_residual"),
+    "gauge": (verify, "lorentz_gauge_residual"),
+    "inversion": (verify, "inversion_agreement"),
+    "maxwell": (verify, "maxwell_residual"),
+    "kinematics": (verify, "kinematics_check"),
+    "ode": (inversion, "radial_ode_residual"),
+    "circularity": (inversion, "circularity_residual"),
+    "volkov": (verify, "volkov_equivalence"),
+    "fields": (verify, "field_invariants"),
+    "nullrotor": (verify, "null_rotation_block_residual"),
+}
+
+
+def test_suite_calls_residuals_through_module_attributes(monkeypatch):
+    calls = dict.fromkeys(CHECK_RESIDUALS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, (module, attr) in CHECK_RESIDUALS.items():
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    verify.run_suite(points=2)
+    assert all(calls.values()), calls
+    assert set(CHECK_RESIDUALS) | {"constraints"} == set(verify.CHECK_NAMES)
