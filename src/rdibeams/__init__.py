@@ -18,7 +18,6 @@ from .catalog import (  # noqa: F401
     eigenvalue,
     fields,
     laser_dress,
-    laser_dress_matrix,
     matrix_spinor,
     normalization,
     potential,

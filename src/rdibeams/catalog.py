@@ -391,33 +391,6 @@ def laser_dress(psi_static_field, waveform: Waveform, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def laser_dress_matrix(Psi_static_field, waveform: Waveform, eps: float,
-                       omega: float, units: UnitSystem = NATURAL):
-    """Matrix-spinor version of laser_dress:
-
-        Psi_T(x) = (1 + N(xi)) Psi(t, x', y', z) R(Phi),
-
-    with R the gauge phase rotor acting from the right.  Equals the
-    even-subalgebra lift of the dressed column field.
-    """
-    c, hbar = units.c, units.hbar
-
-    def dressed(t, x, y, z):
-        xi = omega * (t - z / c)
-        f1, f2 = waveform.f(xi)
-        d1, d2 = waveform.fdot(xi)
-        if f1 == f2 == d1 == d2 == 0.0 and waveform.gauge_integral(xi) == 0.0:
-            return Psi_static_field(t, x, y, z)
-        shift = c ** 3 / (eps * omega ** 2)
-        gen = null_rotation_generator(d1, d2, eps, omega, units)
-        phi = -c ** 4 / (2.0 * eps * omega ** 3 * hbar) \
-            * waveform.gauge_integral(xi)
-        base = Psi_static_field(t, x + shift * f1, y + shift * f2, z)
-        return (sta.ID + gen) @ base @ spinors.phase_rotor(-phi)
-
-    return dressed
-
-
 def spinor(spec: SolutionSpec, fault=None):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family;
     `fault(profile, lam)`, when given, replaces the profile right after it
@@ -450,10 +423,9 @@ def spinor(spec: SolutionSpec, fault=None):
     return laser_dress(static_field, spec.waveform, eps, spec.omega, u)
 
 
-def matrix_spinor(spec: SolutionSpec, fault=None):
-    """Matrix-spinor field Psi with Psi u1 = psi (even-subalgebra lift);
-    `fault` as for `spinor`."""
-    col = spinor(spec, fault)
+def matrix_spinor(spec: SolutionSpec):
+    """Matrix-spinor field Psi with Psi u1 = psi (even-subalgebra lift)."""
+    col = spinor(spec)
 
     def field(t, x, y, z):
         return spinors.hestenes_matrix(col(t, x, y, z))

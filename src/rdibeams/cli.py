@@ -17,7 +17,8 @@ import numpy as np
 from . import __version__
 from . import catalog as cat
 from . import verify
-from .spinors import bilinears
+from .specialfn import DomainError
+from .spinors import NullDensity, bilinears
 from .units import NATURAL, SI
 from .waveforms import circular, linear, pulse
 
@@ -29,9 +30,12 @@ class UsageError(ValueError):
 def _parse_range(text: str) -> tuple[float, float, int]:
     try:
         lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise UsageError(f"bad range spec {text!r}, want lo:hi:count") from exc
+    if count < 0:
+        raise UsageError(f"bad range spec {text!r}, negative count")
+    return lo, hi, count
 
 
 def _parse_waveform(text: str):
@@ -156,28 +160,24 @@ def cmd_eval(args) -> int:
             row.extend([float(bil.rho), float(bil.beta)])
             yield row
 
+    fh = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
     try:
-        fh = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
-        try:
-            if fmt == "csv":
-                fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-                writer = csv.writer(fh)
-                writer.writerow(_CSV_HEADER)
-                for row in rows():
-                    writer.writerow([f"{v:.12g}" for v in row])
-            elif fmt == "jsonl":
-                fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-                for row in rows():
-                    fh.write(json.dumps(dict(zip(_CSV_HEADER, row)),
-                                        sort_keys=True) + "\n")
-            else:
-                raise UsageError(f"unknown format {fmt!r}")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return 4
+        if fmt == "csv":
+            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(_CSV_HEADER)
+            for row in rows():
+                writer.writerow([f"{v:.12g}" for v in row])
+        elif fmt == "jsonl":
+            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
+            for row in rows():
+                fh.write(json.dumps(dict(zip(_CSV_HEADER, row)),
+                                    sort_keys=True) + "\n")
+        else:
+            raise UsageError(f"unknown format {fmt!r}")
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     return 0
 
 
@@ -216,15 +216,11 @@ def cmd_verify(args) -> int:
     payload["histogram"] = _residual_histogram(report)
     text = json.dumps(payload, indent=2, sort_keys=True)
     out_path = cfg.get("out")
-    try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return 4
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
     failing = [r for r in report.records if not r.passed]
     for r in failing:
         print(f"FAIL {r.name} [{r.family}] max={r.max_residual:.3e} "
@@ -306,9 +302,12 @@ def main(argv=None) -> int:
         if "family" in str(exc):
             cmd_catalog(argparse.Namespace(json=False))
         return 2
-    except cat.OnAxisError as exc:
+    except (cat.OnAxisError, NullDensity, DomainError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a missing --config file, an unwritable --out
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -69,8 +69,7 @@ def _invert_once(Psi_field, point, h, m, units) -> Array:
         raise SingularSpinor(f"|det Psi| = {abs(det):.3e}")
     Psi_inv = np.linalg.inv(Psi)
     slash_d = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        dmu = numerics.partial4(Psi_field, point, mu, h)
+    for mu, dmu in enumerate(numerics.gradient4(Psi_field, point, h)):
         if mu == 0:
             dmu = dmu / c
         slash_d = slash_d + sta.GAMMA_UP[mu] @ dmu
@@ -127,20 +126,19 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
     bil = cat.bilinear_fields(spec, *point)
     sigma = bil["scalar"]
 
-    # rho^2 (s x v) = (rho s) x (rho v); the duality-signed scalar divides
-    # one density back out, keeping the field smooth across the annuli
-    # where the scalar changes sign
-    def spin_cross(*q):
+    # rho^2 (s x v) = (rho s) x (rho v), then rho (v^0 s - s^0 v); the
+    # duality-signed scalar divides one density back out, keeping the field
+    # smooth across the annuli where the scalar changes sign
+    def spin_cross_and_lin_comb(*q):
         b = cat.bilinear_fields(spec, *q)
-        return np.cross(b["rho_s"][1:], b["J"][1:]) / b["scalar"]
-
-    def lin_comb(*q):
-        b = cat.bilinear_fields(spec, *q)
-        return (b["J"][0] * b["rho_s"][1:] - b["rho_s"][0] * b["J"][1:]) \
+        rho_s, J = b["rho_s"], b["J"]
+        return np.concatenate([np.cross(rho_s[1:], J[1:]),
+                               J[0] * rho_s[1:] - rho_s[0] * J[1:]]) \
             / b["scalar"]
 
-    div = numerics.spatial_divergence(spin_cross, point, h)
-    curl = numerics.spatial_curl(lin_comb, point, h)
+    g = numerics.gradient4(spin_cross_and_lin_comb, point, h).real
+    div = numerics.spatial_divergence(g[:, :3])
+    curl = numerics.spatial_curl(g[:, 3:])
 
     Psi_field = cat.matrix_spinor(spec)
 
@@ -153,11 +151,9 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
             return vec / b["scalar"]
         return field
 
-    e1 = tetrad(1)
     e2_now = tetrad(2)(*point)
     P = np.zeros(4)
-    for mu in range(4):
-        de1 = numerics.partial4(e1, point, mu, h).real
+    for mu, de1 in enumerate(numerics.gradient4(tetrad(1), point, h).real):
         if mu == 0:
             de1 = de1 / c
         P[mu] = -(hbar / 2.0) * sta.minkowski_dot(e2_now, de1)

@@ -3,7 +3,9 @@ inversion and verification layers.
 
 The default derivative stencil is 4th-order central with step h = 1e-3 in
 natural units; Richardson (h, h/2) pairs supply the error estimate the
-inversion contract requires.
+inversion contract requires.  Fields are differentiated in `gradient4`, once
+per point: the divergence, curl and Dirac operators are then read off the
+one 4-gradient instead of re-running the stencil per component.
 """
 from __future__ import annotations
 
@@ -37,25 +39,29 @@ def partial4(fn, point, mu, h=DEFAULT_STEP):
     return deriv4(slice_fn, point[mu], h)
 
 
-def spatial_divergence(vec_fn, point, h=DEFAULT_STEP):
-    """div F of a 3-vector field F(t,x,y,z) at fixed time."""
-    return sum(
-        partial4(lambda *q, k=k: vec_fn(*q)[k], point, k + 1, h).real
-        for k in range(3)
-    )
+def gradient4(fn, point, h=DEFAULT_STEP):
+    """All four partials of fn(t, x, y, z), stacked: g[mu] = d_mu fn, the
+    time row in d/dt (not d/d(ct))."""
+    return np.stack([partial4(fn, point, mu, h) for mu in range(4)])
 
 
-def spatial_curl(vec_fn, point, h=DEFAULT_STEP):
-    """curl F of a 3-vector field F(t,x,y,z) at fixed time."""
-    d = [
-        [partial4(lambda *q, k=k: vec_fn(*q)[k], point, j + 1, h).real
-         for k in range(3)]
-        for j in range(3)
-    ]  # d[j][k] = d_j F_k
+def divergence4(fn, point, h=DEFAULT_STEP, c=1.0):
+    """d_mu F^mu = d_t F^0 / c + div F of a real 4-vector field F."""
+    g = gradient4(fn, point, h).real
+    return g[0, 0] / c + g[1, 1] + g[2, 2] + g[3, 3]
+
+
+def spatial_divergence(g):
+    """div F from the 4-gradient g[mu, k] = d_mu F_k of a 3-vector field."""
+    return g[1, 0] + g[2, 1] + g[3, 2]
+
+
+def spatial_curl(g):
+    """curl F from the 4-gradient g[mu, k] = d_mu F_k of a 3-vector field."""
     return np.array([
-        d[1][2] - d[2][1],
-        d[2][0] - d[0][2],
-        d[0][1] - d[1][0],
+        g[2, 2] - g[3, 1],
+        g[3, 0] - g[1, 2],
+        g[1, 1] - g[2, 0],
     ])
 
 

@@ -8,6 +8,11 @@ dressed-beam equivalence, the null-rotation block identity, and streamline
 integration.  The standard suite is one table, CHECKS, run over seeded
 uniform points in the box [0.5, 5]^4 (natural units).
 
+Each residual differentiates its field once per point, with
+`numerics.gradient4`.  The matrix Dirac form takes its derivative from the
+column one, d_mu Psi = hestenes_matrix(d_mu psi): the lift Psi u1 = psi is
+real-linear, so it commutes with the stencil exactly, bit for bit.
+
 Negative controls assert detection power, not only agreement.
 scale-potential scales eA by 1.01 in the dirac check; perturb-profile
 applies `perturb_profile` in the real profile readers, which reaches the
@@ -65,7 +70,12 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi.
 
     Both the column form and the matrix form are evaluated; the returned
-    value is the larger of the two (they agree for a consistent lift).
+    value is the larger of the two (they agree for a consistent lift).  The
+    column field is differentiated once; the matrix form takes
+    Psi = hestenes_matrix(psi) and d_mu Psi = hestenes_matrix(d_mu psi).
+    That is exact: the lift is real-linear and only copies the real and
+    imaginary parts of psi, with signs, into fixed matrix slots, so it
+    commutes with the stencil's weighted sums bit for bit.
     `fault` names a negative control to inject: "scale-potential" scales
     eA by 1.01, "perturb-profile" builds the spinor on `perturb_profile`.
     """
@@ -73,25 +83,25 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     c, hbar = u.c, u.hbar
     hook = perturb_profile if fault == "perturb-profile" else None
     col = cat.spinor(spec, hook)
-    Psi_field = cat.matrix_spinor(spec, hook)
     psi = col(*point)
+    Psi = spinors.hestenes_matrix(psi)
     eA = (1.01 if fault == "scale-potential" else 1.0) \
         * cat.potential(spec, *point)
     slash_A = sta.from_vector(eA)
 
+    grad = numerics.gradient4(col, point, h)
     dcol = np.zeros(4, dtype=complex)
     dmat = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        dc = numerics.partial4(col, point, mu, h)
-        dm = numerics.partial4(Psi_field, point, mu, h)
+        dc, dm = grad[mu], spinors.hestenes_matrix(grad[mu])
         if mu == 0:
             dc, dm = dc / c, dm / c
         dcol = dcol + sta.GAMMA_UP[mu] @ (1j * hbar * dc)
         dmat = dmat + sta.GAMMA_UP[mu] @ dm
     scale = max(spec.m * c * float(np.linalg.norm(psi)), 1e-30)
     res_col = np.linalg.norm(dcol - slash_A @ psi - spec.m * c * psi) / scale
-    mat = hbar * dmat @ spinors.PHASE_PLANE - slash_A @ Psi_field(*point) \
-        - spec.m * c * Psi_field(*point) @ sta.GAMMA_UP[0]
+    mat = hbar * dmat @ spinors.PHASE_PLANE - slash_A @ Psi \
+        - spec.m * c * Psi @ sta.GAMMA_UP[0]
     res_mat = np.linalg.norm(mat[:, 0]) / scale
     res_full = np.linalg.norm(mat) / (2.0 * scale)
     return max(res_col, res_mat, res_full)
@@ -101,31 +111,15 @@ def continuity_residual(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP) -> float:
     """|d_mu J^mu| from the bilinear current of the spinor field."""
     col = cat.spinor(spec)
-    c = spec.units.c
-
-    def current(*q):
-        return spinors.bilinears(col(*q)).current
-
-    total = 0.0
-    for mu in range(4):
-        d = numerics.partial4(current, point, mu, h).real
-        total += d[mu] / (c if mu == 0 else 1.0)
-    return abs(total)
+    return abs(numerics.divergence4(
+        lambda *q: spinors.bilinears(col(*q)).current, point, h, spec.units.c))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
                            h: float = numerics.DEFAULT_STEP) -> float:
     """|d_mu eA^mu| by finite differences."""
-    c = spec.units.c
-
-    def pot(*q):
-        return cat.potential(spec, *q)
-
-    total = 0.0
-    for mu in range(4):
-        d = numerics.partial4(pot, point, mu, h).real
-        total += d[mu] / (c if mu == 0 else 1.0)
-    return abs(total)
+    return abs(numerics.divergence4(
+        lambda *q: cat.potential(spec, *q), point, h, spec.units.c))
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
@@ -146,28 +140,21 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
     """Max residual of Gauss and Ampere laws against the closed-form
     sources (natural units)."""
 
-    def efield(*q):
-        return cat.fields(spec, *q).electric
-
-    def bfield(*q):
-        return cat.fields(spec, *q).magnetic
+    def e_and_b(*q):
+        smp = cat.fields(spec, *q)
+        return np.concatenate([smp.electric, smp.magnetic])
 
     smp = cat.fields(spec, *point)
-    gauss = numerics.spatial_divergence(efield, point, h) - smp.charge_source
-    curl_b = numerics.spatial_curl(bfield, point, h)
-    dte = numerics.partial4(efield, point, 0, h).real
-    ampere = curl_b - dte - smp.current_source
+    g = numerics.gradient4(e_and_b, point, h).real
+    gauss = numerics.spatial_divergence(g[:, :3]) - smp.charge_source
+    ampere = numerics.spatial_curl(g[:, 3:]) - g[0, :3] - smp.current_source
     return max(abs(gauss), float(np.max(np.abs(ampere))))
 
 
 def field_invariants(spec: cat.SolutionSpec, point) -> dict:
-    """e E . e B and (eE)^2 - (c eB)^2 for the dressed magnetic families."""
-    c = spec.units.c
+    """e E . e B for the dressed magnetic families."""
     smp = cat.fields(spec, *point)
-    dot = float(np.dot(smp.electric, smp.magnetic))
-    inv2 = float(np.dot(smp.electric, smp.electric)
-                 - c * c * np.dot(smp.magnetic, smp.magnetic))
-    return {"E_dot_B": dot, "EE_minus_cBB": inv2}
+    return {"E_dot_B": float(np.dot(smp.electric, smp.magnetic))}
 
 
 def fields_from_potential(spec: cat.SolutionSpec, point,
@@ -177,17 +164,9 @@ def fields_from_potential(spec: cat.SolutionSpec, point,
         eE = -grad(eA^0) - d(e A)/d(ct),   eB = curl(e A),
 
     as a cross-check of the closed-form field displays."""
-    c = spec.units.c
-
-    def pot(*q):
-        return cat.potential(spec, *q)
-
-    grad0 = np.array([
-        numerics.partial4(lambda *q, k=k: pot(*q)[0], point, k + 1, h).real
-        for k in range(3)])
-    dt_vec = numerics.partial4(lambda *q: pot(*q)[1:], point, 0, h).real / c
-    curl = numerics.spatial_curl(lambda *q: pot(*q)[1:], point, h)
-    return {"electric": -grad0 - dt_vec, "magnetic": curl}
+    g = numerics.gradient4(lambda *q: cat.potential(spec, *q), point, h).real
+    return {"electric": -g[1:, 0] - g[0, 1:] / spec.units.c,
+            "magnetic": numerics.spatial_curl(g[:, 1:])}
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +552,8 @@ def spec_label(spec: cat.SolutionSpec) -> str:
 
 
 class SelectionError(ValueError):
-    """Unknown check or control name, or a control that reaches no check."""
+    """Unknown check or control name, a control that reaches no check, or
+    no points to check on."""
 
 
 @dataclass(frozen=True)
@@ -686,9 +666,11 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
 
     `negative_control` (one of NEGATIVE_CONTROLS) injects its fault into the
     rows it reaches, which must then fail at their normal tolerances.
-    Raises SelectionError for an unknown name and for a control that
-    reaches no selected row."""
+    Raises SelectionError for an unknown name, for a control that reaches
+    no selected row and for fewer than one point."""
     t0 = time.perf_counter()
+    if points < 1:
+        raise SelectionError(f"need at least one point, got {points}")
     wanted = {cat.Family(f) for f in families or cat.Family}
     specs = [spec for fam, group in default_specs().items() if fam in wanted
              for spec in group]

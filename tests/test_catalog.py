@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rdibeams import catalog as cat
-from rdibeams import spinors, waveforms
+from rdibeams import spinors, sta, waveforms
 from rdibeams.numerics import adaptive_simpson
 
 
@@ -485,27 +485,44 @@ def test_dressed_spin_time_component():
     assert checked >= 20
 
 
+def _dress_matrix(spec):
+    """The matrix-level dressing Psi_T(x) = (1 + N(xi)) Psi(t, x', y', z)
+    R(-Phi) of the static matrix spinor, with R the gauge phase rotor acting
+    from the right."""
+    base = spec.static_base()
+    static = cat.matrix_spinor(base)
+    eps = cat.eigenvalue(base)
+
+    def field(t, x, y, z):
+        xi = cat.xi_of(spec, t, z)
+        dx, dy = cat.coordinate_shift(spec, xi)
+        gen = cat.null_rotation_generator(*spec.waveform.fdot(xi), eps,
+                                          spec.omega, spec.units)
+        rotor = spinors.phase_rotor(-cat.gauge_phase(spec, xi))
+        return (sta.ID + gen) @ static(t, x + dx, y + dy, z) @ rotor
+
+    return field
+
+
 def test_laser_dress_matrix_equals_column_lift():
     # the matrix-level dressing and the even-subalgebra lift of the dressed
     # column must be the same field
     wf = waveforms.circular(0.3)
     spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
                             omega=1.1)
-    base = spec.static_base()
-    eps = cat.eigenvalue(base)
-    dressed_matrix = cat.laser_dress_matrix(cat.matrix_spinor(base), wf, eps,
-                                            spec.omega)
+    dressed_matrix = _dress_matrix(spec)
     lifted = cat.matrix_spinor(spec)
     rng = np.random.default_rng(21)
     for _ in range(10):
         pt = tuple(rng.uniform(0.4, 3.5, size=4))
         np.testing.assert_allclose(dressed_matrix(*pt), lifted(*pt),
                                    atol=1e-13)
-    # zero drive: identity transform, bitwise
-    off = cat.laser_dress_matrix(cat.matrix_spinor(base),
-                                 waveforms.circular(0.0), eps, spec.omega)
+    # zero drive: identity transform, bitwise, on both paths
+    off = replace(spec, waveform=waveforms.circular(0.0))
+    static = cat.matrix_spinor(spec.static_base())
     pt = (0.9, 1.2, 0.8, 0.3)
-    np.testing.assert_array_equal(off(*pt), cat.matrix_spinor(base)(*pt))
+    np.testing.assert_array_equal(_dress_matrix(off)(*pt), static(*pt))
+    np.testing.assert_array_equal(cat.matrix_spinor(off)(*pt), static(*pt))
 
 
 def test_nilpotency_of_dressing_generator_100_phases():

@@ -1,15 +1,26 @@
 """Command-line surface: catalog listing, grid evaluation, verification
 runs, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import rdibeams
 from rdibeams import cli
+
+# the child process imports the same rdibeams as this one, installed or not
+PACKAGE_ROOT = str(Path(rdibeams.__file__).resolve().parents[1])
 
 
 def run_cli(args, check=True):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT,
+                                         os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "rdibeams.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -104,6 +115,27 @@ def test_eval_io_failure_exits_4():
                      "--grid-x", "1:1:1", "--grid-y", "1:1:1",
                      "--out", "/nonexistent-dir/x.csv"])
     assert code == 4
+
+
+@pytest.mark.parametrize("args, code", [
+    # the density underflows far out in the uniform field
+    (["eval", "--family", "uniform-b", "--grid-x", "30:40:3",
+      "--grid-y", "0.5:0.5:1"], 3),
+    # an l > 0 Bessel beam vanishes on the axis
+    (["eval", "--family", "free-bessel", "--l", "1", "--grid-x", "0:1:2",
+      "--grid-y", "0:0:1", "--axis-exclude", "0"], 3),
+    # outside the Bessel recurrence's validity window
+    (["eval", "--family", "free-bessel", "--pperp", "5000"], 3),
+    (["eval", "--family", "uniform-b", "--grid-x", "0.5:3:-2"], 2),
+    (["eval", "--config", "/nonexistent-dir/cfg.json"], 4),
+    (["verify", "--config", "/nonexistent-dir/cfg.json"], 4),
+], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
+        "eval-config", "verify-config"])
+def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "usage error", 3: "domain error",
+                           4: "I/O failure"}[code])
 
 
 def test_verify_subset_passes(tmp_path):

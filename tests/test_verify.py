@@ -366,6 +366,13 @@ def test_negative_control_selection_errors():
                          points=2, negative_control="perturb-profile")
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_run_suite_without_points_is_selection_error(points):
+    with pytest.raises(verify.SelectionError, match="point"):
+        verify.run_suite(families=["uniform-b"], checks={"dirac"},
+                         points=points)
+
+
 STATIONARY_RECORDS = ["dirac", "continuity", "gauge", "inversion",
                       "constraints", "maxwell", "kinematics", "ode",
                       "circularity"]
