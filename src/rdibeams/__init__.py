@@ -17,7 +17,6 @@ from .catalog import (  # noqa: F401
     averages,
     eigenvalue,
     fields,
-    laser_dress,
     matrix_spinor,
     normalization,
     potential,

@@ -171,6 +171,13 @@ def r_of_lam(spec: SolutionSpec, lam: float) -> float:
     return 2.0 * spec.units.c * spec.units.hbar * lam / spec.B
 
 
+def radial_kappa(spec: SolutionSpec) -> float:
+    """kappa = (M+1)/(2n+M+1): the 1/r-field profile is a Laguerre
+    polynomial in kappa lam."""
+    base = spec.static_base()
+    return (base.M + 1) / (2 * base.n + base.M + 1)
+
+
 def _free_q(spec: SolutionSpec) -> float:
     # Bessel argument scale: f = lam^-l J_l(q lam)
     eps = eigenvalue(spec)
@@ -187,7 +194,7 @@ def _free_q(spec: SolutionSpec) -> float:
 def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
     """Profile data with unit normalization constant.
 
-    Keys: f, fp, fpp (radial profile and lam-derivatives), H, Hp, dlnH,
+    Keys: f, fp, fpp (radial profile and lam-derivatives), H, Hp,
     amp = lam^(M/2) f and ampd = lam^(M/2) f' (phase-free, axis-regular),
     and the weight-stripped pair (amp_s, ampd_s) with
     amp * H = exp(-u/2) amp_s in the family's Gauss-Laguerre variable u.
@@ -218,8 +225,7 @@ def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
             f = (q / 2.0) ** l / math.factorial(l)
             fp, fpp = 0.0, 0.0
         return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
-                "dlnH": 0.0, "amp": amp, "ampd": ampd,
-                "amp_s": amp, "ampd_s": ampd, "u": 0.0}
+                "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         u = 2.0 * lam * lam
         H = math.exp(-lam * lam)
@@ -247,11 +253,9 @@ def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
             ampd = cfac * 2.0 ** l * (2.0 * l * _pw(lam, l - 1) * L
                                       + 4.0 * lam ** (l + 1) * Ld)
         return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-                "dlnH": -2.0 * lam, "amp": amp, "ampd": ampd,
-                "amp_s": amp, "ampd_s": ampd, "u": u}
+                "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
     # radial 1/r field
-    K = 2 * n + M + 1
-    kappa = (M + 1) / K
+    kappa = radial_kappa(base)
     u = kappa * lam
     H = math.exp(-lam / 2.0)
     Hp = -0.5 * H
@@ -265,47 +269,81 @@ def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
                   + (1.0 - kappa) * kappa * Ld + kappa * kappa * Ldd)
     half = lam ** (M / 2.0)
     return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-            "dlnH": -0.5, "amp": half * f, "ampd": half * fp,
+            "amp": half * f, "ampd": half * fp,
             "amp_s": half * L, "ampd_s": half * ((1.0 - kappa) / 2.0 * L
-                                                 + kappa * Ld), "u": u}
+                                                 + kappa * Ld)}
+
+
+def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
+    """J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of a stationary
+    state, from a phase-free profile pair: (a, b) = (amp H, ampd H) gives
+    the local values, the weight-stripped (amp_s, ampd_s) the integrands of
+    the transverse quadrature."""
+    base = spec.static_base()
+    c = base.units.c
+    A = base.m * c * c + eigenvalue(base)
+    pz2 = (base.p_z * c) ** 2
+    B = base.B
+    upper = (A ** 2 + pz2) * a ** 2 / B ** 2
+    lower = b ** 2 / 4.0
+    return {"J0": upper + lower,
+            "J_phi": -A * a * b / B,
+            "J_z": 2.0 * A * c * base.p_z * a * a / B ** 2,
+            "scalar": (A ** 2 - pz2) * a ** 2 / B ** 2 - lower,
+            "rho_s3": upper - lower}
+
+
+def _transverse_average(spec: SolutionSpec, g) -> float:
+    """2 pi int g(lam) lam dlam for g free of the exp(-u) weight of the
+    family's Gauss-Laguerre variable u (2 lam^2 in the uniform field,
+    kappa lam in the 1/r field).
+
+    The rule has N = max(96, d//2 + 1) nodes, so it is exact (degree
+    2N - 1, Abramowitz & Stegun 25.4.45) for the profile bilinears, which
+    are polynomials in u of degree d = l + 2n (uniform field) or
+    d = M + 2n + 1 (1/r field, the measure included).
+    """
+    base = spec.static_base()
+    fam = base.family
+    if fam is Family.FREE_BESSEL:
+        raise NotNormalizable("free Bessel beam averages are undefined")
+    uniform = fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
+    degree = base.l + 2 * base.n if uniform else base.M + 2 * base.n + 1
+    nodes, weights = np.polynomial.laguerre.laggauss(max(96, degree // 2 + 1))
+    total = 0.0
+    if uniform:
+        for u, w in zip(nodes, weights):
+            total += w * g(math.sqrt(u / 2.0)) / 4.0
+    else:
+        kappa = radial_kappa(base)
+        for u, w in zip(nodes, weights):
+            total += w * g(u / kappa) * u / kappa ** 2
+    return 2.0 * math.pi * total
 
 
 @lru_cache(maxsize=4096)
 def normalization(spec: SolutionSpec) -> float:
     """Normalization constant of the transverse profile.
 
-    Magnetic families are fixed by 2 pi int J0 lam dlam = 1 (exact
-    Gauss-Laguerre quadrature); the non-normalizable free Bessel beam uses
+    Magnetic families are fixed by 2 pi int J0 lam dlam = 1, integrated
+    exactly by `_transverse_average`'s Gauss-Laguerre rule of
+    max(96, d//2 + 1) nodes; the non-normalizable free Bessel beam uses
     the fixed per-area convention instead.
     """
     base = spec.static_base()
-    fam = base.family
-    c = base.units.c
-    eps = eigenvalue(base)
-    mc2 = base.m * c * c
-    if fam is Family.FREE_BESSEL:
+    if base.family is Family.FREE_BESSEL:
+        c = base.units.c
+        eps = eigenvalue(base)
+        mc2 = base.m * c * c
         if base.p_z == 0.0:
             return base.B / (math.sqrt(2.0) * eps * math.sqrt(mc2 / eps + 1.0))
         return base.B / (eps * math.sqrt(mc2 / eps + 1.0))
-    A2 = (mc2 + eps) ** 2
-    pz2 = (base.p_z * c) ** 2
-    nodes, weights = np.polynomial.laguerre.laggauss(96)
-    total = 0.0
-    if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        for u, w in zip(nodes, weights):
-            pr = _raw_profile(base, math.sqrt(u / 2.0))
-            poly = (A2 + pz2) * pr["amp_s"] ** 2 / base.B ** 2 \
-                + pr["ampd_s"] ** 2 / 4.0
-            total += w * poly / 4.0
-    else:
-        K = 2 * base.n + base.M + 1
-        kappa = (base.M + 1) / K
-        for u, w in zip(nodes, weights):
-            pr = _raw_profile(base, u / kappa)
-            poly = (A2 + pz2) * pr["amp_s"] ** 2 / base.B ** 2 \
-                + pr["ampd_s"] ** 2 / 4.0
-            total += w * poly * u / kappa ** 2
-    return 1.0 / math.sqrt(2.0 * math.pi * total)
+
+    def j0(lam):
+        pr = _raw_profile(base, lam)
+        return stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])["J0"]
+
+    return 1.0 / math.sqrt(_transverse_average(base, j0))
 
 
 def profile(spec: SolutionSpec, lam: float) -> dict:
@@ -361,38 +399,17 @@ def xi_of(spec: SolutionSpec, t: float, z: float) -> float:
     return spec.omega * (t - z / spec.units.c)
 
 
-def laser_dress(psi_static_field, waveform: Waveform, eps: float,
-                omega: float, units: UnitSystem = NATURAL):
-    """Dress a stationary column-spinor field with a plane wave.
-
-    Returns the field (t,x,y,z) -> exp(i Phi) (1 + N(xi)) psi(t, x', y', z)
-    with the primed coordinates shifted by the classical quiver motion.
-    """
-    c, hbar = units.c, units.hbar
-
-    def dressed(t, x, y, z):
-        xi = omega * (t - z / c)
-        f1, f2 = waveform.f(xi)
-        d1, d2 = waveform.fdot(xi)
-        if f1 == f2 == d1 == d2 == 0.0 and waveform.gauge_integral(xi) == 0.0:
-            return psi_static_field(t, x, y, z)  # exact identity transform
-        shift = c ** 3 / (eps * omega ** 2)
-        gen = null_rotation_generator(d1, d2, eps, omega, units)
-        phi = -c ** 4 / (2.0 * eps * omega ** 3 * hbar) \
-            * waveform.gauge_integral(xi)
-        base = psi_static_field(t, x + shift * f1, y + shift * f2, z)
-        return np.exp(1j * phi) * ((sta.ID + gen) @ base)
-
-    return dressed
-
-
 # ---------------------------------------------------------------------------
 # spinors
 # ---------------------------------------------------------------------------
 
 
 def spinor(spec: SolutionSpec, fault=None):
-    """Column-spinor field (t, x, y, z) -> psi for the chosen family;
+    """Column-spinor field (t, x, y, z) -> psi for the chosen family.
+
+    A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y', z): the
+    stationary field at coordinates shifted by the classical quiver motion,
+    turned by the null rotation and carried by the gauge phase.
     `fault(profile, lam)`, when given, replaces the profile right after it
     is read (the verifier's negative controls inject faults through it)."""
     base = spec.static_base()
@@ -420,7 +437,19 @@ def spinor(spec: SolutionSpec, fault=None):
 
     if not spec.is_dressed:
         return static_field
-    return laser_dress(static_field, spec.waveform, eps, spec.omega, u)
+
+    def dressed(t, x, y, z):
+        xi = xi_of(spec, t, z)
+        dx, dy = coordinate_shift(spec, xi)
+        d1, d2 = spec.waveform.fdot(xi)
+        phi = gauge_phase(spec, xi)
+        if dx == dy == d1 == d2 == phi == 0.0:
+            return static_field(t, x, y, z)  # exact identity transform
+        gen = null_rotation_generator(d1, d2, eps, spec.omega, u)
+        return np.exp(1j * phi) * ((sta.ID + gen)
+                                   @ static_field(t, x + dx, y + dy, z))
+
+    return dressed
 
 
 def matrix_spinor(spec: SolutionSpec):
@@ -549,30 +578,18 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     base = spec.static_base()
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
-    u = base.units
-    c = u.c
-    eps = eigenvalue(base)
-    A = base.m * c * c + eps
-    pz2 = (base.p_z * c) ** 2
-    lam = lam_of_r(base, math.hypot(x, y))
-    pr = profile(base, lam)
-    aH = pr["amp"] * pr["H"]
-    bH = pr["ampd"] * pr["H"]
-    B2 = base.B ** 2
-    j0 = (A * A + pz2) * aH * aH / B2 + bH * bH / 4.0
-    jphi = -A * aH * bH / base.B
-    jz = 2.0 * A * c * base.p_z * aH * aH / B2
+    c = base.units.c
     r = math.hypot(x, y)
+    pr = profile(base, lam_of_r(base, r))
+    k = stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
+    jphi = k["J_phi"]
     if r > 0:
-        jvec = np.array([j0, -jphi * y / r, jphi * x / r, jz])
+        jvec = np.array([k["J0"], -jphi * y / r, jphi * x / r, k["J_z"]])
     else:
-        jvec = np.array([j0, 0.0, 0.0, jz])
-    scalar = (A * A - pz2) * aH * aH / B2 - bH * bH / 4.0
-    rs0 = jz
-    rs3 = (A * A + pz2) * aH * aH / B2 - bH * bH / 4.0
-    fac = c * base.p_z / A
-    rs = np.array([rs0, fac * jvec[1], fac * jvec[2], rs3])
-    return {"J": jvec, "scalar": scalar, "rho_s": rs, "J_phi": jphi}
+        jvec = np.array([k["J0"], 0.0, 0.0, k["J_z"]])
+    fac = c * base.p_z / (base.m * c * c + eigenvalue(base))
+    rs = np.array([k["J_z"], fac * jvec[1], fac * jvec[2], k["rho_s3"]])
+    return {"J": jvec, "scalar": k["scalar"], "rho_s": rs, "J_phi": jphi}
 
 
 def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
@@ -604,50 +621,6 @@ def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def _transverse_average(spec: SolutionSpec, integrand) -> float:
-    """2 pi int g(lam) lam dlam with g built from the weight-stripped
-    profile pair; exact Gauss-Laguerre in the family variable."""
-    base = spec.static_base()
-    fam = base.family
-    if fam is Family.FREE_BESSEL:
-        raise NotNormalizable("free Bessel beam averages are undefined")
-    nodes, weights = np.polynomial.laguerre.laggauss(96)
-    total = 0.0
-    if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        for uu, w in zip(nodes, weights):
-            lam = math.sqrt(uu / 2.0)
-            pr = profile(base, lam)
-            total += w * integrand(lam, pr) / 4.0
-    else:
-        K = 2 * base.n + base.M + 1
-        kappa = (base.M + 1) / K
-        for uu, w in zip(nodes, weights):
-            lam = uu / kappa
-            pr = profile(base, lam)
-            total += w * integrand(lam, pr) * uu / kappa ** 2
-    return 2.0 * math.pi * total
-
-
-def _avg_kernels(spec: SolutionSpec):
-    base = spec.static_base()
-    c = base.units.c
-    eps = eigenvalue(base)
-    A = base.m * c * c + eps
-    pz2 = (base.p_z * c) ** 2
-    B = base.B
-
-    def dens(lam, pr):  # signed scalar density rho cos(beta)
-        return (A * A - pz2) * pr["amp_s"] ** 2 / B ** 2 - pr["ampd_s"] ** 2 / 4.0
-
-    def j0(lam, pr):
-        return (A * A + pz2) * pr["amp_s"] ** 2 / B ** 2 + pr["ampd_s"] ** 2 / 4.0
-
-    def jphi(lam, pr):
-        return -A * pr["amp_s"] * pr["ampd_s"] / B
-
-    return dens, j0, jphi
-
-
 def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     """Plane averages over the transverse probability measure.
 
@@ -660,18 +633,17 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     base = spec.static_base()
     eps = eigenvalue(base)
     mc2 = base.m * base.units.c ** 2
-    dens, j0, jphi = _avg_kernels(spec)
-    out = {
-        "rho": _transverse_average(spec, dens),
-        "rho_closed": mc2 / eps,
-        "norm": _transverse_average(spec, j0),
-    }
-    if base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        weight = lambda lam: math.sqrt(2.0) * lam
-    else:
-        weight = lambda lam: 1.0
-    out["J_phi"] = _transverse_average(
-        spec, lambda lam, pr: weight(lam) * jphi(lam, pr))
+    uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
+
+    def average(key, weighted=False):
+        def g(lam):
+            pr = profile(base, lam)
+            val = stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])[key]
+            return math.sqrt(2.0) * lam * val if weighted and uniform else val
+        return _transverse_average(base, g)
+
+    out = {"rho": average("scalar"), "rho_closed": mc2 / eps,
+           "norm": average("J0"), "J_phi": average("J_phi", weighted=True)}
     if base.family is Family.UNIFORM_B:
         out["J_phi_closed"] = -math.sqrt(2.0) * base.B * base.n / eps
     elif base.family is Family.UNIFORM_B_SPLIT:
@@ -743,9 +715,7 @@ def _dressed_averages(spec: SolutionSpec, xi: float) -> dict:
 def _lam_cutoff(base: SolutionSpec) -> float:
     if base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         return 7.0
-    K = 2 * base.n + base.M + 1
-    kappa = (base.M + 1) / K
-    return 85.0 / kappa
+    return 85.0 / radial_kappa(base)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,13 @@ def _effective_config(args, keys) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"--config is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError("--config must hold a JSON object")
+        cfg.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -142,39 +148,40 @@ def cmd_eval(args) -> int:
         return 3
     meta = {"config": {k: cfg[k] for k in sorted(cfg)}, "version": __version__}
 
-    def rows():
-        for t, x, y, z in points:
-            if math.hypot(x, y) < exclude:
-                continue
-            psi = col(t, x, y, z)
-            bil = bilinears(psi)
-            eA = cat.potential(spec, t, x, y, z)
-            smp = cat.fields(spec, t, x, y, z)
-            row = [t, x, y, z]
-            for comp in psi:
-                row.extend([comp.real, comp.imag])
-            row.extend(bil.current.tolist())
-            row.extend(eA.tolist())
-            row.extend(smp.electric.tolist())
-            row.extend(smp.magnetic.tolist())
-            row.extend([float(bil.rho), float(bil.beta)])
-            yield row
+    if fmt not in ("csv", "jsonl"):
+        raise UsageError(f"unknown format {fmt!r}")
 
+    def evaluate(t, x, y, z):
+        psi = col(t, x, y, z)
+        bil = bilinears(psi)
+        eA = cat.potential(spec, t, x, y, z)
+        smp = cat.fields(spec, t, x, y, z)
+        out = [t, x, y, z]
+        for comp in psi:
+            out.extend([comp.real, comp.imag])
+        out.extend(bil.current.tolist())
+        out.extend(eA.tolist())
+        out.extend(smp.electric.tolist())
+        out.extend(smp.magnetic.tolist())
+        out.extend([float(bil.rho), float(bil.beta)])
+        return out
+
+    # every row is evaluated before --out is opened, so a domain error
+    # leaves no partial map behind
+    table = [evaluate(*p) for p in points if math.hypot(p[1], p[2]) >= exclude]
     fh = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
     try:
         if fmt == "csv":
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
             writer = csv.writer(fh)
             writer.writerow(_CSV_HEADER)
-            for row in rows():
+            for row in table:
                 writer.writerow([f"{v:.12g}" for v in row])
-        elif fmt == "jsonl":
+        else:
             fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-            for row in rows():
+            for row in table:
                 fh.write(json.dumps(dict(zip(_CSV_HEADER, row)),
                                     sort_keys=True) + "\n")
-        else:
-            raise UsageError(f"unknown format {fmt!r}")
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -184,17 +184,13 @@ def circularity_residual(spec: cat.SolutionSpec, lam: float) -> float:
     if spec.is_dressed:
         raise ValueError("stationary families only")
     base = spec.static_base()
-    u = base.units
-    c = u.c
+    c = base.units.c
     eps = cat.eigenvalue(base)
     A = base.m * c * c + eps
-    pz2 = (base.p_z * c) ** 2
     B = base.B
     pr = cat.profile(base, lam)
-    aH = pr["amp"] * pr["H"]
-    bH = pr["ampd"] * pr["H"]
-    j0 = (A * A + pz2) * aH * aH / B ** 2 + bH * bH / 4.0
-    sigma = (A * A - pz2) * aH * aH / B ** 2 - bH * bH / 4.0
+    k = cat.stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
+    j0, sigma = k["J0"], k["scalar"]
     if sigma == 0.0:
         raise SingularSpinor("null-current circle")
     # d/dlam of lam * J_phi with J_phi = -A lam^M f f' H^2 / B, via the

@@ -398,7 +398,7 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
     base = spec.static_base()
     col = cat.spinor(base)
     lam_hi = 5.0 if base.family is not cat.Family.RADIAL_B else \
-        40.0 * (2 * base.n + base.M + 1) / (base.M + 1)
+        40.0 / cat.radial_kappa(base)
     nodes, weights = np.polynomial.legendre.leggauss(n_radii)
     lams = 0.5 * (nodes + 1.0) * lam_hi
     wts = 0.5 * lam_hi * weights

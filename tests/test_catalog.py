@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
-from rdibeams import spinors, sta, waveforms
+from rdibeams import spinors, sta, verify, waveforms
 from rdibeams.numerics import adaptive_simpson
 
 
@@ -418,6 +420,39 @@ def test_averages_reject_free_beam():
     with pytest.raises(cat.NotNormalizable):
         cat.averages(cat.SolutionSpec(cat.Family.FREE_BESSEL, l=0,
                                       p_perp=1.0))
+
+
+# the degree l + 2n of these states exceeds the 191 that 96 nodes integrate
+@example(cat.Family.UNIFORM_B, 90, 30)
+@example(cat.Family.UNIFORM_B, 100, 0)
+@example(cat.Family.UNIFORM_B, 60, 80)
+@example(cat.Family.UNIFORM_B_SPLIT, 80, 40)
+@given(st.sampled_from([cat.Family.UNIFORM_B, cat.Family.UNIFORM_B_SPLIT]),
+       st.integers(0, 120), st.integers(0, 40))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_averages_match_closed_forms_at_high_quantum_numbers(family, n, l):
+    spec = cat.SolutionSpec(family, n=n, l=l)
+    eps = cat.eigenvalue(spec)
+    levels = n if family is cat.Family.UNIFORM_B else n + l
+    j_phi = -math.sqrt(2.0) * spec.B * levels / eps
+    av = cat.averages(spec)
+    assert av["norm"] == pytest.approx(1.0, abs=1e-12)
+    assert av["rho"] == pytest.approx(spec.m / eps, abs=1e-11)
+    assert av["J_phi"] == pytest.approx(j_phi, rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    s for group in verify.default_specs().values() for s in group
+    if not s.is_dressed], ids=verify.spec_label)
+def test_bilinear_fields_match_spinor_bilinears(spec):
+    # the closed-form kernel against the contraction of the spinor itself
+    for pt in ((0.3, 0.7, -0.4, 0.2), (1.2, -1.5, 0.9, -0.6),
+               (0.0, 2.2, 1.4, 1.0)):
+        closed = cat.bilinear_fields(spec, *pt)
+        bil = spinors.bilinears(cat.spinor(spec)(*pt))
+        got = np.concatenate([closed["J"], closed["rho_s"], [closed["scalar"]]])
+        ref = np.concatenate([bil.current, bil.spin_density, [bil.scalar]])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

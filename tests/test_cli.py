@@ -129,13 +129,35 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "uniform-b", "--grid-x", "0.5:3:-2"], 2),
     (["eval", "--config", "/nonexistent-dir/cfg.json"], 4),
     (["verify", "--config", "/nonexistent-dir/cfg.json"], 4),
+    (["eval", "--config", "{tmp}/not-json.json"], 2),
+    (["verify", "--config", "{tmp}/not-object.json"], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
-        "eval-config", "verify-config"])
+        "eval-config", "verify-config", "config-not-json",
+        "config-not-object"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
+    (tmp_path / "not-json.json").write_text("{")
+    (tmp_path / "not-object.json").write_text("[1, 2]")
+    args = [a.format(tmp=tmp_path) for a in args]
     assert cli.main([*args, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
+
+
+@pytest.mark.parametrize("before", [None, "an earlier map\n"],
+                         ids=["absent", "existing"])
+def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
+    # the first rows evaluate, then the density underflows at x = 30
+    out = tmp_path / "partial.csv"
+    if before is not None:
+        out.write_text(before)
+    code = cli.main(["eval", "--family", "uniform-b", "--grid-x", "20:40:5",
+                     "--grid-y", "0.5:0.5:1", "--out", str(out)])
+    assert code == 3
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
 
 
 def test_verify_subset_passes(tmp_path):

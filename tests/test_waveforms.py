@@ -1,4 +1,7 @@
 """Driving-waveform consistency: derivatives and gauge integrals."""
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +58,27 @@ def test_gauge_integral_matches_quadrature_of_derivatives():
             assert abs(fd - (d1 * d1 + d2 * d2)) < 1e-8
 
 
+@pytest.mark.parametrize("wf", [waveforms.pulse(0.2),
+                                waveforms.pulse(0.3, center=5.0, width=1.5)])
+def test_pulse_gauge_integral_matches_mpmath_oracle(wf):
+    a = wf.amplitude
+    center, width = wf.params
+
+    def integrand(p):
+        env = mpmath.exp(-((p - center) / width) ** 2 / 2)
+        denv = -(p - center) / width ** 2 * env
+        return (a * (denv * mpmath.sin(p) + env * mpmath.cos(p))) ** 2
+
+    with mpmath.workdps(20):
+        for xi in np.linspace(-40.0, 60.0, 21):
+            # the whole interval, cut every 4 units to resolve the carrier
+            lo, hi = sorted((0.0, float(xi)))
+            cuts = [lo, *np.arange(math.ceil(lo / 4) * 4, hi, 4.0), hi]
+            exact = float(mpmath.quad(integrand, sorted(set(cuts))))
+            assert abs(wf.gauge_integral(float(xi))
+                       - math.copysign(exact, xi)) <= 1e-14
+
+
 def test_pulse_envelope_decays():
     wf = waveforms.pulse(0.3, center=5.0, width=1.5)
     assert abs(wf.f(30.0)[0]) < 1e-30
@@ -62,8 +86,6 @@ def test_pulse_envelope_decays():
 
 
 def test_custom_waveform_replicates_circular_through_dressing():
-    import math
-
     from rdibeams import catalog as cat
 
     a = 0.3
