@@ -1,10 +1,10 @@
-"""Dynamic inversion: recover the driving potential from a matrix-spinor
-field.
+"""Dynamic inversion: recover the driving potential from a spinor field.
 
 The electromagnetic potential is obtained by solving the matrix Dirac
-equation backwards,
+equation backwards, eA-slash = D Psi^-1 with (`dirac_operator`)
 
-    eA-slash = hbar (d-slash Psi) gamma^2 gamma^1 Psi^-1 - m c Psi gamma^0 Psi^-1,
+    D = hbar (d-slash Psi) gamma^2 gamma^1 - m c Psi gamma^0,
+    Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho,  so |det Psi| = rho^2,
 
 with the derivatives taken by 4th-order central differences and a Richardson
 (h, h/2) pair attached as the error estimate.  A valid electromagnetic
@@ -31,7 +31,8 @@ Array = np.ndarray
 
 
 class SingularSpinor(ValueError):
-    """Matrix spinor not invertible at the requested point."""
+    """Spinor singular at the requested point: rho < 1e-6 in absolute terms
+    (a far tail) in `invert`, a zero signed density in `circularity_residual`."""
 
 
 class StepTooLarge(ValueError):
@@ -60,39 +61,53 @@ class PotentialSample:
         return float(max(vals[k - 1] for k in sta.CONSTRAINED_INDICES))
 
 
-def _invert_once(Psi_field, point, h, m, units) -> Array:
-    c, hbar = units.c, units.hbar
-    t, x, y, z = point
-    Psi = Psi_field(t, x, y, z)
-    det = np.linalg.det(Psi)
-    if abs(det) < 1e-12:
-        raise SingularSpinor(f"|det Psi| = {abs(det):.3e}")
-    Psi_inv = np.linalg.inv(Psi)
-    slash_d = np.zeros((4, 4), dtype=complex)
-    for mu, dmu in enumerate(numerics.gradient4(Psi_field, point, h)):
-        if mu == 0:
-            dmu = dmu / c
-        slash_d = slash_d + sta.GAMMA_UP[mu] @ dmu
-    return hbar * slash_d @ spinors.PHASE_PLANE @ Psi_inv \
-        - m * c * Psi @ sta.GAMMA_UP[0] @ Psi_inv
+_GAMMA_UP = np.stack(sta.GAMMA_UP)
+_GAMMA16 = np.stack(sta.GAMMA16)
 
 
-def invert(Psi_field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
+def dirac_operator(psi, grad, m: float, units: UnitSystem) -> tuple[Array, Array]:
+    """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from psi
+    and its `numerics.gradient4`.  d_mu Psi is the lift of d_mu psi, exact
+    as the lift is real-linear; the first column of D is the column form
+    i hbar gamma^mu d_mu psi - m c psi."""
+    Psi = spinors.hestenes_matrix(psi)
+    dPsi = spinors.hestenes_matrix(grad)
+    dPsi[0] /= units.c
+    slash_d = np.einsum("mij,mjk->ik", _GAMMA_UP, dPsi)
+    return Psi, units.hbar * slash_d @ spinors.PHASE_PLANE \
+        - m * units.c * Psi @ sta.GAMMA0
+
+
+def _invert_once(field, point, h, m, units) -> Array:
+    psi = field(*point)
+    try:
+        bil = spinors.bilinears(psi)
+    except spinors.NullDensity as exc:
+        raise SingularSpinor(str(exc)) from exc
+    rho2 = bil.scalar ** 2 + bil.pseudo ** 2
+    if rho2 < 1e-12:
+        raise SingularSpinor(f"|det Psi| = rho^2 = {rho2:.3e}")
+    Psi, D = dirac_operator(psi, numerics.gradient4(field, point, h), m, units)
+    return D @ sta.reversion(Psi) \
+        @ (bil.scalar * sta.ID - bil.pseudo * sta.PSEUDO) / rho2
+
+
+def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
            units: UnitSystem = NATURAL, tol: float | None = None) -> PotentialSample:
-    """Invert a matrix-spinor field for its driving potential at a point.
+    """Invert a column-spinor field for its driving potential at a point.
 
-    Psi_field maps (t, x, y, z) to an invertible 4x4 matrix spinor.  The
+    `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
     step must sit in [1e-6, 1e-2]; `tol`, when given, raises StepTooLarge if
     the Richardson estimate exceeds it.
     """
     if not 1e-6 <= h <= 1e-2:
         raise ValueError("step h outside [1e-6, 1e-2]")
-    full = _invert_once(Psi_field, point, h, m, units)
-    half = _invert_once(Psi_field, point, h / 2.0, m, units)
+    full = _invert_once(field, point, h, m, units)
+    half = _invert_once(field, point, h / 2.0, m, units)
     est = float(np.max(np.abs(half - full)) / 15.0)
     if tol is not None and est > tol:
         raise StepTooLarge(f"Richardson estimate {est:.3e} > tol {tol:.3e}")
-    coeffs = np.array([np.trace(half @ g) / 4.0 for g in sta.GAMMA16])
+    coeffs = np.einsum("ij,kji->k", half, _GAMMA16) / 4.0  # Tr[half Gamma_k]/4
     # Tr[A-slash gamma^mu] / 4 = A^mu directly (no dual sign)
     eA = np.array([coeffs[k].real for k in (1, 2, 3, 4)])
     return PotentialSample(eA=eA, coefficients=coeffs, richardson=est)
@@ -116,7 +131,8 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
 
     where sigma = rho cos(beta) is the duality-signed density and
     P_mu = -(hbar/2) e_2 . d_mu e_1 is evaluated on the phase-bearing
-    tetrad by finite differences.
+    tetrad rho e_k / sigma (from `spinors.tetrad_pair`) by finite
+    differences.
     """
     if spec.is_dressed:
         raise ValueError("stationary families only")
@@ -140,20 +156,15 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
     div = numerics.spatial_divergence(g[:, :3])
     curl = numerics.spatial_curl(g[:, 3:])
 
-    Psi_field = cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
 
-    def tetrad(idx):
-        def field(*q):
-            Psi = Psi_field(*q)
-            rev = sta.reversion(Psi)
-            vec = sta.to_vector(Psi @ sta.GAMMA[idx] @ rev)
-            b = cat.bilinear_fields(spec, *q)
-            return vec / b["scalar"]
-        return field
+    def e1_plus_ie2(*q):
+        sigma_q = cat.bilinear_fields(spec, *q)["scalar"]
+        return spinors.tetrad_pair(col(*q)) / sigma_q
 
-    e2_now = tetrad(2)(*point)
+    e2_now = e1_plus_ie2(*point).imag
     P = np.zeros(4)
-    for mu, de1 in enumerate(numerics.gradient4(tetrad(1), point, h).real):
+    for mu, de1 in enumerate(numerics.gradient4(e1_plus_ie2, point, h).real):
         if mu == 0:
             de1 = de1 / c
         P[mu] = -(hbar / 2.0) * sta.minkowski_dot(e2_now, de1)

@@ -16,9 +16,11 @@ with a constant 4x4 matrix (`bilinears`):
     rho cos(beta)  = psi-bar psi
     rho sin(beta)  = -Re(psi-bar i gamma5 psi)
 
-They equal the trace projections of Psi gamma_mu rev(Psi) and Psi rev(Psi).
-Only the spatial tetrad vectors e1, e2 and the spin plane are still formed
-from the matrix Psi, by sandwich products checked for vector grade.
+The tetrad vectors e1, e2 come from the charge-conjugate bilinear
+(Takabayasi; Lounesto, ch. 12), rho (e1 + i e2)^mu = psi^T K^mu psi with
+K^mu = i gamma0 gamma2 gamma^mu (`tetrad_pair`).  With
+Psi = rho^(1/2) exp(PSEUDO beta/2) R, all of them are sandwiches
+Psi gamma_mu rev(Psi) = rho R gamma_mu rev(R) and Psi rev(Psi).
 """
 from __future__ import annotations
 
@@ -32,10 +34,10 @@ from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
 
-# basis for the even-subalgebra expansion, ordered to match _coeffs below
-_EVEN_BASIS = np.stack([
-    ID, ALPHA[0], ALPHA[1], ALPHA[2],
-    PSEUDO, PSEUDO @ ALPHA[0], PSEUDO @ ALPHA[1], PSEUDO @ ALPHA[2],
+# the dictionary above: Psi = sum_i (Re psi, Im psi)_i _LIFT[i]
+_LIFT = np.stack([
+    ID, -PSEUDO @ ALPHA[1], ALPHA[2], ALPHA[0],
+    PSEUDO @ ALPHA[2], PSEUDO @ ALPHA[0], PSEUDO, ALPHA[1],
 ])
 
 # plane of the phase rotation: gamma^2 gamma^1 (== gamma_2 gamma_1)
@@ -67,10 +69,10 @@ def to_components(psi: Array) -> tuple[Array, Array]:
 
 
 def hestenes_matrix(psi: Array) -> Array:
-    """The unique even-subalgebra Psi with Psi u1 = psi."""
-    r, s = to_components(psi)
-    coeffs = np.array([r[0], s[1], s[2], s[3], s[0], -r[1], -r[2], -r[3]])
-    return np.einsum("i,ijk->jk", coeffs, _EVEN_BASIS)
+    """The unique even-subalgebra Psi with Psi u1 = psi[..., 4]."""
+    psi = np.asarray(psi, dtype=complex)
+    parts = np.concatenate([psi.real, psi.imag], axis=-1)
+    return np.einsum("...i,ijk->...jk", parts, _LIFT)
 
 
 def to_column(Psi: Array) -> Array:
@@ -201,6 +203,19 @@ def bilinears(psi: Array) -> Bilinears:
     return Bilinears(vals[..., 0:4], vals[..., 4:8], vals[..., 8], vals[..., 9])
 
 
+# K^mu = i gamma0 gamma2 gamma^mu: psi^T K^mu psi = rho (e1 + i e2)^mu
+_TETRAD_MATRICES = np.stack([1j * GAMMA0 @ GAMMA[2] @ g for g in GAMMA_UP])
+
+
+def tetrad_pair(psi: Array) -> Array:
+    """rho (e1 + i e2)^mu = psi^T K^mu psi of column spinors psi[..., 4]."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.einsum("...i,kij,...j->...k", psi, _TETRAD_MATRICES, psi)
+
+
+RHO_FLOOR = 1e-10  # rho / J^0 below which the tetrad is left undefined
+
+
 @dataclass(frozen=True)
 class Observables:
     current: Array            # J^mu
@@ -215,29 +230,25 @@ class Observables:
     undefined: bool
 
 
-def observables(psi: Array, rho_floor: float = 1e-10) -> Observables:
+def observables(psi: Array) -> Observables:
     """All local bilinear observables of one column spinor.
 
     Raises NullDensity when psi^dagger psi vanishes.  When the invariant
-    density rho falls below `rho_floor` relative to J^0 the velocity, spin,
+    density rho falls below RHO_FLOOR relative to J^0 the velocity, spin,
     tetrad and spin-plane entries are flagged undefined (None) instead of
-    being extrapolated.  e0 and e3 are the velocity and spin; e1, e2 and the
-    spin plane come from the matrix spinor.
+    being extrapolated.  e0 and e3 are the velocity and spin, e1 and e2 come
+    from `tetrad_pair`, and the spin plane e2 e1 from
+    `spin_plane_from_vectors`.
     """
     psi = np.asarray(psi, dtype=complex)
     bil = bilinears(psi)
     current, spin_density = bil.current, bil.spin_density
     rho, beta, scalar = float(bil.rho), float(bil.beta), float(bil.scalar)
-    if rho < rho_floor * current[0]:
+    if rho < RHO_FLOOR * current[0]:
         return Observables(current, spin_density, rho, beta, scalar,
                            None, None, None, None, True)
-    Psi = hestenes_matrix(psi)
-    rev = sta.reversion(Psi)
     velocity, spin = current / rho, spin_density / rho
-    e1, e2 = (sta.to_vector(Psi @ GAMMA[k] @ rev) / rho for k in (1, 2))
-    # e2 e1 = exp(-PSEUDO beta) Psi gamma2 gamma1 rev(Psi) / rho
-    dual_inv = np.cos(beta) * ID - np.sin(beta) * PSEUDO
-    spin_plane = dual_inv @ Psi @ GAMMA[2] @ GAMMA[1] @ rev / rho
+    e12 = tetrad_pair(psi) / rho
     return Observables(
         current=current,
         spin_density=spin_density,
@@ -246,23 +257,24 @@ def observables(psi: Array, rho_floor: float = 1e-10) -> Observables:
         scalar=scalar,
         velocity=velocity,
         spin=spin,
-        tetrad=(velocity, e1, e2, spin),
-        spin_plane=spin_plane,
+        tetrad=(velocity, e12.real, e12.imag, spin),
+        spin_plane=spin_plane_from_vectors(velocity, spin),
         undefined=False,
     )
+
+
+_ALPHA = np.stack(ALPHA)
+_PSEUDO_ALPHA = np.stack([PSEUDO @ a for a in ALPHA])
 
 
 def spin_plane_from_vectors(velocity: Array, spin: Array) -> Array:
     """Spin plane e2 e1 from the velocity/spin cross-product form,
 
-        S = alpha.(s x v) + PSEUDO alpha.(v0 s - s0 v).
+        S = alpha.(s x v) + PSEUDO alpha.(v0 s - s0 v),
 
-    The relative plus sign is pinned by S = e2 e1 at the rest state."""
-    v0, vv = velocity[0], velocity[1:]
-    s0, sv = spin[0], spin[1:]
-    cross = np.cross(sv, vv)
-    lin = v0 * sv - s0 * vv
-    out = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        out += cross[k] * ALPHA[k] + lin[k] * (PSEUDO @ ALPHA[k])
-    return out
+    of velocity[..., 4] and spin[..., 4].  The relative plus sign is pinned
+    by S = e2 e1 at the rest state."""
+    v0, vv = velocity[..., :1], velocity[..., 1:]
+    s0, sv = spin[..., :1], spin[..., 1:]
+    return (np.einsum("...k,kij->...ij", np.cross(sv, vv), _ALPHA)
+            + np.einsum("...k,kij->...ij", v0 * sv - s0 * vv, _PSEUDO_ALPHA))

@@ -135,9 +135,9 @@ def reconstruct(a: Array) -> Array:
 
 
 def from_vector(v: Array) -> Array:
-    """v^mu gamma_mu for a real 4-vector of contravariant components."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * GAMMA[0] + v[1] * GAMMA[1] + v[2] * GAMMA[2] + v[3] * GAMMA[3]
+    """v^mu gamma_mu of real contravariant 4-vectors v[..., 4]."""
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return sum(v[..., mu, :, :] * GAMMA[mu] for mu in range(4))
 
 
 def to_vector(a: Array, tol: float = 1e-8) -> Array:

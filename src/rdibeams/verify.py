@@ -9,9 +9,9 @@ integration.  The standard suite is one table, CHECKS, run over seeded
 uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual differentiates its field once per point, with
-`numerics.gradient4`.  The matrix Dirac form takes its derivative from the
-column one, d_mu Psi = hestenes_matrix(d_mu psi): the lift Psi u1 = psi is
-real-linear, so it commutes with the stencil exactly, bit for bit.
+`numerics.gradient4`.  The Dirac residual shares the matrix Dirac operator
+of the inversion, `inversion.dirac_operator`, which takes its derivative
+from the column one.  A record that checked no point fails.
 
 Negative controls assert detection power, not only agreement.
 scale-potential scales eA by 1.01 in the dirac check; perturb-profile
@@ -69,42 +69,25 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
                    fault: str | None = None) -> float:
     """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi.
 
-    Both the column form and the matrix form are evaluated; the returned
-    value is the larger of the two (they agree for a consistent lift).  The
-    column field is differentiated once; the matrix form takes
-    Psi = hestenes_matrix(psi) and d_mu Psi = hestenes_matrix(d_mu psi).
-    That is exact: the lift is real-linear and only copies the real and
-    imaginary parts of psi, with signs, into fixed matrix slots, so it
-    commutes with the stencil's weighted sums bit for bit.
+    The matrix form D - eA-slash Psi is evaluated, with D the matrix Dirac
+    operator of `inversion.dirac_operator` on the column field and its
+    4-gradient.  Its first column is the column form, so the returned value
+    is the larger of the column residual and half the full matrix norm
+    (they agree for a consistent lift).
     `fault` names a negative control to inject: "scale-potential" scales
     eA by 1.01, "perturb-profile" builds the spinor on `perturb_profile`.
     """
-    u = spec.units
-    c, hbar = u.c, u.hbar
     hook = perturb_profile if fault == "perturb-profile" else None
     col = cat.spinor(spec, hook)
     psi = col(*point)
-    Psi = spinors.hestenes_matrix(psi)
     eA = (1.01 if fault == "scale-potential" else 1.0) \
         * cat.potential(spec, *point)
-    slash_A = sta.from_vector(eA)
-
-    grad = numerics.gradient4(col, point, h)
-    dcol = np.zeros(4, dtype=complex)
-    dmat = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        dc, dm = grad[mu], spinors.hestenes_matrix(grad[mu])
-        if mu == 0:
-            dc, dm = dc / c, dm / c
-        dcol = dcol + sta.GAMMA_UP[mu] @ (1j * hbar * dc)
-        dmat = dmat + sta.GAMMA_UP[mu] @ dm
-    scale = max(spec.m * c * float(np.linalg.norm(psi)), 1e-30)
-    res_col = np.linalg.norm(dcol - slash_A @ psi - spec.m * c * psi) / scale
-    mat = hbar * dmat @ spinors.PHASE_PLANE - slash_A @ Psi \
-        - spec.m * c * Psi @ sta.GAMMA_UP[0]
-    res_mat = np.linalg.norm(mat[:, 0]) / scale
-    res_full = np.linalg.norm(mat) / (2.0 * scale)
-    return max(res_col, res_mat, res_full)
+    Psi, D = inversion.dirac_operator(psi, numerics.gradient4(col, point, h),
+                                      spec.m, spec.units)
+    mat = D - sta.from_vector(eA) @ Psi
+    scale = max(spec.m * spec.units.c * float(np.linalg.norm(psi)), 1e-30)
+    return max(np.linalg.norm(mat[:, 0]) / scale,
+               np.linalg.norm(mat) / (2.0 * scale))
 
 
 def continuity_residual(spec: cat.SolutionSpec, point,
@@ -125,8 +108,8 @@ def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
 def inversion_agreement(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP) -> dict:
     """invert() against the family's closed-form potential."""
-    Psi_field = cat.matrix_spinor(spec)
-    sample = inversion.invert(Psi_field, point, h=h, m=spec.m, units=spec.units)
+    sample = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
+                              units=spec.units)
     closed = cat.potential(spec, *point)
     return {
         "potential_diff": float(np.max(np.abs(sample.eA - closed))),
@@ -174,9 +157,11 @@ def fields_from_potential(spec: cat.SolutionSpec, point,
 # ---------------------------------------------------------------------------
 
 
-def kinematics_check(spec: cat.SolutionSpec, points,
-                     condition_floor: float = 5e-3) -> dict:
-    """Tetrad and bilinear invariants over a point set.
+CONDITION_FLOOR = 5e-3  # rho / J^0 below which a point is excluded
+
+
+def kinematics_check(spec: cat.SolutionSpec, points) -> dict:
+    """Tetrad and bilinear invariants over a point set, as one batch.
 
     Asserts the exact invariants (unit velocity, unit spacelike spin,
     orthogonality, tetrad Gram matrix, spin-plane identity, vanishing
@@ -184,45 +169,31 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     points where the duality angle sits at pi instead of 0 (annuli around
     the radial nodes of excited states).
 
-    Points with rho < condition_floor * J^0 are counted separately rather
+    Points with rho < CONDITION_FLOOR * J^0 are counted separately rather
     than asserted: within that distance of a null-current circle the
     round-off of the bilinears alone perturbs v.v - 1 by ~ eps (J^0/rho)^2,
     which double precision cannot keep under the 1e-10 tolerance.
     """
     col = cat.spinor(spec)
-    worst = {k: 0.0 for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
-                              "beta0")}
-    flipped = 0
-    excluded = 0
-    used = 0
-    for pt in points:
-        psi = col(*pt)
-        obs = spinors.observables(psi)
-        if obs.undefined or obs.rho < condition_floor * obs.current[0]:
-            excluded += 1
-            continue
-        used += 1
-        assert obs.current[0] >= obs.rho > 0.0  # timelike, positive density
-        v, s = obs.velocity, obs.spin
-        worst["vv"] = max(worst["vv"], abs(sta.minkowski_dot(v, v) - 1.0))
-        worst["ss"] = max(worst["ss"], abs(sta.minkowski_dot(s, s) + 1.0))
-        worst["vs"] = max(worst["vs"], abs(sta.minkowski_dot(v, s)))
-        gram = np.array([[sta.minkowski_dot(a, b) for b in obs.tetrad]
-                         for a in obs.tetrad])
-        worst["gram"] = max(worst["gram"],
-                            float(np.max(np.abs(gram - sta.METRIC))))
-        e2e1 = sta.from_vector(obs.tetrad[2]) @ sta.from_vector(obs.tetrad[1])
-        worst["plane"] = max(worst["plane"],
-                             float(np.max(np.abs(e2e1 - obs.spin_plane))))
-        worst["pseudo"] = max(worst["pseudo"],
-                              abs(obs.rho * math.sin(obs.beta)) / obs.rho)
-        if obs.scalar < 0:
-            flipped += 1
-        else:
-            worst["beta0"] = max(worst["beta0"], abs(obs.beta))
-    worst["beta_pi_fraction"] = flipped / max(used, 1)
-    worst["excluded"] = excluded
-    return worst
+    psis = np.array([col(*pt) for pt in points])
+    bil = spinors.bilinears(psis)
+    used = bil.rho >= CONDITION_FLOOR * bil.current[:, 0]
+    rho, scalar = bil.rho[used, None], bil.scalar[used]
+    assert (bil.current[used, :1] >= rho).all() and (rho > 0.0).all()
+    v, s = bil.current[used] / rho, bil.spin_density[used] / rho
+    e12 = spinors.tetrad_pair(psis[used]) / rho
+    tetrad = np.stack([v, e12.real, e12.imag, s], axis=1)
+    gram = np.einsum("nai,ij,nbj->nab", tetrad, sta.METRIC, tetrad)
+    plane = sta.from_vector(e12.imag) @ sta.from_vector(e12.real) \
+        - spinors.spin_plane_from_vectors(v, s)
+    devs = {"vv": gram[:, 0, 0] - 1.0, "ss": gram[:, 3, 3] + 1.0,
+            "vs": gram[:, 0, 3], "gram": gram - sta.METRIC, "plane": plane,
+            "pseudo": bil.pseudo[used] / rho[:, 0],
+            "beta0": bil.beta[used][scalar >= 0]}
+    out = {k: float(np.max(np.abs(d), initial=0.0)) for k, d in devs.items()}
+    out["beta_pi_fraction"] = np.count_nonzero(scalar < 0) / max(rho.size, 1)
+    out["excluded"] = len(psis) - rho.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +533,9 @@ class Check:
 
     name: str
     tolerance: float
-    measure: Callable  # (spec, xs, h, fault) -> (worst residual, extra)
+    # (spec, xs, h, fault) -> (worst residual, extra); the worst residual
+    # is None when no point could be checked, and the record then fails
+    measure: Callable
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
     source: int | tuple | None = None
@@ -577,12 +550,13 @@ class Check:
             pts = pts[:: max(1, len(pts) // self.source)]
         worst, extra = self.measure(spec, pts, h,
                                     fault if fault in self.faults else None)
-        out = [CheckRecord(self.name, label, grid, worst, self.tolerance,
-                           worst <= self.tolerance, extra)]
+        checked = worst is not None
+        out = [CheckRecord(self.name, label, grid, worst or 0.0, self.tolerance,
+                           checked and worst <= self.tolerance, extra)]
         if self.paired:
             name, tol, key = self.paired
             out.append(CheckRecord(name, label, grid, extra[key], tol,
-                                   extra[key] <= tol))
+                                   checked and extra[key] <= tol))
         return out
 
 
@@ -598,19 +572,21 @@ def _inversion(spec, xs, h, fault):
         try:
             res = inversion_agreement(spec, pt, h)
         except inversion.SingularSpinor:
-            skipped += 1  # null-current circle; counted apart
+            skipped += 1  # rho < 1e-6 absolute (a far tail); counted apart
             continue
         bound = max(2e-7, 10.0 * res["richardson"])
         worst_pot = max(worst_pot, res["potential_diff"] / bound)
         worst_con = max(worst_con, res["constrained"])
-    return worst_pot, {"constrained": worst_con, "skipped": skipped}
+    return (worst_pot if skipped < len(xs) else None,
+            {"constrained": worst_con, "skipped": skipped})
 
 
 def _kinematics(spec, xs, h, fault):
     kin = kinematics_check(spec, xs)
     worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
                                  "beta0"))
-    return worst, {k: kin[k] for k in ("beta_pi_fraction", "excluded")}
+    return (worst if kin["excluded"] < len(xs) else None,
+            {k: kin[k] for k in ("beta_pi_fraction", "excluded")})
 
 
 def _circularity(spec, lams, h, fault):
@@ -620,7 +596,7 @@ def _circularity(spec, lams, h, fault):
             vals.append(inversion.circularity_residual(spec, lam))
         except inversion.SingularSpinor:
             continue
-    return max(vals), {}
+    return max(vals, default=None), {}
 
 
 # Each row runs, in this order, on every default spec it applies to.  The

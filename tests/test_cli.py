@@ -262,6 +262,34 @@ def test_verify_constraints_check_runs_inversion(tmp_path):
     assert names == {"inversion", "constraints"}
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the report")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args, record, family, extra", [
+    # rho = 8e-8 at r = 5.64: the inversion skips the only point
+    (["--seed", "4", "--check", "inversion", "--family", "uniform-b"],
+     "inversion", "uniform-b n=0 ", {"skipped": 1}),
+    # rho < 5e-3 J^0: the kinematics check excludes the only point
+    (["--seed", "0", "--check", "kinematics"],
+     "kinematics", "radial-b-laser n=1 l=0 M=0 ", {"excluded": 1}),
+], ids=["inversion-all-skipped", "kinematics-all-excluded"])
+def test_verify_record_that_checked_no_point_fails(tmp_path, capsys, args,
+                                                   record, family, extra):
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--points", "1", *args, "--out", str(out)])
+    assert code == 1
+    recs = [r for r in _strict_json(out.read_text())["records"]
+            if r["family"].startswith(family)]
+    failed = [r for r in recs if not r["passed"]]
+    assert [r["name"] for r in failed] == \
+        [record, *(["constraints"] if record == "inversion" else [])]
+    assert extra.items() <= failed[0]["extra"].items()
+    assert f"FAIL {record} [{family}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "uniform-b", "n": 1,

@@ -10,21 +10,21 @@ from rdibeams import waveforms
 
 def test_invert_free_beam_gives_zero_potential():
     spec = cat.SolutionSpec(cat.Family.FREE_BESSEL, l=1, p_perp=0.9)
-    Psi = cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
     rng = np.random.default_rng(0)
     for _ in range(20):
         pt = tuple(rng.uniform(0.5, 4.0, size=4))
-        sample = inv.invert(Psi, pt)
+        sample = inv.invert(col, pt)
         assert np.max(np.abs(sample.eA)) < 2e-7
 
 
 def test_invert_uniform_field_values():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    Psi = cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
     rng = np.random.default_rng(1)
     for _ in range(10):
         t, x, y, z = rng.uniform(0.5, 3.0, size=4)
-        sample = inv.invert(Psi, (t, x, y, z))
+        sample = inv.invert(col, (t, x, y, z))
         np.testing.assert_allclose(
             sample.eA, [0.0, -y / 2.0, x / 2.0, 0.0], atol=2e-7)
 
@@ -39,11 +39,11 @@ def test_invert_constraint_traces_vanish():
     ]
     rng = np.random.default_rng(2)
     for spec in specs:
-        Psi = cat.matrix_spinor(spec)
+        col = cat.spinor(spec)
         for _ in range(6):
             pt = tuple(rng.uniform(0.6, 3.0, size=4))
             try:
-                sample = inv.invert(Psi, pt)
+                sample = inv.invert(col, pt)
             except inv.SingularSpinor:
                 continue
             assert sample.constrained_residual < 2e-7
@@ -61,11 +61,11 @@ def test_invert_agrees_with_closed_form_everywhere():
     ]
     rng = np.random.default_rng(3)
     for spec in specs:
-        Psi = cat.matrix_spinor(spec)
+        col = cat.spinor(spec)
         for _ in range(6):
             pt = tuple(rng.uniform(0.6, 3.0, size=4))
             try:
-                sample = inv.invert(Psi, pt)
+                sample = inv.invert(col, pt)
             except inv.SingularSpinor:
                 continue
             closed = cat.potential(spec, *pt)
@@ -75,14 +75,14 @@ def test_invert_agrees_with_closed_form_everywhere():
 
 def test_invert_step_validation_and_errors():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=0)
-    Psi = cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
     with pytest.raises(ValueError):
-        inv.invert(Psi, (1.0, 1.0, 1.0, 1.0), h=0.5)
+        inv.invert(col, (1.0, 1.0, 1.0, 1.0), h=0.5)
     with pytest.raises(inv.StepTooLarge):
-        inv.invert(Psi, (1.0, 1.0, 1.0, 1.0), h=1e-2, tol=1e-30)
+        inv.invert(col, (1.0, 1.0, 1.0, 1.0), h=1e-2, tol=1e-30)
     # a field with a genuinely singular point
     def bad(t, x, y, z):
-        return np.zeros((4, 4), dtype=complex)
+        return np.zeros(4, dtype=complex)
     with pytest.raises(inv.SingularSpinor):
         inv.invert(bad, (1.0, 1.0, 1.0, 1.0))
 
@@ -90,11 +90,11 @@ def test_invert_step_validation_and_errors():
 def test_cross_check_gaussian_envelope_on_grid():
     # closed-form potential against inversion on a small 3d grid
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1)
-    Psi = cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
     for x in (0.6, 1.4, 2.1):
         for y in (0.7, 1.2):
             for z in (0.5, 1.9):
-                sample = inv.invert(Psi, (0.9, x, y, z))
+                sample = inv.invert(col, (0.9, x, y, z))
                 closed = cat.potential(spec, 0.9, x, y, z)
                 bound = max(2e-7, 10.0 * sample.richardson)
                 assert np.max(np.abs(sample.eA - closed)) < bound
@@ -145,19 +145,17 @@ def test_circularity_detects_perturbed_profile():
 
 
 def test_invert_is_gauge_covariant():
-    # multiplying the matrix spinor by a phase rotor exp(-g2 g1 chi(x))
-    # (the column picks up exp(-i chi)) shifts the recovered potential by
-    # the raised-index gradient of chi
-    from rdibeams import spinors
-
+    # multiplying the column by exp(-i chi(x)) (the matrix spinor by the
+    # phase rotor exp(-g2 g1 chi)) shifts the recovered potential by the
+    # raised-index gradient of chi
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    base = cat.matrix_spinor(spec)
+    base = cat.spinor(spec)
 
     def chi(t, x, y, z):
         return 0.3 * x + 0.1 * t - 0.2 * z
 
     def gauged(t, x, y, z):
-        return base(t, x, y, z) @ spinors.phase_rotor(chi(t, x, y, z))
+        return base(t, x, y, z) * np.exp(-1j * chi(t, x, y, z))
 
     grad_up = np.array([0.1, -0.3, 0.0, 0.2])  # eta^mu_nu d_nu chi
     rng = np.random.default_rng(17)

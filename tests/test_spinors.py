@@ -189,11 +189,12 @@ def test_spin_plane_matches_cross_product_form():
     rng = np.random.default_rng(7)
     for _ in range(10):
         pt = tuple(rng.uniform(0.4, 3.0, size=4))
-        obs = spinors.observables(col(*pt))
+        psi = col(*pt)
+        obs = spinors.observables(psi)
         if obs.undefined:
             continue
-        direct = spinors.spin_plane_from_vectors(obs.velocity, obs.spin)
-        np.testing.assert_allclose(obs.spin_plane, direct, atol=1e-10)
+        _, _, plane = _sandwich_oracle(psi)
+        np.testing.assert_allclose(obs.spin_plane, plane, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,20 @@ def _oracle_spinors():
         col = cat.spinor(spec)
         out += [col(*pt) for pt in rng.uniform(0.5, 5.0, size=(10, 4))]
     return np.array(out)
+
+
+def _sandwich_oracle(psi):
+    """rho e1 and rho e2 as the sandwiches Psi gamma_k rev(Psi) of the
+    matrix spinor, and the spin plane e2 e1 = exp(-PSEUDO beta) Psi gamma2
+    gamma1 rev(Psi) / rho: the references for `tetrad_pair` and
+    `spin_plane_from_vectors`."""
+    Psi = spinors.hestenes_matrix(psi)
+    rev = sta.reversion(Psi)
+    bil = spinors.bilinears(psi)
+    dual_inv = np.cos(bil.beta) * sta.ID - np.sin(bil.beta) * sta.PSEUDO
+    plane = dual_inv @ Psi @ sta.GAMMA[2] @ sta.GAMMA[1] @ rev / bil.rho
+    return (sta.to_vector(Psi @ sta.GAMMA[1] @ rev),
+            sta.to_vector(Psi @ sta.GAMMA[2] @ rev), plane)
 
 
 def test_bilinears_match_trace_oracle():
@@ -271,3 +286,80 @@ def test_bilinears_null_density():
     batch[3] = 0.0
     with pytest.raises(spinors.NullDensity):
         spinors.bilinears(batch)
+
+
+def test_tetrad_pair_matches_sandwich_oracle():
+    psis = _oracle_spinors()
+    batch = spinors.tetrad_pair(psis)
+    assert batch.shape == psis.shape
+    for psi, got in zip(psis, batch):
+        e1, e2, _ = _sandwich_oracle(psi)
+        tol = 1e-13 * spinors.bilinears(psi).current[0]
+        np.testing.assert_allclose(got.real, e1, rtol=0, atol=tol)
+        np.testing.assert_allclose(got.imag, e2, rtol=0, atol=tol)
+        np.testing.assert_array_equal(spinors.tetrad_pair(psi), got)
+
+
+def test_closed_form_inverse_and_determinant():
+    # Psi rev(Psi) = rho exp(PSEUDO beta), so Psi^-1 = rev(Psi)
+    # exp(-PSEUDO beta) / rho and |det Psi| = rho^2: the inverse and the
+    # singularity test of `inversion.invert`
+    for psi in _oracle_spinors():
+        Psi = spinors.hestenes_matrix(psi)
+        bil = spinors.bilinears(psi)
+        closed = sta.reversion(Psi) @ (bil.scalar * sta.ID
+                                       - bil.pseudo * sta.PSEUDO) / bil.rho ** 2
+        ref = np.linalg.inv(Psi)
+        np.testing.assert_allclose(closed, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        assert abs(abs(np.linalg.det(Psi)) - bil.rho ** 2) \
+            <= 1e-12 * bil.rho ** 2
+
+
+def test_hestenes_matrix_batch_equals_scalar_calls():
+    psis = _oracle_spinors()[:40]
+    batch = spinors.hestenes_matrix(psis.reshape(4, 10, 4))
+    assert batch.shape == (4, 10, 4, 4)
+    for k, psi in enumerate(psis):
+        np.testing.assert_array_equal(batch[k // 10, k % 10],
+                                      spinors.hestenes_matrix(psi))
+
+
+@pytest.mark.parametrize("family", [cat.Family.FREE_BESSEL,
+                                    cat.Family.VOLKOV_BESSEL])
+def test_kinematics_check_matches_pointwise_observables(family):
+    # the batched check against a per-point loop over `observables`, with
+    # e1, e2 and the spin plane from the matrix-spinor sandwiches; at these
+    # 100 points both the stationary and the dressed l = 1 beam have one
+    # excluded point and a quarter of the rest at beta = pi
+    spec = verify.default_specs()[family][1]
+    pts = verify.sample_points(np.random.default_rng(23), 100)
+    col = cat.spinor(spec)
+    worst = dict.fromkeys(("vv", "ss", "vs", "gram", "plane", "pseudo",
+                           "beta0"), 0.0)
+    flipped = excluded = 0
+    for pt in pts:
+        psi = col(*pt)
+        obs = spinors.observables(psi)
+        if obs.undefined or obs.rho < verify.CONDITION_FLOOR * obs.current[0]:
+            excluded += 1
+            continue
+        e1, e2, plane = _sandwich_oracle(psi)
+        tetrad = (obs.velocity, e1 / obs.rho, e2 / obs.rho, obs.spin)
+        gram = np.array([[sta.minkowski_dot(a, b) for b in tetrad]
+                         for a in tetrad])
+        e2e1 = sta.from_vector(tetrad[2]) @ sta.from_vector(tetrad[1])
+        for key, val in (("vv", abs(gram[0, 0] - 1.0)),
+                         ("ss", abs(gram[3, 3] + 1.0)),
+                         ("vs", abs(gram[0, 3])),
+                         ("gram", np.max(np.abs(gram - sta.METRIC))),
+                         ("plane", np.max(np.abs(e2e1 - plane))),
+                         ("pseudo", abs(math.sin(obs.beta))),
+                         ("beta0", 0.0 if obs.scalar < 0 else abs(obs.beta))):
+            worst[key] = max(worst[key], float(val))
+        flipped += obs.scalar < 0
+    kin = verify.kinematics_check(spec, pts)
+    assert kin["excluded"] == excluded == 1
+    assert kin["beta_pi_fraction"] == flipped / max(len(pts) - excluded, 1)
+    for key, val in worst.items():
+        assert abs(kin[key] - val) <= 1e-11, key

@@ -407,6 +407,17 @@ def test_suite_record_sequence():
     assert [(r.name, r.family.split()[0]) for r in rep.records] == expected
 
 
+def test_circularity_with_every_radius_singular_fails(monkeypatch):
+    def singular(spec, lam):
+        raise inversion.SingularSpinor("signed density zero")
+
+    monkeypatch.setattr(inversion, "circularity_residual", singular)
+    rep = verify.run_suite(families=["uniform-b"], checks={"circularity"},
+                           points=1)
+    assert [r.passed for r in rep.records] == [False] * 3
+    assert all(r.max_residual == 0.0 for r in rep.records)
+
+
 # the attribute each check's residual is read through at call time
 CHECK_RESIDUALS = {
     "dirac": (verify, "dirac_residual"),
