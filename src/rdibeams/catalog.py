@@ -22,6 +22,13 @@ lam = B sqrt(x^2+y^2) / (2 c hbar); potentials carry the coupling folded in
 (eA throughout).  For odd winding number M the spinor phase carries a
 half-integer winding exp(i M phi / 2) with its branch cut on the negative
 x axis.
+
+The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
+`fields`, `bilinear_fields`, `null_rotation_generator`) take their
+coordinates as floats or as broadcastable numpy arrays; a batch keeps its
+axes in front and the components trail, as in psi[..., 4].  Each formula is
+written once: only the transcendental calls and the branch selections come
+from `mathops`, `math`/`cmath` for a float point and numpy for a batch.
 """
 from __future__ import annotations
 
@@ -32,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import mathops, spinors, sta
 from . import specialfn as sf
-from . import spinors, sta
 from .numerics import adaptive_simpson
 from .units import NATURAL, UnitSystem
 from .waveforms import Waveform
@@ -191,44 +198,46 @@ def _free_q(spec: SolutionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
-    """Profile data with unit normalization constant.
+def _raw_profile(spec: SolutionSpec, lam) -> dict:
+    """Profile data with unit normalization constant, at lam >= 0 (a float
+    or an array).
 
     Keys: f, fp, fpp (radial profile and lam-derivatives), H, Hp,
     amp = lam^(M/2) f and ampd = lam^(M/2) f' (phase-free, axis-regular),
     and the weight-stripped pair (amp_s, ampd_s) with
     amp * H = exp(-u/2) amp_s in the family's Gauss-Laguerre variable u.
     """
+    # a float lam is the per-point case (the spinor field and the
+    # quadrature nodes): test it first, without a call
+    ops = mathops.FLOATS if type(lam) is float else mathops.of(lam)
     base = spec.static_base()
     fam = base.family
     n, l, M = base.n, base.l, base.M
     if fam is Family.FREE_BESSEL:
         q = _free_q(base)
-        x = q * lam
-        vals = sf.bessel_j_all(l + 2, x)
+        vals = sf.bessel_j_all(l + 2, q * lam)
         jl, jl1 = vals[l], vals[l + 1]
         amp = jl
         ampd = -q * jl1
-        if lam > 0:
-            f = amp / lam ** l
-            fp = ampd / lam ** l
-            # second derivative through the five-point Bessel ladder (kept
-            # independent of the radial equation being verified)
-            jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
-            jlm1 = vals[l - 1] if l >= 1 else -vals[1]
-            jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
-            jd = 0.5 * (jlm1 - vals[l + 1])
-            fpp = (q * q * jdd / lam ** l
-                   - 2.0 * l * q * jd / lam ** (l + 1)
-                   + l * (l + 1) * jl / lam ** (l + 2))
-        else:
-            f = (q / 2.0) ** l / math.factorial(l)
-            fp, fpp = 0.0, 0.0
+        # off the axis, through the five-point Bessel ladder for f'' (kept
+        # independent of the radial equation being verified); on the axis,
+        # the limits
+        pos = lam > 0
+        r = ops.where(pos, lam, 1.0)
+        jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
+        jlm1 = vals[l - 1] if l >= 1 else -vals[1]
+        jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
+        jd = 0.5 * (jlm1 - vals[l + 1])
+        f = ops.where(pos, amp / r ** l, (q / 2.0) ** l / math.factorial(l))
+        fp = ops.where(pos, ampd / r ** l, 0.0)
+        fpp = ops.where(pos, q * q * jdd / r ** l
+                        - 2.0 * l * q * jd / r ** (l + 1)
+                        + l * (l + 1) * jl / r ** (l + 2), 0.0)
         return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
                 "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         u = 2.0 * lam * lam
-        H = math.exp(-lam * lam)
+        H = ops.exp(-lam * lam)
         Hp = -2.0 * lam * H
         L = sf.laguerre(n, l, u)
         Ld = sf.laguerre_deriv(n, l, u)
@@ -257,12 +266,12 @@ def _raw_profile(spec: SolutionSpec, lam: float) -> dict:
     # radial 1/r field
     kappa = radial_kappa(base)
     u = kappa * lam
-    H = math.exp(-lam / 2.0)
+    H = ops.exp(-lam / 2.0)
     Hp = -0.5 * H
     L = sf.laguerre(n, M, u)
     Ld = sf.laguerre_deriv(n, M, u)
     Ldd = sf.laguerre_deriv2(n, M, u)
-    grow = math.exp((1.0 - kappa) * lam / 2.0)
+    grow = ops.exp_checked((1.0 - kappa) * lam / 2.0)
     f = grow * L
     fp = grow * ((1.0 - kappa) / 2.0 * L + kappa * Ld)
     fpp = grow * (((1.0 - kappa) / 2.0) ** 2 * L
@@ -346,8 +355,9 @@ def normalization(spec: SolutionSpec) -> float:
     return 1.0 / math.sqrt(_transverse_average(base, j0))
 
 
-def profile(spec: SolutionSpec, lam: float) -> dict:
-    """Normalized profile data at lam (see _raw_profile for the keys)."""
+def profile(spec: SolutionSpec, lam) -> dict:
+    """Normalized profile data at lam, a float or an array (see _raw_profile
+    for the keys)."""
     pr = _raw_profile(spec, lam)
     norm = normalization(spec)
     out = dict(pr)
@@ -367,18 +377,22 @@ def radial_profile(spec: SolutionSpec, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def null_rotation_generator(fdot1: float, fdot2: float, eps: float,
-                            omega: float, units: UnitSystem = NATURAL) -> Array:
+# the generator is g (f1' C1 + f2' C2), g = c^2 / (2 eps omega)
+_NULL_C1 = -sta.ALPHA[0] - sta.PSEUDO @ sta.ALPHA[1]
+_NULL_C2 = -sta.ALPHA[1] + sta.PSEUDO @ sta.ALPHA[0]
+
+
+def null_rotation_generator(fdot1, fdot2, eps: float, omega: float,
+                            units: UnitSystem = NATURAL) -> Array:
     """Nilpotent generator of the null rotation that dresses a stationary
-    state with a plane wave travelling along +z."""
+    state with a plane wave travelling along +z; fdot1 and fdot2 are floats
+    or arrays, and the result is [..., 4, 4]."""
     g = units.c ** 2 / (2.0 * eps * omega)
-    gen = np.zeros((4, 4), dtype=complex)
-    gen += -fdot1 * sta.ALPHA[0] - fdot2 * sta.ALPHA[1]
-    gen += fdot2 * (sta.PSEUDO @ sta.ALPHA[0]) - fdot1 * (sta.PSEUDO @ sta.ALPHA[1])
-    return g * gen
+    return g * (np.multiply.outer(fdot1, _NULL_C1)
+                + np.multiply.outer(fdot2, _NULL_C2))
 
 
-def gauge_phase(spec: SolutionSpec, xi: float) -> float:
+def gauge_phase(spec: SolutionSpec, xi):
     """Scalar gauge phase accompanying the null rotation."""
     u = spec.units
     eps = eigenvalue(spec)
@@ -386,7 +400,7 @@ def gauge_phase(spec: SolutionSpec, xi: float) -> float:
         * spec.waveform.gauge_integral(xi)
 
 
-def coordinate_shift(spec: SolutionSpec, xi: float) -> tuple[float, float]:
+def coordinate_shift(spec: SolutionSpec, xi):
     """Transverse displacement (x' - x, y' - y) induced by the dressing."""
     u = spec.units
     eps = eigenvalue(spec)
@@ -395,7 +409,7 @@ def coordinate_shift(spec: SolutionSpec, xi: float) -> tuple[float, float]:
     return scale * f1, scale * f2
 
 
-def xi_of(spec: SolutionSpec, t: float, z: float) -> float:
+def xi_of(spec: SolutionSpec, t, z):
     return spec.omega * (t - z / spec.units.c)
 
 
@@ -407,9 +421,10 @@ def xi_of(spec: SolutionSpec, t: float, z: float) -> float:
 def spinor(spec: SolutionSpec, fault=None):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family.
 
-    A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y', z): the
-    stationary field at coordinates shifted by the classical quiver motion,
-    turned by the null rotation and carried by the gauge phase.
+    t, x, y, z are floats, giving psi[4], or broadcastable arrays, giving
+    psi[..., 4].  A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y',
+    z): the stationary field at coordinates shifted by the classical quiver
+    motion, turned by the null rotation and carried by the gauge phase.
     `fault(profile, lam)`, when given, replaces the profile right after it
     is read (the verifier's negative controls inject faults through it)."""
     base = spec.static_base()
@@ -420,34 +435,37 @@ def spinor(spec: SolutionSpec, fault=None):
     M = base.M
 
     def static_field(t, x, y, z):
-        lam = lam_of_r(base, math.hypot(x, y))
+        ops = mathops.of(t, x, y, z)
+        lam = lam_of_r(base, ops.hypot(x, y))
         pr = profile(base, lam)
         if fault is not None:
             pr = fault(pr, lam)
-        phi = math.atan2(y, x)
-        phase = np.exp(-1j * (eps * t - base.p_z * z) / hbar
-                       + 0.5j * M * phi)
+        phi = ops.atan2(y, x)
+        phase = ops.cexp(-1j * (eps * t - base.p_z * z) / hbar
+                         + 0.5j * M * phi)
         common = pr["H"] * phase
-        return np.array([
+        return ops.stack([
             (A / base.B) * pr["amp"] * common,
             0.0,
             (c * base.p_z / base.B) * pr["amp"] * common,
-            -0.5j * pr["ampd"] * pr["H"] * phase * np.exp(1j * phi),
+            -0.5j * pr["ampd"] * pr["H"] * phase * ops.cexp(1j * phi),
         ])
 
     if not spec.is_dressed:
         return static_field
 
     def dressed(t, x, y, z):
+        ops = mathops.of(t, x, y, z)
         xi = xi_of(spec, t, z)
         dx, dy = coordinate_shift(spec, xi)
         d1, d2 = spec.waveform.fdot(xi)
         phi = gauge_phase(spec, xi)
-        if dx == dy == d1 == d2 == phi == 0.0:
+        if not any(ops.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
             return static_field(t, x, y, z)  # exact identity transform
         gen = null_rotation_generator(d1, d2, eps, spec.omega, u)
-        return np.exp(1j * phi) * ((sta.ID + gen)
-                                   @ static_field(t, x + dx, y + dy, z))
+        psi = static_field(t, x + dx, y + dy, z)
+        return np.asarray(ops.cexp(1j * phi))[..., None] \
+            * ((sta.ID + gen) @ psi[..., None])[..., 0]
 
     return dressed
 
@@ -477,47 +495,52 @@ def _primed(spec: SolutionSpec, t, x, y, z):
 
 def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
-    4-component eA array).  The static piece lives at the primed transverse
-    coordinates for dressed families."""
+    4-component eA array, [..., 4] for array coordinates).  The static piece
+    lives at the primed transverse coordinates for dressed families."""
+    ops = mathops.of(t, x, y, z)
     u = spec.units
     c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = math.hypot(xp, yp)
+    rp = ops.hypot(xp, yp)
     fam = base.family
-    static = np.zeros(4)
-    radiation = np.zeros(4)
-    laser = np.zeros(4)
+    zero = ops.zero(t, x, y, z)
+    static = radiation = laser = (zero,) * 4
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         coeff = B ** 2 / (2.0 * c ** 2 * hbar)
-        static = np.array([0.0, -coeff * yp, coeff * xp, 0.0])
+        static = (zero, -coeff * yp, coeff * xp, zero)
     elif fam is Family.RADIAL_B:
-        if rp == 0.0:
+        if ops.any(rp == 0.0):
             raise OnAxisError("potential singular on the symmetry axis")
         coeff = B / (4.0 * c * rp)
-        static = np.array([0.0, -coeff * yp, coeff * xp, 0.0])
+        static = (zero, -coeff * yp, coeff * xp, zero)
     if spec.is_dressed:
         eps = eigenvalue(base)
         d1, d2 = spec.waveform.fdot(xi)
-        laser = np.array([0.0, c * d1 / spec.omega, c * d2 / spec.omega, 0.0])
+        laser = (zero, c * d1 / spec.omega, c * d2 / spec.omega, zero)
         if fam is Family.UNIFORM_B:
             a0 = -B ** 2 * (xp * d2 - yp * d1) / (2.0 * eps * spec.omega * hbar)
-            radiation = np.array([a0, 0.0, 0.0, a0])
+            radiation = (a0, zero, zero, a0)
         elif fam is Family.RADIAL_B:
             a0 = -B * c * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
-            radiation = np.array([a0, 0.0, 0.0, a0])
-    return {"static": static, "radiation": radiation, "laser": laser}
+            radiation = (a0, zero, zero, a0)
+    return {"static": ops.stack(static), "radiation": ops.stack(radiation),
+            "laser": ops.stack(laser)}
 
 
 def potential(spec: SolutionSpec, t, x, y, z) -> Array:
-    """Total driving potential eA^mu at a lab-frame point."""
+    """Total driving potential eA^mu at a lab-frame point, or eA[..., 4]
+    at array coordinates."""
     parts = potential_split(spec, t, x, y, z)
     return parts["static"] + parts["radiation"] + parts["laser"]
 
 
 @dataclass(frozen=True)
 class FieldSample:
+    """Fields at a point, or at a batch of points along the leading axes
+    (vectors carry a trailing axis of length 3)."""
+
     electric: Array       # e E
     magnetic: Array       # e B
     charge_source: float  # e mu0 rho_e
@@ -525,46 +548,49 @@ class FieldSample:
 
 
 def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
-    """Closed-form electromagnetic fields and their source densities."""
+    """Closed-form electromagnetic fields and their source densities, at
+    float or array coordinates."""
+    ops = mathops.of(t, x, y, z)
     u = spec.units
     c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     fam = base.family
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = math.hypot(xp, yp)
-    eE = np.zeros(3)
-    eB = np.zeros(3)
-    rho_e = 0.0
-    J_e = np.zeros(3)
+    rp = ops.hypot(xp, yp)
+    zero = ops.zero(t, x, y, z)
+    eE = [zero] * 3
+    eB = [zero] * 3
+    rho_e = zero
+    J_e = [zero] * 3
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        eB = eB + np.array([0.0, 0.0, B ** 2 / (c ** 2 * hbar)])
+        eB[2] = eB[2] + B ** 2 / (c ** 2 * hbar)
     elif fam is Family.RADIAL_B:
-        if rp == 0.0:
+        if ops.any(rp == 0.0):
             raise OnAxisError("field singular on the symmetry axis")
-        eB = eB + np.array([0.0, 0.0, B / (4.0 * c * rp)])
-        J_e = J_e + (B / (4.0 * c)) * np.array([-yp, xp, 0.0]) / rp ** 3
+        eB[2] = eB[2] + B / (4.0 * c * rp)
+        J_e = [J_e[0] + (B / (4.0 * c)) * -yp / rp ** 3,
+               J_e[1] + (B / (4.0 * c)) * xp / rp ** 3, J_e[2]]
     if spec.is_dressed:
         eps = eigenvalue(base)
         d1, d2 = spec.waveform.fdot(xi)
         dd1, dd2 = spec.waveform.fddot(xi)
-        eE = eE - c * np.array([dd1, dd2, 0.0])
-        eB = eB + np.array([dd2, -dd1, 0.0])
+        eE = [eE[0] - c * dd1, eE[1] - c * dd2, eE[2]]
+        eB = [eB[0] + dd2, eB[1] - dd1, eB[2]]
         if fam is Family.UNIFORM_B:
-            eE = eE + (B ** 2 * c / (eps * spec.omega * hbar)) \
-                * np.array([d2, -d1, 0.0])
-            eB = eB + (B ** 2 / (eps * spec.omega * hbar)) \
-                * np.array([d1, d2, 0.0])
+            kE = B ** 2 * c / (eps * spec.omega * hbar)
+            kB = B ** 2 / (eps * spec.omega * hbar)
         elif fam is Family.RADIAL_B:
-            eE = eE + (B * c ** 2 / (4.0 * rp * eps * spec.omega)) \
-                * np.array([d2, -d1, 0.0])
-            eB = eB + (B * c / (4.0 * rp * eps * spec.omega)) \
-                * np.array([d1, d2, 0.0])
+            kE = B * c ** 2 / (4.0 * rp * eps * spec.omega)
+            kB = B * c / (4.0 * rp * eps * spec.omega)
             rho_e = B * c ** 2 * (yp * d1 - xp * d2) \
                 / (4.0 * eps * spec.omega * rp ** 3)
-            J_e = (B / (4.0 * c * rp ** 3)) * np.array(
-                [-yp, xp, c * (yp * d1 - xp * d2) / (eps * spec.omega)])
-    return FieldSample(eE, eB, rho_e, J_e)
+            J_e = [(B / (4.0 * c * rp ** 3)) * v
+                   for v in (-yp, xp, c * (yp * d1 - xp * d2) / (eps * spec.omega))]
+        if fam in (Family.UNIFORM_B, Family.RADIAL_B):
+            eE = [eE[0] + kE * d2, eE[1] + kE * -d1, eE[2]]
+            eB = [eB[0] + kB * d1, eB[1] + kB * d2, eB[2]]
+    return FieldSample(ops.stack(eE), ops.stack(eB), rho_e, ops.stack(J_e))
 
 
 # ---------------------------------------------------------------------------
@@ -574,22 +600,25 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
 
 def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     """Closed-form local bilinears of the stationary families: current J^mu,
-    signed scalar density (rho cos beta), and spin density rho s^mu."""
+    signed scalar density (rho cos beta), and spin density rho s^mu, at
+    float or array coordinates."""
     base = spec.static_base()
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
+    ops = mathops.of(x, y)
     c = base.units.c
-    r = math.hypot(x, y)
+    r = ops.hypot(x, y)
     pr = profile(base, lam_of_r(base, r))
     k = stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
     jphi = k["J_phi"]
-    if r > 0:
-        jvec = np.array([k["J0"], -jphi * y / r, jphi * x / r, k["J_z"]])
-    else:
-        jvec = np.array([k["J0"], 0.0, 0.0, k["J_z"]])
+    # J_phi along the azimuthal unit vector; on the axis, where x = y = 0,
+    # r is replaced by 1 and the transverse current is zero
+    r = r + (r == 0.0)
+    jx, jy = -jphi * y / r, jphi * x / r
     fac = c * base.p_z / (base.m * c * c + eigenvalue(base))
-    rs = np.array([k["J_z"], fac * jvec[1], fac * jvec[2], k["rho_s3"]])
-    return {"J": jvec, "scalar": k["scalar"], "rho_s": rs, "J_phi": jphi}
+    return {"J": ops.stack([k["J0"], jx, jy, k["J_z"]]), "scalar": k["scalar"],
+            "rho_s": ops.stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]]),
+            "J_phi": jphi}
 
 
 def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
@@ -671,19 +700,17 @@ def _dressed_averages(spec: SolutionSpec, xi: float) -> dict:
     bigm0 = rot.conj().T @ rot                    # identity sandwich
 
     col = spinor(base)
-    nphi = 32
-    phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    ring_cos, ring_sin = np.cos(phis), np.sin(phis)
 
     def ring(op, weight_xy):
+        # the ring average at lam, from one spinor call on the whole ring
         def g(lam):
             r = r_of_lam(base, lam)
-            vals = []
-            for p in phis:
-                xpp, ypp = r * math.cos(p), r * math.sin(p)
-                psi = col(0.0, xpp, ypp, 0.0)
-                wxy = weight_xy(xpp, ypp)
-                vals.append(wxy * float(np.vdot(psi, op @ psi).real))
-            return float(np.mean(vals)) * lam
+            xs, ys = r * ring_cos, r * ring_sin
+            psi = col(0.0, xs, ys, 0.0)
+            vals = np.einsum("ni,ij,nj->n", psi.conj(), op, psi).real
+            return float(np.mean(weight_xy(xs, ys) * vals)) * lam
         return g
 
     lam_max = _lam_cutoff(base)

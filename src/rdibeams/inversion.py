@@ -7,10 +7,10 @@ equation backwards, eA-slash = D Psi^-1 with (`dirac_operator`)
     Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho,  so |det Psi| = rho^2,
 
 with the derivatives taken by 4th-order central differences and a Richardson
-(h, h/2) pair attached as the error estimate.  A valid electromagnetic
-inversion leaves only the vector grade: the 12 constrained trace projections
-(scalar, the six bivectors, the four trivectors and the pseudoscalar) must
-vanish.
+(h, h/2) pair attached as the error estimate, at one point or at a batch of
+points at once.  A valid electromagnetic inversion leaves only the vector
+grade: the 12 constrained trace projections (scalar, the six bivectors, the
+four trivectors and the pseudoscalar) must vanish.
 
 The module also carries the spin-divergence / tetrad-rotation / momentum
 decomposition of the stationary potential, and the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog as cat
-from . import numerics, spinors, sta
+from . import mathops, numerics, spinors, sta
 from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
@@ -41,9 +41,9 @@ class StepTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """Inverted potential at a point: the vector-grade part eA^mu, all 16
-    trace-projection coefficients, and the finite-difference error
-    estimate."""
+    """Inverted potential at a point, or at a batch of points along the
+    leading axes: the vector-grade part eA^mu, all 16 trace-projection
+    coefficients, and the finite-difference error estimate."""
 
     eA: Array
     coefficients: Array        # complex, indices 0..15 for Gamma_1..Gamma_16
@@ -57,60 +57,84 @@ class PotentialSample:
     @property
     def constrained_residual(self) -> float:
         """Largest magnitude among the 12 projections that must vanish."""
-        vals = np.abs(self.coefficients)
-        return float(max(vals[k - 1] for k in sta.CONSTRAINED_INDICES))
+        return np.max(np.abs(self.coefficients[..., _CONSTRAINED]), axis=-1)
 
 
 _GAMMA_UP = np.stack(sta.GAMMA_UP)
 _GAMMA16 = np.stack(sta.GAMMA16)
+_CONSTRAINED = [k - 1 for k in sta.CONSTRAINED_INDICES]
+SINGULAR_RHO2 = 1e-12  # rho^2 = |det Psi| below which Psi is not inverted
 
 
 def dirac_operator(psi, grad, m: float, units: UnitSystem) -> tuple[Array, Array]:
-    """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from psi
-    and its `numerics.gradient4`.  d_mu Psi is the lift of d_mu psi, exact
-    as the lift is real-linear; the first column of D is the column form
-    i hbar gamma^mu d_mu psi - m c psi."""
+    """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from
+    psi[..., 4] and its `numerics.gradient4` grad[..., 4, 4].  d_mu Psi is
+    the lift of d_mu psi, exact as the lift is real-linear; the first column
+    of D is the column form i hbar gamma^mu d_mu psi - m c psi."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
-    dPsi[0] /= units.c
-    slash_d = np.einsum("mij,mjk->ik", _GAMMA_UP, dPsi)
+    dPsi[..., 0, :, :] /= units.c
+    slash_d = np.einsum("mij,...mjk->...ik", _GAMMA_UP, dPsi)
     return Psi, units.hbar * slash_d @ spinors.PHASE_PLANE \
         - m * units.c * Psi @ sta.GAMMA0
 
 
-def _invert_once(field, point, h, m, units) -> Array:
-    psi = field(*point)
+def _density(psi) -> tuple[Array, Array]:
+    # (rho cos beta, rho sin beta) of psi[..., 4]; both are zero where
+    # psi^dagger psi vanishes
+    psi = np.asarray(psi, dtype=complex)
+    live = np.einsum("...i,...i->...", psi.conj(), psi).real > 0.0
+    scalar, pseudo = np.zeros(live.shape), np.zeros(live.shape)
     try:
-        bil = spinors.bilinears(psi)
+        bil = spinors.bilinears(psi[live])
     except spinors.NullDensity as exc:
         raise SingularSpinor(str(exc)) from exc
-    rho2 = bil.scalar ** 2 + bil.pseudo ** 2
-    if rho2 < 1e-12:
-        raise SingularSpinor(f"|det Psi| = rho^2 = {rho2:.3e}")
-    Psi, D = dirac_operator(psi, numerics.gradient4(field, point, h), m, units)
-    return D @ sta.reversion(Psi) \
-        @ (bil.scalar * sta.ID - bil.pseudo * sta.PSEUDO) / rho2
+    scalar[live], pseudo[live] = bil.scalar, bil.pseudo
+    return scalar, pseudo
+
+
+def singular(psi) -> Array:
+    """Where the lift Psi of psi[..., 4] is not inverted: rho^2 = |det Psi|
+    below SINGULAR_RHO2, a vanishing spinor included."""
+    scalar, pseudo = _density(psi)
+    return scalar ** 2 + pseudo ** 2 < SINGULAR_RHO2
 
 
 def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
            units: UnitSystem = NATURAL, tol: float | None = None) -> PotentialSample:
-    """Invert a column-spinor field for its driving potential at a point.
+    """Invert a column-spinor field for its driving potential at a point,
+    or at a batch of points point[..., 4].
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
     step must sit in [1e-6, 1e-2]; `tol`, when given, raises StepTooLarge if
-    the Richardson estimate exceeds it.
+    the Richardson estimate exceeds it at any point.  SingularSpinor is
+    raised if Psi is singular at any point of the batch.
     """
     if not 1e-6 <= h <= 1e-2:
         raise ValueError("step h outside [1e-6, 1e-2]")
-    full = _invert_once(field, point, h, m, units)
-    half = _invert_once(field, point, h / 2.0, m, units)
-    est = float(np.max(np.abs(half - full)) / 15.0)
-    if tol is not None and est > tol:
-        raise StepTooLarge(f"Richardson estimate {est:.3e} > tol {tol:.3e}")
-    coeffs = np.einsum("ij,kji->k", half, _GAMMA16) / 4.0  # Tr[half Gamma_k]/4
+    psi = numerics.at(field, point)
+    scalar, pseudo = _density(psi)
+    rho2 = scalar ** 2 + pseudo ** 2
+    if np.any(rho2 < SINGULAR_RHO2):
+        raise SingularSpinor(f"|det Psi| = rho^2 = {np.min(rho2):.3e}")
+    # Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho
+    duality = scalar[..., None, None] * sta.ID \
+        - pseudo[..., None, None] * sta.PSEUDO
+
+    def inverted(step):
+        Psi, D = dirac_operator(psi, numerics.gradient4(field, point, step),
+                                m, units)
+        return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
+
+    full, half = inverted(h), inverted(h / 2.0)
+    est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0
+    if tol is not None and np.any(est > tol):
+        raise StepTooLarge(f"Richardson estimate {np.max(est):.3e} "
+                           f"> tol {tol:.3e}")
+    coeffs = np.einsum("...ij,kji->...k", half, _GAMMA16) / 4.0  # Tr[half Gamma_k]/4
     # Tr[A-slash gamma^mu] / 4 = A^mu directly (no dual sign)
-    eA = np.array([coeffs[k].real for k in (1, 2, 3, 4)])
-    return PotentialSample(eA=eA, coefficients=coeffs, richardson=est)
+    return PotentialSample(eA=coeffs[..., 1:5].real, coefficients=coeffs,
+                           richardson=est)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +172,20 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
     def spin_cross_and_lin_comb(*q):
         b = cat.bilinear_fields(spec, *q)
         rho_s, J = b["rho_s"], b["J"]
-        return np.concatenate([np.cross(rho_s[1:], J[1:]),
-                               J[0] * rho_s[1:] - rho_s[0] * J[1:]]) \
-            / b["scalar"]
+        return np.concatenate([np.cross(rho_s[..., 1:], J[..., 1:]),
+                               J[..., :1] * rho_s[..., 1:]
+                               - rho_s[..., :1] * J[..., 1:]], axis=-1) \
+            / np.expand_dims(b["scalar"], -1)
 
     g = numerics.gradient4(spin_cross_and_lin_comb, point, h).real
-    div = numerics.spatial_divergence(g[:, :3])
-    curl = numerics.spatial_curl(g[:, 3:])
+    div = numerics.spatial_divergence(g[..., :3])
+    curl = numerics.spatial_curl(g[..., 3:])
 
     col = cat.spinor(spec)
 
     def e1_plus_ie2(*q):
         sigma_q = cat.bilinear_fields(spec, *q)["scalar"]
-        return spinors.tetrad_pair(col(*q)) / sigma_q
+        return spinors.tetrad_pair(col(*q)) / np.expand_dims(sigma_q, -1)
 
     e2_now = e1_plus_ie2(*point).imag
     P = np.zeros(4)
@@ -216,14 +241,14 @@ def circularity_residual(spec: cat.SolutionSpec, lam: float) -> float:
     return abs(eps / c - base.m * c * j0 / sigma + term)
 
 
-def radial_ode_residual(spec: cat.SolutionSpec, lam: float,
-                        fault=None) -> float:
+def radial_ode_residual(spec: cat.SolutionSpec, lam, fault=None):
     """Residual of the profile equation
 
         f'' - 4 (m^2 c^4 + p_z^2 c^2 - eps^2) f / B^2
             + f' ((M+1)/lam + 2 H'/H) = 0,
 
-    normalized by the local profile scale; `fault` as for `catalog.spinor`."""
+    normalized by the local profile scale, at a float or an array lam;
+    `fault` as for `catalog.spinor`."""
     base = spec.static_base()
     c = base.units.c
     eps = cat.eigenvalue(base)
@@ -234,5 +259,7 @@ def radial_ode_residual(spec: cat.SolutionSpec, lam: float,
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \
         + pr["fp"] * ((base.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])
-    scale = max(abs(pr["f"]), abs(pr["fp"]), abs(pr["fpp"]), 1e-30)
+    ops = mathops.of(lam)
+    scale = ops.maximum(ops.maximum(abs(pr["f"]), abs(pr["fp"])),
+                        ops.maximum(abs(pr["fpp"]), 1e-30))
     return abs(res) / scale

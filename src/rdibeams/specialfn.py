@@ -1,13 +1,18 @@
 """Self-contained special functions used by the solution catalog.
 
 Integer-order Bessel J by Miller's downward recurrence (power series below
-x = 2), generalized Laguerre polynomials and the terminating confluent
-hypergeometric functions by stable three-term recurrences.  No external
-special-function dependency.
+x = 2), for a float or a whole array of arguments at once; generalized
+Laguerre polynomials and the terminating confluent hypergeometric functions
+by stable three-term recurrences, which take arrays as they are.  No
+external special-function dependency.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from . import mathops
 
 # documented validity window for bessel_j
 BESSEL_MAX_ORDER = 200
@@ -35,26 +40,29 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series(nu: int, x: float) -> float:
-    # ascending series, stable for small arguments
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    lead = math.exp(nu * math.log(x / 2.0) - math.lgamma(nu + 1))
+def _bessel_series(nu: int, x, ops):
+    # ascending series, stable for small arguments (x > 0)
+    lead = ops.exp(nu * ops.log(x / 2.0) - math.lgamma(nu + 1))
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
     for k in range(1, 60):
-        term *= -q / (k * (nu + k))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
+        term = term * (-q / (k * (nu + k)))
+        total = total + term
+        # a float comparison gives a bool, tested without a call; once every
+        # element is below half an ulp of its total, later terms leave it be
+        small = abs(term) < 1e-18 * abs(total) + 1e-300
+        if small is not False and (small is True or small.all()):
             break
     return lead * total
 
 
-def _miller_all(nmax: int, x: float) -> list[float]:
+def _miller_all(nmax: int, x, ops) -> list:
     # downward recurrence from well above the turning point, normalized by
-    # J0 + 2*sum J_{2k} = 1
-    start = int(max(nmax, x) + 15.0 * max(nmax, x) ** (1.0 / 3.0) + 20)
+    # J0 + 2*sum J_{2k} = 1; one start index for the whole batch, from its
+    # largest argument, and a rescale wherever an element nears overflow
+    top = max(nmax, float(ops.max(x)))
+    start = int(top + 15.0 * top ** (1.0 / 3.0) + 20)
     start += start % 2  # even start keeps the normalization sum aligned
     jp = 0.0
     jc = 1e-300
@@ -64,31 +72,57 @@ def _miller_all(nmax: int, x: float) -> list[float]:
         jm = (2.0 * k / x) * jc - jp
         jp = jc
         jc = jm
-        if abs(jc) > 1e250:  # rescale to dodge overflow
-            scale = 1e-250
-            jc *= scale
-            jp *= scale
-            norm *= scale
+        over = abs(jc) > 1e250
+        # rescale to dodge overflow; a float comparison gives a bool, tested
+        # without a call
+        if over is not False and (over is True or over.any()):
+            scale = ops.where(over, 1e-250, 1.0)
+            jc = jc * scale
+            jp = jp * scale
+            norm = norm * scale
             out = [v * scale for v in out]
         if (k - 1) <= nmax:
             out[k - 1] = jc
         if (k - 1) % 2 == 0:
-            norm += 2.0 * jc
-    norm -= jc  # J0 counted once
+            norm = norm + 2.0 * jc
+    norm = norm - jc  # J0 counted once
     return [v / norm for v in out]
 
 
-def bessel_j_all(nmax: int, x: float) -> list[float]:
-    """J_0(x) .. J_nmax(x) in one pass (x >= 0)."""
+def bessel_j_all(nmax: int, x):
+    """J_0(x) .. J_nmax(x) in one pass, for x >= 0 a float or an array.
+
+    Indexed by order first: a list of floats for a float x, an array of
+    shape (nmax + 1, *x.shape) for an array x.  Elements with x < 2 take the
+    ascending series, the rest one shared Miller recurrence.
+    """
+    ops = mathops.of(x)
     if nmax < 0:
         raise DomainError("negative order")
-    if nmax > BESSEL_MAX_ORDER or x > BESSEL_MAX_ARG:
-        raise DomainError(f"outside validity window: nmax={nmax}, x={x}")
-    if x < 0.0:
+    if nmax > BESSEL_MAX_ORDER or ops.any(x > BESSEL_MAX_ARG):
+        raise DomainError(f"outside validity window: nmax={nmax}, "
+                          f"x={ops.max(x)}")
+    if ops.any(x < 0.0):
         raise DomainError("negative argument; use parity J_n(-x)=(-1)^n J_n(x)")
-    if x < 2.0:
-        return [_bessel_series(nu, x) for nu in range(nmax + 1)]
-    return _miller_all(nmax, x)
+    if ops is mathops.FLOATS:
+        # a numpy scalar would make every comparison of the recurrences a
+        # numpy bool, tested by a method call instead of an identity check
+        x = float(x)
+        if x == 0.0:
+            return [1.0] + [0.0] * nmax
+        if x < 2.0:
+            return [_bessel_series(nu, x, ops) for nu in range(nmax + 1)]
+        return _miller_all(nmax, x, ops)
+    out = np.zeros((nmax + 1,) + x.shape)
+    out[0, x == 0.0] = 1.0
+    small = (x > 0.0) & (x < 2.0)
+    if small.any():
+        out[:, small] = [_bessel_series(nu, x[small], ops)
+                         for nu in range(nmax + 1)]
+    large = x >= 2.0
+    if large.any():
+        out[:, large] = _miller_all(nmax, x[large], ops)
+    return out
 
 
 def bessel_j(nu: int, x: float) -> float:

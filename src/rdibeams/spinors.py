@@ -60,14 +60,6 @@ def from_components(r, s) -> Array:
     ])
 
 
-def to_components(psi: Array) -> tuple[Array, Array]:
-    """Inverse of from_components (exact round trip)."""
-    psi = np.asarray(psi, dtype=complex)
-    r = np.array([psi[0].real, -psi[1].imag, psi[1].real, -psi[0].imag])
-    s = np.array([psi[2].imag, psi[3].real, psi[3].imag, psi[2].real])
-    return r, s
-
-
 def hestenes_matrix(psi: Array) -> Array:
     """The unique even-subalgebra Psi with Psi u1 = psi[..., 4]."""
     psi = np.asarray(psi, dtype=complex)
@@ -128,7 +120,8 @@ def boost_from_momentum(p, m: float, units: UnitSystem = NATURAL,
 
 def plane_wave(p, m: float, spin_axis=(0.0, 0.0, 1.0), angle: float = 0.0,
                energy_sign: int = +1, units: UnitSystem = NATURAL):
-    """Free plane-wave column-spinor field (t, x, y, z) -> psi.
+    """Free plane-wave column-spinor field (t, x, y, z) -> psi, psi[..., 4]
+    for array coordinates.
 
     The spin rotation is exp(-PSEUDO alpha.axis * angle/2) applied in the
     rest frame before boosting; energy_sign=-1 returns the negative-energy
@@ -152,7 +145,7 @@ def plane_wave(p, m: float, spin_axis=(0.0, 0.0, 1.0), angle: float = 0.0,
         # and its spatial wave vector are both flipped
         arg = (energy * t
                - energy_sign * (p[0] * x + p[1] * y + p[2] * z)) / hbar
-        return np.exp(-1j * energy_sign * arg) * col0
+        return np.exp(-1j * energy_sign * arg)[..., None] * col0
 
     return field
 

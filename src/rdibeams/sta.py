@@ -114,8 +114,9 @@ def gamma_basis() -> dict:
 
 
 def reversion(a: Array) -> Array:
-    """rev(A) = gamma0 A^dagger gamma0.  Anti-automorphism fixing vectors."""
-    return GAMMA0 @ a.conj().T @ GAMMA0
+    """rev(A) = gamma0 A^dagger gamma0 of matrices a[..., 4, 4].
+    Anti-automorphism fixing vectors."""
+    return GAMMA0 @ np.swapaxes(a.conj(), -1, -2) @ GAMMA0
 
 
 def trace_project(a: Array, k: int) -> complex:

@@ -8,10 +8,14 @@ dressed-beam equivalence, the null-rotation block identity, and streamline
 integration.  The standard suite is one table, CHECKS, run over seeded
 uniform points in the box [0.5, 5]^4 (natural units).
 
-Each residual differentiates its field once per point, with
-`numerics.gradient4`.  The Dirac residual shares the matrix Dirac operator
-of the inversion, `inversion.dirac_operator`, which takes its derivative
-from the column one.  A record that checked no point fails.
+Each residual takes a batch of points, point[..., 4], and returns one value
+per point; each check of CHECKS calls it once per spec, on all its points.
+A residual differentiates its field once, with `numerics.gradient4`, whose
+four `partial4` calls each evaluate the field once on every stencil point
+of the batch.  The Dirac residual shares the matrix Dirac operator of the
+inversion, `inversion.dirac_operator`, which takes its derivative from the
+column one.  A record that checked no point fails, and its extras give the
+reason.
 
 Negative controls assert detection power, not only agreement.
 scale-potential scales eA by 1.01 in the dirac check; perturb-profile
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog as cat
-from . import inversion, numerics, specialfn as sf, spinors, sta
+from . import inversion, mathops, numerics, specialfn as sf, spinors, sta
 from .waveforms import Waveform, circular, linear, pulse
 
 Array = np.ndarray
@@ -66,8 +70,9 @@ def perturb_profile(pr: dict, lam: float) -> dict:
 
 
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
-                   fault: str | None = None) -> float:
-    """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi.
+                   fault: str | None = None):
+    """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi at
+    point[..., 4], one value per point.
 
     The matrix form D - eA-slash Psi is evaluated, with D the matrix Dirac
     operator of `inversion.dirac_operator` on the column field and its
@@ -79,65 +84,69 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     """
     hook = perturb_profile if fault == "perturb-profile" else None
     col = cat.spinor(spec, hook)
-    psi = col(*point)
+    psi = numerics.at(col, point)
     eA = (1.01 if fault == "scale-potential" else 1.0) \
-        * cat.potential(spec, *point)
+        * numerics.at(lambda *q: cat.potential(spec, *q), point)
     Psi, D = inversion.dirac_operator(psi, numerics.gradient4(col, point, h),
                                       spec.m, spec.units)
     mat = D - sta.from_vector(eA) @ Psi
-    scale = max(spec.m * spec.units.c * float(np.linalg.norm(psi)), 1e-30)
-    return max(np.linalg.norm(mat[:, 0]) / scale,
-               np.linalg.norm(mat) / (2.0 * scale))
+    scale = np.maximum(spec.m * spec.units.c * np.linalg.norm(psi, axis=-1),
+                       1e-30)
+    return np.maximum(np.linalg.norm(mat[..., :, 0], axis=-1) / scale,
+                      np.linalg.norm(mat, axis=(-2, -1)) / (2.0 * scale))
 
 
 def continuity_residual(spec: cat.SolutionSpec, point,
-                        h: float = numerics.DEFAULT_STEP) -> float:
-    """|d_mu J^mu| from the bilinear current of the spinor field."""
+                        h: float = numerics.DEFAULT_STEP):
+    """|d_mu J^mu| from the bilinear current of the spinor field, at
+    point[..., 4]."""
     col = cat.spinor(spec)
     return abs(numerics.divergence4(
         lambda *q: spinors.bilinears(col(*q)).current, point, h, spec.units.c))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
-                           h: float = numerics.DEFAULT_STEP) -> float:
-    """|d_mu eA^mu| by finite differences."""
+                           h: float = numerics.DEFAULT_STEP):
+    """|d_mu eA^mu| by finite differences, at point[..., 4]."""
     return abs(numerics.divergence4(
         lambda *q: cat.potential(spec, *q), point, h, spec.units.c))
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP) -> dict:
-    """invert() against the family's closed-form potential."""
+    """invert() against the family's closed-form potential, at
+    point[..., 4]; each entry holds one value per point."""
     sample = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
                               units=spec.units)
-    closed = cat.potential(spec, *point)
+    closed = numerics.at(lambda *q: cat.potential(spec, *q), point)
     return {
-        "potential_diff": float(np.max(np.abs(sample.eA - closed))),
+        "potential_diff": np.max(np.abs(sample.eA - closed), axis=-1),
         "constrained": sample.constrained_residual,
         "richardson": sample.richardson,
     }
 
 
 def maxwell_residual(spec: cat.SolutionSpec, point,
-                     h: float = numerics.DEFAULT_STEP) -> float:
+                     h: float = numerics.DEFAULT_STEP):
     """Max residual of Gauss and Ampere laws against the closed-form
-    sources (natural units)."""
+    sources (natural units), at point[..., 4]."""
 
     def e_and_b(*q):
         smp = cat.fields(spec, *q)
-        return np.concatenate([smp.electric, smp.magnetic])
+        return np.concatenate([smp.electric, smp.magnetic], axis=-1)
 
-    smp = cat.fields(spec, *point)
+    smp = numerics.at(lambda *q: cat.fields(spec, *q), point)
     g = numerics.gradient4(e_and_b, point, h).real
-    gauss = numerics.spatial_divergence(g[:, :3]) - smp.charge_source
-    ampere = numerics.spatial_curl(g[:, 3:]) - g[0, :3] - smp.current_source
-    return max(abs(gauss), float(np.max(np.abs(ampere))))
+    gauss = numerics.spatial_divergence(g[..., :3]) - smp.charge_source
+    ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] \
+        - smp.current_source
+    return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
 
 
 def field_invariants(spec: cat.SolutionSpec, point) -> dict:
-    """e E . e B for the dressed magnetic families."""
-    smp = cat.fields(spec, *point)
-    return {"E_dot_B": float(np.dot(smp.electric, smp.magnetic))}
+    """e E . e B for the dressed magnetic families, at point[..., 4]."""
+    smp = numerics.at(lambda *q: cat.fields(spec, *q), point)
+    return {"E_dot_B": np.sum(smp.electric * smp.magnetic, axis=-1)}
 
 
 def fields_from_potential(spec: cat.SolutionSpec, point,
@@ -148,8 +157,8 @@ def fields_from_potential(spec: cat.SolutionSpec, point,
 
     as a cross-check of the closed-form field displays."""
     g = numerics.gradient4(lambda *q: cat.potential(spec, *q), point, h).real
-    return {"electric": -g[1:, 0] - g[0, 1:] / spec.units.c,
-            "magnetic": numerics.spatial_curl(g[:, 1:])}
+    return {"electric": -g[..., 1:, 0] - g[..., 0, 1:] / spec.units.c,
+            "magnetic": numerics.spatial_curl(g[..., :, 1:])}
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +183,7 @@ def kinematics_check(spec: cat.SolutionSpec, points) -> dict:
     round-off of the bilinears alone perturbs v.v - 1 by ~ eps (J^0/rho)^2,
     which double precision cannot keep under the 1e-10 tolerance.
     """
-    col = cat.spinor(spec)
-    psis = np.array([col(*pt) for pt in points])
+    psis = numerics.at(cat.spinor(spec), points)
     bil = spinors.bilinears(psis)
     used = bil.rho >= CONDITION_FLOOR * bil.current[:, 0]
     rho, scalar = bil.rho[used, None], bil.scalar[used]
@@ -244,37 +252,38 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
     omega = spec.omega
 
     def field(t, x, y, z):
+        ops = mathops.of(t, x, y, z)
         xi = spec.omega * (t - z / c)
         dx, dy = cat.coordinate_shift(spec, xi)
         xp, yp = x + dx, y + dy
-        lamp = cat.lam_of_r(base, math.hypot(xp, yp))
-        phi = math.atan2(yp, xp)
+        lamp = cat.lam_of_r(base, ops.hypot(xp, yp))
+        phi = ops.atan2(yp, xp)
         d1, d2 = spec.waveform.fdot(xi)
         arg = 2.0 * lamp * kt / base.B
         jl = sf.bessel_j(l, arg)
         jl1 = sf.bessel_j(l + 1, arg)
-        gl = np.exp(1j * l * phi) * jl
-        gl1 = np.exp(1j * (l + 1) * phi) * jl1
+        gl = ops.cexp(1j * l * phi) * jl
+        gl1 = ops.cexp(1j * (l + 1) * phi) * jl1
         r = c * c / (eps * omega)
         pref = (norm / (2.0 * base.B)) \
-            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t / hbar))
-        col = np.array([
+            * ops.cexp(1j * (cat.gauge_phase(spec, xi) - eps * t / hbar))
+        col = ops.stack([
             2.0 * (mc2 + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
             r * (mc2 + eps) * (d1 + 1j * d2) * gl,
             -r * kt * (d2 + 1j * d1) * gl1,
             2.0j * kt * gl1 - r * (mc2 + eps) * (d1 + 1j * d2) * gl,
         ])
-        return pref * col
+        return np.asarray(pref)[..., None] * col
 
     return field
 
 
-def volkov_equivalence(spec: cat.SolutionSpec, point) -> float:
+def volkov_equivalence(spec: cat.SolutionSpec, point):
     """Norm difference between the null-rotation construction and the
-    explicit dressed Bessel column."""
-    a = cat.spinor(spec)(*point)
-    b = volkov_bessel_explicit(spec)(*point)
-    return float(np.linalg.norm(a - b))
+    explicit dressed Bessel column, at point[..., 4]."""
+    a = numerics.at(cat.spinor(spec), point)
+    b = numerics.at(volkov_bessel_explicit(spec), point)
+    return np.linalg.norm(a - b, axis=-1)
 
 
 def null_rotation_block_residual(wf: Waveform, xi: float, eps: float,
@@ -387,7 +396,7 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
             (0.0, r0, 0.0, 0.0), arc, steps)
         delta_ct = (path[-1, 0] - path[0, 0]) * base.units.c
         # signed proper time accumulated along the path
-        psis = np.array([col(*q) for q in path[:-1]])
+        psis = numerics.at(col, path[:-1])
         dtau = float(np.sum(spinors.bilinears(psis).scalar)) * (arc / steps)
         total += 2.0 * math.pi * w * lam * (dtau / delta_ct) * bil["J"][0]
     return 1.0 / total
@@ -533,8 +542,9 @@ class Check:
 
     name: str
     tolerance: float
-    # (spec, xs, h, fault) -> (worst residual, extra); the worst residual
-    # is None when no point could be checked, and the record then fails
+    # (spec, xs, h, fault) -> (worst residual, extra), with xs all the
+    # points at once; the worst residual is None when no point could be
+    # checked, and the record then fails, its extra giving the reason
     measure: Callable
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
@@ -551,34 +561,36 @@ class Check:
         worst, extra = self.measure(spec, pts, h,
                                     fault if fault in self.faults else None)
         checked = worst is not None
+        why = {}
+        if not checked:
+            lost = "excluded" if "excluded" in extra else "skipped"
+            why = {"reason": f"no point checked: {len(pts)} of {len(pts)} {lost}"}
         out = [CheckRecord(self.name, label, grid, worst or 0.0, self.tolerance,
-                           checked and worst <= self.tolerance, extra)]
+                           checked and worst <= self.tolerance, extra | why)]
         if self.paired:
             name, tol, key = self.paired
             out.append(CheckRecord(name, label, grid, extra[key], tol,
-                                   checked and extra[key] <= tol))
+                                   checked and extra[key] <= tol, why))
         return out
 
 
 def _each(residual):
+    # the residual takes the whole point set at once, one value per point
     return lambda spec, xs, h, fault: (
-        max(residual(spec, x, h, fault) for x in xs), {})
+        float(np.max(residual(spec, xs, h, fault))), {})
 
 
 def _inversion(spec, xs, h, fault):
-    worst_pot = worst_con = 0.0
-    skipped = 0
-    for pt in xs:
-        try:
-            res = inversion_agreement(spec, pt, h)
-        except inversion.SingularSpinor:
-            skipped += 1  # rho < 1e-6 absolute (a far tail); counted apart
-            continue
-        bound = max(2e-7, 10.0 * res["richardson"])
-        worst_pot = max(worst_pot, res["potential_diff"] / bound)
-        worst_con = max(worst_con, res["constrained"])
-    return (worst_pot if skipped < len(xs) else None,
-            {"constrained": worst_con, "skipped": skipped})
+    # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
+    # points, which are counted apart; the rest are inverted as one batch
+    singular = inversion.singular(numerics.at(cat.spinor(spec), xs))
+    extra = {"constrained": 0.0, "skipped": int(np.count_nonzero(singular))}
+    if singular.all():
+        return None, extra
+    res = inversion_agreement(spec, xs[~singular], h)
+    bound = np.maximum(2e-7, 10.0 * res["richardson"])
+    extra["constrained"] = float(np.max(res["constrained"]))
+    return float(np.max(res["potential_diff"] / bound)), extra
 
 
 def _kinematics(spec, xs, h, fault):

@@ -570,6 +570,42 @@ def test_nilpotency_of_dressing_generator_100_phases():
         assert np.max(np.abs(gen @ gen)) < 1e-15
 
 
+DEFAULT_SPECS = [s for group in verify.default_specs().values() for s in group]
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=verify.spec_label)
+def test_batches_match_float_calls(spec):
+    # the array path against one float call per point, to 1e-14 of each
+    # quantity's scale, with the batch axis leading and components trailing
+    pts = np.random.default_rng(3).uniform(0.5, 5.0, size=(30, 4))
+    t, x, y, z = pts.T
+
+    def agree(batch, floats, broadcast=False):
+        floats = np.array(floats)
+        if broadcast:  # a constant of the family may stay a scalar
+            batch = np.broadcast_to(batch, floats.shape)
+        assert np.shape(batch) == floats.shape
+        scale = np.max(np.abs(floats), initial=0.0)
+        np.testing.assert_allclose(batch, floats, rtol=0, atol=1e-14 * scale)
+
+    col = cat.spinor(spec)
+    agree(col(t, x, y, z), [col(*p) for p in pts])
+    lam = cat.lam_of_r(spec, np.hypot(x, y))
+    prof = cat.profile(spec, lam)
+    for key, val in prof.items():
+        agree(val, [cat.profile(spec, float(v))[key] for v in lam],
+              broadcast=True)
+    agree(cat.potential(spec, t, x, y, z), [cat.potential(spec, *p) for p in pts])
+    batch = cat.fields(spec, t, x, y, z)
+    floats = [cat.fields(spec, *p) for p in pts]
+    for key in ("electric", "magnetic", "charge_source", "current_source"):
+        agree(getattr(batch, key), [getattr(f, key) for f in floats])
+    if not spec.is_dressed:
+        bil = cat.bilinear_fields(spec, t, x, y, z)
+        for key, val in bil.items():
+            agree(val, [cat.bilinear_fields(spec, *p)[key] for p in pts])
+
+
 def test_si_units_smoke():
     # closed-form eigenvalue carries the unit constants consistently
     from rdibeams.units import SI

@@ -268,26 +268,34 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("args, record, family, extra", [
+@pytest.mark.parametrize("args, record, family, extra, reason", [
     # rho = 8e-8 at r = 5.64: the inversion skips the only point
     (["--seed", "4", "--check", "inversion", "--family", "uniform-b"],
-     "inversion", "uniform-b n=0 ", {"skipped": 1}),
+     "inversion", "uniform-b n=0 ", {"skipped": 1},
+     "no point checked: 1 of 1 skipped"),
     # rho < 5e-3 J^0: the kinematics check excludes the only point
     (["--seed", "0", "--check", "kinematics"],
-     "kinematics", "radial-b-laser n=1 l=0 M=0 ", {"excluded": 1}),
+     "kinematics", "radial-b-laser n=1 l=0 M=0 ", {"excluded": 1},
+     "no point checked: 1 of 1 excluded"),
 ], ids=["inversion-all-skipped", "kinematics-all-excluded"])
 def test_verify_record_that_checked_no_point_fails(tmp_path, capsys, args,
-                                                   record, family, extra):
+                                                   record, family, extra,
+                                                   reason):
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--points", "1", *args, "--out", str(out)])
     assert code == 1
     recs = [r for r in _strict_json(out.read_text())["records"]
             if r["family"].startswith(family)]
     failed = [r for r in recs if not r["passed"]]
-    assert [r["name"] for r in failed] == \
-        [record, *(["constraints"] if record == "inversion" else [])]
+    names = [record, *(["constraints"] if record == "inversion" else [])]
+    assert [r["name"] for r in failed] == names
     assert extra.items() <= failed[0]["extra"].items()
-    assert f"FAIL {record} [{family}" in capsys.readouterr().err
+    assert all(r["extra"]["reason"] == reason for r in failed)
+    # the stderr summary names the reason for every such record
+    err = capsys.readouterr().err.splitlines()
+    for name in names:
+        assert any(line.startswith(f"FAIL {name} [{family}")
+                   and line.endswith(f"] {reason}") for line in err), err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -155,7 +155,7 @@ def test_invert_is_gauge_covariant():
         return 0.3 * x + 0.1 * t - 0.2 * z
 
     def gauged(t, x, y, z):
-        return base(t, x, y, z) * np.exp(-1j * chi(t, x, y, z))
+        return base(t, x, y, z) * np.exp(-1j * chi(t, x, y, z))[..., None]
 
     grad_up = np.array([0.1, -0.3, 0.0, 0.2])  # eta^mu_nu d_nu chi
     rng = np.random.default_rng(17)

@@ -11,8 +11,8 @@ PT = (0.5, 1.5, -0.75, 2.0)
 
 def cubic(t, x, y, z):
     # the 4th-order central stencil is exact on cubics up to round-off
-    return np.array([t ** 3 + x * y, x * x * z + t, y ** 3 - t * z,
-                     x * y * z + z * z])
+    return np.stack([t ** 3 + x * y, x * x * z + t, y ** 3 - t * z,
+                     x * y * z + z * z], axis=-1)
 
 
 def cubic_gradient(t, x, y, z):

@@ -44,6 +44,43 @@ def test_bessel_against_series_oracle():
         assert abs(sf.bessel_j(nu, x) - expected) < 1e-12, (nu, x)
 
 
+# (orders, batch): batches across x = 2 (series below, Miller above) with
+# zeros in them, and batches whose shared Miller start sits far above some
+# elements, which rescale on the way down (no batch with l <= 40 and
+# x <= 50 needs the rescale, so those use order 200 or x up to 1000)
+ARRAY_BATCHES = [
+    (40, np.concatenate([[0.0, 1e-3, 1.999, 2.0, 2.001],
+                         np.linspace(0.0, 50.0, 101)])),
+    (5, np.linspace(0.5, 3.5, 31)),
+    (40, np.array([[0.0, 0.3], [1.9, 2.1]])),
+    (200, np.array([2.0, 2.5, 7.0, 50.0])),
+    (40, np.array([0.7, 2.0, 5.0, 1000.0])),
+]
+
+
+@pytest.mark.parametrize("nmax, x", ARRAY_BATCHES,
+                         ids=["straddle", "near-two", "2d", "rescale-order",
+                              "rescale-arg"])
+def test_bessel_array_matches_float_path_and_mpmath(nmax, x):
+    mpmath = pytest.importorskip("mpmath")
+    vals = sf.bessel_j_all(nmax, x)
+    assert vals.shape == (nmax + 1,) + x.shape
+    for idx in np.ndindex(x.shape):
+        floats = sf.bessel_j_all(nmax, float(x[idx]))
+        for nu in range(0, nmax + 1, 1 if nmax <= 40 else 7):
+            got = vals[(nu,) + idx]
+            assert abs(got - floats[nu]) <= 1e-15 * max(1.0, abs(floats[nu]))
+            exact = float(mpmath.besselj(nu, float(x[idx])))
+            assert abs(got - exact) <= 1e-13, (nu, x[idx])
+
+
+def test_bessel_array_validity_window():
+    with pytest.raises(sf.DomainError):
+        sf.bessel_j_all(3, np.array([1.0, -0.5]))
+    with pytest.raises(sf.DomainError):
+        sf.bessel_j_all(3, np.array([1.0, 2.0 * sf.BESSEL_MAX_ARG]))
+
+
 def test_bessel_recurrence_residual():
     rng = np.random.default_rng(11)
     for _ in range(80):

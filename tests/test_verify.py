@@ -20,6 +20,35 @@ def test_dirac_residual_plane_wave_baseline():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize(
+    "spec", [s for group in verify.default_specs().values() for s in group],
+    ids=verify.spec_label)
+def test_batched_residuals_equal_a_per_point_loop(spec):
+    pts = np.random.default_rng(8).uniform(verify.BOX_LOW, verify.BOX_HIGH,
+                                           size=(6, 4))
+    # inversion leaves out the far-tail points where Psi is singular
+    invertible = pts[~inversion.singular(numerics.at(cat.spinor(spec), pts))]
+    cases = [(verify.dirac_residual, pts), (verify.continuity_residual, pts),
+             (verify.lorentz_gauge_residual, pts), (verify.maxwell_residual, pts),
+             (lambda s, p: verify.field_invariants(s, p)["E_dot_B"], pts)]
+    cases += [(lambda s, p, key=key: verify.inversion_agreement(s, p)[key],
+               invertible) for key in ("potential_diff", "constrained",
+                                       "richardson")]
+    if spec.family is cat.Family.VOLKOV_BESSEL:
+        cases.append((verify.volkov_equivalence, pts))
+    for residual, on in cases:
+        batch = np.asarray(residual(spec, on))
+        assert batch.shape == on.shape[:-1]
+        looped = [residual(spec, tuple(p)) for p in on]
+        np.testing.assert_allclose(batch, looped, rtol=0, atol=1e-11)
+    if not spec.is_dressed:
+        lams = np.linspace(0.05, 4.0, 9)
+        np.testing.assert_allclose(
+            inversion.radial_ode_residual(spec, lams),
+            [inversion.radial_ode_residual(spec, lam) for lam in lams],
+            rtol=0, atol=1e-11)
+
+
 def test_dirac_residual_catalog_families_quick():
     wf = waveforms.circular(0.3)
     specs = [
@@ -112,7 +141,8 @@ def test_continuity_residuals():
 def test_continuity_detects_non_solution():
     # a hand-made non-solution spinor field has divergent current
     def fake(t, x, y, z):
-        return np.array([np.exp(-1j * t + 0.3 * x * y), 0.1 * x, 0.0, 0.2j * z])
+        return np.stack([np.exp(-1j * t + 0.3 * x * y), 0.1 * x, 0.0 * t,
+                         0.2j * z], axis=-1)
 
     from rdibeams import numerics
 
