@@ -24,11 +24,12 @@ half-integer winding exp(i M phi / 2) with its branch cut on the negative
 x axis.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
-`fields`, `bilinear_fields`, `null_rotation_generator`) take their
-coordinates as floats or as broadcastable numpy arrays; a batch keeps its
-axes in front and the components trail, as in psi[..., 4].  Each formula is
-written once: only the transcendental calls and the branch selections come
-from `mathops`, `math`/`cmath` for a float point and numpy for a batch.
+`fields`, `bilinear_fields`, `null_rotation_generator`,
+`null_rotation_lorentz`) take their coordinates as floats or as
+broadcastable numpy arrays; a batch keeps its axes in front and the
+components trail, as in psi[..., 4].  Each formula is written once: only
+the transcendental calls and the branch selections come from `mathops`,
+`math`/`cmath` for a float point and numpy for a batch.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from . import mathops, spinors, sta
 from . import specialfn as sf
-from .numerics import adaptive_simpson
 from .units import NATURAL, UnitSystem
 from .waveforms import Waveform
 
@@ -302,15 +302,19 @@ def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
             "rho_s3": upper - lower}
 
 
-def _transverse_average(spec: SolutionSpec, g) -> float:
+def _transverse_average(spec: SolutionSpec, g):
     """2 pi int g(lam) lam dlam for g free of the exp(-u) weight of the
     family's Gauss-Laguerre variable u (2 lam^2 in the uniform field,
     kappa lam in the 1/r field).
 
-    The rule has N = max(96, d//2 + 1) nodes, so it is exact (degree
-    2N - 1, Abramowitz & Stegun 25.4.45) for the profile bilinears, which
-    are polynomials in u of degree d = l + 2n (uniform field) or
-    d = M + 2n + 1 (1/r field, the measure included).
+    g is called once, on the array of the nodes' lam, and returns the
+    integrand with the node axis leading (one value per node, or a row of
+    values per node to integrate several at once).  The rule has
+    N = max(96, d//2 + 1) nodes, so it is exact (degree 2N - 1,
+    Abramowitz & Stegun 25.4.45) for the profile bilinears, which are
+    polynomials in u of degree d = l + 2n (uniform field) or d = M + 2n + 1
+    (1/r field, the measure included).  An integrand that overflows raises
+    DomainError: the state lies outside the validity envelope.
     """
     base = spec.static_base()
     fam = base.family
@@ -319,15 +323,22 @@ def _transverse_average(spec: SolutionSpec, g) -> float:
     uniform = fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
     degree = base.l + 2 * base.n if uniform else base.M + 2 * base.n + 1
     nodes, weights = np.polynomial.laguerre.laggauss(max(96, degree // 2 + 1))
-    total = 0.0
     if uniform:
-        for u, w in zip(nodes, weights):
-            total += w * g(math.sqrt(u / 2.0)) / 4.0
+        lam, weights = np.sqrt(nodes / 2.0), weights / 4.0
     else:
         kappa = radial_kappa(base)
-        for u, w in zip(nodes, weights):
-            total += w * g(u / kappa) * u / kappa ** 2
-    return 2.0 * math.pi * total
+        lam, weights = nodes / kappa, weights * nodes / kappa ** 2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            total = 2.0 * math.pi * (weights @ g(lam))
+        if np.all(np.isfinite(total)):
+            return total
+    except (OverflowError, FloatingPointError):
+        pass
+    orbital = f"l={base.l}" if uniform else f"M={base.M}"
+    raise sf.DomainError(
+        f"{fam.value} n={base.n} {orbital}: the transverse quadrature of "
+        f"degree {degree} overflows (outside the validity envelope)")
 
 
 @lru_cache(maxsize=4096)
@@ -390,6 +401,23 @@ def null_rotation_generator(fdot1, fdot2, eps: float, omega: float,
     g = units.c ** 2 / (2.0 * eps * omega)
     return g * (np.multiply.outer(fdot1, _NULL_C1)
                 + np.multiply.outer(fdot2, _NULL_C2))
+
+
+_GAMMA = np.stack(sta.GAMMA)
+_GAMMA_UP = np.stack(sta.GAMMA_UP)
+
+
+def null_rotation_lorentz(spec: SolutionSpec, xi) -> Array:
+    """Lorentz matrix of a dressed spec's null rotation at phase xi,
+    Lambda^mu_nu = Tr(R gamma_nu rev(R) gamma^mu) / 4 with R = 1 + N(xi),
+    so that R (v^nu gamma_nu) rev(R) = (Lambda v)^mu gamma_mu: the dressed
+    current and spin are Lambda times the static ones at the shifted point.
+    xi is a float or an array; the result is [..., 4, 4]."""
+    d1, d2 = spec.waveform.fdot(xi)
+    rot = sta.ID + null_rotation_generator(d1, d2, eigenvalue(spec),
+                                           spec.omega, spec.units)
+    return np.einsum("...ij,njk,...kl,mli->...mn", rot, _GAMMA,
+                     sta.reversion(rot), _GAMMA_UP).real / 4.0
 
 
 def gauge_phase(spec: SolutionSpec, xi):
@@ -622,7 +650,10 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
 
 
 def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
-    """Unit 4-velocity and unit spin vector at a point (closed form)."""
+    """Unit 4-velocity and unit spin vector at a point (closed form): for
+    a dressed family, the Lorentz matrix of the null rotation
+    (`null_rotation_lorentz`) applied to the stationary vectors at the
+    shifted point."""
     base = spec.static_base()
     if not spec.is_dressed:
         bil = bilinear_fields(spec, t, x, y, z)
@@ -630,19 +661,12 @@ def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
         if rho == 0.0:
             raise OnAxisError("null current circle: velocity undefined")
         return bil["J"] / rho, bil["rho_s"] / rho
-    # dressed: sandwich the stationary vectors with the null rotation
-    u = spec.units
-    eps = eigenvalue(base)
+    # dressed: the null rotation's Lorentz map of the stationary vectors
     xi = xi_of(spec, t, z)
     dx, dy = coordinate_shift(spec, xi)
     v_s, s_s = velocity_spin(base, t, x + dx, y + dy, z)
-    d1, d2 = spec.waveform.fdot(xi)
-    gen = null_rotation_generator(d1, d2, eps, spec.omega, u)
-    rot = sta.ID + gen
-    rot_rev = sta.ID - gen
-    v = sta.to_vector(rot @ sta.from_vector(v_s) @ rot_rev)
-    s = sta.to_vector(rot @ sta.from_vector(s_s) @ rot_rev)
-    return v, s
+    lorentz = null_rotation_lorentz(spec, xi)
+    return lorentz @ v_s, lorentz @ s_s
 
 
 # ---------------------------------------------------------------------------
@@ -658,21 +682,23 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     weighted by the family's natural dimensionless radius (sqrt(2) lam for
     the uniform-field families, 1 for the radial-field family), and for
     dressed families the z-current and transverse centroid at phase xi.
+    Every average comes from one call of the Gauss-Laguerre rule on the
+    stationary bilinears.
     """
     base = spec.static_base()
     eps = eigenvalue(base)
     mc2 = base.m * base.units.c ** 2
     uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
 
-    def average(key, weighted=False):
-        def g(lam):
-            pr = profile(base, lam)
-            val = stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])[key]
-            return math.sqrt(2.0) * lam * val if weighted and uniform else val
-        return _transverse_average(base, g)
+    def g(lam):
+        pr = profile(base, lam)
+        k = stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])
+        weight = math.sqrt(2.0) * lam if uniform else 1.0
+        return np.stack([k["scalar"], k["J0"], weight * k["J_phi"], k["J_z"],
+                         r_of_lam(base, lam) * k["J_phi"]], axis=-1)
 
-    out = {"rho": average("scalar"), "rho_closed": mc2 / eps,
-           "norm": average("J0"), "J_phi": average("J_phi", weighted=True)}
+    rho, j0, j_phi, j_z, r_j_phi = _transverse_average(base, g)
+    out = {"rho": rho, "rho_closed": mc2 / eps, "norm": j0, "J_phi": j_phi}
     if base.family is Family.UNIFORM_B:
         out["J_phi_closed"] = -math.sqrt(2.0) * base.B * base.n / eps
     elif base.family is Family.UNIFORM_B_SPLIT:
@@ -682,50 +708,34 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
         out["J_phi_closed"] = -base.B * n * (1 + n + M) \
             / ((1 + 2 * n + M) ** 2 * eps)
     if spec.is_dressed:
-        out.update(_dressed_averages(spec, xi))
+        out.update(_dressed_averages(spec, xi, j0, j_z, r_j_phi))
     return out
 
 
-def _dressed_averages(spec: SolutionSpec, xi: float) -> dict:
-    """<J_z> and transverse centroid of a dressed state at phase xi, by
-    2D quadrature of the dressed bilinears over the primed plane."""
+def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
+                      r_j_phi: float) -> dict:
+    """<J_z> and transverse centroid of a dressed state at phase xi.
+
+    Over the primed plane the dressed current is Lambda(xi) times the
+    stationary one, and by azimuthal symmetry the stationary plane averages
+    are <J> = (<J0>, 0, 0, <J_z>), <x' J> = (0, 0, <r J_phi>/2, 0) and
+    <y' J> = (0, -<r J_phi>/2, 0, 0); j0, j_z and r_j_phi are those
+    stationary averages."""
     base = spec.static_base()
     u = spec.units
     c, hbar = u.c, u.hbar
     eps = eigenvalue(base)
     d1, d2 = spec.waveform.fdot(xi)
-    gen = null_rotation_generator(d1, d2, eps, spec.omega, u)
-    rot = sta.ID + gen
-    bigm = rot.conj().T @ sta.ALPHA[2] @ rot      # alpha_3 sandwich
-    bigm0 = rot.conj().T @ rot                    # identity sandwich
-
-    col = spinor(base)
-    phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    ring_cos, ring_sin = np.cos(phis), np.sin(phis)
-
-    def ring(op, weight_xy):
-        # the ring average at lam, from one spinor call on the whole ring
-        def g(lam):
-            r = r_of_lam(base, lam)
-            xs, ys = r * ring_cos, r * ring_sin
-            psi = col(0.0, xs, ys, 0.0)
-            vals = np.einsum("ni,ij,nj->n", psi.conj(), op, psi).real
-            return float(np.mean(weight_xy(xs, ys) * vals)) * lam
-        return g
-
-    lam_max = _lam_cutoff(base)
-    jz = 2.0 * math.pi * adaptive_simpson(
-        ring(bigm, lambda a, b: 1.0), 0.0, lam_max, tol=1e-12)
-    cx = 2.0 * math.pi * adaptive_simpson(
-        ring(bigm0, lambda a, b: a), 0.0, lam_max, tol=1e-12)
-    cy = 2.0 * math.pi * adaptive_simpson(
-        ring(bigm0, lambda a, b: b), 0.0, lam_max, tol=1e-12)
+    lorentz = null_rotation_lorentz(spec, xi)
+    current = lorentz @ np.array([j0, 0.0, 0.0, j_z])
+    cx = lorentz @ np.array([0.0, 0.0, r_j_phi / 2.0, 0.0])
+    cy = lorentz @ np.array([0.0, -r_j_phi / 2.0, 0.0, 0.0])
     tan2 = (c ** 2 * math.hypot(d1, d2) / (2.0 * eps * spec.omega)) ** 2
     out = {
-        "J_z": jz,
+        "J_z": current[3],
         "J_z_closed": c ** 4 * (d1 * d1 + d2 * d2)
         / (2.0 * eps ** 2 * spec.omega ** 2),
-        "centroid": (cx, cy),
+        "centroid": (cx[0], cy[0]),
         "tan2_half_angle": tan2,
     }
     if base.family is Family.UNIFORM_B:
@@ -737,12 +747,6 @@ def _dressed_averages(spec: SolutionSpec, xi: float) -> dict:
             / (2.0 * (M + 1) * spec.omega * eps ** 2)
         out["centroid_closed"] = (coeff * d2, -coeff * d1)
     return out
-
-
-def _lam_cutoff(base: SolutionSpec) -> float:
-    if base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        return 7.0
-    return 85.0 / radial_kappa(base)
 
 
 # ---------------------------------------------------------------------------

@@ -207,15 +207,18 @@ def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
     }
 
 
-def circularity_residual(spec: cat.SolutionSpec, lam: float) -> float:
-    """|eA_0(lam)| of a stationary state, evaluated in closed form.
+def circularity_residual(spec: cat.SolutionSpec, lam):
+    """|eA_0(lam)| of a stationary state, evaluated in closed form at a
+    float or an array lam.
 
     The time component of the inverted potential is
 
         eA_0 = eps/c - m c J^0 / sigma - (B / 4 c lam sigma) d(lam J_phi)/dlam
 
     and vanishes identically exactly when the radial profile satisfies its
-    second-order equation (the circular-orbit condition).
+    second-order equation (the circular-orbit condition).  A lam where the
+    signed density sigma is exactly 0 (a null-current circle) raises
+    SingularSpinor.
     """
     if spec.is_dressed:
         raise ValueError("stationary families only")
@@ -227,7 +230,7 @@ def circularity_residual(spec: cat.SolutionSpec, lam: float) -> float:
     pr = cat.profile(base, lam)
     k = cat.stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
     j0, sigma = k["J0"], k["scalar"]
-    if sigma == 0.0:
+    if mathops.of(lam).any(sigma == 0.0):
         raise SingularSpinor("null-current circle")
     # d/dlam of lam * J_phi with J_phi = -A lam^M f f' H^2 / B, via the
     # analytic profile derivatives

@@ -1,5 +1,5 @@
-"""Finite-difference stencils, quadrature and ODE stepping shared by the
-inversion and verification layers.
+"""Finite-difference stencils and ODE stepping shared by the inversion and
+verification layers.
 
 The default derivative stencil is 4th-order central with step h = 1e-3 in
 natural units; Richardson (h, h/2) pairs supply the error estimate the
@@ -86,33 +86,6 @@ def spatial_curl(g):
         g[..., 3, 0] - g[..., 1, 2],
         g[..., 1, 1] - g[..., 2, 0],
     ], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-
-def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48):
-    """Classic adaptive Simpson on [a, b]."""
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1))
-
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
 def rk4_path(rhs, x0, s_total, steps):

@@ -602,13 +602,18 @@ def _kinematics(spec, xs, h, fault):
 
 
 def _circularity(spec, lams, h, fault):
-    vals = []
-    for lam in lams:
-        try:
-            vals.append(inversion.circularity_residual(spec, lam))
-        except inversion.SingularSpinor:
-            continue
-    return max(vals, default=None), {}
+    # the residual divides by the signed density: the lams where that is
+    # exactly 0 (null-current circles) are skipped and counted apart; the
+    # rest are checked as one batch
+    pr = cat.profile(spec, lams)
+    sigma = cat.stationary_bilinears(spec, pr["amp"] * pr["H"],
+                                     pr["ampd"] * pr["H"])["scalar"]
+    keep = sigma != 0.0
+    extra = {"skipped": int(np.count_nonzero(~keep))}
+    if not keep.any():
+        return None, extra
+    res = inversion.circularity_residual(spec, lams[keep])
+    return float(np.max(res)), extra
 
 
 # Each row runs, in this order, on every default spec it applies to.  The

@@ -16,7 +16,7 @@ import pytest
 
 from rdibeams import catalog as cat
 from rdibeams import verify, waveforms
-from rdibeams.numerics import adaptive_simpson
+from oracles import adaptive_simpson
 
 SEED = 20240801
 

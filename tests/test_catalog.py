@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
 from rdibeams import spinors, sta, verify, waveforms
-from rdibeams.numerics import adaptive_simpson
+from oracles import adaptive_simpson
 
 
 def norm_closed_uniform(spec):
@@ -133,6 +133,24 @@ def _norm_integral(spec):
 ])
 def test_probability_normalization(spec):
     assert _norm_integral(spec) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec", [
+    s for fam in cat.MAGNETIC_FAMILIES for s in verify.default_specs()[fam]],
+    ids=verify.spec_label)
+def test_normalization_batch_matches_float_path(spec):
+    # the one integrand call on all nodes against the float path node by
+    # node; only numpy's exp and the float path's may differ, by an ulp
+    def j0_each(lam):
+        out = []
+        for x in lam:
+            pr = cat._raw_profile(spec, float(x))
+            out.append(cat.stationary_bilinears(spec, pr["amp_s"],
+                                                pr["ampd_s"])["J0"])
+        return np.array(out)
+
+    ref = 1.0 / math.sqrt(cat._transverse_average(spec, j0_each))
+    assert cat.normalization(spec) == pytest.approx(ref, rel=4e-16, abs=0)
 
 
 def test_normalization_closed_forms():
@@ -398,22 +416,75 @@ def test_average_azimuthal_current():
     assert av["J_phi"] == pytest.approx(av["J_phi_closed"], abs=1e-8)
 
 
-def test_dressed_averages_z_current_and_centroid():
-    wf = waveforms.circular(0.3)
-    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
-                            omega=1.1)
-    vals = [cat.averages(spec, xi=xi)["J_z"] for xi in (0.0, 0.9, 2.2, 4.0)]
-    assert max(vals) - min(vals) < 1e-9  # constant for circular drive
-    av = cat.averages(spec, xi=0.7)
-    assert av["J_z"] == pytest.approx(av["J_z_closed"], abs=1e-9)
+DRESSED_STATES = (
+    [(cat.Family.REDMOND, n, l) for n in range(5) for l in range(5)]
+    + [(cat.Family.RADIAL_B_LASER, n, M)
+       for n, M in ((1, 0), (1, 1), (1, 3), (2, 1), (2, 3))])
+
+
+def _dressed(state, drive, amplitude, omega):
+    family, n, orbital = state
+    wf = verify.default_waveform(drive, amplitude)
+    if family is cat.Family.REDMOND:
+        return cat.SolutionSpec(family, n=n, l=orbital, waveform=wf,
+                                omega=omega)
+    return cat.SolutionSpec(family, n=n, M=orbital, waveform=wf, omega=omega)
+
+
+# a pulse that has barely begun: the ring integrand adaptive Simpson once
+# sampled vanished at its first three samples, so J_z came out 1e-4 of
+# the closed form
+@example((cat.Family.RADIAL_B_LASER, 1, 0), "pulse", 0.2, 1.1, 0.0)
+@example((cat.Family.RADIAL_B_LASER, 1, 1), "pulse", 0.2, 1.1, -0.3)
+@given(st.sampled_from(DRESSED_STATES),
+       st.sampled_from(["circular", "linear", "pulse"]),
+       st.floats(0.05, 0.5), st.floats(0.6, 1.5), st.floats(-3.0, 6.0))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_dressed_averages_z_current_and_centroid(state, drive, amplitude,
+                                                 omega, xi):
+    av = cat.averages(_dressed(state, drive, amplitude, omega), xi=xi)
+    assert abs(av["J_z"] - av["J_z_closed"]) <= 1e-10 * abs(av["J_z_closed"])
     np.testing.assert_allclose(av["centroid"], av["centroid_closed"],
-                               atol=1e-6)
-    spec = cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=0, waveform=wf,
-                            omega=0.9)
-    av = cat.averages(spec, xi=1.3)
-    assert av["J_z"] == pytest.approx(av["J_z_closed"], abs=1e-9)
-    np.testing.assert_allclose(av["centroid"], av["centroid_closed"],
-                               atol=1e-6)
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("drive", ["circular", "linear", "pulse"])
+@pytest.mark.parametrize("spec", [
+    s for group in verify.default_specs().values() for s in group
+    if s.is_dressed], ids=verify.spec_label)
+def test_dressed_current_is_lorentz_map_of_static_current(spec, drive):
+    # the identity the dressed averages rest on: at every point the dressed
+    # current is Lambda(xi) times the static current at the shifted point
+    spec = replace(spec, waveform=verify.default_waveform(drive))
+    t, x, y, z = np.moveaxis(
+        verify.sample_points(np.random.default_rng(29), 40), -1, 0)
+    xi = cat.xi_of(spec, t, z)
+    dx, dy = cat.coordinate_shift(spec, xi)
+    lorentz = cat.null_rotation_lorentz(spec, xi)
+    static = spinors.bilinears(
+        cat.spinor(spec.static_base())(t, x + dx, y + dy, z)).current
+    dressed = spinors.bilinears(cat.spinor(spec)(t, x, y, z)).current
+    mapped = (lorentz @ static[..., None])[..., 0]
+    scale = np.max(np.abs(dressed), axis=-1)
+    assert np.all(np.max(np.abs(mapped - dressed), axis=-1) <= 1e-12 * scale)
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    np.testing.assert_allclose(np.swapaxes(lorentz, -1, -2) @ eta @ lorentz,
+                               np.broadcast_to(eta, lorentz.shape),
+                               rtol=0, atol=1e-13)
+
+
+def test_transverse_average_calls_its_integrand_once():
+    calls = []
+
+    def g(lam):
+        calls.append(np.shape(lam))
+        return np.ones_like(lam)
+
+    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=100, l=30)
+    # 2 pi int exp(-2 lam^2) lam dlam = pi / 2
+    assert cat._transverse_average(spec, g) == pytest.approx(math.pi / 2,
+                                                             rel=1e-14)
+    assert calls == [(116,)]  # N = d//2 + 1 nodes at degree d = 230
 
 
 def test_averages_reject_free_beam():

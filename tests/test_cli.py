@@ -131,9 +131,15 @@ def test_eval_io_failure_exits_4():
     (["verify", "--config", "/nonexistent-dir/cfg.json"], 4),
     (["eval", "--config", "{tmp}/not-json.json"], 2),
     (["verify", "--config", "{tmp}/not-object.json"], 2),
+    # the normalization quadrature overflows: a high uniform-field level,
+    # and a 1/r-field level whose profile grows as exp((1-kappa) lam/2)
+    (["eval", "--family", "uniform-b", "--n", "120", "--l", "60",
+      "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
+    (["eval", "--family", "radial-b", "--n", "30", "--M", "10",
+      "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
         "eval-config", "verify-config", "config-not-json",
-        "config-not-object"])
+        "config-not-object", "uniform-overflow", "radial-overflow"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")

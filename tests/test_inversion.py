@@ -122,6 +122,16 @@ def test_circularity_residual_catalog_profiles():
             assert inv.circularity_residual(spec, lam) < 1e-8
 
 
+def test_circularity_residual_batch_matches_points():
+    lams = np.linspace(0.15, 2.8, 30)
+    for spec in (cat.SolutionSpec(cat.Family.UNIFORM_B, n=2, l=1, p_z=0.4),
+                 cat.SolutionSpec(cat.Family.RADIAL_B, n=2, M=1)):
+        batch = inv.circularity_residual(spec, lams)
+        assert batch.shape == lams.shape
+        points = [inv.circularity_residual(spec, float(lam)) for lam in lams]
+        np.testing.assert_allclose(batch, points, rtol=0, atol=1e-14)
+
+
 def test_circularity_detects_perturbed_profile():
     # fault: f -> f (1 + 0.01 lam) stops satisfying the orbit condition
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)

@@ -137,7 +137,7 @@ def test_laguerre_value_at_zero():
 
 
 def test_laguerre_orthogonality_by_quadrature():
-    from rdibeams.numerics import adaptive_simpson
+    from oracles import adaptive_simpson
 
     # integer alpha: Gauss-Laguerre nodes make the integrand polynomial
     # (numpy supplies nodes and weights only; the polynomials are ours);

@@ -438,14 +438,18 @@ def test_suite_record_sequence():
 
 
 def test_circularity_with_every_radius_singular_fails(monkeypatch):
-    def singular(spec, lam):
-        raise inversion.SingularSpinor("signed density zero")
+    # a signed density of exactly 0 at every radius: each is skipped
+    real = cat.stationary_bilinears
 
-    monkeypatch.setattr(inversion, "circularity_residual", singular)
+    def null_density(spec, a, b):
+        return real(spec, a, b) | {"scalar": 0.0 * a}
+
+    monkeypatch.setattr(cat, "stationary_bilinears", null_density)
     rep = verify.run_suite(families=["uniform-b"], checks={"circularity"},
                            points=1)
     assert [r.passed for r in rep.records] == [False] * 3
     assert all(r.max_residual == 0.0 for r in rep.records)
+    assert all(r.extra["skipped"] == 40 for r in rep.records)
 
 
 # the attribute each check's residual is read through at call time
