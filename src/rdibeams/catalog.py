@@ -207,80 +207,109 @@ def _raw_profile(spec: SolutionSpec, lam) -> dict:
     and the weight-stripped pair (amp_s, ampd_s) with
     amp * H = exp(-u/2) amp_s in the family's Gauss-Laguerre variable u.
     """
-    # a float lam is the per-point case (the spinor field and the
-    # quadrature nodes): test it first, without a call
-    ops = mathops.FLOATS if type(lam) is float else mathops.of(lam)
+    return _profile_kernel(spec)(lam)
+
+
+def _ops_of(lam):
+    # a float lam is the per-point case (the spinor field and the quadrature
+    # nodes): test it first, without a call
+    return mathops.FLOATS if type(lam) is float else mathops.of(lam)
+
+
+def _profile_kernel(spec: SolutionSpec):
+    """lam -> _raw_profile(spec, lam), with the spec's constants bound once
+    (a spinor field binds it at construction)."""
     base = spec.static_base()
     fam = base.family
     n, l, M = base.n, base.l, base.M
     if fam is Family.FREE_BESSEL:
         q = _free_q(base)
-        vals = sf.bessel_j_all(l + 2, q * lam)
-        jl, jl1 = vals[l], vals[l + 1]
-        amp = jl
-        ampd = -q * jl1
-        # off the axis, through the five-point Bessel ladder for f'' (kept
-        # independent of the radial equation being verified); on the axis,
-        # the limits
-        pos = lam > 0
-        r = ops.where(pos, lam, 1.0)
-        jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
-        jlm1 = vals[l - 1] if l >= 1 else -vals[1]
-        jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
-        jd = 0.5 * (jlm1 - vals[l + 1])
-        f = ops.where(pos, amp / r ** l, (q / 2.0) ** l / math.factorial(l))
-        fp = ops.where(pos, ampd / r ** l, 0.0)
-        fpp = ops.where(pos, q * q * jdd / r ** l
-                        - 2.0 * l * q * jd / r ** (l + 1)
-                        + l * (l + 1) * jl / r ** (l + 2), 0.0)
-        return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
-                "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+
+        def bessel(lam):
+            ops = _ops_of(lam)
+            vals = sf.bessel_j_all(l + 2, q * lam)
+            jl, jl1 = vals[l], vals[l + 1]
+            amp = jl
+            ampd = -q * jl1
+            # off the axis, through the five-point Bessel ladder for f''
+            # (kept independent of the radial equation being verified); on
+            # the axis, the limits
+            pos = lam > 0
+            r = ops.where(pos, lam, 1.0)
+            jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
+            jlm1 = vals[l - 1] if l >= 1 else -vals[1]
+            jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
+            jd = 0.5 * (jlm1 - vals[l + 1])
+            f = ops.where(pos, amp / r ** l, (q / 2.0) ** l / math.factorial(l))
+            fp = ops.where(pos, ampd / r ** l, 0.0)
+            fpp = ops.where(pos, q * q * jdd / r ** l
+                            - 2.0 * l * q * jd / r ** (l + 1)
+                            + l * (l + 1) * jl / r ** (l + 2), 0.0)
+            return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
+                    "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+
+        return bessel
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        u = 2.0 * lam * lam
-        H = ops.exp(-lam * lam)
-        Hp = -2.0 * lam * H
-        L = sf.laguerre(n, l, u)
-        Ld = sf.laguerre_deriv(n, l, u)
-        Ldd = sf.laguerre_deriv2(n, l, u)
-        if fam is Family.UNIFORM_B:
-            f = L
-            fp = 4.0 * lam * Ld
-            fpp = 4.0 * Ld + 16.0 * lam * lam * Ldd
-            amp = lam ** l * L
-            ampd = lam ** l * fp
-        else:
-            cfac = (-1.0) ** l * sf.factorial(n) * sf.factorial(l) \
-                / sf.factorial(n + l)
-            # f = cfac * u^l * L as a function of lam
-            f = cfac * _pw(u, l) * L
-            dP = l * _pw(u, l - 1) * L + _pw(u, l) * Ld
-            fp = cfac * 4.0 * lam * dP
-            d2P = (l * (l - 1) * _pw(u, l - 2) * L
-                   + 2.0 * l * _pw(u, l - 1) * Ld + _pw(u, l) * Ldd)
-            fpp = cfac * (4.0 * dP + 16.0 * lam * lam * d2P)
-            amp = cfac * 2.0 ** l * lam ** l * L
-            ampd = cfac * 2.0 ** l * (2.0 * l * _pw(lam, l - 1) * L
-                                      + 4.0 * lam ** (l + 1) * Ld)
-        return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-                "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+        split = fam is Family.UNIFORM_B_SPLIT
+        if split:
+            # cfac = (-1)^l n! l! / (n+l)! and cfac 2^l, each one correctly
+            # rounded division of exact integers: no float meets l! or 2^l
+            sign, binom = (-1) ** l, sf.binomial(n + l, l)
+            cfac = sign / binom
+            cfac2 = sign * 2 ** l / binom
+
+        def uniform(lam):
+            ops = _ops_of(lam)
+            u = 2.0 * lam * lam
+            H = ops.exp(-lam * lam)
+            Hp = -2.0 * lam * H
+            L = sf.laguerre(n, l, u)
+            Ld = sf.laguerre_deriv(n, l, u)
+            Ldd = sf.laguerre_deriv2(n, l, u)
+            if not split:
+                f = L
+                fp = 4.0 * lam * Ld
+                fpp = 4.0 * Ld + 16.0 * lam * lam * Ldd
+                amp = lam ** l * L
+                ampd = lam ** l * fp
+            else:
+                # f = cfac * u^l * L as a function of lam
+                f = cfac * _pw(u, l) * L
+                dP = l * _pw(u, l - 1) * L + _pw(u, l) * Ld
+                fp = cfac * 4.0 * lam * dP
+                d2P = (l * (l - 1) * _pw(u, l - 2) * L
+                       + 2.0 * l * _pw(u, l - 1) * Ld + _pw(u, l) * Ldd)
+                fpp = cfac * (4.0 * dP + 16.0 * lam * lam * d2P)
+                amp = cfac2 * lam ** l * L
+                ampd = cfac2 * (2.0 * l * _pw(lam, l - 1) * L
+                                + 4.0 * lam ** (l + 1) * Ld)
+            return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
+                    "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+
+        return uniform
     # radial 1/r field
     kappa = radial_kappa(base)
-    u = kappa * lam
-    H = ops.exp(-lam / 2.0)
-    Hp = -0.5 * H
-    L = sf.laguerre(n, M, u)
-    Ld = sf.laguerre_deriv(n, M, u)
-    Ldd = sf.laguerre_deriv2(n, M, u)
-    grow = ops.exp_checked((1.0 - kappa) * lam / 2.0)
-    f = grow * L
-    fp = grow * ((1.0 - kappa) / 2.0 * L + kappa * Ld)
-    fpp = grow * (((1.0 - kappa) / 2.0) ** 2 * L
-                  + (1.0 - kappa) * kappa * Ld + kappa * kappa * Ldd)
-    half = lam ** (M / 2.0)
-    return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-            "amp": half * f, "ampd": half * fp,
-            "amp_s": half * L, "ampd_s": half * ((1.0 - kappa) / 2.0 * L
-                                                 + kappa * Ld)}
+
+    def radial(lam):
+        ops = _ops_of(lam)
+        u = kappa * lam
+        H = ops.exp(-lam / 2.0)
+        Hp = -0.5 * H
+        L = sf.laguerre(n, M, u)
+        Ld = sf.laguerre_deriv(n, M, u)
+        Ldd = sf.laguerre_deriv2(n, M, u)
+        grow = ops.exp_checked((1.0 - kappa) * lam / 2.0)
+        f = grow * L
+        fp = grow * ((1.0 - kappa) / 2.0 * L + kappa * Ld)
+        fpp = grow * (((1.0 - kappa) / 2.0) ** 2 * L
+                      + (1.0 - kappa) * kappa * Ld + kappa * kappa * Ldd)
+        half = lam ** (M / 2.0)
+        return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
+                "amp": half * f, "ampd": half * fp,
+                "amp_s": half * L, "ampd_s": half * ((1.0 - kappa) / 2.0 * L
+                                                     + kappa * Ld)}
+
+    return radial
 
 
 def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
@@ -369,8 +398,8 @@ def normalization(spec: SolutionSpec) -> float:
 def profile(spec: SolutionSpec, lam) -> dict:
     """Normalized profile data at lam, a float or an array (see _raw_profile
     for the keys)."""
-    pr = _raw_profile(spec, lam)
     norm = normalization(spec)
+    pr = _raw_profile(spec, lam)
     out = dict(pr)
     for key in ("f", "fp", "fpp", "amp", "ampd", "amp_s", "ampd_s"):
         out[key] = norm * pr[key]
@@ -454,29 +483,40 @@ def spinor(spec: SolutionSpec, fault=None):
     z): the stationary field at coordinates shifted by the classical quiver
     motion, turned by the null rotation and carried by the gauge phase.
     `fault(profile, lam)`, when given, replaces the profile right after it
-    is read (the verifier's negative controls inject faults through it)."""
+    is read (the verifier's negative controls inject faults through it).
+
+    The per-spec constants, the normalization among them, are bound here,
+    once: a point costs the raw profile and the phase, no cache lookup."""
     base = spec.static_base()
     u = base.units
     c, hbar = u.c, u.hbar
     eps = eigenvalue(base)
     A = base.m * c * c + eps
     M = base.M
+    # the upper and lower amplitude factors of components 0 and 2
+    k0, k2 = A / base.B, c * base.p_z / base.B
+    norm = normalization(base)
+    raw_profile = _profile_kernel(base)
 
     def static_field(t, x, y, z):
         ops = mathops.of(t, x, y, z)
         lam = lam_of_r(base, ops.hypot(x, y))
-        pr = profile(base, lam)
-        if fault is not None:
-            pr = fault(pr, lam)
+        if fault is None:
+            pr = raw_profile(lam)
+            amp, ampd = norm * pr["amp"], norm * pr["ampd"]
+        else:
+            # the hook sees, and returns, the normalized profile
+            pr = fault(profile(base, lam), lam)
+            amp, ampd = pr["amp"], pr["ampd"]
         phi = ops.atan2(y, x)
         phase = ops.cexp(-1j * (eps * t - base.p_z * z) / hbar
                          + 0.5j * M * phi)
         common = pr["H"] * phase
         return ops.stack([
-            (A / base.B) * pr["amp"] * common,
+            k0 * amp * common,
             0.0,
-            (c * base.p_z / base.B) * pr["amp"] * common,
-            -0.5j * pr["ampd"] * pr["H"] * phase * ops.cexp(1j * phi),
+            k2 * amp * common,
+            -0.5j * ampd * pr["H"] * phase * ops.cexp(1j * phi),
         ])
 
     if not spec.is_dressed:

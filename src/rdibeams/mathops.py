@@ -9,7 +9,11 @@ they are read from the namespace `of(*values)` returns: `FLOATS` calls
 
 A float is deliberately not the N = 1 case of the array path: numpy's
 per-call overhead makes one point through it several times dearer, and the
-streamline RK4 right-hand side evaluates one point at a time.
+streamline RK4 right-hand side evaluates one point at a time.  Along that
+chain the float path is numpy-free apart from the spinor's four-component
+array: `numerics.rk4_path` steps a state of Python floats, the spinor field
+reads its profile in `math`/`cmath`, and `spinors.current` reads J^mu off
+the components in Python complex arithmetic.
 """
 from __future__ import annotations
 

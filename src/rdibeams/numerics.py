@@ -13,8 +13,14 @@ per `partial4`, on the four stencil points of every point of the batch
 trailing).  `gradient4` stays four such calls rather than one on all 16
 stencil points, which keeps the peak batch, and the memory it holds, four
 times smaller.
+
+`rk4_path` is the other way round: each step depends on the one before, so
+it holds its state as Python floats and hands the right-hand side a tuple
+of floats, one point at a time, and builds the path array once, at the end.
 """
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -89,16 +95,28 @@ def spatial_curl(g):
 
 
 def rk4_path(rhs, x0, s_total, steps):
-    """Fixed-step RK4 integration of dx/ds = rhs(x); returns (steps+1, dim)."""
-    x = np.array(x0, dtype=float)
-    h = s_total / steps
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    for i in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
-    return out
+    """Fixed-step RK4 integration of dx/ds = rhs(x) from the point x0[dim];
+    returns the path, (steps+1, dim).
+
+    The state is held as Python floats and rhs is handed a tuple of floats,
+    so a right-hand side that evaluates one point takes the `mathops.FLOATS`
+    path of the closed forms.  rhs returns dim floats, as a tuple, a list or
+    a numpy array.  Each component is stepped as x + (h/2) k for the stages
+    and x + (h/6)(k1 + 2 k2 + 2 k3 + k4) for the step, in that order."""
+    def slope(q):
+        k = rhs(q)
+        return k.tolist() if isinstance(k, np.ndarray) else k
+
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    h = float(s_total) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    path = array("d", x)  # the path's floats, row after row
+    for _ in range(steps):
+        k1 = slope(x)
+        k2 = slope(tuple([a + half * k for a, k in zip(x, k1)]))
+        k3 = slope(tuple([a + half * k for a, k in zip(x, k2)]))
+        k4 = slope(tuple([a + h * k for a, k in zip(x, k3)]))
+        x = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+        path.extend(x)
+    return np.frombuffer(path).reshape(steps + 1, len(x))

@@ -23,12 +23,6 @@ class DomainError(ValueError):
     """Argument outside a function's documented validity window."""
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise DomainError(f"factorial of negative {n}")
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0

@@ -196,6 +196,38 @@ def bilinears(psi: Array) -> Bilinears:
     return Bilinears(vals[..., 0:4], vals[..., 4:8], vals[..., 8], vals[..., 9])
 
 
+def current(psi: Array):
+    """J^mu = psi-bar gamma^mu psi alone: the four J rows of `bilinears`
+    written out on the components,
+
+        J^0 = sum_i |psi_i|^2
+        J^1 = 2 Re(psi_0^* psi_3 + psi_1^* psi_2)
+        J^2 = 2 Im(psi_0^* psi_3 - psi_1^* psi_2)
+        J^3 = 2 Re(psi_0^* psi_2 - psi_1^* psi_3)
+
+    One spinor psi[4] is read in Python complex arithmetic and gives J as a
+    tuple of four floats (the serial streamline step evaluates one point at
+    a time); a batch psi[..., 4] gives J[..., 4].  Raises NullDensity where
+    psi^dagger psi vanishes.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    one = psi.ndim == 1
+    p0, p1, p2, p3 = psi.tolist() if one else np.moveaxis(psi, -1, 0)
+    c0, c1 = p0.conjugate(), p1.conjugate()
+    j0 = ((p0 * c0).real + (p1 * c1).real + (p2 * p2.conjugate()).real
+          + (p3 * p3.conjugate()).real)
+    a, b = c0 * p3, c1 * p2
+    c = c0 * p2 - c1 * p3
+    j = (j0, 2.0 * (a.real + b.real), 2.0 * (a.imag - b.imag), 2.0 * c.real)
+    if one:
+        if j0 <= 0.0:
+            raise NullDensity("psi has zero norm at this point")
+        return j
+    if (j0 <= 0.0).any():
+        raise NullDensity("psi has zero norm at this point")
+    return np.stack(j, axis=-1)
+
+
 # K^mu = i gamma0 gamma2 gamma^mu: psi^T K^mu psi = rho (e1 + i e2)^mu
 _TETRAD_MATRICES = np.stack([1j * GAMMA0 @ GAMMA[2] @ g for g in GAMMA_UP])
 

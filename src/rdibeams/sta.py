@@ -90,10 +90,6 @@ class SingularInput(ValueError):
     """Input matrix is numerically singular."""
 
 
-class NonVectorResult(ValueError):
-    """A sandwich product left residual weight outside the vector grade."""
-
-
 def gamma_basis() -> dict:
     """Return the basis bundle: the four gamma_mu, the 16 trace-projection
     elements, gamma5, the alpha_k, and the pseudoscalar (17 distinct
@@ -139,18 +135,6 @@ def from_vector(v: Array) -> Array:
     """v^mu gamma_mu of real contravariant 4-vectors v[..., 4]."""
     v = np.asarray(v, dtype=float)[..., None, None]
     return sum(v[..., mu, :, :] * GAMMA[mu] for mu in range(4))
-
-
-def to_vector(a: Array, tol: float = 1e-8) -> Array:
-    """Project a matrix onto its vector grade; error out if anything else
-    carries more than `tol` relative weight."""
-    comps = np.array([np.trace(a @ g).real / 4.0 for g in GAMMA_UP])
-    rebuilt = from_vector(comps)
-    resid = np.max(np.abs(a - rebuilt))
-    scale = max(np.max(np.abs(a)), 1e-30)
-    if resid > tol * max(scale, 1.0):
-        raise NonVectorResult(f"non-vector residual {resid:.3e}")
-    return comps
 
 
 def minkowski_dot(u: Array, v: Array) -> float:
@@ -236,11 +220,3 @@ def polar_decompose(r: Array) -> RotorFactors:
     root = (evecs * np.sqrt(evals.clip(min=0.0))) @ evecs.conj().T
     inv_root = (evecs * (1.0 / np.sqrt(evals.clip(min=1e-300)))) @ evecs.conj().T
     return RotorFactors(boost=root, rotation=inv_root @ r)
-
-
-def sandwich(r: Array, v: Array) -> Array:
-    """Apply the rotor sandwich v -> R (v^mu gamma_mu) rev(R) and project the
-    result back onto vector components.  Raises NonVectorResult when R is
-    not a rotor."""
-    out = r @ from_vector(v) @ reversion(r)
-    return to_vector(out)

@@ -102,7 +102,7 @@ def continuity_residual(spec: cat.SolutionSpec, point,
     point[..., 4]."""
     col = cat.spinor(spec)
     return abs(numerics.divergence4(
-        lambda *q: spinors.bilinears(col(*q)).current, point, h, spec.units.c))
+        lambda *q: spinors.current(col(*q)), point, h, spec.units.c))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
@@ -337,7 +337,7 @@ def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
     col = cat.spinor(spec)
 
     def rhs(q):
-        return spinors.bilinears(col(*q)).current
+        return spinors.current(col(*q))
 
     path = numerics.rk4_path(rhs, x0, s_max, steps)
     half = numerics.rk4_path(rhs, x0, s_max, 2 * steps)
@@ -391,9 +391,8 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
             total += 2.0 * math.pi * w * lam * bil["scalar"]
             continue
         arc = 0.5 * math.pi * r0 / abs(bil["J_phi"])  # quarter revolution
-        path = numerics.rk4_path(
-            lambda q: spinors.bilinears(col(*q)).current,
-            (0.0, r0, 0.0, 0.0), arc, steps)
+        path = numerics.rk4_path(lambda q: spinors.current(col(*q)),
+                                 (0.0, r0, 0.0, 0.0), arc, steps)
         delta_ct = (path[-1, 0] - path[0, 0]) * base.units.c
         # signed proper time accumulated along the path
         psis = numerics.at(col, path[:-1])

@@ -137,9 +137,14 @@ def test_eval_io_failure_exits_4():
       "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
     (["eval", "--family", "radial-b", "--n", "30", "--M", "10",
       "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
+    # a split-field level whose profile constant n! l! / (n+l)! holds a
+    # factorial beyond the float range
+    (["eval", "--family", "uniform-b-split", "--n", "1", "--l", "200",
+      "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
         "eval-config", "verify-config", "config-not-json",
-        "config-not-object", "uniform-overflow", "radial-overflow"])
+        "config-not-object", "uniform-overflow", "radial-overflow",
+        "split-overflow"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")

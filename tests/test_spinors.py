@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import to_vector
 from rdibeams import catalog as cat
 from rdibeams import numerics, spinors, sta, verify
 from rdibeams.waveforms import pulse
@@ -217,8 +218,8 @@ def _trace_oracle(psi):
     Psi = spinors.hestenes_matrix(psi)
     rev = sta.reversion(Psi)
     prod = Psi @ rev
-    return (sta.to_vector(Psi @ sta.GAMMA[0] @ rev),
-            sta.to_vector(Psi @ sta.GAMMA[3] @ rev),
+    return (to_vector(Psi @ sta.GAMMA[0] @ rev),
+            to_vector(Psi @ sta.GAMMA[3] @ rev),
             np.trace(prod).real / 4.0,
             -np.trace(prod @ sta.PSEUDO).real / 4.0)
 
@@ -252,8 +253,8 @@ def _sandwich_oracle(psi):
     bil = spinors.bilinears(psi)
     dual_inv = np.cos(bil.beta) * sta.ID - np.sin(bil.beta) * sta.PSEUDO
     plane = dual_inv @ Psi @ sta.GAMMA[2] @ sta.GAMMA[1] @ rev / bil.rho
-    return (sta.to_vector(Psi @ sta.GAMMA[1] @ rev),
-            sta.to_vector(Psi @ sta.GAMMA[2] @ rev), plane)
+    return (to_vector(Psi @ sta.GAMMA[1] @ rev),
+            to_vector(Psi @ sta.GAMMA[2] @ rev), plane)
 
 
 def test_bilinears_match_trace_oracle():
@@ -286,6 +287,30 @@ def test_bilinears_batch_equals_scalar_calls():
     grid = spinors.bilinears(psis[:60].reshape(3, 20, 4))
     np.testing.assert_array_equal(grid.current.reshape(60, 4),
                                   batch.current[:60])
+
+
+def test_current_matches_bilinears():
+    # random spinors over six decades and every default spec's spinor, one
+    # at a time (a tuple of floats), as one batch and as a [3, 20, 4] grid
+    psis = _oracle_spinors()
+    ref = spinors.bilinears(psis).current
+    tol = 1e-15 * ref[:, :1]
+    for k, psi in enumerate(psis):
+        one = spinors.current(psi)
+        assert type(one) is tuple and all(type(v) is float for v in one)
+        assert np.all(np.abs(np.array(one) - ref[k]) <= tol[k])
+    batch = spinors.current(psis)
+    assert batch.shape == psis.shape
+    assert np.all(np.abs(batch - ref) <= tol)
+    grid = spinors.current(psis[:60].reshape(3, 20, 4))
+    assert grid.shape == (3, 20, 4)
+    assert np.all(np.abs(grid.reshape(60, 4) - ref[:60]) <= tol[:60])
+    with pytest.raises(spinors.NullDensity):
+        spinors.current(np.zeros(4, dtype=complex))
+    batch = np.ones((5, 4), dtype=complex)
+    batch[3] = 0.0
+    with pytest.raises(spinors.NullDensity):
+        spinors.current(batch)
 
 
 def test_bilinears_null_density():

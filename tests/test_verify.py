@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from rdibeams import catalog as cat
 from rdibeams import specialfn as sf
 from rdibeams import inversion, numerics, spinors, verify, waveforms
@@ -320,6 +321,30 @@ def test_proper_time_flux_average():
         assert abs(avg - eps) / eps < 1e-4
 
 
+STREAMLINE_SPECS = [
+    s for fam in cat.MAGNETIC_FAMILIES for s in verify.default_specs()[fam]
+    if abs(cat.bilinear_fields(s, 0.0, 0.8, 0.0, 0.0)["J_phi"]) > 1e-14]
+
+
+@pytest.mark.parametrize("spec", STREAMLINE_SPECS, ids=verify.spec_label)
+def test_streamlines_match_the_array_state_reference(spec, monkeypatch):
+    # the float-state RK4 over the written-out current moves the streamline
+    # results by round-off only against the array-state RK4 over the full
+    # bilinear contraction
+    def run():
+        return (verify.orbit_closure(spec, 0.8, steps=500),
+                verify.proper_time_average(spec, 24, 32))
+
+    orbit, avg = run()
+    monkeypatch.setattr(numerics, "rk4_path", oracles.rk4_path)
+    monkeypatch.setattr(spinors, "current", oracles.bilinear_current)
+    ref_orbit, ref_avg = run()
+    for key in ("swept_angle", "dt_ds"):
+        assert orbit[key] == pytest.approx(ref_orbit[key], rel=1e-13, abs=0)
+    assert avg == pytest.approx(ref_avg, rel=1e-13, abs=0)
+    assert abs(orbit["radial_drift"] - ref_orbit["radial_drift"]) <= 1e-14
+
+
 def test_redmond_streamline_centroid_tracks_drive():
     # transverse streamline-cloud centroid follows the closed-form centroid
     wf = waveforms.circular(0.3)
@@ -328,9 +353,7 @@ def test_redmond_streamline_centroid_tracks_drive():
     col = cat.spinor(spec)
 
     def rhs(q):
-        return spinors.bilinears(col(*q)).current
-
-    from rdibeams import numerics
+        return spinors.current(col(*q))
 
     seeds = [(0.0, 0.9, 0.0, 0.0), (0.0, 0.0, 1.2, 0.0),
              (0.0, -1.0, 0.4, 0.0), (0.0, 0.5, -0.8, 0.0)]
