@@ -331,6 +331,10 @@ def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
             "rho_s3": upper - lower}
 
 
+# numpy's laggauss overflows past this many nodes (inf and NaN weights)
+LAGUERRE_MAX_NODES = 186
+
+
 def _transverse_average(spec: SolutionSpec, g):
     """2 pi int g(lam) lam dlam for g free of the exp(-u) weight of the
     family's Gauss-Laguerre variable u (2 lam^2 in the uniform field,
@@ -342,8 +346,9 @@ def _transverse_average(spec: SolutionSpec, g):
     N = max(96, d//2 + 1) nodes, so it is exact (degree 2N - 1,
     Abramowitz & Stegun 25.4.45) for the profile bilinears, which are
     polynomials in u of degree d = l + 2n (uniform field) or d = M + 2n + 1
-    (1/r field, the measure included).  An integrand that overflows raises
-    DomainError: the state lies outside the validity envelope.
+    (1/r field, the measure included).  A state that needs more than
+    LAGUERRE_MAX_NODES nodes, or whose integrand overflows, raises
+    DomainError: it lies outside the validity envelope.
     """
     base = spec.static_base()
     fam = base.family
@@ -351,7 +356,15 @@ def _transverse_average(spec: SolutionSpec, g):
         raise NotNormalizable("free Bessel beam averages are undefined")
     uniform = fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
     degree = base.l + 2 * base.n if uniform else base.M + 2 * base.n + 1
-    nodes, weights = np.polynomial.laguerre.laggauss(max(96, degree // 2 + 1))
+    orbital = f"l={base.l}" if uniform else f"M={base.M}"
+    count = max(96, degree // 2 + 1)
+    if count > LAGUERRE_MAX_NODES:
+        raise sf.DomainError(
+            f"{fam.value} n={base.n} {orbital}: the transverse quadrature of "
+            f"degree {degree} needs {count} Gauss-Laguerre nodes, more than "
+            f"the {LAGUERRE_MAX_NODES} the rule is finite for (outside the "
+            f"validity envelope)")
+    nodes, weights = np.polynomial.laguerre.laggauss(count)
     if uniform:
         lam, weights = np.sqrt(nodes / 2.0), weights / 4.0
     else:
@@ -364,7 +377,6 @@ def _transverse_average(spec: SolutionSpec, g):
             return total
     except (OverflowError, FloatingPointError):
         pass
-    orbital = f"l={base.l}" if uniform else f"M={base.M}"
     raise sf.DomainError(
         f"{fam.value} n={base.n} {orbital}: the transverse quadrature of "
         f"degree {degree} overflows (outside the validity envelope)")
@@ -521,6 +533,7 @@ def spinor(spec: SolutionSpec, fault=None):
 
     if not spec.is_dressed:
         return static_field
+    g = c ** 2 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
 
     def dressed(t, x, y, z):
         ops = mathops.of(t, x, y, z)
@@ -530,10 +543,12 @@ def spinor(spec: SolutionSpec, fault=None):
         phi = gauge_phase(spec, xi)
         if not any(ops.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
             return static_field(t, x, y, z)  # exact identity transform
-        gen = null_rotation_generator(d1, d2, eps, spec.omega, u)
         psi = static_field(t, x + dx, y + dy, z)
-        return np.asarray(ops.cexp(1j * phi))[..., None] \
-            * ((sta.ID + gen) @ psi[..., None])[..., 0]
+        # (1 + N) psi = psi + g (f1' C1 psi + f2' C2 psi), the generator
+        # applied to the column: no 4x4 matrix per point
+        turn = (np.asarray(d1)[..., None] * (psi @ _NULL_C1.T)
+                + np.asarray(d2)[..., None] * (psi @ _NULL_C2.T))
+        return np.asarray(ops.cexp(1j * phi))[..., None] * (psi + g * turn)
 
     return dressed
 

@@ -131,7 +131,11 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
     if not len(points):
         return np.empty((0, len(_CSV_HEADER)))
     t, x, y, z = points.T
-    psi = cat.spinor(spec)(t, x, y, z)
+    # far out, a profile's power of lam can overflow while its Gaussian
+    # weight underflows, and their product is NaN: numpy stays quiet, and
+    # the density guard of `bilinears` turns it into a domain error
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = cat.spinor(spec)(t, x, y, z)
     bil = bilinears(psi)
     smp = cat.fields(spec, t, x, y, z)
     parts = np.stack([psi.real, psi.imag], axis=-1).reshape(-1, 8)

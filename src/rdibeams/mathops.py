@@ -48,7 +48,7 @@ def _array_zero(*values):
 FLOATS = SimpleNamespace(
     exp=math.exp, exp_checked=math.exp, cexp=cmath.exp, log=math.log,
     sin=math.sin, cos=math.cos, hypot=math.hypot, atan2=math.atan2,
-    any=bool, max=lambda v: v, maximum=max, minimum=min,
+    any=bool, max=lambda v: v, min=lambda v: v, maximum=max, minimum=min,
     where=lambda cond, a, b: a if cond else b,
     # components along a new trailing axis
     stack=np.array,
@@ -59,8 +59,8 @@ FLOATS = SimpleNamespace(
 ARRAYS = SimpleNamespace(
     exp=np.exp, exp_checked=_array_exp_checked, cexp=np.exp, log=np.log,
     sin=np.sin, cos=np.cos, hypot=np.hypot, atan2=np.arctan2,
-    any=np.any, max=np.max, maximum=np.maximum, minimum=np.minimum,
-    where=np.where, stack=_array_stack, zero=_array_zero,
+    any=np.any, max=np.max, min=np.min, maximum=np.maximum,
+    minimum=np.minimum, where=np.where, stack=_array_stack, zero=_array_zero,
 )
 
 

@@ -8,11 +8,9 @@ per point: the divergence, curl and Dirac operators are then read off the
 one 4-gradient instead of re-running the stencil per component.
 
 The stencils take a batch of points, point[..., 4], and call the field once
-per `partial4`, on the four stencil points of every point of the batch
-(fields take t, x, y, z as floats or arrays and return components
-trailing).  `gradient4` stays four such calls rather than one on all 16
-stencil points, which keeps the peak batch, and the memory it holds, four
-times smaller.
+per `partial4`, on the four stencil points of every point of the batch and
+of every axis asked for (fields take t, x, y, z as floats or arrays and
+return components trailing); `gradient4` is one such call on all 16.
 
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple
@@ -56,20 +54,28 @@ def deriv4(fn, x, h=DEFAULT_STEP):
 
 def partial4(fn, point, mu, h=DEFAULT_STEP):
     """4th-order central partial of fn(t, x, y, z) along coordinate mu at
-    point[..., 4].  fn is called once, on the four stencil points of every
-    point of the batch, and returns values with components trailing."""
+    point[..., 4]; for a tuple of coordinates mu, the partial along each,
+    stacked on a new leading axis.  fn is called once, on the four stencil
+    points of every axis and every point of the batch, and returns values
+    with components trailing."""
     point = np.asarray(point, dtype=float)
-    stencil = np.repeat(point[None], 4, axis=0)
-    stencil[..., mu] += (_OFFSETS * h).reshape((4,) + (1,) * (point.ndim - 1))
-    return _combine(at(fn, stencil), h)
+    axes = mu if isinstance(mu, tuple) else (mu,)
+    stencil = np.empty((len(axes), 4) + point.shape)
+    stencil[...] = point
+    offsets = (_OFFSETS * h).reshape((4,) + (1,) * (point.ndim - 1))
+    for i, axis in enumerate(axes):
+        stencil[i, ..., axis] += offsets
+    d = _combine(np.moveaxis(at(fn, stencil), 1, 0), h)
+    return d if isinstance(mu, tuple) else d[0]
 
 
 def gradient4(fn, point, h=DEFAULT_STEP):
     """All four partials of fn(t, x, y, z) at point[..., 4], stacked after
     the batch axes: g[..., mu, :] = d_mu fn, the time row in d/dt (not
-    d/d(ct))."""
-    return np.stack([partial4(fn, point, mu, h) for mu in range(4)],
-                    axis=np.ndim(point) - 1)
+    d/d(ct)).  One `partial4` call, so fn is called once, on all 16
+    stencil points of every point."""
+    return np.moveaxis(partial4(fn, point, (0, 1, 2, 3), h), 0,
+                       np.ndim(point) - 1)
 
 
 def divergence4(fn, point, h=DEFAULT_STEP, c=1.0):

@@ -1,10 +1,14 @@
 """Self-contained special functions used by the solution catalog.
 
 Integer-order Bessel J by Miller's downward recurrence (power series below
-x = 2), for a float or a whole array of arguments at once; generalized
-Laguerre polynomials and the terminating confluent hypergeometric functions
-by stable three-term recurrences, which take arrays as they are.  No
-external special-function dependency.
+x = 2), for a float or a whole array of arguments at once: one loop serves
+both, and it tests for overflow only at the steps where a bound on the
+recurrence's growth, from the batch's smallest argument, says an element
+can near it (none for the catalog's orders and radii, so a step is three
+array operations).  An array takes the series for all orders and terms in
+one broadcast.  Generalized Laguerre polynomials by the stable three-term
+recurrence, which takes arrays as they are.  No external special-function
+dependency.
 """
 from __future__ import annotations
 
@@ -34,47 +38,109 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series(nu: int, x, ops):
-    # ascending series, stable for small arguments (x > 0)
-    lead = ops.exp(nu * ops.log(x / 2.0) - math.lgamma(nu + 1))
+def _bessel_series(nu: int, x: float) -> float:
+    # ascending series of a float 0 < x < 2, term by term until the terms
+    # fall below half an ulp of the total
+    lead = math.exp(nu * math.log(x / 2.0) - math.lgamma(nu + 1))
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
     for k in range(1, 60):
         term = term * (-q / (k * (nu + k)))
         total = total + term
-        # a float comparison gives a bool, tested without a call; once every
-        # element is below half an ulp of its total, later terms leave it be
-        small = abs(term) < 1e-18 * abs(total) + 1e-300
-        if small is not False and (small is True or small.all()):
+        if abs(term) < 1e-18 * abs(total) + 1e-300:
             break
     return lead * total
+
+
+# terms of the array series: below x = 2, q = x^2/4 <= 1 and term k is at
+# most 1/(k!)^2 of the first, under 1e-22 at k = 14, so later terms would
+# not change a total that is not small
+_SERIES_TERMS = np.arange(1.0, 15.0)[:, None, None]
+
+
+def _bessel_series_all(nmax: int, x):
+    # the float series at an array 0 < x < 2, for every order and all 14
+    # terms in one broadcast, the terms multiplied and summed in the float
+    # loop's order: the terms past its stop are below half an ulp of the
+    # total, so the two agree bit for bit
+    nu = np.arange(nmax + 1.0)[:, None]
+    lgam = np.array([math.lgamma(n + 1) for n in range(nmax + 1)])[:, None]
+    lead = np.exp(nu * np.log(x / 2.0) - lgam)
+    q = 0.25 * x * x
+    terms = np.cumprod(-q / (_SERIES_TERMS * (nu + _SERIES_TERMS)), axis=0)
+    total = 1.0
+    for term in terms:
+        total = total + term
+    return lead * total
+
+
+# the recurrence starts from this seed and divides an element by
+# _RESCALE once it passes _RESCALE_AT
+_SEED = 1e-300
+_RESCALE_AT = 1e250
+_RESCALE = 1e-250
+
+
+def _miller_start(nmax: int, x_max: float) -> int:
+    # well above the turning point of the largest order and argument; even,
+    # which keeps the normalization sum aligned
+    top = max(nmax, x_max)
+    start = int(top + 15.0 * top ** (1.0 / 3.0) + 20)
+    return start + start % 2
+
+
+def _rescale_checkpoints(start: int, x_min: float) -> range:
+    """The steps k of `_miller_all`'s recurrence, from `start` down, at
+    which an element of x >= x_min may have passed 1e250: the steps that
+    test for a rescale, range(k0, 0, -1), or range(0) for none.
+
+    |J_(k-1)| <= (2k/x + 1) max(|J_k|, |J_(k+1)|), so after step k no
+    element exceeds 1e-300 prod_(j=k..start) (2j/x_min + 1).  Once that
+    bound passes 1e250 (a decade early, for rounding) every later step is
+    tested: a test leaves elements up to 1e250 in place.  The product over
+    all the steps is a ratio of gamma functions, so the common case, a
+    bound that never gets there, costs no loop."""
+    limit = math.log10(_RESCALE_AT) - 1.0
+    half = 0.5 * x_min
+    total = (start * math.log(1.0 / half) + math.lgamma(start + 1 + half)
+             - math.lgamma(1 + half)) / math.log(10.0)
+    bound = math.log10(_SEED)
+    if bound + total <= limit:
+        return range(0)
+    for k in range(start, 0, -1):
+        bound += math.log10(2.0 * k / x_min + 1.0)
+        if bound > limit:
+            return range(k, 0, -1)
+    return range(0)
 
 
 def _miller_all(nmax: int, x, ops) -> list:
     # downward recurrence from well above the turning point, normalized by
     # J0 + 2*sum J_{2k} = 1; one start index for the whole batch, from its
-    # largest argument, and a rescale wherever an element nears overflow
-    top = max(nmax, float(ops.max(x)))
-    start = int(top + 15.0 * top ** (1.0 / 3.0) + 20)
-    start += start % 2  # even start keeps the normalization sum aligned
+    # largest argument, and a rescale wherever an element nears overflow,
+    # tested only at the steps where one can (_rescale_checkpoints)
+    start = _miller_start(nmax, float(ops.max(x)))
+    check_from = _rescale_checkpoints(start, float(ops.min(x))).start
     jp = 0.0
-    jc = 1e-300
+    jc = _SEED
     out = [0.0] * (nmax + 1)
     norm = 0.0
     for k in range(start, 0, -1):
         jm = (2.0 * k / x) * jc - jp
         jp = jc
         jc = jm
-        over = abs(jc) > 1e250
-        # rescale to dodge overflow; a float comparison gives a bool, tested
-        # without a call
-        if over is not False and (over is True or over.any()):
-            scale = ops.where(over, 1e-250, 1.0)
-            jc = jc * scale
-            jp = jp * scale
-            norm = norm * scale
-            out = [v * scale for v in out]
+        if k <= check_from:
+            # every step from the first checkpoint on is tested, so jp was
+            # tested a step ago and |jc| alone decides; a float comparison
+            # gives a bool, tested without a call
+            over = abs(jc) > _RESCALE_AT
+            if over is True or (over is not False and over.any()):
+                scale = ops.where(over, _RESCALE, 1.0)
+                jc = jc * scale
+                jp = jp * scale
+                norm = norm * scale
+                out = [v * scale for v in out]
         if (k - 1) <= nmax:
             out[k - 1] = jc
         if (k - 1) % 2 == 0:
@@ -105,14 +171,13 @@ def bessel_j_all(nmax: int, x):
         if x == 0.0:
             return [1.0] + [0.0] * nmax
         if x < 2.0:
-            return [_bessel_series(nu, x, ops) for nu in range(nmax + 1)]
+            return [_bessel_series(nu, x) for nu in range(nmax + 1)]
         return _miller_all(nmax, x, ops)
     out = np.zeros((nmax + 1,) + x.shape)
     out[0, x == 0.0] = 1.0
     small = (x > 0.0) & (x < 2.0)
     if small.any():
-        out[:, small] = [_bessel_series(nu, x[small], ops)
-                         for nu in range(nmax + 1)]
+        out[:, small] = _bessel_series_all(nmax, x[small])
     large = x >= 2.0
     if large.any():
         out[:, large] = _miller_all(nmax, x[large], ops)
@@ -126,19 +191,8 @@ def bessel_j(nu: int, x: float) -> float:
     return bessel_j_all(nu, x)[nu]
 
 
-def bessel_j_deriv(nu: int, x: float) -> float:
-    """d/dx J_nu(x) via the two-sided recurrence."""
-    if x == 0.0:
-        if nu == 1:
-            return 0.5
-        return 0.0
-    vals = bessel_j_all(nu + 1, x)
-    lower = vals[nu - 1] if nu >= 1 else -vals[1]
-    return 0.5 * (lower - vals[nu + 1])
-
-
 # ---------------------------------------------------------------------------
-# Laguerre / confluent hypergeometric (terminating cases)
+# Laguerre polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -166,39 +220,3 @@ def laguerre_deriv2(n: int, alpha: float, x: float) -> float:
     if n < 2:
         return 0.0
     return laguerre(n - 2, alpha + 2, x)
-
-
-def hyp1f1_poly(n: int, b: float, x: float) -> float:
-    """1F1(-n; b; x) evaluated as the terminating sum."""
-    if n < 0:
-        raise DomainError("negative n")
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        denom = b + k
-        if denom == 0.0:
-            raise DomainError(f"1F1 pole: b = {b} hits a non-positive integer")
-        term *= (-(n - k)) * x / (denom * (k + 1))
-        total += term
-    return total
-
-
-def tricomi_u_poly(n: int, b: float, x: float) -> float:
-    """Tricomi U(-n, b, x) for terminating (polynomial) parameters.
-
-    Evaluated by the contiguous recurrence in the first parameter, with the
-    negative-degree cases U(0,b,x) = 1 and U(-1,b,x) = x - b as anchors.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError("first argument must be -n with integer n >= 0")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    um = 1.0          # U(0, b, x)
-    uc = x - b        # U(-1, b, x)
-    a = -1.0
-    for _ in range(n - 1):
-        # U(a-1) = (x + 2a - b) U(a) - a (a - b + 1) U(a+1)
-        um, uc = uc, (x + 2.0 * a - b) * uc - a * (a - b + 1.0) * um
-        a -= 1.0
-    return uc

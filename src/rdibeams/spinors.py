@@ -24,6 +24,7 @@ Psi gamma_mu rev(Psi) = rho R gamma_mu rev(R) and Psi rev(Psi).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,16 +184,27 @@ class Bilinears:
         return np.arctan2(self.pseudo, self.scalar)
 
 
+_NULL_DENSITY = "psi^dagger psi is zero or not finite at this point"
+
+
+def _check_density(j0):
+    # J^0 = psi^dagger psi must be positive and finite: a NaN fails both
+    # comparisons, so a far tail whose profile overflowed (inf times a
+    # vanishing weight) is rejected rather than written out
+    if not ((j0 > 0.0) & (j0 < math.inf)).all():
+        raise NullDensity(_NULL_DENSITY)
+
+
 def bilinears(psi: Array) -> Bilinears:
     """J^mu, rho s^mu and rho exp(i beta) of column spinors psi[..., 4].
 
-    Raises NullDensity when psi^dagger psi vanishes anywhere in the batch.
+    Raises NullDensity when psi^dagger psi vanishes anywhere in the batch,
+    or is not finite.
     """
     psi = np.asarray(psi, dtype=complex)
     vals = np.einsum("...i,kij,...j->...k", psi.conj(), _BILINEAR_MATRICES,
                      psi).real
-    if (vals[..., 0] <= 0.0).any():
-        raise NullDensity("psi has zero norm at this point")
+    _check_density(vals[..., 0])
     return Bilinears(vals[..., 0:4], vals[..., 4:8], vals[..., 8], vals[..., 9])
 
 
@@ -208,7 +220,7 @@ def current(psi: Array):
     One spinor psi[4] is read in Python complex arithmetic and gives J as a
     tuple of four floats (the serial streamline step evaluates one point at
     a time); a batch psi[..., 4] gives J[..., 4].  Raises NullDensity where
-    psi^dagger psi vanishes.
+    psi^dagger psi vanishes or is not finite.
     """
     psi = np.asarray(psi, dtype=complex)
     one = psi.ndim == 1
@@ -220,11 +232,10 @@ def current(psi: Array):
     c = c0 * p2 - c1 * p3
     j = (j0, 2.0 * (a.real + b.real), 2.0 * (a.imag - b.imag), 2.0 * c.real)
     if one:
-        if j0 <= 0.0:
-            raise NullDensity("psi has zero norm at this point")
+        if not 0.0 < j0 < math.inf:
+            raise NullDensity(_NULL_DENSITY)
         return j
-    if (j0 <= 0.0).any():
-        raise NullDensity("psi has zero norm at this point")
+    _check_density(j0)
     return np.stack(j, axis=-1)
 
 

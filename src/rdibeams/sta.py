@@ -2,7 +2,8 @@
 
 The four generators are the standard (Dirac) representation gamma matrices,
 so the geometric product is plain matrix multiplication and grade extraction
-is done by trace projection against the 16-element basis.  Conventions:
+is done by trace projection, Tr[A Gamma_k] / 4, against the 16-element
+basis GAMMA16.  Conventions:
 
 * metric signature (+,-,-,-), gamma0 = diag(I, -I), gamma_k off-diagonal
   with Pauli blocks,
@@ -76,11 +77,6 @@ GAMMA16 = (
     GAMMA_UP[0] @ GAMMA_UP[1] @ GAMMA_UP[2],
     GAMMA5,
 )
-#: sign of Gamma_k Gamma_k (each basis element squares to +I or -I)
-GAMMA16_SQUARE = tuple(
-    float(np.trace(g @ g).real) / 4.0 for g in GAMMA16
-)
-
 #: indices (1-based) whose trace projections must vanish for a pure
 #: electromagnetic (vector) potential
 CONSTRAINED_INDICES = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
@@ -88,20 +84,6 @@ CONSTRAINED_INDICES = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
 
 class SingularInput(ValueError):
     """Input matrix is numerically singular."""
-
-
-def gamma_basis() -> dict:
-    """Return the basis bundle: the four gamma_mu, the 16 trace-projection
-    elements, gamma5, the alpha_k, and the pseudoscalar (17 distinct
-    matrices in total)."""
-    return {
-        "gamma": GAMMA,
-        "gamma_up": GAMMA_UP,
-        "Gamma": GAMMA16,
-        "gamma5": GAMMA5,
-        "alpha": ALPHA,
-        "pseudoscalar": PSEUDO,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +95,6 @@ def reversion(a: Array) -> Array:
     """rev(A) = gamma0 A^dagger gamma0 of matrices a[..., 4, 4].
     Anti-automorphism fixing vectors."""
     return GAMMA0 @ np.swapaxes(a.conj(), -1, -2) @ GAMMA0
-
-
-def trace_project(a: Array, k: int) -> complex:
-    """Coefficient functional Tr[A Gamma_k] / 4 for k in 1..16."""
-    if not 1 <= k <= 16:
-        raise IndexError(f"basis index {k} outside 1..16")
-    return complex(np.trace(a @ GAMMA16[k - 1])) / 4.0
-
-
-def reconstruct(a: Array) -> Array:
-    """Rebuild A from its 16 trace projections (sign-dual expansion)."""
-    out = np.zeros((4, 4), dtype=complex)
-    for k in range(16):
-        coeff = np.trace(a @ GAMMA16[k]) / 4.0
-        out += (coeff / GAMMA16_SQUARE[k]) * GAMMA16[k]
-    return out
 
 
 def from_vector(v: Array) -> Array:

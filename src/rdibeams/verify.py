@@ -11,8 +11,8 @@ uniform points in the box [0.5, 5]^4 (natural units).
 Each residual takes a batch of points, point[..., 4], and returns one value
 per point; each check of CHECKS calls it once per spec, on all its points.
 A residual differentiates its field once, with `numerics.gradient4`, whose
-four `partial4` calls each evaluate the field once on every stencil point
-of the batch.  The Dirac residual shares the matrix Dirac operator of the
+one `partial4` call evaluates the field once, on all 16 stencil points of
+every point of the batch.  The Dirac residual shares the matrix Dirac operator of the
 inversion, `inversion.dirac_operator`, which takes its derivative from the
 column one.  A record that checked no point fails, and its extras give the
 reason.

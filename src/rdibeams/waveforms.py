@@ -21,7 +21,10 @@ from . import mathops
 # its clip window in units of the envelope width
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _PULSE_REACH = 12.0
-_PULSE_BLOCK = 32  # points per block of the pulse gauge integral
+# points per block of the pulse gauge integral: the phases of a whole
+# `numerics.gradient4` batch (16 stencil points per point) at once would
+# hold several arrays of 64 x its size in memory together
+_PULSE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,7 @@ class Waveform:
                       for v in (0.0, xi))
             half = 0.5 * (hi - lo)
             mid, step = np.ravel(0.5 * (hi + lo)), np.ravel(half)
-            # 64 nodes per point, for a block of points at a time: a whole
-            # stencil batch at once would hold several arrays of 64 x its
-            # size in memory together
+            # 64 nodes per point, for _PULSE_BLOCK points at a time
             total = np.empty(mid.size)
             for k in range(0, mid.size, _PULSE_BLOCK):
                 block = slice(k, k + _PULSE_BLOCK)

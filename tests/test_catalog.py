@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
 from rdibeams import spinors, sta, verify, waveforms
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, hyp1f1_poly
 
 
 def norm_closed_uniform(spec):
@@ -220,7 +220,6 @@ def test_dressed_spinor_matches_explicit_redmond_column():
     eps = cat.eigenvalue(spec)
     B = spec.B
     n, l = spec.n, spec.l
-    from rdibeams.specialfn import hyp1f1_poly
 
     def explicit(t, x, y, z):
         xi = cat.xi_of(spec, t, z)
@@ -629,6 +628,34 @@ def test_laser_dress_matrix_equals_column_lift():
     pt = (0.9, 1.2, 0.8, 0.3)
     np.testing.assert_array_equal(_dress_matrix(off)(*pt), static(*pt))
     np.testing.assert_array_equal(cat.matrix_spinor(off)(*pt), static(*pt))
+
+
+@pytest.mark.parametrize("spec", [
+    s for fam in cat.DRESSED_BASE for s in verify.default_specs()[fam]],
+    ids=verify.spec_label)
+def test_dressed_spinor_matches_generator_matrix(spec):
+    # the dressed field applies the null rotation to the column; the same
+    # field built from the [..., 4, 4] generator matrix, per point, under
+    # each of the three drives
+    pts = np.random.default_rng(23).uniform(0.5, 5.0, size=(40, 4))
+    t, x, y, z = pts.T
+    base = spec.static_base()
+    eps = cat.eigenvalue(base)
+    for wf in (waveforms.circular(0.3), waveforms.linear(0.25),
+               waveforms.pulse(0.2)):
+        dressed = replace(spec, waveform=wf)
+        xi = cat.xi_of(dressed, t, z)
+        dx, dy = cat.coordinate_shift(dressed, xi)
+        gen = cat.null_rotation_generator(*wf.fdot(xi), eps, dressed.omega,
+                                          dressed.units)
+        psi_static = cat.spinor(base)(t, x + dx, y + dy, z)
+        expected = np.exp(1j * cat.gauge_phase(dressed, xi))[:, None] \
+            * ((sta.ID + gen) @ psi_static[..., None])[..., 0]
+        got = cat.spinor(dressed)(t, x, y, z)
+        scale = np.max(np.abs(expected), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale), wf.kind
+        one = cat.spinor(dressed)(*pts[0])  # the float path
+        assert np.all(np.abs(one - expected[0]) <= 1e-14 * scale[0]), wf.kind
 
 
 def test_nilpotency_of_dressing_generator_100_phases():

@@ -141,10 +141,14 @@ def test_eval_io_failure_exits_4():
     # factorial beyond the float range
     (["eval", "--family", "uniform-b-split", "--n", "1", "--l", "200",
       "--grid-x", "1:1:1", "--grid-y", "1:1:1"], 3),
+    # far out, lam ** l overflows where exp(-lam^2) underflows: the density
+    # is NaN, not zero
+    (["eval", "--family", "uniform-b", "--l", "100", "--grid-x",
+      "2500:2500:1", "--grid-y", "0:0:1"], 3),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
         "eval-config", "verify-config", "config-not-json",
         "config-not-object", "uniform-overflow", "radial-overflow",
-        "split-overflow"])
+        "split-overflow", "far-tail-nan"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")
@@ -153,6 +157,25 @@ def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--l", "100", "--grid-x", "2500:2500:1", "--grid-y", "0:0:1"],
+     "psi^dagger psi is zero or not finite"),
+    # numpy's Gauss-Laguerre rule overflows past 186 nodes
+    (["--l", "500", "--grid-x", "1:1:1", "--grid-y", "1:1:1"],
+     "degree 500 needs 251 Gauss-Laguerre nodes, more than the 186"),
+], ids=["far-tail-nan", "quadrature-nodes"])
+def test_eval_domain_error_is_one_stderr_line(args, message, tmp_path):
+    # no numpy warning ahead of the error line, and no map left behind
+    out = tmp_path / "m.csv"
+    proc = run_cli(["eval", "--family", "uniform-b", *args, "--out",
+                    str(out)], check=False)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("domain error: ")
+    assert message in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("before", [None, "an earlier map\n"],

@@ -36,6 +36,25 @@ def test_gradient4_on_cubic():
         np.testing.assert_array_equal(g[mu], numerics.partial4(cubic, PT, mu))
 
 
+@pytest.mark.parametrize("field", [
+    cubic,
+    cat.spinor(cat.SolutionSpec(cat.Family.REDMOND, n=1, l=1,
+                                waveform=waveforms.pulse(0.2), omega=0.9)),
+], ids=["real-4-vector", "spinor"])
+def test_partial4_axes_match_single_axis(field):
+    # one field call on every stencil point of every axis gives, bit for
+    # bit, the partials of one call per axis
+    batch = np.random.default_rng(4).uniform(0.5, 5.0, size=(7, 3, 4))
+    for point in (np.asarray(PT), batch):
+        single = [numerics.partial4(field, point, mu) for mu in range(4)]
+        np.testing.assert_array_equal(
+            numerics.partial4(field, point, (3, 1)),
+            np.stack([single[3], single[1]]))
+        np.testing.assert_array_equal(
+            numerics.gradient4(field, point),
+            np.stack(single, axis=point.ndim - 1))
+
+
 def test_divergence4_on_cubic():
     t, x, y, z = PT
     # d_t F^0 / c + d_x F^1 + d_y F^2 + d_z F^3 at c = 2

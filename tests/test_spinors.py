@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import to_vector
 from rdibeams import catalog as cat
 from rdibeams import numerics, spinors, sta, verify
@@ -44,7 +45,7 @@ def test_hestenes_matrix_is_even_and_inverts_to_column():
         np.testing.assert_allclose(spinors.to_column(Psi), psi, atol=1e-14)
         # only even-grade trace projections survive
         for k in (2, 3, 4, 5, 12, 13, 14, 15):
-            assert abs(sta.trace_project(Psi, k)) < 1e-13
+            assert abs(oracles.trace_project(Psi, k)) < 1e-13
 
 
 def test_assemble_identity_and_rest_particle():
