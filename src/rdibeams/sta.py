@@ -17,8 +17,6 @@ be mutated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Array = np.ndarray
@@ -82,8 +80,9 @@ GAMMA16 = (
 CONSTRAINED_INDICES = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
 
 
-class SingularInput(ValueError):
-    """Input matrix is numerically singular."""
+class MixedBivector(ValueError):
+    """A bivector with both a boost and a rotation part, whose exponential
+    has no closed form here."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,34 +112,12 @@ def minkowski_dot(u: Array, v: Array) -> float:
 # exponentials
 # ---------------------------------------------------------------------------
 
-# (6,6) Pade coefficients for the matrix exponential
-_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0,
-          1.0 / 15840.0, 1.0 / 665280.0)
-
-
-def expm_pade6(m: Array) -> Array:
-    """Matrix exponential by scaling-and-squaring with a (6,6) Pade core."""
-    norm = np.linalg.norm(m, ord=np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a = m / (2.0 ** squarings)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    even = _PADE6[0] * ID + _PADE6[2] * a2 + _PADE6[4] * a4 + _PADE6[6] * a6
-    odd = a @ (_PADE6[1] * ID + _PADE6[3] * a2 + _PADE6[5] * a4)
-    res = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        res = res @ res
-    return res
-
-
 def exp_bivector(a, b) -> Array:
     """exp(a^k alpha_k - b^k PSEUDO alpha_k).
 
-    Pure boosts (b = 0) and pure rotations (a = 0) use the hyperbolic /
-    trigonometric closed forms; mixed generators fall back to the
-    scaling-and-squaring exponential.  The result always has unit
-    determinant.
+    Pure boosts (b = 0) and pure rotations (a = 0) have hyperbolic /
+    trigonometric closed forms, with unit determinant; a generator with both
+    parts raises MixedBivector.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,36 +130,5 @@ def exp_bivector(a, b) -> Array:
     if na == 0.0:
         unit = sum(bk * (PSEUDO @ g) for bk, g in zip(b / nb, ALPHA))
         return np.cos(nb) * ID - np.sin(nb) * unit
-    gen = sum(ak * g for ak, g in zip(a, ALPHA))
-    gen = gen - sum(bk * (PSEUDO @ g) for bk, g in zip(b, ALPHA))
-    return expm_pade6(gen)
-
-
-# ---------------------------------------------------------------------------
-# rotor machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RotorFactors:
-    """Polar factors of a Lorentz rotor: R = boost @ rotation with the boost
-    Hermitian positive definite and the rotation unitary, both unimodular."""
-
-    boost: Array
-    rotation: Array
-
-    def recompose(self) -> Array:
-        return self.boost @ self.rotation
-
-
-def polar_decompose(r: Array) -> RotorFactors:
-    """Split a unimodular matrix into boost (= sqrt(R R^dagger)) times
-    rotation, via the eigen-decomposition of the Hermitian square."""
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] < 1e-12:
-        raise SingularInput(f"smallest singular value {svals[-1]:.3e}")
-    herm = r @ r.conj().T
-    evals, evecs = np.linalg.eigh(herm)
-    root = (evecs * np.sqrt(evals.clip(min=0.0))) @ evecs.conj().T
-    inv_root = (evecs * (1.0 / np.sqrt(evals.clip(min=1e-300)))) @ evecs.conj().T
-    return RotorFactors(boost=root, rotation=inv_root @ r)
+    raise MixedBivector(f"boost part {a.tolist()} and rotation part "
+                        f"{b.tolist()}")

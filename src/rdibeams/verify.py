@@ -3,10 +3,10 @@
 Every closed-form solution is verified by substitution: finite-difference
 Dirac residuals (column and matrix form), current continuity, Lorentz gauge,
 Maxwell sources, potential inversion agreement, the radial profile equation,
-kinematic/tetrad invariants, the Bessel addition theorem, the dual-path
-dressed-beam equivalence, the null-rotation block identity, and streamline
-integration.  The standard suite is one table, CHECKS, run over seeded
-uniform points in the box [0.5, 5]^4 (natural units).
+kinematic/tetrad invariants, the dual-path dressed-beam equivalence, the
+null-rotation block identity, and streamline integration.  The standard
+suite is one table, CHECKS, run over seeded uniform points in the box
+[0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
 per point; each check of CHECKS calls it once per spec, on all its points.
@@ -149,18 +149,6 @@ def field_invariants(spec: cat.SolutionSpec, point) -> dict:
     return {"E_dot_B": np.sum(smp.electric * smp.magnetic, axis=-1)}
 
 
-def fields_from_potential(spec: cat.SolutionSpec, point,
-                          h: float = numerics.DEFAULT_STEP) -> dict:
-    """E and B derived from the potential by finite differences,
-
-        eE = -grad(eA^0) - d(e A)/d(ct),   eB = curl(e A),
-
-    as a cross-check of the closed-form field displays."""
-    g = numerics.gradient4(lambda *q: cat.potential(spec, *q), point, h).real
-    return {"electric": -g[..., 1:, 0] - g[..., 0, 1:] / spec.units.c,
-            "magnetic": numerics.spatial_curl(g[..., :, 1:])}
-
-
 # ---------------------------------------------------------------------------
 # kinematics
 # ---------------------------------------------------------------------------
@@ -207,34 +195,6 @@ def kinematics_check(spec: cat.SolutionSpec, points) -> dict:
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
-
-
-def bessel_addition_residual(nu: int, rho: float, rho_bar: float,
-                             dphi: float, terms: int = 40) -> float:
-    """Residual of the two-center Bessel addition theorem
-
-        exp(-i nu theta) J_nu(w) = sum_m J_m(rho_bar) J_{nu+m}(rho)
-                                        exp(-i m dphi),
-
-    with w, theta from the triangle with sides rho, rho_bar and angle dphi.
-    """
-    w = math.sqrt(rho ** 2 + rho_bar ** 2 - 2.0 * rho * rho_bar * math.cos(dphi))
-    theta = math.atan2(rho_bar * math.sin(dphi),
-                       rho - rho_bar * math.cos(dphi))
-    nmax = abs(nu) + terms + 1
-    jr = sf.bessel_j_all(nmax, rho)
-    jb = sf.bessel_j_all(terms + 1, rho_bar)
-    jw = sf.bessel_j_all(abs(nu), w)[abs(nu)] if w > 0 else (1.0 if nu == 0 else 0.0)
-    if nu < 0:
-        jw *= (-1) ** nu
-    lhs = np.exp(-1j * nu * theta) * jw
-    rhs = 0.0 + 0.0j
-    for m in range(-terms, terms + 1):
-        a = jb[abs(m)] * ((-1) ** m if m < 0 else 1)
-        k = nu + m
-        b = jr[abs(k)] * ((-1) ** k if k < 0 else 1)
-        rhs += a * b * np.exp(-1j * m * dphi)
-    return abs(lhs - rhs)
 
 
 def volkov_bessel_explicit(spec: cat.SolutionSpec):
@@ -310,21 +270,6 @@ def null_rotation_block_residual(wf: Waveform, xi: float, eps: float,
         "det_minus_1": abs(np.linalg.det(rotor) - 1.0),
         "unipotent": float(np.max(np.abs((rotor - sta.ID) @ (rotor - sta.ID)))),
     }
-
-
-def dressed_polar_angle_residual(spec: cat.SolutionSpec, xi: float) -> float:
-    """The rotation angle of the polar factors of (1 + N) must satisfy
-    tan(theta/2) = c^2 |f'| / (2 eps omega)."""
-    u = spec.units
-    eps = cat.eigenvalue(spec.static_base())
-    d1, d2 = spec.waveform.fdot(xi)
-    gen = cat.null_rotation_generator(d1, d2, eps, spec.omega, u)
-    factors = sta.polar_decompose(sta.ID + gen)
-    cos_half = float(np.trace(factors.rotation).real) / 4.0
-    theta_half = math.acos(min(1.0, max(-1.0, cos_half)))
-    expected = math.atan(u.c ** 2 * math.hypot(d1, d2)
-                         / (2.0 * eps * spec.omega))
-    return abs(theta_half - expected)
 
 
 # ---------------------------------------------------------------------------

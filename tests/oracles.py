@@ -1,9 +1,13 @@
 """Independent reference routines the tests check the library against,
 and the helpers only the tests use."""
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from rdibeams import catalog as cat
+from rdibeams import numerics, spinors, sta
 from rdibeams import specialfn as sf
-from rdibeams import spinors, sta
 
 
 def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48):
@@ -103,8 +107,131 @@ def reconstruct(a):
 
 
 # ---------------------------------------------------------------------------
+# exponentials and polar rotor factors
+# ---------------------------------------------------------------------------
+
+# (6,6) Pade coefficients for the matrix exponential
+_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0,
+          1.0 / 15840.0, 1.0 / 665280.0)
+
+
+def expm_pade6(m):
+    """Matrix exponential by scaling-and-squaring with a (6,6) Pade core."""
+    norm = np.linalg.norm(m, ord=np.inf)
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
+    a = m / (2.0 ** squarings)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    even = _PADE6[0] * sta.ID + _PADE6[2] * a2 + _PADE6[4] * a4 \
+        + _PADE6[6] * a6
+    odd = a @ (_PADE6[1] * sta.ID + _PADE6[3] * a2 + _PADE6[5] * a4)
+    res = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        res = res @ res
+    return res
+
+
+def rotor(a, b):
+    """exp(a^k alpha_k - b^k PSEUDO alpha_k) for any boost part a and
+    rotation part b, mixed ones included, by `expm_pade6`."""
+    gen = sum(ak * g for ak, g in zip(a, sta.ALPHA))
+    gen = gen - sum(bk * (sta.PSEUDO @ g) for bk, g in zip(b, sta.ALPHA))
+    return expm_pade6(gen)
+
+
+class SingularInput(ValueError):
+    """Input matrix is numerically singular."""
+
+
+@dataclass(frozen=True)
+class RotorFactors:
+    """Polar factors of a Lorentz rotor: R = boost @ rotation with the boost
+    Hermitian positive definite and the rotation unitary, both unimodular."""
+
+    boost: np.ndarray
+    rotation: np.ndarray
+
+    def recompose(self):
+        return self.boost @ self.rotation
+
+
+def polar_decompose(r) -> RotorFactors:
+    """Split a unimodular matrix into boost (= sqrt(R R^dagger)) times
+    rotation, via the eigen-decomposition of the Hermitian square."""
+    svals = np.linalg.svd(r, compute_uv=False)
+    if svals[-1] < 1e-12:
+        raise SingularInput(f"smallest singular value {svals[-1]:.3e}")
+    herm = r @ r.conj().T
+    evals, evecs = np.linalg.eigh(herm)
+    root = (evecs * np.sqrt(evals.clip(min=0.0))) @ evecs.conj().T
+    inv_root = (evecs * (1.0 / np.sqrt(evals.clip(min=1e-300)))) \
+        @ evecs.conj().T
+    return RotorFactors(boost=root, rotation=inv_root @ r)
+
+
+def dressed_polar_angle_residual(spec, xi: float) -> float:
+    """The rotation angle of the polar factors of (1 + N) must satisfy
+    tan(theta/2) = c^2 |f'| / (2 eps omega)."""
+    u = spec.units
+    eps = cat.eigenvalue(spec.static_base())
+    d1, d2 = spec.waveform.fdot(xi)
+    gen = cat.null_rotation_generator(d1, d2, eps, spec.omega, u)
+    factors = polar_decompose(sta.ID + gen)
+    cos_half = float(np.trace(factors.rotation).real) / 4.0
+    theta_half = math.acos(min(1.0, max(-1.0, cos_half)))
+    expected = math.atan(u.c ** 2 * math.hypot(d1, d2)
+                         / (2.0 * eps * spec.omega))
+    return abs(theta_half - expected)
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+
+def fields_from_potential(spec, point, h: float = numerics.DEFAULT_STEP):
+    """E and B derived from the potential by finite differences,
+
+        eE = -grad(eA^0) - d(e A)/d(ct),   eB = curl(e A),
+
+    as a cross-check of the closed-form field displays."""
+    g = numerics.gradient4(lambda *q: cat.potential(spec, *q), point, h).real
+    return {"electric": -g[..., 1:, 0] - g[..., 0, 1:] / spec.units.c,
+            "magnetic": numerics.spatial_curl(g[..., :, 1:])}
+
+
+# ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
+
+
+def bessel_addition_residual(nu: int, rho: float, rho_bar: float,
+                             dphi: float, terms: int = 40) -> float:
+    """Residual of the two-center Bessel addition theorem
+
+        exp(-i nu theta) J_nu(w) = sum_m J_m(rho_bar) J_{nu+m}(rho)
+                                        exp(-i m dphi),
+
+    with w, theta from the triangle with sides rho, rho_bar and angle dphi.
+    """
+    w = math.sqrt(rho ** 2 + rho_bar ** 2 - 2.0 * rho * rho_bar * math.cos(dphi))
+    theta = math.atan2(rho_bar * math.sin(dphi),
+                       rho - rho_bar * math.cos(dphi))
+    nmax = abs(nu) + terms + 1
+    jr = sf.bessel_j_all(nmax, rho)
+    jb = sf.bessel_j_all(terms + 1, rho_bar)
+    jw = sf.bessel_j_all(abs(nu), w)[abs(nu)] if w > 0 else (1.0 if nu == 0 else 0.0)
+    if nu < 0:
+        jw *= (-1) ** nu
+    lhs = np.exp(-1j * nu * theta) * jw
+    rhs = 0.0 + 0.0j
+    for m in range(-terms, terms + 1):
+        a = jb[abs(m)] * ((-1) ** m if m < 0 else 1)
+        k = nu + m
+        b = jr[abs(k)] * ((-1) ** k if k < 0 else 1)
+        rhs += a * b * np.exp(-1j * m * dphi)
+    return abs(lhs - rhs)
 
 
 def bessel_j_deriv(nu: int, x: float) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
 from rdibeams import spinors, sta, verify, waveforms
+import oracles
 from oracles import adaptive_simpson, hyp1f1_poly
 
 
@@ -386,6 +387,29 @@ def test_uniform_envelope_gives_constant_field_radial_gives_inverse_r():
         assert bz == pytest.approx(1.0 / (4.0 * math.hypot(x, y)), rel=1e-14)
 
 
+def test_fields_from_potential_cross_check():
+    # E = -grad A0 - dA/dt and B = curl A derived by finite differences
+    # must reproduce the closed-form field displays
+    wf = waveforms.circular(0.3)
+    rng = np.random.default_rng(30)
+    for spec in (cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
+                 cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0),
+                 cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
+                                  omega=1.1),
+                 cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=0,
+                                  waveform=wf, omega=1.1),
+                 cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=0, p_perp=1.0,
+                                  waveform=wf, omega=1.2)):
+        for _ in range(5):
+            pt = tuple(rng.uniform(0.6, 4.0, size=4))
+            fd = oracles.fields_from_potential(spec, pt)
+            closed = cat.fields(spec, *pt)
+            np.testing.assert_allclose(fd["electric"], closed.electric,
+                                       atol=1e-9)
+            np.testing.assert_allclose(fd["magnetic"], closed.magnetic,
+                                       atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # averages
 # ---------------------------------------------------------------------------
@@ -666,6 +690,14 @@ def test_nilpotency_of_dressing_generator_100_phases():
         d1, d2 = wf.fdot(xi)
         gen = cat.null_rotation_generator(d1, d2, math.sqrt(3.0), 1.1)
         assert np.max(np.abs(gen @ gen)) < 1e-15
+
+
+def test_dressed_polar_angle():
+    wf = waveforms.circular(0.35)
+    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
+                            omega=1.1)
+    for xi in (0.2, 1.0, 2.9):
+        assert oracles.dressed_polar_angle_residual(spec, xi) < 1e-12
 
 
 DEFAULT_SPECS = [s for group in verify.default_specs().values() for s in group]

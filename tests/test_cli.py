@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import rdibeams
-from rdibeams import cli
+from rdibeams import cli, verify
 
 # the child process imports the same rdibeams as this one, installed or not
 PACKAGE_ROOT = str(Path(rdibeams.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, check=True):
@@ -178,6 +179,25 @@ def test_eval_domain_error_is_one_stderr_line(args, message, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x, code, err", [
+    # so close to the axis that the 1/r field overflows: eA1 = NaN and
+    # eA2, eBz = inf, a domain error naming the first of them
+    ("1e-310", 3, "domain error: eA1 = nan is not finite at (t, x, y, z) = "
+                  "(0.0, 1e-310, 0.0, 0.0)\n"),
+    # every written value is finite; the current source that overflows is
+    # not written, and numpy says nothing about it
+    ("1e-308", 0, ""),
+], ids=["non-finite", "finite"])
+def test_eval_near_axis_map_is_finite_or_exits_3(x, code, err, tmp_path):
+    out = tmp_path / "m.jsonl"
+    proc = run_cli(["eval", "--family", "radial-b", "--M", "1",
+                    f"--grid-x={x}:{x}:1", "--grid-y", "0:0:1",
+                    "--axis-exclude", "1e-320", "--format", "jsonl",
+                    "--out", str(out)], check=False)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("before", [None, "an earlier map\n"],
                          ids=["absent", "existing"])
 def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
@@ -192,6 +212,68 @@ def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
         assert not out.exists()
     else:
         assert out.read_text() == before
+
+
+# tests/golden holds these 3x3 maps as csv.writer and json.dumps wrote them,
+# before the row templates of cli replaced both
+GOLDEN_MAPS = {
+    "uniform-b": ["--family", "uniform-b", "--n", "1"],
+    "redmond": ["--family", "redmond", "--n", "1",
+                "--waveform", "circular:0.3", "--omega", "1.1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MAPS))
+def test_eval_output_matches_golden_bytes(name, fmt, tmp_path, monkeypatch):
+    # a relative --out, because the echoed config holds the path
+    monkeypatch.chdir(tmp_path)
+    out = f"{name}.{fmt}"
+    code = cli.main(["eval", *GOLDEN_MAPS[name], "--grid-x=-1:1:3",
+                     "--grid-y=0:2:3", "--format", fmt, "--out", out])
+    assert code == 0
+    golden = (GOLDEN / out).read_bytes()
+    assert (tmp_path / out).read_bytes() == golden
+    # the fixtures hold the awkward cases of float text: exponent form, and
+    # negative zero in the uniform-field maps
+    assert b"e-1" in golden
+    if name == "uniform-b":
+        assert {"csv": b",-0,", "jsonl": b": -0.0,"}[fmt] in golden
+
+
+def test_parser_reuse_carries_no_state(tmp_path, monkeypatch):
+    # one parser serves every call in a process: each call must give what a
+    # freshly built parser gives, whatever the call before it set
+    (tmp_path / "cfg.json").write_text(json.dumps({"n": 2, "l": 1}))
+    grid = ["--family", "uniform-b", "--grid-x", "0.25:1:2", "--grid-y",
+            "0:0:1"]
+    calls = [
+        ["eval", *grid, "--format", "jsonl", "--axis-exclude", "0.5",
+         "--out", "a"],
+        ["eval", *grid, "--out", "b"],
+        ["eval", "--config", "../cfg.json", *grid, "--out", "c"],
+        ["eval", *grid, "--out", "d"],
+        ["verify", "--check", "dirac", "--points", "2", "--out", "e"],
+        ["verify", "--points", "2", "--out", "f"],
+    ]
+
+    def run(where):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        codes = [cli.main(argv) for argv in calls]
+        return codes, {argv[-1]: Path(argv[-1]).read_text() for argv in calls}
+
+    reused = run("reused")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run("fresh") == reused
+    files = reused[1]
+    # csv with the default exclusion keeps the point at r = 0.25
+    assert files["b"].splitlines()[1].startswith("t,x,y,z,")
+    assert len(files["a"].splitlines()) == 2
+    assert len(files["b"].splitlines()) == len(files["d"].splitlines()) == 4
+    assert '"n": 2' in files["c"] and '"n"' not in files["d"]
+    names = {r["name"] for r in json.loads(files["f"])["records"]}
+    assert names == set(verify.CHECK_NAMES)
 
 
 def test_verify_subset_passes(tmp_path):

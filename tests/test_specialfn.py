@@ -1,6 +1,6 @@
 """Special-function checks against independent oracles: ascending power
-series with exact summation, recurrence residuals, cross-family identities
-and quadrature orthogonality."""
+series summed to 60 digits, recurrence residuals, cross-family identities,
+the Bessel addition theorem and quadrature orthogonality."""
 import math
 
 import numpy as np
@@ -11,19 +11,21 @@ from rdibeams import specialfn as sf
 
 
 def bessel_series_oracle(nu, x, terms=160):
-    # ascending series in exact rational arithmetic (the float argument is
-    # promoted exactly), converted to float once at the end
-    from fractions import Fraction
+    # ascending series summed in 60-digit arithmetic (the float argument is
+    # promoted exactly), converted to float once at the end: the largest
+    # term, about 1e10 at x = 25, leaves some 50 digits for the sum
+    import mpmath
 
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
-    half = Fraction(x) / 2
-    term = half ** nu / math.factorial(nu)
-    total = term
-    for k in range(1, terms):
-        term = -term * half * half / (k * (nu + k))
-        total += term
-    return float(total)
+    with mpmath.workdps(60):
+        half = mpmath.mpf(x) / 2
+        term = half ** nu / mpmath.factorial(nu)
+        total = term
+        for k in range(1, terms):
+            term = -term * half * half / (k * (nu + k))
+            total += term
+        return float(total)
 
 
 def test_bessel_trivial_values():
@@ -149,6 +151,48 @@ def test_bessel_domain_errors():
         sf.bessel_j(201, 1.0)
     with pytest.raises(sf.DomainError):
         sf.bessel_j(0, 2.0e4)
+
+
+def test_bessel_addition_identity_point():
+    assert oracles.bessel_addition_residual(0, 1.0, 0.0, 1.1) < 1e-14
+    assert oracles.bessel_addition_residual(
+        0, 1.0, 0.5, math.pi / 3.0, terms=30) < 1e-10
+
+
+def test_bessel_addition_random_tuples():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        nu = int(rng.integers(0, 11))
+        rho = float(rng.uniform(0.1, 5.0))
+        rho_bar = float(rng.uniform(0.0, 2.0))
+        dphi = float(rng.uniform(0.0, 2.0 * math.pi))
+        assert oracles.bessel_addition_residual(nu, rho, rho_bar, dphi,
+                                                terms=40) < 1e-10
+
+
+def test_bessel_addition_reflected_variant():
+    # the alternating-sign variant is the same identity at the reflected
+    # angle pi - dphi
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        nu = int(rng.integers(0, 6))
+        rho = float(rng.uniform(0.5, 4.0))
+        rho_bar = float(rng.uniform(0.0, 1.5))
+        dphi = float(rng.uniform(0.0, math.pi))
+        w = math.sqrt(rho ** 2 + rho_bar ** 2
+                      + 2.0 * rho * rho_bar * math.cos(dphi))
+        jr = sf.bessel_j_all(nu + 42, rho)
+        jb = sf.bessel_j_all(41, rho_bar)
+        lhs_theta = math.atan2(rho_bar * math.sin(dphi),
+                               rho + rho_bar * math.cos(dphi))
+        lhs = np.exp(-1j * nu * lhs_theta) * sf.bessel_j(nu, w)
+        rhs = 0.0 + 0.0j
+        for m in range(-40, 41):
+            a = jb[abs(m)] * ((-1) ** m if m < 0 else 1)
+            k = nu + m
+            b = jr[abs(k)] * ((-1) ** k if k < 0 else 1)
+            rhs += ((-1) ** m) * a * b * np.exp(1j * m * dphi)
+        assert abs(lhs - rhs) < 1e-10
 
 
 def test_laguerre_low_orders():

@@ -62,8 +62,8 @@ def test_assemble_density_duality_relation():
     for _ in range(100):
         rho = float(rng.uniform(0.1, 3.0))
         beta = float(rng.uniform(-np.pi, np.pi))
-        rotor = sta.exp_bivector(rng.normal(size=3) * 0.5,
-                                 rng.normal(size=3) * 0.5)
+        rotor = oracles.rotor(rng.normal(size=3) * 0.5,
+                              rng.normal(size=3) * 0.5)
         ms = spinors.MatrixSpinor(rho=rho, beta=beta, rotor=rotor,
                                   phase_arg=float(rng.uniform(0, 6)))
         Psi = spinors.assemble(ms)

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from rdibeams import catalog as cat
-from rdibeams import specialfn as sf
 from rdibeams import inversion, numerics, spinors, verify, waveforms
 
 
@@ -168,29 +167,6 @@ def test_maxwell_sources_match():
         assert worst < 1e-6, spec.family
 
 
-def test_fields_from_potential_cross_check():
-    # E = -grad A0 - dA/dt and B = curl A derived by finite differences
-    # must reproduce the closed-form field displays
-    wf = waveforms.circular(0.3)
-    rng = np.random.default_rng(30)
-    for spec in (cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
-                 cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0),
-                 cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
-                                  omega=1.1),
-                 cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=0,
-                                  waveform=wf, omega=1.1),
-                 cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=0, p_perp=1.0,
-                                  waveform=wf, omega=1.2)):
-        for _ in range(5):
-            pt = tuple(rng.uniform(0.6, 4.0, size=4))
-            fd = verify.fields_from_potential(spec, pt)
-            closed = cat.fields(spec, *pt)
-            np.testing.assert_allclose(fd["electric"], closed.electric,
-                                       atol=1e-9)
-            np.testing.assert_allclose(fd["magnetic"], closed.magnetic,
-                                       atol=1e-9)
-
-
 def test_lorentz_gauge():
     wf = waveforms.circular(0.3)
     rng = np.random.default_rng(6)
@@ -209,48 +185,6 @@ def test_lorentz_gauge():
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
-
-
-def test_bessel_addition_identity_point():
-    assert verify.bessel_addition_residual(0, 1.0, 0.0, 1.1) < 1e-14
-    assert verify.bessel_addition_residual(
-        0, 1.0, 0.5, math.pi / 3.0, terms=30) < 1e-10
-
-
-def test_bessel_addition_random_tuples():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        nu = int(rng.integers(0, 11))
-        rho = float(rng.uniform(0.1, 5.0))
-        rho_bar = float(rng.uniform(0.0, 2.0))
-        dphi = float(rng.uniform(0.0, 2.0 * math.pi))
-        assert verify.bessel_addition_residual(nu, rho, rho_bar, dphi,
-                                               terms=40) < 1e-10
-
-
-def test_bessel_addition_reflected_variant():
-    # the alternating-sign variant is the same identity at the reflected
-    # angle pi - dphi
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        nu = int(rng.integers(0, 6))
-        rho = float(rng.uniform(0.5, 4.0))
-        rho_bar = float(rng.uniform(0.0, 1.5))
-        dphi = float(rng.uniform(0.0, math.pi))
-        w = math.sqrt(rho ** 2 + rho_bar ** 2
-                      + 2.0 * rho * rho_bar * math.cos(dphi))
-        jr = sf.bessel_j_all(nu + 42, rho)
-        jb = sf.bessel_j_all(41, rho_bar)
-        lhs_theta = math.atan2(rho_bar * math.sin(dphi),
-                               rho + rho_bar * math.cos(dphi))
-        lhs = np.exp(-1j * nu * lhs_theta) * sf.bessel_j(nu, w)
-        rhs = 0.0 + 0.0j
-        for m in range(-40, 41):
-            a = jb[abs(m)] * ((-1) ** m if m < 0 else 1)
-            k = nu + m
-            b = jr[abs(k)] * ((-1) ** k if k < 0 else 1)
-            rhs += ((-1) ** m) * a * b * np.exp(1j * m * dphi)
-        assert abs(lhs - rhs) < 1e-10
 
 
 def test_volkov_dual_path():
@@ -282,14 +216,6 @@ def test_null_rotation_block_identity():
     res0 = verify.null_rotation_block_residual(waveforms.circular(0.0), 0.7,
                                                math.sqrt(3.0), 1.1)
     assert res0["block_diff"] < 1e-15  # identity up to basis-change rounding
-
-
-def test_dressed_polar_angle():
-    wf = waveforms.circular(0.35)
-    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
-                            omega=1.1)
-    for xi in (0.2, 1.0, 2.9):
-        assert verify.dressed_polar_angle_residual(spec, xi) < 1e-12
 
 
 # ---------------------------------------------------------------------------
