@@ -23,6 +23,14 @@ lam = B sqrt(x^2+y^2) / (2 c hbar); potentials carry the coupling folded in
 half-integer winding exp(i M phi / 2) with its branch cut on the negative
 x axis.
 
+Validity envelope (swept against 30-digit mpmath by the tests): the
+magnetic families up to Laguerre degree 2n + l = MAX_DEGREE = 800 (l = M
+in the 1/r field; past it, DomainError) at any radius, a profile below the
+float range being exactly zero; the free and Volkov beams for Bessel order
+l + 2 <= 200 and argument p_perp r / hbar <= 1e4, r shifted by the
+dressing; the dressed families at p_z = 0, omega > 0 and any amplitude,
+the pulse while its envelope is negligible past center +- 12 widths.
+
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 `fields`, `bilinear_fields`, `null_rotation_generator`,
 `null_rotation_lorentz`) take their coordinates as floats or as
@@ -142,12 +150,6 @@ class SolutionSpec:
         return self if self._base is None else self._base
 
 
-def _pw(base: float, k: int) -> float:
-    # power with the convention that negative exponents only ever appear
-    # multiplied by a vanishing coefficient
-    return base ** k if k >= 0 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # eigenvalues
 # ---------------------------------------------------------------------------
@@ -197,126 +199,89 @@ def _free_q(spec: SolutionSpec) -> float:
 # radial profiles
 # ---------------------------------------------------------------------------
 
-
-def _raw_profile(spec: SolutionSpec, lam) -> dict:
-    """Profile data with unit normalization constant, at lam >= 0 (a float
-    or an array).
-
-    Keys: f, fp, fpp (radial profile and lam-derivatives), H, Hp,
-    amp = lam^(M/2) f and ampd = lam^(M/2) f' (phase-free, axis-regular),
-    and the weight-stripped pair (amp_s, ampd_s) with
-    amp * H = exp(-u/2) amp_s in the family's Gauss-Laguerre variable u.
-    """
-    return _profile_kernel(spec)(lam)
+MAX_DEGREE = 800  # of the magnetic families (see the module docstring)
 
 
-def _ops_of(lam):
-    # a float lam is the per-point case (the spinor field and the quadrature
-    # nodes): test it first, without a call
-    return mathops.FLOATS if type(lam) is float else mathops.of(lam)
+def _amplitude(base: SolutionSpec) -> float:
+    """P of the pair aH = P ell_n^alpha(u) of `_pair_kernel`, which makes
+    2 pi int J0 lam dlam = 1; a state past MAX_DEGREE raises DomainError."""
+    n, l = base.n, base.l
+    if 2 * n + l > MAX_DEGREE:
+        orbital = "M" if base.family is Family.RADIAL_B else "l"
+        raise sf.DomainError(
+            f"{base.family.value} n={n} {orbital}={l}: Laguerre degree "
+            f"2n + {orbital} = {2 * n + l} is past the validity envelope "
+            f"({MAX_DEGREE})")
+    eps = eigenvalue(base)
+    scale = math.pi * eps * (eps + base.m * base.units.c ** 2)
+    if base.family is Family.RADIAL_B:
+        scale = 4 * (2 * n + l + 1) * scale / radial_kappa(base) ** 2
+    return base.B / math.sqrt(scale)
 
 
-def _profile_kernel(spec: SolutionSpec):
-    """lam -> _raw_profile(spec, lam), with the spec's constants bound once
-    (a spinor field binds it at construction)."""
+def _pair_kernel(spec: SolutionSpec):
+    """lam -> (aH, bH) = lam^(M/2) (f, f') H, the normalized phase-free
+    pair the spinor reads, at lam >= 0 (a float or an array), with the
+    spec's constants bound once.  The magnetic families take both from the
+    Laguerre functions of `sf.laguerre_function`, so no growing polynomial
+    meets a decaying weight: with u = 2 lam^2 and P = B/sqrt(pi eps A)
+    (A = eps + m c^2) in the uniform field, u = kappa lam and
+    P = B kappa/sqrt(4 pi (2n+M+1) eps A) in the 1/r field,
+
+        uniform-b:  aH = P ell_n^l,  bH = -2 sqrt(2n) P ell_(n-1)^(l+1),
+        split:      P (-1)^l (ell_n^l, 2 sqrt(2(n+l)) ell_n^(l-1)),
+        radial-b:   aH = P ell_n^M,  bH = (1-kappa)/2 aH
+                                 - kappa sqrt(n) P ell_(n-1)^(M+1)/sqrt(u).
+
+    The split state with l = 0 is the uniform-b one (same M, level, f)."""
     base = spec.static_base()
     fam = base.family
-    n, l, M = base.n, base.l, base.M
+    n, l = base.n, base.l
     if fam is Family.FREE_BESSEL:
         q = _free_q(base)
+        norm = normalization(base)
 
         def bessel(lam):
-            ops = _ops_of(lam)
             vals = sf.bessel_j_all(l + 2, q * lam)
-            jl, jl1 = vals[l], vals[l + 1]
-            amp = jl
-            ampd = -q * jl1
-            # off the axis, through the five-point Bessel ladder for f''
-            # (kept independent of the radial equation being verified); on
-            # the axis, the limits
-            pos = lam > 0
-            r = ops.where(pos, lam, 1.0)
-            jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
-            jlm1 = vals[l - 1] if l >= 1 else -vals[1]
-            jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
-            jd = 0.5 * (jlm1 - vals[l + 1])
-            f = ops.where(pos, amp / r ** l, (q / 2.0) ** l / math.factorial(l))
-            fp = ops.where(pos, ampd / r ** l, 0.0)
-            fpp = ops.where(pos, q * q * jdd / r ** l
-                            - 2.0 * l * q * jd / r ** (l + 1)
-                            + l * (l + 1) * jl / r ** (l + 2), 0.0)
-            return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
-                    "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+            return norm * vals[l], norm * (-q * vals[l + 1])
 
         return bessel
-    if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        split = fam is Family.UNIFORM_B_SPLIT
-        if split:
-            # cfac = (-1)^l n! l! / (n+l)! and cfac 2^l, each one correctly
-            # rounded division of exact integers: no float meets l! or 2^l
-            sign, binom = (-1) ** l, sf.binomial(n + l, l)
-            cfac = sign / binom
-            cfac2 = sign * 2 ** l / binom
+    P = _amplitude(base)
+    ell_a = sf.laguerre_function(n, l)
+    if fam is Family.RADIAL_B:
+        kappa = radial_kappa(base)
+        half = 0.5 * (1.0 - kappa)
+        kb = kappa * math.sqrt(n) * P
+        ell_b = sf.laguerre_function(n - 1, l + 1)
+        # ell_(n-1)^(M+1)(u) / sqrt(u) at u = 0
+        axis = math.sqrt(n) if l == 0 else 0.0
 
-        def uniform(lam):
-            ops = _ops_of(lam)
-            u = 2.0 * lam * lam
-            H = ops.exp(-lam * lam)
-            Hp = -2.0 * lam * H
-            L = sf.laguerre(n, l, u)
-            Ld = sf.laguerre_deriv(n, l, u)
-            Ldd = sf.laguerre_deriv2(n, l, u)
-            if not split:
-                f = L
-                fp = 4.0 * lam * Ld
-                fpp = 4.0 * Ld + 16.0 * lam * lam * Ldd
-                amp = lam ** l * L
-                ampd = lam ** l * fp
-            else:
-                # f = cfac * u^l * L as a function of lam
-                f = cfac * _pw(u, l) * L
-                dP = l * _pw(u, l - 1) * L + _pw(u, l) * Ld
-                fp = cfac * 4.0 * lam * dP
-                d2P = (l * (l - 1) * _pw(u, l - 2) * L
-                       + 2.0 * l * _pw(u, l - 1) * Ld + _pw(u, l) * Ldd)
-                fpp = cfac * (4.0 * dP + 16.0 * lam * lam * d2P)
-                amp = cfac2 * lam ** l * L
-                ampd = cfac2 * (2.0 * l * _pw(lam, l - 1) * L
-                                + 4.0 * lam ** (l + 1) * Ld)
-            return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-                    "amp": amp, "ampd": ampd, "amp_s": amp, "ampd_s": ampd}
+        def radial(lam):
+            u = kappa * lam
+            aH = P * ell_a(u)
+            on_axis = u == 0.0
+            tail = ell_b(u) / (u + on_axis) ** 0.5 + axis * on_axis
+            return aH, half * aH - kb * tail
 
-        return uniform
-    # radial 1/r field
-    kappa = radial_kappa(base)
+        return radial
+    if fam is Family.UNIFORM_B_SPLIT and l > 0:
+        P = (-1) ** l * P
+        kb = 2.0 * math.sqrt(2.0 * (n + l)) * P
+        ell_b = sf.laguerre_function(n, l - 1)
+    else:
+        kb = -2.0 * math.sqrt(2.0 * n) * P
+        ell_b = sf.laguerre_function(n - 1, l + 1)
 
-    def radial(lam):
-        ops = _ops_of(lam)
-        u = kappa * lam
-        H = ops.exp(-lam / 2.0)
-        Hp = -0.5 * H
-        L = sf.laguerre(n, M, u)
-        Ld = sf.laguerre_deriv(n, M, u)
-        Ldd = sf.laguerre_deriv2(n, M, u)
-        grow = ops.exp_checked((1.0 - kappa) * lam / 2.0)
-        f = grow * L
-        fp = grow * ((1.0 - kappa) / 2.0 * L + kappa * Ld)
-        fpp = grow * (((1.0 - kappa) / 2.0) ** 2 * L
-                      + (1.0 - kappa) * kappa * Ld + kappa * kappa * Ldd)
-        half = lam ** (M / 2.0)
-        return {"f": f, "fp": fp, "fpp": fpp, "H": H, "Hp": Hp,
-                "amp": half * f, "ampd": half * fp,
-                "amp_s": half * L, "ampd_s": half * ((1.0 - kappa) / 2.0 * L
-                                                     + kappa * Ld)}
+    def uniform(lam):
+        u = 2.0 * lam * lam
+        return P * ell_a(u), kb * ell_b(u)
 
-    return radial
+    return uniform
 
 
-def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
+def stationary_bilinears(spec: SolutionSpec, a, b) -> dict:
     """J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of a stationary
-    state, from a phase-free profile pair: (a, b) = (amp H, ampd H) gives
-    the local values, the weight-stripped (amp_s, ampd_s) the integrands of
-    the transverse quadrature."""
+    state from its phase-free pair (a, b) = (aH, bH)."""
     base = spec.static_base()
     c = base.units.c
     A = base.m * c * c + eigenvalue(base)
@@ -331,66 +296,62 @@ def stationary_bilinears(spec: SolutionSpec, a: float, b: float) -> dict:
             "rho_s3": upper - lower}
 
 
-# numpy's laggauss overflows past this many nodes (inf and NaN weights)
-LAGUERRE_MAX_NODES = 186
+@lru_cache(maxsize=None)
+def _laguerre_rule(count: int):
+    """Gauss-Laguerre nodes u_i and weights times e^(u_i) (Golub & Welsch,
+    Math. Comp. 23, 221-230, 1969): the Jacobi matrix's eigenvalues, one
+    Newton step on ell_count^0 (slope -count ell_(count-1)^0(u)/u at a zero),
+    and 1 / sum_(k<count) ell_k^0(u_i)^2.  numpy's rule overflows past 186
+    nodes, and its 96-node weights, off by up to 6e-12, integrate
+    ell_n^alpha^2 to 1 within 6e-13; this rule does within 1e-14."""
+    jacobi = np.diag(2.0 * np.arange(count) + 1.0) \
+        - np.diag(np.arange(1.0, count), -1)
+    nodes = np.linalg.eigvalsh(jacobi)
+    ell = sf.laguerre_functions(count, 0, nodes)
+    nodes = nodes + nodes * ell[count] / (count * ell[count - 1])
+    ell = sf.laguerre_functions(count - 1, 0, nodes)
+    return nodes, 1.0 / sum(v * v for v in ell)
 
 
 def _transverse_average(spec: SolutionSpec, g):
-    """2 pi int g(lam) lam dlam for g free of the exp(-u) weight of the
-    family's Gauss-Laguerre variable u (2 lam^2 in the uniform field,
-    kappa lam in the 1/r field).
+    """2 pi int g(lam) lam dlam for g a bilinear of the pair (aH, bH), by
+    `_laguerre_rule` in the family's variable u (2 lam^2 in the uniform
+    field, kappa lam in the 1/r field), for `averages`.
 
-    g is called once, on the array of the nodes' lam, and returns the
-    integrand with the node axis leading (one value per node, or a row of
-    values per node to integrate several at once).  The rule has
-    N = max(96, d//2 + 1) nodes, so it is exact (degree 2N - 1,
-    Abramowitz & Stegun 25.4.45) for the profile bilinears, which are
-    polynomials in u of degree d = l + 2n (uniform field) or d = M + 2n + 1
-    (1/r field, the measure included).  A state that needs more than
-    LAGUERRE_MAX_NODES nodes, or whose integrand overflows, raises
-    DomainError: it lies outside the validity envelope.
-    """
+    g is called once, on the nodes' lam, with the node axis leading in its
+    result.  The N = max(96, d//2 + 1) nodes are exact (degree 2N - 1) for
+    the bilinears, e^(-u) times polynomials of degree d = l + 2n (uniform
+    field) or d = M + 2n + 1 (1/r field, the measure included)."""
     base = spec.static_base()
     fam = base.family
     if fam is Family.FREE_BESSEL:
         raise NotNormalizable("free Bessel beam averages are undefined")
     uniform = fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
     degree = base.l + 2 * base.n if uniform else base.M + 2 * base.n + 1
-    orbital = f"l={base.l}" if uniform else f"M={base.M}"
-    count = max(96, degree // 2 + 1)
-    if count > LAGUERRE_MAX_NODES:
-        raise sf.DomainError(
-            f"{fam.value} n={base.n} {orbital}: the transverse quadrature of "
-            f"degree {degree} needs {count} Gauss-Laguerre nodes, more than "
-            f"the {LAGUERRE_MAX_NODES} the rule is finite for (outside the "
-            f"validity envelope)")
-    nodes, weights = np.polynomial.laguerre.laggauss(count)
+    nodes, weights = _laguerre_rule(max(96, degree // 2 + 1))
     if uniform:
         lam, weights = np.sqrt(nodes / 2.0), weights / 4.0
     else:
         kappa = radial_kappa(base)
         lam, weights = nodes / kappa, weights * nodes / kappa ** 2
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            total = 2.0 * math.pi * (weights @ g(lam))
-        if np.all(np.isfinite(total)):
-            return total
-    except (OverflowError, FloatingPointError):
-        pass
-    raise sf.DomainError(
-        f"{fam.value} n={base.n} {orbital}: the transverse quadrature of "
-        f"degree {degree} overflows (outside the validity envelope)")
+    return 2.0 * math.pi * (weights @ g(lam))
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    # sqrt(num / den) of positive integers to an ulp, also where the ratio
+    # itself would leave the float range
+    shift = max(0, (den.bit_length() - num.bit_length() + 1) // 2) + 64
+    return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
 
 
 @lru_cache(maxsize=4096)
 def normalization(spec: SolutionSpec) -> float:
-    """Normalization constant of the transverse profile.
-
-    Magnetic families are fixed by 2 pi int J0 lam dlam = 1, integrated
-    exactly by `_transverse_average`'s Gauss-Laguerre rule of
-    max(96, d//2 + 1) nodes; the non-normalizable free Bessel beam uses
-    the fixed per-area convention instead.
-    """
+    """Normalization constant N of the paper-convention profile f = N
+    L_n^l(u) (uniform field), N (-1)^l n! l!/(n+l)! u^l L_n^l(u) (split),
+    N exp((1-kappa) lam/2) L_n^M(u) (1/r field): in closed form, P of
+    `_amplitude` times sqrt(2^l n!/(n+l)!), sqrt((n+l)!/(n! 2^l l!^2)) and
+    kappa^(M/2) sqrt(n!/(n+M)!), each the root of an exact integer ratio.
+    The free Bessel beam takes the fixed per-area convention instead."""
     base = spec.static_base()
     if base.family is Family.FREE_BESSEL:
         c = base.units.c
@@ -399,23 +360,71 @@ def normalization(spec: SolutionSpec) -> float:
         if base.p_z == 0.0:
             return base.B / (math.sqrt(2.0) * eps * math.sqrt(mc2 / eps + 1.0))
         return base.B / (eps * math.sqrt(mc2 / eps + 1.0))
-
-    def j0(lam):
-        pr = _raw_profile(base, lam)
-        return stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])["J0"]
-
-    return 1.0 / math.sqrt(_transverse_average(base, j0))
+    n, l = base.n, base.l
+    fact = math.factorial
+    if base.family is Family.RADIAL_B:
+        num, den = (l + 1) ** l * fact(n), (2 * n + l + 1) ** l * fact(n + l)
+    elif base.family is Family.UNIFORM_B_SPLIT:
+        num, den = fact(n + l), fact(n) * 2 ** l * fact(l) ** 2
+    else:
+        num, den = 2 ** l * fact(n), fact(n + l)
+    return _amplitude(base) * _sqrt_ratio(num, den)
 
 
 def profile(spec: SolutionSpec, lam) -> dict:
-    """Normalized profile data at lam, a float or an array (see _raw_profile
-    for the keys)."""
-    norm = normalization(spec)
-    pr = _raw_profile(spec, lam)
-    out = dict(pr)
-    for key in ("f", "fp", "fpp", "amp", "ampd", "amp_s", "ampd_s"):
-        out[key] = norm * pr[key]
-    return out
+    """Normalized profile data at lam, a float or an array: the pair aH, bH
+    of `_pair_kernel`, and the paper convention's f, its lam-derivatives
+    fp, fpp and the weight H with its derivative Hp.  The magnetic
+    families take f from the same Laguerre functions, at lam > 0 where H
+    does not underflow; f'' takes ell_(n-2)^(alpha+2) (split: ell_(n-1)^l).
+    """
+    base = spec.static_base()
+    fam = base.family
+    n, l, M = base.n, base.l, base.M
+    ops = mathops.of(lam)
+    if fam is Family.FREE_BESSEL:
+        # off the axis, through the five-point Bessel ladder for f'' (kept
+        # independent of the radial equation being verified); on the axis,
+        # the limits
+        q = _free_q(base)
+        norm = normalization(base)
+        vals = sf.bessel_j_all(l + 2, q * lam)
+        jl, jl1 = vals[l], vals[l + 1]
+        pos = lam > 0
+        r = ops.where(pos, lam, 1.0)
+        jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
+        jlm1 = vals[l - 1] if l >= 1 else -vals[1]
+        jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
+        jd = 0.5 * (jlm1 - jl1)
+        f = ops.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
+        fp = ops.where(pos, -q * jl1 / r ** l, 0.0)
+        fpp = ops.where(pos, q * q * jdd / r ** l
+                        - 2.0 * l * q * jd / r ** (l + 1)
+                        + l * (l + 1) * jl / r ** (l + 2), 0.0)
+        return {"f": norm * f, "fp": norm * fp, "fpp": norm * fpp, "H": 1.0,
+                "Hp": 0.0, "aH": norm * jl, "bH": norm * (-q * jl1)}
+    aH, bH = _pair_kernel(base)(lam)
+    P, ell = _amplitude(base), sf.laguerre_function
+    # cH = lam^(M/2) f'' H
+    if fam is Family.RADIAL_B:
+        kappa = radial_kappa(base)
+        H, half = ops.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
+        Hp = -0.5 * H
+        cH = half * (2.0 * bH - half * aH) + kappa * math.sqrt(n * (n - 1)) \
+            * P * ell(n - 2, l + 2)(kappa * lam) / lam
+    else:
+        u = 2.0 * lam * lam
+        H = ops.exp(-lam * lam)
+        Hp = -2.0 * lam * H
+        if fam is Family.UNIFORM_B_SPLIT and l > 0:
+            cH = (2 * l - 1) * bH / lam - (-1) ** l * 8.0 \
+                * math.sqrt(n * (n + l)) * P * ell(n - 1, l)(u)
+        else:
+            cH = bH / lam \
+                + 8.0 * math.sqrt(n * (n - 1)) * P * ell(n - 2, l + 2)(u)
+    weight = lam ** (M / 2.0) * H
+    return {"f": aH / weight, "fp": bH / weight, "fpp": cH / weight,
+            "H": H, "Hp": Hp, "aH": aH, "bH": bH}
 
 
 def radial_profile(spec: SolutionSpec, lam: float) -> tuple[float, float]:
@@ -507,28 +516,25 @@ def spinor(spec: SolutionSpec, fault=None):
     M = base.M
     # the upper and lower amplitude factors of components 0 and 2
     k0, k2 = A / base.B, c * base.p_z / base.B
-    norm = normalization(base)
-    raw_profile = _profile_kernel(base)
+    pair = _pair_kernel(base)
 
     def static_field(t, x, y, z):
         ops = mathops.of(t, x, y, z)
         lam = lam_of_r(base, ops.hypot(x, y))
         if fault is None:
-            pr = raw_profile(lam)
-            amp, ampd = norm * pr["amp"], norm * pr["ampd"]
+            aH, bH = pair(lam)
         else:
             # the hook sees, and returns, the normalized profile
             pr = fault(profile(base, lam), lam)
-            amp, ampd = pr["amp"], pr["ampd"]
+            aH, bH = pr["aH"], pr["bH"]
         phi = ops.atan2(y, x)
         phase = ops.cexp(-1j * (eps * t - base.p_z * z) / hbar
                          + 0.5j * M * phi)
-        common = pr["H"] * phase
         return ops.stack([
-            k0 * amp * common,
+            k0 * aH * phase,
             0.0,
-            k2 * amp * common,
-            -0.5j * ampd * pr["H"] * phase * ops.cexp(1j * phi),
+            k2 * aH * phase,
+            -0.5j * bH * phase * ops.cexp(1j * phi),
         ])
 
     if not spec.is_dressed:
@@ -691,8 +697,7 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     ops = mathops.of(x, y)
     c = base.units.c
     r = ops.hypot(x, y)
-    pr = profile(base, lam_of_r(base, r))
-    k = stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
+    k = stationary_bilinears(base, *_pair_kernel(base)(lam_of_r(base, r)))
     jphi = k["J_phi"]
     # J_phi along the azimuthal unit vector; on the axis, where x = y = 0,
     # r is replaced by 1 and the transverse current is zero
@@ -745,9 +750,10 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     mc2 = base.m * base.units.c ** 2
     uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
 
+    pair = _pair_kernel(base)
+
     def g(lam):
-        pr = profile(base, lam)
-        k = stationary_bilinears(base, pr["amp_s"], pr["ampd_s"])
+        k = stationary_bilinears(base, *pair(lam))
         weight = math.sqrt(2.0) * lam if uniform else 1.0
         return np.stack([k["scalar"], k["J0"], weight * k["J_phi"], k["J_z"],
                          r_of_lam(base, lam) * k["J_phi"]], axis=-1)

@@ -140,10 +140,10 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
     if not len(points):
         return np.empty((0, len(_CSV_HEADER)))
     t, x, y, z = points.T
-    # numpy stays quiet: far out, a profile's power of lam can overflow while
-    # its Gaussian weight underflows, and the density guard of `bilinears`
-    # turns their NaN product into a domain error; near the axis a 1/r field
-    # can overflow, and the finiteness test below names it
+    # numpy stays quiet: far out, a profile below the float range is zero,
+    # and the density guard of `bilinears` makes that a domain error; near
+    # the axis a 1/r field can overflow, and the finiteness test below
+    # names it
     with np.errstate(all="ignore"):
         psi = cat.spinor(spec)(t, x, y, z)
         bil = bilinears(psi)

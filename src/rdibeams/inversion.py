@@ -228,7 +228,7 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     A = base.m * c * c + eps
     B = base.B
     pr = cat.profile(base, lam)
-    k = cat.stationary_bilinears(base, pr["amp"] * pr["H"], pr["ampd"] * pr["H"])
+    k = cat.stationary_bilinears(base, pr["aH"], pr["bH"])
     j0, sigma = k["J0"], k["scalar"]
     if mathops.of(lam).any(sigma == 0.0):
         raise SingularSpinor("null-current circle")

@@ -12,14 +12,15 @@ per-call overhead makes one point through it several times dearer, and the
 streamline RK4 right-hand side evaluates one point at a time.  Along that
 chain the float path is numpy-free apart from the spinor's four-component
 array: `numerics.rk4_path` steps a state of Python floats, the spinor field
-reads its profile in `math`/`cmath`, and `spinors.current` reads J^mu off
-the components in Python complex arithmetic.
+reads its profile in `math`/`cmath` (a Laguerre function runs on floats
+unless its start underflows, in the far tail, where it takes a 0-d array),
+and `spinors.current` reads J^mu off the components in Python complex
+arithmetic.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,24 +30,12 @@ def _array_stack(parts):
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
-_EXP_MAX = math.log(sys.float_info.max)
-
-
-def _array_exp_checked(v):
-    if v.max(initial=-math.inf) > _EXP_MAX:
-        raise OverflowError("math range error")
-    return np.exp(v)
-
-
 def _array_zero(*values):
     return np.zeros(np.broadcast_shapes(*(np.shape(v) for v in values)))
 
 
-# exp_checked is exp for an argument that can be large and positive: an
-# overflow raises OverflowError, as math.exp does for a float, where numpy's
-# exp would give inf and, further on, NaN
 FLOATS = SimpleNamespace(
-    exp=math.exp, exp_checked=math.exp, cexp=cmath.exp, log=math.log,
+    exp=math.exp, cexp=cmath.exp, log=math.log,
     sin=math.sin, cos=math.cos, hypot=math.hypot, atan2=math.atan2,
     any=bool, max=lambda v: v, min=lambda v: v, maximum=max, minimum=min,
     where=lambda cond, a, b: a if cond else b,
@@ -57,7 +46,7 @@ FLOATS = SimpleNamespace(
 )
 
 ARRAYS = SimpleNamespace(
-    exp=np.exp, exp_checked=_array_exp_checked, cexp=np.exp, log=np.log,
+    exp=np.exp, cexp=np.exp, log=np.log,
     sin=np.sin, cos=np.cos, hypot=np.hypot, atan2=np.arctan2,
     any=np.any, max=np.max, min=np.min, maximum=np.maximum,
     minimum=np.minimum, where=np.where, stack=_array_stack, zero=_array_zero,

@@ -6,13 +6,15 @@ both, and it tests for overflow only at the steps where a bound on the
 recurrence's growth, from the batch's smallest argument, says an element
 can near it (none for the catalog's orders and radii, so a step is three
 array operations).  An array takes the series for all orders and terms in
-one broadcast.  Generalized Laguerre polynomials by the stable three-term
-recurrence, which takes arrays as they are.  No external special-function
-dependency.
+one broadcast.  The orthonormal Laguerre functions of the magnetic
+profiles by their normalised three-term recurrence, started in log space
+so that no factor overflows or underflows on its own; it takes floats and
+arrays alike.  No external special-function dependency.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +27,6 @@ BESSEL_MAX_ARG = 1.0e4
 
 class DomainError(ValueError):
     """Argument outside a function's documented validity window."""
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -192,31 +188,99 @@ def bessel_j(nu: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laguerre polynomials
+# Laguerre functions
 # ---------------------------------------------------------------------------
 
+# a start exp(s) below exp(_FAR) is carried as its exponent s beside a
+# mantissa; an element whose growth bound stays below exp(_DEAD) is zero
+_FAR = -650.0
+_DEAD = -760.0
 
-def laguerre(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^alpha(x), three-term recurrence."""
+
+@lru_cache(maxsize=None)
+def _steps(nmax: int, alpha: int) -> tuple:
+    # (a_k, b_k, c_k) of ell_(k+1) = (a_k - b_k u) ell_k - c_k ell_(k-1),
+    # k < nmax: DLMF 18.9.1 divided through by sqrt((k+1)(k+alpha+1))
+    out = []
+    for k in range(nmax):
+        d = math.sqrt((k + 1) * (k + alpha + 1))
+        out.append(((2 * k + alpha + 1) / d, 1.0 / d,
+                    math.sqrt(k * (k + alpha)) / d))
+    return tuple(out)
+
+
+def laguerre_functions(nmax: int, alpha: int, u) -> list:
+    """The orthonormal Laguerre functions ell_k^alpha(u) = sqrt(k!/Gamma(k+
+    alpha+1)) u^(alpha/2) e^(-u/2) L_k^alpha(u), k = 0 .. nmax, with
+    int ell_k^alpha(u)^2 du = 1 (DLMF 18.9), at an array u >= 0: a list
+    indexed by order, empty for nmax < 0.
+
+    The normalised three-term recurrence (DLMF 18.9.1) runs upward from
+    ell_0 = exp(s), s = (alpha log u - u - log Gamma(alpha+1))/2.  Where
+    exp(s) would underflow, s is carried as a running exponent beside a
+    mantissa that is rescaled by 1e-250 once past 1e250, as in
+    `_miller_all`, and the two meet last, by ldexp.  So no factor overflows
+    or underflows on its own: a far-tail value the floats can hold,
+    subnormal ones too, is found, and a smaller one is exactly zero.
+    """
+    if nmax < 0:
+        return []
+    if (u < 0.0).any():
+        raise DomainError("negative argument of a Laguerre function")
+    with np.errstate(divide="ignore"):  # ell_k^alpha(0) = 0 for alpha > 0
+        s = -0.5 * u if alpha == 0 else \
+            0.5 * (alpha * np.log(u) - u - math.lgamma(alpha + 1.0))
+    far = s < _FAR
+    check = far.any()
+    if check:
+        # per step |ell_(k+1)| grows at most by u + 3 (nmax + alpha) + 2
+        dead = s + nmax * np.log(u + 3.0 * (nmax + alpha) + 2.0) < _DEAD
+        exponent = np.where(far & ~dead, s, 0.0)
+        lc = np.where(dead, 0.0, np.exp(np.where(far, 0.0, s)))
+    else:
+        lc = np.exp(s)
+    lm = 0.0
+    out = [lc]
+    for a, b, c in _steps(nmax, alpha):
+        lm, lc = lc, (a - b * u) * lc - c * lm
+        if check:
+            over = abs(lc) > _RESCALE_AT
+            if over.any():
+                scale = np.where(over, _RESCALE, 1.0)
+                lc, lm = lc * scale, lm * scale
+                exponent = exponent - np.where(over, math.log(_RESCALE), 0.0)
+                out = [v * scale for v in out]
+        out.append(lc)
+    if check:
+        # exp(exponent) = 2^k exp(exponent - k ln 2), the second factor in
+        # (1/2, 1]
+        k = np.floor(exponent / math.log(2.0))
+        frac = np.exp(exponent - k * math.log(2.0))
+        out = [np.ldexp(v * frac, k.astype(np.int64)) for v in out]
+    return out
+
+
+def laguerre_function(n: int, alpha: int):
+    """u -> ell_n^alpha(u) of `laguerre_functions`, for a float or an array
+    u, with the recurrence's coefficients bound once; zero (shaped as u)
+    for n < 0.  A float u > 0 whose start exp(s) is in range, the
+    streamline's per-point case, runs on two floats; other floats run as
+    0-d arrays."""
     if n < 0:
-        raise DomainError("negative degree")
-    if n == 0:
-        return 1.0
-    lm, lc = 1.0, 1.0 + alpha - x
-    for k in range(1, n):
-        lm, lc = lc, ((2 * k + 1 + alpha - x) * lc - (k + alpha) * lm) / (k + 1)
-    return lc
+        return lambda u: mathops.of(u).zero(u)
+    steps = _steps(n, alpha)
+    lgam = math.lgamma(alpha + 1.0)
 
+    def ell(u):
+        if type(u) is not float:
+            return laguerre_functions(n, alpha, u)[n]
+        if u > 0.0:
+            s = 0.5 * (alpha * math.log(u) - u - lgam)
+            if s >= _FAR:
+                lm, lc = 0.0, math.exp(s)
+                for a, b, c in steps:
+                    lm, lc = lc, (a - b * u) * lc - c * lm
+                return lc
+        return float(laguerre_functions(n, alpha, np.array(u))[n])
 
-def laguerre_deriv(n: int, alpha: float, x: float) -> float:
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x)."""
-    if n == 0:
-        return 0.0
-    return -laguerre(n - 1, alpha + 1, x)
-
-
-def laguerre_deriv2(n: int, alpha: float, x: float) -> float:
-    """d^2/dx^2 L_n^alpha(x) = L_{n-2}^{alpha+2}(x)."""
-    if n < 2:
-        return 0.0
-    return laguerre(n - 2, alpha + 2, x)
+    return ell

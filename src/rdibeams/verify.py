@@ -62,11 +62,11 @@ NEGATIVE_CONTROLS = ("scale-potential", "perturb-profile")
 def perturb_profile(pr: dict, lam: float) -> dict:
     """Fault of the perturb-profile negative control, the `fault` hook of
     the real profile readers: f becomes f (1 + 0.01 lam), carried by the
-    product rule into f', f'' and amp = lam^(M/2) f, ampd = lam^(M/2) f'."""
+    product rule into f', f'' and aH = lam^(M/2) f H, bH = lam^(M/2) f' H."""
     g = 1.0 + 0.01 * lam
     return dict(pr, f=pr["f"] * g, fp=pr["fp"] * g + 0.01 * pr["f"],
-                fpp=pr["fpp"] * g + 0.02 * pr["fp"], amp=pr["amp"] * g,
-                ampd=pr["ampd"] * g + 0.01 * pr["amp"])
+                fpp=pr["fpp"] * g + 0.02 * pr["fp"], aH=pr["aH"] * g,
+                bH=pr["bH"] * g + 0.01 * pr["aH"])
 
 
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
@@ -277,8 +277,13 @@ def null_rotation_block_residual(wf: Waveform, xi: float, eps: float,
 # ---------------------------------------------------------------------------
 
 
+# the largest move of a streamline's end point when its step is halved
+STREAMLINE_STEP_TOL = 1e-6
+
+
 def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
-    """Integrate dx^mu/ds = J^mu(x) with RK4 from x0 = (t, x, y, z)."""
+    """Integrate dx^mu/ds = J^mu(x) with RK4 from x0 = (t, x, y, z); past
+    STREAMLINE_STEP_TOL of step-halving error, raise StepUnstable."""
     col = cat.spinor(spec)
 
     def rhs(q):
@@ -287,7 +292,7 @@ def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
     path = numerics.rk4_path(rhs, x0, s_max, steps)
     half = numerics.rk4_path(rhs, x0, s_max, 2 * steps)
     err = float(np.max(np.abs(path[-1] - half[-1])))
-    if err > 1e-6:
+    if err > STREAMLINE_STEP_TOL:
         raise StepUnstable(f"RK4 step-halving error {err:.3e}")
     return path
 
@@ -550,8 +555,7 @@ def _circularity(spec, lams, h, fault):
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
     pr = cat.profile(spec, lams)
-    sigma = cat.stationary_bilinears(spec, pr["amp"] * pr["H"],
-                                     pr["ampd"] * pr["H"])["scalar"]
+    sigma = cat.stationary_bilinears(spec, pr["aH"], pr["bH"])["scalar"]
     keep = sigma != 0.0
     extra = {"skipped": int(np.count_nonzero(~keep))}
     if not keep.any():

@@ -245,6 +245,20 @@ def bessel_j_deriv(nu: int, x: float) -> float:
     return 0.5 * (lower - vals[nu + 1])
 
 
+def laguerre(n: int, alpha: float, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^alpha(x) by its three-term
+    recurrence: the reference for the library's orthonormal Laguerre
+    functions."""
+    if n < 0:
+        raise sf.DomainError("negative degree")
+    if n == 0:
+        return 1.0
+    lm, lc = 1.0, 1.0 + alpha - x
+    for k in range(1, n):
+        lm, lc = lc, ((2 * k + 1 + alpha - x) * lc - (k + alpha) * lm) / (k + 1)
+    return lc
+
+
 def hyp1f1_poly(n: int, b: float, x: float) -> float:
     """1F1(-n; b; x) evaluated as the terminating sum."""
     if n < 0:
@@ -280,3 +294,81 @@ def tricomi_u_poly(n: int, b: float, x: float) -> float:
         um, uc = uc, (x + 2.0 * a - b) * uc - a * (a - b + 1.0) * um
         a -= 1.0
     return uc
+
+
+# ---------------------------------------------------------------------------
+# magnetic profiles in 30 digits
+# ---------------------------------------------------------------------------
+
+
+def magnetic_pair_mp(spec, lam):
+    """(aH, bH) of a stationary magnetic state (natural units) at lam, in
+    30-digit mpmath, as mpf.
+
+    aH = P ell_n^alpha(u), times (-1)^l in the split family, with the
+    orthonormal Laguerre function taken from mpmath's Laguerre polynomial
+    and gamma function; bH = lam^(M/2) H d/dlam (aH / (lam^(M/2) H)), the
+    paper's lam^(M/2) f' H, by mpmath's numerical derivative, so that no
+    Laguerre identity of the library is reused."""
+    import mpmath
+
+    mp = mpmath.mpf
+    with mpmath.workdps(30):
+        base = spec.static_base()
+        n, l, M = base.n, base.l, base.M
+        B, m, pz = mp(base.B), mp(base.m), mp(base.p_z)
+        if base.family is cat.Family.RADIAL_B:
+            K = 2 * n + M + 1
+            kappa = mp(M + 1) / K
+            eps = mpmath.sqrt(m ** 2 + pz ** 2 + n * (n + M + 1) * B ** 2
+                              / (4 * K ** 2))
+            P = B * kappa / mpmath.sqrt(4 * mpmath.pi * K * eps * (eps + m))
+
+            def u(x):
+                return kappa * x
+
+            def H(x):
+                return mpmath.exp(-x / 2)
+        else:
+            split = base.family is cat.Family.UNIFORM_B_SPLIT
+            eps = mpmath.sqrt(m ** 2 + pz ** 2
+                              + 2 * B ** 2 * (n + l if split else n))
+            P = (-1) ** (l if split else 0) * B \
+                / mpmath.sqrt(mpmath.pi * eps * (eps + m))
+
+            def u(x):
+                return 2 * x * x
+
+            def H(x):
+                return mpmath.exp(-x * x)
+
+        def a(x):
+            v = u(x)
+            c = mpmath.sqrt(mpmath.factorial(n) / mpmath.gamma(n + l + 1))
+            return P * c * v ** (mp(l) / 2) * mpmath.exp(-v / 2) \
+                * mpmath.laguerre(n, l, v)
+
+        def s(x):
+            return x ** (mp(M) / 2) * H(x)
+
+        lam = mp(lam)
+        return +a(lam), s(lam) * mpmath.diff(lambda x: a(x) / s(x), lam)
+
+
+def magnetic_spinor_mp(spec, t, x, y, z) -> np.ndarray:
+    """psi[4] of a stationary magnetic state (natural units) at one point,
+    from `magnetic_pair_mp`: (A aH, 0, p_z aH, -i B bH e^(i phi) / 2) / B
+    times exp(-i (eps t - p_z z) + i M phi / 2)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        base = spec.static_base()
+        B, pz = mpmath.mpf(base.B), mpmath.mpf(base.p_z)
+        eps = mpmath.mpf(cat.eigenvalue(base))
+        r = mpmath.hypot(x, y)
+        aH, bH = magnetic_pair_mp(base, B * r / 2)
+        phi = mpmath.atan2(y, x)
+        phase = mpmath.expj(-(eps * t - pz * z) + base.M * phi / 2)
+        col = [(base.m + eps) * aH / B, 0, pz * aH / B,
+               -0.5j * bH * mpmath.expj(phi)]
+        return np.array([complex(v * phase) for v in col])

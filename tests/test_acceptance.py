@@ -156,9 +156,7 @@ def test_criterion_5_normalization():
         A = spec.m + eps
 
         def j0(lam, spec=spec, A=A):
-            pr = cat.profile(spec, lam)
-            aH = pr["amp"] * pr["H"]
-            bH = pr["ampd"] * pr["H"]
+            aH, bH = cat._pair_kernel(spec)(lam)
             return A * A * aH * aH / spec.B ** 2 + bH * bH / 4.0
 
         lam_max = 7.0 if spec.family is not cat.Family.RADIAL_B else \

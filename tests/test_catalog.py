@@ -3,34 +3,56 @@ potentials, fields, averages, kinematic closed forms."""
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
+from rdibeams import specialfn as sf
 from rdibeams import spinors, sta, verify, waveforms
 import oracles
 from oracles import adaptive_simpson, hyp1f1_poly
 
 
+def _eps_mp(spec):
+    # the level in 30 digits (natural units)
+    n, l, M = spec.n, spec.l, spec.M
+    B, m = mpmath.mpf(spec.B), mpmath.mpf(spec.m)
+    if spec.family is cat.Family.RADIAL_B:
+        K = 2 * n + M + 1
+        return mpmath.sqrt(m * m + n * (n + M + 1) * B * B / (4 * K * K))
+    levels = n + l if spec.family is cat.Family.UNIFORM_B_SPLIT else n
+    return mpmath.sqrt(m * m + 2 * B * B * levels)
+
+
 def norm_closed_uniform(spec):
-    eps = cat.eigenvalue(spec)
-    mc2 = spec.m
-    return spec.B * math.sqrt(
-        2.0 ** spec.l * math.factorial(spec.n)
-        / (math.pi * math.factorial(spec.n + spec.l) * eps * (eps + mc2)))
+    # the closed-form normalization constants, in 30 digits
+    with mpmath.workdps(30):
+        eps, n, l = _eps_mp(spec), spec.n, spec.l
+        return float(spec.B * mpmath.sqrt(
+            2 ** l * mpmath.factorial(n) / (mpmath.pi * mpmath.factorial(n + l)
+                                             * eps * (eps + spec.m))))
+
+
+def norm_closed_split(spec):
+    with mpmath.workdps(30):
+        eps, n, l = _eps_mp(spec), spec.n, spec.l
+        return float(spec.B * mpmath.sqrt(
+            mpmath.factorial(n + l) / (mpmath.factorial(n) * 2 ** l
+                                       * mpmath.factorial(l) ** 2
+                                       * mpmath.pi * eps * (eps + spec.m))))
 
 
 def norm_closed_radial(spec):
-    eps = cat.eigenvalue(spec)
-    mc2 = spec.m
-    n, M = spec.n, spec.M
-    K = 2 * n + M + 1
-    kappa = (M + 1) / K
-    return spec.B * kappa ** ((M + 2) / 2.0) * math.sqrt(
-        math.factorial(n)
-        / (4.0 * math.pi * math.factorial(n + M) * K * eps * (eps + mc2)))
+    with mpmath.workdps(30):
+        eps, n, M = _eps_mp(spec), spec.n, spec.M
+        K = 2 * n + M + 1
+        kappa = mpmath.mpf(M + 1) / K
+        return float(spec.B * kappa ** (mpmath.mpf(M + 2) / 2) * mpmath.sqrt(
+            mpmath.factorial(n) / (4 * mpmath.pi * mpmath.factorial(n + M)
+                                   * K * eps * (eps + spec.m))))
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +110,11 @@ def test_uniform_ground_profile_is_constant():
 
 
 def test_free_bessel_profile_unnormalized_at_origin():
+    # J_0(0) = 1: at the origin f is the normalization constant
     spec = cat.SolutionSpec(cat.Family.FREE_BESSEL, l=0, p_perp=1.0)
-    raw = cat._raw_profile(spec, 0.0)
-    assert raw["f"] == pytest.approx(1.0)
-    assert raw["H"] == 1.0
+    pr = cat.profile(spec, 0.0)
+    assert pr["f"] == pytest.approx(cat.normalization(spec))
+    assert pr["H"] == 1.0
 
 
 def test_radial_profile_first_excited():
@@ -111,9 +134,7 @@ def _norm_integral(spec):
     pz2 = spec.p_z ** 2
 
     def j0(lam):
-        pr = cat.profile(spec, lam)
-        aH = pr["amp"] * pr["H"]
-        bH = pr["ampd"] * pr["H"]
+        aH, bH = cat._pair_kernel(spec)(lam)
         return (A * A + pz2) * aH * aH / spec.B ** 2 + bH * bH / 4.0
 
     lam_max = 7.0 if spec.family is not cat.Family.RADIAL_B else \
@@ -140,29 +161,169 @@ def test_probability_normalization(spec):
     s for fam in cat.MAGNETIC_FAMILIES for s in verify.default_specs()[fam]],
     ids=verify.spec_label)
 def test_normalization_batch_matches_float_path(spec):
-    # the one integrand call on all nodes against the float path node by
-    # node; only numpy's exp and the float path's may differ, by an ulp
-    def j0_each(lam):
-        out = []
-        for x in lam:
-            pr = cat._raw_profile(spec, float(x))
-            out.append(cat.stationary_bilinears(spec, pr["amp_s"],
-                                                pr["ampd_s"])["J0"])
-        return np.array(out)
+    # the norm average, one integrand call on all nodes, against the float
+    # path node by node; only numpy's exp and log and the float path's may
+    # differ, by an ulp
+    pair = cat._pair_kernel(spec)
 
-    ref = 1.0 / math.sqrt(cat._transverse_average(spec, j0_each))
-    assert cat.normalization(spec) == pytest.approx(ref, rel=4e-16, abs=0)
+    def j0_each(lam):
+        return np.array([cat.stationary_bilinears(spec, *pair(float(x)))["J0"]
+                         for x in lam])
+
+    ref = cat._transverse_average(spec, j0_each)
+    assert cat.averages(spec)["norm"] == pytest.approx(ref, rel=4e-15, abs=0)
+    assert ref == pytest.approx(1.0, rel=1e-14)
 
 
 def test_normalization_closed_forms():
     for n, l in ((0, 0), (1, 0), (2, 1), (1, 3)):
         spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=n, l=l)
         assert cat.normalization(spec) == pytest.approx(
-            norm_closed_uniform(spec), rel=1e-12)
+            norm_closed_uniform(spec), rel=1e-14)
     for n, M in ((1, 0), (2, 1), (1, 3)):
         spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=n, M=M)
         assert cat.normalization(spec) == pytest.approx(
-            norm_closed_radial(spec), rel=1e-12)
+            norm_closed_radial(spec), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (2, 2), (0, 3), (3, 1)])
+def test_split_profile_is_the_paper_convention(n, l):
+    # f = N (-1)^l n! l! / (n+l)! u^l L_n^l(u), u = 2 lam^2, with N the
+    # normalization constant
+    spec = cat.SolutionSpec(cat.Family.UNIFORM_B_SPLIT, n=n, l=l)
+    cfac = (-1) ** l / math.comb(n + l, l)
+    for lam in (0.3, 0.9, 1.7):
+        u = 2.0 * lam * lam
+        expected = cat.normalization(spec) * cfac * u ** l \
+            * oracles.laguerre(n, l, u)
+        assert cat.radial_profile(spec, lam)[0] == pytest.approx(
+            expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, p_z", [(0, 0.0), (1, 0.0), (3, 0.4)])
+def test_split_family_at_l0_is_the_uniform_state(n, p_z):
+    # the split state with l = 0 has the uniform-b state's M, level and f
+    split = cat.SolutionSpec(cat.Family.UNIFORM_B_SPLIT, n=n, l=0, p_z=p_z)
+    uniform = cat.SolutionSpec(cat.Family.UNIFORM_B, n=n, l=0, p_z=p_z)
+    assert cat.eigenvalue(split) == cat.eigenvalue(uniform)
+    assert cat.normalization(split) == pytest.approx(
+        cat.normalization(uniform), rel=1e-15)
+    t, x, y, z = np.random.default_rng(5).uniform(0.2, 3.0, size=(4, 40))
+    a, b = cat.spinor(split)(t, x, y, z), cat.spinor(uniform)(t, x, y, z)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15 * np.max(np.abs(b)))
+    av_split, av_uniform = cat.averages(split), cat.averages(uniform)
+    for key in ("rho", "norm", "J_phi", "J_phi_closed"):
+        assert av_split[key] == pytest.approx(av_uniform[key], rel=1e-14,
+                                              abs=1e-15)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0), (120, 60), (300, 200),
+                                      (600, 100)])
+def test_laguerre_rule_integrates_ell_squared_to_one(n, alpha):
+    # exact for the polynomial u^alpha L_n^alpha(u)^2 of degree alpha + 2n;
+    # the last two need 401 and 651 nodes, past numpy's 186-node laggauss
+    nodes, weights = cat._laguerre_rule(n + alpha // 2 + 1)
+    ell = sf.laguerre_function(n, alpha)(nodes)
+    assert weights @ (ell * ell) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_laguerre_rule_matches_numpy_at_small_counts():
+    # the Golub-Welsch nodes against laggauss where its weights are finite
+    nodes, weights = cat._laguerre_rule(40)
+    ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(40)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
+    np.testing.assert_allclose(weights * np.exp(-nodes), ref_weights,
+                               rtol=1e-10, atol=0)
+
+
+NORM_CLOSED = {cat.Family.UNIFORM_B: norm_closed_uniform,
+               cat.Family.UNIFORM_B_SPLIT: norm_closed_split,
+               cat.Family.RADIAL_B: norm_closed_radial}
+
+
+def _check_against_mpmath(spec):
+    norm = NORM_CLOSED[spec.family](spec)
+    if norm > 1e-300:
+        assert cat.normalization(spec) == pytest.approx(norm, rel=1e-14)
+    # measured over the envelope: at most 5e-13 off for norm and rho (a
+    # difference of terms eps/m times larger), 3e-12 relative for J_phi,
+    # and 5e-13 of the largest component for psi
+    with mpmath.workdps(30):
+        eps = _eps_mp(spec)
+        if spec.family is cat.Family.RADIAL_B:
+            n, M = spec.n, spec.M
+            j_phi = -spec.B * n * (1 + n + M) / ((2 * n + M + 1) ** 2 * eps)
+        else:
+            split = spec.family is cat.Family.UNIFORM_B_SPLIT
+            levels = spec.n + spec.l if split else spec.n
+            j_phi = -mpmath.sqrt(2) * spec.B * levels / eps
+    av = cat.averages(spec)
+    assert av["norm"] == pytest.approx(1.0, abs=1e-12)
+    assert av["rho"] == pytest.approx(float(spec.m / eps), abs=1e-12)
+    assert av["J_phi"] == pytest.approx(float(j_phi), rel=1e-11, abs=1e-12)
+    # points where the state lives, u at 1/2, 1 and 3/2 of its mean
+    # 2n + alpha + 1, against the largest of their components (one point
+    # alone may sit near a node)
+    col = cat.spinor(spec)
+    err = scale = 0.0
+    for frac in (0.5, 1.0, 1.5):
+        u = frac * (2 * spec.n + spec.l + 1)
+        lam = u / cat.radial_kappa(spec) \
+            if spec.family is cat.Family.RADIAL_B else math.sqrt(u / 2.0)
+        r = cat.r_of_lam(spec, lam)
+        pt = (0.3, r * math.cos(0.7), r * math.sin(0.7), 0.2)
+        ref = oracles.magnetic_spinor_mp(spec, *pt)
+        err = max(err, np.max(np.abs(col(*pt) - ref)))
+        scale = max(scale, np.max(np.abs(ref)))
+    assert err <= 1e-12 * scale
+
+
+# the sweep measures the validity envelope, Laguerre degree 2n + l (l = M
+# in the 1/r field) up to cat.MAX_DEGREE = 800
+@example(cat.Family.UNIFORM_B, (400, 0))
+@example(cat.Family.UNIFORM_B, (0, 800))
+@example(cat.Family.UNIFORM_B, (120, 60))
+@example(cat.Family.UNIFORM_B_SPLIT, (200, 400))
+@example(cat.Family.UNIFORM_B_SPLIT, (1, 200))
+@example(cat.Family.UNIFORM_B_SPLIT, (50, 100))
+@given(st.sampled_from([cat.Family.UNIFORM_B, cat.Family.UNIFORM_B_SPLIT]),
+       st.integers(0, 400).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, 800 - 2 * n))))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_uniform_field_states_match_mpmath(family, state):
+    n, l = state
+    _check_against_mpmath(cat.SolutionSpec(family, n=n, l=l))
+
+
+@example(0, 800)
+@example(280, 233)
+@example(60, 60)
+@example(30, 10)
+@example(2, 0)
+@given(st.integers(0, 60), st.integers(0, 60))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_radial_field_states_match_mpmath(n, M):
+    _check_against_mpmath(cat.SolutionSpec(cat.Family.RADIAL_B, n=n, M=M))
+
+
+def test_all_low_radial_states_normalize():
+    # 25 of these 121 could not be normalized by the hand-written profile
+    for n in range(11):
+        for M in range(11):
+            spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=n, M=M)
+            assert cat.normalization(spec) == pytest.approx(
+                norm_closed_radial(spec), rel=1e-14)
+            assert cat.averages(spec)["norm"] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_far_tail_is_zero_for_float_and_array_points():
+    # at x = 2500 the l = 100 profile is below the float range: psi is
+    # exactly zero on both paths, with no warning and no OverflowError
+    col = cat.spinor(cat.SolutionSpec(cat.Family.UNIFORM_B, l=100))
+    psi = col(0.0, 2500.0, 0.0, 0.0)
+    batch = col(np.zeros(2), np.array([2500.0, 3000.0]), np.zeros(2),
+                np.zeros(2))
+    assert not np.any(psi) and not np.any(batch)
 
 
 def test_free_bessel_normalization_convention():
@@ -266,7 +427,7 @@ def test_dressed_spinor_matches_explicit_radial_laser_column():
     B = spec.B
     n, M = spec.n, spec.M
     K = 2 * n + M + 1
-    from rdibeams.specialfn import laguerre
+    laguerre = oracles.laguerre
 
     def explicit(t, x, y, z):
         xi = cat.xi_of(spec, t, z)
@@ -501,7 +662,7 @@ def test_transverse_average_calls_its_integrand_once():
 
     def g(lam):
         calls.append(np.shape(lam))
-        return np.ones_like(lam)
+        return np.exp(-2.0 * lam * lam)
 
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=100, l=30)
     # 2 pi int exp(-2 lam^2) lam dlam = pi / 2

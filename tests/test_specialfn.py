@@ -200,16 +200,16 @@ def test_laguerre_low_orders():
     for _ in range(30):
         alpha = float(rng.uniform(-0.9, 4.0))
         x = float(rng.uniform(-3.0, 8.0))
-        assert sf.laguerre(0, alpha, x) == 1.0
-        assert abs(sf.laguerre(1, alpha, x) - (1.0 + alpha - x)) < 1e-14
-    assert sf.laguerre(2, 0.0, 1.0) == pytest.approx(-0.5, abs=1e-14)
+        assert oracles.laguerre(0, alpha, x) == 1.0
+        assert abs(oracles.laguerre(1, alpha, x) - (1.0 + alpha - x)) < 1e-14
+    assert oracles.laguerre(2, 0.0, 1.0) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_laguerre_value_at_zero():
     for n in (0, 1, 3, 7):
         for alpha in (0, 1, 2, 5):
-            expected = sf.binomial(n + alpha, n)
-            assert sf.laguerre(n, float(alpha), 0.0) == pytest.approx(
+            expected = math.comb(n + alpha, n)
+            assert oracles.laguerre(n, float(alpha), 0.0) == pytest.approx(
                 expected, rel=1e-13)
 
 
@@ -225,13 +225,14 @@ def test_laguerre_orthogonality_by_quadrature():
             for m in range(n, 6):
                 if alpha == int(alpha):
                     total = sum(
-                        w * x ** alpha * sf.laguerre(n, alpha, x)
-                        * sf.laguerre(m, alpha, x)
+                        w * x ** alpha * oracles.laguerre(n, alpha, x)
+                        * oracles.laguerre(m, alpha, x)
                         for x, w in zip(nodes, weights))
                 else:
                     total = adaptive_simpson(
                         lambda x: x ** alpha * math.exp(-x)
-                        * sf.laguerre(n, alpha, x) * sf.laguerre(m, alpha, x),
+                        * oracles.laguerre(n, alpha, x)
+                        * oracles.laguerre(m, alpha, x),
                         0.0, 70.0, tol=1e-11)
                 expected = 0.0 if n != m else \
                     math.gamma(n + alpha + 1) / math.factorial(n)
@@ -245,9 +246,9 @@ def test_laguerre_derivative_identities():
         n = int(rng.integers(1, 9))
         alpha = float(rng.uniform(0.0, 3.0))
         x = float(rng.uniform(0.1, 6.0))
-        fd = (sf.laguerre(n, alpha, x + h) - sf.laguerre(n, alpha, x - h)) \
-            / (2.0 * h)
-        assert abs(sf.laguerre_deriv(n, alpha, x) - fd) < 1e-7
+        fd = (oracles.laguerre(n, alpha, x + h)
+              - oracles.laguerre(n, alpha, x - h)) / (2.0 * h)
+        assert abs(-oracles.laguerre(n - 1, alpha + 1, x) - fd) < 1e-7
 
 
 def test_hyp1f1_poly_basics():
@@ -264,7 +265,7 @@ def test_hyp1f1_laguerre_identity():
         M = int(rng.integers(0, 6))
         x = float(rng.uniform(-4.0, 10.0))
         lhs = oracles.hyp1f1_poly(n, M + 1.0, x)
-        rhs = sf.laguerre(n, float(M), x) * math.factorial(n) \
+        rhs = oracles.laguerre(n, float(M), x) * math.factorial(n) \
             * math.factorial(M) / math.factorial(n + M)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs)), (n, M, x)
 
@@ -279,7 +280,7 @@ def test_tricomi_terminating_values():
         b = float(rng.uniform(0.5, 5.0))
         x = float(rng.uniform(0.05, 8.0))
         lhs = oracles.tricomi_u_poly(n, b, x)
-        rhs = (-1.0) ** n * math.factorial(n) * sf.laguerre(n, b - 1.0, x)
+        rhs = (-1.0) ** n * math.factorial(n) * oracles.laguerre(n, b - 1.0, x)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs)), (n, b, x)
 
 
@@ -288,3 +289,52 @@ def test_tricomi_rejects_non_terminating():
         oracles.tricomi_u_poly(1.5, 2.0, 1.0)
     with pytest.raises(sf.DomainError):
         oracles.tricomi_u_poly(-2, 2.0, 1.0)
+
+
+def test_laguerre_functions_match_the_polynomial_recurrence():
+    # ell_k^alpha(u) = sqrt(k!/Gamma(k+alpha+1)) u^(alpha/2) e^(-u/2)
+    # L_k^alpha(u), on both paths: the array against the floats to 1e-14
+    # of the largest value, both against the polynomial reference
+    u = np.linspace(0.0, 40.0, 81)
+    for alpha in (0, 1, 3, 8, 60):
+        batch = sf.laguerre_functions(10, alpha, u)
+        assert len(batch) == 11
+        for k in range(11):
+            ref = np.array([
+                math.sqrt(math.factorial(k) / math.gamma(k + alpha + 1))
+                * x ** (alpha / 2) * math.exp(-x / 2)
+                * oracles.laguerre(k, alpha, x) for x in u])
+            floats = [sf.laguerre_function(k, alpha)(float(x)) for x in u]
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(batch[k], floats, rtol=0,
+                                       atol=1e-14 * scale)
+            np.testing.assert_allclose(batch[k], ref, rtol=0,
+                                       atol=1e-13 * scale)
+
+
+def test_laguerre_functions_far_tail_and_edges():
+    # below exp(-650) the start is carried as an exponent: a value the
+    # floats hold, even a subnormal one, is found, and a smaller one is
+    # exactly zero, on both paths and without a warning
+    mpmath = pytest.importorskip("mpmath")
+    for n, alpha, u in ((60, 60, 1700.0), (10, 10, 1600.0), (0, 0, 1400.0),
+                        (400, 0, 2500.0)):
+        with mpmath.workdps(40):
+            v = mpmath.mpf(u)
+            exact = float(mpmath.sqrt(mpmath.factorial(n)
+                                      / mpmath.gamma(n + alpha + 1))
+                          * v ** (mpmath.mpf(alpha) / 2) * mpmath.exp(-v / 2)
+                          * mpmath.laguerre(n, alpha, v))
+        got = sf.laguerre_function(n, alpha)(u)
+        batch = sf.laguerre_function(n, alpha)(np.array([u, 1.0]))[0]
+        assert got == batch
+        assert got == pytest.approx(exact, rel=1e-12, abs=5e-324)
+    assert sf.laguerre_function(100, 100)(1e6) == 0.0
+    assert not np.any(sf.laguerre_function(100, 100)(np.array([1e6, 1e300])))
+    assert sf.laguerre_function(3, 2)(0.0) == 0.0
+    assert sf.laguerre_function(3, 0)(0.0) == 1.0
+    assert sf.laguerre_functions(-1, 0, 1.0) == []
+    assert sf.laguerre_function(-1, 0)(1.0) == 0.0
+    assert np.shape(sf.laguerre_function(-1, 0)(np.ones(3))) == (3,)
+    with pytest.raises(sf.DomainError):
+        sf.laguerre_function(2, 0)(-1.0)

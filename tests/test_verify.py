@@ -102,7 +102,7 @@ def test_dirac_residual_detects_perturbed_profile():
 def test_perturb_profile_hook_follows_the_product_rule():
     # the hook returns the profile data of f (1 + 0.01 lam): its lam
     # derivatives (checked by finite differences), the same H, and the
-    # axis-regular pair amp = lam^(M/2) f, ampd = lam^(M/2) f'
+    # pair aH = lam^(M/2) f H, bH = lam^(M/2) f' H
     spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1)
     lam = 1.3
     pr = cat.profile(spec, lam)
@@ -112,15 +112,16 @@ def test_perturb_profile_hook_follows_the_product_rule():
     def f(x):
         return cat.profile(spec, x)["f"] * (1.0 + 0.01 * x)
 
-    def amp(x):
-        return cat.profile(spec, x)["amp"] * (1.0 + 0.01 * x)
+    def aH(x):
+        return cat.profile(spec, x)["aH"] * (1.0 + 0.01 * x)
 
     assert bad["f"] == pytest.approx(f(lam), rel=1e-14)
     assert bad["fp"] == pytest.approx(numerics.deriv4(f, lam).real, rel=1e-9)
     assert bad["fpp"] == pytest.approx(
         numerics.deriv4(lambda x: numerics.deriv4(f, x), lam).real, rel=1e-6)
-    assert bad["amp"] == pytest.approx(amp(lam), rel=1e-14)
-    assert bad["ampd"] == pytest.approx(lam ** 0.5 * bad["fp"], rel=1e-12)
+    assert bad["aH"] == pytest.approx(aH(lam), rel=1e-14)
+    assert bad["bH"] == pytest.approx(lam ** 0.5 * bad["fp"] * pr["H"],
+                                      rel=1e-12)
 
 
 def test_continuity_residuals():
@@ -237,6 +238,28 @@ def test_orbit_closure_uniform_field():
     assert out["radial_drift"] < 1e-6
     assert out["swept_angle"] == pytest.approx(2.0 * math.pi, rel=1e-3)
     assert out["z_drift"] < 1e-12
+
+
+ORBIT_SPECS = [
+    s for group in verify.default_specs().values() for s in group
+    if not s.is_dressed
+    and abs(cat.bilinear_fields(s, 0.0, 0.8, 0.0, 0.0)["J_phi"]) > 1e-14]
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=verify.spec_label)
+def test_orbit_closure_follows_the_circle(spec):
+    # a stationary streamline is the circle r = r0, run at dt/ds = J^0(r0)
+    # and angular rate J_phi / r0, so one revolution sweeps 2 pi.  The
+    # bound is the step-halving error streamline accepts: the halved
+    # step's own RK4 error is 16 times smaller, so the accepted end point
+    # is within 16/15 of that tolerance
+    r0 = 0.8
+    bil = cat.bilinear_fields(spec, 0.0, r0, 0.0, 0.0)
+    out = verify.orbit_closure(spec, r0, steps=500)
+    s_rev = 2.0 * math.pi * r0 / abs(bil["J_phi"])
+    bound = verify.STREAMLINE_STEP_TOL * 16.0 / 15.0
+    assert abs(out["dt_ds"] - bil["J"][0]) <= bound / s_rev
+    assert abs(out["swept_angle"] - 2.0 * math.pi) <= bound / r0
 
 
 def test_proper_time_flux_average():
