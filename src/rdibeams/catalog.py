@@ -33,11 +33,13 @@ the pulse while its envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 `fields`, `bilinear_fields`, `null_rotation_generator`,
-`null_rotation_lorentz`) take their coordinates as floats or as
-broadcastable numpy arrays; a batch keeps its axes in front and the
-components trail, as in psi[..., 4].  Each formula is written once: only
-the transcendental calls and the branch selections come from `mathops`,
-`math`/`cmath` for a float point and numpy for a batch.
+`null_rotation_lorentz`) take their coordinates as broadcastable numpy
+arrays, a float being the one-point case; a batch keeps its axes in front
+and the components trail, as in psi[..., 4].  Each formula is written
+once, in numpy.  Only the stationary `spinor` field and `bilinear_fields`,
+which the serial streamline step calls one point at a time, also run on
+floats: their few transcendental calls come from `mathops`, `math`/`cmath`
+for a float point and numpy for a batch.
 """
 from __future__ import annotations
 
@@ -381,7 +383,6 @@ def profile(spec: SolutionSpec, lam) -> dict:
     base = spec.static_base()
     fam = base.family
     n, l, M = base.n, base.l, base.M
-    ops = mathops.of(lam)
     if fam is Family.FREE_BESSEL:
         # off the axis, through the five-point Bessel ladder for f'' (kept
         # independent of the radial equation being verified); on the axis,
@@ -391,16 +392,16 @@ def profile(spec: SolutionSpec, lam) -> dict:
         vals = sf.bessel_j_all(l + 2, q * lam)
         jl, jl1 = vals[l], vals[l + 1]
         pos = lam > 0
-        r = ops.where(pos, lam, 1.0)
+        r = np.where(pos, lam, 1.0)
         jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
         jlm1 = vals[l - 1] if l >= 1 else -vals[1]
         jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
         jd = 0.5 * (jlm1 - jl1)
-        f = ops.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
-        fp = ops.where(pos, -q * jl1 / r ** l, 0.0)
-        fpp = ops.where(pos, q * q * jdd / r ** l
-                        - 2.0 * l * q * jd / r ** (l + 1)
-                        + l * (l + 1) * jl / r ** (l + 2), 0.0)
+        f = np.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
+        fp = np.where(pos, -q * jl1 / r ** l, 0.0)
+        fpp = np.where(pos, q * q * jdd / r ** l
+                       - 2.0 * l * q * jd / r ** (l + 1)
+                       + l * (l + 1) * jl / r ** (l + 2), 0.0)
         return {"f": norm * f, "fp": norm * fp, "fpp": norm * fpp, "H": 1.0,
                 "Hp": 0.0, "aH": norm * jl, "bH": norm * (-q * jl1)}
     aH, bH = _pair_kernel(base)(lam)
@@ -408,13 +409,13 @@ def profile(spec: SolutionSpec, lam) -> dict:
     # cH = lam^(M/2) f'' H
     if fam is Family.RADIAL_B:
         kappa = radial_kappa(base)
-        H, half = ops.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
+        H, half = np.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
         Hp = -0.5 * H
         cH = half * (2.0 * bH - half * aH) + kappa * math.sqrt(n * (n - 1)) \
             * P * ell(n - 2, l + 2)(kappa * lam) / lam
     else:
         u = 2.0 * lam * lam
-        H = ops.exp(-lam * lam)
+        H = np.exp(-lam * lam)
         Hp = -2.0 * lam * H
         if fam is Family.UNIFORM_B_SPLIT and l > 0:
             cH = (2 * l - 1) * bH / lam - (-1) ** l * 8.0 \
@@ -542,19 +543,18 @@ def spinor(spec: SolutionSpec, fault=None):
     g = c ** 2 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
 
     def dressed(t, x, y, z):
-        ops = mathops.of(t, x, y, z)
         xi = xi_of(spec, t, z)
         dx, dy = coordinate_shift(spec, xi)
         d1, d2 = spec.waveform.fdot(xi)
         phi = gauge_phase(spec, xi)
-        if not any(ops.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
+        if not any(np.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
             return static_field(t, x, y, z)  # exact identity transform
         psi = static_field(t, x + dx, y + dy, z)
         # (1 + N) psi = psi + g (f1' C1 psi + f2' C2 psi), the generator
         # applied to the column: no 4x4 matrix per point
         turn = (np.asarray(d1)[..., None] * (psi @ _NULL_C1.T)
                 + np.asarray(d2)[..., None] * (psi @ _NULL_C2.T))
-        return np.asarray(ops.cexp(1j * phi))[..., None] * (psi + g * turn)
+        return np.exp(1j * phi)[..., None] * (psi + g * turn)
 
     return dressed
 
@@ -586,21 +586,20 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
     4-component eA array, [..., 4] for array coordinates).  The static piece
     lives at the primed transverse coordinates for dressed families."""
-    ops = mathops.of(t, x, y, z)
     u = spec.units
     c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = ops.hypot(xp, yp)
+    rp = np.hypot(xp, yp)
     fam = base.family
-    zero = ops.zero(t, x, y, z)
+    zero = mathops.zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         coeff = B ** 2 / (2.0 * c ** 2 * hbar)
         static = (zero, -coeff * yp, coeff * xp, zero)
     elif fam is Family.RADIAL_B:
-        if ops.any(rp == 0.0):
+        if np.any(rp == 0.0):
             raise OnAxisError("potential singular on the symmetry axis")
         coeff = B / (4.0 * c * rp)
         static = (zero, -coeff * yp, coeff * xp, zero)
@@ -614,8 +613,9 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
         elif fam is Family.RADIAL_B:
             a0 = -B * c * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
             radiation = (a0, zero, zero, a0)
-    return {"static": ops.stack(static), "radiation": ops.stack(radiation),
-            "laser": ops.stack(laser)}
+    return {"static": mathops.stack(static),
+            "radiation": mathops.stack(radiation),
+            "laser": mathops.stack(laser)}
 
 
 def potential(spec: SolutionSpec, t, x, y, z) -> Array:
@@ -639,15 +639,14 @@ class FieldSample:
 def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     """Closed-form electromagnetic fields and their source densities, at
     float or array coordinates."""
-    ops = mathops.of(t, x, y, z)
     u = spec.units
     c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     fam = base.family
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = ops.hypot(xp, yp)
-    zero = ops.zero(t, x, y, z)
+    rp = np.hypot(xp, yp)
+    zero = mathops.zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
     rho_e = zero
@@ -655,7 +654,7 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         eB[2] = eB[2] + B ** 2 / (c ** 2 * hbar)
     elif fam is Family.RADIAL_B:
-        if ops.any(rp == 0.0):
+        if np.any(rp == 0.0):
             raise OnAxisError("field singular on the symmetry axis")
         eB[2] = eB[2] + B / (4.0 * c * rp)
         J_e = [J_e[0] + (B / (4.0 * c)) * -yp / rp ** 3,
@@ -679,7 +678,8 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
         if fam in (Family.UNIFORM_B, Family.RADIAL_B):
             eE = [eE[0] + kE * d2, eE[1] + kE * -d1, eE[2]]
             eB = [eB[0] + kB * d1, eB[1] + kB * d2, eB[2]]
-    return FieldSample(ops.stack(eE), ops.stack(eB), rho_e, ops.stack(J_e))
+    return FieldSample(mathops.stack(eE), mathops.stack(eB), rho_e,
+                       mathops.stack(J_e))
 
 
 # ---------------------------------------------------------------------------
@@ -815,44 +815,35 @@ def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
 # ---------------------------------------------------------------------------
 
 
+_N = {"n": "principal index"}
+_L = {"l": "orbital index, winding M = 2l"}
+_WINDING = {"M": "winding (>= 0)"}
+_BESSEL = {**_L, "p_perp": "transverse momentum (> 0)"}
+# family -> (description, its own parameters)
+_LISTING = {
+    Family.FREE_BESSEL: ("field-free Bessel beam", _BESSEL),
+    Family.UNIFORM_B: ("uniform axial magnetic field, levels degenerate in l",
+                       {**_N, **_L}),
+    Family.UNIFORM_B_SPLIT: ("uniform axial magnetic field, levels split by l",
+                             {**_N, "l": "orbital index, winding M = -2l"}),
+    Family.RADIAL_B: ("axial magnetic field falling off as 1/r",
+                      {**_N, **_WINDING}),
+    Family.VOLKOV_BESSEL: ("Bessel beam dressed by a plane wave (Volkov-type)",
+                           _BESSEL),
+    Family.REDMOND: ("uniform magnetic field plus co-propagating plane wave",
+                     {**_N, **_L}),
+    Family.RADIAL_B_LASER: ("1/r magnetic field plus co-propagating plane "
+                            "wave", {**_N, **_WINDING}),
+}
+_COMMON = {"B": "field-strength constant (energy units)",
+           "m": "electron mass", "p_z": "longitudinal momentum"}
+_DRESSING = {"waveform": "circular | linear | pulse, with amplitude",
+             "omega": "plane-wave frequency"}
+
+
 def describe_families() -> list[dict]:
     """Parameter schema of every family, for the command-line catalog."""
-    entries = []
-    common = {"B": "field-strength constant (energy units)",
-              "m": "electron mass", "p_z": "longitudinal momentum"}
-    for fam in Family:
-        e = {"family": fam.value, "parameters": dict(common)}
-        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL):
-            e["parameters"]["l"] = "orbital index, winding M = 2l"
-            e["parameters"]["p_perp"] = "transverse momentum (> 0)"
-            e["description"] = "field-free Bessel beam" \
-                if fam is Family.FREE_BESSEL else \
-                "Bessel beam dressed by a plane wave (Volkov-type)"
-        elif fam is Family.UNIFORM_B:
-            e["parameters"].update(n="principal index",
-                                   l="orbital index, winding M = 2l")
-            e["description"] = ("uniform axial magnetic field, levels "
-                                "degenerate in l")
-        elif fam is Family.UNIFORM_B_SPLIT:
-            e["parameters"].update(n="principal index",
-                                   l="orbital index, winding M = -2l")
-            e["description"] = ("uniform axial magnetic field, levels split "
-                                "by l")
-        elif fam is Family.RADIAL_B:
-            e["parameters"].update(n="principal index", M="winding (>= 0)")
-            e["description"] = "axial magnetic field falling off as 1/r"
-        elif fam is Family.REDMOND:
-            e["parameters"].update(n="principal index",
-                                   l="orbital index, winding M = 2l")
-            e["description"] = ("uniform magnetic field plus co-propagating "
-                                "plane wave")
-        else:
-            e["parameters"].update(n="principal index", M="winding (>= 0)")
-            e["description"] = ("1/r magnetic field plus co-propagating "
-                                "plane wave")
-        if fam in DRESSED_BASE:
-            e["parameters"].update(
-                waveform="circular | linear | pulse, with amplitude",
-                omega="plane-wave frequency")
-        entries.append(e)
-    return entries
+    return [{"family": fam.value, "description": text,
+             "parameters": {**_COMMON, **own,
+                            **(_DRESSING if fam in DRESSED_BASE else {})}}
+            for fam, (text, own) in _LISTING.items()]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog as cat
-from . import mathops, numerics, spinors, sta
+from . import numerics, spinors, sta
 from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
@@ -230,7 +230,7 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     pr = cat.profile(base, lam)
     k = cat.stationary_bilinears(base, pr["aH"], pr["bH"])
     j0, sigma = k["J0"], k["scalar"]
-    if mathops.of(lam).any(sigma == 0.0):
+    if np.any(sigma == 0.0):
         raise SingularSpinor("null-current circle")
     # d/dlam of lam * J_phi with J_phi = -A lam^M f f' H^2 / B, via the
     # analytic profile derivatives
@@ -262,7 +262,6 @@ def radial_ode_residual(spec: cat.SolutionSpec, lam, fault=None):
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \
         + pr["fp"] * ((base.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])
-    ops = mathops.of(lam)
-    scale = ops.maximum(ops.maximum(abs(pr["f"]), abs(pr["fp"])),
-                        ops.maximum(abs(pr["fpp"]), 1e-30))
+    scale = np.maximum(np.maximum(abs(pr["f"]), abs(pr["fp"])),
+                       np.maximum(abs(pr["fpp"]), 1e-30))
     return abs(res) / scale

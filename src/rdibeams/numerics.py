@@ -9,12 +9,14 @@ one 4-gradient instead of re-running the stencil per component.
 
 The stencils take a batch of points, point[..., 4], and call the field once
 per `partial4`, on the four stencil points of every point of the batch and
-of every axis asked for (fields take t, x, y, z as floats or arrays and
-return components trailing); `gradient4` is one such call on all 16.
+of every axis asked for, all on one axis after the batch axes (fields take
+t, x, y, z as arrays and return components trailing); `gradient4` is one
+such call on all 16.
 
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple
 of floats, one point at a time, and builds the path array once, at the end.
+It is the one caller of the closed forms' float path (see `mathops`).
 """
 from __future__ import annotations
 
@@ -56,16 +58,21 @@ def partial4(fn, point, mu, h=DEFAULT_STEP):
     """4th-order central partial of fn(t, x, y, z) along coordinate mu at
     point[..., 4]; for a tuple of coordinates mu, the partial along each,
     stacked on a new leading axis.  fn is called once, on the four stencil
-    points of every axis and every point of the batch, and returns values
-    with components trailing."""
+    points of each of k axes at every point, shaped (*batch, 4k), and
+    returns values with components trailing: for k >= 2 a per-point factor
+    that forgot [..., None] does not broadcast against psi[..., 4] but
+    raises."""
     point = np.asarray(point, dtype=float)
     axes = mu if isinstance(mu, tuple) else (mu,)
-    stencil = np.empty((len(axes), 4) + point.shape)
-    stencil[...] = point
-    offsets = (_OFFSETS * h).reshape((4,) + (1,) * (point.ndim - 1))
+    lead = point.ndim - 1
+    stencil = np.empty(point.shape[:-1] + (4 * len(axes), 4))
+    stencil[...] = point[..., None, :]
     for i, axis in enumerate(axes):
-        stencil[i, ..., axis] += offsets
-    d = _combine(np.moveaxis(at(fn, stencil), 1, 0), h)
+        stencil[..., 4 * i:4 * i + 4, axis] += _OFFSETS * h
+    vals = at(fn, stencil)
+    vals = vals.reshape(vals.shape[:lead] + (len(axes), 4)
+                        + vals.shape[lead + 1:])
+    d = _combine(np.moveaxis(vals, (lead + 1, lead), (0, 1)), h)
     return d if isinstance(mu, tuple) else d[0]
 
 

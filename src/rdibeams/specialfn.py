@@ -1,15 +1,16 @@
 """Self-contained special functions used by the solution catalog.
 
 Integer-order Bessel J by Miller's downward recurrence (power series below
-x = 2), for a float or a whole array of arguments at once: one loop serves
-both, and it tests for overflow only at the steps where a bound on the
+x = 2) on a whole array of arguments at once, a float being the one-point
+case: it tests for overflow only at the steps where a bound on the
 recurrence's growth, from the batch's smallest argument, says an element
 can near it (none for the catalog's orders and radii, so a step is three
-array operations).  An array takes the series for all orders and terms in
-one broadcast.  The orthonormal Laguerre functions of the magnetic
-profiles by their normalised three-term recurrence, started in log space
-so that no factor overflows or underflows on its own; it takes floats and
-arrays alike.  No external special-function dependency.
+array operations), and takes the series for all orders and terms in one
+broadcast.  The orthonormal Laguerre functions of the magnetic profiles by
+their normalised three-term recurrence, started in log space so that no
+factor overflows or underflows on its own; one of them at a float runs on
+two floats, the serial streamline step's case (see `mathops`).  No
+external special-function dependency.
 """
 from __future__ import annotations
 
@@ -34,32 +35,15 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series(nu: int, x: float) -> float:
-    # ascending series of a float 0 < x < 2, term by term until the terms
-    # fall below half an ulp of the total
-    lead = math.exp(nu * math.log(x / 2.0) - math.lgamma(nu + 1))
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, 60):
-        term = term * (-q / (k * (nu + k)))
-        total = total + term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-    return lead * total
-
-
-# terms of the array series: below x = 2, q = x^2/4 <= 1 and term k is at
-# most 1/(k!)^2 of the first, under 1e-22 at k = 14, so later terms would
-# not change a total that is not small
+# terms of the ascending series: below x = 2, q = x^2/4 <= 1 and term k is
+# at most 1/(k!)^2 of the first, under 1e-22 at k = 14, so later terms
+# would not change a total that is not small
 _SERIES_TERMS = np.arange(1.0, 15.0)[:, None, None]
 
 
 def _bessel_series_all(nmax: int, x):
-    # the float series at an array 0 < x < 2, for every order and all 14
-    # terms in one broadcast, the terms multiplied and summed in the float
-    # loop's order: the terms past its stop are below half an ulp of the
-    # total, so the two agree bit for bit
+    # the ascending series at an array 0 < x < 2, for every order and all
+    # 14 terms in one broadcast, summed term after term
     nu = np.arange(nmax + 1.0)[:, None]
     lgam = np.array([math.lgamma(n + 1) for n in range(nmax + 1)])[:, None]
     lead = np.exp(nu * np.log(x / 2.0) - lgam)
@@ -111,13 +95,13 @@ def _rescale_checkpoints(start: int, x_min: float) -> range:
     return range(0)
 
 
-def _miller_all(nmax: int, x, ops) -> list:
+def _miller_all(nmax: int, x) -> list:
     # downward recurrence from well above the turning point, normalized by
     # J0 + 2*sum J_{2k} = 1; one start index for the whole batch, from its
     # largest argument, and a rescale wherever an element nears overflow,
     # tested only at the steps where one can (_rescale_checkpoints)
-    start = _miller_start(nmax, float(ops.max(x)))
-    check_from = _rescale_checkpoints(start, float(ops.min(x))).start
+    start = _miller_start(nmax, float(x.max()))
+    check_from = _rescale_checkpoints(start, float(x.min())).start
     jp = 0.0
     jc = _SEED
     out = [0.0] * (nmax + 1)
@@ -128,11 +112,10 @@ def _miller_all(nmax: int, x, ops) -> list:
         jc = jm
         if k <= check_from:
             # every step from the first checkpoint on is tested, so jp was
-            # tested a step ago and |jc| alone decides; a float comparison
-            # gives a bool, tested without a call
+            # tested a step ago and |jc| alone decides
             over = abs(jc) > _RESCALE_AT
-            if over is True or (over is not False and over.any()):
-                scale = ops.where(over, _RESCALE, 1.0)
+            if over.any():
+                scale = np.where(over, _RESCALE, 1.0)
                 jc = jc * scale
                 jp = jp * scale
                 norm = norm * scale
@@ -148,42 +131,33 @@ def _miller_all(nmax: int, x, ops) -> list:
 def bessel_j_all(nmax: int, x):
     """J_0(x) .. J_nmax(x) in one pass, for x >= 0 a float or an array.
 
-    Indexed by order first: a list of floats for a float x, an array of
-    shape (nmax + 1, *x.shape) for an array x.  Elements with x < 2 take the
-    ascending series, the rest one shared Miller recurrence.
+    Indexed by order first: an array of shape (nmax + 1, *np.shape(x)), so
+    (nmax + 1,) for a float x, which is the one-point case of the array
+    code.  Elements with x < 2 take the ascending series, the rest one
+    shared Miller recurrence.
     """
-    ops = mathops.of(x)
+    x = np.asarray(x, dtype=float)
     if nmax < 0:
         raise DomainError("negative order")
-    if nmax > BESSEL_MAX_ORDER or ops.any(x > BESSEL_MAX_ARG):
+    if nmax > BESSEL_MAX_ORDER or np.any(x > BESSEL_MAX_ARG):
         raise DomainError(f"outside validity window: nmax={nmax}, "
-                          f"x={ops.max(x)}")
-    if ops.any(x < 0.0):
+                          f"x={np.max(x)}")
+    if np.any(x < 0.0):
         raise DomainError("negative argument; use parity J_n(-x)=(-1)^n J_n(x)")
-    if ops is mathops.FLOATS:
-        # a numpy scalar would make every comparison of the recurrences a
-        # numpy bool, tested by a method call instead of an identity check
-        x = float(x)
-        if x == 0.0:
-            return [1.0] + [0.0] * nmax
-        if x < 2.0:
-            return [_bessel_series(nu, x) for nu in range(nmax + 1)]
-        return _miller_all(nmax, x, ops)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0, x == 0.0] = 1.0
-    small = (x > 0.0) & (x < 2.0)
+    flat = x.reshape(-1)
+    out = np.zeros((nmax + 1, flat.size))
+    out[0, flat == 0.0] = 1.0
+    small = (flat > 0.0) & (flat < 2.0)
     if small.any():
-        out[:, small] = _bessel_series_all(nmax, x[small])
-    large = x >= 2.0
+        out[:, small] = _bessel_series_all(nmax, flat[small])
+    large = flat >= 2.0
     if large.any():
-        out[:, large] = _miller_all(nmax, x[large], ops)
-    return out
+        out[:, large] = _miller_all(nmax, flat[large])
+    return out.reshape((nmax + 1,) + x.shape)
 
 
 def bessel_j(nu: int, x: float) -> float:
     """Bessel function of the first kind, integer order nu >= 0."""
-    if nu < 0:
-        raise DomainError("negative order")
     return bessel_j_all(nu, x)[nu]
 
 
@@ -267,7 +241,7 @@ def laguerre_function(n: int, alpha: int):
     streamline's per-point case, runs on two floats; other floats run as
     0-d arrays."""
     if n < 0:
-        return lambda u: mathops.of(u).zero(u)
+        return lambda u: 0.0 if type(u) is float else mathops.zero(u)
     steps = _steps(n, alpha)
     lgam = math.lgamma(alpha + 1.0)
 

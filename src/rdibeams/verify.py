@@ -212,28 +212,27 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
     omega = spec.omega
 
     def field(t, x, y, z):
-        ops = mathops.of(t, x, y, z)
         xi = spec.omega * (t - z / c)
         dx, dy = cat.coordinate_shift(spec, xi)
         xp, yp = x + dx, y + dy
-        lamp = cat.lam_of_r(base, ops.hypot(xp, yp))
-        phi = ops.atan2(yp, xp)
+        lamp = cat.lam_of_r(base, np.hypot(xp, yp))
+        phi = np.arctan2(yp, xp)
         d1, d2 = spec.waveform.fdot(xi)
         arg = 2.0 * lamp * kt / base.B
         jl = sf.bessel_j(l, arg)
         jl1 = sf.bessel_j(l + 1, arg)
-        gl = ops.cexp(1j * l * phi) * jl
-        gl1 = ops.cexp(1j * (l + 1) * phi) * jl1
+        gl = np.exp(1j * l * phi) * jl
+        gl1 = np.exp(1j * (l + 1) * phi) * jl1
         r = c * c / (eps * omega)
         pref = (norm / (2.0 * base.B)) \
-            * ops.cexp(1j * (cat.gauge_phase(spec, xi) - eps * t / hbar))
-        col = ops.stack([
+            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t / hbar))
+        col = mathops.stack([
             2.0 * (mc2 + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
             r * (mc2 + eps) * (d1 + 1j * d2) * gl,
             -r * kt * (d2 + 1j * d1) * gl1,
             2.0j * kt * gl1 - r * (mc2 + eps) * (d1 + 1j * d2) * gl,
         ])
-        return np.asarray(pref)[..., None] * col
+        return pref[..., None] * col
 
     return field
 

@@ -6,7 +6,9 @@ integral in closed form.  The pulse integrates it by a fixed 64-node
 Gauss-Legendre rule over [0, xi] clipped to center +- 12 width, outside
 which the squared envelope is below 1e-62: the nodes move smoothly with xi,
 so the gauge phase is smooth in xi for finite-difference stencils.  Every
-function takes xi as a float or as an array of phases, one per point.
+function is numpy code over an array of phases, one per point; a float
+phase is its one-point case and gives the same bits as a one-element
+array.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import mathops
 
 # Gauss-Legendre rule of the pulse gauge integral, and the half-width of
 # its clip window in units of the envelope width
@@ -37,46 +37,43 @@ class Waveform:
 
     def f(self, xi):
         a = self.amplitude
-        ops = mathops.of(xi)
         if self.kind == "circular":
-            return a * ops.sin(xi), a * (1.0 - ops.cos(xi))
+            return a * np.sin(xi), a * (1.0 - np.cos(xi))
         if self.kind == "linear":
-            return 0.0, a * (1.0 - ops.cos(xi))
+            return 0.0, a * (1.0 - np.cos(xi))
         if self.kind == "pulse":
-            return a * self._envelope(xi, ops)[1] * ops.sin(xi), 0.0
+            return a * self._envelope(xi)[1] * np.sin(xi), 0.0
         if self.kind == "custom":
             return self.params[0](xi)
         raise ValueError(self.kind)
 
     def fdot(self, xi):
         a = self.amplitude
-        ops = mathops.of(xi)
         if self.kind == "circular":
-            return a * ops.cos(xi), a * ops.sin(xi)
+            return a * np.cos(xi), a * np.sin(xi)
         if self.kind == "linear":
-            return 0.0, a * ops.sin(xi)
+            return 0.0, a * np.sin(xi)
         if self.kind == "pulse":
-            u, e = self._envelope(xi, ops)
+            u, e = self._envelope(xi)
             de = -u / self.params[1] * e
-            return a * (de * ops.sin(xi) + e * ops.cos(xi)), 0.0
+            return a * (de * np.sin(xi) + e * np.cos(xi)), 0.0
         if self.kind == "custom":
             return self.params[1](xi)
         raise ValueError(self.kind)
 
     def fddot(self, xi):
         a = self.amplitude
-        ops = mathops.of(xi)
         if self.kind == "circular":
-            return -a * ops.sin(xi), a * ops.cos(xi)
+            return -a * np.sin(xi), a * np.cos(xi)
         if self.kind == "linear":
-            return 0.0, a * ops.cos(xi)
+            return 0.0, a * np.cos(xi)
         if self.kind == "pulse":
-            u, e = self._envelope(xi, ops)
+            u, e = self._envelope(xi)
             width = self.params[1]
             de = -u / width * e
             d2e = (u * u - 1.0) / (width * width) * e
-            return a * (d2e * ops.sin(xi) + 2.0 * de * ops.cos(xi)
-                        - e * ops.sin(xi)), 0.0
+            return a * (d2e * np.sin(xi) + 2.0 * de * np.cos(xi)
+                        - e * np.sin(xi)), 0.0
         if self.kind == "custom":
             return self.params[2](xi)
         raise ValueError(self.kind)
@@ -84,15 +81,14 @@ class Waveform:
     def gauge_integral(self, xi):
         """int_0^xi (f1'^2 + f2'^2) dphi."""
         a2 = self.amplitude ** 2
-        ops = mathops.of(xi)
         if self.kind == "circular":
             return a2 * xi
         if self.kind == "linear":
-            return a2 * (0.5 * xi - 0.25 * ops.sin(2.0 * xi))
+            return a2 * (0.5 * xi - 0.25 * np.sin(2.0 * xi))
         if self.kind == "pulse":
             center, width = self.params
-            lo, hi = (ops.minimum(ops.maximum(v, center - _PULSE_REACH * width),
-                                  center + _PULSE_REACH * width)
+            lo, hi = (np.clip(v, center - _PULSE_REACH * width,
+                              center + _PULSE_REACH * width)
                       for v in (0.0, xi))
             half = 0.5 * (hi - lo)
             mid, step = np.ravel(0.5 * (hi + lo)), np.ravel(half)
@@ -108,14 +104,14 @@ class Waveform:
             return self.params[3](xi)
         raise ValueError(self.kind)
 
-    def _envelope(self, xi, ops) -> tuple:
+    def _envelope(self, xi) -> tuple:
         """(u, e): the pulse's scaled phase u = (xi - center) / width and
         its Gaussian envelope e = exp(-u^2 / 2); each method forms only the
         derivatives it needs, since the gauge integral evaluates fdot on 64
         nodes per point and every array of them is memory held at once."""
         center, width = self.params
         u = (xi - center) / width
-        return u, ops.exp(-0.5 * u * u)
+        return u, np.exp(-0.5 * u * u)
 
 
 def circular(amplitude: float) -> Waveform:

@@ -46,6 +46,14 @@ def test_catalog_json_schema(capsys):
     assert all("parameters" in e and "description" in e for e in entries)
 
 
+def test_catalog_json_matches_golden_bytes(capsys):
+    # tests/golden/catalog.json is the listing as the family if-chain wrote
+    # it, before one table replaced the chain
+    assert cli.main(["catalog", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN / "catalog.json").read_bytes()
+
+
 def test_unknown_family_exits_2_and_prints_catalog(capsys):
     code = cli.main(["eval", "--family", "does-not-exist"])
     assert code == 2

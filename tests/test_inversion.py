@@ -5,6 +5,7 @@ import pytest
 
 from rdibeams import catalog as cat
 from rdibeams import inversion as inv
+from rdibeams import numerics
 from rdibeams import waveforms
 
 
@@ -176,6 +177,27 @@ def test_invert_is_gauge_covariant():
         np.testing.assert_allclose(shifted.eA - plain.eA, grad_up,
                                    atol=1e-9)
         assert shifted.constrained_residual < 2e-7
+
+
+def test_field_that_forgets_the_component_axis_raises():
+    # the gauged field of test_invert_is_gauge_covariant without [..., None]:
+    # the stencil hands it coordinates shaped (*batch, 16), and its per-point
+    # factor does not broadcast against psi[..., 16, 4], at one point and at
+    # batches of 3 and 4 points alike (a batch of 4 once matched the
+    # component axis and gave a wrong potential without an error)
+    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
+    base = cat.spinor(spec)
+
+    def forgetful(t, x, y, z):
+        return base(t, x, y, z) * np.exp(-1j * (0.3 * x + 0.1 * t - 0.2 * z))
+
+    rng = np.random.default_rng(17)
+    for shape in [(4,), (3, 4), (4, 4)]:
+        pts = rng.uniform(0.6, 3.0, size=shape)
+        with pytest.raises(ValueError, match="broadcast"):
+            numerics.gradient4(forgetful, pts)
+        with pytest.raises(ValueError, match="broadcast"):
+            inv.invert(forgetful, pts)
 
 
 def test_high_quantum_numbers():

@@ -105,3 +105,21 @@ def test_custom_waveform_replicates_circular_through_dressing():
                                    cat.spinor(spec_b)(*pt), atol=1e-15)
         np.testing.assert_allclose(cat.potential(spec_c, *pt),
                                    cat.potential(spec_b, *pt), atol=1e-15)
+
+
+@pytest.mark.parametrize("wf", [
+    waveforms.circular(0.4),
+    waveforms.linear(0.7),
+    waveforms.pulse(0.3, center=5.0, width=1.5),
+], ids=["circular", "linear", "pulse"])
+def test_float_phase_is_the_one_point_array_call(wf):
+    # a float phase runs the numpy code as its one-point case: every method
+    # gives the bits of the call on a one-element array
+    def bits(value):
+        parts = value if isinstance(value, tuple) else (value,)
+        return [np.asarray(v, dtype=float).ravel().tobytes() for v in parts]
+
+    for xi in np.random.default_rng(43).uniform(-5.0, 25.0, 50).tolist():
+        for method in (wf.f, wf.fdot, wf.fddot, wf.gauge_integral):
+            assert bits(method(xi)) == bits(method(np.array([xi]))), \
+                (method.__name__, xi)
