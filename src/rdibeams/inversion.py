@@ -101,18 +101,21 @@ def singular(psi) -> Array:
 
 
 def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
-           units: UnitSystem = NATURAL, tol: float | None = None) -> PotentialSample:
+           units: UnitSystem = NATURAL, tol: float | None = None,
+           sample: numerics.StencilSample | None = None) -> PotentialSample:
     """Invert a column-spinor field for its driving potential at a point,
     or at a batch of points point[..., 4].
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
     step must sit in [1e-6, 1e-2]; `tol`, when given, raises StepTooLarge if
     the Richardson estimate exceeds it at any point.  SingularSpinor is
-    raised if Psi is singular at any point of the batch.
+    raised if Psi is singular at any point of the batch, before the field
+    is differentiated.  `sample`, when given, is `numerics.sample(field,
+    point, h)`, already evaluated: only the h/2 stencil is evaluated anew.
     """
     if not 1e-6 <= h <= 1e-2:
         raise ValueError("step h outside [1e-6, 1e-2]")
-    psi = numerics.at(field, point)
+    psi = numerics.at(field, point) if sample is None else sample.at_points
     scalar, pseudo = _density(psi)
     rho2 = scalar ** 2 + pseudo ** 2
     if np.any(rho2 < SINGULAR_RHO2):
@@ -121,12 +124,13 @@ def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
     duality = scalar[..., None, None] * sta.ID \
         - pseudo[..., None, None] * sta.PSEUDO
 
-    def inverted(step):
-        Psi, D = dirac_operator(psi, numerics.gradient4(field, point, step),
-                                m, units)
+    def inverted(grad):
+        Psi, D = dirac_operator(psi, grad, m, units)
         return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
 
-    full, half = inverted(h), inverted(h / 2.0)
+    full = inverted(numerics.gradient4(field, point, h) if sample is None
+                    else sample.gradient())
+    half = inverted(numerics.gradient4(field, point, h / 2.0))
     est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0
     if tol is not None and np.any(est > tol):
         raise StepTooLarge(f"Richardson estimate {np.max(est):.3e} "

@@ -24,8 +24,13 @@ import numpy as np
 
 
 def stack(parts):
-    """Components along a new trailing axis, broadcast to one shape."""
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    """Components along a new trailing axis, broadcast to one shape: one
+    array, filled part by part."""
+    out = np.empty(np.broadcast_shapes(*(np.shape(p) for p in parts))
+                   + (len(parts),), np.result_type(*parts))
+    for i, p in enumerate(parts):
+        out[..., i] = p
+    return out
 
 
 def zero(*values):

@@ -11,7 +11,12 @@ The stencils take a batch of points, point[..., 4], and call the field once
 per `partial4`, on the four stencil points of every point of the batch and
 of every axis asked for, all on one axis after the batch axes (fields take
 t, x, y, z as arrays and return components trailing); `gradient4` is one
-such call on all 16.
+such call on all 16.  Its two halves are public: `stencil_points` builds
+the points and `gradient_from_stencil` combines the field's values there.
+`sample` evaluates a field at a batch of points and on their 16 stencil
+points in one call, so that several readers share one evaluation: the
+field at the points, its 4-gradient and the 4-gradient of a map of it, for
+all points or a slice of them (`StencilSample`).
 
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple
@@ -21,8 +26,11 @@ It is the one caller of the closed forms' float path (see `mathops`).
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
+
+Array = np.ndarray
 
 DEFAULT_STEP = 1e-3
 
@@ -43,7 +51,8 @@ def _combine(vals, h):
 def at(fn, point):
     """fn(t, x, y, z) at point[..., 4]: called with floats for one point,
     with arrays over the leading axes for a batch."""
-    return fn(*np.moveaxis(np.asarray(point, dtype=float), -1, 0))
+    point = np.asarray(point, dtype=float)
+    return fn(*point.transpose(-1, *range(point.ndim - 1)))
 
 
 def deriv4(fn, x, h=DEFAULT_STEP):
@@ -54,6 +63,33 @@ def deriv4(fn, x, h=DEFAULT_STEP):
     return _combine(fn(x + (_OFFSETS * h).reshape((4,) + (1,) * x.ndim)), h)
 
 
+def stencil_points(point, h=DEFAULT_STEP, axes=(0, 1, 2, 3)):
+    """The stencil of each of the k coordinates `axes` at point[..., 4], on
+    one axis after the batch axes, shaped (*batch, 4k, 4): rows 4i .. 4i+3
+    move coordinate axes[i] by 2h, h, -h, -2h."""
+    point = np.asarray(point, dtype=float)
+    pts = np.empty(point.shape[:-1] + (4 * len(axes), 4))
+    pts[...] = point[..., None, :]
+    for i, axis in enumerate(axes):
+        pts[..., 4 * i:4 * i + 4, axis] += _OFFSETS * h
+    return pts
+
+
+def _partials(vals, axis, h):
+    # d[i, *batch, ...] along the k coordinates of a stencil, from a field's
+    # values on its points, vals[*batch, 4k, ...], the stencil on `axis`
+    vals = vals.reshape(vals.shape[:axis] + (vals.shape[axis] // 4, 4)
+                        + vals.shape[axis + 1:])
+    return _combine(np.moveaxis(vals, (axis + 1, axis), (0, 1)), h)
+
+
+def gradient_from_stencil(vals, axis, h=DEFAULT_STEP):
+    """The 4-gradient of `gradient4`, g[..., mu, :], from a field's values
+    on stencil_points(point, h), vals[*batch, 16, ...], whose stencil axis
+    `axis` is the number of batch axes."""
+    return np.moveaxis(_partials(vals, axis, h), 0, axis)
+
+
 def partial4(fn, point, mu, h=DEFAULT_STEP):
     """4th-order central partial of fn(t, x, y, z) along coordinate mu at
     point[..., 4]; for a tuple of coordinates mu, the partial along each,
@@ -62,17 +98,9 @@ def partial4(fn, point, mu, h=DEFAULT_STEP):
     returns values with components trailing: for k >= 2 a per-point factor
     that forgot [..., None] does not broadcast against psi[..., 4] but
     raises."""
-    point = np.asarray(point, dtype=float)
     axes = mu if isinstance(mu, tuple) else (mu,)
-    lead = point.ndim - 1
-    stencil = np.empty(point.shape[:-1] + (4 * len(axes), 4))
-    stencil[...] = point[..., None, :]
-    for i, axis in enumerate(axes):
-        stencil[..., 4 * i:4 * i + 4, axis] += _OFFSETS * h
-    vals = at(fn, stencil)
-    vals = vals.reshape(vals.shape[:lead] + (len(axes), 4)
-                        + vals.shape[lead + 1:])
-    d = _combine(np.moveaxis(vals, (lead + 1, lead), (0, 1)), h)
+    d = _partials(at(fn, stencil_points(point, h, axes)), np.ndim(point) - 1,
+                  h)
     return d if isinstance(mu, tuple) else d[0]
 
 
@@ -80,14 +108,54 @@ def gradient4(fn, point, h=DEFAULT_STEP):
     """All four partials of fn(t, x, y, z) at point[..., 4], stacked after
     the batch axes: g[..., mu, :] = d_mu fn, the time row in d/dt (not
     d/d(ct)).  One `partial4` call, so fn is called once, on all 16
-    stencil points of every point."""
-    return np.moveaxis(partial4(fn, point, (0, 1, 2, 3), h), 0,
-                       np.ndim(point) - 1)
+    `stencil_points` of every point; `gradient_from_stencil` is the same
+    combination of values already evaluated there."""
+    lead = np.ndim(point) - 1
+    return np.moveaxis(partial4(fn, point, (0, 1, 2, 3), h), 0, lead)
+
+
+@dataclass(frozen=True)
+class StencilSample:
+    """A field's values at point[*batch, 4] and on its 16 stencil points,
+    from one call (`sample`): values[*batch, 17, k], row 0 at the point.
+    Indexing selects points of the batch."""
+
+    values: Array
+    h: float
+
+    @property
+    def at_points(self) -> Array:
+        """The field at the points, [*batch, k]."""
+        return self.values[..., 0, :]
+
+    def gradient(self, of=None) -> Array:
+        """`gradient4` at the points of the field, or of of(field) for a map
+        `of` of its trailing component axis: [*batch, 4, k]."""
+        vals = self.values[..., 1:, :]
+        return gradient_from_stencil(vals if of is None else of(vals),
+                                     self.values.ndim - 2, self.h)
+
+    def __getitem__(self, index) -> StencilSample:
+        return StencilSample(self.values[index], self.h)
+
+
+def sample(fn, point, h=DEFAULT_STEP) -> StencilSample:
+    """fn(t, x, y, z), with one trailing component axis, at point[..., 4]
+    and on its 16 stencil points of step h, in one call."""
+    point = np.asarray(point, dtype=float)
+    return StencilSample(at(fn, np.concatenate(
+        [point[..., None, :], stencil_points(point, h)], axis=-2)), h)
 
 
 def divergence4(fn, point, h=DEFAULT_STEP, c=1.0):
     """d_mu F^mu = d_t F^0 / c + div F of a real 4-vector field F."""
-    g = gradient4(fn, point, h).real
+    return divergence(gradient4(fn, point, h), c)
+
+
+def divergence(g, c=1.0):
+    """d_t F^0 / c + div F from the 4-gradient g[..., mu, nu] = d_mu F^nu
+    of a real 4-vector field F."""
+    g = g.real
     return g[..., 0, 0] / c + g[..., 1, 1] + g[..., 2, 2] + g[..., 3, 3]
 
 

@@ -2,15 +2,17 @@
 
 Integer-order Bessel J by Miller's downward recurrence (power series below
 x = 2) on a whole array of arguments at once, a float being the one-point
-case: it tests for overflow only at the steps where a bound on the
-recurrence's growth, from the batch's smallest argument, says an element
-can near it (none for the catalog's orders and radii, so a step is three
-array operations), and takes the series for all orders and terms in one
-broadcast.  The orthonormal Laguerre functions of the magnetic profiles by
-their normalised three-term recurrence, started in log space so that no
-factor overflows or underflows on its own; one of them at a float runs on
-two floats, the serial streamline step's case (see `mathops`).  No
-external special-function dependency.
+case.  Each element starts the recurrence at its own index, so a point's
+value does not depend on the rest of its batch; the recurrence tests for
+overflow only at the steps where a bound on its growth, from the batch's
+smallest argument, says an element can near it (none for the catalog's
+orders and radii, so a step is three array operations), and takes the
+series for all orders and terms in one broadcast.  The orthonormal
+Laguerre functions of the magnetic profiles by their normalised three-term
+recurrence, started in log space so that no factor overflows or underflows
+on its own; one of them at a float runs on two floats, the serial
+streamline step's case (see `mathops`).  No external special-function
+dependency.
 """
 from __future__ import annotations
 
@@ -62,11 +64,11 @@ _RESCALE_AT = 1e250
 _RESCALE = 1e-250
 
 
-def _miller_start(nmax: int, x_max: float) -> int:
-    # well above the turning point of the largest order and argument; even,
-    # which keeps the normalization sum aligned
-    top = max(nmax, x_max)
-    start = int(top + 15.0 * top ** (1.0 / 3.0) + 20)
+def _miller_start(nmax: int, x):
+    # well above the turning point of order nmax at each element of an
+    # array x; even, which keeps the normalization sum aligned
+    top = np.maximum(nmax, x)
+    start = (top + 15.0 * top ** (1.0 / 3.0) + 20).astype(int)
     return start + start % 2
 
 
@@ -97,16 +99,22 @@ def _rescale_checkpoints(start: int, x_min: float) -> range:
 
 def _miller_all(nmax: int, x) -> list:
     # downward recurrence from well above the turning point, normalized by
-    # J0 + 2*sum J_{2k} = 1; one start index for the whole batch, from its
-    # largest argument, and a rescale wherever an element nears overflow,
-    # tested only at the steps where one can (_rescale_checkpoints)
-    start = _miller_start(nmax, float(x.max()))
+    # J0 + 2*sum J_{2k} = 1.  Each element starts at its own start index,
+    # so its value does not depend on the rest of the batch: it stays
+    # exactly 0 until the recurrence reaches that index, where it is seeded.
+    # A rescale wherever an element nears overflow is tested only at the
+    # steps where one can (_rescale_checkpoints)
+    starts = _miller_start(nmax, x)
+    seeds = set(starts.tolist())
+    start = max(seeds)
     check_from = _rescale_checkpoints(start, float(x.min())).start
-    jp = 0.0
-    jc = _SEED
+    jp = np.zeros_like(x)
+    jc = np.zeros_like(x)
     out = [0.0] * (nmax + 1)
     norm = 0.0
     for k in range(start, 0, -1):
+        if k in seeds:
+            jc = np.where(starts == k, _SEED, jc)
         jm = (2.0 * k / x) * jc - jp
         jp = jc
         jc = jm
@@ -134,7 +142,8 @@ def bessel_j_all(nmax: int, x):
     Indexed by order first: an array of shape (nmax + 1, *np.shape(x)), so
     (nmax + 1,) for a float x, which is the one-point case of the array
     code.  Elements with x < 2 take the ascending series, the rest one
-    shared Miller recurrence.
+    Miller recurrence, each from its own start index: every element is bit
+    for bit its one-point call.
     """
     x = np.asarray(x, dtype=float)
     if nmax < 0:

@@ -41,6 +41,15 @@ _LIFT = np.stack([
     PSEUDO @ ALPHA[2], PSEUDO @ ALPHA[0], PSEUDO, ALPHA[1],
 ])
 
+# the same lift as a signed gather: each of the 32 floats of Psi (real and
+# imaginary parts interleaved) is one of the eight parts, Re psi_i (part i)
+# or Im psi_i (part 4 + i), times +1 or -1, and _GATHER indexes that part
+# in psi.view(float), which interleaves Re psi_i and Im psi_i the same way
+_FLOATS_OF_LIFT = np.stack([_LIFT.real, _LIFT.imag], axis=-1).reshape(8, 32)
+_PART = np.argmax(np.abs(_FLOATS_OF_LIFT), axis=0)
+_SIGN = _FLOATS_OF_LIFT[_PART, np.arange(32)]
+_GATHER = 2 * (_PART % 4) + _PART // 4
+
 # plane of the phase rotation: gamma^2 gamma^1 (== gamma_2 gamma_1)
 PHASE_PLANE = GAMMA_UP[2] @ GAMMA_UP[1]
 
@@ -63,9 +72,10 @@ def from_components(r, s) -> Array:
 
 def hestenes_matrix(psi: Array) -> Array:
     """The unique even-subalgebra Psi with Psi u1 = psi[..., 4]."""
-    psi = np.asarray(psi, dtype=complex)
-    parts = np.concatenate([psi.real, psi.imag], axis=-1)
-    return np.einsum("...i,ijk->...jk", parts, _LIFT)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    parts = np.take(psi.view(float), _GATHER, axis=-1)
+    parts *= _SIGN
+    return parts.view(complex).reshape(psi.shape[:-1] + (4, 4))
 
 
 def to_column(Psi: Array) -> Array:

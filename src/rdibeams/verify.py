@@ -12,7 +12,14 @@ Each residual takes a batch of points, point[..., 4], and returns one value
 per point; each check of CHECKS calls it once per spec, on all its points.
 A residual differentiates its field once, with `numerics.gradient4`, whose
 one `partial4` call evaluates the field once, on all 16 stencil points of
-every point of the batch.  The Dirac residual shares the matrix Dirac operator of the
+every point of the batch.  The true column spinor is the exception: the
+suite evaluates it once per spec, on the first row that reads it, as one
+`numerics.sample` at the spec's points and their h-stencil, and the dirac,
+continuity, inversion, kinematics and volkov rows read slices of it (only
+the inversion's h/2 stencil is evaluated anew).  Each of those residuals
+takes the sample as an optional last argument and, called without it,
+evaluates the spinor itself, to the same bits.  Nothing is kept past a
+spec.  The Dirac residual shares the matrix Dirac operator of the
 inversion, `inversion.dirac_operator`, which takes its derivative from the
 column one.  A record that checked no point fails, and its extras give the
 reason.
@@ -25,6 +32,7 @@ of the selected checks is a SelectionError (a usage error in the CLI).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -70,7 +78,8 @@ def perturb_profile(pr: dict, lam: float) -> dict:
 
 
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
-                   fault: str | None = None):
+                   fault: str | None = None,
+                   sample: numerics.StencilSample | None = None):
     """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi at
     point[..., 4], one value per point.
 
@@ -81,14 +90,17 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     (they agree for a consistent lift).
     `fault` names a negative control to inject: "scale-potential" scales
     eA by 1.01, "perturb-profile" builds the spinor on `perturb_profile`.
+    `sample`, when given, is the spinor's `numerics.sample` at point and
+    step h, already evaluated (the faulted spinor's, under perturb-profile).
     """
-    hook = perturb_profile if fault == "perturb-profile" else None
-    col = cat.spinor(spec, hook)
-    psi = numerics.at(col, point)
+    if sample is None:
+        hook = perturb_profile if fault == "perturb-profile" else None
+        sample = numerics.sample(cat.spinor(spec, hook), point, h)
+    psi = sample.at_points
     eA = (1.01 if fault == "scale-potential" else 1.0) \
         * numerics.at(lambda *q: cat.potential(spec, *q), point)
-    Psi, D = inversion.dirac_operator(psi, numerics.gradient4(col, point, h),
-                                      spec.m, spec.units)
+    Psi, D = inversion.dirac_operator(psi, sample.gradient(), spec.m,
+                                      spec.units)
     mat = D - sta.from_vector(eA) @ Psi
     scale = np.maximum(spec.m * spec.units.c * np.linalg.norm(psi, axis=-1),
                        1e-30)
@@ -97,12 +109,15 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
 
 
 def continuity_residual(spec: cat.SolutionSpec, point,
-                        h: float = numerics.DEFAULT_STEP):
+                        h: float = numerics.DEFAULT_STEP,
+                        sample: numerics.StencilSample | None = None):
     """|d_mu J^mu| from the bilinear current of the spinor field, at
-    point[..., 4]."""
-    col = cat.spinor(spec)
-    return abs(numerics.divergence4(
-        lambda *q: spinors.current(col(*q)), point, h, spec.units.c))
+    point[..., 4]: J^mu of the spinor on the stencil rows of its
+    `numerics.sample` (`sample`, when given, already evaluated)."""
+    if sample is None:
+        sample = numerics.sample(cat.spinor(spec), point, h)
+    return abs(numerics.divergence(sample.gradient(spinors.current),
+                                   spec.units.c))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
@@ -113,16 +128,18 @@ def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
-                        h: float = numerics.DEFAULT_STEP) -> dict:
+                        h: float = numerics.DEFAULT_STEP,
+                        sample: numerics.StencilSample | None = None) -> dict:
     """invert() against the family's closed-form potential, at
-    point[..., 4]; each entry holds one value per point."""
-    sample = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
-                              units=spec.units)
+    point[..., 4]; each entry holds one value per point.  `sample` is
+    handed on to invert()."""
+    inv = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
+                           units=spec.units, sample=sample)
     closed = numerics.at(lambda *q: cat.potential(spec, *q), point)
     return {
-        "potential_diff": np.max(np.abs(sample.eA - closed), axis=-1),
-        "constrained": sample.constrained_residual,
-        "richardson": sample.richardson,
+        "potential_diff": np.max(np.abs(inv.eA - closed), axis=-1),
+        "constrained": inv.constrained_residual,
+        "richardson": inv.richardson,
     }
 
 
@@ -157,7 +174,8 @@ def field_invariants(spec: cat.SolutionSpec, point) -> dict:
 CONDITION_FLOOR = 5e-3  # rho / J^0 below which a point is excluded
 
 
-def kinematics_check(spec: cat.SolutionSpec, points) -> dict:
+def kinematics_check(spec: cat.SolutionSpec, points,
+                     sample: numerics.StencilSample | None = None) -> dict:
     """Tetrad and bilinear invariants over a point set, as one batch.
 
     Asserts the exact invariants (unit velocity, unit spacelike spin,
@@ -170,8 +188,11 @@ def kinematics_check(spec: cat.SolutionSpec, points) -> dict:
     than asserted: within that distance of a null-current circle the
     round-off of the bilinears alone perturbs v.v - 1 by ~ eps (J^0/rho)^2,
     which double precision cannot keep under the 1e-10 tolerance.
+    The spinor is read from `sample`, the spinor's `numerics.sample` at
+    the points, when given.
     """
-    psis = numerics.at(cat.spinor(spec), points)
+    psis = numerics.at(cat.spinor(spec), points) if sample is None \
+        else sample.at_points
     bil = spinors.bilinears(psis)
     used = bil.rho >= CONDITION_FLOOR * bil.current[:, 0]
     rho, scalar = bil.rho[used, None], bil.scalar[used]
@@ -237,10 +258,13 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
     return field
 
 
-def volkov_equivalence(spec: cat.SolutionSpec, point):
+def volkov_equivalence(spec: cat.SolutionSpec, point,
+                       sample: numerics.StencilSample | None = None):
     """Norm difference between the null-rotation construction and the
-    explicit dressed Bessel column, at point[..., 4]."""
-    a = numerics.at(cat.spinor(spec), point)
+    explicit dressed Bessel column, at point[..., 4]; the construction is
+    read from `sample`, its `numerics.sample` at the points, when given."""
+    a = numerics.at(cat.spinor(spec), point) if sample is None \
+        else sample.at_points
     b = numerics.at(volkov_bessel_explicit(spec), point)
     return np.linalg.norm(a - b, axis=-1)
 
@@ -490,9 +514,11 @@ class Check:
 
     name: str
     tolerance: float
-    # (spec, xs, h, fault) -> (worst residual, extra), with xs all the
-    # points at once; the worst residual is None when no point could be
-    # checked, and the record then fails, its extra giving the reason
+    # (spec, xs, h, fault, sample) -> (worst residual, extra), with xs all
+    # the points at once and sample() the true spinor's numerics.sample at
+    # xs, evaluated on the spec's first call (None for a fixed grid); the
+    # worst residual is None when no point could be checked, and the record
+    # then fails, its extra giving the reason
     measure: Callable
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
@@ -501,13 +527,15 @@ class Check:
     faults: tuple = ()  # the negative controls passed on to the measure
     paired: tuple = ()  # (name, tolerance, extra key) of a second record
 
-    def run(self, spec, label, grid, pts, h, fault) -> list:
+    def run(self, spec, label, grid, pts, h, fault, sample) -> list:
         if isinstance(self.source, tuple):
-            grid, pts = self.source
+            (grid, pts), sample = self.source, None
         elif self.source is not None:
-            pts = pts[:: max(1, len(pts) // self.source)]
+            some = slice(None, None, max(1, len(pts) // self.source))
+            pts, sample = pts[some], lambda full=sample: full()[some]
         worst, extra = self.measure(spec, pts, h,
-                                    fault if fault in self.faults else None)
+                                    fault if fault in self.faults else None,
+                                    sample)
         checked = worst is not None
         why = {}
         if not checked:
@@ -524,32 +552,33 @@ class Check:
 
 def _each(residual):
     # the residual takes the whole point set at once, one value per point
-    return lambda spec, xs, h, fault: (
-        float(np.max(residual(spec, xs, h, fault))), {})
+    return lambda spec, xs, h, fault, sample: (
+        float(np.max(residual(spec, xs, h, fault, sample))), {})
 
 
-def _inversion(spec, xs, h, fault):
+def _inversion(spec, xs, h, fault, sample):
     # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
     # points, which are counted apart; the rest are inverted as one batch
-    singular = inversion.singular(numerics.at(cat.spinor(spec), xs))
+    sample = sample()
+    singular = inversion.singular(sample.at_points)
     extra = {"constrained": 0.0, "skipped": int(np.count_nonzero(singular))}
     if singular.all():
         return None, extra
-    res = inversion_agreement(spec, xs[~singular], h)
+    res = inversion_agreement(spec, xs[~singular], h, sample[~singular])
     bound = np.maximum(2e-7, 10.0 * res["richardson"])
     extra["constrained"] = float(np.max(res["constrained"]))
     return float(np.max(res["potential_diff"] / bound)), extra
 
 
-def _kinematics(spec, xs, h, fault):
-    kin = kinematics_check(spec, xs)
+def _kinematics(spec, xs, h, fault, sample):
+    kin = kinematics_check(spec, xs, sample())
     worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
                                  "beta0"))
     return (worst if kin["excluded"] < len(xs) else None,
             {k: kin[k] for k in ("beta_pi_fraction", "excluded")})
 
 
-def _circularity(spec, lams, h, fault):
+def _circularity(spec, lams, h, fault, sample):
     # the residual divides by the signed density: the lams where that is
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
@@ -565,32 +594,38 @@ def _circularity(spec, lams, h, fault):
 
 # Each row runs, in this order, on every default spec it applies to.  The
 # measures call their residuals through the module attribute at call time,
-# so patching that attribute reaches the suite.
+# so patching that attribute reaches the suite.  The rows that read the
+# true column spinor take it from the spec's one shared sample; the
+# perturb-profile control's faulted spinor is evaluated by its own row.
 CHECKS = (
     Check("dirac", 1e-7,
-          _each(lambda s, x, h, fault: dirac_residual(s, x, h, fault)),
+          _each(lambda s, x, h, fault, smp: dirac_residual(
+              s, x, h, fault, None if fault == "perturb-profile" else smp())),
           faults=NEGATIVE_CONTROLS),
     Check("continuity", 1e-7,
-          _each(lambda s, x, h, _: continuity_residual(s, x, h)), source=12),
+          _each(lambda s, x, h, _, smp: continuity_residual(s, x, h, smp())),
+          source=12),
     Check("gauge", 2e-7,
-          _each(lambda s, x, h, _: lorentz_gauge_residual(s, x, h)), source=12),
+          _each(lambda s, x, h, *_: lorentz_gauge_residual(s, x, h)),
+          source=12),
     Check("inversion", 1.0, _inversion, source=8,
           paired=("constraints", 2e-7, "constrained")),
     Check("maxwell", 1e-6,
-          _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
+          _each(lambda s, x, h, *_: maxwell_residual(s, x, h)), source=8),
     Check("kinematics", 1e-10, _kinematics, source=25),
     Check("ode", 1e-8,
-          _each(lambda s, lam, h, fault: inversion.radial_ode_residual(
+          _each(lambda s, lam, h, fault, _: inversion.radial_ode_residual(
               s, lam, perturb_profile if fault else None)),
           source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
           applies=lambda s: not s.is_dressed, faults=("perturb-profile",)),
     Check("circularity", 1e-8, _circularity,
           source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
           applies=lambda s: not s.is_dressed),
-    Check("volkov", 1e-10, _each(lambda s, x, h, _: volkov_equivalence(s, x)),
+    Check("volkov", 1e-10,
+          _each(lambda s, x, h, _, smp: volkov_equivalence(s, x, smp())),
           source=50, applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
     Check("fields", 1e-9,
-          _each(lambda s, x, h, _: abs(field_invariants(s, x)["E_dot_B"])),
+          _each(lambda s, x, h, *_: abs(field_invariants(s, x)["E_dot_B"])),
           source=20, applies=lambda s: s.is_dressed
           and s.family is not cat.Family.VOLKOV_BESSEL),
 )
@@ -632,10 +667,14 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
     for spec in specs:
         pts = sample_points(rng, points)
         label = spec_label(spec)
+        # the true column spinor at pts and their h-stencil, evaluated on
+        # the first row that reads it and kept for this spec's rows alone
+        shared = functools.cache(
+            lambda: numerics.sample(cat.spinor(spec), pts, h))
         for check in rows:
             if check.applies(spec):
                 records += check.run(spec, label, grid_desc, pts, h,
-                                     negative_control)
+                                     negative_control, shared)
     if "nullrotor" in checks:  # the null-rotation generator, once per run
         wf = default_waveform()
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))

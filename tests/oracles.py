@@ -70,6 +70,14 @@ def bilinear_current(psi):
     return spinors.bilinears(psi).current
 
 
+def hestenes_matrix(psi):
+    """Psi = sum_i (Re psi, Im psi)_i LIFT_i as one contraction: the
+    reference for the signed gather of `spinors.hestenes_matrix`."""
+    psi = np.asarray(psi, dtype=complex)
+    parts = np.concatenate([psi.real, psi.imag], axis=-1)
+    return np.einsum("...i,ijk->...jk", parts, spinors._LIFT)
+
+
 # ---------------------------------------------------------------------------
 # the trace-projection basis
 # ---------------------------------------------------------------------------

@@ -319,6 +319,15 @@ def test_verify_subset_passes(tmp_path):
     assert "wall_clock" not in payload
 
 
+def test_verify_report_matches_golden_bytes(capsys):
+    # tests/golden/verify-20240801.json is this report as written once each
+    # Bessel value stopped depending on the rest of its batch; sharing one
+    # spinor evaluation between the checks left it unchanged
+    assert cli.main(["verify", "--points", "20", "--seed", "20240801"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN / "verify-20240801.json").read_bytes()
+
+
 def test_verify_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

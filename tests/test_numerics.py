@@ -55,6 +55,34 @@ def test_partial4_axes_match_single_axis(field):
             np.stack(single, axis=point.ndim - 1))
 
 
+@pytest.mark.parametrize("field", [
+    cubic,
+    cat.spinor(cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=1, p_perp=0.8,
+                                waveform=waveforms.linear(0.25), omega=0.9)),
+], ids=["real-4-vector", "spinor"])
+def test_sample_is_the_field_and_its_gradient4_in_one_call(field):
+    # stencil_points and gradient_from_stencil compose to gradient4, and one
+    # sample of the points and their stencil gives, bit for bit, the field
+    # and its gradient4 there, sliced or whole
+    batch = np.random.default_rng(5).uniform(0.5, 5.0, size=(9, 4))
+    for point in (np.asarray(PT), batch):
+        lead = point.ndim - 1
+        g = numerics.gradient4(field, point, 2e-3)
+        np.testing.assert_array_equal(g, numerics.gradient_from_stencil(
+            numerics.at(field, numerics.stencil_points(point, 2e-3)), lead,
+            2e-3))
+        smp = numerics.sample(field, point, 2e-3)
+        np.testing.assert_array_equal(smp.at_points, numerics.at(field, point))
+        np.testing.assert_array_equal(smp.gradient(), g)
+    some = np.array([True, False, True, True, False, False, True, False, True])
+    np.testing.assert_array_equal(smp[some].gradient(),
+                                  numerics.gradient4(field, batch[some], 2e-3))
+    np.testing.assert_array_equal(
+        smp[::4].gradient(lambda v: v.real * v.imag),
+        numerics.gradient4(lambda *q: field(*q).real * field(*q).imag,
+                           batch[::4], 2e-3))
+
+
 def test_divergence4_on_cubic():
     t, x, y, z = PT
     # d_t F^0 / c + d_x F^1 + d_y F^2 + d_z F^3 at c = 2

@@ -48,9 +48,10 @@ def test_bessel_against_series_oracle():
 
 
 # (orders, batch): batches across x = 2 (series below, Miller above) with
-# zeros in them, and batches whose shared Miller start sits far above some
-# elements, which rescale on the way down (no batch with l <= 40 and
-# x <= 50 needs the rescale, so those use order 200 or x up to 1000)
+# zeros in them, and batches whose recurrence tests for a rescale on the way
+# down (no batch with l <= 40 and x <= 50 does, so those use order 200,
+# where the small arguments do rescale, or x up to 1000, where each element
+# starts at its own index and none passes 1e250)
 ARRAY_BATCHES = [
     (40, np.concatenate([[0.0, 1e-3, 1.999, 2.0, 2.001],
                          np.linspace(0.0, 50.0, 101)])),
@@ -86,6 +87,20 @@ def test_bessel_float_is_the_one_point_array_call(nmax):
         batch = sf.bessel_j_all(nmax, np.array([v]))
         assert np.asarray(one).tobytes() == batch[:, 0].tobytes(), v
     assert sf.bessel_j_all(nmax, 1.0).shape == (nmax + 1,)
+
+
+@pytest.mark.parametrize("nmax", [0, 5, 40, 200])
+def test_bessel_batch_is_bitwise_its_per_point_calls(nmax):
+    # a point's value does not depend on the rest of its batch: each
+    # element of a batch across the series (x < 2) and Miller regions, with
+    # arguments whose own starts lie far apart, is bit for bit its
+    # one-point call
+    x = np.concatenate([[0.0, 1e-3, 1.999, 2.0, 2.001, 1000.0],
+                        np.random.default_rng(12).uniform(0.0, 60.0, 200)])
+    batch = sf.bessel_j_all(nmax, x)
+    for i, v in enumerate(x):
+        one = sf.bessel_j_all(nmax, np.array([v]))[:, 0]
+        assert batch[:, i].tobytes() == one.tobytes(), v
 
 
 @pytest.mark.parametrize("nmax, seed", [(4, 30), (6, 31)])

@@ -351,6 +351,20 @@ def test_closed_form_inverse_and_determinant():
             <= 1e-12 * bil.rho ** 2
 
 
+@pytest.mark.parametrize("shape", [(4,), (9, 4), (3, 5, 4), (6, 17, 4)])
+def test_hestenes_matrix_gather_is_bitwise_the_contraction(shape):
+    # each real and imaginary part of Psi is one part of psi times +-1, so
+    # the gather equals the einsum over the lift exactly, on contiguous
+    # batches and on a strided slice alike
+    rng = np.random.default_rng(len(shape) + shape[0])
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    strided = np.repeat(psi, 2, axis=-1)[..., ::2]
+    for p in (psi, strided):
+        got = spinors.hestenes_matrix(p)
+        assert got.shape == p.shape[:-1] + (4, 4)
+        assert got.tobytes() == oracles.hestenes_matrix(p).tobytes()
+
+
 def test_hestenes_matrix_batch_equals_scalar_calls():
     psis = _oracle_spinors()[:40]
     batch = spinors.hestenes_matrix(psis.reshape(4, 10, 4))

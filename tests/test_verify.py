@@ -454,3 +454,83 @@ def test_suite_calls_residuals_through_module_attributes(monkeypatch):
     verify.run_suite(points=2)
     assert all(calls.values()), calls
     assert set(CHECK_RESIDUALS) | {"constraints"} == set(verify.CHECK_NAMES)
+
+
+# the residuals that read the true column spinor, with the number of
+# leading arguments of their standalone call
+SHARED_RESIDUALS = {"dirac_residual": 3, "continuity_residual": 3,
+                    "inversion_agreement": 3, "kinematics_check": 2,
+                    "volkov_equivalence": 2}
+
+
+def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
+    # each residual the suite computes from its spec's one shared sample is
+    # bit for bit the standalone (spec, point[, h]) call, which evaluates
+    # the spinor itself, for every default spec
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen.append((name, fn, args, out))
+            return out
+        return wrapper
+
+    for name in SHARED_RESIDUALS:
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    verify.run_suite(points=40, seed=3)
+    assert {name for name, *_ in seen} == set(SHARED_RESIDUALS)
+    labels = set()
+    for name, fn, args, shared in seen:
+        assert isinstance(args[-1], numerics.StencilSample), name
+        alone = fn(*args[:SHARED_RESIDUALS[name]])
+        if not isinstance(shared, dict):
+            shared, alone = {"": shared}, {"": alone}
+        assert shared.keys() == alone.keys()
+        for key, value in shared.items():
+            assert np.asarray(value).tobytes() == \
+                np.asarray(alone[key]).tobytes(), (name, key)
+        labels.add(verify.spec_label(args[0]))
+    assert len(labels) == 21
+
+
+def count_spinor_evaluations(monkeypatch, **suite):
+    # spinor evaluations per (spec label, faulted) in one run_suite call
+    counts = {}
+    real = cat.spinor
+
+    def counting(spec, fault=None):
+        col = real(spec, fault)
+        key = (verify.spec_label(spec), fault is not None)
+
+        def field(*q):
+            counts[key] = counts.get(key, 0) + 1
+            return col(*q)
+        return field
+
+    monkeypatch.setattr(cat, "spinor", counting)
+    verify.run_suite(points=5, **suite)
+    return counts
+
+
+def test_suite_evaluates_each_true_spinor_at_most_twice(monkeypatch):
+    # one shared sample per spec, and the inversion's h/2 stencil
+    counts = count_spinor_evaluations(monkeypatch)
+    assert len(counts) == 21 and not any(faulted for _, faulted in counts)
+    assert max(counts.values()) <= 2, counts
+    # the faulted spinor of the control keeps its own evaluation, in the
+    # dirac row of every spec
+    counts = count_spinor_evaluations(monkeypatch,
+                                      negative_control="perturb-profile")
+    assert max(n for (_, faulted), n in counts.items() if not faulted) <= 2
+    assert sum(faulted for _, faulted in counts) == 21
+    # no selected row reads the spinor: it is never evaluated
+    assert count_spinor_evaluations(monkeypatch, checks={"gauge"}) == {}
+
+
+def test_suite_leaves_nothing_behind_between_runs():
+    # the shared sample lives in one spec's loop body: a run at another
+    # seed in between changes no byte of a report
+    a = verify.run_suite(points=8, seed=41).to_json()
+    verify.run_suite(points=8, seed=42)
+    assert verify.run_suite(points=8, seed=41).to_json() == a
