@@ -22,6 +22,7 @@ from .catalog import (  # noqa: F401
     potential,
     potential_split,
     radial_profile,
+    sources,
     spinor,
     velocity_spin,
 )

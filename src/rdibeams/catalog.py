@@ -32,9 +32,10 @@ dressing; the dressed families at p_z = 0, omega > 0 and any amplitude,
 the pulse while its envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
-`fields`, `bilinear_fields`, `null_rotation_generator`,
-`null_rotation_lorentz`) take their coordinates as broadcastable numpy
-arrays, a float being the one-point case; a batch keeps its axes in front
+`fields`, `sources`, `bilinear_fields`, `null_rotation_generator`,
+`null_rotation_lorentz`) take their coordinates as numpy arrays of one
+shape, a float being the one-point case (a float among arrays stands for
+every point); a batch keeps its axes in front
 and the components trail, as in psi[..., 4].  Each formula is written
 once, in numpy.  Only the stationary `spinor` field and `bilinear_fields`,
 which the serial streamline step calls one point at a time, also run on
@@ -115,8 +116,13 @@ class SolutionSpec:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
-        if self.n < 0 or self.B <= 0.0 or self.m <= 0.0:
-            raise ValueError("need n >= 0, B > 0, m > 0")
+        # written so that NaN fails: NaN <= 0.0 is False as well
+        if self.n < 0 or not 0.0 < self.B < math.inf \
+                or not 0.0 < self.m < math.inf:
+            raise ValueError("need n >= 0, B > 0, m > 0, B and m finite")
+        for name in ("p_z", "p_perp", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"need a finite {name}")
         if fam in (Family.RADIAL_B, Family.RADIAL_B_LASER):
             M = self.l if self.M is None else self.M
             if M < 0:
@@ -442,6 +448,8 @@ def radial_profile(spec: SolutionSpec, lam: float) -> tuple[float, float]:
 # the generator is g (f1' C1 + f2' C2), g = c^2 / (2 eps omega)
 _NULL_C1 = -sta.ALPHA[0] - sta.PSEUDO @ sta.ALPHA[1]
 _NULL_C2 = -sta.ALPHA[1] + sta.PSEUDO @ sta.ALPHA[0]
+# (C1 psi, C2 psi) as one product with the 8 x 4 matrix [C1; C2]
+_NULL_TURN = sta.signed_gather(np.concatenate([_NULL_C1, _NULL_C2]))
 
 
 def null_rotation_generator(fdot1, fdot2, eps: float, omega: float,
@@ -500,7 +508,7 @@ def xi_of(spec: SolutionSpec, t, z):
 def spinor(spec: SolutionSpec, fault=None):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family.
 
-    t, x, y, z are floats, giving psi[4], or broadcastable arrays, giving
+    t, x, y, z are floats, giving psi[4], or arrays of one shape, giving
     psi[..., 4].  A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y',
     z): the stationary field at coordinates shifted by the classical quiver
     motion, turned by the null rotation and carried by the gauge phase.
@@ -552,8 +560,9 @@ def spinor(spec: SolutionSpec, fault=None):
         psi = static_field(t, x + dx, y + dy, z)
         # (1 + N) psi = psi + g (f1' C1 psi + f2' C2 psi), the generator
         # applied to the column: no 4x4 matrix per point
-        turn = (np.asarray(d1)[..., None] * (psi @ _NULL_C1.T)
-                + np.asarray(d2)[..., None] * (psi @ _NULL_C2.T))
+        c12 = sta.gather_product(_NULL_TURN, psi)
+        turn = (np.asarray(d1)[..., None] * c12[..., :4]
+                + np.asarray(d2)[..., None] * c12[..., 4:])
         return np.exp(1j * phi)[..., None] * (psi + g * turn)
 
     return dressed
@@ -632,13 +641,11 @@ class FieldSample:
 
     electric: Array       # e E
     magnetic: Array       # e B
-    charge_source: float  # e mu0 rho_e
-    current_source: Array  # e mu0 J_e
 
 
 def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
-    """Closed-form electromagnetic fields and their source densities, at
-    float or array coordinates."""
+    """Closed-form electromagnetic fields, at float or array coordinates;
+    their source densities are `sources`."""
     u = spec.units
     c, hbar = u.c, u.hbar
     B = spec.B
@@ -649,16 +656,12 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     zero = mathops.zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
-    rho_e = zero
-    J_e = [zero] * 3
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         eB[2] = eB[2] + B ** 2 / (c ** 2 * hbar)
     elif fam is Family.RADIAL_B:
         if np.any(rp == 0.0):
             raise OnAxisError("field singular on the symmetry axis")
         eB[2] = eB[2] + B / (4.0 * c * rp)
-        J_e = [J_e[0] + (B / (4.0 * c)) * -yp / rp ** 3,
-               J_e[1] + (B / (4.0 * c)) * xp / rp ** 3, J_e[2]]
     if spec.is_dressed:
         eps = eigenvalue(base)
         d1, d2 = spec.waveform.fdot(xi)
@@ -671,15 +674,37 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
         elif fam is Family.RADIAL_B:
             kE = B * c ** 2 / (4.0 * rp * eps * spec.omega)
             kB = B * c / (4.0 * rp * eps * spec.omega)
-            rho_e = B * c ** 2 * (yp * d1 - xp * d2) \
-                / (4.0 * eps * spec.omega * rp ** 3)
-            J_e = [(B / (4.0 * c * rp ** 3)) * v
-                   for v in (-yp, xp, c * (yp * d1 - xp * d2) / (eps * spec.omega))]
         if fam in (Family.UNIFORM_B, Family.RADIAL_B):
             eE = [eE[0] + kE * d2, eE[1] + kE * -d1, eE[2]]
             eB = [eB[0] + kB * d1, eB[1] + kB * d2, eB[2]]
-    return FieldSample(mathops.stack(eE), mathops.stack(eB), rho_e,
-                       mathops.stack(J_e))
+    return FieldSample(mathops.stack(eE), mathops.stack(eB))
+
+
+def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
+    """The closed-form source densities of `fields`, (e mu0 rho_e,
+    e mu0 J_e[..., 3]), at float or array coordinates: zero but for the
+    loop-like current of the 1/r field and its dressing."""
+    c = spec.units.c
+    B = spec.B
+    base = spec.static_base()
+    zero = mathops.zero(t, x, y, z)
+    if base.family is not Family.RADIAL_B:
+        return zero, mathops.stack([zero] * 3)
+    xp, yp, xi = _primed(spec, t, x, y, z)
+    rp = np.hypot(xp, yp)
+    if np.any(rp == 0.0):
+        raise OnAxisError("field singular on the symmetry axis")
+    if not spec.is_dressed:
+        return zero, mathops.stack([zero + (B / (4.0 * c)) * -yp / rp ** 3,
+                                    zero + (B / (4.0 * c)) * xp / rp ** 3,
+                                    zero])
+    eps = eigenvalue(base)
+    d1, d2 = spec.waveform.fdot(xi)
+    rho_e = B * c ** 2 * (yp * d1 - xp * d2) \
+        / (4.0 * eps * spec.omega * rp ** 3)
+    J_e = [(B / (4.0 * c * rp ** 3)) * v
+           for v in (-yp, xp, c * (yp * d1 - xp * d2) / (eps * spec.omega))]
+    return rho_e, mathops.stack(J_e)
 
 
 # ---------------------------------------------------------------------------

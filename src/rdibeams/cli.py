@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from . import catalog as cat
 from . import verify
+from .inversion import MAX_STEP, MIN_STEP
 from .specialfn import DomainError
 from .spinors import NullDensity, bilinears
 from .units import NATURAL, SI
@@ -215,12 +216,20 @@ def cmd_verify(args) -> int:
     points = int(cfg.get("points", 100))
     if points < 1:
         raise UsageError(f"need --points >= 1, got {points}")
+    seed = int(cfg.get("seed", 20240801))
+    if seed < 0:
+        raise UsageError(f"need --seed >= 0, got {seed}")
+    # a NaN step fails the comparison too
+    h = float(cfg.get("fd_step", 1e-3))
+    if not MIN_STEP <= h <= MAX_STEP:
+        raise UsageError(f"need --fd-step in [{MIN_STEP}, {MAX_STEP}], "
+                         f"got {h}")
     report = verify.run_suite(
         families=families,
         checks=cfg.get("check") or None,
         points=points,
-        seed=int(cfg.get("seed", 20240801)),
-        h=float(cfg.get("fd_step", 1e-3)),
+        seed=seed,
+        h=h,
         negative_control=cfg.get("negative_control"),
     )
     if not report.records:

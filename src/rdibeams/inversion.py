@@ -60,10 +60,18 @@ class PotentialSample:
         return np.max(np.abs(self.coefficients[..., _CONSTRAINED]), axis=-1)
 
 
-_GAMMA_UP = np.stack(sta.GAMMA_UP)
-_GAMMA16 = np.stack(sta.GAMMA16)
+# d-slash as one 4 x 16 matrix on (mu, j): row i holds gamma^mu[i, j] at
+# column 4 mu + j; right products with the phase plane and gamma0 as left
+# products of their transposes; Tr[A Gamma_k] as one 16 x 16 matrix on
+# A[i, j] at column 4 i + j
+_SLASH = sta.signed_gather(np.stack(sta.GAMMA_UP, axis=1).reshape(4, 16))
+_TIMES_PHASE_PLANE = sta.signed_gather(spinors.PHASE_PLANE.T)
+_TIMES_GAMMA0 = sta.signed_gather(sta.GAMMA0.T)
+_TRACES = sta.signed_gather(np.stack(sta.GAMMA16).transpose(0, 2, 1)
+                            .reshape(16, 16))
 _CONSTRAINED = [k - 1 for k in sta.CONSTRAINED_INDICES]
 SINGULAR_RHO2 = 1e-12  # rho^2 = |det Psi| below which Psi is not inverted
+MIN_STEP, MAX_STEP = 1e-6, 1e-2  # the stencil steps `invert` takes
 
 
 def dirac_operator(psi, grad, m: float, units: UnitSystem) -> tuple[Array, Array]:
@@ -74,9 +82,10 @@ def dirac_operator(psi, grad, m: float, units: UnitSystem) -> tuple[Array, Array
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
     dPsi[..., 0, :, :] /= units.c
-    slash_d = np.einsum("mij,...mjk->...ik", _GAMMA_UP, dPsi)
-    return Psi, units.hbar * slash_d @ spinors.PHASE_PLANE \
-        - m * units.c * Psi @ sta.GAMMA0
+    slash_d = sta.gather_product(
+        _SLASH, dPsi.reshape(dPsi.shape[:-3] + (16, 4)), axis=-2)
+    return Psi, sta.gather_product(_TIMES_PHASE_PLANE, units.hbar * slash_d) \
+        - sta.gather_product(_TIMES_GAMMA0, m * units.c * Psi)
 
 
 def _density(psi) -> tuple[Array, Array]:
@@ -107,14 +116,15 @@ def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
     or at a batch of points point[..., 4].
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
-    step must sit in [1e-6, 1e-2]; `tol`, when given, raises StepTooLarge if
-    the Richardson estimate exceeds it at any point.  SingularSpinor is
-    raised if Psi is singular at any point of the batch, before the field
-    is differentiated.  `sample`, when given, is `numerics.sample(field,
-    point, h)`, already evaluated: only the h/2 stencil is evaluated anew.
+    step must sit in [MIN_STEP, MAX_STEP]; `tol`, when given, raises
+    StepTooLarge if the Richardson estimate exceeds it at any point.
+    SingularSpinor is raised if Psi is singular at any point of the batch,
+    before the field is differentiated.  `sample`, when given, is
+    `numerics.sample(field, point, h)`, already evaluated: only the h/2
+    stencil is evaluated anew.
     """
-    if not 1e-6 <= h <= 1e-2:
-        raise ValueError("step h outside [1e-6, 1e-2]")
+    if not MIN_STEP <= h <= MAX_STEP:
+        raise ValueError(f"step h outside [{MIN_STEP}, {MAX_STEP}]")
     psi = numerics.at(field, point) if sample is None else sample.at_points
     scalar, pseudo = _density(psi)
     rho2 = scalar ** 2 + pseudo ** 2
@@ -135,7 +145,9 @@ def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
     if tol is not None and np.any(est > tol):
         raise StepTooLarge(f"Richardson estimate {np.max(est):.3e} "
                            f"> tol {tol:.3e}")
-    coeffs = np.einsum("...ij,kji->...k", half, _GAMMA16) / 4.0  # Tr[half Gamma_k]/4
+    # Tr[half Gamma_k] / 4
+    coeffs = sta.gather_product(
+        _TRACES, half.reshape(half.shape[:-2] + (16,))) / 4.0
     # Tr[A-slash gamma^mu] / 4 = A^mu directly (no dual sign)
     return PotentialSample(eA=coeffs[..., 1:5].real, coefficients=coeffs,
                            richardson=est)

@@ -23,19 +23,25 @@ from types import SimpleNamespace
 import numpy as np
 
 
+def _shape(values):
+    # the shape of the first highest-rank array among values, () for floats
+    return max([getattr(v, "shape", ()) for v in values], key=len)
+
+
 def stack(parts):
-    """Components along a new trailing axis, broadcast to one shape: one
-    array, filled part by part."""
-    out = np.empty(np.broadcast_shapes(*(np.shape(p) for p in parts))
-                   + (len(parts),), np.result_type(*parts))
+    """Components along a new trailing axis: one array of the shape of the
+    highest-rank part, filled part by part.  A part of a lower rank, a
+    float among them, is repeated along the axes it lacks; a part whose
+    shape does not fit raises."""
+    out = np.empty(_shape(parts) + (len(parts),), np.result_type(*parts))
     for i, p in enumerate(parts):
         out[..., i] = p
     return out
 
 
 def zero(*values):
-    """Zero with the broadcast shape of the arguments."""
-    return np.zeros(np.broadcast_shapes(*(np.shape(v) for v in values)))
+    """Zero with the shape of the highest-rank argument."""
+    return np.zeros(_shape(values))
 
 
 FLOATS = SimpleNamespace(cexp=cmath.exp, hypot=math.hypot, atan2=math.atan2,

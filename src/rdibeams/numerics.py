@@ -80,14 +80,20 @@ def _partials(vals, axis, h):
     # values on its points, vals[*batch, 4k, ...], the stencil on `axis`
     vals = vals.reshape(vals.shape[:axis] + (vals.shape[axis] // 4, 4)
                         + vals.shape[axis + 1:])
-    return _combine(np.moveaxis(vals, (axis + 1, axis), (0, 1)), h)
+    return _combine(vals.transpose(axis + 1, axis, *range(axis),
+                                   *range(axis + 2, vals.ndim)), h)
+
+
+def _to_axis(d, axis):
+    # d[i, ...] with its leading axis moved to `axis`
+    return d.transpose(*range(1, axis + 1), 0, *range(axis + 1, d.ndim))
 
 
 def gradient_from_stencil(vals, axis, h=DEFAULT_STEP):
     """The 4-gradient of `gradient4`, g[..., mu, :], from a field's values
     on stencil_points(point, h), vals[*batch, 16, ...], whose stencil axis
     `axis` is the number of batch axes."""
-    return np.moveaxis(_partials(vals, axis, h), 0, axis)
+    return _to_axis(_partials(vals, axis, h), axis)
 
 
 def partial4(fn, point, mu, h=DEFAULT_STEP):
@@ -110,8 +116,7 @@ def gradient4(fn, point, h=DEFAULT_STEP):
     d/d(ct)).  One `partial4` call, so fn is called once, on all 16
     `stencil_points` of every point; `gradient_from_stencil` is the same
     combination of values already evaluated there."""
-    lead = np.ndim(point) - 1
-    return np.moveaxis(partial4(fn, point, (0, 1, 2, 3), h), 0, lead)
+    return _to_axis(partial4(fn, point, (0, 1, 2, 3), h), np.ndim(point) - 1)
 
 
 @dataclass(frozen=True)

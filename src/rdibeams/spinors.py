@@ -234,7 +234,8 @@ def current(psi: Array):
     """
     psi = np.asarray(psi, dtype=complex)
     one = psi.ndim == 1
-    p0, p1, p2, p3 = psi.tolist() if one else np.moveaxis(psi, -1, 0)
+    p0, p1, p2, p3 = psi.tolist() if one \
+        else psi.transpose(-1, *range(psi.ndim - 1))
     c0, c1 = p0.conjugate(), p1.conjugate()
     j0 = ((p0 * c0).real + (p1 * c1).real + (p2 * p2.conjugate()).real
           + (p3 * p3.conjugate()).real)

@@ -90,16 +90,72 @@ class MixedBivector(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def signed_gather(matrix) -> tuple[Array, Array]:
+    """The tables of a constant matrix[n, n'] with the same number k of
+    nonzero entries in every row, each +-1 or +-i: column[i, t] is the
+    column of the t-th nonzero entry of row i, and coefficient[i, t] its
+    value.  `gather_product` applies them."""
+    matrix = np.asarray(matrix, dtype=complex)
+    counts = np.count_nonzero(matrix, axis=1)
+    column = np.nonzero(matrix)[1]
+    coefficient = matrix[matrix != 0]
+    if (counts != counts[0]).any() or (abs(coefficient) != 1.0).any() \
+            or (coefficient.real * coefficient.imag != 0.0).any():
+        raise ValueError("not a signed gather: rows differ in their count "
+                         "of nonzero entries, or an entry is not +-1, +-i")
+    shape = (len(matrix), counts[0])
+    return column.reshape(shape), coefficient.reshape(shape)
+
+
+def gather_product(table, x, axis: int = -1) -> Array:
+    """matrix @ x for the tables of `signed_gather(matrix)`: along the last
+    axis of x[..., n'] (axis=-1), or along the next-to-last of x[..., n', m]
+    (axis=-2).  Each entry is its row's k exact products, summed in column
+    order from +0, as einsum and matmul accumulate: for finite x it is
+    their product bit for bit, the sign of a zero included."""
+    column, coefficient = table
+    if axis == -1:
+        terms = x[..., column]
+        terms *= coefficient
+    else:
+        terms = x[..., column, :]
+        terms *= coefficient[..., None]
+        terms = terms.swapaxes(-1, -2)
+    out = terms[..., 0] + 0.0
+    for t in range(1, column.shape[1]):
+        out += terms[..., t]
+    return out
+
+
+_REVERSION_SIGN = np.outer(GAMMA0.diagonal(), GAMMA0.diagonal())
+
+
 def reversion(a: Array) -> Array:
-    """rev(A) = gamma0 A^dagger gamma0 of matrices a[..., 4, 4].
-    Anti-automorphism fixing vectors."""
-    return GAMMA0 @ np.swapaxes(a.conj(), -1, -2) @ GAMMA0
+    """rev(A) = gamma0 A^dagger gamma0 of matrices a[..., 4, 4]: the sign
+    pattern of gamma0 (.) gamma0 on A^dagger, the matrix products' bits
+    for finite a.  Anti-automorphism fixing vectors."""
+    out = np.swapaxes(a, -1, -2).conj() * _REVERSION_SIGN
+    out += 0.0
+    return out
+
+
+# each of the 32 floats of v^mu gamma_mu (real and imaginary parts
+# interleaved) is 0 or +-v^mu for one mu: the float's part and sign
+_FLOATS_OF_GAMMA = np.stack([np.stack([g.real, g.imag], axis=-1).reshape(32)
+                             for g in GAMMA])
+_VECTOR_PART = np.argmax(np.abs(_FLOATS_OF_GAMMA), axis=0)
+_VECTOR_SIGN = _FLOATS_OF_GAMMA[_VECTOR_PART, np.arange(32)]
 
 
 def from_vector(v: Array) -> Array:
-    """v^mu gamma_mu of real contravariant 4-vectors v[..., 4]."""
-    v = np.asarray(v, dtype=float)[..., None, None]
-    return sum(v[..., mu, :, :] * GAMMA[mu] for mu in range(4))
+    """v^mu gamma_mu of real contravariant 4-vectors v[..., 4], as a signed
+    gather of v plus +0: for finite v the bits of the sum of the four
+    products."""
+    v = np.asarray(v, dtype=float)
+    out = np.take(v, _VECTOR_PART, axis=-1)
+    out *= _VECTOR_SIGN
+    out += 0.0
+    return out.view(complex).reshape(v.shape[:-1] + (4, 4))
 
 
 def minkowski_dot(u: Array, v: Array) -> float:

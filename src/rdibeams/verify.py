@@ -152,11 +152,10 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
         smp = cat.fields(spec, *q)
         return np.concatenate([smp.electric, smp.magnetic], axis=-1)
 
-    smp = numerics.at(lambda *q: cat.fields(spec, *q), point)
+    charge, current = numerics.at(lambda *q: cat.sources(spec, *q), point)
     g = numerics.gradient4(e_and_b, point, h).real
-    gauss = numerics.spatial_divergence(g[..., :3]) - smp.charge_source
-    ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] \
-        - smp.current_source
+    gauss = numerics.spatial_divergence(g[..., :3]) - charge
+    ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - current
     return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
 
 

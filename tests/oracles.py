@@ -78,6 +78,48 @@ def hestenes_matrix(psi):
     return np.einsum("...i,ijk->...jk", parts, spinors._LIFT)
 
 
+# the products with constant Clifford matrices as einsum and matmul: the
+# references for the signed gathers of the library (`sta.gather_product`)
+
+
+def dirac_operator(psi, grad, m, units):
+    """Psi and D = hbar (d-slash Psi) gamma^2 gamma^1 - m c Psi gamma^0 with
+    d-slash an einsum over the gamma^mu stack and the right products
+    matmuls: the reference for `inversion.dirac_operator`."""
+    Psi = spinors.hestenes_matrix(psi)
+    dPsi = spinors.hestenes_matrix(grad)
+    dPsi[..., 0, :, :] /= units.c
+    slash_d = np.einsum("mij,...mjk->...ik", np.stack(sta.GAMMA_UP), dPsi)
+    return Psi, units.hbar * slash_d @ spinors.PHASE_PLANE \
+        - m * units.c * Psi @ sta.GAMMA0
+
+
+def trace_coefficients(a):
+    """Tr[A Gamma_k] for the 16 Gamma_k of matrices a[..., 4, 4], as one
+    einsum: the reference for the traces `inversion.invert` takes."""
+    return np.einsum("...ij,kji->...k", a, np.stack(sta.GAMMA16))
+
+
+def reversion(a):
+    """gamma0 A^dagger gamma0 as two matmuls: the reference for
+    `sta.reversion`."""
+    return sta.GAMMA0 @ np.swapaxes(a.conj(), -1, -2) @ sta.GAMMA0
+
+
+def from_vector(v):
+    """v^mu gamma_mu as the sum of the four products: the reference for
+    `sta.from_vector`."""
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return sum(v[..., mu, :, :] * sta.GAMMA[mu] for mu in range(4))
+
+
+def null_turn(psi):
+    """(C1 psi, C2 psi) of the null rotation's two generators, as matmuls on
+    psi[..., 4]: the reference for the dressed spinor's turn."""
+    return np.concatenate([psi @ cat._NULL_C1.T, psi @ cat._NULL_C2.T],
+                          axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # the trace-projection basis
 # ---------------------------------------------------------------------------

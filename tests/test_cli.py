@@ -140,6 +140,12 @@ def test_eval_io_failure_exits_4():
     # outside the Bessel recurrence's validity window
     (["eval", "--family", "free-bessel", "--pperp", "5000"], 3),
     (["eval", "--family", "uniform-b", "--grid-x", "0.5:3:-2"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--B", "-1"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--B", "nan"], 2),
+    (["eval", "--family", "redmond", "--waveform", "circular:0.3",
+      "--omega", "nan"], 2),
+    (["eval", "--family", "free-bessel", "--pperp", "inf"], 2),
+    (["eval", "--family", "uniform-b", "--pz", "nan"], 2),
     (["eval", "--config", "/nonexistent-dir/cfg.json"], 4),
     (["verify", "--config", "/nonexistent-dir/cfg.json"], 4),
     (["eval", "--config", "{tmp}/not-json.json"], 2),
@@ -149,6 +155,7 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "uniform-b", "--l", "100", "--grid-x",
       "2500:2500:1", "--grid-y", "0:0:1"], 3),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
+        "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
         "eval-config", "verify-config", "config-not-json",
         "config-not-object", "far-tail-nan"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
@@ -328,6 +335,19 @@ def test_verify_report_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "verify-20240801.json").read_bytes()
 
 
+@pytest.mark.parametrize("control", verify.NEGATIVE_CONTROLS)
+def test_negative_control_report_matches_golden_bytes(control, capsys):
+    # tests/golden/verify-20240801-<control>.json is this report as written
+    # before the constant gamma products became signed gathers: a kernel
+    # change that moves a failing residual shows here
+    assert cli.main(["verify", "--points", "20", "--seed", "20240801",
+                     "--negative-control", control]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.encode() == \
+        (GOLDEN / f"verify-20240801-{control}.json").read_bytes()
+    assert "FAIL dirac" in captured.err
+
+
 def test_verify_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -369,6 +389,29 @@ def test_verify_zero_points_is_usage_error(tmp_path, capsys):
     code = cli.main(["verify", "--points", "0", "--out", str(out)])
     assert code == 2
     assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--fd-step", "0"], "--fd-step"),
+    (["--fd-step", "-0.001"], "--fd-step"),
+    (["--fd-step", "10"], "--fd-step"),
+    (["--fd-step", "nan"], "--fd-step"),
+    (["--fd-step", "inf"], "--fd-step"),
+    (["--seed", "-1"], "--seed"),
+], ids=["step-0", "step-negative", "step-10", "step-nan", "step-inf",
+        "seed-negative"])
+def test_verify_bad_flag_is_usage_error_before_any_check(
+        args, flag, tmp_path, capsys, monkeypatch):
+    def no_suite(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_suite", no_suite)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--points", "2", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and flag in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from oracles import NonVectorResult, to_vector
-from rdibeams import sta
+from rdibeams import catalog as cat
+from rdibeams import inversion, sta
+from rdibeams.units import UnitSystem
 
 
 def sandwich(r, v):
@@ -88,6 +90,53 @@ def test_reversion_basics():
                                    atol=1e-12)
         np.testing.assert_allclose(sta.reversion(sta.reversion(a)), a,
                                    atol=1e-14)
+
+
+def _parts(rng, shape, zeros):
+    # random complex entries; with `zeros`, about a third of the real and
+    # of the imaginary parts are +0 or -0
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if zeros:
+        for part in (a.real, a.imag):
+            hit = rng.random(shape) < 0.3
+            part[hit] = np.where(rng.random(shape)[hit] < 0.5, 0.0, -0.0)
+    return a
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (17,), (100,), (3, 17)])
+def test_gathers_are_bitwise_their_einsum_and_matmul(shape):
+    # every product with a constant Clifford matrix is a signed gather whose
+    # sums keep the einsum's or matmul's order from +0: bit for bit their
+    # result on finite entries, a signed zero included
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    units = UnitSystem(hbar=0.7, c=2.5)
+    for zeros in (False, True):
+        psi = _parts(rng, shape + (4,), zeros)
+        grad = _parts(rng, shape + (4, 4), zeros)
+        a = _parts(rng, shape + (4, 4), zeros)
+        got = inversion.dirac_operator(psi, grad, 1.3, units)
+        ref = oracles.dirac_operator(psi, grad, 1.3, units)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape == shape + (4, 4)
+            assert g.tobytes() == r.tobytes()
+        for x in (a, np.swapaxes(a, -1, -2)):  # contiguous and strided
+            assert sta.reversion(x).tobytes() == \
+                oracles.reversion(x).tobytes()
+        traces = sta.gather_product(inversion._TRACES,
+                                    a.reshape(shape + (16,)))
+        assert traces.tobytes() == oracles.trace_coefficients(a).tobytes()
+        turn = sta.gather_product(cat._NULL_TURN, psi)
+        assert turn.tobytes() == oracles.null_turn(psi).tobytes()
+        for v in (a.real[..., 0, :], a.imag[..., 0, :]):  # strided
+            assert sta.from_vector(v).tobytes() == \
+                oracles.from_vector(v).tobytes()
+
+
+def test_signed_gather_refuses_other_matrices():
+    with pytest.raises(ValueError):
+        sta.signed_gather(2.0 * sta.GAMMA0)  # an entry that is not +-1
+    with pytest.raises(ValueError):
+        sta.signed_gather(sta.ID + sta.GAMMA5 @ np.diag([1, 1, 1, 0]))
 
 
 def test_reversion_inverts_boosts():
