@@ -17,11 +17,9 @@ from .catalog import (  # noqa: F401
     averages,
     eigenvalue,
     fields,
-    matrix_spinor,
     normalization,
     potential,
     potential_split,
-    radial_profile,
     sources,
     spinor,
     velocity_spin,
@@ -29,24 +27,17 @@ from .catalog import (  # noqa: F401
 from .inversion import (  # noqa: F401
     PotentialSample,
     SingularSpinor,
-    StepTooLarge,
     circularity_residual,
     invert,
     radial_ode_residual,
-    stationary_potential_terms,
 )
 from .spinors import (  # noqa: F401
     Bilinears,
-    MatrixSpinor,
     NullDensity,
     Observables,
-    assemble,
     bilinears,
-    from_components,
     hestenes_matrix,
     observables,
-    plane_wave,
-    to_column,
 )
 from .units import NATURAL, SI, UnitSystem  # noqa: F401
-from .waveforms import Waveform, circular, custom, linear, pulse  # noqa: F401
+from .waveforms import Waveform, circular, linear, pulse  # noqa: F401

@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import mathops, spinors, sta
+from . import mathops, sta
 from . import specialfn as sf
 from .units import NATURAL, UnitSystem
 from .waveforms import Waveform
@@ -434,12 +434,6 @@ def profile(spec: SolutionSpec, lam) -> dict:
             "H": H, "Hp": Hp, "aH": aH, "bH": bH}
 
 
-def radial_profile(spec: SolutionSpec, lam: float) -> tuple[float, float]:
-    """(f, H) at lam, normalization constant included in f."""
-    pr = profile(spec, lam)
-    return pr["f"], pr["H"]
-
-
 # ---------------------------------------------------------------------------
 # laser dressing
 # ---------------------------------------------------------------------------
@@ -566,16 +560,6 @@ def spinor(spec: SolutionSpec, fault=None):
         return np.exp(1j * phi)[..., None] * (psi + g * turn)
 
     return dressed
-
-
-def matrix_spinor(spec: SolutionSpec):
-    """Matrix-spinor field Psi with Psi u1 = psi (even-subalgebra lift)."""
-    col = spinor(spec)
-
-    def field(t, x, y, z):
-        return spinors.hestenes_matrix(col(t, x, y, z))
-
-    return field
 
 
 # ---------------------------------------------------------------------------

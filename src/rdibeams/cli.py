@@ -20,11 +20,27 @@ from .inversion import MAX_STEP, MIN_STEP
 from .specialfn import DomainError
 from .spinors import NullDensity, bilinears
 from .units import NATURAL, SI
-from .waveforms import circular, linear, pulse
+from .waveforms import KINDS
 
 
 class UsageError(ValueError):
     pass
+
+
+def _read(cfg: dict, key: str, kind: type, default=None):
+    """cfg[key] as a `kind`, `default` where it is absent or null.  A value
+    of another JSON type is a usage error: an int is no bool and no 1.7, a
+    float may be an int, and one string stands for a list of it."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if kind is list and type(value) is str:
+        return [value]
+    if not (type(value) is kind or kind is float and type(value) is int) \
+            or kind is list and any(type(v) is not str for v in value):
+        name = "list of names" if kind is list else kind.__name__
+        raise UsageError(f"{key} must be {name}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -41,34 +57,38 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 def _parse_waveform(text: str):
     try:
         kind, amp = text.split(":")
-        return {"circular": circular, "linear": linear, "pulse": pulse}[kind](float(amp))
+        return KINDS[kind](float(amp))
     except (ValueError, KeyError) as exc:
         raise UsageError(f"bad waveform {text!r}, want kind:amplitude") from exc
 
 
 def _spec_from_config(cfg: dict) -> cat.SolutionSpec:
-    family = cfg.get("family")
+    family = _read(cfg, "family", str)
     try:
         fam = cat.Family(family)
     except ValueError:
         raise UsageError(f"unknown family {family!r}")
+    units = _read(cfg, "units", str, "natural")
+    if units not in ("natural", "si"):
+        raise UsageError(f"unknown units {units!r}")
     kwargs = dict(
         family=fam,
-        n=int(cfg.get("n", 0)),
-        B=float(cfg.get("B", 1.0)),
-        m=float(cfg.get("mass", 1.0)),
-        p_z=float(cfg.get("pz", 0.0)),
-        p_perp=float(cfg.get("pperp", 1.0)),
-        omega=float(cfg.get("omega", 1.0)),
-        units=SI if cfg.get("units") == "si" else NATURAL,
+        n=_read(cfg, "n", int, 0),
+        B=_read(cfg, "B", float, 1.0),
+        m=_read(cfg, "mass", float, 1.0),
+        p_z=_read(cfg, "pz", float, 0.0),
+        p_perp=_read(cfg, "pperp", float, 1.0),
+        omega=_read(cfg, "omega", float, 1.0),
+        units=SI if units == "si" else NATURAL,
     )
-    if "M" in cfg and cfg["M"] is not None:
-        kwargs["M"] = int(cfg["M"])
-        kwargs["l"] = int(cfg["M"])
+    M = _read(cfg, "M", int)
+    if M is not None:
+        kwargs["M"] = M
+        kwargs["l"] = M
     else:
-        kwargs["l"] = int(cfg.get("l", 0))
-    if cfg.get("waveform"):
-        kwargs["waveform"] = _parse_waveform(cfg["waveform"])
+        kwargs["l"] = _read(cfg, "l", int, 0)
+    if waveform := _read(cfg, "waveform", str):
+        kwargs["waveform"] = _parse_waveform(waveform)
     try:
         return cat.SolutionSpec(**kwargs)
     except ValueError as exc:
@@ -112,7 +132,7 @@ def _grid_points(cfg: dict) -> np.ndarray:
     axes = []
     for name, default in (("grid_t", "0:0:1"), ("grid_x", "0.5:3:6"),
                           ("grid_y", "0.5:3:6"), ("grid_z", "0:0:1")):
-        lo, hi, count = _parse_range(cfg.get(name, default))
+        lo, hi, count = _parse_range(_read(cfg, name, str, default))
         axes.append(np.linspace(lo, hi, count))
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
@@ -168,9 +188,9 @@ def cmd_eval(args) -> int:
             "axis_exclude", "format", "out")
     cfg = _effective_config(args, keys)
     spec = _spec_from_config(cfg)
-    exclude = float(cfg.get("axis_exclude", 1e-3))
-    fmt = cfg.get("format", "csv")
-    out_path = cfg.get("out", "-")
+    exclude = _read(cfg, "axis_exclude", float, 1e-3)
+    fmt = _read(cfg, "format", str, "csv")
+    out_path = _read(cfg, "out", str, "-")
     points = _grid_points(cfg)
     radii = np.hypot(points[:, 1], points[:, 2])
     if spec.family in cat.SINGULAR_ON_AXIS and exclude <= 0.0 \
@@ -207,30 +227,30 @@ def cmd_verify(args) -> int:
             "negative_control", "timings")
     cfg = _effective_config(args, keys)
     families = None
-    fam_arg = cfg.get("family", "all")
+    fam_arg = _read(cfg, "family", str, "all")
     if fam_arg and fam_arg != "all":
         try:
             families = [cat.Family(fam_arg).value]
         except ValueError:
             raise UsageError(f"unknown family {fam_arg!r}")
-    points = int(cfg.get("points", 100))
+    points = _read(cfg, "points", int, 100)
     if points < 1:
         raise UsageError(f"need --points >= 1, got {points}")
-    seed = int(cfg.get("seed", 20240801))
+    seed = _read(cfg, "seed", int, 20240801)
     if seed < 0:
         raise UsageError(f"need --seed >= 0, got {seed}")
     # a NaN step fails the comparison too
-    h = float(cfg.get("fd_step", 1e-3))
+    h = _read(cfg, "fd_step", float, 1e-3)
     if not MIN_STEP <= h <= MAX_STEP:
         raise UsageError(f"need --fd-step in [{MIN_STEP}, {MAX_STEP}], "
                          f"got {h}")
     report = verify.run_suite(
         families=families,
-        checks=cfg.get("check") or None,
+        checks=_read(cfg, "check", list) or None,
         points=points,
         seed=seed,
         h=h,
-        negative_control=cfg.get("negative_control"),
+        negative_control=_read(cfg, "negative_control", str),
     )
     if not report.records:
         raise UsageError("the selected checks do not apply to the selected "
@@ -240,11 +260,12 @@ def cmd_verify(args) -> int:
     meta = {"config": {k: cfg[k] for k in sorted(cfg)
                        if cfg[k] is not None and k not in ("out", "timings")},
             "version": __version__}
-    payload = json.loads(report.to_json(include_timing=bool(cfg.get("timings"))))
+    timings = _read(cfg, "timings", bool, False)
+    payload = json.loads(report.to_json(include_timing=timings))
     payload["meta"] = meta
     payload["histogram"] = _residual_histogram(report)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    out_path = cfg.get("out")
+    out_path = _read(cfg, "out", str)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -12,10 +12,8 @@ points at once.  A valid electromagnetic inversion leaves only the vector
 grade: the 12 constrained trace projections (scalar, the six bivectors, the
 four trivectors and the pseudoscalar) must vanish.
 
-The module also carries the spin-divergence / tetrad-rotation / momentum
-decomposition of the stationary potential, and the
-circular-orbit residual |eA_0| that vanishes exactly when the radial profile
-solves its second-order equation.
+The module also carries the circular-orbit residual |eA_0|, which vanishes
+exactly when the radial profile solves its second-order equation.
 """
 from __future__ import annotations
 
@@ -35,10 +33,6 @@ class SingularSpinor(ValueError):
     (a far tail) in `invert`, a zero signed density in `circularity_residual`."""
 
 
-class StepTooLarge(ValueError):
-    """Richardson estimate exceeded the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class PotentialSample:
     """Inverted potential at a point, or at a batch of points along the
@@ -48,11 +42,6 @@ class PotentialSample:
     eA: Array
     coefficients: Array        # complex, indices 0..15 for Gamma_1..Gamma_16
     richardson: float
-
-    @property
-    def grade_residuals(self) -> Array:
-        """Magnitudes of the 16 trace projections (vector entries included)."""
-        return np.abs(self.coefficients)
 
     @property
     def constrained_residual(self) -> float:
@@ -110,16 +99,15 @@ def singular(psi) -> Array:
 
 
 def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
-           units: UnitSystem = NATURAL, tol: float | None = None,
+           units: UnitSystem = NATURAL,
            sample: numerics.StencilSample | None = None) -> PotentialSample:
     """Invert a column-spinor field for its driving potential at a point,
     or at a batch of points point[..., 4].
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
-    step must sit in [MIN_STEP, MAX_STEP]; `tol`, when given, raises
-    StepTooLarge if the Richardson estimate exceeds it at any point.
-    SingularSpinor is raised if Psi is singular at any point of the batch,
-    before the field is differentiated.  `sample`, when given, is
+    step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
+    is singular at any point of the batch, before the field is
+    differentiated.  `sample`, when given, is
     `numerics.sample(field, point, h)`, already evaluated: only the h/2
     stencil is evaluated anew.
     """
@@ -142,85 +130,12 @@ def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
                     else sample.gradient())
     half = inverted(numerics.gradient4(field, point, h / 2.0))
     est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0
-    if tol is not None and np.any(est > tol):
-        raise StepTooLarge(f"Richardson estimate {np.max(est):.3e} "
-                           f"> tol {tol:.3e}")
     # Tr[half Gamma_k] / 4
     coeffs = sta.gather_product(
         _TRACES, half.reshape(half.shape[:-2] + (16,))) / 4.0
     # Tr[A-slash gamma^mu] / 4 = A^mu directly (no dual sign)
     return PotentialSample(eA=coeffs[..., 1:5].real, coefficients=coeffs,
                            richardson=est)
-
-
-# ---------------------------------------------------------------------------
-# closed-form stationary potential and its decomposition
-# ---------------------------------------------------------------------------
-
-
-def stationary_potential_terms(spec: cat.SolutionSpec, t, x, y, z,
-                               h: float = numerics.DEFAULT_STEP) -> dict:
-    """Decompose the stationary potential into its spin-divergence piece,
-    the tetrad-rotation piece P_mu and the kinetic-momentum piece.
-
-    Sign conventions are fixed by requiring agreement with invert():
-
-        eA_0 = (hbar/2) div(rho s x v) / sigma + P_0 - m c J^0 / sigma
-        eA_k = (hbar/2) [curl(rho (v^0 s - s^0 v))]_k / sigma - P_k
-               - m c J^k / sigma
-
-    where sigma = rho cos(beta) is the duality-signed density and
-    P_mu = -(hbar/2) e_2 . d_mu e_1 is evaluated on the phase-bearing
-    tetrad rho e_k / sigma (from `spinors.tetrad_pair`) by finite
-    differences.
-    """
-    if spec.is_dressed:
-        raise ValueError("stationary families only")
-    units = spec.units
-    c, hbar = units.c, units.hbar
-    point = (t, x, y, z)
-    bil = cat.bilinear_fields(spec, *point)
-    sigma = bil["scalar"]
-
-    # rho^2 (s x v) = (rho s) x (rho v), then rho (v^0 s - s^0 v); the
-    # duality-signed scalar divides one density back out, keeping the field
-    # smooth across the annuli where the scalar changes sign
-    def spin_cross_and_lin_comb(*q):
-        b = cat.bilinear_fields(spec, *q)
-        rho_s, J = b["rho_s"], b["J"]
-        return np.concatenate([np.cross(rho_s[..., 1:], J[..., 1:]),
-                               J[..., :1] * rho_s[..., 1:]
-                               - rho_s[..., :1] * J[..., 1:]], axis=-1) \
-            / np.expand_dims(b["scalar"], -1)
-
-    g = numerics.gradient4(spin_cross_and_lin_comb, point, h).real
-    div = numerics.spatial_divergence(g[..., :3])
-    curl = numerics.spatial_curl(g[..., 3:])
-
-    col = cat.spinor(spec)
-
-    def e1_plus_ie2(*q):
-        sigma_q = cat.bilinear_fields(spec, *q)["scalar"]
-        return spinors.tetrad_pair(col(*q)) / np.expand_dims(sigma_q, -1)
-
-    e2_now = e1_plus_ie2(*point).imag
-    P = np.zeros(4)
-    for mu, de1 in enumerate(numerics.gradient4(e1_plus_ie2, point, h).real):
-        if mu == 0:
-            de1 = de1 / c
-        P[mu] = -(hbar / 2.0) * sta.minkowski_dot(e2_now, de1)
-    mom = spec.m * c * np.array(bil["J"]) / sigma
-    spin_div_term = (hbar / 2.0) * div / sigma
-    curl_term = (hbar / 2.0) * curl / sigma
-    eA0 = spin_div_term + P[0] - mom[0]
-    eAk = curl_term - P[1:] - mom[1:]
-    return {
-        "spin_divergence": spin_div_term,
-        "curl": curl_term,
-        "P": P,
-        "momentum": mom,
-        "eA": np.array([eA0, eAk[0], eAk[1], eAk[2]]),
-    }
 
 
 def circularity_residual(spec: cat.SolutionSpec, lam):

@@ -55,14 +55,6 @@ def at(fn, point):
     return fn(*point.transpose(-1, *range(point.ndim - 1)))
 
 
-def deriv4(fn, x, h=DEFAULT_STEP):
-    """4th-order central derivative of a scalar/array-valued fn of one real,
-    at a float or an array x.  fn is called once, on the four stencil
-    arguments stacked along a new leading axis."""
-    x = np.asarray(x, dtype=float)
-    return _combine(fn(x + (_OFFSETS * h).reshape((4,) + (1,) * x.ndim)), h)
-
-
 def stencil_points(point, h=DEFAULT_STEP, axes=(0, 1, 2, 3)):
     """The stencil of each of the k coordinates `axes` at point[..., 4], on
     one axis after the batch axes, shaped (*batch, 4k, 4): rows 4i .. 4i+3

@@ -1,4 +1,4 @@
-"""Matrix spinors, column spinors and local observables.
+"""The matrix lift of a column spinor, and its local observables.
 
 A column spinor psi maps bijectively onto an element Psi of the even
 subalgebra (scalar + six bivectors + pseudoscalar, eight real coefficients)
@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sta
 from .sta import ALPHA, GAMMA, GAMMA0, GAMMA5, GAMMA_UP, ID, PSEUDO
-from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
 
@@ -58,107 +56,12 @@ class NullDensity(ValueError):
     """psi^dagger psi vanished; observables are undefined at this point."""
 
 
-def from_components(r, s) -> Array:
-    """Column spinor from the real octet (r_mu, s_mu)."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return np.array([
-        r[0] - 1j * r[3],
-        r[2] - 1j * r[1],
-        s[3] + 1j * s[0],
-        s[1] + 1j * s[2],
-    ])
-
-
 def hestenes_matrix(psi: Array) -> Array:
     """The unique even-subalgebra Psi with Psi u1 = psi[..., 4]."""
     psi = np.ascontiguousarray(psi, dtype=complex)
     parts = np.take(psi.view(float), _GATHER, axis=-1)
     parts *= _SIGN
     return parts.view(complex).reshape(psi.shape[:-1] + (4, 4))
-
-
-def to_column(Psi: Array) -> Array:
-    """psi = Psi u1 (first column)."""
-    return np.asarray(Psi, dtype=complex)[:, 0].copy()
-
-
-def phase_rotor(arg: float) -> Array:
-    """exp(-gamma^2 gamma^1 * arg); acts on u1 as multiplication by
-    exp(-i*arg)."""
-    return np.cos(arg) * ID - np.sin(arg) * PHASE_PLANE
-
-
-@dataclass(frozen=True)
-class MatrixSpinor:
-    """Factored matrix spinor: density, duality angle, Lorentz rotor and the
-    scalar phase argument multiplying gamma^2 gamma^1."""
-
-    rho: float
-    beta: float
-    rotor: Array
-    phase_arg: float
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-
-
-def assemble(ms: MatrixSpinor) -> Array:
-    """sqrt(rho) exp(PSEUDO beta/2) rotor exp(-gamma^2 gamma^1 phase)."""
-    duality = np.cos(ms.beta / 2.0) * ID + np.sin(ms.beta / 2.0) * PSEUDO
-    return np.sqrt(ms.rho) * duality @ ms.rotor @ phase_rotor(ms.phase_arg)
-
-
-# ---------------------------------------------------------------------------
-# plane waves
-# ---------------------------------------------------------------------------
-
-
-def boost_from_momentum(p, m: float, units: UnitSystem = NATURAL,
-                        sign: int = +1) -> Array:
-    """Positive-definite boost taking the rest spinor to momentum p; the
-    sign=-1 branch flips the momentum (negative-energy convention)."""
-    p = np.asarray(p, dtype=float)
-    c = units.c
-    energy = np.sqrt((m * c * c) ** 2 + c * c * float(p @ p))
-    mc2 = m * c * c
-    pref = np.sqrt((energy + mc2) / (2.0 * mc2))
-    slope = sign * c / (energy + mc2)
-    mat = ID + slope * sum(pk * g for pk, g in zip(p, ALPHA))
-    return pref * mat
-
-
-def plane_wave(p, m: float, spin_axis=(0.0, 0.0, 1.0), angle: float = 0.0,
-               energy_sign: int = +1, units: UnitSystem = NATURAL):
-    """Free plane-wave column-spinor field (t, x, y, z) -> psi, psi[..., 4]
-    for array coordinates.
-
-    The spin rotation is exp(-PSEUDO alpha.axis * angle/2) applied in the
-    rest frame before boosting; energy_sign=-1 returns the negative-energy
-    mode with the opposite-velocity boost and the pseudoscalar phase factor.
-    """
-    p = np.asarray(p, dtype=float)
-    axis = np.asarray(spin_axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    bvec = (angle / 2.0) * axis / norm if angle != 0.0 and norm > 0 else (0, 0, 0)
-    rot = sta.exp_bivector((0.0, 0.0, 0.0), bvec)
-    c, hbar = units.c, units.hbar
-    energy = np.sqrt((m * c * c) ** 2 + c * c * float(p @ p))
-    boost = boost_from_momentum(p, m, units, sign=energy_sign)
-    chi = rot[:, 0]  # rest-frame column with chosen spin orientation
-    col0 = boost @ chi
-    if energy_sign < 0:
-        col0 = PSEUDO @ col0
-
-    def field(t, x, y, z):
-        # the negative-energy mode carries the opposite velocity: its boost
-        # and its spatial wave vector are both flipped
-        arg = (energy * t
-               - energy_sign * (p[0] * x + p[1] * y + p[2] * z)) / hbar
-        return np.exp(-1j * energy_sign * arg)[..., None] * col0
-
-    return field
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,6 @@ GAMMA16 = (
 CONSTRAINED_INDICES = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
 
 
-class MixedBivector(ValueError):
-    """A bivector with both a boost and a rotation part, whose exponential
-    has no closed form here."""
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
@@ -156,35 +151,3 @@ def from_vector(v: Array) -> Array:
     out *= _VECTOR_SIGN
     out += 0.0
     return out.view(complex).reshape(v.shape[:-1] + (4, 4))
-
-
-def minkowski_dot(u: Array, v: Array) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
-
-
-# ---------------------------------------------------------------------------
-# exponentials
-# ---------------------------------------------------------------------------
-
-def exp_bivector(a, b) -> Array:
-    """exp(a^k alpha_k - b^k PSEUDO alpha_k).
-
-    Pure boosts (b = 0) and pure rotations (a = 0) have hyperbolic /
-    trigonometric closed forms, with unit determinant; a generator with both
-    parts raises MixedBivector.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if nb == 0.0 and na == 0.0:
-        return ID.copy()
-    if nb == 0.0:
-        unit = sum(ak * g for ak, g in zip(a / na, ALPHA))
-        return np.cosh(na) * ID + np.sinh(na) * unit
-    if na == 0.0:
-        unit = sum(bk * (PSEUDO @ g) for bk, g in zip(b / nb, ALPHA))
-        return np.cos(nb) * ID - np.sin(nb) * unit
-    raise MixedBivector(f"boost part {a.tolist()} and rotation part "
-                        f"{b.tolist()}")

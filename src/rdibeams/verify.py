@@ -435,13 +435,9 @@ class VerificationReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def default_waveform(kind: str = "circular", amplitude: float = 0.3) -> Waveform:
-    return {"circular": circular, "linear": linear, "pulse": pulse}[kind](amplitude)
-
-
 def default_specs() -> dict:
     """Three parameter sets per family, desk-scale defaults."""
-    wf = default_waveform()
+    wf = circular(0.3)
     wfl = linear(0.25)
     return {
         cat.Family.FREE_BESSEL: [
@@ -675,7 +671,7 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                 records += check.run(spec, label, grid_desc, pts, h,
                                      negative_control, shared)
     if "nullrotor" in checks:  # the null-rotation generator, once per run
-        wf = default_waveform()
+        wf = circular(0.3)
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))
         worst = 0.0
         for xi in rng.uniform(0.0, 2.0 * math.pi, size=20):

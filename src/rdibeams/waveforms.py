@@ -12,7 +12,6 @@ array.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,6 @@ class Waveform:
             return 0.0, a * (1.0 - np.cos(xi))
         if self.kind == "pulse":
             return a * self._envelope(xi)[1] * np.sin(xi), 0.0
-        if self.kind == "custom":
-            return self.params[0](xi)
         raise ValueError(self.kind)
 
     def fdot(self, xi):
@@ -57,8 +54,6 @@ class Waveform:
             u, e = self._envelope(xi)
             de = -u / self.params[1] * e
             return a * (de * np.sin(xi) + e * np.cos(xi)), 0.0
-        if self.kind == "custom":
-            return self.params[1](xi)
         raise ValueError(self.kind)
 
     def fddot(self, xi):
@@ -74,8 +69,6 @@ class Waveform:
             d2e = (u * u - 1.0) / (width * width) * e
             return a * (d2e * np.sin(xi) + 2.0 * de * np.cos(xi)
                         - e * np.sin(xi)), 0.0
-        if self.kind == "custom":
-            return self.params[2](xi)
         raise ValueError(self.kind)
 
     def gauge_integral(self, xi):
@@ -100,8 +93,6 @@ class Waveform:
                                    + step[block, None] * _GL_NODES)
                 total[block] = (d1 * d1 + d2 * d2) @ _GL_WEIGHTS
             return half * total.reshape(np.shape(half))
-        if self.kind == "custom":
-            return self.params[3](xi)
         raise ValueError(self.kind)
 
     def _envelope(self, xi) -> tuple:
@@ -129,10 +120,5 @@ def pulse(amplitude: float, center: float = 6.0, width: float = 2.0) -> Waveform
     return Waveform("pulse", amplitude, (center, width))
 
 
-def custom(f, fdot, fddot, gauge_integral) -> Waveform:
-    """User-supplied waveform; no symbolic differentiation is attempted, so
-    all four callbacks (pair, first and second derivatives, and the gauge
-    integral of f1'^2 + f2'^2 from 0) must be provided.  Each receives the
-    phase xi as a float or as a numpy array (one element per point of a
-    batch) and returns values of the same shape."""
-    return Waveform("custom", math.nan, (f, fdot, fddot, gauge_integral))
+# the waveform of each kind name, as `eval --waveform kind:amplitude` reads it
+KINDS = {"circular": circular, "linear": linear, "pulse": pulse}

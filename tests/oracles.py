@@ -8,6 +8,7 @@ import numpy as np
 from rdibeams import catalog as cat
 from rdibeams import numerics, spinors, sta
 from rdibeams import specialfn as sf
+from rdibeams.units import NATURAL
 
 
 def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48):
@@ -62,6 +63,15 @@ def rk4_path(rhs, x0, s_total, steps):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = x
     return out
+
+
+def deriv4(fn, x, h=numerics.DEFAULT_STEP):
+    """4th-order central derivative of a scalar/array-valued fn of one real,
+    at a float or an array x.  fn is called once, on the four stencil
+    arguments stacked along a new leading axis."""
+    x = np.asarray(x, dtype=float)
+    offsets = (numerics._OFFSETS * h).reshape((4,) + (1,) * x.ndim)
+    return numerics._combine(fn(x + offsets), h)
 
 
 def bilinear_current(psi):
@@ -121,6 +131,51 @@ def null_turn(psi):
 
 
 # ---------------------------------------------------------------------------
+# matrix spinors in factored form
+# ---------------------------------------------------------------------------
+
+
+def from_components(r, s):
+    """Column spinor from the real octet (r_mu, s_mu)."""
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    return np.array([
+        r[0] - 1j * r[3],
+        r[2] - 1j * r[1],
+        s[3] + 1j * s[0],
+        s[1] + 1j * s[2],
+    ])
+
+
+def phase_rotor(arg: float):
+    """exp(-gamma^2 gamma^1 * arg); acts on u1 as multiplication by
+    exp(-i*arg)."""
+    return np.cos(arg) * sta.ID - np.sin(arg) * spinors.PHASE_PLANE
+
+
+@dataclass(frozen=True)
+class MatrixSpinor:
+    """Factored matrix spinor: density, duality angle, Lorentz rotor and the
+    scalar phase argument multiplying gamma^2 gamma^1."""
+
+    rho: float
+    beta: float
+    rotor: np.ndarray
+    phase_arg: float
+
+    def __post_init__(self):
+        if self.rho <= 0.0:
+            raise ValueError("rho must be positive")
+
+
+def assemble(ms: MatrixSpinor):
+    """sqrt(rho) exp(PSEUDO beta/2) rotor exp(-gamma^2 gamma^1 phase)."""
+    duality = np.cos(ms.beta / 2.0) * sta.ID \
+        + np.sin(ms.beta / 2.0) * sta.PSEUDO
+    return np.sqrt(ms.rho) * duality @ ms.rotor @ phase_rotor(ms.phase_arg)
+
+
+# ---------------------------------------------------------------------------
 # the trace-projection basis
 # ---------------------------------------------------------------------------
 
@@ -159,6 +214,54 @@ def reconstruct(a):
 # ---------------------------------------------------------------------------
 # exponentials and polar rotor factors
 # ---------------------------------------------------------------------------
+
+
+class MixedBivector(ValueError):
+    """A bivector with both a boost and a rotation part, whose exponential
+    has no closed form here."""
+
+
+def exp_bivector(a, b):
+    """exp(a^k alpha_k - b^k PSEUDO alpha_k).
+
+    Pure boosts (b = 0) and pure rotations (a = 0) have hyperbolic /
+    trigonometric closed forms, with unit determinant; a generator with both
+    parts raises MixedBivector.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if nb == 0.0 and na == 0.0:
+        return sta.ID.copy()
+    if nb == 0.0:
+        unit = sum(ak * g for ak, g in zip(a / na, sta.ALPHA))
+        return np.cosh(na) * sta.ID + np.sinh(na) * unit
+    if na == 0.0:
+        unit = sum(bk * (sta.PSEUDO @ g) for bk, g in zip(b / nb, sta.ALPHA))
+        return np.cos(nb) * sta.ID - np.sin(nb) * unit
+    raise MixedBivector(f"boost part {a.tolist()} and rotation part "
+                        f"{b.tolist()}")
+
+
+def boost_from_momentum(p, m: float, units=NATURAL, sign: int = +1):
+    """Positive-definite boost taking the rest spinor to momentum p; the
+    sign=-1 branch flips the momentum (negative-energy convention)."""
+    p = np.asarray(p, dtype=float)
+    c = units.c
+    energy = np.sqrt((m * c * c) ** 2 + c * c * float(p @ p))
+    mc2 = m * c * c
+    pref = np.sqrt((energy + mc2) / (2.0 * mc2))
+    slope = sign * c / (energy + mc2)
+    mat = sta.ID + slope * sum(pk * g for pk, g in zip(p, sta.ALPHA))
+    return pref * mat
+
+
+def minkowski_dot(u, v) -> float:
+    """u . v in the (+,-,-,-) metric."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+
 
 # (6,6) Pade coefficients for the matrix exponential
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0,
@@ -422,3 +525,73 @@ def magnetic_spinor_mp(spec, t, x, y, z) -> np.ndarray:
         col = [(base.m + eps) * aH / B, 0, pz * aH / B,
                -0.5j * bH * mpmath.expj(phi)]
         return np.array([complex(v * phase) for v in col])
+
+
+# ---------------------------------------------------------------------------
+# the decomposition of the stationary potential
+# ---------------------------------------------------------------------------
+
+
+def stationary_potential_terms(spec, t, x, y, z,
+                               h: float = numerics.DEFAULT_STEP) -> dict:
+    """Decompose the stationary potential into its spin-divergence piece,
+    the tetrad-rotation piece P_mu and the kinetic-momentum piece.
+
+    Sign conventions are fixed by requiring agreement with invert():
+
+        eA_0 = (hbar/2) div(rho s x v) / sigma + P_0 - m c J^0 / sigma
+        eA_k = (hbar/2) [curl(rho (v^0 s - s^0 v))]_k / sigma - P_k
+               - m c J^k / sigma
+
+    where sigma = rho cos(beta) is the duality-signed density and
+    P_mu = -(hbar/2) e_2 . d_mu e_1 is evaluated on the phase-bearing
+    tetrad rho e_k / sigma (from `spinors.tetrad_pair`) by finite
+    differences.
+    """
+    if spec.is_dressed:
+        raise ValueError("stationary families only")
+    units = spec.units
+    c, hbar = units.c, units.hbar
+    point = (t, x, y, z)
+    bil = cat.bilinear_fields(spec, *point)
+    sigma = bil["scalar"]
+
+    # rho^2 (s x v) = (rho s) x (rho v), then rho (v^0 s - s^0 v); the
+    # duality-signed scalar divides one density back out, keeping the field
+    # smooth across the annuli where the scalar changes sign
+    def spin_cross_and_lin_comb(*q):
+        b = cat.bilinear_fields(spec, *q)
+        rho_s, J = b["rho_s"], b["J"]
+        return np.concatenate([np.cross(rho_s[..., 1:], J[..., 1:]),
+                               J[..., :1] * rho_s[..., 1:]
+                               - rho_s[..., :1] * J[..., 1:]], axis=-1) \
+            / np.expand_dims(b["scalar"], -1)
+
+    g = numerics.gradient4(spin_cross_and_lin_comb, point, h).real
+    div = numerics.spatial_divergence(g[..., :3])
+    curl = numerics.spatial_curl(g[..., 3:])
+
+    col = cat.spinor(spec)
+
+    def e1_plus_ie2(*q):
+        sigma_q = cat.bilinear_fields(spec, *q)["scalar"]
+        return spinors.tetrad_pair(col(*q)) / np.expand_dims(sigma_q, -1)
+
+    e2_now = e1_plus_ie2(*point).imag
+    P = np.zeros(4)
+    for mu, de1 in enumerate(numerics.gradient4(e1_plus_ie2, point, h).real):
+        if mu == 0:
+            de1 = de1 / c
+        P[mu] = -(hbar / 2.0) * minkowski_dot(e2_now, de1)
+    mom = spec.m * c * np.array(bil["J"]) / sigma
+    spin_div_term = (hbar / 2.0) * div / sigma
+    curl_term = (hbar / 2.0) * curl / sigma
+    eA0 = spin_div_term + P[0] - mom[0]
+    eAk = curl_term - P[1:] - mom[1:]
+    return {
+        "spin_divergence": spin_div_term,
+        "curl": curl_term,
+        "P": P,
+        "momentum": mom,
+        "eA": np.array([eA0, eAk[0], eAk[1], eAk[2]]),
+    }

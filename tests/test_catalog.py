@@ -103,10 +103,9 @@ def test_degeneracy_structure():
 
 def test_uniform_ground_profile_is_constant():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=0)
-    f0, h0 = cat.radial_profile(spec, 0.3)
-    f1, h1 = cat.radial_profile(spec, 1.7)
-    assert f0 == pytest.approx(f1, rel=1e-14)
-    assert h0 == pytest.approx(math.exp(-0.09), rel=1e-14)
+    p0, p1 = cat.profile(spec, 0.3), cat.profile(spec, 1.7)
+    assert p0["f"] == pytest.approx(p1["f"], rel=1e-14)
+    assert p0["H"] == pytest.approx(math.exp(-0.09), rel=1e-14)
 
 
 def test_free_bessel_profile_unnormalized_at_origin():
@@ -122,7 +121,8 @@ def test_radial_profile_first_excited():
     spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0)
     norm = cat.normalization(spec)
     for lam in (0.4, 1.1, 2.9):
-        f, H = cat.radial_profile(spec, lam)
+        pr = cat.profile(spec, lam)
+        f, H = pr["f"], pr["H"]
         expected = norm * math.exp(lam / 2.0 - lam / 6.0) * (1.0 - lam / 3.0)
         assert f == pytest.approx(expected, rel=1e-13)
         assert H == pytest.approx(math.exp(-lam / 2.0), rel=1e-14)
@@ -196,7 +196,7 @@ def test_split_profile_is_the_paper_convention(n, l):
         u = 2.0 * lam * lam
         expected = cat.normalization(spec) * cfac * u ** l \
             * oracles.laguerre(n, l, u)
-        assert cat.radial_profile(spec, lam)[0] == pytest.approx(
+        assert cat.profile(spec, lam)["f"] == pytest.approx(
             expected, rel=1e-13)
 
 
@@ -612,7 +612,7 @@ DRESSED_STATES = (
 
 def _dressed(state, drive, amplitude, omega):
     family, n, orbital = state
-    wf = verify.default_waveform(drive, amplitude)
+    wf = waveforms.KINDS[drive](amplitude)
     if family is cat.Family.REDMOND:
         return cat.SolutionSpec(family, n=n, l=orbital, waveform=wf,
                                 omega=omega)
@@ -643,7 +643,7 @@ def test_dressed_averages_z_current_and_centroid(state, drive, amplitude,
 def test_dressed_current_is_lorentz_map_of_static_current(spec, drive):
     # the identity the dressed averages rest on: at every point the dressed
     # current is Lambda(xi) times the static current at the shifted point
-    spec = replace(spec, waveform=verify.default_waveform(drive))
+    spec = replace(spec, waveform=waveforms.KINDS[drive](0.3))
     t, x, y, z = np.moveaxis(
         verify.sample_points(np.random.default_rng(29), 40), -1, 0)
     xi = cat.xi_of(spec, t, z)
@@ -779,12 +779,18 @@ def test_dressed_spin_time_component():
     assert checked >= 20
 
 
+def matrix_field(spec):
+    """The lift Psi of the column field of spec, Psi u1 = psi."""
+    col = cat.spinor(spec)
+    return lambda *q: spinors.hestenes_matrix(col(*q))
+
+
 def _dress_matrix(spec):
     """The matrix-level dressing Psi_T(x) = (1 + N(xi)) Psi(t, x', y', z)
     R(-Phi) of the static matrix spinor, with R the gauge phase rotor acting
     from the right."""
     base = spec.static_base()
-    static = cat.matrix_spinor(base)
+    static = matrix_field(base)
     eps = cat.eigenvalue(base)
 
     def field(t, x, y, z):
@@ -792,7 +798,7 @@ def _dress_matrix(spec):
         dx, dy = cat.coordinate_shift(spec, xi)
         gen = cat.null_rotation_generator(*spec.waveform.fdot(xi), eps,
                                           spec.omega, spec.units)
-        rotor = spinors.phase_rotor(-cat.gauge_phase(spec, xi))
+        rotor = oracles.phase_rotor(-cat.gauge_phase(spec, xi))
         return (sta.ID + gen) @ static(t, x + dx, y + dy, z) @ rotor
 
     return field
@@ -805,7 +811,7 @@ def test_laser_dress_matrix_equals_column_lift():
     spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
                             omega=1.1)
     dressed_matrix = _dress_matrix(spec)
-    lifted = cat.matrix_spinor(spec)
+    lifted = matrix_field(spec)
     rng = np.random.default_rng(21)
     for _ in range(10):
         pt = tuple(rng.uniform(0.4, 3.5, size=4))
@@ -813,10 +819,10 @@ def test_laser_dress_matrix_equals_column_lift():
                                    atol=1e-13)
     # zero drive: identity transform, bitwise, on both paths
     off = replace(spec, waveform=waveforms.circular(0.0))
-    static = cat.matrix_spinor(spec.static_base())
+    static = matrix_field(spec.static_base())
     pt = (0.9, 1.2, 0.8, 0.3)
     np.testing.assert_array_equal(_dress_matrix(off)(*pt), static(*pt))
-    np.testing.assert_array_equal(cat.matrix_spinor(off)(*pt), static(*pt))
+    np.testing.assert_array_equal(matrix_field(off)(*pt), static(*pt))
 
 
 @pytest.mark.parametrize("spec", [

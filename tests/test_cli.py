@@ -154,18 +154,49 @@ def test_eval_io_failure_exits_4():
     # exactly zero
     (["eval", "--family", "uniform-b", "--l", "100", "--grid-x",
       "2500:2500:1", "--grid-y", "0:0:1"], 3),
+    # a --config value of the wrong JSON type; each eval config names a
+    # family, so that only the mistyped value can be refused
+    (["verify", "--config", {"seed": "abc"}], 2),
+    (["verify", "--config", {"fd_step": [1]}], 2),
+    (["verify", "--config", {"points": "many"}], 2),
+    (["verify", "--config", {"check": ["dirac", 5]}], 2),
+    (["eval", "--config", {"family": "uniform-b", "n": "one"}], 2),
+    (["eval", "--config", {"family": "uniform-b", "n": 1.7}], 2),
+    (["eval", "--config", {"family": "uniform-b", "n": True}], 2),
+    (["eval", "--config", {"family": "uniform-b", "axis_exclude": "x"}], 2),
+    (["eval", "--config", {"family": "redmond", "waveform": 5}], 2),
+    (["eval", "--config", {"family": "uniform-b", "grid_x": 5}], 2),
+    (["eval", "--config", {"family": "uniform-b", "units": "SI"}], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
         "eval-config", "verify-config", "config-not-json",
-        "config-not-object", "far-tail-nan"])
+        "config-not-object", "far-tail-nan", "config-seed-abc",
+        "config-fd-step-list", "config-points-many", "config-check-int",
+        "config-n-one", "config-n-fraction", "config-n-bool",
+        "config-axis-exclude-x", "config-waveform-int", "config-grid-x-int",
+        "config-units-unknown"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")
-    args = [a.format(tmp=tmp_path) for a in args]
+    (tmp_path / "cfg.json").write_text(json.dumps(args[-1]))
+    args = [str(tmp_path / "cfg.json") if isinstance(a, dict)
+            else a.format(tmp=tmp_path) for a in args]
     assert cli.main([*args, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
+    assert "Traceback" not in err
+
+
+def test_config_check_string_is_one_check_name(tmp_path):
+    # a string names one check, not the checks named by its letters
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"check": "dirac", "family": "uniform-b"}))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(cfg), "--points", "1",
+                     "--out", str(out)]) == 0
+    names = {r["name"] for r in json.loads(out.read_text())["records"]}
+    assert names == {"dirac"}
 
 
 @pytest.mark.parametrize("args, message", [

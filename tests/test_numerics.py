@@ -111,7 +111,11 @@ def test_lift_commutes_with_the_stencil_bitwise(spec):
     # the matrix Dirac form differentiates the column field and lifts the
     # derivative: the lift is real-linear and only moves the parts of psi
     # into matrix slots, so the two orders agree bit for bit
-    col, Psi = cat.spinor(spec), cat.matrix_spinor(spec)
+    col = cat.spinor(spec)
+
+    def Psi(*q):
+        return spinors.hestenes_matrix(col(*q))
+
     pt = (1.3, 0.9, 1.7, 0.6)
     for mu in range(4):
         np.testing.assert_array_equal(

@@ -1,4 +1,4 @@
-"""Matrix/column spinor maps, plane waves, and local observables."""
+"""The matrix lift of a column spinor, and its local observables."""
 import math
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 import oracles
 from oracles import to_vector
 from rdibeams import catalog as cat
-from rdibeams import numerics, spinors, sta, verify
+from rdibeams import spinors, sta, verify
 from rdibeams.waveforms import pulse
 
 
@@ -25,16 +25,18 @@ def test_component_dictionary_round_trip():
     for _ in range(50):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         r, s = to_components(psi)
-        np.testing.assert_array_equal(spinors.from_components(r, s), psi)
+        np.testing.assert_array_equal(oracles.from_components(r, s), psi)
 
 
 def test_from_components_rest_case():
-    psi = spinors.from_components((1, 0, 0, 0), (0, 0, 0, 0))
+    psi = oracles.from_components((1, 0, 0, 0), (0, 0, 0, 0))
     np.testing.assert_array_equal(psi, [1, 0, 0, 0])
 
 
-def test_to_column_identity():
-    np.testing.assert_array_equal(spinors.to_column(sta.ID), [1, 0, 0, 0])
+def test_rest_spinor_lifts_to_identity():
+    np.testing.assert_array_equal(
+        spinors.hestenes_matrix(np.array([1, 0, 0, 0], dtype=complex)),
+        sta.ID)
 
 
 def test_hestenes_matrix_is_even_and_inverts_to_column():
@@ -42,18 +44,18 @@ def test_hestenes_matrix_is_even_and_inverts_to_column():
     for _ in range(30):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         Psi = spinors.hestenes_matrix(psi)
-        np.testing.assert_allclose(spinors.to_column(Psi), psi, atol=1e-14)
+        np.testing.assert_allclose(Psi[..., 0], psi, atol=1e-14)
         # only even-grade trace projections survive
         for k in (2, 3, 4, 5, 12, 13, 14, 15):
             assert abs(oracles.trace_project(Psi, k)) < 1e-13
 
 
 def test_assemble_identity_and_rest_particle():
-    ms = spinors.MatrixSpinor(rho=1.0, beta=0.0, rotor=sta.ID, phase_arg=0.0)
-    np.testing.assert_allclose(spinors.assemble(ms), sta.ID, atol=1e-15)
+    ms = oracles.MatrixSpinor(rho=1.0, beta=0.0, rotor=sta.ID, phase_arg=0.0)
+    np.testing.assert_allclose(oracles.assemble(ms), sta.ID, atol=1e-15)
     t, m = 0.73, 1.0
-    ms = spinors.MatrixSpinor(rho=1.0, beta=0.0, rotor=sta.ID, phase_arg=m * t)
-    psi = spinors.to_column(spinors.assemble(ms))
+    ms = oracles.MatrixSpinor(rho=1.0, beta=0.0, rotor=sta.ID, phase_arg=m * t)
+    psi = oracles.assemble(ms)[..., 0]
     np.testing.assert_allclose(psi, [np.exp(-1j * m * t), 0, 0, 0], atol=1e-14)
 
 
@@ -64,9 +66,9 @@ def test_assemble_density_duality_relation():
         beta = float(rng.uniform(-np.pi, np.pi))
         rotor = oracles.rotor(rng.normal(size=3) * 0.5,
                               rng.normal(size=3) * 0.5)
-        ms = spinors.MatrixSpinor(rho=rho, beta=beta, rotor=rotor,
+        ms = oracles.MatrixSpinor(rho=rho, beta=beta, rotor=rotor,
                                   phase_arg=float(rng.uniform(0, 6)))
-        Psi = spinors.assemble(ms)
+        Psi = oracles.assemble(ms)
         prod = Psi @ sta.reversion(Psi)
         scalar = np.trace(prod).real / 4.0
         pseudo = -np.trace(prod @ sta.PSEUDO).real / 4.0
@@ -93,7 +95,7 @@ def test_assemble_reproduces_uniform_field_column():
             continue
         phi = math.atan2(y, x)
         w_half = math.atanh(g)
-        rotor = sta.exp_bivector(
+        rotor = oracles.exp_bivector(
             (-w_half * (-y / math.hypot(x, y)), -w_half * (x / math.hypot(x, y)), 0.0),
             (0.0, 0.0, 0.0))
         rho = (A * pr["f"] * pr["H"] * lam ** spec.l
@@ -102,51 +104,12 @@ def test_assemble_reproduces_uniform_field_column():
         # branch by pi (sqrt(rho) stays positive while f flips sign)
         phase = eps * t - spec.M / 2.0 * phi \
             + (math.pi if pr["f"] < 0 else 0.0)
-        ms = spinors.MatrixSpinor(rho=rho, beta=0.0, rotor=rotor,
+        ms = oracles.MatrixSpinor(rho=rho, beta=0.0, rotor=rotor,
                                   phase_arg=phase)
-        psi_factored = spinors.to_column(spinors.assemble(ms))
+        psi_factored = oracles.assemble(ms)[..., 0]
         psi_closed = col(t, x, y, z)
         np.testing.assert_allclose(psi_factored, psi_closed, atol=1e-12)
         checked += 1
-
-
-def test_plane_wave_rest_and_momentum_ratio():
-    pw = spinors.plane_wave((0, 0, 0), 1.0)
-    np.testing.assert_allclose(pw(0.9, 0, 0, 0),
-                               [np.exp(-1j * 0.9), 0, 0, 0], atol=1e-14)
-    pz = 0.6
-    pw = spinors.plane_wave((0, 0, pz), 1.0)
-    psi = pw(0.2, 0.1, 0.3, -0.4)
-    energy = math.sqrt(1 + pz * pz)
-    assert psi[2] / psi[0] == pytest.approx(pz / (energy + 1.0), rel=1e-12)
-    assert abs(psi[1]) == 0.0 and abs(psi[3]) == 0.0
-
-
-def _free_dirac_residual(field, m, pt, h=1e-3):
-    psi = field(*pt)
-    out = np.zeros(4, dtype=complex)
-    for mu in range(4):
-        d = numerics.partial4(field, pt, mu, h)
-        out = out + sta.GAMMA_UP[mu] @ (1j * d)
-    return np.linalg.norm(out - m * psi) / np.linalg.norm(m * psi)
-
-
-def test_plane_wave_free_dirac_residual():
-    rng = np.random.default_rng(4)
-    p = (0.3, -0.2, 0.5)
-    for sign in (+1, -1):
-        field = spinors.plane_wave(p, 1.0, energy_sign=sign)
-        worst = max(_free_dirac_residual(field, 1.0, tuple(rng.uniform(0.5, 5, 4)))
-                    for _ in range(50))
-        assert worst < 1e-8, sign
-
-
-def test_plane_wave_spin_rotation():
-    # rotating the rest spin axis to -z flips the spin density
-    field = spinors.plane_wave((0, 0, 0), 1.0, spin_axis=(1, 0, 0),
-                               angle=math.pi)
-    obs = spinors.observables(field(0.0, 0, 0, 0))
-    np.testing.assert_allclose(obs.spin_density, [0, 0, 0, -1], atol=1e-12)
 
 
 def test_observables_rest_state():
@@ -155,7 +118,7 @@ def test_observables_rest_state():
     np.testing.assert_allclose(obs.spin_density, [0, 0, 0, 1], atol=1e-15)
     assert obs.rho == pytest.approx(1.0)
     assert obs.beta == pytest.approx(0.0)
-    gram = np.array([[sta.minkowski_dot(a, b) for b in obs.tetrad]
+    gram = np.array([[oracles.minkowski_dot(a, b) for b in obs.tetrad]
                      for a in obs.tetrad])
     np.testing.assert_allclose(gram, sta.METRIC, atol=1e-14)
 
@@ -188,7 +151,7 @@ def test_velocity_spin_orthogonality_with_pz():
         if obs.undefined:
             continue
         v, s = obs.velocity, obs.spin
-        assert abs(sta.minkowski_dot(v, s)) < 1e-10
+        assert abs(oracles.minkowski_dot(v, s)) < 1e-10
         # time component ties to the spatial projection
         assert s[0] == pytest.approx(np.dot(v[1:], s[1:]) / v[0], abs=1e-10)
         assert abs(s[0]) > 1e-4  # genuinely nonzero once p_z != 0
@@ -395,7 +358,7 @@ def test_kinematics_check_matches_pointwise_observables(family):
             continue
         e1, e2, plane = _sandwich_oracle(psi)
         tetrad = (obs.velocity, e1 / obs.rho, e2 / obs.rho, obs.spin)
-        gram = np.array([[sta.minkowski_dot(a, b) for b in tetrad]
+        gram = np.array([[oracles.minkowski_dot(a, b) for b in tetrad]
                          for a in tetrad])
         e2e1 = sta.from_vector(tetrad[2]) @ sta.from_vector(tetrad[1])
         for key, val in (("vv", abs(gram[0, 0] - 1.0)),

@@ -1,0 +1,84 @@
+"""The library ships only what its entry points reach, and the README's
+quick start runs.
+
+Every public top-level function and class of `src/rdibeams` must be
+referenced from another library module, from its own module outside its
+own body, from `bench/workloads.py` or from the README quick start; the
+console script counts for the function it names.  `__init__`'s re-exports
+reach nothing by themselves."""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rdibeams"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def quick_start() -> str:
+    """The fenced python block under the README's quick-start heading."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start")[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def references(code: str) -> set[tuple[str, str]]:
+    """(module, name) of every library name `code` imports from a library
+    module or from the package's re-exports, or reads off a name bound to a
+    library module."""
+    exports = {alias.name: node.module for node in ast.parse(
+        (PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    tree, aliases, found = ast.parse(code), {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level and module.split(".")[0] != "rdibeams":
+                continue
+            path = module.removeprefix("rdibeams").removeprefix(".")
+            for alias in node.names:
+                if path:
+                    found.add((path, alias.name))
+                elif alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name in exports:
+                    found.add((exports[alias.name], alias.name))
+        elif isinstance(node, ast.Import):
+            aliases.update({alias.asname: alias.name.split(".")[1]
+                            for alias in node.names if alias.asname
+                            and alias.name.startswith("rdibeams.")})
+    return found | {(aliases[node.value.id], node.attr)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases}
+
+
+def own_uses(module: str) -> set[tuple[str, str]]:
+    """The names a module uses outside the body of the def they name."""
+    return {(module, node.id)
+            for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+            for node in ast.walk(stmt) if isinstance(node, ast.Name)
+            and not (isinstance(stmt, DEFS) and node.id == stmt.name)}
+
+
+def test_every_public_name_is_reached_from_an_entry_point():
+    scripts = re.findall(r'=\s*"rdibeams\.(\w+):(\w+)"',
+                         (ROOT / "pyproject.toml").read_text())
+    reached = {*scripts, *references(quick_start()),
+               *references((ROOT / "bench" / "workloads.py").read_text())}
+    for module in MODULES:
+        reached |= own_uses(module) | {
+            ref for ref in references((PACKAGE / f"{module}.py").read_text())
+            if ref[0] != module}
+    assert ("cli", "main") in reached
+    unreached = [f"{module}.{stmt.name}" for module in MODULES
+                 for stmt in ast.parse((PACKAGE / f"{module}.py").read_text())
+                 .body if isinstance(stmt, DEFS)
+                 and not stmt.name.startswith("_")
+                 and (module, stmt.name) not in reached]
+    assert unreached == []
+
+
+def test_readme_quick_start_runs():
+    exec(compile(quick_start(), "README.md quick start", "exec"), {})

@@ -116,9 +116,9 @@ def test_perturb_profile_hook_follows_the_product_rule():
         return cat.profile(spec, x)["aH"] * (1.0 + 0.01 * x)
 
     assert bad["f"] == pytest.approx(f(lam), rel=1e-14)
-    assert bad["fp"] == pytest.approx(numerics.deriv4(f, lam).real, rel=1e-9)
+    assert bad["fp"] == pytest.approx(oracles.deriv4(f, lam).real, rel=1e-9)
     assert bad["fpp"] == pytest.approx(
-        numerics.deriv4(lambda x: numerics.deriv4(f, x), lam).real, rel=1e-6)
+        oracles.deriv4(lambda x: oracles.deriv4(f, x), lam).real, rel=1e-6)
     assert bad["aH"] == pytest.approx(aH(lam), rel=1e-14)
     assert bad["bH"] == pytest.approx(lam ** 0.5 * bad["fp"] * pr["H"],
                                       rel=1e-12)

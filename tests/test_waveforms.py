@@ -85,28 +85,6 @@ def test_pulse_envelope_decays():
     assert abs(wf.fdot(-20.0)[0]) < 1e-30
 
 
-def test_custom_waveform_replicates_circular_through_dressing():
-    from rdibeams import catalog as cat
-
-    a = 0.3
-    wf = waveforms.custom(
-        f=lambda xi: (a * math.sin(xi), a * (1.0 - math.cos(xi))),
-        fdot=lambda xi: (a * math.cos(xi), a * math.sin(xi)),
-        fddot=lambda xi: (-a * math.sin(xi), a * math.cos(xi)),
-        gauge_integral=lambda xi: a * a * xi,
-    )
-    built_in = waveforms.circular(a)
-    spec_c = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
-                              omega=1.1)
-    spec_b = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0,
-                              waveform=built_in, omega=1.1)
-    for pt in ((0.4, 1.0, 2.0, 0.3), (1.9, 0.8, 0.5, 2.5)):
-        np.testing.assert_allclose(cat.spinor(spec_c)(*pt),
-                                   cat.spinor(spec_b)(*pt), atol=1e-15)
-        np.testing.assert_allclose(cat.potential(spec_c, *pt),
-                                   cat.potential(spec_b, *pt), atol=1e-15)
-
-
 @pytest.mark.parametrize("wf", [
     waveforms.circular(0.4),
     waveforms.linear(0.7),
