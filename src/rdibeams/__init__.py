@@ -39,5 +39,4 @@ from .spinors import (  # noqa: F401
     hestenes_matrix,
     observables,
 )
-from .units import NATURAL, SI, UnitSystem  # noqa: F401
 from .waveforms import Waveform, circular, linear, pulse  # noqa: F401

@@ -17,17 +17,17 @@ the stationary states by a null rotation; built at p_z = 0):
 * redmond          -- dressed uniform-field state,
 * radial-b-laser   -- dressed 1/r-field state.
 
-Everything is expressed through the dimensionless radius
-lam = B sqrt(x^2+y^2) / (2 c hbar); potentials carry the coupling folded in
-(eA throughout).  For odd winding number M the spinor phase carries a
-half-integer winding exp(i M phi / 2) with its branch cut on the negative
-x axis.
+Everything is in natural units (hbar = c = 1) and expressed through the
+dimensionless radius lam = B sqrt(x^2+y^2) / 2; potentials carry the
+coupling folded in (eA throughout).  For odd winding number M the spinor
+phase carries a half-integer winding exp(i M phi / 2) with its branch cut
+on the negative x axis.
 
 Validity envelope (swept against 30-digit mpmath by the tests): the
 magnetic families up to Laguerre degree 2n + l = MAX_DEGREE = 800 (l = M
 in the 1/r field; past it, DomainError) at any radius, a profile below the
 float range being exactly zero; the free and Volkov beams for Bessel order
-l + 2 <= 200 and argument p_perp r / hbar <= 1e4, r shifted by the
+l + 2 <= 200 and argument p_perp r <= 1e4, r shifted by the
 dressing; the dressed families at p_z = 0, omega > 0 and any amplitude,
 the pulse while its envelope is negligible past center +- 12 widths.
 
@@ -53,7 +53,6 @@ import numpy as np
 
 from . import mathops, sta
 from . import specialfn as sf
-from .units import NATURAL, UnitSystem
 from .waveforms import Waveform
 
 Array = np.ndarray
@@ -107,7 +106,6 @@ class SolutionSpec:
     p_perp: float = 1.0
     waveform: Waveform | None = None
     omega: float = 1.0
-    units: UnitSystem = NATURAL
     # built once in __post_init__; left out of __eq__, __hash__ and repr,
     # which the normalization cache keys on
     _base: "SolutionSpec | None" = field(init=False, default=None,
@@ -143,11 +141,16 @@ class SolutionSpec:
                 raise ValueError("dressed families are built at p_z = 0")
             if self.omega <= 0.0:
                 raise ValueError("need omega > 0")
-        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and self.p_perp <= 0:
-            raise ValueError("free beam needs p_perp > 0")
-        if fam in DRESSED_BASE:
             object.__setattr__(self, "_base", replace(
                 self, family=DRESSED_BASE[fam], waveform=None))
+        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and self.p_perp <= 0:
+            raise ValueError("free beam needs p_perp > 0")
+        try:
+            level = eigenvalue(self)
+        except OverflowError:  # a square past the float range
+            level = math.inf
+        if not math.isfinite(level):
+            raise ValueError(f"{fam.value}: the level is past the float range")
 
     @property
     def is_dressed(self) -> bool:
@@ -164,13 +167,12 @@ class SolutionSpec:
 
 
 def eigenvalue(spec: SolutionSpec) -> float:
-    """Energy of the state; longitudinal momentum adds p_z^2 c^2 under the
+    """Energy of the state; longitudinal momentum adds p_z^2 under the
     square root."""
-    c = spec.units.c
-    base = (spec.m * c * c) ** 2 + (spec.p_z * c) ** 2
+    base = spec.m ** 2 + spec.p_z ** 2
     fam = spec.static_base().family
     if fam is Family.FREE_BESSEL:
-        return math.sqrt(base + (spec.p_perp * c) ** 2)
+        return math.sqrt(base + spec.p_perp ** 2)
     if fam is Family.UNIFORM_B:
         return math.sqrt(base + 2.0 * spec.B ** 2 * spec.n)
     if fam is Family.UNIFORM_B_SPLIT:
@@ -181,11 +183,11 @@ def eigenvalue(spec: SolutionSpec) -> float:
 
 
 def lam_of_r(spec: SolutionSpec, r: float) -> float:
-    return spec.B * r / (2.0 * spec.units.c * spec.units.hbar)
+    return spec.B * r / 2.0
 
 
 def r_of_lam(spec: SolutionSpec, lam: float) -> float:
-    return 2.0 * spec.units.c * spec.units.hbar * lam / spec.B
+    return 2.0 * lam / spec.B
 
 
 def radial_kappa(spec: SolutionSpec) -> float:
@@ -198,8 +200,7 @@ def radial_kappa(spec: SolutionSpec) -> float:
 def _free_q(spec: SolutionSpec) -> float:
     # Bessel argument scale: f = lam^-l J_l(q lam)
     eps = eigenvalue(spec)
-    c = spec.units.c
-    kt2 = eps ** 2 - (spec.m * c * c) ** 2 - (spec.p_z * c) ** 2
+    kt2 = eps ** 2 - spec.m ** 2 - spec.p_z ** 2
     return 2.0 * math.sqrt(kt2) / spec.B
 
 
@@ -221,7 +222,7 @@ def _amplitude(base: SolutionSpec) -> float:
             f"2n + {orbital} = {2 * n + l} is past the validity envelope "
             f"({MAX_DEGREE})")
     eps = eigenvalue(base)
-    scale = math.pi * eps * (eps + base.m * base.units.c ** 2)
+    scale = math.pi * eps * (eps + base.m)
     if base.family is Family.RADIAL_B:
         scale = 4 * (2 * n + l + 1) * scale / radial_kappa(base) ** 2
     return base.B / math.sqrt(scale)
@@ -233,7 +234,7 @@ def _pair_kernel(spec: SolutionSpec):
     spec's constants bound once.  The magnetic families take both from the
     Laguerre functions of `sf.laguerre_function`, so no growing polynomial
     meets a decaying weight: with u = 2 lam^2 and P = B/sqrt(pi eps A)
-    (A = eps + m c^2) in the uniform field, u = kappa lam and
+    (A = eps + m) in the uniform field, u = kappa lam and
     P = B kappa/sqrt(4 pi (2n+M+1) eps A) in the 1/r field,
 
         uniform-b:  aH = P ell_n^l,  bH = -2 sqrt(2n) P ell_(n-1)^(l+1),
@@ -291,15 +292,14 @@ def stationary_bilinears(spec: SolutionSpec, a, b) -> dict:
     """J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of a stationary
     state from its phase-free pair (a, b) = (aH, bH)."""
     base = spec.static_base()
-    c = base.units.c
-    A = base.m * c * c + eigenvalue(base)
-    pz2 = (base.p_z * c) ** 2
+    A = base.m + eigenvalue(base)
+    pz2 = base.p_z ** 2
     B = base.B
     upper = (A ** 2 + pz2) * a ** 2 / B ** 2
     lower = b ** 2 / 4.0
     return {"J0": upper + lower,
             "J_phi": -A * a * b / B,
-            "J_z": 2.0 * A * c * base.p_z * a * a / B ** 2,
+            "J_z": 2.0 * A * base.p_z * a * a / B ** 2,
             "scalar": (A ** 2 - pz2) * a ** 2 / B ** 2 - lower,
             "rho_s3": upper - lower}
 
@@ -362,12 +362,11 @@ def normalization(spec: SolutionSpec) -> float:
     The free Bessel beam takes the fixed per-area convention instead."""
     base = spec.static_base()
     if base.family is Family.FREE_BESSEL:
-        c = base.units.c
         eps = eigenvalue(base)
-        mc2 = base.m * c * c
+        root = math.sqrt(base.m / eps + 1.0)
         if base.p_z == 0.0:
-            return base.B / (math.sqrt(2.0) * eps * math.sqrt(mc2 / eps + 1.0))
-        return base.B / (eps * math.sqrt(mc2 / eps + 1.0))
+            return base.B / (math.sqrt(2.0) * eps * root)
+        return base.B / (eps * root)
     n, l = base.n, base.l
     fact = math.factorial
     if base.family is Family.RADIAL_B:
@@ -439,19 +438,18 @@ def profile(spec: SolutionSpec, lam) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# the generator is g (f1' C1 + f2' C2), g = c^2 / (2 eps omega)
+# the generator is g (f1' C1 + f2' C2), g = 1 / (2 eps omega)
 _NULL_C1 = -sta.ALPHA[0] - sta.PSEUDO @ sta.ALPHA[1]
 _NULL_C2 = -sta.ALPHA[1] + sta.PSEUDO @ sta.ALPHA[0]
 # (C1 psi, C2 psi) as one product with the 8 x 4 matrix [C1; C2]
 _NULL_TURN = sta.signed_gather(np.concatenate([_NULL_C1, _NULL_C2]))
 
 
-def null_rotation_generator(fdot1, fdot2, eps: float, omega: float,
-                            units: UnitSystem = NATURAL) -> Array:
+def null_rotation_generator(fdot1, fdot2, eps: float, omega: float) -> Array:
     """Nilpotent generator of the null rotation that dresses a stationary
     state with a plane wave travelling along +z; fdot1 and fdot2 are floats
     or arrays, and the result is [..., 4, 4]."""
-    g = units.c ** 2 / (2.0 * eps * omega)
+    g = 1.0 / (2.0 * eps * omega)
     return g * (np.multiply.outer(fdot1, _NULL_C1)
                 + np.multiply.outer(fdot2, _NULL_C2))
 
@@ -468,30 +466,28 @@ def null_rotation_lorentz(spec: SolutionSpec, xi) -> Array:
     xi is a float or an array; the result is [..., 4, 4]."""
     d1, d2 = spec.waveform.fdot(xi)
     rot = sta.ID + null_rotation_generator(d1, d2, eigenvalue(spec),
-                                           spec.omega, spec.units)
+                                           spec.omega)
     return np.einsum("...ij,njk,...kl,mli->...mn", rot, _GAMMA,
                      sta.reversion(rot), _GAMMA_UP).real / 4.0
 
 
 def gauge_phase(spec: SolutionSpec, xi):
     """Scalar gauge phase accompanying the null rotation."""
-    u = spec.units
     eps = eigenvalue(spec)
-    return -u.c ** 4 / (2.0 * eps * spec.omega ** 3 * u.hbar) \
+    return -1.0 / (2.0 * eps * spec.omega ** 3) \
         * spec.waveform.gauge_integral(xi)
 
 
 def coordinate_shift(spec: SolutionSpec, xi):
     """Transverse displacement (x' - x, y' - y) induced by the dressing."""
-    u = spec.units
     eps = eigenvalue(spec)
     f1, f2 = spec.waveform.f(xi)
-    scale = u.c ** 3 / (eps * spec.omega ** 2)
+    scale = 1.0 / (eps * spec.omega ** 2)
     return scale * f1, scale * f2
 
 
 def xi_of(spec: SolutionSpec, t, z):
-    return spec.omega * (t - z / spec.units.c)
+    return spec.omega * (t - z)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +508,11 @@ def spinor(spec: SolutionSpec, fault=None):
     The per-spec constants, the normalization among them, are bound here,
     once: a point costs the raw profile and the phase, no cache lookup."""
     base = spec.static_base()
-    u = base.units
-    c, hbar = u.c, u.hbar
     eps = eigenvalue(base)
-    A = base.m * c * c + eps
+    A = base.m + eps
     M = base.M
     # the upper and lower amplitude factors of components 0 and 2
-    k0, k2 = A / base.B, c * base.p_z / base.B
+    k0, k2 = A / base.B, base.p_z / base.B
     pair = _pair_kernel(base)
 
     def static_field(t, x, y, z):
@@ -531,8 +525,7 @@ def spinor(spec: SolutionSpec, fault=None):
             pr = fault(profile(base, lam), lam)
             aH, bH = pr["aH"], pr["bH"]
         phi = ops.atan2(y, x)
-        phase = ops.cexp(-1j * (eps * t - base.p_z * z) / hbar
-                         + 0.5j * M * phi)
+        phase = ops.cexp(-1j * (eps * t - base.p_z * z) + 0.5j * M * phi)
         return ops.stack([
             k0 * aH * phase,
             0.0,
@@ -542,7 +535,7 @@ def spinor(spec: SolutionSpec, fault=None):
 
     if not spec.is_dressed:
         return static_field
-    g = c ** 2 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
+    g = 1.0 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
 
     def dressed(t, x, y, z):
         xi = xi_of(spec, t, z)
@@ -579,8 +572,6 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
     4-component eA array, [..., 4] for array coordinates).  The static piece
     lives at the primed transverse coordinates for dressed families."""
-    u = spec.units
-    c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     xp, yp, xi = _primed(spec, t, x, y, z)
@@ -589,22 +580,22 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     zero = mathops.zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        coeff = B ** 2 / (2.0 * c ** 2 * hbar)
+        coeff = B ** 2 / 2.0
         static = (zero, -coeff * yp, coeff * xp, zero)
     elif fam is Family.RADIAL_B:
         if np.any(rp == 0.0):
             raise OnAxisError("potential singular on the symmetry axis")
-        coeff = B / (4.0 * c * rp)
+        coeff = B / (4.0 * rp)
         static = (zero, -coeff * yp, coeff * xp, zero)
     if spec.is_dressed:
         eps = eigenvalue(base)
         d1, d2 = spec.waveform.fdot(xi)
-        laser = (zero, c * d1 / spec.omega, c * d2 / spec.omega, zero)
+        laser = (zero, d1 / spec.omega, d2 / spec.omega, zero)
         if fam is Family.UNIFORM_B:
-            a0 = -B ** 2 * (xp * d2 - yp * d1) / (2.0 * eps * spec.omega * hbar)
+            a0 = -B ** 2 * (xp * d2 - yp * d1) / (2.0 * eps * spec.omega)
             radiation = (a0, zero, zero, a0)
         elif fam is Family.RADIAL_B:
-            a0 = -B * c * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
+            a0 = -B * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
             radiation = (a0, zero, zero, a0)
     return {"static": mathops.stack(static),
             "radiation": mathops.stack(radiation),
@@ -630,8 +621,6 @@ class FieldSample:
 def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     """Closed-form electromagnetic fields, at float or array coordinates;
     their source densities are `sources`."""
-    u = spec.units
-    c, hbar = u.c, u.hbar
     B = spec.B
     base = spec.static_base()
     fam = base.family
@@ -641,26 +630,22 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     eE = [zero] * 3
     eB = [zero] * 3
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        eB[2] = eB[2] + B ** 2 / (c ** 2 * hbar)
+        eB[2] = eB[2] + B ** 2
     elif fam is Family.RADIAL_B:
         if np.any(rp == 0.0):
             raise OnAxisError("field singular on the symmetry axis")
-        eB[2] = eB[2] + B / (4.0 * c * rp)
+        eB[2] = eB[2] + B / (4.0 * rp)
     if spec.is_dressed:
         eps = eigenvalue(base)
         d1, d2 = spec.waveform.fdot(xi)
         dd1, dd2 = spec.waveform.fddot(xi)
-        eE = [eE[0] - c * dd1, eE[1] - c * dd2, eE[2]]
+        eE = [eE[0] - dd1, eE[1] - dd2, eE[2]]
         eB = [eB[0] + dd2, eB[1] - dd1, eB[2]]
-        if fam is Family.UNIFORM_B:
-            kE = B ** 2 * c / (eps * spec.omega * hbar)
-            kB = B ** 2 / (eps * spec.omega * hbar)
-        elif fam is Family.RADIAL_B:
-            kE = B * c ** 2 / (4.0 * rp * eps * spec.omega)
-            kB = B * c / (4.0 * rp * eps * spec.omega)
         if fam in (Family.UNIFORM_B, Family.RADIAL_B):
-            eE = [eE[0] + kE * d2, eE[1] + kE * -d1, eE[2]]
-            eB = [eB[0] + kB * d1, eB[1] + kB * d2, eB[2]]
+            k = B ** 2 / (eps * spec.omega) if fam is Family.UNIFORM_B \
+                else B / (4.0 * rp * eps * spec.omega)
+            eE = [eE[0] + k * d2, eE[1] + k * -d1, eE[2]]
+            eB = [eB[0] + k * d1, eB[1] + k * d2, eB[2]]
     return FieldSample(mathops.stack(eE), mathops.stack(eB))
 
 
@@ -668,7 +653,6 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
     """The closed-form source densities of `fields`, (e mu0 rho_e,
     e mu0 J_e[..., 3]), at float or array coordinates: zero but for the
     loop-like current of the 1/r field and its dressing."""
-    c = spec.units.c
     B = spec.B
     base = spec.static_base()
     zero = mathops.zero(t, x, y, z)
@@ -679,15 +663,15 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
     if np.any(rp == 0.0):
         raise OnAxisError("field singular on the symmetry axis")
     if not spec.is_dressed:
-        return zero, mathops.stack([zero + (B / (4.0 * c)) * -yp / rp ** 3,
-                                    zero + (B / (4.0 * c)) * xp / rp ** 3,
+        return zero, mathops.stack([zero + (B / 4.0) * -yp / rp ** 3,
+                                    zero + (B / 4.0) * xp / rp ** 3,
                                     zero])
     eps = eigenvalue(base)
     d1, d2 = spec.waveform.fdot(xi)
-    rho_e = B * c ** 2 * (yp * d1 - xp * d2) \
+    rho_e = B * (yp * d1 - xp * d2) \
         / (4.0 * eps * spec.omega * rp ** 3)
-    J_e = [(B / (4.0 * c * rp ** 3)) * v
-           for v in (-yp, xp, c * (yp * d1 - xp * d2) / (eps * spec.omega))]
+    J_e = [(B / (4.0 * rp ** 3)) * v
+           for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
     return rho_e, mathops.stack(J_e)
 
 
@@ -704,7 +688,6 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
     ops = mathops.of(x, y)
-    c = base.units.c
     r = ops.hypot(x, y)
     k = stationary_bilinears(base, *_pair_kernel(base)(lam_of_r(base, r)))
     jphi = k["J_phi"]
@@ -712,7 +695,7 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     # r is replaced by 1 and the transverse current is zero
     r = r + (r == 0.0)
     jx, jy = -jphi * y / r, jphi * x / r
-    fac = c * base.p_z / (base.m * c * c + eigenvalue(base))
+    fac = base.p_z / (base.m + eigenvalue(base))
     return {"J": ops.stack([k["J0"], jx, jy, k["J_z"]]), "scalar": k["scalar"],
             "rho_s": ops.stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]]),
             "J_phi": jphi}
@@ -756,7 +739,6 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     """
     base = spec.static_base()
     eps = eigenvalue(base)
-    mc2 = base.m * base.units.c ** 2
     uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
 
     pair = _pair_kernel(base)
@@ -768,7 +750,7 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
                          r_of_lam(base, lam) * k["J_phi"]], axis=-1)
 
     rho, j0, j_phi, j_z, r_j_phi = _transverse_average(base, g)
-    out = {"rho": rho, "rho_closed": mc2 / eps, "norm": j0, "J_phi": j_phi}
+    out = {"rho": rho, "rho_closed": base.m / eps, "norm": j0, "J_phi": j_phi}
     if base.family is Family.UNIFORM_B:
         out["J_phi_closed"] = -math.sqrt(2.0) * base.B * base.n / eps
     elif base.family is Family.UNIFORM_B_SPLIT:
@@ -792,28 +774,26 @@ def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
     <y' J> = (0, -<r J_phi>/2, 0, 0); j0, j_z and r_j_phi are those
     stationary averages."""
     base = spec.static_base()
-    u = spec.units
-    c, hbar = u.c, u.hbar
     eps = eigenvalue(base)
     d1, d2 = spec.waveform.fdot(xi)
     lorentz = null_rotation_lorentz(spec, xi)
     current = lorentz @ np.array([j0, 0.0, 0.0, j_z])
     cx = lorentz @ np.array([0.0, 0.0, r_j_phi / 2.0, 0.0])
     cy = lorentz @ np.array([0.0, -r_j_phi / 2.0, 0.0, 0.0])
-    tan2 = (c ** 2 * math.hypot(d1, d2) / (2.0 * eps * spec.omega)) ** 2
+    tan2 = (math.hypot(d1, d2) / (2.0 * eps * spec.omega)) ** 2
     out = {
         "J_z": current[3],
-        "J_z_closed": c ** 4 * (d1 * d1 + d2 * d2)
+        "J_z_closed": (d1 * d1 + d2 * d2)
         / (2.0 * eps ** 2 * spec.omega ** 2),
         "centroid": (cx[0], cy[0]),
         "tan2_half_angle": tan2,
     }
     if base.family is Family.UNIFORM_B:
-        coeff = c ** 3 * base.n * hbar / (spec.omega * eps ** 2)
+        coeff = base.n / (spec.omega * eps ** 2)
         out["centroid_closed"] = (coeff * d2, -coeff * d1)
     elif base.family is Family.RADIAL_B:
         n, M = base.n, base.M
-        coeff = 3.0 * c ** 3 * hbar * n * (n + M + 1) \
+        coeff = 3.0 * n * (n + M + 1) \
             / (2.0 * (M + 1) * spec.omega * eps ** 2)
         out["centroid_closed"] = (coeff * d2, -coeff * d1)
     return out

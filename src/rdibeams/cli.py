@@ -19,12 +19,16 @@ from . import verify
 from .inversion import MAX_STEP, MIN_STEP
 from .specialfn import DomainError
 from .spinors import NullDensity, bilinears
-from .units import NATURAL, SI
 from .waveforms import KINDS
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a usage error too
+        raise UsageError(message)
 
 
 def _read(cfg: dict, key: str, kind: type, default=None):
@@ -59,7 +63,8 @@ def _parse_waveform(text: str):
         kind, amp = text.split(":")
         return KINDS[kind](float(amp))
     except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad waveform {text!r}, want kind:amplitude") from exc
+        raise UsageError(f"bad waveform {text!r}, want kind:amplitude "
+                         f"({exc})") from exc
 
 
 def _spec_from_config(cfg: dict) -> cat.SolutionSpec:
@@ -68,9 +73,6 @@ def _spec_from_config(cfg: dict) -> cat.SolutionSpec:
         fam = cat.Family(family)
     except ValueError:
         raise UsageError(f"unknown family {family!r}")
-    units = _read(cfg, "units", str, "natural")
-    if units not in ("natural", "si"):
-        raise UsageError(f"unknown units {units!r}")
     kwargs = dict(
         family=fam,
         n=_read(cfg, "n", int, 0),
@@ -79,7 +81,6 @@ def _spec_from_config(cfg: dict) -> cat.SolutionSpec:
         p_z=_read(cfg, "pz", float, 0.0),
         p_perp=_read(cfg, "pperp", float, 1.0),
         omega=_read(cfg, "omega", float, 1.0),
-        units=SI if units == "si" else NATURAL,
     )
     M = _read(cfg, "M", int)
     if M is not None:
@@ -147,6 +148,9 @@ def _effective_config(args, keys) -> dict:
                 raise UsageError(f"--config is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("--config must hold a JSON object")
+        if unknown := sorted(set(loaded) - set(keys)):
+            raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(keys)}")
         cfg.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
@@ -184,7 +188,7 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     keys = ("family", "n", "l", "M", "B", "mass", "pz", "pperp", "waveform",
-            "omega", "units", "grid_t", "grid_x", "grid_y", "grid_z",
+            "omega", "grid_t", "grid_x", "grid_y", "grid_z",
             "axis_exclude", "format", "out")
     cfg = _effective_config(args, keys)
     spec = _spec_from_config(cfg)
@@ -213,12 +217,11 @@ def cmd_eval(args) -> int:
         head = json.dumps({"meta": meta}, sort_keys=True) + "\n"
         row_text, table = _JSONL_ROW, table[:, _JSONL_ORDER]
     body = "".join([row_text % tuple(row) for row in table.tolist()])
-    fh = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
-    try:
-        fh.write(head + body)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if out_path == "-":
+        sys.stdout.write(head + body)
+    else:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(head + body)
     return 0
 
 
@@ -291,7 +294,7 @@ def _residual_histogram(report) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdibeams",
         description="Vortex-beam Dirac solutions: catalog, evaluation and "
                     "machine verification.")
@@ -313,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pperp", type=float)
         p.add_argument("--waveform", help="kind:amplitude")
         p.add_argument("--omega", type=float)
-        p.add_argument("--units", choices=("natural", "si"))
 
     p_eval = sub.add_parser("eval", help="evaluate fields on a grid")
     add_spec_args(p_eval)
@@ -348,16 +350,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, not bound into the cached parser, so that a cmd_*
-    # rebound on the module (as the benchmark's span tracer does) is called
-    handler = {"catalog": cmd_catalog, "eval": cmd_eval,
-               "verify": cmd_verify}[args.command]
     try:
+        args = _parser().parse_args(argv)
+        # looked up per call, so that a cmd_* rebound on the module (as the
+        # benchmark's span tracer does) is called
+        handler = {"catalog": cmd_catalog, "eval": cmd_eval,
+                   "verify": cmd_verify}[args.command]
         return handler(args)
     except (UsageError, verify.SelectionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        if "family" in str(exc):
+        if str(exc).startswith("unknown family"):
             cmd_catalog(argparse.Namespace(json=False))
         return 2
     except (cat.OnAxisError, NullDensity, DomainError) as exc:

@@ -3,7 +3,7 @@
 The electromagnetic potential is obtained by solving the matrix Dirac
 equation backwards, eA-slash = D Psi^-1 with (`dirac_operator`)
 
-    D = hbar (d-slash Psi) gamma^2 gamma^1 - m c Psi gamma^0,
+    D = (d-slash Psi) gamma^2 gamma^1 - m Psi gamma^0,
     Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho,  so |det Psi| = rho^2,
 
 with the derivatives taken by 4th-order central differences and a Richardson
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import catalog as cat
 from . import numerics, spinors, sta
-from .units import NATURAL, UnitSystem
 
 Array = np.ndarray
 
@@ -63,18 +62,17 @@ SINGULAR_RHO2 = 1e-12  # rho^2 = |det Psi| below which Psi is not inverted
 MIN_STEP, MAX_STEP = 1e-6, 1e-2  # the stencil steps `invert` takes
 
 
-def dirac_operator(psi, grad, m: float, units: UnitSystem) -> tuple[Array, Array]:
+def dirac_operator(psi, grad, m: float) -> tuple[Array, Array]:
     """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from
     psi[..., 4] and its `numerics.gradient4` grad[..., 4, 4].  d_mu Psi is
     the lift of d_mu psi, exact as the lift is real-linear; the first column
-    of D is the column form i hbar gamma^mu d_mu psi - m c psi."""
+    of D is the column form i gamma^mu d_mu psi - m psi."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
-    dPsi[..., 0, :, :] /= units.c
     slash_d = sta.gather_product(
         _SLASH, dPsi.reshape(dPsi.shape[:-3] + (16, 4)), axis=-2)
-    return Psi, sta.gather_product(_TIMES_PHASE_PLANE, units.hbar * slash_d) \
-        - sta.gather_product(_TIMES_GAMMA0, m * units.c * Psi)
+    return Psi, sta.gather_product(_TIMES_PHASE_PLANE, slash_d) \
+        - sta.gather_product(_TIMES_GAMMA0, m * Psi)
 
 
 def _density(psi) -> tuple[Array, Array]:
@@ -99,7 +97,6 @@ def singular(psi) -> Array:
 
 
 def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
-           units: UnitSystem = NATURAL,
            sample: numerics.StencilSample | None = None) -> PotentialSample:
     """Invert a column-spinor field for its driving potential at a point,
     or at a batch of points point[..., 4].
@@ -123,7 +120,7 @@ def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
         - pseudo[..., None, None] * sta.PSEUDO
 
     def inverted(grad):
-        Psi, D = dirac_operator(psi, grad, m, units)
+        Psi, D = dirac_operator(psi, grad, m)
         return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
 
     full = inverted(numerics.gradient4(field, point, h) if sample is None
@@ -144,7 +141,7 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
 
     The time component of the inverted potential is
 
-        eA_0 = eps/c - m c J^0 / sigma - (B / 4 c lam sigma) d(lam J_phi)/dlam
+        eA_0 = eps - m J^0 / sigma - (B / 4 lam sigma) d(lam J_phi)/dlam
 
     and vanishes identically exactly when the radial profile satisfies its
     second-order equation (the circular-orbit condition).  A lam where the
@@ -154,9 +151,8 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     if spec.is_dressed:
         raise ValueError("stationary families only")
     base = spec.static_base()
-    c = base.units.c
     eps = cat.eigenvalue(base)
-    A = base.m * c * c + eps
+    A = base.m + eps
     B = base.B
     pr = cat.profile(base, lam)
     k = cat.stationary_bilinears(base, pr["aH"], pr["bH"])
@@ -171,25 +167,24 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     d_lam_jphi = -(A / B) * ((M + 1) * lamM * f * fp * H * H
                              + lam ** (M + 1) * (fp * fp + f * fpp) * H * H
                              + 2.0 * lam ** (M + 1) * f * fp * H * Hp)
-    term = -(B / (4.0 * c * lam * sigma)) * d_lam_jphi
-    return abs(eps / c - base.m * c * j0 / sigma + term)
+    term = -(B / (4.0 * lam * sigma)) * d_lam_jphi
+    return abs(eps - base.m * j0 / sigma + term)
 
 
 def radial_ode_residual(spec: cat.SolutionSpec, lam, fault=None):
     """Residual of the profile equation
 
-        f'' - 4 (m^2 c^4 + p_z^2 c^2 - eps^2) f / B^2
+        f'' - 4 (m^2 + p_z^2 - eps^2) f / B^2
             + f' ((M+1)/lam + 2 H'/H) = 0,
 
     normalized by the local profile scale, at a float or an array lam;
     `fault` as for `catalog.spinor`."""
     base = spec.static_base()
-    c = base.units.c
     eps = cat.eigenvalue(base)
     pr = cat.profile(base, lam)
     if fault is not None:
         pr = fault(pr, lam)
-    gap = 4.0 * ((base.m * c * c) ** 2 + (base.p_z * c) ** 2 - eps ** 2) \
+    gap = 4.0 * (base.m ** 2 + base.p_z ** 2 - eps ** 2) \
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \
         + pr["fp"] * ((base.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])

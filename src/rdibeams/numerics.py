@@ -144,16 +144,16 @@ def sample(fn, point, h=DEFAULT_STEP) -> StencilSample:
         [point[..., None, :], stencil_points(point, h)], axis=-2)), h)
 
 
-def divergence4(fn, point, h=DEFAULT_STEP, c=1.0):
-    """d_mu F^mu = d_t F^0 / c + div F of a real 4-vector field F."""
-    return divergence(gradient4(fn, point, h), c)
+def divergence4(fn, point, h=DEFAULT_STEP):
+    """d_mu F^mu = d_t F^0 + div F of a real 4-vector field F."""
+    return divergence(gradient4(fn, point, h))
 
 
-def divergence(g, c=1.0):
-    """d_t F^0 / c + div F from the 4-gradient g[..., mu, nu] = d_mu F^nu
-    of a real 4-vector field F."""
+def divergence(g):
+    """d_t F^0 + div F from the 4-gradient g[..., mu, nu] = d_mu F^nu of a
+    real 4-vector field F."""
     g = g.real
-    return g[..., 0, 0] / c + g[..., 1, 1] + g[..., 2, 2] + g[..., 3, 3]
+    return g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2] + g[..., 3, 3]
 
 
 def spatial_divergence(g):

@@ -4,7 +4,7 @@ Integer-order Bessel J by Miller's downward recurrence (power series below
 x = 2) on a whole array of arguments at once, a float being the one-point
 case.  Each element starts the recurrence at its own index, so a point's
 value does not depend on the rest of its batch; the recurrence tests for
-overflow only at the steps where a bound on its growth, from the batch's
+overflow only at the steps where a growth bound, per start index from its
 smallest argument, says an element can near it (none for the catalog's
 orders and radii, so a step is three array operations), and takes the
 series for all orders and terms in one broadcast.  The orthonormal
@@ -97,6 +97,16 @@ def _rescale_checkpoints(start: int, x_min: float) -> range:
     return range(0)
 
 
+def _batch_checkpoints(starts, x) -> range:
+    """The most steps `_rescale_checkpoints` gives a group of the elements of
+    x that share a start index, from its smallest x: none where the largest
+    start and smallest x of the batch, which bound every group, give none."""
+    if not _rescale_checkpoints(int(starts.max()), float(x.min())):
+        return range(0)
+    return max((_rescale_checkpoints(s, float(x[starts == s].min()))
+                for s in set(starts.tolist())), key=len)
+
+
 def _miller_all(nmax: int, x) -> list:
     # downward recurrence from well above the turning point, normalized by
     # J0 + 2*sum J_{2k} = 1.  Each element starts at its own start index,
@@ -107,7 +117,7 @@ def _miller_all(nmax: int, x) -> list:
     starts = _miller_start(nmax, x)
     seeds = set(starts.tolist())
     start = max(seeds)
-    check_from = _rescale_checkpoints(start, float(x.min())).start
+    check_from = _batch_checkpoints(starts, x).start
     jp = np.zeros_like(x)
     jc = np.zeros_like(x)
     out = [0.0] * (nmax + 1)

@@ -80,7 +80,7 @@ def perturb_profile(pr: dict, lam: float) -> dict:
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
                    fault: str | None = None,
                    sample: numerics.StencilSample | None = None):
-    """Relative residual of gamma^mu (i hbar d_mu - eA_mu) psi = m c psi at
+    """Relative residual of gamma^mu (i d_mu - eA_mu) psi = m psi at
     point[..., 4], one value per point.
 
     The matrix form D - eA-slash Psi is evaluated, with D the matrix Dirac
@@ -99,11 +99,9 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     psi = sample.at_points
     eA = (1.01 if fault == "scale-potential" else 1.0) \
         * numerics.at(lambda *q: cat.potential(spec, *q), point)
-    Psi, D = inversion.dirac_operator(psi, sample.gradient(), spec.m,
-                                      spec.units)
+    Psi, D = inversion.dirac_operator(psi, sample.gradient(), spec.m)
     mat = D - sta.from_vector(eA) @ Psi
-    scale = np.maximum(spec.m * spec.units.c * np.linalg.norm(psi, axis=-1),
-                       1e-30)
+    scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
     return np.maximum(np.linalg.norm(mat[..., :, 0], axis=-1) / scale,
                       np.linalg.norm(mat, axis=(-2, -1)) / (2.0 * scale))
 
@@ -116,15 +114,14 @@ def continuity_residual(spec: cat.SolutionSpec, point,
     `numerics.sample` (`sample`, when given, already evaluated)."""
     if sample is None:
         sample = numerics.sample(cat.spinor(spec), point, h)
-    return abs(numerics.divergence(sample.gradient(spinors.current),
-                                   spec.units.c))
+    return abs(numerics.divergence(sample.gradient(spinors.current)))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
                            h: float = numerics.DEFAULT_STEP):
     """|d_mu eA^mu| by finite differences, at point[..., 4]."""
     return abs(numerics.divergence4(
-        lambda *q: cat.potential(spec, *q), point, h, spec.units.c))
+        lambda *q: cat.potential(spec, *q), point, h))
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
@@ -134,7 +131,7 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
     point[..., 4]; each entry holds one value per point.  `sample` is
     handed on to invert()."""
     inv = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
-                           units=spec.units, sample=sample)
+                           sample=sample)
     closed = numerics.at(lambda *q: cat.potential(spec, *q), point)
     return {
         "potential_diff": np.max(np.abs(inv.eA - closed), axis=-1),
@@ -146,7 +143,7 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
 def maxwell_residual(spec: cat.SolutionSpec, point,
                      h: float = numerics.DEFAULT_STEP):
     """Max residual of Gauss and Ampere laws against the closed-form
-    sources (natural units), at point[..., 4]."""
+    sources, at point[..., 4]."""
 
     def e_and_b(*q):
         smp = cat.fields(spec, *q)
@@ -222,17 +219,13 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
     the null-rotation construction; same gauge and normalization
     conventions as the catalog)."""
     base = spec.static_base()
-    u = spec.units
-    c, hbar = u.c, u.hbar
     eps = cat.eigenvalue(base)
-    mc2 = base.m * c * c
-    kt = math.sqrt(eps ** 2 - mc2 ** 2)
+    kt = math.sqrt(eps ** 2 - base.m ** 2)
     norm = cat.normalization(base)
     l = base.l
-    omega = spec.omega
 
     def field(t, x, y, z):
-        xi = spec.omega * (t - z / c)
+        xi = spec.omega * (t - z)
         dx, dy = cat.coordinate_shift(spec, xi)
         xp, yp = x + dx, y + dy
         lamp = cat.lam_of_r(base, np.hypot(xp, yp))
@@ -243,14 +236,14 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
         jl1 = sf.bessel_j(l + 1, arg)
         gl = np.exp(1j * l * phi) * jl
         gl1 = np.exp(1j * (l + 1) * phi) * jl1
-        r = c * c / (eps * omega)
+        r = 1.0 / (eps * spec.omega)
         pref = (norm / (2.0 * base.B)) \
-            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t / hbar))
+            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t))
         col = mathops.stack([
-            2.0 * (mc2 + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
-            r * (mc2 + eps) * (d1 + 1j * d2) * gl,
+            2.0 * (base.m + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
+            r * (base.m + eps) * (d1 + 1j * d2) * gl,
             -r * kt * (d2 + 1j * d1) * gl1,
-            2.0j * kt * gl1 - r * (mc2 + eps) * (d1 + 1j * d2) * gl,
+            2.0j * kt * gl1 - r * (base.m + eps) * (d1 + 1j * d2) * gl,
         ])
         return pref[..., None] * col
 
@@ -272,7 +265,7 @@ def null_rotation_block_residual(wf: Waveform, xi: float, eps: float,
                                  omega: float) -> dict:
     """The 4x4 null-rotation matrix must equal its block (Weyl-basis)
     counterpart built from the complex shear parameter
-    a = -c^2 (f1' - i f2') / (eps omega); also checks nilpotency and
+    a = -(f1' - i f2') / (eps omega); also checks nilpotency and
     unimodularity."""
     d1, d2 = wf.fdot(xi)
     gen = cat.null_rotation_generator(d1, d2, eps, omega)
@@ -340,12 +333,12 @@ def orbit_closure(spec: cat.SolutionSpec, r0: float, steps: int = 4000) -> dict:
 
 def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
                         steps: int = 600) -> float:
-    """Flux-weighted streamline average of d(ct)/ds_proper.
+    """Flux-weighted streamline average of dt/ds_proper.
 
     Streamline seeds are placed at Gauss-Legendre radii weighted by the
     probability flux; along each orbit the proper-time rate is measured
     from the integrated path using the duality-signed density, and the
-    reciprocal of the average must equal eps / m c^2.
+    reciprocal of the average must equal eps / m.
     """
     base = spec.static_base()
     col = cat.spinor(base)
@@ -359,17 +352,17 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
         r0 = cat.r_of_lam(base, lam)
         bil = cat.bilinear_fields(base, 0.0, r0, 0.0, 0.0)
         if abs(bil["J_phi"]) < 1e-13 or bil["J"][0] < 1e-13:
-            # degenerate orbit: (dtau/dct) J0 reduces to the signed density
+            # degenerate orbit: (dtau/dt) J0 reduces to the signed density
             total += 2.0 * math.pi * w * lam * bil["scalar"]
             continue
         arc = 0.5 * math.pi * r0 / abs(bil["J_phi"])  # quarter revolution
         path = numerics.rk4_path(lambda q: spinors.current(col(*q)),
                                  (0.0, r0, 0.0, 0.0), arc, steps)
-        delta_ct = (path[-1, 0] - path[0, 0]) * base.units.c
+        delta_t = path[-1, 0] - path[0, 0]
         # signed proper time accumulated along the path
         psis = numerics.at(col, path[:-1])
         dtau = float(np.sum(spinors.bilinears(psis).scalar)) * (arc / steps)
-        total += 2.0 * math.pi * w * lam * (dtau / delta_ct) * bil["J"][0]
+        total += 2.0 * math.pi * w * lam * (dtau / delta_t) * bil["J"][0]
     return 1.0 / total
 
 

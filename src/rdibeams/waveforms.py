@@ -1,4 +1,4 @@
-"""Plane-wave driving functions (f1, f2) of the phase xi = omega (t - z/c).
+"""Plane-wave driving functions (f1, f2) of the phase xi = omega (t - z).
 
 Each waveform supplies the pair, its first two derivatives, and the gauge
 integral int_0^xi (f1'^2 + f2'^2) dphi.  The sinusoidal families carry the
@@ -33,6 +33,12 @@ class Waveform:
     kind: str
     amplitude: float
     params: tuple = ()
+
+    def __post_init__(self):
+        # the gauge integral carries amplitude^2; NaN fails the test too
+        if not np.isfinite(self.amplitude * self.amplitude):
+            raise ValueError(f"need a finite amplitude^2, got amplitude "
+                             f"{self.amplitude!r}")
 
     def f(self, xi):
         a = self.amplitude

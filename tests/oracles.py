@@ -8,7 +8,6 @@ import numpy as np
 from rdibeams import catalog as cat
 from rdibeams import numerics, spinors, sta
 from rdibeams import specialfn as sf
-from rdibeams.units import NATURAL
 
 
 def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48):
@@ -92,16 +91,14 @@ def hestenes_matrix(psi):
 # references for the signed gathers of the library (`sta.gather_product`)
 
 
-def dirac_operator(psi, grad, m, units):
-    """Psi and D = hbar (d-slash Psi) gamma^2 gamma^1 - m c Psi gamma^0 with
+def dirac_operator(psi, grad, m):
+    """Psi and D = (d-slash Psi) gamma^2 gamma^1 - m Psi gamma^0 with
     d-slash an einsum over the gamma^mu stack and the right products
     matmuls: the reference for `inversion.dirac_operator`."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
-    dPsi[..., 0, :, :] /= units.c
     slash_d = np.einsum("mij,...mjk->...ik", np.stack(sta.GAMMA_UP), dPsi)
-    return Psi, units.hbar * slash_d @ spinors.PHASE_PLANE \
-        - m * units.c * Psi @ sta.GAMMA0
+    return Psi, slash_d @ spinors.PHASE_PLANE - m * Psi @ sta.GAMMA0
 
 
 def trace_coefficients(a):
@@ -243,15 +240,13 @@ def exp_bivector(a, b):
                         f"{b.tolist()}")
 
 
-def boost_from_momentum(p, m: float, units=NATURAL, sign: int = +1):
+def boost_from_momentum(p, m: float, sign: int = +1):
     """Positive-definite boost taking the rest spinor to momentum p; the
     sign=-1 branch flips the momentum (negative-energy convention)."""
     p = np.asarray(p, dtype=float)
-    c = units.c
-    energy = np.sqrt((m * c * c) ** 2 + c * c * float(p @ p))
-    mc2 = m * c * c
-    pref = np.sqrt((energy + mc2) / (2.0 * mc2))
-    slope = sign * c / (energy + mc2)
+    energy = np.sqrt(m ** 2 + float(p @ p))
+    pref = np.sqrt((energy + m) / (2.0 * m))
+    slope = sign / (energy + m)
     mat = sta.ID + slope * sum(pk * g for pk, g in zip(p, sta.ALPHA))
     return pref * mat
 
@@ -325,16 +320,14 @@ def polar_decompose(r) -> RotorFactors:
 
 def dressed_polar_angle_residual(spec, xi: float) -> float:
     """The rotation angle of the polar factors of (1 + N) must satisfy
-    tan(theta/2) = c^2 |f'| / (2 eps omega)."""
-    u = spec.units
+    tan(theta/2) = |f'| / (2 eps omega)."""
     eps = cat.eigenvalue(spec.static_base())
     d1, d2 = spec.waveform.fdot(xi)
-    gen = cat.null_rotation_generator(d1, d2, eps, spec.omega, u)
+    gen = cat.null_rotation_generator(d1, d2, eps, spec.omega)
     factors = polar_decompose(sta.ID + gen)
     cos_half = float(np.trace(factors.rotation).real) / 4.0
     theta_half = math.acos(min(1.0, max(-1.0, cos_half)))
-    expected = math.atan(u.c ** 2 * math.hypot(d1, d2)
-                         / (2.0 * eps * spec.omega))
+    expected = math.atan(math.hypot(d1, d2) / (2.0 * eps * spec.omega))
     return abs(theta_half - expected)
 
 
@@ -346,11 +339,11 @@ def dressed_polar_angle_residual(spec, xi: float) -> float:
 def fields_from_potential(spec, point, h: float = numerics.DEFAULT_STEP):
     """E and B derived from the potential by finite differences,
 
-        eE = -grad(eA^0) - d(e A)/d(ct),   eB = curl(e A),
+        eE = -grad(eA^0) - d(e A)/dt,   eB = curl(e A),
 
     as a cross-check of the closed-form field displays."""
     g = numerics.gradient4(lambda *q: cat.potential(spec, *q), point, h).real
-    return {"electric": -g[..., 1:, 0] - g[..., 0, 1:] / spec.units.c,
+    return {"electric": -g[..., 1:, 0] - g[..., 0, 1:],
             "magnetic": numerics.spatial_curl(g[..., :, 1:])}
 
 
@@ -539,19 +532,17 @@ def stationary_potential_terms(spec, t, x, y, z,
 
     Sign conventions are fixed by requiring agreement with invert():
 
-        eA_0 = (hbar/2) div(rho s x v) / sigma + P_0 - m c J^0 / sigma
-        eA_k = (hbar/2) [curl(rho (v^0 s - s^0 v))]_k / sigma - P_k
-               - m c J^k / sigma
+        eA_0 = (1/2) div(rho s x v) / sigma + P_0 - m J^0 / sigma
+        eA_k = (1/2) [curl(rho (v^0 s - s^0 v))]_k / sigma - P_k
+               - m J^k / sigma
 
     where sigma = rho cos(beta) is the duality-signed density and
-    P_mu = -(hbar/2) e_2 . d_mu e_1 is evaluated on the phase-bearing
+    P_mu = -(1/2) e_2 . d_mu e_1 is evaluated on the phase-bearing
     tetrad rho e_k / sigma (from `spinors.tetrad_pair`) by finite
     differences.
     """
     if spec.is_dressed:
         raise ValueError("stationary families only")
-    units = spec.units
-    c, hbar = units.c, units.hbar
     point = (t, x, y, z)
     bil = cat.bilinear_fields(spec, *point)
     sigma = bil["scalar"]
@@ -580,12 +571,10 @@ def stationary_potential_terms(spec, t, x, y, z,
     e2_now = e1_plus_ie2(*point).imag
     P = np.zeros(4)
     for mu, de1 in enumerate(numerics.gradient4(e1_plus_ie2, point, h).real):
-        if mu == 0:
-            de1 = de1 / c
-        P[mu] = -(hbar / 2.0) * minkowski_dot(e2_now, de1)
-    mom = spec.m * c * np.array(bil["J"]) / sigma
-    spin_div_term = (hbar / 2.0) * div / sigma
-    curl_term = (hbar / 2.0) * curl / sigma
+        P[mu] = -0.5 * minkowski_dot(e2_now, de1)
+    mom = spec.m * np.array(bil["J"]) / sigma
+    spin_div_term = 0.5 * div / sigma
+    curl_term = 0.5 * curl / sigma
     eA0 = spin_div_term + P[0] - mom[0]
     eAk = curl_term - P[1:] - mom[1:]
     return {

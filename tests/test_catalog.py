@@ -797,7 +797,7 @@ def _dress_matrix(spec):
         xi = cat.xi_of(spec, t, z)
         dx, dy = cat.coordinate_shift(spec, xi)
         gen = cat.null_rotation_generator(*spec.waveform.fdot(xi), eps,
-                                          spec.omega, spec.units)
+                                          spec.omega)
         rotor = oracles.phase_rotor(-cat.gauge_phase(spec, xi))
         return (sta.ID + gen) @ static(t, x + dx, y + dy, z) @ rotor
 
@@ -841,8 +841,7 @@ def test_dressed_spinor_matches_generator_matrix(spec):
         dressed = replace(spec, waveform=wf)
         xi = cat.xi_of(dressed, t, z)
         dx, dy = cat.coordinate_shift(dressed, xi)
-        gen = cat.null_rotation_generator(*wf.fdot(xi), eps, dressed.omega,
-                                          dressed.units)
+        gen = cat.null_rotation_generator(*wf.fdot(xi), eps, dressed.omega)
         psi_static = cat.spinor(base)(t, x + dx, y + dy, z)
         expected = np.exp(1j * cat.gauge_phase(dressed, xi))[:, None] \
             * ((sta.ID + gen) @ psi_static[..., None])[..., 0]
@@ -944,18 +943,6 @@ def test_float_and_array_spinor_agree_within_ulps(spec):
     assert np.max(np.abs(floats - arrays) / scale) <= FLOAT_PATH_ULPS
 
 
-def test_si_units_smoke():
-    # closed-form eigenvalue carries the unit constants consistently
-    from rdibeams.units import SI
-    me = 9.1093837015e-31
-    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=0, m=me, B=1e-20,
-                            units=SI)
-    rest = me * SI.c ** 2
-    assert cat.eigenvalue(spec) == pytest.approx(rest, rel=1e-12)
-    spec1 = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0, m=me, B=1e-20,
-                             units=SI)
-    expected = math.sqrt(rest ** 2 + 2.0 * 1e-40)
-    assert cat.eigenvalue(spec1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spec_validation():

@@ -166,7 +166,20 @@ def test_eval_io_failure_exits_4():
     (["eval", "--config", {"family": "uniform-b", "axis_exclude": "x"}], 2),
     (["eval", "--config", {"family": "redmond", "waveform": 5}], 2),
     (["eval", "--config", {"family": "uniform-b", "grid_x": 5}], 2),
+    # a config key that nothing reads: natural units are the only units,
+    # and p_perp and seeds are no keys (pperp and seed are)
     (["eval", "--config", {"family": "uniform-b", "units": "SI"}], 2),
+    (["eval", "--config", {"family": "free-bessel", "p_perp": 2.0}], 2),
+    (["verify", "--config", {"seeds": 5}], 2),
+    (["eval", "--family", "uniform-b", "--units", "si"], 2),
+    # a level or a waveform amplitude^2 past the float range
+    (["eval", "--family", "uniform-b", "--n", "1", "--pz", "1e300"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--pz", "1e200"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--B", "1e200"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--mass", "1e200"], 2),
+    (["eval", "--family", "free-bessel", "--pperp", "1e200"], 2),
+    (["eval", "--family", "redmond", "--n", "1", "--waveform",
+      "circular:1e300"], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
         "eval-config", "verify-config", "config-not-json",
@@ -174,7 +187,10 @@ def test_eval_io_failure_exits_4():
         "config-fd-step-list", "config-points-many", "config-check-int",
         "config-n-one", "config-n-fraction", "config-n-bool",
         "config-axis-exclude-x", "config-waveform-int", "config-grid-x-int",
-        "config-units-unknown"])
+        "config-units-unknown", "config-p-perp-unknown",
+        "config-seeds-unknown", "units-flag", "pz-1e300-overflow",
+        "pz-1e200-overflow", "B-1e200-overflow", "mass-1e200-overflow",
+        "pperp-1e200-overflow", "amplitude-1e300-overflow"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")
@@ -282,12 +298,25 @@ def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
         assert out.read_text() == before
 
 
-# tests/golden holds these 3x3 maps as csv.writer and json.dumps wrote them,
-# before the row templates of cli replaced both
+# tests/golden holds these 3x3 maps: uniform-b and redmond as csv.writer and
+# json.dumps wrote them, before the row templates of cli replaced both; the
+# others as the row templates wrote them, at t and z off zero so that a
+# dressing's shift and phase show
+_TZ = ["--grid-t=0.7:0.7:1", "--grid-z=0.4:0.4:1"]
 GOLDEN_MAPS = {
     "uniform-b": ["--family", "uniform-b", "--n", "1"],
     "redmond": ["--family", "redmond", "--n", "1",
                 "--waveform", "circular:0.3", "--omega", "1.1"],
+    "free-bessel": ["--family", "free-bessel", "--l", "1", "--pperp", "0.8",
+                    "--pz", "0.3", *_TZ],
+    "uniform-b-split": ["--family", "uniform-b-split", "--n", "1", "--l", "1",
+                        "--pz", "0.2", *_TZ],
+    "radial-b": ["--family", "radial-b", "--n", "1", "--M", "2", "--pz", "0.3",
+                 *_TZ],
+    "volkov-bessel": ["--family", "volkov-bessel", "--l", "1",
+                      "--waveform", "pulse:0.2", *_TZ],
+    "radial-b-laser": ["--family", "radial-b-laser", "--n", "1", "--M", "1",
+                       "--waveform", "linear:0.25", *_TZ],
 }
 
 

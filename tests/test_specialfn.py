@@ -135,6 +135,22 @@ def test_bessel_rescale_checkpoints():
                 assert abs(vals[nu, i] - exact) <= 1e-13, (name, nu, v)
 
 
+def test_bessel_rescale_checkpoints_per_start_index():
+    # order 40 at x = (2, 5, 1000): a bound from the batch's largest start
+    # and smallest argument together flags 990 steps, but neither group of
+    # elements sharing a start index can near overflow, so no step tests
+    x = np.array([2.0, 5.0, 1000.0])
+    starts = sf._miller_start(40, x)
+    assert len(sf._rescale_checkpoints(int(starts.max()), 2.0)) == 990
+    for s in set(starts.tolist()):
+        assert len(sf._rescale_checkpoints(s, float(x[starts == s].min()))) \
+            == 0
+    assert len(sf._batch_checkpoints(starts, x)) == 0
+    vals = sf.bessel_j_all(40, x)
+    for i, v in enumerate(x.tolist()):
+        assert vals[:, i].tobytes() == sf.bessel_j_all(40, v).tobytes()
+
+
 def test_bessel_array_validity_window():
     with pytest.raises(sf.DomainError):
         sf.bessel_j_all(3, np.array([1.0, -0.5]))
