@@ -807,7 +807,7 @@ def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
 _N = {"n": "principal index"}
 _L = {"l": "orbital index, winding M = 2l"}
 _WINDING = {"M": "winding (>= 0)"}
-_BESSEL = {**_L, "p_perp": "transverse momentum (> 0)"}
+_BESSEL = {**_L, "pperp": "transverse momentum (> 0)"}
 # family -> (description, its own parameters)
 _LISTING = {
     Family.FREE_BESSEL: ("field-free Bessel beam", _BESSEL),
@@ -825,14 +825,17 @@ _LISTING = {
                             "wave", {**_N, **_WINDING}),
 }
 _COMMON = {"B": "field-strength constant (energy units)",
-           "m": "electron mass", "p_z": "longitudinal momentum"}
+           "mass": "electron mass"}
+_STATIONARY = {"pz": "longitudinal momentum"}
 _DRESSING = {"waveform": "circular | linear | pulse, with amplitude",
              "omega": "plane-wave frequency"}
 
 
 def describe_families() -> list[dict]:
-    """Parameter schema of every family, for the command-line catalog."""
+    """Parameter schema of every family, for the command-line catalog: the
+    `eval` option keys it takes (a dressed family is built at p_z = 0)."""
     return [{"family": fam.value, "description": text,
              "parameters": {**_COMMON, **own,
-                            **(_DRESSING if fam in DRESSED_BASE else {})}}
+                            **(_DRESSING if fam in DRESSED_BASE
+                               else _STATIONARY)}}
             for fam, (text, own) in _LISTING.items()]

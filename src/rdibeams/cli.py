@@ -31,7 +31,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read(cfg: dict, key: str, kind: type, default=None):
+# command -> {config key: (JSON type, default, help)}: every option of the
+# command, its flag the key with "_" written "-"
+_OPTIONS = {
+    "eval": {
+        "family": (str, None, "solution family (see `rdibeams catalog`)"),
+        "n": (int, 0, "principal index"),
+        "l": (int, 0, "orbital index"),
+        "M": (int, None, "winding of the 1/r-field families (sets l too)"),
+        "B": (float, 1.0, "field-strength constant"),
+        "mass": (float, 1.0, "electron mass"),
+        "pz": (float, 0.0, "longitudinal momentum"),
+        "pperp": (float, 1.0, "transverse momentum of the Bessel beams"),
+        "waveform": (str, None, "plane-wave drive, kind:amplitude"),
+        "omega": (float, 1.0, "plane-wave frequency"),
+        "grid_t": (str, "0:0:1", "lo:hi:count"),
+        "grid_x": (str, "0.5:3:6", "lo:hi:count"),
+        "grid_y": (str, "0.5:3:6", "lo:hi:count"),
+        "grid_z": (str, "0:0:1", "lo:hi:count"),
+        "axis_exclude": (float, 1e-3, "skip points nearer the axis"),
+        "format": (str, "csv", "csv or jsonl"),
+        "out": (str, "-", "output path, '-' for stdout"),
+    },
+    "verify": {
+        "family": (str, "all", "family name or 'all'"),
+        "check": (list, None, "restrict to named checks (repeatable)"),
+        "points": (int, 100, "sample points per spec"),
+        "seed": (int, 20240801, "sample seed"),
+        "fd_step": (float, 1e-3, "finite-difference step"),
+        "negative_control": (str, None, "a fault to inject, to be detected"),
+        "timings": (bool, False, "add the wall-clock time"),
+        "out": (str, None, "report path (default stdout)"),
+    },
+}
+# argparse keywords per JSON type: an absent flag reads None, keeping --config
+_FLAG = {int: {"type": int}, float: {"type": float}, str: {},
+         list: {"action": "append"},
+         bool: {"action": "store_true", "default": None}}
+
+
+def _read(cfg: dict, key: str, kind: type, default):
     """cfg[key] as a `kind`, `default` where it is absent or null.  A value
     of another JSON type is a usage error: an int is no bool and no 1.7, a
     float may be an int, and one string stands for a list of it."""
@@ -67,31 +106,21 @@ def _parse_waveform(text: str):
                          f"({exc})") from exc
 
 
-def _spec_from_config(cfg: dict) -> cat.SolutionSpec:
-    family = _read(cfg, "family", str)
+def _family(name) -> cat.Family:
     try:
-        fam = cat.Family(family)
+        return cat.Family(name)
     except ValueError:
-        raise UsageError(f"unknown family {family!r}")
-    kwargs = dict(
-        family=fam,
-        n=_read(cfg, "n", int, 0),
-        B=_read(cfg, "B", float, 1.0),
-        m=_read(cfg, "mass", float, 1.0),
-        p_z=_read(cfg, "pz", float, 0.0),
-        p_perp=_read(cfg, "pperp", float, 1.0),
-        omega=_read(cfg, "omega", float, 1.0),
-    )
-    M = _read(cfg, "M", int)
-    if M is not None:
-        kwargs["M"] = M
-        kwargs["l"] = M
-    else:
-        kwargs["l"] = _read(cfg, "l", int, 0)
-    if waveform := _read(cfg, "waveform", str):
-        kwargs["waveform"] = _parse_waveform(waveform)
+        raise UsageError(f"unknown family {name!r}")
+
+
+def _spec(cfg: dict) -> cat.SolutionSpec:
+    family, M, waveform = _family(cfg["family"]), cfg["M"], cfg["waveform"]
+    waveform = _parse_waveform(waveform) if waveform else None  # "" is none
     try:
-        return cat.SolutionSpec(**kwargs)
+        return cat.SolutionSpec(
+            family=family, n=cfg["n"], l=cfg["l"] if M is None else M, M=M,
+            B=cfg["B"], m=cfg["mass"], p_z=cfg["pz"], p_perp=cfg["pperp"],
+            omega=cfg["omega"], waveform=waveform)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -130,33 +159,34 @@ _JSONL_ROW = "{" + ", ".join(f'"{_CSV_HEADER[i]}": %r' for i in _JSONL_ORDER) \
 
 def _grid_points(cfg: dict) -> np.ndarray:
     """The grid as points[n, 4], t slowest and z fastest."""
-    axes = []
-    for name, default in (("grid_t", "0:0:1"), ("grid_x", "0.5:3:6"),
-                          ("grid_y", "0.5:3:6"), ("grid_z", "0:0:1")):
-        lo, hi, count = _parse_range(_read(cfg, name, str, default))
-        axes.append(np.linspace(lo, hi, count))
+    axes = [np.linspace(*_parse_range(cfg[f"grid_{a}"])) for a in "txyz"]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
-def _effective_config(args, keys) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
+def _effective_config(args) -> tuple[dict, dict]:
+    """Every option of the command, read once (its flag, else its --config
+    value, else its default), and the meta to echo: the given options but
+    `out`, `timings` and nulls, so an output is the same wherever it lands."""
+    options = _OPTIONS[args.command]
+    given = {}
+    if args.config:
         with open(args.config) as fh:
             try:
-                loaded = json.load(fh)
+                given = json.load(fh)
             except ValueError as exc:
                 raise UsageError(f"--config is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(given, dict):
             raise UsageError("--config must hold a JSON object")
-        if unknown := sorted(set(loaded) - set(keys)):
+        if unknown := sorted(set(given) - set(options)):
             raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
-                             f"known: {', '.join(keys)}")
-        cfg.update(loaded)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+                             f"known: {', '.join(options)}")
+    given.update((k, v) for k in options
+                 if (v := getattr(args, k)) is not None)
+    values = {key: _read(given, key, kind, default)
+              for key, (kind, default, _) in options.items()}
+    config = {k: v for k, v in sorted(given.items())
+              if v is not None and k not in ("out", "timings")}
+    return values, {"config": config, "version": __version__}
 
 
 def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
@@ -187,90 +217,59 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    keys = ("family", "n", "l", "M", "B", "mass", "pz", "pperp", "waveform",
-            "omega", "grid_t", "grid_x", "grid_y", "grid_z",
-            "axis_exclude", "format", "out")
-    cfg = _effective_config(args, keys)
-    spec = _spec_from_config(cfg)
-    exclude = _read(cfg, "axis_exclude", float, 1e-3)
-    fmt = _read(cfg, "format", str, "csv")
-    out_path = _read(cfg, "out", str, "-")
+    cfg, meta = _effective_config(args)
+    spec = _spec(cfg)
     points = _grid_points(cfg)
     radii = np.hypot(points[:, 1], points[:, 2])
-    if spec.family in cat.SINGULAR_ON_AXIS and exclude <= 0.0 \
+    if spec.family in cat.SINGULAR_ON_AXIS and cfg["axis_exclude"] <= 0.0 \
             and np.any(radii == 0.0):
-        print("grid touches the singular axis and exclusion is disabled",
-              file=sys.stderr)
-        return 3
-    meta = {"config": {k: cfg[k] for k in sorted(cfg)}, "version": __version__}
-
-    if fmt not in ("csv", "jsonl"):
-        raise UsageError(f"unknown format {fmt!r}")
-
+        raise cat.OnAxisError("grid touches the singular axis and exclusion "
+                              "is disabled")
+    if cfg["format"] not in ("csv", "jsonl"):
+        raise UsageError(f"unknown format {cfg['format']!r}")
     # the whole map is evaluated as one batch before --out is opened, so a
     # domain error leaves no partial map behind
-    table = _evaluate(spec, points[radii >= exclude])
-    if fmt == "csv":
+    table = _evaluate(spec, points[radii >= cfg["axis_exclude"]])
+    if cfg["format"] == "csv":
         head = "# " + json.dumps(meta, sort_keys=True) + "\n" + _CSV_TEXT_HEADER
         row_text = _CSV_ROW
     else:
         head = json.dumps({"meta": meta}, sort_keys=True) + "\n"
         row_text, table = _JSONL_ROW, table[:, _JSONL_ORDER]
     body = "".join([row_text % tuple(row) for row in table.tolist()])
-    if out_path == "-":
+    if cfg["out"] == "-":
         sys.stdout.write(head + body)
     else:
-        with open(out_path, "w", newline="") as fh:
+        with open(cfg["out"], "w", newline="") as fh:
             fh.write(head + body)
     return 0
 
 
 def cmd_verify(args) -> int:
-    keys = ("family", "check", "points", "seed", "fd_step", "out",
-            "negative_control", "timings")
-    cfg = _effective_config(args, keys)
-    families = None
-    fam_arg = _read(cfg, "family", str, "all")
-    if fam_arg and fam_arg != "all":
-        try:
-            families = [cat.Family(fam_arg).value]
-        except ValueError:
-            raise UsageError(f"unknown family {fam_arg!r}")
-    points = _read(cfg, "points", int, 100)
-    if points < 1:
-        raise UsageError(f"need --points >= 1, got {points}")
-    seed = _read(cfg, "seed", int, 20240801)
-    if seed < 0:
-        raise UsageError(f"need --seed >= 0, got {seed}")
+    cfg, meta = _effective_config(args)
+    family = cfg["family"]
+    families = None if family in ("", "all") else [_family(family).value]
+    if cfg["points"] < 1:
+        raise UsageError(f"need --points >= 1, got {cfg['points']}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"need --seed >= 0, got {cfg['seed']}")
     # a NaN step fails the comparison too
-    h = _read(cfg, "fd_step", float, 1e-3)
-    if not MIN_STEP <= h <= MAX_STEP:
+    if not MIN_STEP <= cfg["fd_step"] <= MAX_STEP:
         raise UsageError(f"need --fd-step in [{MIN_STEP}, {MAX_STEP}], "
-                         f"got {h}")
+                         f"got {cfg['fd_step']}")
     report = verify.run_suite(
-        families=families,
-        checks=_read(cfg, "check", list) or None,
-        points=points,
-        seed=seed,
-        h=h,
-        negative_control=_read(cfg, "negative_control", str),
-    )
+        families=families, checks=cfg["check"] or None, points=cfg["points"],
+        seed=cfg["seed"], h=cfg["fd_step"],
+        negative_control=cfg["negative_control"])
     if not report.records:
         raise UsageError("the selected checks do not apply to the selected "
                          "families; nothing was checked")
-    # the echoed config carries only run-defining parameters, so reports
-    # with the same seed are byte-identical regardless of where they land
-    meta = {"config": {k: cfg[k] for k in sorted(cfg)
-                       if cfg[k] is not None and k not in ("out", "timings")},
-            "version": __version__}
-    timings = _read(cfg, "timings", bool, False)
-    payload = json.loads(report.to_json(include_timing=timings))
+    payload = json.loads(report.to_json(include_timing=cfg["timings"]))
     payload["meta"] = meta
     payload["histogram"] = _residual_histogram(report)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    out_path = _read(cfg, "out", str)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if cfg["out"]:
+        with open(cfg["out"], "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -303,42 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catalog", help="list the solution families")
     p_cat.add_argument("--json", action="store_true")
-
-    def add_spec_args(p):
+    for command, text in (("eval", "evaluate fields on a grid"),
+                          ("verify", "run the verification suite")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--family")
-        p.add_argument("--n", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--M", type=int)
-        p.add_argument("--B", type=float)
-        p.add_argument("--mass", type=float)
-        p.add_argument("--pz", type=float)
-        p.add_argument("--pperp", type=float)
-        p.add_argument("--waveform", help="kind:amplitude")
-        p.add_argument("--omega", type=float)
-
-    p_eval = sub.add_parser("eval", help="evaluate fields on a grid")
-    add_spec_args(p_eval)
-    p_eval.add_argument("--grid-t", dest="grid_t", help="lo:hi:count")
-    p_eval.add_argument("--grid-x", dest="grid_x", help="lo:hi:count")
-    p_eval.add_argument("--grid-y", dest="grid_y", help="lo:hi:count")
-    p_eval.add_argument("--grid-z", dest="grid_z", help="lo:hi:count")
-    p_eval.add_argument("--axis-exclude", dest="axis_exclude", type=float)
-    p_eval.add_argument("--format", choices=("csv", "jsonl"))
-    p_eval.add_argument("--out", help="output path ('-' for stdout)")
-
-    p_ver = sub.add_parser("verify", help="run the verification suite")
-    p_ver.add_argument("--config", help="JSON config file (flags override)")
-    p_ver.add_argument("--family", help="family name or 'all'")
-    p_ver.add_argument("--check", action="append",
-                       help="restrict to named checks (repeatable)")
-    p_ver.add_argument("--points", type=int)
-    p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--fd-step", dest="fd_step", type=float)
-    p_ver.add_argument("--negative-control", dest="negative_control",
-                       choices=verify.NEGATIVE_CONTROLS)
-    p_ver.add_argument("--timings", action="store_true", default=None)
-    p_ver.add_argument("--out", help="report path (default stdout)")
+        for key, (kind, default, about) in _OPTIONS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), **_FLAG[kind],
+                           help=about if default is None
+                           else f"{about} (default {default})")
     return parser
 
 

@@ -91,13 +91,14 @@ class Waveform:
                       for v in (0.0, xi))
             half = 0.5 * (hi - lo)
             mid, step = np.ravel(0.5 * (hi + lo)), np.ravel(half)
-            # 64 nodes per point, for _PULSE_BLOCK points at a time
+            # 64 nodes per point, for _PULSE_BLOCK points at a time; each
+            # point's nodes are summed in one order, whatever its batch
             total = np.empty(mid.size)
             for k in range(0, mid.size, _PULSE_BLOCK):
                 block = slice(k, k + _PULSE_BLOCK)
                 d1, d2 = self.fdot(mid[block, None]
                                    + step[block, None] * _GL_NODES)
-                total[block] = (d1 * d1 + d2 * d2) @ _GL_WEIGHTS
+                total[block] = ((d1 * d1 + d2 * d2) * _GL_WEIGHTS).sum(axis=-1)
             return half * total.reshape(np.shape(half))
         raise ValueError(self.kind)
 

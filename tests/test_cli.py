@@ -48,10 +48,20 @@ def test_catalog_json_schema(capsys):
 
 def test_catalog_json_matches_golden_bytes(capsys):
     # tests/golden/catalog.json is the listing as the family if-chain wrote
-    # it, before one table replaced the chain
+    # it, before one table replaced the chain, with its keys renamed to the
+    # eval option keys and pz dropped from the dressed families
     assert cli.main(["catalog", "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / "catalog.json").read_bytes()
+
+
+def test_catalog_parameters_are_eval_option_keys():
+    # the listing names the keys `eval` takes, and p_z only where it may be
+    # nonzero: the dressed families are built at p_z = 0
+    for e in cat.describe_families():
+        assert set(e["parameters"]) <= set(cli._OPTIONS["eval"]), e
+        dressed = cat.Family(e["family"]) in cat.DRESSED_BASE
+        assert ("pz" in e["parameters"]) != dressed, e
 
 
 def test_unknown_family_exits_2_and_prints_catalog(capsys):
@@ -115,14 +125,6 @@ def test_eval_jsonl_format(tmp_path):
     assert set(row) == set(cli._CSV_HEADER)
 
 
-def test_eval_axis_grid_without_exclusion_exits_3(tmp_path):
-    code = cli.main(["eval", "--family", "radial-b", "--n", "1",
-                     "--grid-x=-1:1:3", "--grid-y=-1:1:3",
-                     "--axis-exclude", "0",
-                     "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-
-
 def test_eval_io_failure_exits_4():
     code = cli.main(["eval", "--family", "uniform-b", "--n", "1",
                      "--grid-x", "1:1:1", "--grid-y", "1:1:1",
@@ -139,6 +141,9 @@ def test_eval_io_failure_exits_4():
       "--grid-y", "0:0:1", "--axis-exclude", "0"], 3),
     # outside the Bessel recurrence's validity window
     (["eval", "--family", "free-bessel", "--pperp", "5000"], 3),
+    # a grid on the axis of a 1/r field with exclusion disabled
+    (["eval", "--family", "radial-b", "--n", "1", "--grid-x=-1:1:3",
+      "--grid-y=-1:1:3", "--axis-exclude", "0"], 3),
     (["eval", "--family", "uniform-b", "--grid-x", "0.5:3:-2"], 2),
     (["eval", "--family", "uniform-b", "--n", "1", "--B", "-1"], 2),
     (["eval", "--family", "uniform-b", "--n", "1", "--B", "nan"], 2),
@@ -180,7 +185,8 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "free-bessel", "--pperp", "1e200"], 2),
     (["eval", "--family", "redmond", "--n", "1", "--waveform",
       "circular:1e300"], 2),
-], ids=["far-density", "bessel-axis", "pperp-window", "negative-count",
+], ids=["far-density", "bessel-axis", "pperp-window", "radial-axis",
+        "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
         "eval-config", "verify-config", "config-not-json",
         "config-not-object", "far-tail-nan", "config-seed-abc",
@@ -202,6 +208,47 @@ def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
     assert "Traceback" not in err
+
+
+# a value of another JSON type for each type an option can have
+_WRONG_TYPE = {str: 5, int: 1.5, float: "1.0", list: {"a": 1}, bool: 1}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, options in cli._OPTIONS.items()
+    for key in options])
+def test_config_value_of_wrong_type_is_usage_error(command, key, tmp_path,
+                                                   capsys, monkeypatch):
+    def no_suite(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_suite", no_suite)
+    cfg = tmp_path / "cfg.json"
+    wrong = _WRONG_TYPE[cli._OPTIONS[command][key][0]]
+    cfg.write_text(json.dumps({key: wrong}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {key} must be "), captured
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_help_lists_every_option(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = capsys.readouterr().out
+    for key in ("config", *cli._OPTIONS[command]):
+        assert f"--{key.replace('_', '-')} " in text, key
+
+
+def test_same_map_at_two_paths_is_byte_identical(tmp_path):
+    # the echoed config leaves --out out, as the verify report does
+    maps = [tmp_path / "a.csv", tmp_path / "sub" / "b.csv"]
+    maps[1].parent.mkdir()
+    for path in maps:
+        assert cli.main(["eval", *GOLDEN_MAPS["redmond"], "--out",
+                         str(path)]) == 0
+    assert maps[0].read_bytes() == maps[1].read_bytes()
 
 
 def test_config_check_string_is_one_check_name(tmp_path):
@@ -301,7 +348,8 @@ def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
 # tests/golden holds these 3x3 maps: uniform-b and redmond as csv.writer and
 # json.dumps wrote them, before the row templates of cli replaced both; the
 # others as the row templates wrote them, at t and z off zero so that a
-# dressing's shift and phase show
+# dressing's shift and phase show; every first line as rewritten once the
+# echoed config left out --out
 _TZ = ["--grid-t=0.7:0.7:1", "--grid-z=0.4:0.4:1"]
 GOLDEN_MAPS = {
     "uniform-b": ["--family", "uniform-b", "--n", "1"],
@@ -322,15 +370,13 @@ GOLDEN_MAPS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_MAPS))
-def test_eval_output_matches_golden_bytes(name, fmt, tmp_path, monkeypatch):
-    # a relative --out, because the echoed config holds the path
-    monkeypatch.chdir(tmp_path)
-    out = f"{name}.{fmt}"
+def test_eval_output_matches_golden_bytes(name, fmt, tmp_path):
+    out = tmp_path / f"{name}.{fmt}"
     code = cli.main(["eval", *GOLDEN_MAPS[name], "--grid-x=-1:1:3",
-                     "--grid-y=0:2:3", "--format", fmt, "--out", out])
+                     "--grid-y=0:2:3", "--format", fmt, "--out", str(out)])
     assert code == 0
-    golden = (GOLDEN / out).read_bytes()
-    assert (tmp_path / out).read_bytes() == golden
+    golden = (GOLDEN / out.name).read_bytes()
+    assert out.read_bytes() == golden
     # the fixtures hold the awkward cases of float text: exponent form, and
     # negative zero in the uniform-field maps
     assert b"e-1" in golden

@@ -58,7 +58,7 @@ ARRAY_BATCHES = [
     (5, np.linspace(0.5, 3.5, 31)),
     (40, np.array([[0.0, 0.3], [1.9, 2.1]])),
     (200, np.array([2.0, 2.5, 7.0, 50.0])),
-    (40, np.array([0.7, 2.0, 5.0, 1000.0])),
+    (40, np.array([0.7, 2.0, 5.0, 2000.0])),
 ]
 
 
@@ -119,14 +119,14 @@ def test_bessel_array_matches_mpmath_over_suite_range(nmax, seed):
 def test_bessel_rescale_checkpoints():
     # the recurrence tests for overflow only where its growth bound says an
     # element can pass 1e250: never for the suite's orders and arguments
-    # (the recurrence takes x >= 2)
+    # (the recurrence takes x >= 2); these two batches reach the tests, with
+    # the bound taken per start index as the recurrence takes it
     assert len(sf._rescale_checkpoints(sf._miller_start(4, 10.0), 2.0)) == 0
     mpmath = pytest.importorskip("mpmath")
     batches = dict(zip(["rescale-order", "rescale-arg"], ARRAY_BATCHES[3:]))
     for name, (nmax, x) in batches.items():
         large = x[x >= 2.0]
-        checks = sf._rescale_checkpoints(
-            sf._miller_start(nmax, float(large.max())), float(large.min()))
+        checks = sf._batch_checkpoints(sf._miller_start(nmax, large), large)
         assert len(checks) > 0, name
         vals = sf.bessel_j_all(nmax, x)
         for nu in range(0, nmax + 1, 7):
