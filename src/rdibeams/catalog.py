@@ -32,15 +32,15 @@ dressing; the dressed families at p_z = 0, omega > 0 and any amplitude,
 the pulse while its envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
-`fields`, `sources`, `bilinear_fields`, `null_rotation_generator`,
-`null_rotation_lorentz`) take their coordinates as numpy arrays of one
-shape, a float being the one-point case (a float among arrays stands for
-every point); a batch keeps its axes in front
-and the components trail, as in psi[..., 4].  Each formula is written
-once, in numpy.  Only the stationary `spinor` field and `bilinear_fields`,
-which the serial streamline step calls one point at a time, also run on
-floats: their few transcendental calls come from `mathops`, `math`/`cmath`
-for a float point and numpy for a batch.
+`fields`, `sources`, `bilinear_fields`, `velocity_spin`,
+`null_rotation_generator`, `null_rotation_lorentz`) take their coordinates
+as numpy arrays of one shape, a float being the one-point case (a float
+among arrays stands for every point); a batch keeps its axes in front and
+the components trail, as in psi[..., 4].  Each formula is written once, in
+numpy.  Only the stationary `spinor` field, the right-hand side of the
+serial streamline RK4 step, which evaluates one point at a time, also runs
+on floats: its few transcendental calls come from `mathops.of`,
+`math`/`cmath` for a float point and numpy for a batch.
 """
 from __future__ import annotations
 
@@ -687,8 +687,7 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     base = spec.static_base()
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
-    ops = mathops.of(x, y)
-    r = ops.hypot(x, y)
+    r = np.hypot(x, y)
     k = stationary_bilinears(base, *_pair_kernel(base)(lam_of_r(base, r)))
     jphi = k["J_phi"]
     # J_phi along the azimuthal unit vector; on the axis, where x = y = 0,
@@ -696,29 +695,32 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     r = r + (r == 0.0)
     jx, jy = -jphi * y / r, jphi * x / r
     fac = base.p_z / (base.m + eigenvalue(base))
-    return {"J": ops.stack([k["J0"], jx, jy, k["J_z"]]), "scalar": k["scalar"],
-            "rho_s": ops.stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]]),
-            "J_phi": jphi}
+    J = mathops.stack([k["J0"], jx, jy, k["J_z"]])
+    rho_s = mathops.stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]])
+    return {"J": J, "scalar": k["scalar"], "rho_s": rho_s, "J_phi": jphi}
 
 
 def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
-    """Unit 4-velocity and unit spin vector at a point (closed form): for
-    a dressed family, the Lorentz matrix of the null rotation
-    (`null_rotation_lorentz`) applied to the stationary vectors at the
-    shifted point."""
-    base = spec.static_base()
+    """Unit 4-velocity and unit spin vector at float or array coordinates
+    (closed form), each [..., 4]: for a dressed family, the Lorentz matrix
+    of the null rotation (`null_rotation_lorentz`) applied, point by point,
+    to the stationary vectors at the shifted point.  Raises OnAxisError
+    naming the first point where rho = 0."""
     if not spec.is_dressed:
         bil = bilinear_fields(spec, t, x, y, z)
-        rho = abs(bil["scalar"])
-        if rho == 0.0:
-            raise OnAxisError("null current circle: velocity undefined")
+        rho = np.abs(bil["scalar"])[..., None]
+        if (rho == 0.0).any():
+            first = np.flatnonzero(rho == 0.0)[0]
+            raise OnAxisError(f"null current circle at point {first}: "
+                              "velocity undefined")
         return bil["J"] / rho, bil["rho_s"] / rho
     # dressed: the null rotation's Lorentz map of the stationary vectors
     xi = xi_of(spec, t, z)
     dx, dy = coordinate_shift(spec, xi)
-    v_s, s_s = velocity_spin(base, t, x + dx, y + dy, z)
+    v_s, s_s = velocity_spin(spec.static_base(), t, x + dx, y + dy, z)
     lorentz = null_rotation_lorentz(spec, xi)
-    return lorentz @ v_s, lorentz @ s_s
+    return (np.einsum("...ij,...j->...i", lorentz, v_s),
+            np.einsum("...ij,...j->...i", lorentz, s_s))
 
 
 # ---------------------------------------------------------------------------

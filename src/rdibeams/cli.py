@@ -110,7 +110,8 @@ def _family(name) -> cat.Family:
     try:
         return cat.Family(name)
     except ValueError:
-        raise UsageError(f"unknown family {name!r}")
+        raise UsageError("missing --family" if name is None
+                         else f"unknown family {name!r}")
 
 
 def _spec(cfg: dict) -> cat.SolutionSpec:
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
         return handler(args)
     except (UsageError, verify.SelectionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        if str(exc).startswith("unknown family"):
+        if str(exc).startswith(("unknown family", "missing --family")):
             cmd_catalog(argparse.Namespace(json=False))
         return 2
     except (cat.OnAxisError, NullDensity, DomainError) as exc:

@@ -2,15 +2,15 @@
 
 Every closed form is written once, for numpy arrays (batch axes lead,
 components trail, as in psi[..., 4]), and takes a float as the one-point
-case of that code.  The one exception is the streamline RK4 right-hand
-side, which evaluates one point at a time, where numpy's per-call overhead
-would make a step several times dearer.  Along that chain alone the
-arithmetic is numpy-free apart from the spinor's four-component array:
-`numerics.rk4_path` steps a state of Python floats, `catalog.spinor`'s
-stationary field and `catalog.bilinear_fields` read the few calls that
-differ from the namespace `of(*values)` returns (`FLOATS` calls
-`math`/`cmath`, `ARRAYS` numpy), the magnetic profile is a Laguerre
-function run on two floats (`specialfn.laguerre_function`), and
+case of that code; `stack` and `zero` shape its results.  The one exception
+is the streamline RK4 right-hand side, which evaluates one point at a time,
+where numpy's per-call overhead would make a step several times dearer.
+Along that chain alone the arithmetic is numpy-free apart from the
+spinor's four-component array: `numerics.rk4_path` steps a state of Python
+floats, `catalog.spinor`'s stationary field (the one caller of `of`) reads
+its few transcendental calls from the namespace `of(*values)` returns
+(`FLOATS` calls `math`/`cmath`, `ARRAYS` numpy), the magnetic profile is a
+Laguerre function run on two floats (`specialfn.laguerre_function`), and
 `spinors.current` reads J^mu off the components in Python complex
 arithmetic.
 """

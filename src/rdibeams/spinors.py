@@ -21,6 +21,7 @@ The tetrad vectors e1, e2 come from the charge-conjugate bilinear
 K^mu = i gamma0 gamma2 gamma^mu (`tetrad_pair`).  With
 Psi = rho^(1/2) exp(PSEUDO beta/2) R, all of them are sandwiches
 Psi gamma_mu rev(Psi) = rho R gamma_mu rev(R) and Psi rev(Psi).
+Each takes a batch psi[..., 4]; `current` also has a one-spinor float path.
 """
 from __future__ import annotations
 
@@ -167,49 +168,40 @@ RHO_FLOOR = 1e-10  # rho / J^0 below which the tetrad is left undefined
 
 
 @dataclass(frozen=True)
-class Observables:
-    current: Array            # J^mu
-    spin_density: Array       # rho * s^mu
-    rho: float
-    beta: float
-    scalar: float             # signed rho * cos(beta)
-    velocity: Array | None    # J / rho, None when rho underflows
-    spin: Array | None        # spin_density / rho
-    tetrad: tuple | None      # e_0 .. e_3
-    spin_plane: Array | None  # e2 e1 as a matrix
-    undefined: bool
+class Observables(Bilinears):
+    """The bilinears plus the tetrad, NaN at the undefined points."""
+
+    velocity: Array    # J / rho
+    spin: Array        # spin_density / rho
+    tetrad: Array      # e_0 .. e_3 along axis -2
+    spin_plane: Array  # e2 e1 as a matrix
+    undefined: Array   # rho < RHO_FLOOR * J^0
 
 
 def observables(psi: Array) -> Observables:
-    """All local bilinear observables of one column spinor.
+    """All local bilinear observables of column spinors psi[..., 4].
 
-    Raises NullDensity when psi^dagger psi vanishes.  When the invariant
-    density rho falls below RHO_FLOOR relative to J^0 the velocity, spin,
-    tetrad and spin-plane entries are flagged undefined (None) instead of
-    being extrapolated.  e0 and e3 are the velocity and spin, e1 and e2 come
-    from `tetrad_pair`, and the spin plane e2 e1 from
+    Raises NullDensity when psi^dagger psi vanishes anywhere in the batch.
+    Where the invariant density rho falls below RHO_FLOOR relative to J^0
+    the velocity, spin, tetrad and spin plane are flagged undefined (NaN)
+    instead of being extrapolated.  e0 and e3 are the velocity and spin,
+    e1 and e2 come from `tetrad_pair`, and the spin plane e2 e1 from
     `spin_plane_from_vectors`.
     """
     psi = np.asarray(psi, dtype=complex)
     bil = bilinears(psi)
-    current, spin_density = bil.current, bil.spin_density
-    rho, beta, scalar = float(bil.rho), float(bil.beta), float(bil.scalar)
-    if rho < RHO_FLOOR * current[0]:
-        return Observables(current, spin_density, rho, beta, scalar,
-                           None, None, None, None, True)
-    velocity, spin = current / rho, spin_density / rho
-    e12 = tetrad_pair(psi) / rho
+    undefined = bil.rho < RHO_FLOOR * bil.current[..., 0]
+    rho = np.where(undefined, np.nan, bil.rho)[..., None]
+    velocity, spin = bil.current / rho, bil.spin_density / rho
+    with np.errstate(invalid="ignore"):  # complex division tests NaN >= 0
+        e12 = tetrad_pair(psi) / rho
     return Observables(
-        current=current,
-        spin_density=spin_density,
-        rho=rho,
-        beta=beta,
-        scalar=scalar,
+        bil.current, bil.spin_density, bil.scalar, bil.pseudo,
         velocity=velocity,
         spin=spin,
-        tetrad=(velocity, e12.real, e12.imag, spin),
+        tetrad=np.stack([velocity, e12.real, e12.imag, spin], axis=-2),
         spin_plane=spin_plane_from_vectors(velocity, spin),
-        undefined=False,
+        undefined=undefined,
     )
 
 

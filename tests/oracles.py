@@ -79,6 +79,36 @@ def bilinear_current(psi):
     return spinors.bilinears(psi).current
 
 
+def proper_time_average(spec, n_radii: int = 24, steps: int = 600) -> float:
+    """The flux-weighted proper-time average one radius at a time, each
+    path's density evaluated on its own: the reference for the batched
+    `verify.proper_time_average`."""
+    base = spec.static_base()
+    col = cat.spinor(base)
+    lam_hi = 5.0 if base.family is not cat.Family.RADIAL_B else \
+        40.0 / cat.radial_kappa(base)
+    nodes, weights = np.polynomial.legendre.leggauss(n_radii)
+    lams = 0.5 * (nodes + 1.0) * lam_hi
+    wts = 0.5 * lam_hi * weights
+    total = 0.0
+    for lam, w in zip(lams, wts):
+        r0 = cat.r_of_lam(base, lam)
+        bil = cat.bilinear_fields(base, 0.0, r0, 0.0, 0.0)
+        if abs(bil["J_phi"]) < 1e-13 or bil["J"][0] < 1e-13:
+            # degenerate orbit: (dtau/dt) J0 reduces to the signed density
+            total += 2.0 * math.pi * w * lam * bil["scalar"]
+            continue
+        arc = 0.5 * math.pi * r0 / abs(bil["J_phi"])  # quarter revolution
+        path = numerics.rk4_path(lambda q: spinors.current(col(*q)),
+                                 (0.0, r0, 0.0, 0.0), arc, steps)
+        delta_t = path[-1, 0] - path[0, 0]
+        # signed proper time accumulated along the path
+        psis = numerics.at(col, path[:-1])
+        dtau = float(np.sum(spinors.bilinears(psis).scalar)) * (arc / steps)
+        total += 2.0 * math.pi * w * lam * (dtau / delta_t) * bil["J"][0]
+    return 1.0 / total
+
+
 def hestenes_matrix(psi):
     """Psi = sum_i (Re psi, Im psi)_i LIFT_i as one contraction: the
     reference for the signed gather of `spinors.hestenes_matrix`."""

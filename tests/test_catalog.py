@@ -1,7 +1,7 @@
 """Solution-catalog checks: eigenvalues, profiles, normalization, spinors,
 potentials, fields, averages, kinematic closed forms."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -746,6 +746,19 @@ def test_velocity_spin_matches_observables():
         assert checked >= 20
 
 
+def test_velocity_spin_names_the_first_null_density_point():
+    # rho = 0 on the axis of an l = 1 state, stationary or dressed
+    wf = waveforms.circular(0.0)
+    x = np.array([1.0, 0.0, 0.0])
+    for spec in (cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1),
+                 cat.SolutionSpec(cat.Family.REDMOND, n=1, l=1, waveform=wf,
+                                  omega=1.1)):
+        with pytest.raises(cat.OnAxisError, match="at point 1: "):
+            cat.velocity_spin(spec, 0.0, x, 0.0 * x, 0.0)
+        with pytest.raises(cat.OnAxisError, match="at point 0: "):
+            cat.velocity_spin(spec, 0.0, 0.0, 0.0, 0.0)
+
+
 def test_stationary_spin_is_axial():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
     rng = np.random.default_rng(12)
@@ -925,6 +938,26 @@ def test_spinor_batch_is_bitwise_its_one_point_calls(spec):
     pts = np.random.default_rng(0).uniform(0.5, 5.0, size=(100, 4))
     ones = np.stack([col(*p[:, None])[0] for p in pts])
     assert col(*pts.T).tobytes() == ones.tobytes()
+    # so are the local observables: each row of `observables` on a batch of
+    # spinors, and of `velocity_spin` and `bilinear_fields` on a batch of
+    # points, is its call on one spinor or at one float point
+    pts, psis = pts[:40], ones[:40]
+    batch = spinors.observables(psis)
+    for k, psi in enumerate(psis):
+        one = spinors.observables(psi)
+        for f in fields(spinors.Observables):
+            assert getattr(batch, f.name)[k].tobytes() \
+                == getattr(one, f.name).tobytes(), f.name
+    closed = {"velocity_spin": cat.velocity_spin}
+    if not spec.is_dressed:
+        closed["bilinear_fields"] = \
+            lambda *a: tuple(cat.bilinear_fields(*a).values())
+    for name, fn in closed.items():
+        batch = fn(spec, *pts.T)
+        for k, p in enumerate(pts):
+            for got, want in zip(batch, fn(spec, *p.tolist())):
+                assert np.asarray(got[k]).tobytes() \
+                    == np.asarray(want).tobytes(), name
 
 
 # the largest |psi_float - psi_array| of a default spec, in ulps of the

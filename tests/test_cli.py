@@ -65,10 +65,11 @@ def test_catalog_parameters_are_eval_option_keys():
 
 
 def test_unknown_family_exits_2_and_prints_catalog(capsys):
-    code = cli.main(["eval", "--family", "does-not-exist"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert "uniform-b" in out.out  # catalog echoed for orientation
+    # a missing family as well as an unknown one
+    for argv in (["eval", "--family", "does-not-exist"], ["eval"]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert "uniform-b" in out.out  # catalog echoed for orientation
 
 
 def test_eval_grid_row_count(tmp_path):
@@ -185,6 +186,8 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "free-bessel", "--pperp", "1e200"], 2),
     (["eval", "--family", "redmond", "--n", "1", "--waveform",
       "circular:1e300"], 2),
+    # no family from the flag or the config: the message names the flag
+    (["eval"], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "radial-axis",
         "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
@@ -196,7 +199,7 @@ def test_eval_io_failure_exits_4():
         "config-units-unknown", "config-p-perp-unknown",
         "config-seeds-unknown", "units-flag", "pz-1e300-overflow",
         "pz-1e200-overflow", "B-1e200-overflow", "mass-1e200-overflow",
-        "pperp-1e200-overflow", "amplitude-1e300-overflow"])
+        "pperp-1e200-overflow", "amplitude-1e300-overflow", "family-missing"])
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")
@@ -207,7 +210,7 @@ def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "None" not in err
 
 
 # a value of another JSON type for each type an option can have

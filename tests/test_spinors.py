@@ -1,5 +1,6 @@
 """The matrix lift of a column spinor, and its local observables."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_observables_rest_state():
 def test_observables_null_density():
     with pytest.raises(spinors.NullDensity):
         spinors.observables(np.zeros(4, dtype=complex))
+
+
+def test_observables_leave_a_zero_density_row_undefined():
+    # psi-bar psi and psi-bar i gamma5 psi both vanish on the first spinor
+    # (rho = 0 at J^0 = 2): its row alone is NaN, and no division warns
+    psis = np.array([[1, 0, 1, 0], [1, 0, 0, 0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = spinors.observables(psis)
+    assert obs.rho[0] == 0.0 and obs.undefined.tolist() == [True, False]
+    for name in ("velocity", "spin", "tetrad", "spin_plane"):
+        vals = getattr(obs, name)
+        assert np.isnan(vals[0]).all() and not np.isnan(vals[1]).any(), name
+    np.testing.assert_array_equal(obs.velocity[1], [1, 0, 0, 0])
 
 
 def test_stationary_current_purely_azimuthal():

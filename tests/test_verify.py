@@ -205,15 +205,20 @@ def test_volkov_dual_path():
 
 
 def test_null_rotation_block_identity():
-    wf = waveforms.circular(0.4)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        xi = float(rng.uniform(0.0, 2.0 * math.pi))
-        res = verify.null_rotation_block_residual(wf, xi, math.sqrt(3.0), 1.1)
-        assert res["block_diff"] < 1e-12
-        assert res["nilpotency"] < 1e-15
-        assert res["det_minus_1"] < 1e-12
-        assert res["unipotent"] < 1e-15
+    # an array of phases gives, per phase, the bits of its float call
+    xis = np.random.default_rng(10).uniform(0.0, 2.0 * math.pi, size=20)
+    eps = math.sqrt(3.0)
+    for wf in (waveforms.circular(0.4), waveforms.linear(0.25),
+               waveforms.pulse(0.2)):
+        batch = verify.null_rotation_block_residual(wf, xis, eps, 1.1)
+        for k, xi in enumerate(xis.tolist()):
+            res = verify.null_rotation_block_residual(wf, xi, eps, 1.1)
+            assert res["block_diff"] < 1e-12
+            assert res["nilpotency"] < 1e-15
+            assert res["det_minus_1"] < 1e-12
+            assert res["unipotent"] < 1e-15
+            for key, val in res.items():
+                assert batch[key][k].tobytes() == val.tobytes(), key
     res0 = verify.null_rotation_block_residual(waveforms.circular(0.0), 0.7,
                                                math.sqrt(3.0), 1.1)
     assert res0["block_diff"] < 1e-15  # identity up to basis-change rounding
@@ -292,6 +297,15 @@ def test_streamlines_match_the_array_state_reference(spec, monkeypatch):
         assert orbit[key] == pytest.approx(ref_orbit[key], rel=1e-13, abs=0)
     assert avg == pytest.approx(ref_avg, rel=1e-13, abs=0)
     assert abs(orbit["radial_drift"] - ref_orbit["radial_drift"]) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", STREAMLINE_SPECS, ids=verify.spec_label)
+def test_proper_time_average_matches_the_per_radius_reference(spec):
+    # one spinor evaluation for every path's proper time moves the average
+    # by round-off alone (2.2e-16 relative at most on these 8 specs, which
+    # the benchmark's streamlines workload runs with 24 radii, 32 steps)
+    assert verify.proper_time_average(spec, 24, 32) == pytest.approx(
+        oracles.proper_time_average(spec, 24, 32), rel=1e-14, abs=0)
 
 
 def test_redmond_streamline_centroid_tracks_drive():
