@@ -3,7 +3,8 @@ electromagnetic potentials by dynamic inversion, and the machine checks that
 verify every closed form by substitution.
 
 Everything is pure and immutable after construction; fields may be evaluated
-at many points in parallel without shared state.
+in parallel without shared state, except that a negative-control run rebinds
+the `catalog` attributes that `verify.FAULTS` names while its faulted rows run.
 """
 
 __version__ = "0.1.0"

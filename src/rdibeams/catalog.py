@@ -495,15 +495,13 @@ def xi_of(spec: SolutionSpec, t, z):
 # ---------------------------------------------------------------------------
 
 
-def spinor(spec: SolutionSpec, fault=None):
+def spinor(spec: SolutionSpec):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family.
 
     t, x, y, z are floats, giving psi[4], or arrays of one shape, giving
     psi[..., 4].  A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y',
     z): the stationary field at coordinates shifted by the classical quiver
     motion, turned by the null rotation and carried by the gauge phase.
-    `fault(profile, lam)`, when given, replaces the profile right after it
-    is read (the verifier's negative controls inject faults through it).
 
     The per-spec constants, the normalization among them, are bound here,
     once: a point costs the raw profile and the phase, no cache lookup."""
@@ -518,12 +516,7 @@ def spinor(spec: SolutionSpec, fault=None):
     def static_field(t, x, y, z):
         ops = mathops.of(t, x, y, z)
         lam = lam_of_r(base, ops.hypot(x, y))
-        if fault is None:
-            aH, bH = pair(lam)
-        else:
-            # the hook sees, and returns, the normalized profile
-            pr = fault(profile(base, lam), lam)
-            aH, bH = pr["aH"], pr["bH"]
+        aH, bH = pair(lam)
         phi = ops.atan2(y, x)
         phase = ops.cexp(-1j * (eps * t - base.p_z * z) + 0.5j * M * phi)
         return ops.stack([

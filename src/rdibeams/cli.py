@@ -59,7 +59,8 @@ _OPTIONS = {
         "points": (int, 100, "sample points per spec"),
         "seed": (int, 20240801, "sample seed"),
         "fd_step": (float, 1e-3, "finite-difference step"),
-        "negative_control": (str, None, "a fault to inject, to be detected"),
+        "negative_control": (str, None, "a fault to inject, to be detected: "
+                             + " | ".join(verify.FAULTS)),
         "timings": (bool, False, "add the wall-clock time"),
         "out": (str, None, "report path (default stdout)"),
     },
@@ -94,6 +95,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad range spec {text!r}, want lo:hi:count") from exc
     if count < 0:
         raise UsageError(f"bad range spec {text!r}, negative count")
+    if not np.isfinite([lo, hi, hi - lo]).all():
+        raise UsageError(f"bad range spec {text!r}, bound or span not finite")
     return lo, hi, count
 
 
@@ -220,6 +223,9 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
 def cmd_eval(args) -> int:
     cfg, meta = _effective_config(args)
     spec = _spec(cfg)
+    if not np.isfinite(cfg["axis_exclude"]):
+        raise UsageError("need a finite --axis-exclude, got "
+                         f"{cfg['axis_exclude']}")
     points = _grid_points(cfg)
     radii = np.hypot(points[:, 1], points[:, 2])
     if spec.family in cat.SINGULAR_ON_AXIS and cfg["axis_exclude"] <= 0.0 \

@@ -171,19 +171,16 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     return abs(eps - base.m * j0 / sigma + term)
 
 
-def radial_ode_residual(spec: cat.SolutionSpec, lam, fault=None):
+def radial_ode_residual(spec: cat.SolutionSpec, lam):
     """Residual of the profile equation
 
         f'' - 4 (m^2 + p_z^2 - eps^2) f / B^2
             + f' ((M+1)/lam + 2 H'/H) = 0,
 
-    normalized by the local profile scale, at a float or an array lam;
-    `fault` as for `catalog.spinor`."""
+    normalized by the local profile scale, at a float or an array lam."""
     base = spec.static_base()
     eps = cat.eigenvalue(base)
     pr = cat.profile(base, lam)
-    if fault is not None:
-        pr = fault(pr, lam)
     gap = 4.0 * (base.m ** 2 + base.p_z ** 2 - eps ** 2) \
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \

@@ -3,10 +3,9 @@
 Every closed-form solution is verified by substitution: finite-difference
 Dirac residuals (column and matrix form), current continuity, Lorentz gauge,
 Maxwell sources, potential inversion agreement, the radial profile equation,
-kinematic/tetrad invariants, the dual-path dressed-beam equivalence, the
-null-rotation block identity, and streamline integration.  The standard
-suite is one table, CHECKS, run over seeded uniform points in the box
-[0.5, 5]^4 (natural units).
+kinematic/tetrad invariants, the dual-path dressed-beam equivalence and the
+null-rotation block identity.  The standard suite is one table, CHECKS, run
+over seeded uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
 per point; each check of CHECKS calls it once per spec, on all its points.
@@ -24,11 +23,10 @@ inversion, `inversion.dirac_operator`, which takes its derivative from the
 column one.  A record that checked no point fails, and its extras give the
 reason.
 
-Negative controls assert detection power, not only agreement.
-scale-potential scales eA by 1.01 in the dirac check; perturb-profile
-applies `perturb_profile` in the real profile readers, which reaches the
-dirac check of every family and the ode check.  A control that reaches none
-of the selected checks is a SelectionError (a usage error in the CLI).
+Negative controls assert detection power, not only agreement.  FAULTS names
+each control's rows and the `catalog` attribute it wraps while each runs, on
+a spinor sample of its own.  A control that reaches none of the selected
+checks is a SelectionError (a usage error in the CLI).
 """
 from __future__ import annotations
 
@@ -64,21 +62,7 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
-NEGATIVE_CONTROLS = ("scale-potential", "perturb-profile")
-
-
-def perturb_profile(pr: dict, lam: float) -> dict:
-    """Fault of the perturb-profile negative control, the `fault` hook of
-    the real profile readers: f becomes f (1 + 0.01 lam), carried by the
-    product rule into f', f'' and aH = lam^(M/2) f H, bH = lam^(M/2) f' H."""
-    g = 1.0 + 0.01 * lam
-    return dict(pr, f=pr["f"] * g, fp=pr["fp"] * g + 0.01 * pr["f"],
-                fpp=pr["fpp"] * g + 0.02 * pr["fp"], aH=pr["aH"] * g,
-                bH=pr["bH"] * g + 0.01 * pr["aH"])
-
-
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
-                   fault: str | None = None,
                    sample: numerics.StencilSample | None = None):
     """Relative residual of gamma^mu (i d_mu - eA_mu) psi = m psi at
     point[..., 4], one value per point.
@@ -88,17 +72,12 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     4-gradient.  Its first column is the column form, so the returned value
     is the larger of the column residual and half the full matrix norm
     (they agree for a consistent lift).
-    `fault` names a negative control to inject: "scale-potential" scales
-    eA by 1.01, "perturb-profile" builds the spinor on `perturb_profile`.
-    `sample`, when given, is the spinor's `numerics.sample` at point and
-    step h, already evaluated (the faulted spinor's, under perturb-profile).
+    `sample`, when given, is the spinor's `numerics.sample` at point, step h.
     """
     if sample is None:
-        hook = perturb_profile if fault == "perturb-profile" else None
-        sample = numerics.sample(cat.spinor(spec, hook), point, h)
+        sample = numerics.sample(cat.spinor(spec), point, h)
     psi = sample.at_points
-    eA = (1.01 if fault == "scale-potential" else 1.0) \
-        * numerics.at(lambda *q: cat.potential(spec, *q), point)
+    eA = numerics.at(lambda *q: cat.potential(spec, *q), point)
     Psi, D = inversion.dirac_operator(psi, sample.gradient(), spec.m)
     mat = D - sta.from_vector(eA) @ Psi
     scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
@@ -498,9 +477,9 @@ class Check:
 
     name: str
     tolerance: float
-    # (spec, xs, h, fault, sample) -> (worst residual, extra), with xs all
-    # the points at once and sample() the true spinor's numerics.sample at
-    # xs, evaluated on the spec's first call (None for a fixed grid); the
+    # (spec, xs, h, sample) -> (worst residual, extra), with xs all the
+    # points at once and sample() the true spinor's numerics.sample at xs,
+    # evaluated on the spec's first call (None for a fixed grid); the
     # worst residual is None when no point could be checked, and the record
     # then fails, its extra giving the reason
     measure: Callable
@@ -508,18 +487,15 @@ class Check:
     # lams) pair in place of the sampled points, or None: every point
     source: int | tuple | None = None
     applies: Callable = lambda spec: True
-    faults: tuple = ()  # the negative controls passed on to the measure
     paired: tuple = ()  # (name, tolerance, extra key) of a second record
 
-    def run(self, spec, label, grid, pts, h, fault, sample) -> list:
+    def run(self, spec, label, grid, pts, h, sample) -> list:
         if isinstance(self.source, tuple):
             (grid, pts), sample = self.source, None
         elif self.source is not None:
             some = slice(None, None, max(1, len(pts) // self.source))
             pts, sample = pts[some], lambda full=sample: full()[some]
-        worst, extra = self.measure(spec, pts, h,
-                                    fault if fault in self.faults else None,
-                                    sample)
+        worst, extra = self.measure(spec, pts, h, sample)
         checked = worst is not None
         why = {}
         if not checked:
@@ -536,11 +512,11 @@ class Check:
 
 def _each(residual):
     # the residual takes the whole point set at once, one value per point
-    return lambda spec, xs, h, fault, sample: (
-        float(np.max(residual(spec, xs, h, fault, sample))), {})
+    return lambda spec, xs, h, sample: (
+        float(np.max(residual(spec, xs, h, sample))), {})
 
 
-def _inversion(spec, xs, h, fault, sample):
+def _inversion(spec, xs, h, sample):
     # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
     # points, which are counted apart; the rest are inverted as one batch
     sample = sample()
@@ -554,7 +530,7 @@ def _inversion(spec, xs, h, fault, sample):
     return float(np.max(res["potential_diff"] / bound)), extra
 
 
-def _kinematics(spec, xs, h, fault, sample):
+def _kinematics(spec, xs, h, sample):
     kin = kinematics_check(spec, xs, sample())
     worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
                                  "beta0"))
@@ -562,7 +538,7 @@ def _kinematics(spec, xs, h, fault, sample):
             {k: kin[k] for k in ("beta_pi_fraction", "excluded")})
 
 
-def _circularity(spec, lams, h, fault, sample):
+def _circularity(spec, lams, h, sample):
     # the residual divides by the signed density: the lams where that is
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
@@ -579,42 +555,67 @@ def _circularity(spec, lams, h, fault, sample):
 # Each row runs, in this order, on every default spec it applies to.  The
 # measures call their residuals through the module attribute at call time,
 # so patching that attribute reaches the suite.  The rows that read the
-# true column spinor take it from the spec's one shared sample; the
-# perturb-profile control's faulted spinor is evaluated by its own row.
+# true column spinor take it from the spec's one shared sample.
 CHECKS = (
     Check("dirac", 1e-7,
-          _each(lambda s, x, h, fault, smp: dirac_residual(
-              s, x, h, fault, None if fault == "perturb-profile" else smp())),
-          faults=NEGATIVE_CONTROLS),
+          _each(lambda s, x, h, smp: dirac_residual(s, x, h, smp()))),
     Check("continuity", 1e-7,
-          _each(lambda s, x, h, _, smp: continuity_residual(s, x, h, smp())),
+          _each(lambda s, x, h, smp: continuity_residual(s, x, h, smp())),
           source=12),
     Check("gauge", 2e-7,
-          _each(lambda s, x, h, *_: lorentz_gauge_residual(s, x, h)),
+          _each(lambda s, x, h, _: lorentz_gauge_residual(s, x, h)),
           source=12),
     Check("inversion", 1.0, _inversion, source=8,
           paired=("constraints", 2e-7, "constrained")),
     Check("maxwell", 1e-6,
-          _each(lambda s, x, h, *_: maxwell_residual(s, x, h)), source=8),
+          _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
     Check("kinematics", 1e-10, _kinematics, source=25),
     Check("ode", 1e-8,
-          _each(lambda s, lam, h, fault, _: inversion.radial_ode_residual(
-              s, lam, perturb_profile if fault else None)),
+          _each(lambda s, lam, *_: inversion.radial_ode_residual(s, lam)),
           source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
-          applies=lambda s: not s.is_dressed, faults=("perturb-profile",)),
+          applies=lambda s: not s.is_dressed),
     Check("circularity", 1e-8, _circularity,
           source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
           applies=lambda s: not s.is_dressed),
     Check("volkov", 1e-10,
-          _each(lambda s, x, h, _, smp: volkov_equivalence(s, x, smp())),
+          _each(lambda s, x, h, smp: volkov_equivalence(s, x, smp())),
           source=50, applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
     Check("fields", 1e-9,
-          _each(lambda s, x, h, *_: abs(field_invariants(s, x)["E_dot_B"])),
+          _each(lambda s, x, h, _: abs(field_invariants(s, x)["E_dot_B"])),
           source=20, applies=lambda s: s.is_dressed
           and s.family is not cat.Family.VOLKOV_BESSEL),
 )
 CHECK_NAMES = (*(name for c in CHECKS for name in (c.name, *c.paired[:1])),
                "nullrotor")
+
+
+def perturb_profile(pr: dict, lam: float) -> dict:
+    """The profile data of the perturb-profile control's ode row: f becomes
+    f (1 + 0.01 lam), carried by the product rule into f' and f''."""
+    g = 1.0 + 0.01 * lam
+    return dict(pr, f=pr["f"] * g, fp=pr["fp"] * g + 0.01 * pr["f"],
+                fpp=pr["fpp"] * g + 0.02 * pr["fp"])
+
+
+def _perturbed_pair(pair, lam):
+    # the pair lam^(M/2) (f, f') H of f (1 + 0.01 lam), for the dirac row
+    aH, bH = pair(lam)
+    g = 1.0 + 0.01 * lam
+    return aH * g, bH * g + 0.01 * aH
+
+
+# control -> {row it reaches: (catalog attribute, wrapper)}: run_suite rebinds
+# the attribute to wrapper(the real one) while the row runs.  The ode row
+# wraps `profile`, which builds f'' from its own closed form, not the pair.
+FAULTS = {
+    "scale-potential": {
+        "dirac": ("potential", lambda real: lambda *a: 1.01 * real(*a))},
+    "perturb-profile": {
+        "dirac": ("_pair_kernel", lambda real: lambda spec: functools.partial(
+            _perturbed_pair, real(spec))),
+        "ode": ("profile", lambda real: lambda spec, lam: perturb_profile(
+            real(spec, lam), lam))},
+}
 
 
 def run_suite(families=None, checks=None, points: int = 100, seed: int = 20240801,
@@ -623,8 +624,8 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
     """Run the selected rows of CHECKS on the default specs, then the
     suite-level null-rotation check.
 
-    `negative_control` (one of NEGATIVE_CONTROLS) injects its fault into the
-    rows it reaches, which must then fail at their normal tolerances.
+    `negative_control` (a key of FAULTS) injects its fault into the rows
+    it reaches, which must then fail at their normal tolerances.
     Raises SelectionError for an unknown name, for a control that reaches
     no selected row and for fewer than one point."""
     t0 = time.perf_counter()
@@ -639,10 +640,11 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
             f"unknown check(s) {', '.join(sorted(checks - set(CHECK_NAMES)))}"
             f"; known: {', '.join(CHECK_NAMES)}")
     rows = [c for c in CHECKS if checks & {c.name, *c.paired[:1]}]
-    if negative_control not in (None, *NEGATIVE_CONTROLS):
+    if negative_control not in (None, *FAULTS):
         raise SelectionError(f"unknown negative control {negative_control!r}")
-    if negative_control and not any(negative_control in c.faults
-                                    and c.applies(s) for c in rows for s in specs):
+    faults = FAULTS.get(negative_control, {})
+    if negative_control and not any(c.name in faults and c.applies(s)
+                                    for c in rows for s in specs):
         raise SelectionError(f"negative control {negative_control} touches "
                              "none of the selected checks")
     records = []
@@ -655,10 +657,18 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
         # the first row that reads it and kept for this spec's rows alone
         shared = functools.cache(
             lambda: numerics.sample(cat.spinor(spec), pts, h))
-        for check in rows:
-            if check.applies(spec):
+        for check in (c for c in rows if c.applies(spec)):
+            if check.name not in faults:
+                records += check.run(spec, label, grid_desc, pts, h, shared)
+                continue
+            attr, wrap = faults[check.name]
+            real = getattr(cat, attr)
+            setattr(cat, attr, wrap(real))
+            try:  # on a sample of its own, evaluated under the fault
                 records += check.run(spec, label, grid_desc, pts, h,
-                                     negative_control, shared)
+                                     functools.cache(shared.__wrapped__))
+            finally:
+                setattr(cat, attr, real)
     if "nullrotor" in checks:  # the null-rotation generator, once per run
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))
         res = null_rotation_block_residual(

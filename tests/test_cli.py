@@ -188,6 +188,17 @@ def test_eval_io_failure_exits_4():
       "circular:1e300"], 2),
     # no family from the flag or the config: the message names the flag
     (["eval"], 2),
+    # a grid bound or an axis exclusion that is not finite
+    (["eval", "--family", "uniform-b", "--n", "1", "--grid-x", "nan:1:3",
+      "--grid-y", "0.5:1:2"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--grid-x", "0.5:inf:3"],
+     2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--grid-t", "nan:0:1"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1",
+      "--grid-x=-1e308:1e308:3"], 2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude", "nan"],
+     2),
+    (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude=-inf"], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "radial-axis",
         "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
@@ -199,7 +210,11 @@ def test_eval_io_failure_exits_4():
         "config-units-unknown", "config-p-perp-unknown",
         "config-seeds-unknown", "units-flag", "pz-1e300-overflow",
         "pz-1e200-overflow", "B-1e200-overflow", "mass-1e200-overflow",
-        "pperp-1e200-overflow", "amplitude-1e300-overflow", "family-missing"])
+        "pperp-1e200-overflow", "amplitude-1e300-overflow", "family-missing",
+        "grid-lo-nan", "grid-hi-inf", "grid-t-nan", "grid-span-overflow",
+        "axis-exclude-nan",
+        "axis-exclude-minus-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
     (tmp_path / "not-object.json").write_text("[1, 2]")
@@ -444,7 +459,7 @@ def test_verify_report_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "verify-20240801.json").read_bytes()
 
 
-@pytest.mark.parametrize("control", verify.NEGATIVE_CONTROLS)
+@pytest.mark.parametrize("control", list(verify.FAULTS))
 def test_negative_control_report_matches_golden_bytes(control, capsys):
     # tests/golden/verify-20240801-<control>.json is this report as written
     # before the constant gamma products became signed gathers: a kernel

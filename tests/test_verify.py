@@ -79,30 +79,11 @@ def test_pulse_gauge_phase_is_smooth_for_stencils():
     assert verify.dirac_residual(spec, point) < 1e-10
 
 
-def test_dirac_residual_detects_scaled_potential():
-    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    rng = np.random.default_rng(2)
-    worst = max(
-        verify.dirac_residual(spec, tuple(rng.uniform(0.5, 5, 4)),
-                              fault="scale-potential")
-        for _ in range(10))
-    assert worst > 1e-4
-
-
-def test_dirac_residual_detects_perturbed_profile():
-    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    rng = np.random.default_rng(3)
-    worst = max(
-        verify.dirac_residual(spec, tuple(rng.uniform(0.5, 4, 4)),
-                              fault="perturb-profile")
-        for _ in range(10))
-    assert worst > 1e-4
-
-
-def test_perturb_profile_hook_follows_the_product_rule():
-    # the hook returns the profile data of f (1 + 0.01 lam): its lam
-    # derivatives (checked by finite differences), the same H, and the
-    # pair aH = lam^(M/2) f H, bH = lam^(M/2) f' H
+def test_perturb_profile_faults_follow_the_product_rule():
+    # both faults of the control model f (1 + 0.01 lam): the ode row's
+    # profile data gives its lam derivatives (checked by finite
+    # differences) and the same H, and the dirac row's pair is
+    # aH = lam^(M/2) f H, bH = lam^(M/2) f' H of that f
     spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1)
     lam = 1.3
     pr = cat.profile(spec, lam)
@@ -112,16 +93,13 @@ def test_perturb_profile_hook_follows_the_product_rule():
     def f(x):
         return cat.profile(spec, x)["f"] * (1.0 + 0.01 * x)
 
-    def aH(x):
-        return cat.profile(spec, x)["aH"] * (1.0 + 0.01 * x)
-
     assert bad["f"] == pytest.approx(f(lam), rel=1e-14)
     assert bad["fp"] == pytest.approx(oracles.deriv4(f, lam).real, rel=1e-9)
     assert bad["fpp"] == pytest.approx(
         oracles.deriv4(lambda x: oracles.deriv4(f, x), lam).real, rel=1e-6)
-    assert bad["aH"] == pytest.approx(aH(lam), rel=1e-14)
-    assert bad["bH"] == pytest.approx(lam ** 0.5 * bad["fp"] * pr["H"],
-                                      rel=1e-12)
+    aH, bH = verify._perturbed_pair(cat._pair_kernel(spec), lam)
+    assert aH == pytest.approx(lam ** 0.5 * bad["f"] * pr["H"], rel=1e-12)
+    assert bH == pytest.approx(lam ** 0.5 * bad["fp"] * pr["H"], rel=1e-12)
 
 
 def test_continuity_residuals():
@@ -392,6 +370,56 @@ def test_negative_control_selection_errors():
                          points=2, negative_control="perturb-profile")
 
 
+FAULT_ROWS = [(control, row) for control, rows in verify.FAULTS.items()
+              for row in rows]
+FAULTED_ATTRIBUTES = {attr for rows in verify.FAULTS.values()
+                      for attr, _ in rows.values()}
+# the attribute each faulted row's residual is read through
+ROW_RESIDUALS = {"dirac": (verify, "dirac_residual"),
+                 "ode": (inversion, "radial_ode_residual")}
+
+
+def test_fault_table_names_known_rows_and_catalog_callables():
+    for control, row in FAULT_ROWS:
+        attr, wrap = verify.FAULTS[control][row]
+        assert row in verify.CHECK_NAMES, (control, row)
+        real = getattr(cat, attr)
+        assert callable(real) and real.__module__ == cat.__name__, attr
+        assert callable(wrap(real)), (control, row)
+    assert FAULTED_ATTRIBUTES == {"potential", "profile", "_pair_kernel"}
+
+
+@pytest.mark.parametrize("control, row", FAULT_ROWS)
+def test_each_fault_fails_its_row(control, row):
+    real = {attr: getattr(cat, attr) for attr in FAULTED_ATTRIBUTES}
+    rep = verify.run_suite(checks={row}, points=100, seed=20240801,
+                           negative_control=control)
+    assert {r.name for r in rep.records} == {row}
+    assert any(not r.passed for r in rep.records), (control, row)
+    assert all(getattr(cat, a) is obj for a, obj in real.items())
+
+
+@pytest.mark.parametrize("control, row", FAULT_ROWS)
+def test_control_run_restores_the_catalog_when_its_row_raises(control, row,
+                                                              monkeypatch):
+    # the faulted row's residual sees its attribute rebound, raises, and
+    # leaves every catalog attribute as it found it
+    real = {attr: getattr(cat, attr) for attr in FAULTED_ATTRIBUTES}
+    attr = verify.FAULTS[control][row][0]
+    seen = []
+
+    def broken(*args):
+        seen.append(getattr(cat, attr) is not real[attr])
+        raise RuntimeError("residual failed")
+
+    monkeypatch.setattr(*ROW_RESIDUALS[row], broken)
+    with pytest.raises(RuntimeError, match="residual failed"):
+        verify.run_suite(families=["uniform-b"], checks={row}, points=2,
+                         negative_control=control)
+    assert seen == [True]
+    assert all(getattr(cat, a) is obj for a, obj in real.items())
+
+
 @pytest.mark.parametrize("points", [0, -3])
 def test_run_suite_without_points_is_selection_error(points):
     with pytest.raises(verify.SelectionError, match="point"):
@@ -509,13 +537,14 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
 
 
 def count_spinor_evaluations(monkeypatch, **suite):
-    # spinor evaluations per (spec label, faulted) in one run_suite call
+    # spinor evaluations per (spec label, faulted) in one run_suite call; a
+    # spinor is faulted when it was built on a rebound `_pair_kernel`
     counts = {}
-    real = cat.spinor
+    real, kernel = cat.spinor, cat._pair_kernel
 
-    def counting(spec, fault=None):
-        col = real(spec, fault)
-        key = (verify.spec_label(spec), fault is not None)
+    def counting(spec):
+        col = real(spec)
+        key = (verify.spec_label(spec), cat._pair_kernel is not kernel)
 
         def field(*q):
             counts[key] = counts.get(key, 0) + 1
