@@ -28,8 +28,9 @@ magnetic families up to Laguerre degree 2n + l = MAX_DEGREE = 800 (l = M
 in the 1/r field; past it, DomainError) at any radius, a profile below the
 float range being exactly zero; the free and Volkov beams for Bessel order
 l + 2 <= 200 and argument p_perp r <= 1e4, r shifted by the
-dressing; the dressed families at p_z = 0, omega > 0 and any amplitude,
-the pulse while its envelope is negligible past center +- 12 widths.
+dressing; the dressed families at p_z = 0, omega > 0 with 2 eps omega^3 a
+normal float, and any amplitude, the pulse while its envelope is
+negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 `fields`, `sources`, `bilinear_fields`, `velocity_spin`,
@@ -37,25 +38,46 @@ The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 as numpy arrays of one shape, a float being the one-point case (a float
 among arrays stands for every point); a batch keeps its axes in front and
 the components trail, as in psi[..., 4].  Each formula is written once, in
-numpy.  Only the stationary `spinor` field, the right-hand side of the
-serial streamline RK4 step, which evaluates one point at a time, also runs
-on floats: its few transcendental calls come from `mathops.of`,
-`math`/`cmath` for a float point and numpy for a batch.
+numpy, and `_stack` and `_zero` shape its results.  A `spinor` field takes
+a point of floats as the one-element batch, so its value is bit for bit
+that point's value in any batch.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from . import mathops, sta
+from . import sta
 from . import specialfn as sf
 from .waveforms import Waveform
 
 Array = np.ndarray
+
+
+def _shape(values):
+    # the shape of the first highest-rank array among values, () for floats
+    return max([getattr(v, "shape", ()) for v in values], key=len)
+
+
+def _stack(parts):
+    """Components along a new trailing axis: one array of the shape of the
+    highest-rank part, filled part by part.  A part of a lower rank, a
+    float among them, is repeated along the axes it lacks; a part whose
+    shape does not fit raises."""
+    out = np.empty(_shape(parts) + (len(parts),), np.result_type(*parts))
+    for i, p in enumerate(parts):
+        out[..., i] = p
+    return out
+
+
+def _zero(*values):
+    """Zero with the shape of the highest-rank argument."""
+    return np.zeros(_shape(values))
 
 
 class OnAxisError(ValueError):
@@ -143,14 +165,26 @@ class SolutionSpec:
                 raise ValueError("need omega > 0")
             object.__setattr__(self, "_base", replace(
                 self, family=DRESSED_BASE[fam], waveform=None))
-        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and self.p_perp <= 0:
-            raise ValueError("free beam needs p_perp > 0")
         try:
             level = eigenvalue(self)
         except OverflowError:  # a square past the float range
             level = math.inf
-        if not math.isfinite(level):
-            raise ValueError(f"{fam.value}: the level is past the float range")
+        # a level whose square is not a normal float has lost its digits,
+        # or is zero and would divide the normalization by zero
+        if not sys.float_info.min <= level * level < math.inf:
+            raise ValueError(f"{fam.value}: the level {level:g} is outside "
+                             "the float range")
+        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and not (
+                self.p_perp > 0.0 and _free_kt2(self) > 0.0):
+            raise ValueError("free beam needs p_perp > 0, its square not "
+                             "rounded away beside m^2 + p_z^2")
+        # 2 eps omega^3 divides the gauge phase, and the dressing's other
+        # divisors, 2 eps omega and eps omega^2, lie between it and eps (a
+        # product, unlike a power, overflows to inf)
+        cube = 2.0 * level * self.omega * self.omega * self.omega
+        if fam in DRESSED_BASE and not sys.float_info.min <= cube < math.inf:
+            raise ValueError(f"{fam.value}: omega = {self.omega} puts "
+                             "2 eps omega^3 outside the float range")
 
     @property
     def is_dressed(self) -> bool:
@@ -197,11 +231,14 @@ def radial_kappa(spec: SolutionSpec) -> float:
     return (base.M + 1) / (2 * base.n + base.M + 1)
 
 
+def _free_kt2(spec: SolutionSpec) -> float:
+    # p_perp^2 as the level carries it, eps^2 - m^2 - p_z^2
+    return eigenvalue(spec) ** 2 - spec.m ** 2 - spec.p_z ** 2
+
+
 def _free_q(spec: SolutionSpec) -> float:
     # Bessel argument scale: f = lam^-l J_l(q lam)
-    eps = eigenvalue(spec)
-    kt2 = eps ** 2 - spec.m ** 2 - spec.p_z ** 2
-    return 2.0 * math.sqrt(kt2) / spec.B
+    return 2.0 * math.sqrt(_free_kt2(spec)) / spec.B
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +551,19 @@ def spinor(spec: SolutionSpec):
     pair = _pair_kernel(base)
 
     def static_field(t, x, y, z):
-        ops = mathops.of(t, x, y, z)
-        lam = lam_of_r(base, ops.hypot(x, y))
+        lam = lam_of_r(base, np.hypot(x, y))
         aH, bH = pair(lam)
-        phi = ops.atan2(y, x)
-        phase = ops.cexp(-1j * (eps * t - base.p_z * z) + 0.5j * M * phi)
-        return ops.stack([
+        phi = np.arctan2(y, x)
+        phase = np.exp(-1j * (eps * t - base.p_z * z) + 0.5j * M * phi)
+        return _stack([
             k0 * aH * phase,
             0.0,
             k2 * aH * phase,
-            -0.5j * bH * phase * ops.cexp(1j * phi),
+            -0.5j * bH * phase * np.exp(1j * phi),
         ])
 
     if not spec.is_dressed:
-        return static_field
+        return _as_batch(static_field)
     g = 1.0 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
 
     def dressed(t, x, y, z):
@@ -545,7 +581,19 @@ def spinor(spec: SolutionSpec):
                 + np.asarray(d2)[..., None] * c12[..., 4:])
         return np.exp(1j * phi)[..., None] * (psi + g * turn)
 
-    return dressed
+    return _as_batch(dressed)
+
+
+def _as_batch(field):
+    """field, with a point of floats run as the one-element batch: numpy
+    rounds some calls on a scalar otherwise than on an array, so this keeps
+    a point's value bit for bit its value in any batch."""
+    def column(t, x, y, z):
+        if np.ndim(t) + np.ndim(x) + np.ndim(y) + np.ndim(z):
+            return field(t, x, y, z)
+        return field(*np.array([[t], [x], [y], [z]], dtype=float))[0]
+
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +618,7 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     xp, yp, xi = _primed(spec, t, x, y, z)
     rp = np.hypot(xp, yp)
     fam = base.family
-    zero = mathops.zero(t, x, y, z)
+    zero = _zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
         coeff = B ** 2 / 2.0
@@ -590,9 +638,9 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
         elif fam is Family.RADIAL_B:
             a0 = -B * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
             radiation = (a0, zero, zero, a0)
-    return {"static": mathops.stack(static),
-            "radiation": mathops.stack(radiation),
-            "laser": mathops.stack(laser)}
+    return {"static": _stack(static),
+            "radiation": _stack(radiation),
+            "laser": _stack(laser)}
 
 
 def potential(spec: SolutionSpec, t, x, y, z) -> Array:
@@ -619,7 +667,7 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     fam = base.family
     xp, yp, xi = _primed(spec, t, x, y, z)
     rp = np.hypot(xp, yp)
-    zero = mathops.zero(t, x, y, z)
+    zero = _zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
     if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
@@ -639,7 +687,7 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
                 else B / (4.0 * rp * eps * spec.omega)
             eE = [eE[0] + k * d2, eE[1] + k * -d1, eE[2]]
             eB = [eB[0] + k * d1, eB[1] + k * d2, eB[2]]
-    return FieldSample(mathops.stack(eE), mathops.stack(eB))
+    return FieldSample(_stack(eE), _stack(eB))
 
 
 def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
@@ -648,15 +696,15 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
     loop-like current of the 1/r field and its dressing."""
     B = spec.B
     base = spec.static_base()
-    zero = mathops.zero(t, x, y, z)
+    zero = _zero(t, x, y, z)
     if base.family is not Family.RADIAL_B:
-        return zero, mathops.stack([zero] * 3)
+        return zero, _stack([zero] * 3)
     xp, yp, xi = _primed(spec, t, x, y, z)
     rp = np.hypot(xp, yp)
     if np.any(rp == 0.0):
         raise OnAxisError("field singular on the symmetry axis")
     if not spec.is_dressed:
-        return zero, mathops.stack([zero + (B / 4.0) * -yp / rp ** 3,
+        return zero, _stack([zero + (B / 4.0) * -yp / rp ** 3,
                                     zero + (B / 4.0) * xp / rp ** 3,
                                     zero])
     eps = eigenvalue(base)
@@ -665,7 +713,7 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
         / (4.0 * eps * spec.omega * rp ** 3)
     J_e = [(B / (4.0 * rp ** 3)) * v
            for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
-    return rho_e, mathops.stack(J_e)
+    return rho_e, _stack(J_e)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +736,8 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     r = r + (r == 0.0)
     jx, jy = -jphi * y / r, jphi * x / r
     fac = base.p_z / (base.m + eigenvalue(base))
-    J = mathops.stack([k["J0"], jx, jy, k["J_z"]])
-    rho_s = mathops.stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]])
+    J = _stack([k["J0"], jx, jy, k["J_z"]])
+    rho_s = _stack([k["J_z"], fac * jx, fac * jy, k["rho_s3"]])
     return {"J": J, "scalar": k["scalar"], "rho_s": rho_s, "J_phi": jphi}
 
 

@@ -21,7 +21,8 @@ all points or a slice of them (`StencilSample`).
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple
 of floats, one point at a time, and builds the path array once, at the end.
-It is the one caller of the closed forms' float path (see `mathops`).
+Its one right-hand side in the library is `verify.streamline_current`, the
+closed-form current, which reads the profile on two floats.
 """
 from __future__ import annotations
 
@@ -177,10 +178,10 @@ def rk4_path(rhs, x0, s_total, steps):
     returns the path, (steps+1, dim).
 
     The state is held as Python floats and rhs is handed a tuple of floats,
-    so a right-hand side that evaluates one point takes the `mathops.FLOATS`
-    path of the closed forms.  rhs returns dim floats, as a tuple, a list or
-    a numpy array.  Each component is stepped as x + (h/2) k for the stages
-    and x + (h/6)(k1 + 2 k2 + 2 k3 + k4) for the step, in that order."""
+    so a right-hand side that evaluates one point pays no numpy call for the
+    state.  rhs returns dim floats, as a tuple, a list or a numpy array.
+    Each component is stepped as x + (h/2) k for the stages and
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4) for the step, in that order."""
     def slope(q):
         k = rhs(q)
         return k.tolist() if isinstance(k, np.ndarray) else k

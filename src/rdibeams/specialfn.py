@@ -10,9 +10,9 @@ orders and radii, so a step is three array operations), and takes the
 series for all orders and terms in one broadcast.  The orthonormal
 Laguerre functions of the magnetic profiles by their normalised three-term
 recurrence, started in log space so that no factor overflows or underflows
-on its own; one of them at a float runs on two floats, the serial
-streamline step's case (see `mathops`).  No external special-function
-dependency.
+on its own; one of them at a float runs on two floats, the case of the
+streamline right-hand side, which evaluates one point at a time
+(`verify.streamline_current`).  No external special-function dependency.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from . import mathops
 
 # documented validity window for bessel_j
 BESSEL_MAX_ORDER = 200
@@ -260,7 +258,7 @@ def laguerre_function(n: int, alpha: int):
     streamline's per-point case, runs on two floats; other floats run as
     0-d arrays."""
     if n < 0:
-        return lambda u: 0.0 if type(u) is float else mathops.zero(u)
+        return lambda u: 0.0 if type(u) is float else np.zeros(np.shape(u))
     steps = _steps(n, alpha)
     lgam = math.lgamma(alpha + 1.0)
 

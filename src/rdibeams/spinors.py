@@ -21,7 +21,7 @@ The tetrad vectors e1, e2 come from the charge-conjugate bilinear
 K^mu = i gamma0 gamma2 gamma^mu (`tetrad_pair`).  With
 Psi = rho^(1/2) exp(PSEUDO beta/2) R, all of them are sandwiches
 Psi gamma_mu rev(Psi) = rho R gamma_mu rev(R) and Psi rev(Psi).
-Each takes a batch psi[..., 4]; `current` also has a one-spinor float path.
+Each takes a batch psi[..., 4], one spinor psi[4] being the one-point case.
 """
 from __future__ import annotations
 
@@ -131,27 +131,19 @@ def current(psi: Array):
         J^2 = 2 Im(psi_0^* psi_3 - psi_1^* psi_2)
         J^3 = 2 Re(psi_0^* psi_2 - psi_1^* psi_3)
 
-    One spinor psi[4] is read in Python complex arithmetic and gives J as a
-    tuple of four floats (the serial streamline step evaluates one point at
-    a time); a batch psi[..., 4] gives J[..., 4].  Raises NullDensity where
-    psi^dagger psi vanishes or is not finite.
+    of column spinors psi[..., 4], giving J[..., 4].  Raises NullDensity
+    where psi^dagger psi vanishes or is not finite.
     """
     psi = np.asarray(psi, dtype=complex)
-    one = psi.ndim == 1
-    p0, p1, p2, p3 = psi.tolist() if one \
-        else psi.transpose(-1, *range(psi.ndim - 1))
+    p0, p1, p2, p3 = psi.transpose(-1, *range(psi.ndim - 1))
     c0, c1 = p0.conjugate(), p1.conjugate()
     j0 = ((p0 * c0).real + (p1 * c1).real + (p2 * p2.conjugate()).real
           + (p3 * p3.conjugate()).real)
+    _check_density(j0)
     a, b = c0 * p3, c1 * p2
     c = c0 * p2 - c1 * p3
-    j = (j0, 2.0 * (a.real + b.real), 2.0 * (a.imag - b.imag), 2.0 * c.real)
-    if one:
-        if not 0.0 < j0 < math.inf:
-            raise NullDensity(_NULL_DENSITY)
-        return j
-    _check_density(j0)
-    return np.stack(j, axis=-1)
+    return np.stack((j0, 2.0 * (a.real + b.real), 2.0 * (a.imag - b.imag),
+                     2.0 * c.real), axis=-1)
 
 
 # K^mu = i gamma0 gamma2 gamma^mu: psi^T K^mu psi = rho (e1 + i e2)^mu

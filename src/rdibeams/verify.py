@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog as cat
-from . import inversion, mathops, numerics, specialfn as sf, spinors, sta
+from . import inversion, numerics, specialfn as sf, spinors, sta
 from .waveforms import Waveform, circular, linear, pulse
 
 Array = np.ndarray
@@ -216,12 +216,12 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
         r = 1.0 / (eps * spec.omega)
         pref = (norm / (2.0 * base.B)) \
             * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t))
-        col = mathops.stack([
+        col = np.stack([
             2.0 * (base.m + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
             r * (base.m + eps) * (d1 + 1j * d2) * gl,
             -r * kt * (d2 + 1j * d1) * gl1,
             2.0j * kt * gl1 - r * (base.m + eps) * (d1 + 1j * d2) * gl,
-        ])
+        ], axis=-1)
         return pref[..., None] * col
 
     return field
@@ -271,14 +271,33 @@ def null_rotation_block_residual(wf: Waveform, xi, eps: float,
 STREAMLINE_STEP_TOL = 1e-6
 
 
-def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
-    """Integrate dx^mu/ds = J^mu(x) with RK4 from x0 = (t, x, y, z); past
-    STREAMLINE_STEP_TOL of step-halving error, raise StepUnstable."""
-    col = cat.spinor(spec)
+def streamline_current(spec: cat.SolutionSpec):
+    """The right-hand side of the streamline step, which evaluates one
+    point at a time: q = (t, x, y, z), a tuple of floats, -> J^mu of a
+    stationary spec in the closed form of `catalog.bilinear_fields`, J^0,
+    J_phi and J^z from `catalog.stationary_bilinears` of the pair at the
+    point's radius, J_phi along the azimuth.  Raises ValueError for a
+    dressed spec, as bilinear_fields does."""
+    if spec.is_dressed:
+        raise ValueError("use velocity_spin for dressed families")
+    pair = cat._pair_kernel(spec)
 
     def rhs(q):
-        return spinors.current(col(*q))
+        _, x, y, _ = q
+        r = math.hypot(x, y)
+        k = cat.stationary_bilinears(spec, *pair(cat.lam_of_r(spec, r)))
+        jphi = k["J_phi"]
+        r = r or 1.0  # on the axis the transverse current is zero
+        return (k["J0"], -jphi * y / r, jphi * x / r, k["J_z"])
 
+    return rhs
+
+
+def streamline(spec: cat.SolutionSpec, x0, s_max: float, steps: int) -> Array:
+    """Integrate dx^mu/ds = J^mu(x) of a stationary spec with RK4 from
+    x0 = (t, x, y, z); past STREAMLINE_STEP_TOL of step-halving error,
+    raise StepUnstable."""
+    rhs = streamline_current(spec)
     path = numerics.rk4_path(rhs, x0, s_max, steps)
     half = numerics.rk4_path(rhs, x0, s_max, 2 * steps)
     err = float(np.max(np.abs(path[-1] - half[-1])))
@@ -327,9 +346,9 @@ def proper_time_average(spec: cat.SolutionSpec, n_radii: int = 24,
     j0, jphi = bil["J"][:, 0], bil["J_phi"]
     flows = (np.abs(jphi) >= 1e-13) & (j0 >= 1e-13)
     arcs = 0.5 * math.pi * r0s[flows] / np.abs(jphi[flows])  # quarter turns
+    rhs = streamline_current(base)
     paths = np.reshape([
-        numerics.rk4_path(lambda q: spinors.current(col(*q)),
-                          (0.0, r0, 0.0, 0.0), arc, steps)
+        numerics.rk4_path(rhs, (0.0, r0, 0.0, 0.0), arc, steps)
         for r0, arc in zip(r0s[flows], arcs)], (-1, steps + 1, 4))
     delta_t = paths[:, -1, 0] - paths[:, 0, 0]
     # signed proper time accumulated along each path, all paths as one batch

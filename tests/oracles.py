@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rdibeams import catalog as cat
-from rdibeams import numerics, spinors, sta
+from rdibeams import numerics, spinors, sta, verify
 from rdibeams import specialfn as sf
 
 
@@ -73,10 +73,12 @@ def deriv4(fn, x, h=numerics.DEFAULT_STEP):
     return numerics._combine(fn(x + offsets), h)
 
 
-def bilinear_current(psi):
-    """J^mu read off the full bilinear contraction: the reference for the
-    written-out `spinors.current`."""
-    return spinors.bilinears(psi).current
+def spinor_current(spec):
+    """q -> J^mu of the spinor at the point q, read off the full bilinear
+    contraction: the reference for the closed-form
+    `verify.streamline_current`."""
+    col = cat.spinor(spec)
+    return lambda q: spinors.bilinears(col(*q)).current
 
 
 def proper_time_average(spec, n_radii: int = 24, steps: int = 600) -> float:
@@ -90,6 +92,7 @@ def proper_time_average(spec, n_radii: int = 24, steps: int = 600) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(n_radii)
     lams = 0.5 * (nodes + 1.0) * lam_hi
     wts = 0.5 * lam_hi * weights
+    rhs = verify.streamline_current(base)
     total = 0.0
     for lam, w in zip(lams, wts):
         r0 = cat.r_of_lam(base, lam)
@@ -99,8 +102,7 @@ def proper_time_average(spec, n_radii: int = 24, steps: int = 600) -> float:
             total += 2.0 * math.pi * w * lam * bil["scalar"]
             continue
         arc = 0.5 * math.pi * r0 / abs(bil["J_phi"])  # quarter revolution
-        path = numerics.rk4_path(lambda q: spinors.current(col(*q)),
-                                 (0.0, r0, 0.0, 0.0), arc, steps)
+        path = numerics.rk4_path(rhs, (0.0, r0, 0.0, 0.0), arc, steps)
         delta_t = path[-1, 0] - path[0, 0]
         # signed proper time accumulated along the path
         psis = numerics.at(col, path[:-1])

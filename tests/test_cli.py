@@ -1,5 +1,7 @@
 """Command-line surface: catalog listing, grid evaluation, verification
 runs, exit codes, determinism."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import rdibeams
@@ -186,6 +190,16 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "free-bessel", "--pperp", "1e200"], 2),
     (["eval", "--family", "redmond", "--n", "1", "--waveform",
       "circular:1e300"], 2),
+    # 2 eps omega^3, the gauge phase's divisor, past or below the float
+    # range, and a level whose square underflows
+    (["eval", "--family", "redmond", "--n", "1", "--waveform",
+      "circular:0.3", "--omega", "1e103"], 2),
+    (["eval", "--family", "redmond", "--n", "1", "--waveform",
+      "circular:0.3", "--omega", "1e-120"], 2),
+    (["eval", "--family", "uniform-b", "--mass", "1e-200"], 2),
+    # a p_perp whose square is lost beside m^2 + p_z^2 in the level
+    (["eval", "--family", "free-bessel", "--pz=-1.5", "--pperp", "1e-300"],
+     2),
     # no family from the flag or the config: the message names the flag
     (["eval"], 2),
     # a grid bound or an axis exclusion that is not finite
@@ -210,7 +224,9 @@ def test_eval_io_failure_exits_4():
         "config-units-unknown", "config-p-perp-unknown",
         "config-seeds-unknown", "units-flag", "pz-1e300-overflow",
         "pz-1e200-overflow", "B-1e200-overflow", "mass-1e200-overflow",
-        "pperp-1e200-overflow", "amplitude-1e300-overflow", "family-missing",
+        "pperp-1e200-overflow", "amplitude-1e300-overflow",
+        "omega-1e103-overflow", "omega-1e-120-underflow",
+        "mass-1e-200-underflow", "pperp-1e-300-lost", "family-missing",
         "grid-lo-nan", "grid-hi-inf", "grid-t-nan", "grid-span-overflow",
         "axis-exclude-nan",
         "axis-exclude-minus-inf"])
@@ -226,6 +242,60 @@ def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
     assert "Traceback" not in err and "None" not in err
+
+
+# every numeric option of eval, then a waveform amplitude and a grid edge;
+# each is drawn from its typical value, the zeros, negatives and the float
+# and integer extremes (the integer options take the float ones too, which
+# the parser refuses)
+_FUZZ_TYPICAL = {"n": "1", "l": "1", "M": "1", "B": "0.7", "mass": "1.3",
+                 "pz": "0.4", "pperp": "0.8", "omega": "1.1",
+                 "amplitude": "0.3", "grid-x": "0.5", "axis-exclude": "1e-3"}
+_FUZZ_EXTREMES = ("0", "-0", "-1.5", "-3", "1e-300", "1e300",
+                  "1" + "0" * 300, "nan", "inf", "-inf")
+
+
+def _fuzz_argv(family, kind, values) -> list:
+    """eval on a grid of at most 2 x 2 points, the drawn values given as
+    flags; an amplitude or grid edge left out takes its typical value."""
+    values = {**dict.fromkeys(_FUZZ_TYPICAL), **values}
+    typical = {k: values.pop(k) or _FUZZ_TYPICAL[k]
+               for k in ("amplitude", "grid-x")}
+    argv = ["eval", "--family", family.value,
+            f"--grid-x={typical['grid-x']}:1.5:2", "--grid-y=0.5:1.5:2"]
+    if family in cat.DRESSED_BASE:
+        argv.append(f"--waveform={kind}:{typical['amplitude']}")
+    if family not in cat.SINGULAR_ON_AXIS:  # M is 2l there, not an option
+        del values["M"]
+    return argv + [f"--{k}={v}" for k, v in values.items() if v is not None]
+
+
+@example(cat.Family.REDMOND, "circular", {"n": "1", "omega": "1e103"})
+@example(cat.Family.REDMOND, "circular", {"n": "1", "omega": "1e-120"})
+@example(cat.Family.UNIFORM_B, "circular", {"mass": "1e-200"})
+@example(cat.Family.FREE_BESSEL, "circular", {"pz": "-1.5", "pperp": "1e-300"})
+@given(st.sampled_from(cat.Family), st.sampled_from(["circular", "linear",
+                                                      "pulse"]),
+       st.fixed_dictionaries({key: st.one_of(
+           st.none(), st.just(typical), st.sampled_from(_FUZZ_EXTREMES))
+           for key, typical in _FUZZ_TYPICAL.items()}))
+@settings(derandomize=True, max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_exits_with_a_documented_code_for_any_numeric_flag(
+        family, kind, values):
+    # no exception escapes, the exit code is documented and a map that
+    # exits 0 holds only finite numbers
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(_fuzz_argv(family, kind, values))
+    assert code in (0, 2, 3, 4), err.getvalue()
+    lines = out.getvalue().splitlines()
+    if code == 0:
+        # no row at all where the axis exclusion covers the grid
+        rows = np.array([row.split(",") for row in lines[2:]], dtype=float)
+        assert np.isfinite(rows).all()
+    else:
+        assert not lines and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # a value of another JSON type for each type an option can have

@@ -270,14 +270,14 @@ def test_bilinears_batch_equals_scalar_calls():
 
 def test_current_matches_bilinears():
     # random spinors over six decades and every default spec's spinor, one
-    # at a time (a tuple of floats), as one batch and as a [3, 20, 4] grid
+    # at a time, as one batch and as a [3, 20, 4] grid
     psis = _oracle_spinors()
     ref = spinors.bilinears(psis).current
     tol = 1e-15 * ref[:, :1]
     for k, psi in enumerate(psis):
         one = spinors.current(psi)
-        assert type(one) is tuple and all(type(v) is float for v in one)
-        assert np.all(np.abs(np.array(one) - ref[k]) <= tol[k])
+        assert one.shape == (4,)
+        assert np.all(np.abs(one - ref[k]) <= tol[k])
     batch = spinors.current(psis)
     assert batch.shape == psis.shape
     assert np.all(np.abs(batch - ref) <= tol)

@@ -80,18 +80,22 @@ def test_every_public_name_is_reached_from_an_entry_point():
     assert unreached == []
 
 
-def test_float_path_is_confined_to_the_rk4_right_hand_side():
+def test_float_path_is_confined_to_the_laguerre_function():
     # every closed form is numpy code taking a float as its one-point case;
-    # `mathops.of`, which picks math/cmath for a float point, is called
-    # once, by the stationary field of `catalog.spinor`, which the serial
-    # streamline RK4 step evaluates one point at a time
-    calls = [(module, getattr(stmt, "name", None)) for module in MODULES
-             for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body
-             for node in ast.walk(stmt) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "of"
-             and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "mathops"]
-    assert calls == [("catalog", "spinor")]
+    # the one branch on a float argument is the two-float recurrence of
+    # `specialfn.laguerre_function`, which the closed-form streamline
+    # right-hand side reaches one point at a time
+    branches = {(module, getattr(stmt, "name", None)) for module in MODULES
+                for stmt in ast.parse((PACKAGE / f"{module}.py").read_text())
+                .body for node in ast.walk(stmt)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call)
+                and isinstance(node.left.func, ast.Name)
+                and node.left.func.id == "type"
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.comparators[0], ast.Name)
+                and node.comparators[0].id == "float"}
+    assert branches == {("specialfn", "laguerre_function")}
 
 
 def test_readme_quick_start_runs():

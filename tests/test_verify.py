@@ -207,6 +207,33 @@ def test_null_rotation_block_identity():
 # ---------------------------------------------------------------------------
 
 
+STATIONARY_SPECS = [s for group in verify.default_specs().values()
+                    for s in group if not s.is_dressed]
+
+
+@pytest.mark.parametrize("spec", STATIONARY_SPECS, ids=verify.spec_label)
+def test_streamline_current_is_the_spinor_current(spec):
+    # the closed form the streamline step integrates, one point at a time,
+    # is the current of the spinor.  The two differ by a few ulps in the
+    # radius (math.hypot against numpy's) and the profile, which the tail
+    # exp(-lam^2) amplifies by about lam^2: at most 4.9 eps (1 + lam^2) J^0
+    # over 4000 seeded points per spec, 7.3e-15 J^0 at lam = 3
+    pts = np.random.default_rng(13).uniform(0.5, 5.0, size=(50, 4))
+    rhs = verify.streamline_current(spec)
+    got = np.array([rhs(tuple(p.tolist())) for p in pts])
+    want = spinors.bilinears(cat.spinor(spec)(*pts.T)).current
+    lam = cat.lam_of_r(spec, np.hypot(pts[:, 1], pts[:, 2]))[:, None]
+    bound = 8.0 * np.finfo(float).eps * (1.0 + lam ** 2) * want[:, :1]
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_streamline_current_refuses_a_dressed_spec():
+    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0,
+                            waveform=waveforms.circular(0.3), omega=1.1)
+    with pytest.raises(ValueError, match="dressed"):
+        verify.streamline_current(spec)
+
+
 def test_streamline_rest_particle_is_straight_time_line():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=0)
     path = verify.streamline(spec, (0.0, 0.8, 0.0, 0.0), 3.0, 300)
@@ -258,18 +285,24 @@ STREAMLINE_SPECS = [
     if abs(cat.bilinear_fields(s, 0.0, 0.8, 0.0, 0.0)["J_phi"]) > 1e-14]
 
 
-@pytest.mark.parametrize("spec", STREAMLINE_SPECS, ids=verify.spec_label)
+# the split and 1/r-field pairs, each with a longitudinal current: the
+# reference evaluates the spinor one point at a time, at about 0.1 ms a point
+REFERENCE_SPECS = [verify.default_specs()[fam][2] for fam
+                   in (cat.Family.UNIFORM_B_SPLIT, cat.Family.RADIAL_B)]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=verify.spec_label)
 def test_streamlines_match_the_array_state_reference(spec, monkeypatch):
-    # the float-state RK4 over the written-out current moves the streamline
-    # results by round-off only against the array-state RK4 over the full
-    # bilinear contraction
+    # the float-state RK4 over the closed-form current moves the streamline
+    # results by round-off only against the array-state RK4 over the
+    # spinor's full bilinear current
     def run():
-        return (verify.orbit_closure(spec, 0.8, steps=500),
-                verify.proper_time_average(spec, 24, 32))
+        return (verify.orbit_closure(spec, 0.8, steps=400),
+                verify.proper_time_average(spec, 12, 32))
 
     orbit, avg = run()
     monkeypatch.setattr(numerics, "rk4_path", oracles.rk4_path)
-    monkeypatch.setattr(spinors, "current", oracles.bilinear_current)
+    monkeypatch.setattr(verify, "streamline_current", oracles.spinor_current)
     ref_orbit, ref_avg = run()
     for key in ("swept_angle", "dt_ds"):
         assert orbit[key] == pytest.approx(ref_orbit[key], rel=1e-13, abs=0)
@@ -293,16 +326,16 @@ def test_redmond_streamline_centroid_tracks_drive():
                             omega=1.1)
     col = cat.spinor(spec)
 
-    def rhs(q):
-        return spinors.current(col(*q))
+    def rhs(q):  # the four streamlines' states, stepped as one batch
+        return spinors.current(col(*np.reshape(q, (4, 4)).T)).ravel()
 
     seeds = [(0.0, 0.9, 0.0, 0.0), (0.0, 0.0, 1.2, 0.0),
              (0.0, -1.0, 0.4, 0.0), (0.0, 0.5, -0.8, 0.0)]
-    paths = [numerics.rk4_path(rhs, s, 4.0, 400) for s in seeds]
+    paths = numerics.rk4_path(rhs, np.ravel(seeds), 4.0, 400).reshape(-1, 4, 4)
     # phase of the drive advances along the path through xi = omega (t - z)
     drift = []
     for k in (0, 100, 250, 399):
-        pts = np.array([p[k] for p in paths])
+        pts = paths[k]
         xi = 1.1 * (pts[:, 0].mean() - pts[:, 3].mean())
         av = cat.averages(spec, xi=float(xi))
         drift.append((pts[:, 1].mean() - av["centroid_closed"][0],
