@@ -325,20 +325,27 @@ def _pair_kernel(spec: SolutionSpec):
     return uniform
 
 
-def stationary_bilinears(spec: SolutionSpec, a, b) -> dict:
-    """J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of a stationary
-    state from its phase-free pair (a, b) = (aH, bH)."""
+def stationary_bilinears(spec: SolutionSpec):
+    """(a, b) -> J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of
+    a stationary state from its phase-free pair (a, b) = (aH, bH), with the
+    spec's constants bound once, as `_pair_kernel` binds its own."""
     base = spec.static_base()
     A = base.m + eigenvalue(base)
     pz2 = base.p_z ** 2
-    B = base.B
-    upper = (A ** 2 + pz2) * a ** 2 / B ** 2
-    lower = b ** 2 / 4.0
-    return {"J0": upper + lower,
-            "J_phi": -A * a * b / B,
-            "J_z": 2.0 * A * base.p_z * a * a / B ** 2,
-            "scalar": (A ** 2 - pz2) * a ** 2 / B ** 2 - lower,
-            "rho_s3": upper - lower}
+    B, B2 = base.B, base.B ** 2
+    plus, minus = A ** 2 + pz2, A ** 2 - pz2
+    neg_A, two_A_pz = -A, 2.0 * A * base.p_z
+
+    def kernel(a, b):
+        upper = plus * a ** 2 / B2
+        lower = b ** 2 / 4.0
+        return {"J0": upper + lower,
+                "J_phi": neg_A * a * b / B,
+                "J_z": two_A_pz * a * a / B2,
+                "scalar": minus * a ** 2 / B2 - lower,
+                "rho_s3": upper - lower}
+
+    return kernel
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +736,7 @@ def bilinear_fields(spec: SolutionSpec, t, x, y, z) -> dict:
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
     r = np.hypot(x, y)
-    k = stationary_bilinears(base, *_pair_kernel(base)(lam_of_r(base, r)))
+    k = stationary_bilinears(base)(*_pair_kernel(base)(lam_of_r(base, r)))
     jphi = k["J_phi"]
     # J_phi along the azimuthal unit vector; on the axis, where x = y = 0,
     # r is replaced by 1 and the transverse current is zero
@@ -784,10 +791,10 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     eps = eigenvalue(base)
     uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
 
-    pair = _pair_kernel(base)
+    pair, bilinears = _pair_kernel(base), stationary_bilinears(base)
 
     def g(lam):
-        k = stationary_bilinears(base, *pair(lam))
+        k = bilinears(*pair(lam))
         weight = math.sqrt(2.0) * lam if uniform else 1.0
         return np.stack([k["scalar"], k["J0"], weight * k["J_phi"], k["J_z"],
                          r_of_lam(base, lam) * k["J_phi"]], axis=-1)

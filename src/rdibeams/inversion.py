@@ -155,7 +155,7 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     A = base.m + eps
     B = base.B
     pr = cat.profile(base, lam)
-    k = cat.stationary_bilinears(base, pr["aH"], pr["bH"])
+    k = cat.stationary_bilinears(base)(pr["aH"], pr["bH"])
     j0, sigma = k["J0"], k["scalar"]
     if np.any(sigma == 0.0):
         raise SingularSpinor("null-current circle")

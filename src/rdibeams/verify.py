@@ -276,16 +276,17 @@ def streamline_current(spec: cat.SolutionSpec):
     point at a time: q = (t, x, y, z), a tuple of floats, -> J^mu of a
     stationary spec in the closed form of `catalog.bilinear_fields`, J^0,
     J_phi and J^z from `catalog.stationary_bilinears` of the pair at the
-    point's radius, J_phi along the azimuth.  Raises ValueError for a
-    dressed spec, as bilinear_fields does."""
+    point's radius, J_phi along the azimuth.  Both kernels are bound once,
+    here, so a step re-derives neither the profile's constants nor the
+    level.  Raises ValueError for a dressed spec, as bilinear_fields does."""
     if spec.is_dressed:
         raise ValueError("use velocity_spin for dressed families")
-    pair = cat._pair_kernel(spec)
+    pair, bilinears = cat._pair_kernel(spec), cat.stationary_bilinears(spec)
 
     def rhs(q):
         _, x, y, _ = q
         r = math.hypot(x, y)
-        k = cat.stationary_bilinears(spec, *pair(cat.lam_of_r(spec, r)))
+        k = bilinears(*pair(cat.lam_of_r(spec, r)))
         jphi = k["J_phi"]
         r = r or 1.0  # on the axis the transverse current is zero
         return (k["J0"], -jphi * y / r, jphi * x / r, k["J_z"])
@@ -562,7 +563,7 @@ def _circularity(spec, lams, h, sample):
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
     pr = cat.profile(spec, lams)
-    sigma = cat.stationary_bilinears(spec, pr["aH"], pr["bH"])["scalar"]
+    sigma = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"])["scalar"]
     keep = sigma != 0.0
     extra = {"skipped": int(np.count_nonzero(~keep))}
     if not keep.any():

@@ -85,21 +85,26 @@ class Waveform:
         if self.kind == "linear":
             return a2 * (0.5 * xi - 0.25 * np.sin(2.0 * xi))
         if self.kind == "pulse":
+            # each phase distinct by its bits is integrated once (by bits,
+            # so -0.0 keeps its sign) and gathered back to every point
+            bits, where = np.unique(
+                np.ravel(np.asarray(xi, np.float64)).view(np.int64),
+                return_inverse=True)
             center, width = self.params
             lo, hi = (np.clip(v, center - _PULSE_REACH * width,
                               center + _PULSE_REACH * width)
-                      for v in (0.0, xi))
+                      for v in (0.0, bits.view(np.float64)))
             half = 0.5 * (hi - lo)
-            mid, step = np.ravel(0.5 * (hi + lo)), np.ravel(half)
-            # 64 nodes per point, for _PULSE_BLOCK points at a time; each
-            # point's nodes are summed in one order, whatever its batch
+            mid = 0.5 * (hi + lo)
+            # 64 nodes per phase, for _PULSE_BLOCK phases at a time; each
+            # phase's nodes are summed in one order, whatever its batch
             total = np.empty(mid.size)
             for k in range(0, mid.size, _PULSE_BLOCK):
                 block = slice(k, k + _PULSE_BLOCK)
                 d1, d2 = self.fdot(mid[block, None]
-                                   + step[block, None] * _GL_NODES)
+                                   + half[block, None] * _GL_NODES)
                 total[block] = ((d1 * d1 + d2 * d2) * _GL_WEIGHTS).sum(axis=-1)
-            return half * total.reshape(np.shape(half))
+            return (half * total)[where].reshape(np.shape(xi))[()]
         raise ValueError(self.kind)
 
     def _envelope(self, xi) -> tuple:

@@ -164,11 +164,10 @@ def test_normalization_batch_matches_float_path(spec):
     # the norm average, one integrand call on all nodes, against the float
     # path node by node; only numpy's exp and log and the float path's may
     # differ, by an ulp
-    pair = cat._pair_kernel(spec)
+    pair, bilinears = cat._pair_kernel(spec), cat.stationary_bilinears(spec)
 
     def j0_each(lam):
-        return np.array([cat.stationary_bilinears(spec, *pair(float(x)))["J0"]
-                         for x in lam])
+        return np.array([bilinears(*pair(float(x)))["J0"] for x in lam])
 
     ref = cat._transverse_average(spec, j0_each)
     assert cat.averages(spec)["norm"] == pytest.approx(ref, rel=4e-15, abs=0)

@@ -213,6 +213,9 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude", "nan"],
      2),
     (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude=-inf"], 2),
+    # a work size past the envelope, refused before anything is allocated
+    (["verify", "--points", "1000000000000"], 2),
+    (["eval", "--family", "uniform-b", "--grid-x", "0.5:1:1000000000000"], 2),
 ], ids=["far-density", "bessel-axis", "pperp-window", "radial-axis",
         "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
@@ -229,7 +232,7 @@ def test_eval_io_failure_exits_4():
         "mass-1e-200-underflow", "pperp-1e-300-lost", "family-missing",
         "grid-lo-nan", "grid-hi-inf", "grid-t-nan", "grid-span-overflow",
         "axis-exclude-nan",
-        "axis-exclude-minus-inf"])
+        "axis-exclude-minus-inf", "points-1e12", "grid-1e12"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
@@ -242,6 +245,25 @@ def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     assert err.startswith({2: "usage error", 3: "domain error",
                            4: "I/O failure"}[code])
     assert "Traceback" not in err and "None" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--points", str(cli.MAX_POINTS + 1)],
+    ["eval", "--family", "uniform-b", "--grid-y", "0.5:0.5:1", "--grid-x",
+     f"0.5:1:{cli.MAX_GRID_POINTS + 1}"],
+], ids=["points", "grid"])
+def test_work_past_the_envelope_is_refused_before_it_runs(argv, monkeypatch,
+                                                           capsys):
+    # one point past either bound is a usage error, and neither the suite
+    # nor the map evaluation is entered
+    def reached(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(verify, "run_suite", reached)
+    monkeypatch.setattr(cli, "_evaluate", reached)
+    monkeypatch.setattr(np, "linspace", reached)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: need ")
 
 
 # every numeric option of eval, then a waveform amplitude and a grid edge;
@@ -296,6 +318,39 @@ def test_eval_exits_with_a_documented_code_for_any_numeric_flag(
         assert np.isfinite(rows).all()
     else:
         assert not lines and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@example("uniform-b", ["dirac"], "scale-potential", "2", "1", "1e-3")
+@example("redmond", [], "perturb-profile", "1", "0", "1e-3")
+@example("radial-b", ["ode"], None, "3", "1" + "0" * 300, "1e-3")
+@example("volkov-bessel", [], None, "1000000000000", "7", "1e-3")
+@given(st.sampled_from([f.value for f in cat.Family] + ["no-such-family"]),
+       st.lists(st.sampled_from([*verify.CHECK_NAMES, "no-such-check"]),
+                max_size=2),
+       st.sampled_from([None, *verify.FAULTS]),
+       st.sampled_from(["-1", "0", "1", "2", "3", "1000000000000"]),
+       st.one_of(st.just("20240801"), st.sampled_from(_FUZZ_EXTREMES)),
+       st.one_of(st.just("1e-3"), st.sampled_from(_FUZZ_EXTREMES)))
+@settings(derandomize=True, max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_exits_with_a_documented_code_for_any_argv(
+        family, checks, control, points, seed, step):
+    # no traceback, a documented exit code, a FAIL line with every exit 1
+    # and a passing report with every exit 0
+    argv = ["verify", "--family", family, "--points", points,
+            f"--seed={seed}", f"--fd-step={step}",
+            *(f"--check={name}" for name in checks)]
+    if control:
+        argv.append(f"--negative-control={control}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("FAIL "), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["passed"] is True
 
 
 # a value of another JSON type for each type an option can have

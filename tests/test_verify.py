@@ -227,6 +227,21 @@ def test_streamline_current_is_the_spinor_current(spec):
     assert np.all(np.abs(got - want) <= bound)
 
 
+@pytest.mark.parametrize("spec", [
+    s for fam, group in verify.default_specs().items()
+    if fam not in cat.DRESSED_BASE for s in group], ids=verify.spec_label)
+def test_streamline_step_does_not_rederive_the_level(spec, monkeypatch):
+    # the right-hand side binds the level once, when it is built: its calls
+    # reach no `eigenvalue`
+    rhs = verify.streamline_current(spec)
+    real, calls = cat.eigenvalue, []
+    monkeypatch.setattr(cat, "eigenvalue",
+                        lambda s: calls.append(s) or real(s))
+    for r in np.linspace(0.5, 3.0, 100).tolist():
+        rhs((0.0, r, 0.3, 0.0))
+    assert calls == []
+
+
 def test_streamline_current_refuses_a_dressed_spec():
     spec = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0,
                             waveform=waveforms.circular(0.3), omega=1.1)
@@ -488,8 +503,9 @@ def test_circularity_with_every_radius_singular_fails(monkeypatch):
     # a signed density of exactly 0 at every radius: each is skipped
     real = cat.stationary_bilinears
 
-    def null_density(spec, a, b):
-        return real(spec, a, b) | {"scalar": 0.0 * a}
+    def null_density(spec):
+        kernel = real(spec)
+        return lambda a, b: kernel(a, b) | {"scalar": 0.0 * a}
 
     monkeypatch.setattr(cat, "stationary_bilinears", null_density)
     rep = verify.run_suite(families=["uniform-b"], checks={"circularity"},

@@ -101,3 +101,19 @@ def test_float_phase_is_the_one_point_array_call(wf):
         for method in (wf.f, wf.fdot, wf.fddot, wf.gauge_integral):
             assert bits(method(xi)) == bits(method(np.array([xi]))), \
                 (method.__name__, xi)
+
+
+def test_pulse_integrates_each_distinct_phase_once_bit_for_bit():
+    # repeated phases are integrated once and gathered back, distinct by
+    # their bits: -0.0 keeps its sign, and every value is the per-point call
+    wf = waveforms.pulse(0.3, center=5.0, width=1.5)
+    phases = np.random.default_rng(44).uniform(-5.0, 25.0, 40)
+    xi = np.concatenate([phases, phases[::-1], [0.0, -0.0, 0.0, -0.0]])
+    xi = xi.reshape(4, -1)
+    each = np.array([wf.gauge_integral(v) for v in xi.ravel().tolist()])
+    got = wf.gauge_integral(xi)
+    assert got.shape == xi.shape
+    assert got.tobytes() == each.reshape(xi.shape).tobytes()
+    assert np.signbit(got.ravel()[-4:]).tolist() == [False, True, False, True]
+    assert type(wf.gauge_integral(float(phases[0]))) is np.float64
+    assert type(wf.gauge_integral(np.float64(-0.0))) is np.float64
