@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
     if not report.records:
         raise UsageError("the selected checks do not apply to the selected "
                          "families; nothing was checked")
-    payload = json.loads(report.to_json(include_timing=cfg["timings"]))
+    payload = report.payload(include_timing=cfg["timings"])
     payload["meta"] = meta
     payload["histogram"] = _residual_histogram(report)
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -8,11 +8,11 @@ per point: the divergence, curl and Dirac operators are then read off the
 one 4-gradient instead of re-running the stencil per component.
 
 The stencils take a batch of points, point[..., 4], and call the field once
-per `partial4`, on the four stencil points of every point of the batch and
-of every axis asked for, all on one axis after the batch axes (fields take
-t, x, y, z as arrays and return components trailing); `gradient4` is one
-such call on all 16.  Its two halves are public: `stencil_points` builds
-the points and `gradient_from_stencil` combines the field's values there.
+per `partial4`, on the 16 stencil points of every point of the batch (four
+per coordinate), all on one axis after the batch axes (fields take t, x, y,
+z as arrays and return components trailing); `gradient4` is that call.  Its
+two halves are public: `stencil_points` builds the points and
+`gradient_from_stencil` combines the field's values there.
 `sample` evaluates a field at a batch of points and on their 16 stencil
 points in one call, so that several readers share one evaluation: the
 field at the points, its 4-gradient and the 4-gradient of a map of it, for
@@ -56,23 +56,22 @@ def at(fn, point):
     return fn(*point.transpose(-1, *range(point.ndim - 1)))
 
 
-def stencil_points(point, h=DEFAULT_STEP, axes=(0, 1, 2, 3)):
-    """The stencil of each of the k coordinates `axes` at point[..., 4], on
-    one axis after the batch axes, shaped (*batch, 4k, 4): rows 4i .. 4i+3
-    move coordinate axes[i] by 2h, h, -h, -2h."""
+def stencil_points(point, h=DEFAULT_STEP):
+    """The 16 stencil points of point[..., 4], on one axis after the batch
+    axes, shaped (*batch, 16, 4): rows 4 mu .. 4 mu + 3 move coordinate mu
+    by 2h, h, -h, -2h."""
     point = np.asarray(point, dtype=float)
-    pts = np.empty(point.shape[:-1] + (4 * len(axes), 4))
+    pts = np.empty(point.shape[:-1] + (16, 4))
     pts[...] = point[..., None, :]
-    for i, axis in enumerate(axes):
-        pts[..., 4 * i:4 * i + 4, axis] += _OFFSETS * h
+    for mu in range(4):
+        pts[..., 4 * mu:4 * mu + 4, mu] += _OFFSETS * h
     return pts
 
 
 def _partials(vals, axis, h):
-    # d[i, *batch, ...] along the k coordinates of a stencil, from a field's
-    # values on its points, vals[*batch, 4k, ...], the stencil on `axis`
-    vals = vals.reshape(vals.shape[:axis] + (vals.shape[axis] // 4, 4)
-                        + vals.shape[axis + 1:])
+    # d[mu, *batch, ...] from a field's values on the stencil points,
+    # vals[*batch, 16, ...], the stencil on `axis`
+    vals = vals.reshape(vals.shape[:axis] + (4, 4) + vals.shape[axis + 1:])
     return _combine(vals.transpose(axis + 1, axis, *range(axis),
                                    *range(axis + 2, vals.ndim)), h)
 
@@ -89,18 +88,13 @@ def gradient_from_stencil(vals, axis, h=DEFAULT_STEP):
     return _to_axis(_partials(vals, axis, h), axis)
 
 
-def partial4(fn, point, mu, h=DEFAULT_STEP):
-    """4th-order central partial of fn(t, x, y, z) along coordinate mu at
-    point[..., 4]; for a tuple of coordinates mu, the partial along each,
-    stacked on a new leading axis.  fn is called once, on the four stencil
-    points of each of k axes at every point, shaped (*batch, 4k), and
-    returns values with components trailing: for k >= 2 a per-point factor
-    that forgot [..., None] does not broadcast against psi[..., 4] but
-    raises."""
-    axes = mu if isinstance(mu, tuple) else (mu,)
-    d = _partials(at(fn, stencil_points(point, h, axes)), np.ndim(point) - 1,
-                  h)
-    return d if isinstance(mu, tuple) else d[0]
+def partial4(fn, point, *, h=DEFAULT_STEP):
+    """The four 4th-order central partials of fn(t, x, y, z) at
+    point[..., 4], d[mu, ...] = d_mu fn.  fn is called once, on the 16
+    `stencil_points` of every point, shaped (*batch, 16), and returns
+    values with components trailing: a per-point factor that forgot
+    [..., None] does not broadcast against psi[..., 4] but raises."""
+    return _partials(at(fn, stencil_points(point, h)), np.ndim(point) - 1, h)
 
 
 def gradient4(fn, point, h=DEFAULT_STEP):
@@ -109,7 +103,7 @@ def gradient4(fn, point, h=DEFAULT_STEP):
     d/d(ct)).  One `partial4` call, so fn is called once, on all 16
     `stencil_points` of every point; `gradient_from_stencil` is the same
     combination of values already evaluated there."""
-    return _to_axis(partial4(fn, point, (0, 1, 2, 3), h), np.ndim(point) - 1)
+    return _to_axis(partial4(fn, point, h=h), np.ndim(point) - 1)
 
 
 @dataclass(frozen=True)
@@ -145,11 +139,6 @@ def sample(fn, point, h=DEFAULT_STEP) -> StencilSample:
         [point[..., None, :], stencil_points(point, h)], axis=-2)), h)
 
 
-def divergence4(fn, point, h=DEFAULT_STEP):
-    """d_mu F^mu = d_t F^0 + div F of a real 4-vector field F."""
-    return divergence(gradient4(fn, point, h))
-
-
 def divergence(g):
     """d_t F^0 + div F from the 4-gradient g[..., mu, nu] = d_mu F^nu of a
     real 4-vector field F."""
@@ -179,22 +168,19 @@ def rk4_path(rhs, x0, s_total, steps):
 
     The state is held as Python floats and rhs is handed a tuple of floats,
     so a right-hand side that evaluates one point pays no numpy call for the
-    state.  rhs returns dim floats, as a tuple, a list or a numpy array.
-    Each component is stepped as x + (h/2) k for the stages and
-    x + (h/6)(k1 + 2 k2 + 2 k3 + k4) for the step, in that order."""
-    def slope(q):
-        k = rhs(q)
-        return k.tolist() if isinstance(k, np.ndarray) else k
-
+    state.  rhs returns dim floats, as any sequence: a numpy array's
+    elements step to the same bits.  Each component is stepped as
+    x + (h/2) k for the stages and x + (h/6)(k1 + 2 k2 + 2 k3 + k4) for the
+    step, in that order."""
     x = tuple(np.asarray(x0, dtype=float).tolist())
     h = float(s_total) / steps
     half, sixth = 0.5 * h, h / 6.0
     path = array("d", x)  # the path's floats, row after row
     for _ in range(steps):
-        k1 = slope(x)
-        k2 = slope(tuple([a + half * k for a, k in zip(x, k1)]))
-        k3 = slope(tuple([a + half * k for a, k in zip(x, k2)]))
-        k4 = slope(tuple([a + h * k for a, k in zip(x, k3)]))
+        k1 = rhs(x)
+        k2 = rhs(tuple([a + half * k for a, k in zip(x, k1)]))
+        k3 = rhs(tuple([a + half * k for a, k in zip(x, k2)]))
+        k4 = rhs(tuple([a + h * k for a, k in zip(x, k3)]))
         x = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
         path.extend(x)

@@ -35,7 +35,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def continuity_residual(spec: cat.SolutionSpec, point,
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
                            h: float = numerics.DEFAULT_STEP):
     """|d_mu eA^mu| by finite differences, at point[..., 4]."""
-    return abs(numerics.divergence4(
-        lambda *q: cat.potential(spec, *q), point, h))
+    return abs(numerics.divergence(numerics.gradient4(
+        lambda *q: cat.potential(spec, *q), point, h)))
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
@@ -390,37 +390,19 @@ class VerificationReport:
         """Every record passed, and there was at least one."""
         return bool(self.records) and all(r.passed for r in self.records)
 
-    def to_json(self, include_timing: bool = False) -> str:
-        def plain(v):
-            if isinstance(v, (bool, np.bool_)):
-                return bool(v)
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            if isinstance(v, (float, np.floating)):
-                return float(v)
-            return v
-
-        payload = {
-            "solution_id": self.solution_id,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-            "passed": bool(self.passed),
-            "records": [
-                {
-                    "name": r.name,
-                    "family": r.family,
-                    "grid": r.grid,
-                    "max_residual": float(r.max_residual),
-                    "tolerance": float(r.tolerance),
-                    "passed": bool(r.passed),
-                    "extra": {k: plain(v) for k, v in r.extra.items()},
-                }
-                for r in self.records
-            ],
-        }
+    def payload(self, include_timing: bool = False) -> dict:
+        """The report as JSON data: its fields and each record's, with
+        `wall_clock` only under include_timing."""
+        data = {"solution_id": self.solution_id, "seed": self.seed,
+                "fd_step": self.fd_step, "passed": self.passed,
+                "records": [asdict(r) for r in self.records]}
         if include_timing:
-            payload["wall_clock"] = self.wall_clock
-        return json.dumps(payload, indent=2, sort_keys=True)
+            data["wall_clock"] = self.wall_clock
+        return data
+
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(self.payload(include_timing), indent=2,
+                          sort_keys=True)
 
 
 def default_specs() -> dict:

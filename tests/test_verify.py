@@ -129,7 +129,7 @@ def test_continuity_detects_non_solution():
         return spinors.bilinears(fake(*q)).current
 
     pt = (1.0, 1.2, 0.8, 0.6)
-    total = sum(numerics.partial4(current, pt, mu, 1e-3).real[mu]
+    total = sum(numerics.partial4(current, pt, h=1e-3)[mu].real[mu]
                 for mu in range(4))
     assert abs(total) > 1e-3
 
@@ -375,6 +375,15 @@ def test_report_serialization_round_trip():
     assert "wall_clock" not in payload
     timed = json.loads(rep.to_json(include_timing=True))
     assert "wall_clock" in timed
+
+
+@pytest.mark.parametrize("control", [None, "scale-potential"])
+def test_report_json_is_its_payload(control):
+    # to_json dumps payload() as it is: every value is already JSON data
+    rep = verify.run_suite(families=["uniform-b"], points=4, seed=5,
+                           negative_control=control)
+    for timed in (False, True):
+        assert json.loads(rep.to_json(timed)) == rep.payload(timed)
 
 
 def test_suite_determinism():
