@@ -237,8 +237,9 @@ def _free_kt2(spec: SolutionSpec) -> float:
 
 
 def _free_q(spec: SolutionSpec) -> float:
-    # Bessel argument scale: f = lam^-l J_l(q lam)
-    return 2.0 * math.sqrt(_free_kt2(spec)) / spec.B
+    # Bessel argument scale: f = lam^-l J_l(q lam), from p_perp itself, not
+    # sqrt(_free_kt2), which cancels when p_perp is small beside m
+    return 2.0 * spec.p_perp / spec.B
 
 
 # ---------------------------------------------------------------------------

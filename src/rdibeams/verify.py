@@ -197,7 +197,7 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
     conventions as the catalog)."""
     base = spec.static_base()
     eps = cat.eigenvalue(base)
-    kt = math.sqrt(eps ** 2 - base.m ** 2)
+    kt = base.p_perp
     norm = cat.normalization(base)
     l = base.l
 

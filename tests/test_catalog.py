@@ -332,6 +332,24 @@ def test_free_bessel_normalization_convention():
     assert cat.normalization(spec) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("p_perp", [1e-4, 1e-6, 1e-7])
+@pytest.mark.parametrize("family", [cat.Family.FREE_BESSEL,
+                                    cat.Family.VOLKOV_BESSEL])
+def test_bessel_scale_is_exact_at_small_p_perp(family, p_perp):
+    # f = lam^-l J_l(q lam) with q = 2 p_perp / B: read back from the level
+    # as sqrt(eps^2 - m^2 - p_z^2), p_perp cancels beside m (q 1.2e-2 off
+    # at p_perp = 1e-7)
+    drive = {} if family is cat.Family.FREE_BESSEL else dict(
+        waveform=waveforms.circular(0.3), omega=1.1)
+    spec = cat.SolutionSpec(family, l=1, p_perp=p_perp, **drive)
+    lams = np.array([0.5, 1.0, 3.0])
+    got = cat.profile(spec, lams)["aH"] / cat.normalization(spec)
+    with mpmath.workdps(30):
+        want = [float(mpmath.besselj(1, 2 * mpmath.mpf(p_perp) * lam
+                                     / spec.B)) for lam in lams]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # spinors
 # ---------------------------------------------------------------------------
