@@ -96,12 +96,14 @@ def singular(psi) -> Array:
     return scalar ** 2 + pseudo ** 2 < SINGULAR_RHO2
 
 
-def invert(field, point, h: float = numerics.DEFAULT_STEP, m: float = 1.0,
+def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
            sample: numerics.StencilSample | None = None) -> PotentialSample:
-    """Invert a column-spinor field for its driving potential at a point,
-    or at a batch of points point[..., 4].
+    """Invert a column-spinor field of mass m for its driving potential at
+    a point, or at a batch of points point[..., 4].
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
+    mass has no default: the field does not carry it, and any other mass
+    gives a wrong potential whose constraint traces still vanish.  The
     step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
     is singular at any point of the batch, before the field is
     differentiated.  `sample`, when given, is

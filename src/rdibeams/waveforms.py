@@ -28,13 +28,28 @@ _PULSE_BLOCK = 32
 
 @dataclass(frozen=True)
 class Waveform:
-    """Driving pair with derivatives and gauge integral."""
+    """Driving pair with derivatives and gauge integral.  `kind` is a key
+    of KINDS; a pulse's `params` are its (center, width), finite with
+    width > 0, and the sinusoids take none.  Anything else is refused
+    here, so each method's if-chain ends with the pulse."""
 
     kind: str
     amplitude: float
     params: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown waveform kind {self.kind!r}; known: "
+                             f"{', '.join(KINDS)}")
+        if self.kind == "pulse":
+            # a NaN width fails the comparisons too
+            if not (len(self.params) == 2 and np.isfinite(self.params[0])
+                    and 0.0 < self.params[1] < np.inf):
+                raise ValueError(f"a pulse needs params (center, width), "
+                                 f"finite with width > 0, got {self.params!r}")
+        elif self.params:
+            raise ValueError(f"a {self.kind} waveform takes no params, got "
+                             f"{self.params!r}")
         # the gauge integral carries amplitude^2; NaN fails the test too
         if not np.isfinite(self.amplitude * self.amplitude):
             raise ValueError(f"need a finite amplitude^2, got amplitude "
@@ -46,9 +61,7 @@ class Waveform:
             return a * np.sin(xi), a * (1.0 - np.cos(xi))
         if self.kind == "linear":
             return 0.0, a * (1.0 - np.cos(xi))
-        if self.kind == "pulse":
-            return a * self._envelope(xi)[1] * np.sin(xi), 0.0
-        raise ValueError(self.kind)
+        return a * self._envelope(xi)[1] * np.sin(xi), 0.0
 
     def fdot(self, xi):
         a = self.amplitude
@@ -56,11 +69,9 @@ class Waveform:
             return a * np.cos(xi), a * np.sin(xi)
         if self.kind == "linear":
             return 0.0, a * np.sin(xi)
-        if self.kind == "pulse":
-            u, e = self._envelope(xi)
-            de = -u / self.params[1] * e
-            return a * (de * np.sin(xi) + e * np.cos(xi)), 0.0
-        raise ValueError(self.kind)
+        u, e = self._envelope(xi)
+        de = -u / self.params[1] * e
+        return a * (de * np.sin(xi) + e * np.cos(xi)), 0.0
 
     def fddot(self, xi):
         a = self.amplitude
@@ -68,14 +79,12 @@ class Waveform:
             return -a * np.sin(xi), a * np.cos(xi)
         if self.kind == "linear":
             return 0.0, a * np.cos(xi)
-        if self.kind == "pulse":
-            u, e = self._envelope(xi)
-            width = self.params[1]
-            de = -u / width * e
-            d2e = (u * u - 1.0) / (width * width) * e
-            return a * (d2e * np.sin(xi) + 2.0 * de * np.cos(xi)
-                        - e * np.sin(xi)), 0.0
-        raise ValueError(self.kind)
+        u, e = self._envelope(xi)
+        width = self.params[1]
+        de = -u / width * e
+        d2e = (u * u - 1.0) / (width * width) * e
+        return a * (d2e * np.sin(xi) + 2.0 * de * np.cos(xi)
+                    - e * np.sin(xi)), 0.0
 
     def gauge_integral(self, xi):
         """int_0^xi (f1'^2 + f2'^2) dphi."""
@@ -84,28 +93,26 @@ class Waveform:
             return a2 * xi
         if self.kind == "linear":
             return a2 * (0.5 * xi - 0.25 * np.sin(2.0 * xi))
-        if self.kind == "pulse":
-            # each phase distinct by its bits is integrated once (by bits,
-            # so -0.0 keeps its sign) and gathered back to every point
-            bits, where = np.unique(
-                np.ravel(np.asarray(xi, np.float64)).view(np.int64),
-                return_inverse=True)
-            center, width = self.params
-            lo, hi = (np.clip(v, center - _PULSE_REACH * width,
-                              center + _PULSE_REACH * width)
-                      for v in (0.0, bits.view(np.float64)))
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            # 64 nodes per phase, for _PULSE_BLOCK phases at a time; each
-            # phase's nodes are summed in one order, whatever its batch
-            total = np.empty(mid.size)
-            for k in range(0, mid.size, _PULSE_BLOCK):
-                block = slice(k, k + _PULSE_BLOCK)
-                d1, d2 = self.fdot(mid[block, None]
-                                   + half[block, None] * _GL_NODES)
-                total[block] = ((d1 * d1 + d2 * d2) * _GL_WEIGHTS).sum(axis=-1)
-            return (half * total)[where].reshape(np.shape(xi))[()]
-        raise ValueError(self.kind)
+        # each phase distinct by its bits is integrated once (by bits,
+        # so -0.0 keeps its sign) and gathered back to every point
+        bits, where = np.unique(
+            np.ravel(np.asarray(xi, np.float64)).view(np.int64),
+            return_inverse=True)
+        center, width = self.params
+        lo, hi = (np.clip(v, center - _PULSE_REACH * width,
+                          center + _PULSE_REACH * width)
+                  for v in (0.0, bits.view(np.float64)))
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        # 64 nodes per phase, for _PULSE_BLOCK phases at a time; each
+        # phase's nodes are summed in one order, whatever its batch
+        total = np.empty(mid.size)
+        for k in range(0, mid.size, _PULSE_BLOCK):
+            block = slice(k, k + _PULSE_BLOCK)
+            d1, d2 = self.fdot(mid[block, None]
+                               + half[block, None] * _GL_NODES)
+            total[block] = ((d1 * d1 + d2 * d2) * _GL_WEIGHTS).sum(axis=-1)
+        return (half * total)[where].reshape(np.shape(xi))[()]
 
     def _envelope(self, xi) -> tuple:
         """(u, e): the pulse's scaled phase u = (xi - center) / width and

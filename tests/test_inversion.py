@@ -16,7 +16,7 @@ def test_invert_free_beam_gives_zero_potential():
     rng = np.random.default_rng(0)
     for _ in range(20):
         pt = tuple(rng.uniform(0.5, 4.0, size=4))
-        sample = inv.invert(col, pt)
+        sample = inv.invert(col, pt, m=spec.m)
         assert np.max(np.abs(sample.eA)) < 2e-7
 
 
@@ -26,7 +26,7 @@ def test_invert_uniform_field_values():
     rng = np.random.default_rng(1)
     for _ in range(10):
         t, x, y, z = rng.uniform(0.5, 3.0, size=4)
-        sample = inv.invert(col, (t, x, y, z))
+        sample = inv.invert(col, (t, x, y, z), m=spec.m)
         np.testing.assert_allclose(
             sample.eA, [0.0, -y / 2.0, x / 2.0, 0.0], atol=2e-7)
 
@@ -45,7 +45,7 @@ def test_invert_constraint_traces_vanish():
         for _ in range(6):
             pt = tuple(rng.uniform(0.6, 3.0, size=4))
             try:
-                sample = inv.invert(col, pt)
+                sample = inv.invert(col, pt, m=spec.m)
             except inv.SingularSpinor:
                 continue
             assert sample.constrained_residual < 2e-7
@@ -67,7 +67,7 @@ def test_invert_agrees_with_closed_form_everywhere():
         for _ in range(6):
             pt = tuple(rng.uniform(0.6, 3.0, size=4))
             try:
-                sample = inv.invert(col, pt)
+                sample = inv.invert(col, pt, m=spec.m)
             except inv.SingularSpinor:
                 continue
             closed = cat.potential(spec, *pt)
@@ -75,16 +75,31 @@ def test_invert_agrees_with_closed_form_everywhere():
             assert np.max(np.abs(sample.eA - closed)) < bound
 
 
+def test_invert_needs_the_mass():
+    # the field does not carry its mass: a default m = 1 inverted this
+    # m = 2 state to an eA 2.6 off, its constraint traces at round-off
+    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0, m=2.0)
+    col, pt = cat.spinor(spec), (0.0, 1.0, 0.5, 0.2)
+    with pytest.raises(TypeError):
+        inv.invert(col, pt)
+    with pytest.raises(TypeError):  # keyword-only
+        inv.invert(col, pt, spec.m)
+    sample = inv.invert(col, pt, m=spec.m)
+    bound = max(2e-7, 10.0 * sample.richardson)
+    assert np.max(np.abs(sample.eA - cat.potential(spec, *pt))) < bound
+    assert sample.constrained_residual < 2e-7
+
+
 def test_invert_step_validation_and_errors():
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=0)
     col = cat.spinor(spec)
     with pytest.raises(ValueError):
-        inv.invert(col, (1.0, 1.0, 1.0, 1.0), h=0.5)
+        inv.invert(col, (1.0, 1.0, 1.0, 1.0), m=spec.m, h=0.5)
     # a field with a genuinely singular point
     def bad(t, x, y, z):
         return np.zeros(4, dtype=complex)
     with pytest.raises(inv.SingularSpinor):
-        inv.invert(bad, (1.0, 1.0, 1.0, 1.0))
+        inv.invert(bad, (1.0, 1.0, 1.0, 1.0), m=spec.m)
 
 
 def test_cross_check_gaussian_envelope_on_grid():
@@ -94,7 +109,7 @@ def test_cross_check_gaussian_envelope_on_grid():
     for x in (0.6, 1.4, 2.1):
         for y in (0.7, 1.2):
             for z in (0.5, 1.9):
-                sample = inv.invert(col, (0.9, x, y, z))
+                sample = inv.invert(col, (0.9, x, y, z), m=spec.m)
                 closed = cat.potential(spec, 0.9, x, y, z)
                 bound = max(2e-7, 10.0 * sample.richardson)
                 assert np.max(np.abs(sample.eA - closed)) < bound
@@ -171,8 +186,8 @@ def test_invert_is_gauge_covariant():
     rng = np.random.default_rng(17)
     for _ in range(5):
         pt = tuple(rng.uniform(0.6, 3.0, size=4))
-        plain = inv.invert(base, pt)
-        shifted = inv.invert(gauged, pt)
+        plain = inv.invert(base, pt, m=spec.m)
+        shifted = inv.invert(gauged, pt, m=spec.m)
         np.testing.assert_allclose(shifted.eA - plain.eA, grad_up,
                                    atol=1e-9)
         assert shifted.constrained_residual < 2e-7
@@ -196,7 +211,7 @@ def test_field_that_forgets_the_component_axis_raises():
         with pytest.raises(ValueError, match="broadcast"):
             numerics.gradient4(forgetful, pts)
         with pytest.raises(ValueError, match="broadcast"):
-            inv.invert(forgetful, pts)
+            inv.invert(forgetful, pts, m=spec.m)
 
 
 def test_high_quantum_numbers():

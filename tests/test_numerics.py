@@ -38,17 +38,6 @@ def test_gradient4_on_cubic():
         numerics.partial4(cubic, PT, 1e-3)
 
 
-def test_partial4_refuses_a_factor_without_its_component_axis():
-    # the 16 stencil rows never meet a spinor's 4 components, so a
-    # per-point factor that forgot [..., None] raises, at one point too
-    def forgetful(t, x, y, z):
-        return np.exp(-1j * t) * np.ones(np.shape(t) + (4,))
-
-    for point in (np.asarray(PT), np.full((4, 4), 0.5)):
-        with pytest.raises(ValueError):
-            numerics.partial4(forgetful, point)
-
-
 @pytest.mark.parametrize("field", [
     cubic,
     cat.spinor(cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=1, p_perp=0.8,

@@ -117,3 +117,25 @@ def test_pulse_integrates_each_distinct_phase_once_bit_for_bit():
     assert np.signbit(got.ravel()[-4:]).tolist() == [False, True, False, True]
     assert type(wf.gauge_integral(float(phases[0]))) is np.float64
     assert type(wf.gauge_integral(np.float64(-0.0))) is np.float64
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("square", ()),
+    ("Circular", ()),
+    ("pulse", ()),
+    ("pulse", (6.0,)),
+    ("pulse", (6.0, 2.0, 1.0)),
+    ("pulse", (6.0, 0.0)),
+    ("pulse", (6.0, -2.0)),
+    ("pulse", (math.nan, 2.0)),
+    ("pulse", (math.inf, 2.0)),
+    ("pulse", (6.0, math.nan)),
+    ("pulse", (6.0, math.inf)),
+    ("circular", (6.0, 2.0)),
+    ("linear", (1.0,)),
+])
+def test_bad_waveform_is_refused_at_construction(kind, params):
+    # not at first use, where an unknown kind or a pulse without its
+    # (center, width) used to fail with a bare name or an unpacking error
+    with pytest.raises(ValueError, match="kind|params"):
+        waveforms.Waveform(kind, 0.3, params)
