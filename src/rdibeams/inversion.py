@@ -75,9 +75,9 @@ def dirac_operator(psi, grad, m: float) -> tuple[Array, Array]:
         - sta.gather_product(_TIMES_GAMMA0, m * Psi)
 
 
-def _density(psi) -> tuple[Array, Array]:
-    # (rho cos beta, rho sin beta) of psi[..., 4]; both are zero where
-    # psi^dagger psi vanishes
+def density(psi) -> tuple[Array, Array]:
+    """(rho cos beta, rho sin beta) of psi[..., 4]; both are zero where
+    psi^dagger psi vanishes."""
     psi = np.asarray(psi, dtype=complex)
     live = np.einsum("...i,...i->...", psi.conj(), psi).real > 0.0
     scalar, pseudo = np.zeros(live.shape), np.zeros(live.shape)
@@ -89,15 +89,16 @@ def _density(psi) -> tuple[Array, Array]:
     return scalar, pseudo
 
 
-def singular(psi) -> Array:
-    """Where the lift Psi of psi[..., 4] is not inverted: rho^2 = |det Psi|
-    below SINGULAR_RHO2, a vanishing spinor included."""
-    scalar, pseudo = _density(psi)
+def singular(dens) -> Array:
+    """Where the lift Psi of a spinor psi is not inverted, from its
+    `density(psi)`: rho^2 = |det Psi| below SINGULAR_RHO2, a vanishing
+    spinor included."""
+    scalar, pseudo = dens
     return scalar ** 2 + pseudo ** 2 < SINGULAR_RHO2
 
 
 def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
-           sample: numerics.StencilSample | None = None) -> PotentialSample:
+           sample: tuple | None = None) -> PotentialSample:
     """Invert a column-spinor field of mass m for its driving potential at
     a point, or at a batch of points point[..., 4].
 
@@ -106,14 +107,16 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     gives a wrong potential whose constraint traces still vanish.  The
     step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
     is singular at any point of the batch, before the field is
-    differentiated.  `sample`, when given, is
-    `numerics.sample(field, point, h)`, already evaluated: only the h/2
-    stencil is evaluated anew.
+    differentiated.  `sample`, when given, is (the field's
+    `numerics.sample` at point of step h, that of step h/2, the `density` of
+    the spinor at point), already evaluated; an entry that is None is
+    evaluated here.
     """
     if not MIN_STEP <= h <= MAX_STEP:
         raise ValueError(f"step h outside [{MIN_STEP}, {MAX_STEP}]")
-    psi = numerics.at(field, point) if sample is None else sample.at_points
-    scalar, pseudo = _density(psi)
+    full, half, dens = sample or (None, None, None)
+    psi = numerics.at(field, point) if full is None else full.at_points
+    scalar, pseudo = density(psi) if dens is None else dens
     rho2 = scalar ** 2 + pseudo ** 2
     if np.any(rho2 < SINGULAR_RHO2):
         raise SingularSpinor(f"|det Psi| = rho^2 = {np.min(rho2):.3e}")
@@ -121,13 +124,13 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     duality = scalar[..., None, None] * sta.ID \
         - pseudo[..., None, None] * sta.PSEUDO
 
-    def inverted(grad):
+    def inverted(step, smp):
+        grad = numerics.gradient4(field, point, step) if smp is None \
+            else smp.gradient()
         Psi, D = dirac_operator(psi, grad, m)
         return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
 
-    full = inverted(numerics.gradient4(field, point, h) if sample is None
-                    else sample.gradient())
-    half = inverted(numerics.gradient4(field, point, h / 2.0))
+    full, half = inverted(h, full), inverted(h / 2.0, half)
     est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0
     # Tr[half Gamma_k] / 4
     coeffs = sta.gather_product(
@@ -137,9 +140,10 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
                            richardson=est)
 
 
-def circularity_residual(spec: cat.SolutionSpec, lam):
+def circularity_residual(spec: cat.SolutionSpec, lam, pr: dict | None = None):
     """|eA_0(lam)| of a stationary state, evaluated in closed form at a
-    float or an array lam.
+    float or an array lam, from `pr`, its `catalog.profile` there, when
+    given (already evaluated).
 
     The time component of the inverted potential is
 
@@ -156,7 +160,8 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     eps = cat.eigenvalue(base)
     A = base.m + eps
     B = base.B
-    pr = cat.profile(base, lam)
+    if pr is None:
+        pr = cat.profile(base, lam)
     k = cat.stationary_bilinears(base)(pr["aH"], pr["bH"])
     j0, sigma = k["J0"], k["scalar"]
     if np.any(sigma == 0.0):
@@ -173,16 +178,18 @@ def circularity_residual(spec: cat.SolutionSpec, lam):
     return abs(eps - base.m * j0 / sigma + term)
 
 
-def radial_ode_residual(spec: cat.SolutionSpec, lam):
+def radial_ode_residual(spec: cat.SolutionSpec, lam, pr: dict | None = None):
     """Residual of the profile equation
 
         f'' - 4 (m^2 + p_z^2 - eps^2) f / B^2
             + f' ((M+1)/lam + 2 H'/H) = 0,
 
-    normalized by the local profile scale, at a float or an array lam."""
+    normalized by the local profile scale, at a float or an array lam, from
+    `pr`, its `catalog.profile` there, when given (already evaluated)."""
     base = spec.static_base()
     eps = cat.eigenvalue(base)
-    pr = cat.profile(base, lam)
+    if pr is None:
+        pr = cat.profile(base, lam)
     gap = 4.0 * (base.m ** 2 + base.p_z ** 2 - eps ** 2) \
         / base.B ** 2
     res = pr["fpp"] - gap * pr["f"] \

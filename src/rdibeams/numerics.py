@@ -13,10 +13,12 @@ per coordinate), all on one axis after the batch axes (fields take t, x, y,
 z as arrays and return components trailing); `gradient4` is that call.  Its
 two halves are public: `stencil_points` builds the points and
 `gradient_from_stencil` combines the field's values there.
-`sample` evaluates a field at a batch of points and on their 16 stencil
-points in one call, so that several readers share one evaluation: the
-field at the points, its 4-gradient and the 4-gradient of a map of it, for
-all points or a slice of them (`StencilSample`).
+`sample` evaluates a field at a batch of points and on the 16 stencil
+points of several (points, step) requests in one call, so that several
+readers share one evaluation: the field at the points, and per request its
+4-gradient and the 4-gradient of a map of it, for all its points or a slice
+of them (`StencilSample`).  The verify suite evaluates each closed form of a
+spec this way, once, over the union of what its checks read.
 
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple
@@ -108,35 +110,43 @@ def gradient4(fn, point, h=DEFAULT_STEP):
 
 @dataclass(frozen=True)
 class StencilSample:
-    """A field's values at point[*batch, 4] and on its 16 stencil points,
-    from one call (`sample`): values[*batch, 17, k], row 0 at the point.
-    Indexing selects points of the batch."""
+    """A field's values at point[*batch, 4] and on its 16 stencil points of
+    step h, from one call (`sample`): at_points[*batch, k] and
+    stencil[*batch, 16, k].  Indexing selects points of the batch."""
 
-    values: Array
+    at_points: Array
+    stencil: Array
     h: float
-
-    @property
-    def at_points(self) -> Array:
-        """The field at the points, [*batch, k]."""
-        return self.values[..., 0, :]
 
     def gradient(self, of=None) -> Array:
         """`gradient4` at the points of the field, or of of(field) for a map
         `of` of its trailing component axis: [*batch, 4, k]."""
-        vals = self.values[..., 1:, :]
-        return gradient_from_stencil(vals if of is None else of(vals),
-                                     self.values.ndim - 2, self.h)
+        vals = self.stencil if of is None else of(self.stencil)
+        return gradient_from_stencil(vals, self.stencil.ndim - 2, self.h)
 
     def __getitem__(self, index) -> StencilSample:
-        return StencilSample(self.values[index], self.h)
+        return StencilSample(self.at_points[index], self.stencil[index], self.h)
 
 
-def sample(fn, point, h=DEFAULT_STEP) -> StencilSample:
+def sample(fn, point, steps) -> tuple[Array, list[StencilSample]]:
     """fn(t, x, y, z), with one trailing component axis, at point[..., 4]
-    and on its 16 stencil points of step h, in one call."""
+    and, for each (index, h) of `steps`, on the 16 stencil points of step h
+    of point[index] (index ... for every point), all in one call: the
+    values at the points, and one StencilSample per step, over
+    point[index]."""
     point = np.asarray(point, dtype=float)
-    return StencilSample(at(fn, np.concatenate(
-        [point[..., None, :], stencil_points(point, h)], axis=-2)), h)
+    stencils = [stencil_points(point[index], h) for index, h in steps]
+    values = at(fn, np.concatenate(
+        [point.reshape(-1, 4), *(s.reshape(-1, 4) for s in stencils)]))
+    start = point.size // 4
+    at_points = values[:start].reshape(point.shape[:-1] + values.shape[1:])
+    out = []
+    for (index, h), pts in zip(steps, stencils):
+        stop = start + pts.size // 4
+        out.append(StencilSample(at_points[index], values[start:stop].reshape(
+            pts.shape[:-1] + values.shape[1:]), h))
+        start = stop
+    return at_points, out
 
 
 def divergence(g):

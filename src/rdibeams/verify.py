@@ -9,23 +9,27 @@ over seeded uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
 per point; each check of CHECKS calls it once per spec, on all its points.
-A residual differentiates its field once, with `numerics.gradient4`, whose
-one `partial4` call evaluates the field once, on all 16 stencil points of
-every point of the batch.  The true column spinor is the exception: the
-suite evaluates it once per spec, on the first row that reads it, as one
-`numerics.sample` at the spec's points and their h-stencil, and the dirac,
-continuity, inversion, kinematics and volkov rows read slices of it (only
-the inversion's h/2 stencil is evaluated anew).  Each of those residuals
-takes the sample as an optional last argument and, called without it,
-evaluates the spinor itself, to the same bits.  Nothing is kept past a
-spec.  The Dirac residual shares the matrix Dirac operator of the
-inversion, `inversion.dirac_operator`, which takes its derivative from the
-column one.  A record that checked no point fails, and its extras give the
+The suite evaluates each closed form a row reads (`_READS`: the spinor, the
+potential, e E and e B, the profile) once per spec, on the first row that
+reads it, as one batch over the union of what the spec's rows read of it:
+one `numerics.sample` at the union of their points and of each step's
+stencil points, one `catalog.profile` call on all their lam grids.  Each
+row reads its own slice: the spinor at the points and their h-stencil and
+the inversion's h/2 stencil, the potential at the points and the gauge
+row's h-stencil, the profile of the ode and circularity grids.  The
+inversion row finds its singular points and inverts the rest on one
+`inversion.density`.  Each residual takes its row's sample as an optional
+last argument and, called without it, builds its own through the same
+evaluation, to the same bits.  Nothing is kept past a spec.  The maxwell
+row differentiates e E and e B itself, with `numerics.gradient4`.  The
+Dirac residual shares the matrix Dirac operator of the inversion,
+`inversion.dirac_operator`, which takes its derivative from the column
+one.  A record that checked no point fails, and its extras give the
 reason.
 
 Negative controls assert detection power, not only agreement.  FAULTS names
 each control's rows and the `catalog` attribute it wraps while each runs, on
-a spinor sample of its own.  A control that reaches none of the selected
+an evaluation of its own.  A control that reaches none of the selected
 checks is a SelectionError (a usage error in the CLI).
 """
 from __future__ import annotations
@@ -58,12 +62,123 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# the closed forms the checks read
+# ---------------------------------------------------------------------------
+
+
+# what each row of CHECKS reads of its spec's closed forms, the same for a
+# residual called alone: a form at the row's points, "form@h" with its
+# h-stencil as well, "form@h/2" with its h/2-stencil
+_READS = {
+    "dirac": ("spinor@h", "potential"),
+    "continuity": ("spinor@h",),
+    "gauge": ("potential@h",),
+    "inversion": ("spinor@h", "spinor@h/2", "potential"),
+    "maxwell": (),  # it differentiates e E and e B with numerics.gradient4
+    "kinematics": ("spinor",),
+    "ode": ("profile",),
+    "circularity": ("profile",),
+    "volkov": ("spinor",),
+    "fields": ("fields",),
+}
+_STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
+
+
+def _e_and_b(spec):
+    # e E and e B side by side, [..., 6]
+    return lambda *q: np.concatenate(
+        [(smp := cat.fields(spec, *q)).electric, smp.magnetic], axis=-1)
+
+
+# the closed forms of (t, x, y, z), each with one trailing component axis
+# (the profile, of lam, is `catalog.profile`); each reads its catalog
+# attribute when it is called, so that a fault's rebinding reaches it
+_FORMS = {"spinor": lambda spec: cat.spinor(spec),
+          "potential": lambda spec: lambda *q: cat.potential(spec, *q),
+          "fields": _e_and_b}
+
+
+def _union(size, indices):
+    # index sets into `size` rows -> their union and each set's positions
+    # in it; one set (... for every row) is its own union
+    if all(index is indices[0] for index in indices):
+        return indices[0], [...] * len(indices)
+    mask = np.zeros(size, dtype=bool)
+    for index in indices:
+        mask[index] = True
+    rank = np.cumsum(mask) - 1
+    return np.flatnonzero(mask), [rank[index] for index in indices]
+
+
+class _Evaluation:
+    """What some rows read of one spec's closed forms, per `_READS`.  Each
+    form is evaluated once, when a row first asks for it, as one batch over
+    the union of what the rows read of it: one `numerics.sample` at the
+    union of their points and of each step's stencil points, or one
+    `catalog.profile` call on all their lam grids.  row(name) is that row's
+    own slice of each form it reads, keyed by its reads.
+
+    rows maps a row's name to (its reads, where): points[where] for a slice
+    or ..., else the lam grid `where` itself."""
+
+    def __init__(self, spec, h, points, rows):
+        self.spec, self.h, self.points, self.rows = spec, h, points, rows
+        self.done = {}
+
+    def row(self, name) -> dict:
+        return {read: self._form(read.partition("@")[0])[name, read]
+                for read in self.rows[name][0]}
+
+    def _form(self, form):
+        if form not in self.done:
+            users = [(name, read, where)
+                     for name, (reads, where) in self.rows.items()
+                     for read in reads if read.partition("@")[0] == form]
+            self.done[form] = self._profile(users) if form == "profile" \
+                else self._field(form, users)
+        return self.done[form]
+
+    def _profile(self, users):
+        pr = cat.profile(self.spec, np.concatenate([u[2] for u in users]))
+        out, start = {}, 0
+        for name, read, lams in users:
+            part = slice(start, start + len(lams))
+            out[name, read] = {k: v[part] if np.ndim(v) else v
+                               for k, v in pr.items()}
+            start = part.stop
+        return out
+
+    def _field(self, form, users):
+        centre, pos = _union(len(self.points), [u[2] for u in users])
+        points = self.points[centre]
+        by_step = {}  # stencil step over h (None: none) -> its users
+        for j, (_, read, _) in enumerate(users):
+            by_step.setdefault(_STEPS[read.partition("@")[2]], []).append(j)
+        stencils = {f: _union(len(points), [pos[j] for j in js])
+                    for f, js in by_step.items() if f is not None}
+        values, samples = numerics.sample(
+            _FORMS[form](self.spec), points,
+            [(index, f * self.h) for f, (index, _) in stencils.items()])
+        out = {users[j][:2]: values[pos[j]] for j in by_step.get(None, ())}
+        for smp, (f, (_, where)) in zip(samples, stencils.items()):
+            out |= {users[j][:2]: smp[p] for j, p in zip(by_step[f], where)}
+        return out
+
+
+def _alone(spec, point, h, name):
+    # the sample of row `name` at point[..., 4] alone: what a residual
+    # called without one evaluates
+    return _Evaluation(spec, h, np.asarray(point, dtype=float),
+                       {name: (_READS[name], ...)}).row(name)
+
+
+# ---------------------------------------------------------------------------
 # pointwise residuals
 # ---------------------------------------------------------------------------
 
 
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
-                   sample: numerics.StencilSample | None = None):
+                   sample: dict | None = None):
     """Relative residual of gamma^mu (i d_mu - eA_mu) psi = m psi at
     point[..., 4], one value per point.
 
@@ -72,14 +187,15 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     4-gradient.  Its first column is the column form, so the returned value
     is the larger of the column residual and half the full matrix norm
     (they agree for a consistent lift).
-    `sample`, when given, is the spinor's `numerics.sample` at point, step h.
+    `sample`, when given, holds the row's reads (`_READS`) at point, step h,
+    already evaluated; so for every residual below.
     """
     if sample is None:
-        sample = numerics.sample(cat.spinor(spec), point, h)
-    psi = sample.at_points
-    eA = numerics.at(lambda *q: cat.potential(spec, *q), point)
-    Psi, D = inversion.dirac_operator(psi, sample.gradient(), spec.m)
-    mat = D - sta.from_vector(eA) @ Psi
+        sample = _alone(spec, point, h, "dirac")
+    spinor = sample["spinor@h"]
+    psi = spinor.at_points
+    Psi, D = inversion.dirac_operator(psi, spinor.gradient(), spec.m)
+    mat = D - sta.from_vector(sample["potential"]) @ Psi
     scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
     return np.maximum(np.linalg.norm(mat[..., :, 0], axis=-1) / scale,
                       np.linalg.norm(mat, axis=(-2, -1)) / (2.0 * scale))
@@ -87,33 +203,36 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
 
 def continuity_residual(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP,
-                        sample: numerics.StencilSample | None = None):
+                        sample: dict | None = None):
     """|d_mu J^mu| from the bilinear current of the spinor field, at
-    point[..., 4]: J^mu of the spinor on the stencil rows of its
-    `numerics.sample` (`sample`, when given, already evaluated)."""
+    point[..., 4]: J^mu of the spinor on its stencil points."""
     if sample is None:
-        sample = numerics.sample(cat.spinor(spec), point, h)
-    return abs(numerics.divergence(sample.gradient(spinors.current)))
+        sample = _alone(spec, point, h, "continuity")
+    return abs(numerics.divergence(sample["spinor@h"].gradient(spinors.current)))
 
 
 def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
-                           h: float = numerics.DEFAULT_STEP):
+                           h: float = numerics.DEFAULT_STEP,
+                           sample: dict | None = None):
     """|d_mu eA^mu| by finite differences, at point[..., 4]."""
-    return abs(numerics.divergence(numerics.gradient4(
-        lambda *q: cat.potential(spec, *q), point, h)))
+    if sample is None:
+        sample = _alone(spec, point, h, "gauge")
+    return abs(numerics.divergence(sample["potential@h"].gradient()))
 
 
 def inversion_agreement(spec: cat.SolutionSpec, point,
                         h: float = numerics.DEFAULT_STEP,
-                        sample: numerics.StencilSample | None = None) -> dict:
+                        sample: dict | None = None) -> dict:
     """invert() against the family's closed-form potential, at
-    point[..., 4]; each entry holds one value per point.  `sample` is
-    handed on to invert()."""
-    inv = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m,
-                           sample=sample)
-    closed = numerics.at(lambda *q: cat.potential(spec, *q), point)
+    point[..., 4]; each entry holds one value per point.  invert() reads
+    the spinor at steps h and h/2 from the sample, and its
+    `inversion.density` too when the sample holds it."""
+    if sample is None:
+        sample = _alone(spec, point, h, "inversion")
+    inv = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m, sample=(
+        sample["spinor@h"], sample["spinor@h/2"], sample.get("density")))
     return {
-        "potential_diff": np.max(np.abs(inv.eA - closed), axis=-1),
+        "potential_diff": np.max(np.abs(inv.eA - sample["potential"]), axis=-1),
         "constrained": inv.constrained_residual,
         "richardson": inv.richardson,
     }
@@ -123,22 +242,20 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
                      h: float = numerics.DEFAULT_STEP):
     """Max residual of Gauss and Ampere laws against the closed-form
     sources, at point[..., 4]."""
-
-    def e_and_b(*q):
-        smp = cat.fields(spec, *q)
-        return np.concatenate([smp.electric, smp.magnetic], axis=-1)
-
     charge, current = numerics.at(lambda *q: cat.sources(spec, *q), point)
-    g = numerics.gradient4(e_and_b, point, h).real
+    g = numerics.gradient4(_e_and_b(spec), point, h).real
     gauss = numerics.spatial_divergence(g[..., :3]) - charge
     ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - current
     return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
 
 
-def field_invariants(spec: cat.SolutionSpec, point) -> dict:
+def field_invariants(spec: cat.SolutionSpec, point,
+                     sample: dict | None = None) -> dict:
     """e E . e B for the dressed magnetic families, at point[..., 4]."""
-    smp = numerics.at(lambda *q: cat.fields(spec, *q), point)
-    return {"E_dot_B": np.sum(smp.electric * smp.magnetic, axis=-1)}
+    if sample is None:
+        sample = _alone(spec, point, numerics.DEFAULT_STEP, "fields")
+    eb = sample["fields"]
+    return {"E_dot_B": np.sum(eb[..., :3] * eb[..., 3:], axis=-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +267,7 @@ CONDITION_FLOOR = 5e-3  # rho / J^0 below which a point is excluded
 
 
 def kinematics_check(spec: cat.SolutionSpec, points,
-                     sample: numerics.StencilSample | None = None) -> dict:
+                     sample: dict | None = None) -> dict:
     """The tetrad invariants of `spinors.observables` on a point batch.
 
     Asserts the exact invariants (unit velocity, unit spacelike spin,
@@ -163,11 +280,11 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     than asserted: within that distance of a null-current circle the
     round-off of the bilinears alone perturbs v.v - 1 by ~ eps (J^0/rho)^2,
     which double precision cannot keep under the 1e-10 tolerance.
-    The spinor is read from `sample`, the spinor's `numerics.sample` at
-    the points, when given.
+    The spinor is read from `sample`, when given.
     """
-    psis = numerics.at(cat.spinor(spec), points) if sample is None \
-        else sample.at_points
+    if sample is None:
+        sample = _alone(spec, points, numerics.DEFAULT_STEP, "kinematics")
+    psis = sample["spinor"]
     obs = spinors.observables(psis)
     used = obs.rho >= CONDITION_FLOOR * obs.current[:, 0]
     rho, scalar = obs.rho[used, None], obs.scalar[used]
@@ -228,14 +345,14 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
 
 
 def volkov_equivalence(spec: cat.SolutionSpec, point,
-                       sample: numerics.StencilSample | None = None):
+                       sample: dict | None = None):
     """Norm difference between the null-rotation construction and the
     explicit dressed Bessel column, at point[..., 4]; the construction is
-    read from `sample`, its `numerics.sample` at the points, when given."""
-    a = numerics.at(cat.spinor(spec), point) if sample is None \
-        else sample.at_points
+    read from `sample`, when given."""
+    if sample is None:
+        sample = _alone(spec, point, numerics.DEFAULT_STEP, "volkov")
     b = numerics.at(volkov_bessel_explicit(spec), point)
-    return np.linalg.norm(a - b, axis=-1)
+    return np.linalg.norm(sample["spinor"] - b, axis=-1)
 
 
 def null_rotation_block_residual(wf: Waveform, xi, eps: float,
@@ -480,10 +597,10 @@ class Check:
     name: str
     tolerance: float
     # (spec, xs, h, sample) -> (worst residual, extra), with xs all the
-    # points at once and sample() the true spinor's numerics.sample at xs,
-    # evaluated on the spec's first call (None for a fixed grid); the
-    # worst residual is None when no point could be checked, and the record
-    # then fails, its extra giving the reason
+    # points at once and sample the row's reads of its spec's closed forms
+    # at xs (`_READS`; none for a row that reads none), already evaluated;
+    # the worst residual is None when no point could be checked, and the
+    # record then fails, its extra giving the reason
     measure: Callable
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
@@ -491,18 +608,23 @@ class Check:
     applies: Callable = lambda spec: True
     paired: tuple = ()  # (name, tolerance, extra key) of a second record
 
-    def run(self, spec, label, grid, pts, h, sample) -> list:
+    def points(self, pts, grid):
+        """The row's grid label, its points and where they are read:
+        pts[where], or the lams of a fixed grid, where itself."""
         if isinstance(self.source, tuple):
-            (grid, pts), sample = self.source, None
-        elif self.source is not None:
-            some = slice(None, None, max(1, len(pts) // self.source))
-            pts, sample = pts[some], lambda full=sample: full()[some]
-        worst, extra = self.measure(spec, pts, h, sample)
+            grid, lams = self.source
+            return grid, lams, lams
+        where = slice(None) if self.source is None \
+            else slice(None, None, max(1, len(pts) // self.source))
+        return grid, pts[where], where
+
+    def run(self, spec, label, grid, xs, h, sample) -> list:
+        worst, extra = self.measure(spec, xs, h, sample)
         checked = worst is not None
         why = {}
         if not checked:
             lost = "excluded" if "excluded" in extra else "skipped"
-            why = {"reason": f"no point checked: {len(pts)} of {len(pts)} {lost}"}
+            why = {"reason": f"no point checked: {len(xs)} of {len(xs)} {lost}"}
         out = [CheckRecord(self.name, label, grid, worst or 0.0, self.tolerance,
                            checked and worst <= self.tolerance, extra | why)]
         if self.paired:
@@ -520,20 +642,24 @@ def _each(residual):
 
 def _inversion(spec, xs, h, sample):
     # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
-    # points, which are counted apart; the rest are inverted as one batch
-    sample = sample()
-    singular = inversion.singular(sample.at_points)
+    # points, which are counted apart; the rest are inverted as one batch,
+    # on the one density of the spinor that found them
+    dens = inversion.density(sample["spinor@h"].at_points)
+    singular = inversion.singular(dens)
     extra = {"constrained": 0.0, "skipped": int(np.count_nonzero(singular))}
     if singular.all():
         return None, extra
-    res = inversion_agreement(spec, xs[~singular], h, sample[~singular])
+    keep = ~singular
+    res = inversion_agreement(
+        spec, xs[keep], h, {read: got[keep] for read, got in sample.items()}
+        | {"density": tuple(d[keep] for d in dens)})
     bound = np.maximum(2e-7, 10.0 * res["richardson"])
     extra["constrained"] = float(np.max(res["constrained"]))
     return float(np.max(res["potential_diff"] / bound)), extra
 
 
 def _kinematics(spec, xs, h, sample):
-    kin = kinematics_check(spec, xs, sample())
+    kin = kinematics_check(spec, xs, sample)
     worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
                                  "beta0"))
     return (worst if kin["excluded"] < len(xs) else None,
@@ -544,28 +670,27 @@ def _circularity(spec, lams, h, sample):
     # the residual divides by the signed density: the lams where that is
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
-    pr = cat.profile(spec, lams)
+    pr = sample["profile"]
     sigma = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"])["scalar"]
     keep = sigma != 0.0
     extra = {"skipped": int(np.count_nonzero(~keep))}
     if not keep.any():
         return None, extra
-    res = inversion.circularity_residual(spec, lams[keep])
+    res = inversion.circularity_residual(
+        spec, lams[keep], {k: v[keep] if np.ndim(v) else v
+                           for k, v in pr.items()})
     return float(np.max(res)), extra
 
 
 # Each row runs, in this order, on every default spec it applies to.  The
 # measures call their residuals through the module attribute at call time,
-# so patching that attribute reaches the suite.  The rows that read the
-# true column spinor take it from the spec's one shared sample.
+# so patching that attribute reaches the suite.  Each row reads its spec's
+# closed forms (`_READS`) from the spec's one evaluation of each.
 CHECKS = (
-    Check("dirac", 1e-7,
-          _each(lambda s, x, h, smp: dirac_residual(s, x, h, smp()))),
-    Check("continuity", 1e-7,
-          _each(lambda s, x, h, smp: continuity_residual(s, x, h, smp())),
+    Check("dirac", 1e-7, _each(lambda *a: dirac_residual(*a))),
+    Check("continuity", 1e-7, _each(lambda *a: continuity_residual(*a)),
           source=12),
-    Check("gauge", 2e-7,
-          _each(lambda s, x, h, _: lorentz_gauge_residual(s, x, h)),
+    Check("gauge", 2e-7, _each(lambda *a: lorentz_gauge_residual(*a)),
           source=12),
     Check("inversion", 1.0, _inversion, source=8,
           paired=("constraints", 2e-7, "constrained")),
@@ -573,17 +698,18 @@ CHECKS = (
           _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
     Check("kinematics", 1e-10, _kinematics, source=25),
     Check("ode", 1e-8,
-          _each(lambda s, lam, *_: inversion.radial_ode_residual(s, lam)),
+          _each(lambda s, lam, h, smp: inversion.radial_ode_residual(
+              s, lam, smp["profile"])),
           source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
           applies=lambda s: not s.is_dressed),
     Check("circularity", 1e-8, _circularity,
           source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
           applies=lambda s: not s.is_dressed),
     Check("volkov", 1e-10,
-          _each(lambda s, x, h, smp: volkov_equivalence(s, x, smp())),
+          _each(lambda s, x, h, smp: volkov_equivalence(s, x, smp)),
           source=50, applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
     Check("fields", 1e-9,
-          _each(lambda s, x, h, _: abs(field_invariants(s, x)["E_dot_B"])),
+          _each(lambda s, x, h, smp: abs(field_invariants(s, x, smp)["E_dot_B"])),
           source=20, applies=lambda s: s.is_dressed
           and s.family is not cat.Family.VOLKOV_BESSEL),
 )
@@ -655,20 +781,26 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
     for spec in specs:
         pts = sample_points(rng, points)
         label = spec_label(spec)
-        # the true column spinor at pts and their h-stencil, evaluated on
-        # the first row that reads it and kept for this spec's rows alone
-        shared = functools.cache(
-            lambda: numerics.sample(cat.spinor(spec), pts, h))
-        for check in (c for c in rows if c.applies(spec)):
+        todo = [(c, *c.points(pts, grid_desc)) for c in rows if c.applies(spec)]
+        # each closed form of the spec, evaluated on the first row that
+        # reads it, on the union of what the unfaulted rows read, and kept
+        # for this spec's rows alone
+        shared = _Evaluation(spec, h, pts, {
+            c.name: (_READS[c.name], where) for c, _, _, where in todo
+            if c.name not in faults})
+        for check, grid, xs, where in todo:
             if check.name not in faults:
-                records += check.run(spec, label, grid_desc, pts, h, shared)
+                records += check.run(spec, label, grid, xs, h,
+                                     shared.row(check.name))
                 continue
             attr, wrap = faults[check.name]
             real = getattr(cat, attr)
             setattr(cat, attr, wrap(real))
-            try:  # on a sample of its own, evaluated under the fault
-                records += check.run(spec, label, grid_desc, pts, h,
-                                     functools.cache(shared.__wrapped__))
+            try:  # on an evaluation of its own, made under the fault
+                own = _Evaluation(spec, h, pts,
+                                  {check.name: (_READS[check.name], where)})
+                records += check.run(spec, label, grid, xs, h,
+                                     own.row(check.name))
             finally:
                 setattr(cat, attr, real)
     if "nullrotor" in checks:  # the null-rotation generator, once per run

@@ -54,8 +54,9 @@ def test_sample_is_the_field_and_its_gradient4_in_one_call(field):
         np.testing.assert_array_equal(g, numerics.gradient_from_stencil(
             numerics.at(field, numerics.stencil_points(point, 2e-3)), lead,
             2e-3))
-        smp = numerics.sample(field, point, 2e-3)
-        np.testing.assert_array_equal(smp.at_points, numerics.at(field, point))
+        values, (smp,) = numerics.sample(field, point, [(..., 2e-3)])
+        np.testing.assert_array_equal(values, numerics.at(field, point))
+        np.testing.assert_array_equal(smp.at_points, values)
         np.testing.assert_array_equal(smp.gradient(), g)
     some = np.array([True, False, True, True, False, False, True, False, True])
     np.testing.assert_array_equal(smp[some].gradient(),
@@ -64,6 +65,35 @@ def test_sample_is_the_field_and_its_gradient4_in_one_call(field):
         smp[::4].gradient(lambda v: v.real * v.imag),
         numerics.gradient4(lambda *q: field(*q).real * field(*q).imag,
                            batch[::4], 2e-3))
+
+
+def test_one_sample_serves_several_steps_on_slices_of_the_points():
+    # several (index, step) requests in one call, the field called once:
+    # each StencilSample is, bit for bit, the field and its gradient4 at
+    # its slice of the points, and no request leaves the values at the
+    # points alone
+    field = cat.spinor(cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=1,
+                                        p_perp=1.1, waveform=waveforms.pulse(0.2),
+                                        omega=1.0))
+    batch = np.random.default_rng(6).uniform(0.5, 5.0, size=(12, 4))
+    calls = []
+
+    def counted(*q):
+        calls.append(q[0].shape)
+        return field(*q)
+
+    steps = [(..., 1e-3), (np.array([0, 5, 7]), 5e-4), (slice(None, None, 4), 2e-3)]
+    values, samples = numerics.sample(counted, batch, steps)
+    assert calls == [(12 * 17 + 3 * 16 + 3 * 16,)]
+    np.testing.assert_array_equal(values, numerics.at(field, batch))
+    for (index, h), smp in zip(steps, samples):
+        assert smp.h == h
+        np.testing.assert_array_equal(smp.at_points, values[index])
+        np.testing.assert_array_equal(
+            smp.gradient(), numerics.gradient4(field, batch[index], h))
+    values, samples = numerics.sample(field, batch[3], [])
+    assert samples == []
+    np.testing.assert_array_equal(values, numerics.at(field, batch[3]))
 
 
 def test_divergence_of_gradient4_on_cubic():

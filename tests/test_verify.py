@@ -27,7 +27,8 @@ def test_batched_residuals_equal_a_per_point_loop(spec):
     pts = np.random.default_rng(8).uniform(verify.BOX_LOW, verify.BOX_HIGH,
                                            size=(6, 4))
     # inversion leaves out the far-tail points where Psi is singular
-    invertible = pts[~inversion.singular(numerics.at(cat.spinor(spec), pts))]
+    invertible = pts[~inversion.singular(
+        inversion.density(numerics.at(cat.spinor(spec), pts)))]
     cases = [(verify.dirac_residual, pts), (verify.continuity_residual, pts),
              (verify.lorentz_gauge_residual, pts), (verify.maxwell_residual, pts),
              (lambda s, p: verify.field_invariants(s, p)["E_dot_B"], pts)]
@@ -556,77 +557,122 @@ def test_suite_calls_residuals_through_module_attributes(monkeypatch):
     assert set(CHECK_RESIDUALS) | {"constraints"} == set(verify.CHECK_NAMES)
 
 
-# the residuals that read the true column spinor, with the number of
-# leading arguments of their standalone call
-SHARED_RESIDUALS = {"dirac_residual": 3, "continuity_residual": 3,
-                    "inversion_agreement": 3, "kinematics_check": 2,
-                    "volkov_equivalence": 2}
+# the residuals that read their spec's shared evaluation, each with its
+# module and the number of leading arguments of its standalone call; invert
+# stands for the inversion's h/2 half, which it reads from the same sample
+SHARED_RESIDUALS = {"dirac_residual": (verify, 3),
+                    "continuity_residual": (verify, 3),
+                    "lorentz_gauge_residual": (verify, 3),
+                    "inversion_agreement": (verify, 3),
+                    "kinematics_check": (verify, 2),
+                    "volkov_equivalence": (verify, 2),
+                    "field_invariants": (verify, 2),
+                    "radial_ode_residual": (inversion, 2),
+                    "circularity_residual": (inversion, 2),
+                    "invert": (inversion, 2)}
 
 
 def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
-    # each residual the suite computes from its spec's one shared sample is
-    # bit for bit the standalone (spec, point[, h]) call, which evaluates
-    # the spinor itself, for every default spec
+    # each residual the suite computes from its spec's one evaluation of
+    # each closed form is bit for bit the standalone (spec, point[, h])
+    # call, which evaluates them itself, for every default spec; so is
+    # invert, h/2 stencil and density included
     seen = []
 
     def recording(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            seen.append((name, fn, args, out))
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append((name, fn, args, kwargs, out))
             return out
         return wrapper
 
-    for name in SHARED_RESIDUALS:
-        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    for name, (module, _) in SHARED_RESIDUALS.items():
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     verify.run_suite(points=40, seed=3)
+    monkeypatch.undo()  # the standalone calls below are not recorded
     assert {name for name, *_ in seen} == set(SHARED_RESIDUALS)
     labels = set()
-    for name, fn, args, shared in seen:
-        assert isinstance(args[-1], numerics.StencilSample), name
-        alone = fn(*args[:SHARED_RESIDUALS[name]])
+    for name, fn, args, kwargs, shared in seen:
+        lead = SHARED_RESIDUALS[name][1]
+        if name == "invert":
+            assert None not in kwargs.pop("sample"), name
+            alone = fn(*args, **kwargs)
+            shared, alone = vars(shared), vars(alone)
+        else:
+            assert len(args) == lead + 1 and args[-1] is not None, name
+            alone = fn(*args[:lead])
+            labels.add(verify.spec_label(args[0]))
         if not isinstance(shared, dict):
             shared, alone = {"": shared}, {"": alone}
         assert shared.keys() == alone.keys()
         for key, value in shared.items():
             assert np.asarray(value).tobytes() == \
                 np.asarray(alone[key]).tobytes(), (name, key)
-        labels.add(verify.spec_label(args[0]))
     assert len(labels) == 21
 
 
-def count_spinor_evaluations(monkeypatch, **suite):
-    # spinor evaluations per (spec label, faulted) in one run_suite call; a
+def count_evaluations(monkeypatch, **suite):
+    # evaluations of each closed form per (form, spec label, faulted) in one
+    # run_suite call, and of the inversion density per (form, faulted); a
     # spinor is faulted when it was built on a rebound `_pair_kernel`
     counts = {}
     real, kernel = cat.spinor, cat._pair_kernel
 
-    def counting(spec):
+    def add(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    def counting_spinor(spec):
         col = real(spec)
-        key = (verify.spec_label(spec), cat._pair_kernel is not kernel)
+        key = ("spinor", verify.spec_label(spec), cat._pair_kernel is not kernel)
 
         def field(*q):
-            counts[key] = counts.get(key, 0) + 1
+            add(key)
             return col(*q)
         return field
 
-    monkeypatch.setattr(cat, "spinor", counting)
+    def counting(form, fn):
+        def wrapper(spec, *args):
+            add((form, verify.spec_label(spec), False))
+            return fn(spec, *args)
+        return wrapper
+
+    monkeypatch.setattr(cat, "spinor", counting_spinor)
+    for form in ("potential", "fields", "profile"):
+        monkeypatch.setattr(cat, form, counting(form, getattr(cat, form)))
+    density = inversion.density
+    monkeypatch.setattr(inversion, "density", lambda psi: add(
+        ("density", None, False)) or density(psi))
     verify.run_suite(points=5, **suite)
     return counts
 
 
-def test_suite_evaluates_each_true_spinor_at_most_twice(monkeypatch):
-    # one shared sample per spec, and the inversion's h/2 stencil
-    counts = count_spinor_evaluations(monkeypatch)
-    assert len(counts) == 21 and not any(faulted for _, faulted in counts)
-    assert max(counts.values()) <= 2, counts
+def test_suite_evaluates_each_closed_form_once_per_spec(monkeypatch):
+    # one evaluation per spec of the spinor, the potential, the profile
+    # and the inversion density, each on the union of what its rows read;
+    # e E and e B once for the maxwell row's own gradient4 and once for the
+    # fields row where it applies
+    counts = count_evaluations(monkeypatch)
+    assert not any(faulted for *_, faulted in counts)
+    specs = [s for group in verify.default_specs().values() for s in group]
+    labels = [verify.spec_label(s) for s in specs]
+    want = {("spinor", label, False): 1 for label in labels}
+    want |= {("potential", label, False): 1 for label in labels}
+    want |= {("fields", verify.spec_label(s), False): 1 + (
+        s.is_dressed and s.family is not cat.Family.VOLKOV_BESSEL)
+        for s in specs}
+    want |= {("profile", verify.spec_label(s), False): 1
+             for s in specs if not s.is_dressed}
+    want[("density", None, False)] = 21
+    assert counts == want
     # the faulted spinor of the control keeps its own evaluation, in the
-    # dirac row of every spec
-    counts = count_spinor_evaluations(monkeypatch,
-                                      negative_control="perturb-profile")
-    assert max(n for (_, faulted), n in counts.items() if not faulted) <= 2
-    assert sum(faulted for _, faulted in counts) == 21
+    # dirac row of every spec, and the true one is still evaluated once
+    counts = count_evaluations(monkeypatch, negative_control="perturb-profile")
+    spinors_ = {key: n for key, n in counts.items() if key[0] == "spinor"}
+    assert sorted(spinors_.values()) == [1] * 42
+    assert sum(faulted for *_, faulted in spinors_) == 21
     # no selected row reads the spinor: it is never evaluated
-    assert count_spinor_evaluations(monkeypatch, checks={"gauge"}) == {}
+    counts = count_evaluations(monkeypatch, checks={"gauge"})
+    assert not [key for key in counts if key[0] == "spinor"]
 
 
 def test_suite_leaves_nothing_behind_between_runs():
