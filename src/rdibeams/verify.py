@@ -86,8 +86,10 @@ _STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
 
 def _e_and_b(spec):
     # e E and e B side by side, [..., 6]
-    return lambda *q: np.concatenate(
-        [(smp := cat.fields(spec, *q)).electric, smp.magnetic], axis=-1)
+    def field(*q):
+        smp = cat.fields(spec, *q)
+        return np.concatenate([smp.electric, smp.magnetic], axis=-1)
+    return field
 
 
 # the closed forms of (t, x, y, z), each with one trailing component axis
