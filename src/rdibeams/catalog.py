@@ -249,9 +249,22 @@ def _free_q(spec: SolutionSpec) -> float:
 MAX_DEGREE = 800  # of the magnetic families (see the module docstring)
 
 
-def _amplitude(base: SolutionSpec) -> float:
-    """P of the pair aH = P ell_n^alpha(u) of `_pair_kernel`, which makes
-    2 pi int J0 lam dlam = 1; a state past MAX_DEGREE raises DomainError."""
+@lru_cache(maxsize=4096)
+def normalization(spec: SolutionSpec) -> float:
+    """The amplitude P of `_pair_kernel`'s pair, the one constant a state's
+    profile carries.  A magnetic state takes P = B/sqrt(pi eps (eps + m))
+    in the uniform field and P = B kappa/sqrt(4 pi (2n+M+1) eps (eps + m))
+    in the 1/r field, which make 2 pi int J^0 lam dlam = 1 (the paper's N
+    of f is P times a ratio of factorials); a state past MAX_DEGREE raises
+    DomainError.  The free Bessel beam, which has no finite transverse
+    norm, takes the fixed per-area constant instead."""
+    base = spec.static_base()
+    if base.family is Family.FREE_BESSEL:
+        eps = eigenvalue(base)
+        root = math.sqrt(base.m / eps + 1.0)
+        if base.p_z == 0.0:
+            return base.B / (math.sqrt(2.0) * eps * root)
+        return base.B / (eps * root)
     n, l = base.n, base.l
     if 2 * n + l > MAX_DEGREE:
         orbital = "M" if base.family is Family.RADIAL_B else "l"
@@ -269,11 +282,12 @@ def _amplitude(base: SolutionSpec) -> float:
 def _pair_kernel(spec: SolutionSpec):
     """lam -> (aH, bH) = lam^(M/2) (f, f') H, the normalized phase-free
     pair the spinor reads, at lam >= 0 (a float or an array), with the
-    spec's constants bound once.  The magnetic families take both from the
-    Laguerre functions of `sf.laguerre_function`, so no growing polynomial
-    meets a decaying weight: with u = 2 lam^2 and P = B/sqrt(pi eps A)
-    (A = eps + m) in the uniform field, u = kappa lam and
-    P = B kappa/sqrt(4 pi (2n+M+1) eps A) in the 1/r field,
+    spec's constants bound once, the amplitude P = `normalization` among
+    them.  The free beam is P (J_l(q lam), -q J_(l+1)(q lam)).  The
+    magnetic families take both from the Laguerre functions of
+    `sf.laguerre_function`, so no growing polynomial meets a decaying
+    weight: with u = 2 lam^2 in the uniform field, u = kappa lam in the 1/r
+    field,
 
         uniform-b:  aH = P ell_n^l,  bH = -2 sqrt(2n) P ell_(n-1)^(l+1),
         split:      P (-1)^l (ell_n^l, 2 sqrt(2(n+l)) ell_n^(l-1)),
@@ -284,16 +298,15 @@ def _pair_kernel(spec: SolutionSpec):
     base = spec.static_base()
     fam = base.family
     n, l = base.n, base.l
+    P = normalization(base)
     if fam is Family.FREE_BESSEL:
         q = _free_q(base)
-        norm = normalization(base)
 
         def bessel(lam):
             vals = sf.bessel_j_all(l + 2, q * lam)
-            return norm * vals[l], norm * (-q * vals[l + 1])
+            return P * vals[l], P * (-q * vals[l + 1])
 
         return bessel
-    P = _amplitude(base)
     ell_a = sf.laguerre_function(n, l)
     if fam is Family.RADIAL_B:
         kappa = radial_kappa(base)
@@ -390,39 +403,6 @@ def _transverse_average(spec: SolutionSpec, g):
     return 2.0 * math.pi * (weights @ g(lam))
 
 
-def _sqrt_ratio(num: int, den: int) -> float:
-    # sqrt(num / den) of positive integers to an ulp, also where the ratio
-    # itself would leave the float range
-    shift = max(0, (den.bit_length() - num.bit_length() + 1) // 2) + 64
-    return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
-
-
-@lru_cache(maxsize=4096)
-def normalization(spec: SolutionSpec) -> float:
-    """Normalization constant N of the paper-convention profile f = N
-    L_n^l(u) (uniform field), N (-1)^l n! l!/(n+l)! u^l L_n^l(u) (split),
-    N exp((1-kappa) lam/2) L_n^M(u) (1/r field): in closed form, P of
-    `_amplitude` times sqrt(2^l n!/(n+l)!), sqrt((n+l)!/(n! 2^l l!^2)) and
-    kappa^(M/2) sqrt(n!/(n+M)!), each the root of an exact integer ratio.
-    The free Bessel beam takes the fixed per-area convention instead."""
-    base = spec.static_base()
-    if base.family is Family.FREE_BESSEL:
-        eps = eigenvalue(base)
-        root = math.sqrt(base.m / eps + 1.0)
-        if base.p_z == 0.0:
-            return base.B / (math.sqrt(2.0) * eps * root)
-        return base.B / (eps * root)
-    n, l = base.n, base.l
-    fact = math.factorial
-    if base.family is Family.RADIAL_B:
-        num, den = (l + 1) ** l * fact(n), (2 * n + l + 1) ** l * fact(n + l)
-    elif base.family is Family.UNIFORM_B_SPLIT:
-        num, den = fact(n + l), fact(n) * 2 ** l * fact(l) ** 2
-    else:
-        num, den = 2 ** l * fact(n), fact(n + l)
-    return _amplitude(base) * _sqrt_ratio(num, den)
-
-
 def profile(spec: SolutionSpec, lam) -> dict:
     """Normalized profile data at lam, a float or an array: the pair aH, bH
     of `_pair_kernel`, and the paper convention's f, its lam-derivatives
@@ -433,12 +413,12 @@ def profile(spec: SolutionSpec, lam) -> dict:
     base = spec.static_base()
     fam = base.family
     n, l, M = base.n, base.l, base.M
+    P = normalization(base)
     if fam is Family.FREE_BESSEL:
         # off the axis, through the five-point Bessel ladder for f'' (kept
         # independent of the radial equation being verified); on the axis,
         # the limits
         q = _free_q(base)
-        norm = normalization(base)
         vals = sf.bessel_j_all(l + 2, q * lam)
         jl, jl1 = vals[l], vals[l + 1]
         pos = lam > 0
@@ -452,10 +432,10 @@ def profile(spec: SolutionSpec, lam) -> dict:
         fpp = np.where(pos, q * q * jdd / r ** l
                        - 2.0 * l * q * jd / r ** (l + 1)
                        + l * (l + 1) * jl / r ** (l + 2), 0.0)
-        return {"f": norm * f, "fp": norm * fp, "fpp": norm * fpp, "H": 1.0,
-                "Hp": 0.0, "aH": norm * jl, "bH": norm * (-q * jl1)}
+        return {"f": P * f, "fp": P * fp, "fpp": P * fpp, "H": 1.0,
+                "Hp": 0.0, "aH": P * jl, "bH": P * (-q * jl1)}
     aH, bH = _pair_kernel(base)(lam)
-    P, ell = _amplitude(base), sf.laguerre_function
+    ell = sf.laguerre_function
     # cH = lam^(M/2) f'' H
     if fam is Family.RADIAL_B:
         kappa = radial_kappa(base)
@@ -548,8 +528,9 @@ def spinor(spec: SolutionSpec):
     z): the stationary field at coordinates shifted by the classical quiver
     motion, turned by the null rotation and carried by the gauge phase.
 
-    The per-spec constants, the normalization among them, are bound here,
-    once: a point costs the raw profile and the phase, no cache lookup."""
+    The per-spec constants, the amplitude `normalization` among them, are
+    bound here, once: a point costs the raw profile and the phase, no cache
+    lookup."""
     base = spec.static_base()
     eps = eigenvalue(base)
     A = base.m + eps

@@ -27,8 +27,25 @@ def _eps_mp(spec):
     return mpmath.sqrt(m * m + 2 * B * B * levels)
 
 
+def amp_closed_uniform(spec):
+    # the amplitude P of the pair (aH, bH), B/sqrt(pi eps (eps + m)) in the
+    # uniform field (the split family's too), in 30 digits
+    with mpmath.workdps(30):
+        eps = _eps_mp(spec)
+        return float(spec.B / mpmath.sqrt(mpmath.pi * eps * (eps + spec.m)))
+
+
+def amp_closed_radial(spec):
+    # B kappa/sqrt(4 pi (2n+M+1) eps (eps + m)) in the 1/r field
+    with mpmath.workdps(30):
+        eps, K = _eps_mp(spec), 2 * spec.n + spec.M + 1
+        kappa = mpmath.mpf(spec.M + 1) / K
+        return float(spec.B * kappa / mpmath.sqrt(
+            4 * mpmath.pi * K * eps * (eps + spec.m)))
+
+
 def norm_closed_uniform(spec):
-    # the closed-form normalization constants, in 30 digits
+    # the paper convention's constants N of f, in 30 digits
     with mpmath.workdps(30):
         eps, n, l = _eps_mp(spec), spec.n, spec.l
         return float(spec.B * mpmath.sqrt(
@@ -175,26 +192,49 @@ def test_normalization_batch_matches_float_path(spec):
 
 
 def test_normalization_closed_forms():
-    for n, l in ((0, 0), (1, 0), (2, 1), (1, 3)):
-        spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=n, l=l)
-        assert cat.normalization(spec) == pytest.approx(
-            norm_closed_uniform(spec), rel=1e-14)
+    for fam in (cat.Family.UNIFORM_B, cat.Family.UNIFORM_B_SPLIT):
+        for n, l in ((0, 0), (1, 0), (2, 1), (1, 3)):
+            spec = cat.SolutionSpec(fam, n=n, l=l)
+            assert cat.normalization(spec) == pytest.approx(
+                amp_closed_uniform(spec), rel=1e-14)
     for n, M in ((1, 0), (2, 1), (1, 3)):
         spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=n, M=M)
         assert cat.normalization(spec) == pytest.approx(
-            norm_closed_radial(spec), rel=1e-14)
+            amp_closed_radial(spec), rel=1e-14)
 
 
 @pytest.mark.parametrize("n, l", [(1, 1), (2, 2), (0, 3), (3, 1)])
 def test_split_profile_is_the_paper_convention(n, l):
     # f = N (-1)^l n! l! / (n+l)! u^l L_n^l(u), u = 2 lam^2, with N the
-    # normalization constant
+    # paper's constant
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B_SPLIT, n=n, l=l)
     cfac = (-1) ** l / math.comb(n + l, l)
     for lam in (0.3, 0.9, 1.7):
         u = 2.0 * lam * lam
-        expected = cat.normalization(spec) * cfac * u ** l \
+        expected = norm_closed_split(spec) * cfac * u ** l \
             * oracles.laguerre(n, l, u)
+        assert cat.profile(spec, lam)["f"] == pytest.approx(
+            expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("family, n, l", [
+    (cat.Family.UNIFORM_B, 2, 1), (cat.Family.UNIFORM_B, 3, 4),
+    (cat.Family.RADIAL_B, 2, 1), (cat.Family.RADIAL_B, 4, 3)])
+def test_profile_is_the_paper_convention(family, n, l):
+    # f = N L_n^l(u), u = 2 lam^2, in the uniform field and
+    # f = N exp((1 - kappa) lam/2) L_n^M(kappa lam) in the 1/r field, with N
+    # the paper's constant, which differs from the amplitude P at l, M > 0
+    spec = cat.SolutionSpec(family, n=n, l=l)
+    radial = family is cat.Family.RADIAL_B
+    norm = (norm_closed_radial if radial else norm_closed_uniform)(spec)
+    assert norm != pytest.approx(cat.normalization(spec), rel=1e-3)
+    kappa = cat.radial_kappa(spec)
+    for lam in (0.3, 0.9, 1.7):
+        if radial:
+            expected = norm * math.exp((1.0 - kappa) * lam / 2.0) \
+                * oracles.laguerre(n, l, kappa * lam)
+        else:
+            expected = norm * oracles.laguerre(n, l, 2.0 * lam * lam)
         assert cat.profile(spec, lam)["f"] == pytest.approx(
             expected, rel=1e-13)
 
@@ -235,15 +275,14 @@ def test_laguerre_rule_matches_numpy_at_small_counts():
                                rtol=1e-10, atol=0)
 
 
-NORM_CLOSED = {cat.Family.UNIFORM_B: norm_closed_uniform,
-               cat.Family.UNIFORM_B_SPLIT: norm_closed_split,
-               cat.Family.RADIAL_B: norm_closed_radial}
+AMP_CLOSED = {cat.Family.UNIFORM_B: amp_closed_uniform,
+              cat.Family.UNIFORM_B_SPLIT: amp_closed_uniform,
+              cat.Family.RADIAL_B: amp_closed_radial}
 
 
 def _check_against_mpmath(spec):
-    norm = NORM_CLOSED[spec.family](spec)
-    if norm > 1e-300:
-        assert cat.normalization(spec) == pytest.approx(norm, rel=1e-14)
+    assert cat.normalization(spec) == pytest.approx(
+        AMP_CLOSED[spec.family](spec), rel=1e-14)
     # measured over the envelope: at most 5e-13 off for norm and rho (a
     # difference of terms eps/m times larger), 3e-12 relative for J_phi,
     # and 5e-13 of the largest component for psi
@@ -311,7 +350,7 @@ def test_all_low_radial_states_normalize():
         for M in range(11):
             spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=n, M=M)
             assert cat.normalization(spec) == pytest.approx(
-                norm_closed_radial(spec), rel=1e-14)
+                amp_closed_radial(spec), rel=1e-14)
             assert cat.averages(spec)["norm"] == pytest.approx(1.0, abs=1e-14)
 
 
