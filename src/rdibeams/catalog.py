@@ -257,14 +257,12 @@ def normalization(spec: SolutionSpec) -> float:
     in the 1/r field, which make 2 pi int J^0 lam dlam = 1 (the paper's N
     of f is P times a ratio of factorials); a state past MAX_DEGREE raises
     DomainError.  The free Bessel beam, which has no finite transverse
-    norm, takes the fixed per-area constant instead."""
+    norm, takes the per-area constant B/(sqrt(2) eps sqrt(m/eps + 1)) at
+    every p_z."""
     base = spec.static_base()
+    eps = eigenvalue(base)
     if base.family is Family.FREE_BESSEL:
-        eps = eigenvalue(base)
-        root = math.sqrt(base.m / eps + 1.0)
-        if base.p_z == 0.0:
-            return base.B / (math.sqrt(2.0) * eps * root)
-        return base.B / (eps * root)
+        return base.B / (math.sqrt(2.0) * eps * math.sqrt(base.m / eps + 1.0))
     n, l = base.n, base.l
     if 2 * n + l > MAX_DEGREE:
         orbital = "M" if base.family is Family.RADIAL_B else "l"
@@ -272,7 +270,6 @@ def normalization(spec: SolutionSpec) -> float:
             f"{base.family.value} n={n} {orbital}={l}: Laguerre degree "
             f"2n + {orbital} = {2 * n + l} is past the validity envelope "
             f"({MAX_DEGREE})")
-    eps = eigenvalue(base)
     scale = math.pi * eps * (eps + base.m)
     if base.family is Family.RADIAL_B:
         scale = 4 * (2 * n + l + 1) * scale / radial_kappa(base) ** 2

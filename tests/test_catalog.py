@@ -371,6 +371,18 @@ def test_free_bessel_normalization_convention():
     assert cat.normalization(spec) == pytest.approx(expected, rel=1e-14)
 
 
+def test_free_bessel_constant_is_continuous_at_zero_pz():
+    # p_z = 1e-300 squares to zero beside m^2: the state, its constant and
+    # its density are those of p_z = 0 (J^0 used to double there)
+    at_zero, off_zero = (cat.SolutionSpec(cat.Family.FREE_BESSEL, l=1,
+                                          p_perp=0.8, p_z=p_z)
+                         for p_z in (0.0, 1e-300))
+    assert cat.normalization(at_zero) == cat.normalization(off_zero)
+    j0 = [cat.bilinear_fields(s, 0.0, 1.3, 0.4, 0.0)["J"][0]
+          for s in (at_zero, off_zero)]
+    assert j0[0] == j0[1]
+
+
 @pytest.mark.parametrize("p_perp", [1e-4, 1e-6, 1e-7])
 @pytest.mark.parametrize("family", [cat.Family.FREE_BESSEL,
                                     cat.Family.VOLKOV_BESSEL])

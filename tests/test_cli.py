@@ -492,7 +492,8 @@ def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
 # json.dumps wrote them, before the row templates of cli replaced both; the
 # others as the row templates wrote them, at t and z off zero so that a
 # dressing's shift and phase show; every first line as rewritten once the
-# echoed config left out --out
+# echoed config left out --out; free-bessel (p_z = 0.3) as rewritten once the
+# free beam's constant stopped jumping by sqrt(2) at p_z = 0
 _TZ = ["--grid-t=0.7:0.7:1", "--grid-z=0.4:0.4:1"]
 GOLDEN_MAPS = {
     "uniform-b": ["--family", "uniform-b", "--n", "1"],
@@ -582,7 +583,10 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
     # spinor evaluation between the checks left it unchanged.  The seed 1
     # and 7 reports, at the headline 100 points, were written before each
     # closed form was evaluated once per spec, on the union of the points
-    # its checks read, and pin that every check still reads the same bits
+    # its checks read, and pin that every check still reads the same bits.
+    # All of them, and the negative-control reports, were rewritten once the
+    # free beam's constant stopped jumping by sqrt(2) at p_z = 0: only the
+    # p_z = 0.5 free-bessel records and the histogram moved, at round-off
     assert cli.main(["verify", "--points", str(points), "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"verify-{seed}.json").read_bytes()
