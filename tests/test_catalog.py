@@ -228,9 +228,9 @@ def test_profile_is_the_paper_convention(family, n, l):
     radial = family is cat.Family.RADIAL_B
     norm = (norm_closed_radial if radial else norm_closed_uniform)(spec)
     assert norm != pytest.approx(cat.normalization(spec), rel=1e-3)
-    kappa = cat.radial_kappa(spec)
     for lam in (0.3, 0.9, 1.7):
         if radial:
+            kappa = cat.radial_kappa(spec)
             expected = norm * math.exp((1.0 - kappa) * lam / 2.0) \
                 * oracles.laguerre(n, l, kappa * lam)
         else:
@@ -373,7 +373,7 @@ def test_free_bessel_normalization_convention():
 
 def test_free_bessel_constant_is_continuous_at_zero_pz():
     # p_z = 1e-300 squares to zero beside m^2: the state, its constant and
-    # its density are those of p_z = 0 (J^0 used to double there)
+    # its density are those of p_z = 0
     at_zero, off_zero = (cat.SolutionSpec(cat.Family.FREE_BESSEL, l=1,
                                           p_perp=0.8, p_z=p_z)
                          for p_z in (0.0, 1e-300))
