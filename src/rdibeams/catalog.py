@@ -23,14 +23,18 @@ coupling folded in (eA throughout).  For odd winding number M the spinor
 phase carries a half-integer winding exp(i M phi / 2) with its branch cut
 on the negative x axis.
 
-Validity envelope (swept against 30-digit mpmath by the tests): the
-magnetic families up to Laguerre degree 2n + l = MAX_DEGREE = 800 (l = M
-in the 1/r field; past it, DomainError) at any radius, a profile below the
-float range being exactly zero; the free and Volkov beams for Bessel order
-l + 2 <= 200 and argument p_perp r <= 1e4, r shifted by the
-dressing; the dressed families at p_z = 0, omega > 0 with 2 eps omega^3 a
-normal float, and any amplitude, the pulse while its envelope is
-negligible past center +- 12 widths.
+The potential, fields and sources read a magnetic family's field through
+one description, `_axial` (B_z and its azimuthal potential at the point
+shifted by the dressing), the one place that refuses the 1/r field's axis.
+
+Validity envelope (swept against 30-digit mpmath by the tests): integer
+n, l and M; the magnetic families up to Laguerre degree 2n + l =
+MAX_DEGREE = 800 (l = M in the 1/r field; past it, DomainError) at any
+radius, a profile below the float range being exactly zero; the free and
+Volkov beams for Bessel order l + 2 <= 200 and argument p_perp r <= 1e4, r
+shifted by the dressing; the dressed families at p_z = 0, omega > 0 with
+2 eps omega^3 a normal float, and any amplitude, the pulse while its
+envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 `fields`, `sources`, `bilinear_fields`, `velocity_spin`,
@@ -113,7 +117,9 @@ class SolutionSpec:
 
     n is the principal quantum number.  The orbital number is `l` for the
     Bessel and uniform-field families (winding M = 2l, or M = -2l for the
-    split family) and `M >= 0` directly for the radial-field families.
+    split family) and `M >= 0` directly for the radial-field families,
+    whose `l`, if given beside M, is 0 or M.  n, l and M are integers (a
+    bool is not one).
     `p_perp` sets the transverse momentum of the free/dressed Bessel states,
     which have no discrete spectrum.
     """
@@ -136,6 +142,12 @@ class SolutionSpec:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
+        for name in ("n", "l") if self.M is None else ("n", "l", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"need an integer {name}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         # written so that NaN fails: NaN <= 0.0 is False as well
         if self.n < 0 or not 0.0 < self.B < math.inf \
                 or not 0.0 < self.m < math.inf:
@@ -147,8 +159,11 @@ class SolutionSpec:
             M = self.l if self.M is None else self.M
             if M < 0:
                 raise ValueError("radial-b families need M >= 0")
-            object.__setattr__(self, "M", int(M))
-            object.__setattr__(self, "l", int(M))
+            if self.l not in (0, M):
+                raise ValueError(f"inconsistent l={self.l} for {fam.value} "
+                                 f"M={M}: l is 0 or M")
+            object.__setattr__(self, "M", M)
+            object.__setattr__(self, "l", M)
         else:
             if self.l < 0:
                 raise ValueError("need l >= 0")
@@ -595,34 +610,41 @@ def _primed(spec: SolutionSpec, t, x, y, z):
     return x + dx, y + dy, xi
 
 
+def _axial(spec: SolutionSpec, xp, yp):
+    """A magnetic family's static field at its primed point (x', y') as
+    (b, d, n): B_z = b / d and eA_phi / r = B_z / n, (B^2, 1, 2) in the
+    uniform field and (B, 4 r', 1) in the 1/r field, which raises
+    OnAxisError at r' = 0 (for a dressed state, the shifted axis); None for
+    the free beams.  d keeps the power of two, so that each value rounds as
+    a formula written out per family would."""
+    if spec.family in SINGULAR_ON_AXIS:
+        rp = np.hypot(xp, yp)
+        if np.any(rp == 0.0):
+            raise OnAxisError("the 1/r field is singular on its axis, r' = 0")
+        return spec.B, 4.0 * rp, 1
+    if spec.static_base().family in MAGNETIC_FAMILIES:
+        return spec.B ** 2, 1.0, 2
+    return None
+
+
 def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
-    4-component eA array, [..., 4] for array coordinates).  The static piece
-    lives at the primed transverse coordinates for dressed families."""
-    B = spec.B
-    base = spec.static_base()
+    4-component eA array, [..., 4] for array coordinates): B_z/n (-y', x')
+    at the primed point, -(eA_static . f') / (eps omega) and f' / omega."""
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = np.hypot(xp, yp)
-    fam = base.family
     zero = _zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
-    if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        coeff = B ** 2 / 2.0
-        static = (zero, -coeff * yp, coeff * xp, zero)
-    elif fam is Family.RADIAL_B:
-        if np.any(rp == 0.0):
-            raise OnAxisError("potential singular on the symmetry axis")
-        coeff = B / (4.0 * rp)
+    axial = _axial(spec, xp, yp)
+    if axial is not None:
+        b, d, n = axial
+        coeff = b / (n * d)
         static = (zero, -coeff * yp, coeff * xp, zero)
     if spec.is_dressed:
-        eps = eigenvalue(base)
+        eps = eigenvalue(spec)
         d1, d2 = spec.waveform.fdot(xi)
         laser = (zero, d1 / spec.omega, d2 / spec.omega, zero)
-        if fam is Family.UNIFORM_B:
-            a0 = -B ** 2 * (xp * d2 - yp * d1) / (2.0 * eps * spec.omega)
-            radiation = (a0, zero, zero, a0)
-        elif fam is Family.RADIAL_B:
-            a0 = -B * (xp * d2 - yp * d1) / (4.0 * eps * spec.omega * rp)
+        if axial is not None:
+            a0 = -b * (xp * d2 - yp * d1) / (n * eps * spec.omega * d)
             radiation = (a0, zero, zero, a0)
     return {"static": _stack(static),
             "radiation": _stack(radiation),
@@ -646,31 +668,25 @@ class FieldSample:
 
 
 def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
-    """Closed-form electromagnetic fields, at float or array coordinates;
-    their source densities are `sources`."""
-    B = spec.B
-    base = spec.static_base()
-    fam = base.family
+    """Closed-form electromagnetic fields, at float or array coordinates:
+    B_z at the primed point, the plane wave, and B_z's dressing, a null
+    field of amplitude B_z / (eps omega); their sources are `sources`."""
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = np.hypot(xp, yp)
     zero = _zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
-    if fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT):
-        eB[2] = eB[2] + B ** 2
-    elif fam is Family.RADIAL_B:
-        if np.any(rp == 0.0):
-            raise OnAxisError("field singular on the symmetry axis")
-        eB[2] = eB[2] + B / (4.0 * rp)
+    axial = _axial(spec, xp, yp)
+    if axial is not None:
+        b, d, _ = axial
+        eB[2] = eB[2] + b / d
     if spec.is_dressed:
-        eps = eigenvalue(base)
+        eps = eigenvalue(spec)
         d1, d2 = spec.waveform.fdot(xi)
         dd1, dd2 = spec.waveform.fddot(xi)
         eE = [eE[0] - dd1, eE[1] - dd2, eE[2]]
         eB = [eB[0] + dd2, eB[1] - dd1, eB[2]]
-        if fam in (Family.UNIFORM_B, Family.RADIAL_B):
-            k = B ** 2 / (eps * spec.omega) if fam is Family.UNIFORM_B \
-                else B / (4.0 * rp * eps * spec.omega)
+        if axial is not None:
+            k = b / (d * eps * spec.omega)
             eE = [eE[0] + k * d2, eE[1] + k * -d1, eE[2]]
             eB = [eB[0] + k * d1, eB[1] + k * d2, eB[2]]
     return FieldSample(_stack(eE), _stack(eB))
@@ -680,24 +696,20 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
     """The closed-form source densities of `fields`, (e mu0 rho_e,
     e mu0 J_e[..., 3]), at float or array coordinates: zero but for the
     loop-like current of the 1/r field and its dressing."""
-    B = spec.B
-    base = spec.static_base()
     zero = _zero(t, x, y, z)
-    if base.family is not Family.RADIAL_B:
+    if spec.family not in SINGULAR_ON_AXIS:  # a uniform B_z has none
         return zero, _stack([zero] * 3)
     xp, yp, xi = _primed(spec, t, x, y, z)
-    rp = np.hypot(xp, yp)
-    if np.any(rp == 0.0):
-        raise OnAxisError("field singular on the symmetry axis")
+    b, d, _ = _axial(spec, xp, yp)
+    rp3 = (d / 4.0) ** 3  # d = 4 r', so d / 4 is r' exactly
     if not spec.is_dressed:
-        return zero, _stack([zero + (B / 4.0) * -yp / rp ** 3,
-                                    zero + (B / 4.0) * xp / rp ** 3,
-                                    zero])
-    eps = eigenvalue(base)
+        return zero, _stack([zero + (b / 4.0) * -yp / rp3,
+                             zero + (b / 4.0) * xp / rp3,
+                             zero])
+    eps = eigenvalue(spec)
     d1, d2 = spec.waveform.fdot(xi)
-    rho_e = B * (yp * d1 - xp * d2) \
-        / (4.0 * eps * spec.omega * rp ** 3)
-    J_e = [(B / (4.0 * rp ** 3)) * v
+    rho_e = b * (yp * d1 - xp * d2) / (4.0 * eps * spec.omega * rp3)
+    J_e = [(b / (4.0 * rp3)) * v
            for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
     return rho_e, _stack(J_e)
 
@@ -742,9 +754,8 @@ def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
                               "velocity undefined")
         return bil["J"] / rho, bil["rho_s"] / rho
     # dressed: the null rotation's Lorentz map of the stationary vectors
-    xi = xi_of(spec, t, z)
-    dx, dy = coordinate_shift(spec, xi)
-    v_s, s_s = velocity_spin(spec.static_base(), t, x + dx, y + dy, z)
+    xp, yp, xi = _primed(spec, t, x, y, z)
+    v_s, s_s = velocity_spin(spec.static_base(), t, xp, yp, z)
     lorentz = null_rotation_lorentz(spec, xi)
     return (np.einsum("...ij,...j->...i", lorentz, v_s),
             np.einsum("...ij,...j->...i", lorentz, s_s))

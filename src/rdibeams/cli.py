@@ -48,7 +48,8 @@ _OPTIONS = {
         "family": (str, None, "solution family (see `rdibeams catalog`)"),
         "n": (int, 0, "principal index"),
         "l": (int, 0, "orbital index"),
-        "M": (int, None, "winding of the 1/r-field families (sets l too)"),
+        "M": (int, None, "winding; a 1/r-field family's own (an --l "
+              "beside it is 0 or M), else 2l, or -2l when split"),
         "B": (float, 1.0, "field-strength constant"),
         "mass": (float, 1.0, "electron mass"),
         "pz": (float, 0.0, "longitudinal momentum"),
@@ -128,11 +129,11 @@ def _family(name) -> cat.Family:
 
 
 def _spec(cfg: dict) -> cat.SolutionSpec:
-    family, M, waveform = _family(cfg["family"]), cfg["M"], cfg["waveform"]
+    family, waveform = _family(cfg["family"]), cfg["waveform"]
     waveform = _parse_waveform(waveform) if waveform else None  # "" is none
     try:
         return cat.SolutionSpec(
-            family=family, n=cfg["n"], l=cfg["l"] if M is None else M, M=M,
+            family=family, n=cfg["n"], l=cfg["l"], M=cfg["M"],
             B=cfg["B"], m=cfg["mass"], p_z=cfg["pz"], p_perp=cfg["pperp"],
             omega=cfg["omega"], waveform=waveform)
     except ValueError as exc:
@@ -217,12 +218,13 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
     # numpy stays quiet: far out, a profile below the float range is zero,
     # and the density guard of `bilinears` makes that a domain error; near
     # the axis a 1/r field can overflow, and the finiteness test below
-    # names it
+    # names it.  The fields come first, so that a point on the (shifted)
+    # axis of a 1/r field is refused as such, not for its density.
     with np.errstate(all="ignore"):
-        psi = cat.spinor(spec)(t, x, y, z)
-        bil = bilinears(psi)
         smp = cat.fields(spec, t, x, y, z)
         eA = cat.potential(spec, t, x, y, z)
+        psi = cat.spinor(spec)(t, x, y, z)
+        bil = bilinears(psi)
     parts = np.stack([psi.real, psi.imag], axis=-1).reshape(-1, 8)
     table = np.column_stack([points, parts, bil.current, eA, smp.electric,
                              smp.magnetic, bil.rho, bil.beta])
@@ -243,10 +245,6 @@ def cmd_eval(args) -> int:
                          f"{cfg['axis_exclude']}")
     points = _grid_points(cfg)
     radii = np.hypot(points[:, 1], points[:, 2])
-    if spec.family in cat.SINGULAR_ON_AXIS and cfg["axis_exclude"] <= 0.0 \
-            and np.any(radii == 0.0):
-        raise cat.OnAxisError("grid touches the singular axis and exclusion "
-                              "is disabled")
     if cfg["format"] not in ("csv", "jsonl"):
         raise UsageError(f"unknown format {cfg['format']!r}")
     # the whole map is evaluated as one batch before --out is opened, so a

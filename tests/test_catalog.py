@@ -622,25 +622,51 @@ def test_uniform_envelope_gives_constant_field_radial_gives_inverse_r():
 
 def test_fields_from_potential_cross_check():
     # E = -grad A0 - dA/dt and B = curl A derived by finite differences
-    # must reproduce the closed-form field displays
+    # must reproduce the closed-form field displays, which must meet their
+    # sources; at B = 1.3 and m = 0.7, unlike at B = m = 1, a wrong power
+    # of B or m in a field or its dressing shows
     wf = waveforms.circular(0.3)
-    rng = np.random.default_rng(30)
-    for spec in (cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
-                 cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0),
-                 cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
-                                  omega=1.1),
-                 cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=0,
-                                  waveform=wf, omega=1.1),
-                 cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=0, p_perp=1.0,
-                                  waveform=wf, omega=1.2)):
-        for _ in range(5):
-            pt = tuple(rng.uniform(0.6, 4.0, size=4))
-            fd = oracles.fields_from_potential(spec, pt)
-            closed = cat.fields(spec, *pt)
-            np.testing.assert_allclose(fd["electric"], closed.electric,
-                                       atol=1e-9)
-            np.testing.assert_allclose(fd["magnetic"], closed.magnetic,
-                                       atol=1e-9)
+    for B, m in ((1.0, 1.0), (1.3, 0.7)):
+        rng = np.random.default_rng(30)
+        for spec in (
+                cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0, B=B, m=m),
+                cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0, B=B, m=m),
+                cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
+                                 omega=1.1, B=B, m=m),
+                cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=0,
+                                 waveform=wf, omega=1.1, B=B, m=m),
+                cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=0, p_perp=1.0,
+                                 waveform=wf, omega=1.2, B=B, m=m)):
+            for _ in range(5):
+                pt = tuple(rng.uniform(0.6, 4.0, size=4))
+                fd = oracles.fields_from_potential(spec, pt)
+                closed = cat.fields(spec, *pt)
+                np.testing.assert_allclose(fd["electric"], closed.electric,
+                                           atol=1e-9)
+                np.testing.assert_allclose(fd["magnetic"], closed.magnetic,
+                                           atol=1e-9)
+                assert verify.maxwell_residual(spec, np.array(pt)) <= 1e-9
+
+
+def test_dressed_1_over_r_field_is_singular_on_the_shifted_axis():
+    # the one axis check reads the primed point: a dressed 1/r state is
+    # finite on the lab axis and refused where x' = y' = 0, for a point of
+    # floats and in a batch
+    spec = cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=1,
+                            waveform=waveforms.circular(0.3), omega=1.1)
+    t, z = 0.7, 0.4
+    dx, dy = cat.coordinate_shift(spec, cat.xi_of(spec, t, z))
+    assert dx != 0.0 and dy != 0.0
+    smp = cat.fields(spec, t, 0.0, 0.0, z)
+    charge, current = cat.sources(spec, t, 0.0, 0.0, z)
+    assert np.isfinite(np.concatenate([
+        cat.potential(spec, t, 0.0, 0.0, z), smp.electric, smp.magnetic,
+        [charge], current])).all()
+    x, y = np.array([1.0, -dx]), np.array([0.0, -dy])
+    for evaluator in (cat.potential_split, cat.fields, cat.sources):
+        for point in ((t, -dx, -dy, z), (t, x, y, z)):
+            with pytest.raises(cat.OnAxisError, match="on its axis, r' = 0"):
+                evaluator(spec, *point)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1078,46 @@ def test_spec_validation():
                          waveform=waveforms.circular(0.1), p_z=0.5)
     with pytest.raises(ValueError):
         cat.SolutionSpec(cat.Family.FREE_BESSEL, p_perp=0.0)
+
+
+@pytest.mark.parametrize("family, name, value", [
+    (cat.Family.UNIFORM_B, "l", 0.5),
+    (cat.Family.UNIFORM_B, "l", 1.0),
+    (cat.Family.UNIFORM_B, "n", 1.5),
+    (cat.Family.UNIFORM_B, "n", True),
+    (cat.Family.UNIFORM_B, "n", None),
+    (cat.Family.UNIFORM_B_SPLIT, "M", -2.0),
+    (cat.Family.FREE_BESSEL, "l", np.float64(2.0)),
+    (cat.Family.RADIAL_B, "M", 1.5),
+    (cat.Family.RADIAL_B, "M", False),
+    (cat.Family.RADIAL_B, "n", "1"),
+    (cat.Family.RADIAL_B_LASER, "l", np.True_),
+], ids=["l-half", "l-float", "n-fraction", "n-bool", "n-none", "M-float",
+        "l-numpy-float", "M-fraction", "M-bool", "n-str", "l-numpy-bool"])
+def test_spec_refuses_a_non_integer_quantum_number(family, name, value):
+    # l = 0.5 used to build winding M = 1.0, M = 1.5 was cut to 1, and
+    # n = 1.5 ended in a TypeError of the Laguerre steps
+    kwargs = {"waveform": waveforms.circular(0.1)} \
+        if family in cat.DRESSED_BASE else {}
+    with pytest.raises(ValueError, match=f"need an integer {name}, got "):
+        cat.SolutionSpec(family, **kwargs, **{name: value})
+
+
+@pytest.mark.parametrize("family, M", [(cat.Family.UNIFORM_B, 2),
+                                       (cat.Family.RADIAL_B, 1)])
+def test_spec_takes_numpy_integers_as_ints(family, M):
+    spec = cat.SolutionSpec(family, n=np.int64(1), l=np.int32(1),
+                            M=np.uint8(M))
+    assert spec == cat.SolutionSpec(family, n=1, l=1)
+    assert {type(v) for v in (spec.n, spec.l, spec.M)} == {int}
+
+
+def test_radial_spec_takes_l_as_zero_or_its_winding():
+    for l in (0, 2):
+        spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, l=l, M=2)
+        assert (spec.l, spec.M) == (2, 2)
+    with pytest.raises(ValueError, match="inconsistent l=2 for radial-b M=1"):
+        cat.SolutionSpec(cat.Family.RADIAL_B, n=1, l=2, M=1)
 
 
 @pytest.mark.parametrize("name", ["B", "m", "omega", "p_perp", "p_z"])

@@ -213,6 +213,8 @@ def test_eval_io_failure_exits_4():
     (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude", "nan"],
      2),
     (["eval", "--family", "uniform-b", "--n", "1", "--axis-exclude=-inf"], 2),
+    # an --l beside --M that is neither 0 nor M
+    (["eval", "--family", "radial-b", "--n", "1", "--l", "2", "--M", "1"], 2),
     # a work size past the envelope, refused before anything is allocated
     (["verify", "--points", "1000000000000"], 2),
     (["eval", "--family", "uniform-b", "--grid-x", "0.5:1:1000000000000"], 2),
@@ -232,7 +234,8 @@ def test_eval_io_failure_exits_4():
         "mass-1e-200-underflow", "pperp-1e-300-lost", "family-missing",
         "grid-lo-nan", "grid-hi-inf", "grid-t-nan", "grid-span-overflow",
         "axis-exclude-nan",
-        "axis-exclude-minus-inf", "points-1e12", "grid-1e12"])
+        "axis-exclude-minus-inf", "radial-l-not-M", "points-1e12",
+        "grid-1e12"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_errors_map_to_documented_exit_codes(args, code, tmp_path, capsys):
     (tmp_path / "not-json.json").write_text("{")
@@ -526,6 +529,55 @@ def test_eval_output_matches_golden_bytes(name, fmt, tmp_path):
     assert b"e-1" in golden
     if name == "uniform-b":
         assert {"csv": b",-0,", "jsonl": b": -0.0,"}[fmt] in golden
+
+
+# tests/golden holds these maps at B = 1.3 and m = 0.7 as jsonl, written
+# before the field layer read each magnetic field through one description
+# (`catalog._axial`): at B = m = 1, the other maps' values, a slip in a power
+# of B or m cannot show
+@pytest.mark.parametrize("name", ["redmond", "radial-b-laser"])
+def test_eval_at_non_unit_field_and_mass_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / "map.jsonl"
+    assert cli.main(["eval", *GOLDEN_MAPS[name], "--B", "1.3", "--mass", "0.7",
+                     "--grid-x=-1:1:3", "--grid-y=0:2:3", "--format", "jsonl",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == \
+        (GOLDEN / f"{name}-B1.3-m0.7.jsonl").read_bytes()
+
+
+def test_eval_refuses_a_1_over_r_axis_in_its_own_frame(capsys):
+    # a dressed 1/r state is singular on the shifted axis, not the lab one,
+    # so its map through x = y = 0 is finite; a stationary map through the
+    # axis is refused for the field there, also where the density vanishes
+    # on it (M = 2)
+    grid = ["--grid-x=-1:1:3", "--grid-y", "0:0:1", "--axis-exclude", "0"]
+    assert cli.main(["eval", *GOLDEN_MAPS["radial-b-laser"], *grid,
+                     "--format", "jsonl"]) == 0
+    rows = [json.loads(line)
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r["x"], r["y"]) for r in rows] == [(-1, 0), (0, 0), (1, 0)]
+    assert all(math.isfinite(v) for r in rows for v in r.values())
+    for M in ("0", "2"):
+        assert cli.main(["eval", "--family", "radial-b", "--n", "1", "--M", M,
+                         *grid]) == 3
+        assert capsys.readouterr().err == \
+            "domain error: the 1/r field is singular on its axis, r' = 0\n"
+
+
+@pytest.mark.parametrize("family, orbital, alone", [
+    # M = 2l: the state of --l 2 alone
+    ("uniform-b", ["--l", "2", "--M", "4"], ["--l", "2"]),
+    # --M sets a 1/r-field state, and an --l beside it is 0 (or M)
+    ("radial-b", ["--l", "0", "--M", "1"], ["--M", "1"]),
+], ids=["uniform", "radial"])
+def test_eval_reads_l_beside_M(family, orbital, alone, capsys):
+    grid = ["--family", family, "--n", "1", "--grid-x=0.5:1:2",
+            "--grid-y=0.5:0.5:1"]
+    rows = []
+    for argv in (orbital, alone):
+        assert cli.main(["eval", *grid, *argv]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[2:])  # past meta
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
 
 
 def test_parser_reuse_carries_no_state(tmp_path, monkeypatch):
