@@ -545,6 +545,28 @@ def test_eval_at_non_unit_field_and_mass_matches_golden_bytes(name, tmp_path):
         (GOLDEN / f"{name}-B1.3-m0.7.jsonl").read_bytes()
 
 
+# tests/golden holds these maps as jsonl, written before the dressing read
+# its plane wave through one evaluation: a pulse-dressed magnetic state near
+# the pulse's center (xi = 6 omega), where its envelope and slope both show,
+# on the lab axis too, which neither state's field is singular on
+PULSE_MAPS = {
+    "redmond": ["--family", "redmond", "--n", "1", "--omega", "1.1"],
+    "radial-b-laser": ["--family", "radial-b-laser", "--n", "1", "--M", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULSE_MAPS))
+def test_eval_of_a_pulse_dressed_map_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / "map.jsonl"
+    assert cli.main(["eval", *PULSE_MAPS[name], "--waveform", "pulse:0.2",
+                     "--grid-t=6.3:6.3:1", "--grid-z=0.3:0.3:1",
+                     "--grid-x=-1:1:3", "--grid-y=0:2:3", "--axis-exclude",
+                     "0", "--format", "jsonl", "--out", str(out)]) == 0
+    golden = (GOLDEN / f"{name}-pulse.jsonl").read_bytes()
+    assert out.read_bytes() == golden
+    assert len(golden.splitlines()) == 10  # the meta line and 9 rows
+
+
 def test_eval_refuses_a_1_over_r_axis_in_its_own_frame(capsys):
     # a dressed 1/r state is singular on the shifted axis, not the lab one,
     # so its map through x = y = 0 is finite; a stationary map through the
