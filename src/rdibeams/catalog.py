@@ -23,9 +23,11 @@ coupling folded in (eA throughout).  For odd winding number M the spinor
 phase carries a half-integer winding exp(i M phi / 2) with its branch cut
 on the negative x axis.
 
-The potential, fields and sources read a magnetic family's field through
-one description, `_axial` (B_z and its azimuthal potential at the point
-shifted by the dressing), the one place that refuses the 1/r field's axis.
+Each dressed evaluator reads its plane wave from one evaluation per call,
+`_plane_wave` (the phase xi, the quiver shift and f').  The potential,
+fields and sources read a magnetic family's field through one description,
+`_axial` (B_z and its azimuthal potential at the point shifted by the
+dressing), the one place that refuses the 1/r field's axis.
 
 Validity envelope (swept against 30-digit mpmath by the tests): integer
 n, l and M; the magnetic families up to Laguerre degree 2n + l =
@@ -491,40 +493,29 @@ def null_rotation_generator(fdot1, fdot2, eps: float, omega: float) -> Array:
                 + np.multiply.outer(fdot2, _NULL_C2))
 
 
-_GAMMA = np.stack(sta.GAMMA)
-_GAMMA_UP = np.stack(sta.GAMMA_UP)
+def null_rotation_lorentz(fdot1, fdot2, eps: float, omega: float) -> Array:
+    """Lorentz matrix Lambda^mu_nu of the null rotation R = 1 + N that
+    `null_rotation_generator` builds from the same arguments, R (v^nu
+    gamma_nu) rev(R) = (Lambda v)^mu gamma_mu, in closed form 1 + L + L^2/2:
+    with a = f' / (eps omega) and s = |a|^2 / 2, its rows are (1+s, -a1,
+    -a2, -s), (-a1, 1, 0, a1), (-a2, 0, 1, a2) and (s, -a1, -a2, 1-s).
+    fdot1 and fdot2 are floats or arrays; the result is [..., 4, 4]."""
+    a1, a2 = fdot1 / (eps * omega), fdot2 / (eps * omega)
+    s = 0.5 * (a1 * a1 + a2 * a2)
+    # _stack fills the trailing axis, so each part is a column nu
+    return _stack([_stack(column) for column in (
+        (1.0 + s, -a1, -a2, s), (-a1, 1.0, 0.0, -a1),
+        (-a2, 0.0, 1.0, -a2), (-s, a1, a2, 1.0 - s))])
 
 
-def null_rotation_lorentz(spec: SolutionSpec, xi) -> Array:
-    """Lorentz matrix of a dressed spec's null rotation at phase xi,
-    Lambda^mu_nu = Tr(R gamma_nu rev(R) gamma^mu) / 4 with R = 1 + N(xi),
-    so that R (v^nu gamma_nu) rev(R) = (Lambda v)^mu gamma_mu: the dressed
-    current and spin are Lambda times the static ones at the shifted point.
-    xi is a float or an array; the result is [..., 4, 4]."""
-    d1, d2 = spec.waveform.fdot(xi)
-    rot = sta.ID + null_rotation_generator(d1, d2, eigenvalue(spec),
-                                           spec.omega)
-    return np.einsum("...ij,njk,...kl,mli->...mn", rot, _GAMMA,
-                     sta.reversion(rot), _GAMMA_UP).real / 4.0
-
-
-def gauge_phase(spec: SolutionSpec, xi):
-    """Scalar gauge phase accompanying the null rotation."""
-    eps = eigenvalue(spec)
-    return -1.0 / (2.0 * eps * spec.omega ** 3) \
-        * spec.waveform.gauge_integral(xi)
-
-
-def coordinate_shift(spec: SolutionSpec, xi):
-    """Transverse displacement (x' - x, y' - y) induced by the dressing."""
-    eps = eigenvalue(spec)
+def _plane_wave(spec: SolutionSpec, t, z):
+    """A dressed spec's plane wave at (t, z), the one evaluation its
+    readers share: the phase xi = omega (t - z), the quiver shift
+    (x' - x, y' - y) = f(xi) / (eps omega^2) and f'(xi)."""
+    xi = spec.omega * (t - z)
     f1, f2 = spec.waveform.f(xi)
-    scale = 1.0 / (eps * spec.omega ** 2)
-    return scale * f1, scale * f2
-
-
-def xi_of(spec: SolutionSpec, t, z):
-    return spec.omega * (t - z)
+    scale = 1.0 / (eigenvalue(spec) * spec.omega ** 2)
+    return xi, (scale * f1, scale * f2), spec.waveform.fdot(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +529,9 @@ def spinor(spec: SolutionSpec):
     t, x, y, z are floats, giving psi[4], or arrays of one shape, giving
     psi[..., 4].  A dressed family is exp(i Phi) (1 + N(xi)) psi(t, x', y',
     z): the stationary field at coordinates shifted by the classical quiver
-    motion, turned by the null rotation and carried by the gauge phase.
+    motion (`_plane_wave`), turned by the null rotation and carried by the
+    gauge phase Phi = -G(xi) / (2 eps omega^3), G the waveform's
+    `gauge_integral`.
 
     The per-spec constants, the amplitude `normalization` among them, are
     bound here, once: a point costs the raw profile and the phase, no cache
@@ -566,12 +559,11 @@ def spinor(spec: SolutionSpec):
     if not spec.is_dressed:
         return _as_batch(static_field)
     g = 1.0 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
+    gauge = -1.0 / (2.0 * eps * spec.omega ** 3)
 
     def dressed(t, x, y, z):
-        xi = xi_of(spec, t, z)
-        dx, dy = coordinate_shift(spec, xi)
-        d1, d2 = spec.waveform.fdot(xi)
-        phi = gauge_phase(spec, xi)
+        xi, (dx, dy), (d1, d2) = _plane_wave(spec, t, z)
+        phi = gauge * spec.waveform.gauge_integral(xi)
         if not any(np.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
             return static_field(t, x, y, z)  # exact identity transform
         psi = static_field(t, x + dx, y + dy, z)
@@ -603,11 +595,12 @@ def _as_batch(field):
 
 
 def _primed(spec: SolutionSpec, t, x, y, z):
+    """(x', y', xi, f'(xi)): the point shifted by `_plane_wave`, its phase
+    and the wave's slope there; (x, y, 0.0, (0.0, 0.0)) if not dressed."""
     if not spec.is_dressed:
-        return x, y, 0.0
-    xi = xi_of(spec, t, z)
-    dx, dy = coordinate_shift(spec, xi)
-    return x + dx, y + dy, xi
+        return x, y, 0.0, (0.0, 0.0)
+    xi, (dx, dy), fdot = _plane_wave(spec, t, z)
+    return x + dx, y + dy, xi, fdot
 
 
 def _axial(spec: SolutionSpec, xp, yp):
@@ -631,7 +624,7 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
     4-component eA array, [..., 4] for array coordinates): B_z/n (-y', x')
     at the primed point, -(eA_static . f') / (eps omega) and f' / omega."""
-    xp, yp, xi = _primed(spec, t, x, y, z)
+    xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     zero = _zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
     axial = _axial(spec, xp, yp)
@@ -641,7 +634,6 @@ def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
         static = (zero, -coeff * yp, coeff * xp, zero)
     if spec.is_dressed:
         eps = eigenvalue(spec)
-        d1, d2 = spec.waveform.fdot(xi)
         laser = (zero, d1 / spec.omega, d2 / spec.omega, zero)
         if axial is not None:
             a0 = -b * (xp * d2 - yp * d1) / (n * eps * spec.omega * d)
@@ -671,7 +663,7 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
     """Closed-form electromagnetic fields, at float or array coordinates:
     B_z at the primed point, the plane wave, and B_z's dressing, a null
     field of amplitude B_z / (eps omega); their sources are `sources`."""
-    xp, yp, xi = _primed(spec, t, x, y, z)
+    xp, yp, xi, (d1, d2) = _primed(spec, t, x, y, z)
     zero = _zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
@@ -681,7 +673,6 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
         eB[2] = eB[2] + b / d
     if spec.is_dressed:
         eps = eigenvalue(spec)
-        d1, d2 = spec.waveform.fdot(xi)
         dd1, dd2 = spec.waveform.fddot(xi)
         eE = [eE[0] - dd1, eE[1] - dd2, eE[2]]
         eB = [eB[0] + dd2, eB[1] - dd1, eB[2]]
@@ -699,7 +690,7 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
     zero = _zero(t, x, y, z)
     if spec.family not in SINGULAR_ON_AXIS:  # a uniform B_z has none
         return zero, _stack([zero] * 3)
-    xp, yp, xi = _primed(spec, t, x, y, z)
+    xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     b, d, _ = _axial(spec, xp, yp)
     rp3 = (d / 4.0) ** 3  # d = 4 r', so d / 4 is r' exactly
     if not spec.is_dressed:
@@ -707,7 +698,6 @@ def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
                              zero + (b / 4.0) * xp / rp3,
                              zero])
     eps = eigenvalue(spec)
-    d1, d2 = spec.waveform.fdot(xi)
     rho_e = b * (yp * d1 - xp * d2) / (4.0 * eps * spec.omega * rp3)
     J_e = [(b / (4.0 * rp3)) * v
            for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
@@ -754,9 +744,9 @@ def velocity_spin(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
                               "velocity undefined")
         return bil["J"] / rho, bil["rho_s"] / rho
     # dressed: the null rotation's Lorentz map of the stationary vectors
-    xp, yp, xi = _primed(spec, t, x, y, z)
+    xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     v_s, s_s = velocity_spin(spec.static_base(), t, xp, yp, z)
-    lorentz = null_rotation_lorentz(spec, xi)
+    lorentz = null_rotation_lorentz(d1, d2, eigenvalue(spec), spec.omega)
     return (np.einsum("...ij,...j->...i", lorentz, v_s),
             np.einsum("...ij,...j->...i", lorentz, s_s))
 
@@ -816,7 +806,7 @@ def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
     base = spec.static_base()
     eps = eigenvalue(base)
     d1, d2 = spec.waveform.fdot(xi)
-    lorentz = null_rotation_lorentz(spec, xi)
+    lorentz = null_rotation_lorentz(d1, d2, eps, spec.omega)
     current = lorentz @ np.array([j0, 0.0, 0.0, j_z])
     cx = lorentz @ np.array([0.0, 0.0, r_j_phi / 2.0, 0.0])
     cy = lorentz @ np.array([0.0, -r_j_phi / 2.0, 0.0, 0.0])

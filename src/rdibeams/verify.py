@@ -313,7 +313,9 @@ def kinematics_check(spec: cat.SolutionSpec, points,
 def volkov_bessel_explicit(spec: cat.SolutionSpec):
     """Independent transcription of the dressed Bessel column (dual path to
     the null-rotation construction; same gauge and normalization
-    conventions as the catalog)."""
+    conventions as the catalog), with its own quiver shift
+    f(xi) / (eps omega^2) and gauge phase -G(xi) / (2 eps omega^3), so that
+    a fault in the catalog's plane wave shows here."""
     base = spec.static_base()
     eps = cat.eigenvalue(base)
     kt = base.p_perp
@@ -322,8 +324,9 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
 
     def field(t, x, y, z):
         xi = spec.omega * (t - z)
-        dx, dy = cat.coordinate_shift(spec, xi)
-        xp, yp = x + dx, y + dy
+        f1, f2 = spec.waveform.f(xi)
+        shift = 1.0 / (eps * spec.omega ** 2)
+        xp, yp = x + shift * f1, y + shift * f2
         lamp = cat.lam_of_r(base, np.hypot(xp, yp))
         phi = np.arctan2(yp, xp)
         d1, d2 = spec.waveform.fdot(xi)
@@ -333,8 +336,9 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
         gl = np.exp(1j * l * phi) * jl
         gl1 = np.exp(1j * (l + 1) * phi) * jl1
         r = 1.0 / (eps * spec.omega)
-        pref = (norm / (2.0 * base.B)) \
-            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t))
+        gauge = -1.0 / (2.0 * eps * spec.omega ** 3) \
+            * spec.waveform.gauge_integral(xi)
+        pref = (norm / (2.0 * base.B)) * np.exp(1j * (gauge - eps * t))
         col = np.stack([
             2.0 * (base.m + eps) * gl - r * kt * (d2 + 1j * d1) * gl1,
             r * (base.m + eps) * (d1 + 1j * d2) * gl,

@@ -363,6 +363,33 @@ def dressed_polar_angle_residual(spec, xi: float) -> float:
     return abs(theta_half - expected)
 
 
+_GAMMA = np.stack(sta.GAMMA)
+_GAMMA_UP = np.stack(sta.GAMMA_UP)
+
+
+def null_rotation_lorentz(fdot1, fdot2, eps: float, omega: float):
+    """Lambda^mu_nu = Tr(R gamma_nu rev(R) gamma^mu) / 4 with R = 1 + N,
+    N from `catalog.null_rotation_generator`, as one einsum over the gamma
+    stacks: the reference for the closed-form `catalog.null_rotation_lorentz`.
+    """
+    rot = sta.ID + cat.null_rotation_generator(fdot1, fdot2, eps, omega)
+    return np.einsum("...ij,njk,...kl,mli->...mn", rot, _GAMMA,
+                     reversion(rot), _GAMMA_UP).real / 4.0
+
+
+def plane_wave(spec, t, z):
+    """A dressed spec's phase xi = omega (t - z), quiver shift
+    (dx, dy) = f(xi) / (eps omega^2) and gauge phase
+    -G(xi) / (2 eps omega^3), written apart from the catalog's, for the
+    tests' independent transcriptions of the dressed columns."""
+    eps = cat.eigenvalue(spec)
+    xi = spec.omega * (t - z)
+    f1, f2 = spec.waveform.f(xi)
+    gauge = -spec.waveform.gauge_integral(xi) / (2.0 * eps * spec.omega ** 3)
+    return xi, (f1 / (eps * spec.omega ** 2), f2 / (eps * spec.omega ** 2)), \
+        gauge
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_criterion_7_field_identities():
             dot = float(np.dot(smp.electric, smp.magnetic))
             worst_dot = max(worst_dot, abs(dot))
             if spec is ral:
-                xp, yp, _ = cat._primed(spec, *pt)
+                xp, yp, *_ = cat._primed(spec, *pt)
                 expected = -spec.B ** 2 / (16.0 * (xp * xp + yp * yp))
                 inv2 = float(np.dot(smp.electric, smp.electric)
                              - np.dot(smp.magnetic, smp.magnetic))

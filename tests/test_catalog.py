@@ -1,5 +1,6 @@
 """Solution-catalog checks: eigenvalues, profiles, normalization, spinors,
 potentials, fields, averages, kinematic closed forms."""
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -452,8 +453,7 @@ def test_dressed_spinor_matches_explicit_redmond_column():
     n, l = spec.n, spec.l
 
     def explicit(t, x, y, z):
-        xi = cat.xi_of(spec, t, z)
-        dx, dy = cat.coordinate_shift(spec, xi)
+        xi, (dx, dy), gauge = oracles.plane_wave(spec, t, z)
         xp, yp = x + dx, y + dy
         lamp = cat.lam_of_r(spec, math.hypot(xp, yp))
         phi = math.atan2(yp, xp)
@@ -473,7 +473,7 @@ def test_dressed_spinor_matches_explicit_redmond_column():
             - 2.0 * (1.0 + eps) * (d1 + 1j * d2) * f1a / (B * eps * w),
         ])
         pref = (np.exp(1j * phi) * lamp) ** l * np.exp(-lamp * lamp) \
-            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t))
+            * np.exp(1j * (gauge - eps * t))
         return pref * col
 
     rng = np.random.default_rng(9)
@@ -498,8 +498,7 @@ def test_dressed_spinor_matches_explicit_radial_laser_column():
     laguerre = oracles.laguerre
 
     def explicit(t, x, y, z):
-        xi = cat.xi_of(spec, t, z)
-        dx, dy = cat.coordinate_shift(spec, xi)
+        xi, (dx, dy), gauge = oracles.plane_wave(spec, t, z)
         xp, yp = x + dx, y + dy
         lamp = cat.lam_of_r(spec, math.hypot(xp, yp))
         phi = math.atan2(yp, xp)
@@ -524,7 +523,7 @@ def test_dressed_spinor_matches_explicit_radial_laser_column():
         pref = lamp ** (M / 2.0) \
             * np.exp(-lamp * (M + 1) / (2.0 * K)
                      + 0.5j * M * phi) \
-            * np.exp(1j * (cat.gauge_phase(spec, xi) - eps * t))
+            * np.exp(1j * (gauge - eps * t))
         return pref * col
 
     rng = np.random.default_rng(10)
@@ -567,15 +566,14 @@ def test_dressed_potential_structure():
     volkov = cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=0, p_perp=1.0,
                               waveform=wf, omega=1.2)
     pt = (0.8, 1.1, 0.6, 0.9)
-    xi = cat.xi_of(volkov, pt[0], pt[3])
-    d1, d2 = wf.fdot(xi)
+    d1, d2 = wf.fdot(1.2 * (pt[0] - pt[3]))
     eA = cat.potential(volkov, *pt)
     np.testing.assert_allclose(eA, [0.0, d1 / 1.2, d2 / 1.2, 0.0], atol=1e-14)
     red = cat.SolutionSpec(cat.Family.REDMOND, n=1, l=0, waveform=wf,
                            omega=1.2)
     eps = cat.eigenvalue(red)
     parts = cat.potential_split(red, *pt)
-    xp, yp, _ = cat._primed(red, *pt)
+    xp, yp, *_ = cat._primed(red, *pt)
     a0 = -(xp * d2 - yp * d1) / (2.0 * eps * 1.2)
     np.testing.assert_allclose(parts["radiation"], [a0, 0.0, 0.0, a0],
                                atol=1e-14)
@@ -655,7 +653,7 @@ def test_dressed_1_over_r_field_is_singular_on_the_shifted_axis():
     spec = cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=1,
                             waveform=waveforms.circular(0.3), omega=1.1)
     t, z = 0.7, 0.4
-    dx, dy = cat.coordinate_shift(spec, cat.xi_of(spec, t, z))
+    _, (dx, dy), _ = cat._plane_wave(spec, t, z)
     assert dx != 0.0 and dy != 0.0
     smp = cat.fields(spec, t, 0.0, 0.0, z)
     charge, current = cat.sources(spec, t, 0.0, 0.0, z)
@@ -740,19 +738,36 @@ def test_dressed_current_is_lorentz_map_of_static_current(spec, drive):
     spec = replace(spec, waveform=waveforms.KINDS[drive](0.3))
     t, x, y, z = np.moveaxis(
         verify.sample_points(np.random.default_rng(29), 40), -1, 0)
-    xi = cat.xi_of(spec, t, z)
-    dx, dy = cat.coordinate_shift(spec, xi)
-    lorentz = cat.null_rotation_lorentz(spec, xi)
+    _, (dx, dy), (d1, d2) = cat._plane_wave(spec, t, z)
+    lorentz = cat.null_rotation_lorentz(d1, d2, cat.eigenvalue(spec),
+                                        spec.omega)
     static = spinors.bilinears(
         cat.spinor(spec.static_base())(t, x + dx, y + dy, z)).current
     dressed = spinors.bilinears(cat.spinor(spec)(t, x, y, z)).current
     mapped = (lorentz @ static[..., None])[..., 0]
     scale = np.max(np.abs(dressed), axis=-1)
     assert np.all(np.max(np.abs(mapped - dressed), axis=-1) <= 1e-12 * scale)
+    # the closed form 1 + L + L^2/2 is the einsum over the gamma stacks, a
+    # Lorentz matrix that fixes the wave vector k: at array phases and at a
+    # float phase, over amplitudes and frequencies
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    np.testing.assert_allclose(np.swapaxes(lorentz, -1, -2) @ eta @ lorentz,
-                               np.broadcast_to(eta, lorentz.shape),
-                               rtol=0, atol=1e-13)
+    k = np.array([1.0, 0.0, 0.0, 1.0])
+    for amplitude, omega in itertools.product((0.05, 0.3, 3.0),
+                                              (0.5, spec.omega, 1.7)):
+        wave = replace(spec, waveform=waveforms.KINDS[drive](amplitude),
+                       omega=omega)
+        eps = cat.eigenvalue(wave)
+        for tz in ((t, z), (float(t[0]), float(z[0]))):
+            _, _, fdot = cat._plane_wave(wave, *tz)
+            got = cat.null_rotation_lorentz(*fdot, eps, omega)
+            assert got.shape == np.shape(tz[0]) + (4, 4)
+            size = np.maximum(1.0, np.max(np.abs(got), axis=(-2, -1)))
+            size = size[..., None, None]
+            oracle = oracles.null_rotation_lorentz(*fdot, eps, omega)
+            assert np.all(np.abs(got - oracle) <= 1e-15 * size)
+            assert np.all(np.abs(got @ k - k) <= 1e-15 * size[..., 0])
+            assert np.all(np.abs(np.swapaxes(got, -1, -2) @ eta @ got - eta)
+                          <= 1e-15 * size ** 2)
 
 
 def test_transverse_average_calls_its_integrand_once():
@@ -877,8 +892,7 @@ def test_dressed_spin_time_component():
         obs = spinors.observables(col(*pt))
         if obs.undefined or obs.scalar < 0:
             continue
-        xi = cat.xi_of(spec, pt[0], pt[3])
-        d1, d2 = wf.fdot(xi)
+        d1, d2 = wf.fdot(1.1 * (pt[0] - pt[3]))
         expected = -(d1 * d1 + d2 * d2) / (2.0 * eps ** 2 * 1.1 ** 2)
         _, s = cat.velocity_spin(spec, *pt)
         assert s[0] == pytest.approx(expected, abs=1e-10)
@@ -901,11 +915,10 @@ def _dress_matrix(spec):
     eps = cat.eigenvalue(base)
 
     def field(t, x, y, z):
-        xi = cat.xi_of(spec, t, z)
-        dx, dy = cat.coordinate_shift(spec, xi)
+        xi, (dx, dy), gauge = oracles.plane_wave(spec, t, z)
         gen = cat.null_rotation_generator(*spec.waveform.fdot(xi), eps,
                                           spec.omega)
-        rotor = oracles.phase_rotor(-cat.gauge_phase(spec, xi))
+        rotor = oracles.phase_rotor(-gauge)
         return (sta.ID + gen) @ static(t, x + dx, y + dy, z) @ rotor
 
     return field
@@ -946,11 +959,10 @@ def test_dressed_spinor_matches_generator_matrix(spec):
     for wf in (waveforms.circular(0.3), waveforms.linear(0.25),
                waveforms.pulse(0.2)):
         dressed = replace(spec, waveform=wf)
-        xi = cat.xi_of(dressed, t, z)
-        dx, dy = cat.coordinate_shift(dressed, xi)
+        xi, (dx, dy), gauge = oracles.plane_wave(dressed, t, z)
         gen = cat.null_rotation_generator(*wf.fdot(xi), eps, dressed.omega)
         psi_static = cat.spinor(base)(t, x + dx, y + dy, z)
-        expected = np.exp(1j * cat.gauge_phase(dressed, xi))[:, None] \
+        expected = np.exp(1j * gauge)[:, None] \
             * ((sta.ID + gen) @ psi_static[..., None])[..., 0]
         got = cat.spinor(dressed)(t, x, y, z)
         scale = np.max(np.abs(expected), axis=-1, keepdims=True)

@@ -183,6 +183,24 @@ def test_volkov_dual_path():
         assert verify.volkov_equivalence(spec, pt) < 1e-10
 
 
+def test_volkov_row_detects_a_fault_in_the_catalog_shift(monkeypatch):
+    # the explicit column writes its own quiver shift and gauge phase, so a
+    # 1.01 scale on the catalog's shift fails the volkov row; while the
+    # column read the catalog's shift, the same fault left every volkov
+    # record at round-off (below 5e-16), and only the dirac row saw it
+    real = cat._plane_wave
+
+    def scaled_shift(spec, t, z):
+        xi, (dx, dy), fdot = real(spec, t, z)
+        return xi, (1.01 * dx, 1.01 * dy), fdot
+
+    monkeypatch.setattr(cat, "_plane_wave", scaled_shift)
+    rep = verify.run_suite(families=["volkov-bessel"], checks={"volkov"})
+    assert [r.name for r in rep.records] == ["volkov"] * 3
+    for r in rep.records:
+        assert not r.passed and r.max_residual > 1e-5, r.family
+
+
 def test_null_rotation_block_identity():
     # an array of phases gives, per phase, the bits of its float call
     xis = np.random.default_rng(10).uniform(0.0, 2.0 * math.pi, size=20)
