@@ -60,7 +60,7 @@ _OPTIONS = {
         "grid_x": (str, "0.5:3:6", "lo:hi:count"),
         "grid_y": (str, "0.5:3:6", "lo:hi:count"),
         "grid_z": (str, "0:0:1", "lo:hi:count"),
-        "axis_exclude": (float, 1e-3, "skip points nearer the axis"),
+        "axis_exclude": (float, 1e-3, "skip points nearer the field's axis"),
         "format": (str, "csv", "csv or jsonl"),
         "out": (str, "-", "output path, '-' for stdout"),
     },
@@ -244,12 +244,17 @@ def cmd_eval(args) -> int:
         raise UsageError("need a finite --axis-exclude, got "
                          f"{cfg['axis_exclude']}")
     points = _grid_points(cfg)
-    radii = np.hypot(points[:, 1], points[:, 2])
+    # the cylinder is around the field's own axis, r' = 0, which a dressing
+    # shifts off the lab axis; a point whose r' is not finite is kept, for
+    # _evaluate to name it
+    with np.errstate(all="ignore"):
+        xp, yp, *_ = cat._primed(spec, *points.T)
+    near = np.hypot(xp, yp) < cfg["axis_exclude"]
     if cfg["format"] not in ("csv", "jsonl"):
         raise UsageError(f"unknown format {cfg['format']!r}")
     # the whole map is evaluated as one batch before --out is opened, so a
     # domain error leaves no partial map behind
-    table = _evaluate(spec, points[radii >= cfg["axis_exclude"]])
+    table = _evaluate(spec, points[~near])
     if cfg["format"] == "csv":
         head = "# " + json.dumps(meta, sort_keys=True) + "\n" + _CSV_TEXT_HEADER
         row_text = _CSV_ROW

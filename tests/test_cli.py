@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 import rdibeams
 from rdibeams import catalog as cat
-from rdibeams import cli, verify
+from rdibeams import cli, verify, waveforms
 
 # the child process imports the same rdibeams as this one, installed or not
 PACKAGE_ROOT = str(Path(rdibeams.__file__).resolve().parents[1])
@@ -164,6 +164,12 @@ def test_eval_io_failure_exits_4():
     # exactly zero
     (["eval", "--family", "uniform-b", "--l", "100", "--grid-x",
       "2500:2500:1", "--grid-y", "0:0:1"], 3),
+    # a phase t - z that overflows: the shifted point is not finite, and
+    # the axis exclusion keeps it for the map to refuse, not drop it
+    (["eval", "--family", "radial-b-laser", "--n", "1", "--M", "1",
+      "--waveform", "linear:0.25", "--grid-t=1e308:1e308:1",
+      "--grid-z=-1e308:-1e308:1", "--grid-x", "1:1:1", "--grid-y",
+      "1:1:1"], 3),
     # a --config value of the wrong JSON type; each eval config names a
     # family, so that only the mistyped value can be refused
     (["verify", "--config", {"seed": "abc"}], 2),
@@ -222,7 +228,8 @@ def test_eval_io_failure_exits_4():
         "negative-count",
         "B-negative", "B-nan", "omega-nan", "pperp-inf", "pz-nan",
         "eval-config", "verify-config", "config-not-json",
-        "config-not-object", "far-tail-nan", "config-seed-abc",
+        "config-not-object", "far-tail-nan", "phase-overflow",
+        "config-seed-abc",
         "config-fd-step-list", "config-points-many", "config-check-int",
         "config-n-one", "config-n-fraction", "config-n-bool",
         "config-axis-exclude-x", "config-waveform-int", "config-grid-x-int",
@@ -496,7 +503,9 @@ def test_eval_domain_error_leaves_no_partial_map(before, tmp_path):
 # others as the row templates wrote them, at t and z off zero so that a
 # dressing's shift and phase show; every first line as rewritten once the
 # echoed config left out --out; free-bessel (p_z = 0.3) as rewritten once the
-# free beam's constant stopped jumping by sqrt(2) at p_z = 0
+# free beam's constant stopped jumping by sqrt(2) at p_z = 0; radial-b-laser
+# (here and at B = 1.3, m = 0.7) as rewritten once --axis-exclude measured
+# r' around the shifted axis, which added the lab-axis row
 _TZ = ["--grid-t=0.7:0.7:1", "--grid-z=0.4:0.4:1"]
 GOLDEN_MAPS = {
     "uniform-b": ["--family", "uniform-b", "--n", "1"],
@@ -584,6 +593,27 @@ def test_eval_refuses_a_1_over_r_axis_in_its_own_frame(capsys):
                          *grid]) == 3
         assert capsys.readouterr().err == \
             "domain error: the 1/r field is singular on its axis, r' = 0\n"
+
+
+def test_eval_excludes_the_cylinder_around_the_shifted_axis(capsys):
+    # --axis-exclude measures r' = hypot(x', y'), the radius from the axis a
+    # dressing shifts: for this radial-b-laser map that axis is at
+    # (0, -0.010913032613053).  Measured at the lab radius, as before, the
+    # point 1e-9 from it was kept and written with eBz = 2.5e8 and
+    # eBy = 1.8e7, and the point on it ended the map with exit 3
+    argv = ["eval", *GOLDEN_MAPS["radial-b-laser"], "--format", "jsonl"]
+    _, (dx, dy), _ = cat._plane_wave(
+        cat.SolutionSpec(cat.Family.RADIAL_B_LASER, n=1, M=1,
+                         waveform=waveforms.linear(0.25)), 0.7, 0.4)
+    assert (dx, dy) == (0.0, 0.010913032613053)
+    for x, y in (("1e-9", "-0.010913032613053"), ("0", "-0.010913032613053")):
+        assert cli.main([*argv, f"--grid-x={x}:{x}:1",
+                         f"--grid-y={y}:{y}:1"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1  # the meta line
+    # the lab axis, 0.011 from the shifted one, is kept and finite
+    assert cli.main([*argv, "--grid-x=0:0:1", "--grid-y=0:0:1"]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert row["eBz"] == pytest.approx(1.0 / (4.0 * 0.010913032613053))
 
 
 @pytest.mark.parametrize("family, orbital, alone", [
