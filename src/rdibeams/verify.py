@@ -174,6 +174,51 @@ def _alone(spec, point, h, name):
                        {name: (_READS[name], ...)}).row(name)
 
 
+class _Pool:
+    """In place of a spec in a pooled residual call (`Check.pooled`): the
+    specs whose points make up the batch, spec k owning the next sizes[k]
+    points, in order.  m is each point's mass, m[N, 1, 1], which
+    `inversion.invert` broadcasts against the point's 4 x 4 matrices."""
+
+    def __init__(self, specs, sizes):
+        self.specs, self.sizes = tuple(specs), tuple(sizes)
+        self.m = np.repeat([s.m for s in self.specs],
+                           self.sizes)[:, None, None]
+
+    def parts(self) -> list:
+        """Each spec's slice of the batch."""
+        stops = np.cumsum(self.sizes, dtype=int).tolist()
+        return [slice(stop - n, stop) for n, stop in zip(self.sizes, stops)]
+
+    def take(self, keep) -> _Pool:
+        """The pool of the points where keep[N] holds."""
+        return _Pool(self.specs,
+                     [np.count_nonzero(keep[part]) for part in self.parts()])
+
+
+def _joined(samples) -> dict:
+    # several batches' samples of one row as one, in order, each read in
+    # arrays of its own (np.concatenate copies, a single part too)
+    out = {}
+    for read in samples[0]:
+        got = [s[read] for s in samples]
+        if isinstance(got[0], numerics.StencilSample):
+            out[read] = numerics.StencilSample(
+                np.concatenate([g.at_points for g in got]),
+                np.concatenate([g.stencil for g in got]), got[0].h)
+        else:
+            out[read] = np.concatenate(got)
+    return out
+
+
+def _pooled(items):
+    # a pooled row's items (spec, xs, sample) as one: the _Pool of their
+    # specs, all their points and their samples, in order
+    specs, xs, samples = zip(*items)
+    return (_Pool(specs, [len(x) for x in xs]), np.concatenate(xs),
+            _joined(samples))
+
+
 # ---------------------------------------------------------------------------
 # pointwise residuals
 # ---------------------------------------------------------------------------
@@ -227,11 +272,12 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
                         sample: dict | None = None) -> dict:
     """invert() against the family's closed-form potential, at
     point[..., 4]; each entry holds one value per point.  invert() reads
-    the spinor at steps h and h/2 from the sample, and its
-    `inversion.density` too when the sample holds it."""
+    the spinor at steps h and h/2 from the sample, so it evaluates no
+    field, and its `inversion.density` too when the sample holds it.  spec
+    may be a `_Pool`, whose m gives each point its spec's mass."""
     if sample is None:
         sample = _alone(spec, point, h, "inversion")
-    inv = inversion.invert(cat.spinor(spec), point, h=h, m=spec.m, sample=(
+    inv = inversion.invert(None, point, h=h, m=spec.m, sample=(
         sample["spinor@h"], sample["spinor@h/2"], sample.get("density")))
     return {
         "potential_diff": np.max(np.abs(inv.eA - sample["potential"]), axis=-1),
@@ -282,7 +328,8 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     than asserted: within that distance of a null-current circle the
     round-off of the bilinears alone perturbs v.v - 1 by ~ eps (J^0/rho)^2,
     which double precision cannot keep under the 1e-10 tolerance.
-    The spinor is read from `sample`, when given.
+    The spinor is read from `sample`, when given.  spec may be a `_Pool`:
+    the summary is then a list, one per spec, each of its own points.
     """
     if sample is None:
         sample = _alone(spec, points, numerics.DEFAULT_STEP, "kinematics")
@@ -298,11 +345,26 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     devs = {"vv": gram[:, 0, 0] - 1.0, "ss": gram[:, 3, 3] + 1.0,
             "vs": gram[:, 0, 3], "gram": gram - sta.METRIC, "plane": plane,
             "pseudo": obs.pseudo[used] / rho[:, 0],
-            "beta0": obs.beta[used][scalar >= 0]}
-    out = {k: float(np.max(np.abs(d), initial=0.0)) for k, d in devs.items()}
-    out["beta_pi_fraction"] = np.count_nonzero(scalar < 0) / max(rho.size, 1)
-    out["excluded"] = len(psis) - rho.size
-    return out
+            "beta0": np.where(scalar >= 0, obs.beta[used], 0.0)}
+    # each deviation's worst at each point, 0 at an excluded one
+    worst = np.zeros((len(devs), len(psis)))
+    for row, d in zip(worst, devs.values()):
+        row[used] = np.max(np.abs(d), axis=tuple(range(1, d.ndim)),
+                           initial=0.0)
+    negative = np.zeros(len(psis), dtype=bool)
+    negative[used] = scalar < 0
+
+    def summary(part):
+        out = {k: float(np.max(w[part], initial=0.0))
+               for k, w in zip(devs, worst)}
+        kept = int(np.count_nonzero(used[part]))
+        out["beta_pi_fraction"] = np.count_nonzero(negative[part]) / max(kept, 1)
+        out["excluded"] = used[part].size - kept
+        return out
+
+    if isinstance(spec, _Pool):
+        return [summary(part) for part in spec.parts()]
+    return summary(slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +664,20 @@ class Check:
 
     name: str
     tolerance: float
-    # (spec, xs, h, sample) -> (worst residual, extra), with xs all the
-    # points at once and sample the row's reads of its spec's closed forms
-    # at xs (`_READS`; none for a row that reads none), already evaluated;
-    # the worst residual is None when no point could be checked, and the
-    # record then fails, its extra giving the reason
+    # (items, h) -> one (worst residual, extra) per item, with each item
+    # (spec, xs, sample): xs all of the spec's points at once and sample the
+    # row's reads of its spec's closed forms at xs (`_READS`; none for a row
+    # that reads none), already evaluated; the worst residual is None when
+    # no point could be checked, and the record then fails, its extra
+    # giving the reason
     measure: Callable
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
     source: int | tuple | None = None
     applies: Callable = lambda spec: True
     paired: tuple = ()  # (name, tolerance, extra key) of a second record
+    # measured once a pass, on every spec's items, instead of once per spec
+    pooled: bool = False
 
     def points(self, pts, grid):
         """The row's grid label, its points and where they are read:
@@ -624,13 +689,15 @@ class Check:
             else slice(None, None, max(1, len(pts) // self.source))
         return grid, pts[where], where
 
-    def run(self, spec, label, grid, xs, h, sample) -> list:
-        worst, extra = self.measure(spec, xs, h, sample)
+    def records(self, label, grid, n, result) -> list:
+        """The row's records of one spec, from its measure's (worst, extra)
+        on the spec's n points."""
+        worst, extra = result
         checked = worst is not None
         why = {}
         if not checked:
             lost = "excluded" if "excluded" in extra else "skipped"
-            why = {"reason": f"no point checked: {len(xs)} of {len(xs)} {lost}"}
+            why = {"reason": f"no point checked: {n} of {n} {lost}"}
         out = [CheckRecord(self.name, label, grid, worst or 0.0, self.tolerance,
                            checked and worst <= self.tolerance, extra | why)]
         if self.paired:
@@ -641,68 +708,96 @@ class Check:
 
 
 def _each(residual):
-    # the residual takes the whole point set at once, one value per point
-    return lambda spec, xs, h, sample: (
-        float(np.max(residual(spec, xs, h, sample))), {})
+    # the residual on each item's points at once, one value per point
+    return lambda items, h: [(float(np.max(residual(spec, xs, h, sample))), {})
+                             for spec, xs, sample in items]
 
 
-def _inversion(spec, xs, h, sample):
+def _pointwise(residual):
+    # the residual once, on all items' points, one value per point; each
+    # item's worst is that of its own slice
+    def measure(items, h):
+        pool, xs, sample = _pooled(items)
+        res = residual(pool, xs, h, sample)
+        return [(float(np.max(res[part])), {}) for part in pool.parts()]
+    return measure
+
+
+def _inversion(items, h):
     # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
-    # points, which are counted apart; the rest are inverted as one batch,
-    # on the one density of the spinor that found them
+    # points, which are counted apart; the rest of all items' points are
+    # inverted as one batch, on the one density of the spinor that found
+    # them
+    pool, xs, sample = _pooled(items)
     dens = inversion.density(sample["spinor@h"].at_points)
-    singular = inversion.singular(dens)
-    extra = {"constrained": 0.0, "skipped": int(np.count_nonzero(singular))}
-    if singular.all():
-        return None, extra
-    keep = ~singular
-    res = inversion_agreement(
-        spec, xs[keep], h, {read: got[keep] for read, got in sample.items()}
-        | {"density": tuple(d[keep] for d in dens)})
-    bound = np.maximum(2e-7, 10.0 * res["richardson"])
-    extra["constrained"] = float(np.max(res["constrained"]))
-    return float(np.max(res["potential_diff"] / bound)), extra
+    keep = ~inversion.singular(dens)
+    kept = pool.take(keep)
+    if keep.any():
+        res = inversion_agreement(
+            kept, xs[keep], h, {read: got[keep] for read, got in sample.items()}
+            | {"density": tuple(d[keep] for d in dens)})
+        ratio = res["potential_diff"] / np.maximum(2e-7, 10.0 * res["richardson"])
+    out = []
+    for part, held in zip(pool.parts(), kept.parts()):
+        extra = {"constrained": 0.0,
+                 "skipped": int(np.count_nonzero(~keep[part]))}
+        if held.start == held.stop:
+            out.append((None, extra))
+            continue
+        extra["constrained"] = float(np.max(res["constrained"][held]))
+        out.append((float(np.max(ratio[held])), extra))
+    return out
 
 
-def _kinematics(spec, xs, h, sample):
-    kin = kinematics_check(spec, xs, sample)
-    worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane", "pseudo",
-                                 "beta0"))
-    return (worst if kin["excluded"] < len(xs) else None,
-            {k: kin[k] for k in ("beta_pi_fraction", "excluded")})
+def _kinematics(items, h):
+    pool, xs, sample = _pooled(items)
+    out = []
+    for kin, n in zip(kinematics_check(pool, xs, sample), pool.sizes):
+        worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane",
+                                     "pseudo", "beta0"))
+        out.append((worst if kin["excluded"] < n else None,
+                    {k: kin[k] for k in ("beta_pi_fraction", "excluded")}))
+    return out
 
 
-def _circularity(spec, lams, h, sample):
+def _circularity(items, h):
     # the residual divides by the signed density: the lams where that is
     # exactly 0 (null-current circles) are skipped and counted apart; the
     # rest are checked as one batch
-    pr = sample["profile"]
-    sigma = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"])["scalar"]
-    keep = sigma != 0.0
-    extra = {"skipped": int(np.count_nonzero(~keep))}
-    if not keep.any():
-        return None, extra
-    res = inversion.circularity_residual(
-        spec, lams[keep], {k: v[keep] if np.ndim(v) else v
-                           for k, v in pr.items()})
-    return float(np.max(res)), extra
+    out = []
+    for spec, lams, sample in items:
+        pr = sample["profile"]
+        sigma = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"])["scalar"]
+        keep = sigma != 0.0
+        extra = {"skipped": int(np.count_nonzero(~keep))}
+        if not keep.any():
+            out.append((None, extra))
+            continue
+        res = inversion.circularity_residual(
+            spec, lams[keep], {k: v[keep] if np.ndim(v) else v
+                               for k, v in pr.items()})
+        out.append((float(np.max(res)), extra))
+    return out
 
 
 # Each row runs, in this order, on every default spec it applies to.  The
 # measures call their residuals through the module attribute at call time,
 # so patching that attribute reaches the suite.  Each row reads its spec's
-# closed forms (`_READS`) from the spec's one evaluation of each.
+# closed forms (`_READS`) from the spec's one evaluation of each.  The
+# pooled rows read a subsample of each spec's points and run once a pass,
+# on all specs' points; dirac reads every point, and pooling it would hold
+# every spec's spinor stencils at once.
 CHECKS = (
     Check("dirac", 1e-7, _each(lambda *a: dirac_residual(*a))),
-    Check("continuity", 1e-7, _each(lambda *a: continuity_residual(*a)),
-          source=12),
-    Check("gauge", 2e-7, _each(lambda *a: lorentz_gauge_residual(*a)),
-          source=12),
+    Check("continuity", 1e-7, _pointwise(lambda *a: continuity_residual(*a)),
+          source=12, pooled=True),
+    Check("gauge", 2e-7, _pointwise(lambda *a: lorentz_gauge_residual(*a)),
+          source=12, pooled=True),
     Check("inversion", 1.0, _inversion, source=8,
-          paired=("constraints", 2e-7, "constrained")),
+          paired=("constraints", 2e-7, "constrained"), pooled=True),
     Check("maxwell", 1e-6,
           _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
-    Check("kinematics", 1e-10, _kinematics, source=25),
+    Check("kinematics", 1e-10, _kinematics, source=25, pooled=True),
     Check("ode", 1e-8,
           _each(lambda s, lam, h, smp: inversion.radial_ode_residual(
               s, lam, smp["profile"])),
@@ -781,7 +876,8 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                                     for c in rows for s in specs):
         raise SelectionError(f"negative control {negative_control} touches "
                              "none of the selected checks")
-    records = []
+    slots = []  # each spec's records of each row, in order
+    pools = {c.name: [] for c in rows if c.pooled and c.name not in faults}
     rng = np.random.default_rng(seed)
     grid_desc = f"uniform[{BOX_LOW},{BOX_HIGH}]^4 x{points} seed={seed}"
     for spec in specs:
@@ -795,9 +891,17 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
             c.name: (_READS[c.name], where) for c, _, _, where in todo
             if c.name not in faults})
         for check, grid, xs, where in todo:
+            if check.name in pools:
+                # its slot is filled by the row's one call after the last
+                # spec, from arrays of its own: a view would keep this
+                # spec's whole evaluation alive until then
+                pools[check.name].append((len(slots), label, grid, (
+                    spec, xs.copy(), _joined([shared.row(check.name)]))))
+                slots.append(None)
+                continue
             if check.name not in faults:
-                records += check.run(spec, label, grid, xs, h,
-                                     shared.row(check.name))
+                slots.append(check.records(label, grid, len(xs), check.measure(
+                    [(spec, xs, shared.row(check.name))], h)[0]))
                 continue
             attr, wrap = faults[check.name]
             real = getattr(cat, attr)
@@ -805,10 +909,17 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
             try:  # on an evaluation of its own, made under the fault
                 own = _Evaluation(spec, h, pts,
                                   {check.name: (_READS[check.name], where)})
-                records += check.run(spec, label, grid, xs, h,
-                                     own.row(check.name))
+                slots.append(check.records(label, grid, len(xs), check.measure(
+                    [(spec, xs, own.row(check.name))], h)[0]))
             finally:
                 setattr(cat, attr, real)
+    for check in rows:
+        kept = pools.pop(check.name, ())
+        if kept:  # freed once the row's one call returns
+            results = check.measure([item for *_, item in kept], h)
+            for (slot, label, grid, (_, xs, _)), result in zip(kept, results):
+                slots[slot] = check.records(label, grid, len(xs), result)
+    records = [r for slot in slots for r in slot]
     if "nullrotor" in checks:  # the null-rotation generator, once per run
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))
         res = null_rotation_block_residual(

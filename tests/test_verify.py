@@ -1,5 +1,6 @@
 """Verifier checks: residual machinery, identity checks, streamlines,
 reports, negative controls, determinism."""
+import dataclasses
 import json
 import math
 
@@ -590,11 +591,23 @@ SHARED_RESIDUALS = {"dirac_residual": (verify, 3),
                     "invert": (inversion, 2)}
 
 
+def _share(out, k, part):
+    # spec k's share of a pooled call's value: its entry of a per-spec list,
+    # else its slice of the points
+    if isinstance(out, list):
+        return out[k]
+    if isinstance(out, dict):
+        return {key: value[part] for key, value in out.items()}
+    return out[part]
+
+
 def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
     # each residual the suite computes from its spec's one evaluation of
     # each closed form is bit for bit the standalone (spec, point[, h])
-    # call, which evaluates them itself, for every default spec; so is
-    # invert, h/2 stencil and density included
+    # call, which evaluates them itself, for every default spec; a pooled
+    # call, with a verify._Pool in place of the spec, is so spec by spec,
+    # on each spec's slice of its points; so is invert, h/2 stencil and
+    # density included, called in the pooled inversion with a mass per point
     seen = []
 
     def recording(name, fn):
@@ -610,22 +623,38 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
     monkeypatch.undo()  # the standalone calls below are not recorded
     assert {name for name, *_ in seen} == set(SHARED_RESIDUALS)
     labels = set()
-    for name, fn, args, kwargs, shared in seen:
+    for i, (name, fn, args, kwargs, shared) in enumerate(seen):
         lead = SHARED_RESIDUALS[name][1]
         if name == "invert":
+            # inside the inversion row's one call, which is recorded next
+            assert seen[i + 1][0] == "inversion_agreement"
             assert None not in kwargs.pop("sample"), name
-            alone = fn(*args, **kwargs)
-            shared, alone = vars(shared), vars(alone)
+            pool, m = seen[i + 1][2][0], kwargs.pop("m")
+            assert m.tobytes() == pool.m.tobytes()
+            calls = [(lambda s=s, part=part: fn(cat.spinor(s), args[1][part],
+                                                m=s.m, **kwargs), part)
+                     for s, part in zip(pool.specs, pool.parts())]
+            shared = vars(shared)
+        elif isinstance(args[0], verify._Pool):
+            assert len(args) == lead + 1 and args[-1] is not None, name
+            pool = args[0]
+            calls = [(lambda s=s, part=part: fn(s, args[1][part], *args[2:lead]),
+                      part) for s, part in zip(pool.specs, pool.parts())]
+            labels.update(verify.spec_label(s) for s in pool.specs)
         else:
             assert len(args) == lead + 1 and args[-1] is not None, name
-            alone = fn(*args[:lead])
+            calls, shared = [(lambda: fn(*args[:lead]), ...)], [shared]
             labels.add(verify.spec_label(args[0]))
-        if not isinstance(shared, dict):
-            shared, alone = {"": shared}, {"": alone}
-        assert shared.keys() == alone.keys()
-        for key, value in shared.items():
-            assert np.asarray(value).tobytes() == \
-                np.asarray(alone[key]).tobytes(), (name, key)
+        for k, (alone, part) in enumerate(calls):
+            mine, alone = _share(shared, k, part), alone()
+            if name == "invert":
+                alone = vars(alone)
+            if not isinstance(mine, dict):
+                mine, alone = {"": mine}, {"": alone}
+            assert mine.keys() == alone.keys()
+            for key, value in mine.items():
+                assert np.asarray(value).tobytes() == \
+                    np.asarray(alone[key]).tobytes(), (name, key)
     assert len(labels) == 21
 
 
@@ -665,10 +694,10 @@ def count_evaluations(monkeypatch, **suite):
 
 
 def test_suite_evaluates_each_closed_form_once_per_spec(monkeypatch):
-    # one evaluation per spec of the spinor, the potential, the profile
-    # and the inversion density, each on the union of what its rows read;
-    # e E and e B once for the maxwell row's own gradient4 and once for the
-    # fields row where it applies
+    # one evaluation per spec of the spinor, the potential and the profile,
+    # each on the union of what its rows read; e E and e B once for the
+    # maxwell row's own gradient4 and once for the fields row where it
+    # applies; the inversion density once a pass, in the pooled row
     counts = count_evaluations(monkeypatch)
     assert not any(faulted for *_, faulted in counts)
     specs = [s for group in verify.default_specs().values() for s in group]
@@ -680,7 +709,7 @@ def test_suite_evaluates_each_closed_form_once_per_spec(monkeypatch):
         for s in specs}
     want |= {("profile", verify.spec_label(s), False): 1
              for s in specs if not s.is_dressed}
-    want[("density", None, False)] = 21
+    want[("density", None, False)] = 1
     assert counts == want
     # the faulted spinor of the control keeps its own evaluation, in the
     # dirac row of every spec, and the true one is still evaluated once
@@ -699,3 +728,75 @@ def test_suite_leaves_nothing_behind_between_runs():
     a = verify.run_suite(points=8, seed=41).to_json()
     verify.run_suite(points=8, seed=42)
     assert verify.run_suite(points=8, seed=41).to_json() == a
+
+
+POOLED_ROWS = [c for c in verify.CHECKS if c.pooled]
+
+
+def test_pooled_rows_are_the_subsampled_rows():
+    assert [c.name for c in POOLED_ROWS] == ["continuity", "gauge",
+                                             "inversion", "kinematics"]
+
+
+@pytest.mark.parametrize("check", POOLED_ROWS, ids=lambda c: c.name)
+def test_a_pooled_row_gives_each_item_its_one_item_result(check):
+    # items of specs with another m and B, pooled beside a default spec,
+    # get bit for bit the (worst, extra) of their one-item calls: a row
+    # that read one spec's mass, or mixed the specs' points, would not
+    h = numerics.DEFAULT_STEP
+    specs = [cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3),
+             verify.default_specs()[cat.Family.REDMOND][1],
+             cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1, m=1.6, B=0.8)]
+    rng = np.random.default_rng(12)
+    items = []
+    for spec, n in zip(specs, (9, 5, 13)):
+        xs = verify.sample_points(rng, n)
+        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+    pooled = check.measure(items, h)
+    assert len(pooled) == len(items)
+    for item, got in zip(items, pooled):
+        assert repr(got) == repr(check.measure([item], h)[0]), check.name
+
+
+def test_one_family_alone_gets_the_records_of_the_full_run():
+    # the first family's specs draw the same points alone as in the full
+    # run, so pooling them beside the other 18 specs changes none of their
+    # records
+    family = next(iter(verify.default_specs())).value
+    full = verify.run_suite(points=30, seed=9)
+    alone = verify.run_suite(families=[family], points=30, seed=9)
+    ours = [r for r in full.records if r.family.split()[0] == family]
+    assert len(ours) == 27
+    assert [repr(r) for r in ours] == \
+        [repr(r) for r in alone.records if r.name != "nullrotor"]
+
+
+def test_pooled_inputs_share_no_memory_with_their_evaluation(monkeypatch):
+    # what a pooled row keeps past its spec's loop is owned, not a view of
+    # the spec's union evaluation, which would stay alive with it
+    unions, kept = [], {}
+    real_sample = numerics.sample
+
+    def recording_sample(fn, point, steps):
+        values, samples = real_sample(fn, point, steps)
+        unions.append([values, *(s.stencil for s in samples)])
+        return values, samples
+
+    def keeping(check):
+        def measure(items, h):
+            kept[check.name] = items
+            return check.measure(items, h)
+        return dataclasses.replace(check, measure=measure)
+
+    monkeypatch.setattr(numerics, "sample", recording_sample)
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        keeping(c) if c.pooled else c for c in verify.CHECKS))
+    verify.run_suite(points=12, seed=4)
+    assert set(kept) == {c.name for c in POOLED_ROWS}
+    arrays = [a for items in kept.values() for _, xs, sample in items
+              for a in (xs, *(a for got in sample.values() for a in (
+                  (got.at_points, got.stencil) if hasattr(got, "stencil")
+                  else (got,))))]
+    assert arrays
+    assert not any(np.shares_memory(a, u) for a in arrays
+                   for union in unions for u in union)
