@@ -104,13 +104,15 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
 
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
     mass has no default: the field does not carry it, and any other mass
-    gives a wrong potential whose constraint traces still vanish.  The
-    step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
+    gives a wrong potential whose constraint traces still vanish.  m is a
+    float, or one mass per point, m[..., 1, 1], broadcast against each
+    point's 4 x 4 matrices.  The step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
     is singular at any point of the batch, before the field is
     differentiated.  `sample`, when given, is (the field's
     `numerics.sample` at point of step h, that of step h/2, the `density` of
     the spinor at point), already evaluated; an entry that is None is
-    evaluated here.
+    evaluated here.  With both samples given, field is never called and
+    may be None.
     """
     if not MIN_STEP <= h <= MAX_STEP:
         raise ValueError(f"step h outside [{MIN_STEP}, {MAX_STEP}]")

@@ -8,24 +8,32 @@ null-rotation block identity.  The standard suite is one table, CHECKS, run
 over seeded uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
-per point; each check of CHECKS calls it once per spec, on all its points.
-The suite evaluates each closed form a row reads (`_READS`: the spinor, the
-potential, e E and e B, the profile) once per spec, on the first row that
-reads it, as one batch over the union of what the spec's rows read of it:
-one `numerics.sample` at the union of their points and of each step's
-stencil points, one `catalog.profile` call on all their lam grids.  Each
-row reads its own slice: the spinor at the points and their h-stencil and
-the inversion's h/2 stencil, the potential at the points and the gauge
-row's h-stencil, the profile of the ode and circularity grids.  The
-inversion row finds its singular points and inverts the rest on one
-`inversion.density`.  Each residual takes its row's sample as an optional
-last argument and, called without it, builds its own through the same
-evaluation, to the same bits.  Nothing is kept past a spec.  The maxwell
-row differentiates e E and e B itself, with `numerics.gradient4`.  The
-Dirac residual shares the matrix Dirac operator of the inversion,
-`inversion.dirac_operator`, which takes its derivative from the column
-one.  A record that checked no point fails, and its extras give the
-reason.
+per point.  The suite evaluates each closed form a row reads (`_READS`: the
+spinor, the potential, e E and e B, the profile) once per spec, on the
+first row that reads it, as one batch over the union of what the spec's
+rows read of it: one `numerics.sample` at the union of their points and of
+each step's stencil points, one `catalog.profile` call on all their lam
+grids.  Each row reads its own slice: the spinor at the points and their
+h-stencil and the inversion's h/2 stencil, the potential at the points and
+the gauge row's h-stencil, the profile of the ode and circularity grids.
+Each residual takes its row's sample as an optional last argument and,
+called without it, builds its own through the same evaluation, to the same
+bits.  The maxwell row differentiates e E and e B itself, with
+`numerics.gradient4`.  The Dirac residual shares the matrix Dirac operator
+of the inversion, `inversion.dirac_operator`, which takes its derivative
+from the column one.  A record that checked no point fails, and its extras
+give the reason.
+
+Most rows call their residual once per spec, on all its points.  The
+pooled rows (`Check.pooled`: continuity, gauge, inversion and kinematics)
+read a subsample of each spec's points, so a call of theirs costs more per
+call than per point.  Each keeps its slice of every spec's evaluation, as
+arrays of its own, and calls its residual once per pass, after the last
+spec, on all specs' points together, with a `_Pool` in place of the spec:
+it gives each point its spec's mass and splits the results back by spec.
+The inversion row finds the singular points of all specs and inverts the
+rest on one `inversion.density`.  The dirac row reads every point and stays
+per spec: pooled, it would hold every spec's spinor stencils at once.
 
 Negative controls assert detection power, not only agreement.  FAULTS names
 each control's rows and the `catalog` attribute it wraps while each runs, on
@@ -913,6 +921,7 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                     [(spec, xs, own.row(check.name))], h)[0]))
             finally:
                 setattr(cat, attr, real)
+    del shared  # the last spec's evaluation goes before the pooled calls
     for check in rows:
         kept = pools.pop(check.name, ())
         if kept:  # freed once the row's one call returns
