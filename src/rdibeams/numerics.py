@@ -40,6 +40,10 @@ DEFAULT_STEP = 1e-3
 # f'(x) ~ (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / (12 h)
 _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _WEIGHTS = (-1.0, 8.0, -8.0, 1.0)
+# row 4 mu + i moves coordinate mu by _OFFSETS[i] steps, and every other
+# coordinate by -0.0, which keeps its bits (a -0.0 coordinate's too)
+_MOVES = np.kron(np.eye(4), _OFFSETS[:, None])
+_MOVES[_MOVES == 0.0] = -0.0
 
 
 def _combine(vals, h):
@@ -63,11 +67,7 @@ def stencil_points(point, h=DEFAULT_STEP):
     axes, shaped (*batch, 16, 4): rows 4 mu .. 4 mu + 3 move coordinate mu
     by 2h, h, -h, -2h."""
     point = np.asarray(point, dtype=float)
-    pts = np.empty(point.shape[:-1] + (16, 4))
-    pts[...] = point[..., None, :]
-    for mu in range(4):
-        pts[..., 4 * mu:4 * mu + 4, mu] += _OFFSETS * h
-    return pts
+    return point[..., None, :] + _MOVES * h
 
 
 def _partials(vals, axis, h):

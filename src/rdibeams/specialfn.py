@@ -1,12 +1,13 @@
 """Self-contained special functions used by the solution catalog.
 
-Integer-order Bessel J by Miller's downward recurrence (power series below
-x = 2) on a whole array of arguments at once, a float being the one-point
-case.  Each element starts the recurrence at its own index, so a point's
-value does not depend on the rest of its batch; the recurrence tests for
-overflow only at the steps where a growth bound, per start index from its
-smallest argument, says an element can near it (none for the catalog's
-orders and radii, so a step is three array operations), and takes the
+Integer-order Bessel J of all orders up to nmax (`bessel_j_all`) by
+Miller's downward recurrence (power series below x = 2) on a whole array
+of arguments at once, a float being the one-point case.  Each element
+starts the recurrence at its own index, so a point's value does not depend
+on the rest of its batch; the recurrence tests for overflow only at the
+steps where a growth bound, per start index from its smallest argument,
+says an element can near it (none for the catalog's orders and radii, so a
+step is three array operations, one more every other step), and takes the
 series for all orders and terms in one broadcast.  The orthonormal
 Laguerre functions of the magnetic profiles by their normalised three-term
 recurrence, started in log space so that no factor overflows or underflows
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# documented validity window for bessel_j
+# documented validity window for bessel_j_all
 BESSEL_MAX_ORDER = 200
 BESSEL_MAX_ARG = 1.0e4
 
@@ -107,25 +108,28 @@ def _batch_checkpoints(starts, x) -> range:
 
 def _miller_all(nmax: int, x) -> list:
     # downward recurrence from well above the turning point, normalized by
-    # J0 + 2*sum J_{2k} = 1.  Each element starts at its own start index,
-    # so its value does not depend on the rest of the batch: it stays
-    # exactly 0 until the recurrence reaches that index, where it is seeded.
-    # A rescale wherever an element nears overflow is tested only at the
-    # steps where one can (_rescale_checkpoints)
+    # J0 + 2*sum J_{2k} = 1 (half the sum, doubled at the end: exact, as no
+    # partial sum is subnormal).  Each element stays exactly 0 until the
+    # recurrence reaches its own start index, so its value does not depend
+    # on the rest of the batch.  A rescale where an element nears overflow
+    # is tested only at the steps where one can (_rescale_checkpoints)
     starts = _miller_start(nmax, x)
-    seeds = set(starts.tolist())
+    order = np.argsort(starts, kind="stable")
+    cuts = np.flatnonzero(np.diff(starts[order])) + 1
+    seeds = {int(starts[group[0]]): group for group in np.split(order, cuts)}
     start = max(seeds)
     check_from = _batch_checkpoints(starts, x).start
     jp = np.zeros_like(x)
     jc = np.zeros_like(x)
     out = [0.0] * (nmax + 1)
-    norm = 0.0
+    half = np.zeros_like(x)
     for k in range(start, 0, -1):
-        if k in seeds:
-            jc = np.where(starts == k, _SEED, jc)
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
+        if k in seeds:  # k > nmax, so jc is in no entry of out
+            jc[seeds[k]] = _SEED
+        jm = 2.0 * k / x
+        jm *= jc
+        jm -= jp
+        jp, jc = jc, jm
         if k <= check_from:
             # every step from the first checkpoint on is tested, so jp was
             # tested a step ago and |jc| alone decides
@@ -134,13 +138,13 @@ def _miller_all(nmax: int, x) -> list:
                 scale = np.where(over, _RESCALE, 1.0)
                 jc = jc * scale
                 jp = jp * scale
-                norm = norm * scale
+                half = half * scale
                 out = [v * scale for v in out]
         if (k - 1) <= nmax:
             out[k - 1] = jc
         if (k - 1) % 2 == 0:
-            norm = norm + 2.0 * jc
-    norm = norm - jc  # J0 counted once
+            half += jc
+    norm = 2.0 * half - jc  # J0 counted once
     return [v / norm for v in out]
 
 
@@ -171,11 +175,6 @@ def bessel_j_all(nmax: int, x):
     if large.any():
         out[:, large] = _miller_all(nmax, flat[large])
     return out.reshape((nmax + 1,) + x.shape)
-
-
-def bessel_j(nu: int, x: float) -> float:
-    """Bessel function of the first kind, integer order nu >= 0."""
-    return bessel_j_all(nu, x)[nu]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +217,11 @@ def laguerre_functions(nmax: int, alpha: int, u) -> list:
         return []
     if (u < 0.0).any():
         raise DomainError("negative argument of a Laguerre function")
-    with np.errstate(divide="ignore"):  # ell_k^alpha(0) = 0 for alpha > 0
-        s = -0.5 * u if alpha == 0 else \
-            0.5 * (alpha * np.log(u) - u - math.lgamma(alpha + 1.0))
+    if alpha == 0:
+        s = -0.5 * u
+    else:
+        with np.errstate(divide="ignore"):  # ell_k^alpha(0) = 0 for alpha > 0
+            s = 0.5 * (alpha * np.log(u) - u - math.lgamma(alpha + 1.0))
     far = s < _FAR
     check = far.any()
     if check:

@@ -12,8 +12,9 @@ per point.  The suite evaluates each closed form a row reads (`_READS`: the
 spinor, the potential, e E and e B, the profile) once per spec, on the
 first row that reads it, as one batch over the union of what the spec's
 rows read of it: one `numerics.sample` at the union of their points and of
-each step's stencil points, one `catalog.profile` call on all their lam
-grids.  Each row reads its own slice: the spinor at the points and their
+each step's stencil points (every point, with no union taken, once a row
+reads every point), one `catalog.profile` call on all their lam grids.
+Each row reads its own slice: the spinor at the points and their
 h-stencil and the inversion's h/2 stencil, the potential at the points and
 the gauge row's h-stencil, the profile of the ode and circularity grids.
 Each residual takes its row's sample as an optional last argument and,
@@ -30,8 +31,8 @@ read a subsample of each spec's points, so a call of theirs costs more per
 call than per point.  Each keeps its slice of every spec's evaluation, as
 arrays of its own, and calls its residual once per pass, after the last
 spec, on all specs' points together, with a `_Pool` in place of the spec:
-it gives each point its spec's mass and splits the results back by spec.
-The inversion row finds the singular points of all specs and inverts the
+it gives each point its spec's mass, and each spec's worst value and counts
+from one segment reduction over the batch.  The inversion row finds the singular points of all specs and inverts the
 rest on one `inversion.density`.  The dirac row reads every point and stays
 per spec: pooled, it would hold every spec's spinor stencils at once.
 
@@ -110,9 +111,12 @@ _FORMS = {"spinor": lambda spec: cat.spinor(spec),
 
 def _union(size, indices):
     # index sets into `size` rows -> their union and each set's positions
-    # in it; one set (... for every row) is its own union
+    # in it; one set is its own union, and ... (every row) is the union of
+    # any sets, each keeping its indices as its positions
     if all(index is indices[0] for index in indices):
         return indices[0], [...] * len(indices)
+    if any(index is ... for index in indices):
+        return ..., list(indices)
     mask = np.zeros(size, dtype=bool)
     for index in indices:
         mask[index] = True
@@ -190,18 +194,25 @@ class _Pool:
 
     def __init__(self, specs, sizes):
         self.specs, self.sizes = tuple(specs), tuple(sizes)
-        self.m = np.repeat([s.m for s in self.specs],
-                           self.sizes)[:, None, None]
+        self.owner = np.repeat(np.arange(len(self.specs)), self.sizes)
+        self.m = np.array([s.m for s in self.specs])[self.owner, None, None]
 
-    def parts(self) -> list:
-        """Each spec's slice of the batch."""
-        stops = np.cumsum(self.sizes, dtype=int).tolist()
-        return [slice(stop - n, stop) for n, stop in zip(self.sizes, stops)]
+    def count(self, mask) -> list:
+        """How many of each spec's points mask[N] holds at."""
+        return np.bincount(self.owner[mask],
+                           minlength=len(self.specs)).tolist()
+
+    def maxima(self, values) -> list:
+        """Each spec's maximum over the last axis of values[..., N], from one
+        segment reduction: a float (a list of them for values[k, N]), or
+        None for a spec with no point."""
+        starts = np.cumsum((0, *self.sizes[:-1]))[np.flatnonzero(self.sizes)]
+        got = iter(np.maximum.reduceat(values, starts, axis=-1).T.tolist())
+        return [next(got) if n else None for n in self.sizes]
 
     def take(self, keep) -> _Pool:
         """The pool of the points where keep[N] holds."""
-        return _Pool(self.specs,
-                     [np.count_nonzero(keep[part]) for part in self.parts()])
+        return _Pool(self.specs, self.count(keep))
 
 
 def _joined(samples) -> dict:
@@ -361,18 +372,12 @@ def kinematics_check(spec: cat.SolutionSpec, points,
                            initial=0.0)
     negative = np.zeros(len(psis), dtype=bool)
     negative[used] = scalar < 0
-
-    def summary(part):
-        out = {k: float(np.max(w[part], initial=0.0))
-               for k, w in zip(devs, worst)}
-        kept = int(np.count_nonzero(used[part]))
-        out["beta_pi_fraction"] = np.count_nonzero(negative[part]) / max(kept, 1)
-        out["excluded"] = used[part].size - kept
-        return out
-
-    if isinstance(spec, _Pool):
-        return [summary(part) for part in spec.parts()]
-    return summary(slice(None))
+    pool = spec if isinstance(spec, _Pool) else _Pool([spec], [len(psis)])
+    out = [dict(zip(devs, most or [0.0] * len(devs)),
+                beta_pi_fraction=neg / max(kept, 1), excluded=n - kept)
+           for most, kept, neg, n in zip(pool.maxima(worst), pool.count(used),
+                                         pool.count(negative), pool.sizes)]
+    return out if pool is spec else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +406,7 @@ def volkov_bessel_explicit(spec: cat.SolutionSpec):
         phi = np.arctan2(yp, xp)
         d1, d2 = spec.waveform.fdot(xi)
         arg = 2.0 * lamp * kt / base.B
-        jl = sf.bessel_j(l, arg)
-        jl1 = sf.bessel_j(l + 1, arg)
+        jl, jl1 = sf.bessel_j_all(l + 1, arg)[l:]
         gl = np.exp(1j * l * phi) * jl
         gl1 = np.exp(1j * (l + 1) * phi) * jl1
         r = 1.0 / (eps * spec.omega)
@@ -693,7 +697,7 @@ class Check:
         if isinstance(self.source, tuple):
             grid, lams = self.source
             return grid, lams, lams
-        where = slice(None) if self.source is None \
+        where = ... if self.source is None \
             else slice(None, None, max(1, len(pts) // self.source))
         return grid, pts[where], where
 
@@ -726,8 +730,7 @@ def _pointwise(residual):
     # item's worst is that of its own slice
     def measure(items, h):
         pool, xs, sample = _pooled(items)
-        res = residual(pool, xs, h, sample)
-        return [(float(np.max(res[part])), {}) for part in pool.parts()]
+        return [(most, {}) for most in pool.maxima(residual(pool, xs, h, sample))]
     return measure
 
 
@@ -740,21 +743,16 @@ def _inversion(items, h):
     dens = inversion.density(sample["spinor@h"].at_points)
     keep = ~inversion.singular(dens)
     kept = pool.take(keep)
+    most = [None] * len(pool.specs)  # each spec's worst ratio and constrained
     if keep.any():
         res = inversion_agreement(
             kept, xs[keep], h, {read: got[keep] for read, got in sample.items()}
             | {"density": tuple(d[keep] for d in dens)})
         ratio = res["potential_diff"] / np.maximum(2e-7, 10.0 * res["richardson"])
-    out = []
-    for part, held in zip(pool.parts(), kept.parts()):
-        extra = {"constrained": 0.0,
-                 "skipped": int(np.count_nonzero(~keep[part]))}
-        if held.start == held.stop:
-            out.append((None, extra))
-            continue
-        extra["constrained"] = float(np.max(res["constrained"][held]))
-        out.append((float(np.max(ratio[held])), extra))
-    return out
+        most = kept.maxima(np.stack([ratio, res["constrained"]]))
+    return [(worst, {"constrained": constrained, "skipped": n - held})
+            for (worst, constrained), n, held in zip(
+                (got or (None, 0.0) for got in most), pool.sizes, kept.sizes)]
 
 
 def _kinematics(items, h):

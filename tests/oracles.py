@@ -73,6 +73,18 @@ def deriv4(fn, x, h=numerics.DEFAULT_STEP):
     return numerics._combine(fn(x + offsets), h)
 
 
+def stencil_points(point, h=numerics.DEFAULT_STEP):
+    """The 16 stencil points of point[..., 4], filled and then moved one
+    coordinate at a time: the reference for the one broadcast add of
+    `numerics.stencil_points`."""
+    point = np.asarray(point, dtype=float)
+    pts = np.empty(point.shape[:-1] + (16, 4))
+    pts[...] = point[..., None, :]
+    for mu in range(4):
+        pts[..., 4 * mu:4 * mu + 4, mu] += numerics._OFFSETS * h
+    return pts
+
+
 def spinor_current(spec):
     """q -> J^mu of the spinor at the point q, read off the full bilinear
     contraction: the reference for the closed-form
@@ -448,6 +460,40 @@ def bessel_j_deriv(nu: int, x: float) -> float:
     vals = sf.bessel_j_all(nu + 1, x)
     lower = vals[nu - 1] if nu >= 1 else -vals[1]
     return 0.5 * (lower - vals[nu + 1])
+
+
+def miller_all(nmax: int, x) -> list:
+    """Miller's recurrence with each start's elements seeded by a full-array
+    np.where, a fresh array per step and the whole normalization sum: the
+    reference for the in-place steps of `specialfn._miller_all`."""
+    starts = sf._miller_start(nmax, x)
+    seeds = set(starts.tolist())
+    start = max(seeds)
+    check_from = sf._batch_checkpoints(starts, x).start
+    jp = np.zeros_like(x)
+    jc = np.zeros_like(x)
+    out = [0.0] * (nmax + 1)
+    norm = 0.0
+    for k in range(start, 0, -1):
+        if k in seeds:
+            jc = np.where(starts == k, sf._SEED, jc)
+        jm = (2.0 * k / x) * jc - jp
+        jp = jc
+        jc = jm
+        if k <= check_from:
+            over = abs(jc) > sf._RESCALE_AT
+            if over.any():
+                scale = np.where(over, sf._RESCALE, 1.0)
+                jc = jc * scale
+                jp = jp * scale
+                norm = norm * scale
+                out = [v * scale for v in out]
+        if (k - 1) <= nmax:
+            out[k - 1] = jc
+        if (k - 1) % 2 == 0:
+            norm = norm + 2.0 * jc
+    norm = norm - jc  # J0 counted once
+    return [v / norm for v in out]
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:

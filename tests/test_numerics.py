@@ -38,6 +38,23 @@ def test_gradient4_on_cubic():
         numerics.partial4(cubic, PT, 1e-3)
 
 
+@pytest.mark.parametrize("h", [1e-6, 5e-4, 1e-3, 1e-2])
+def test_stencil_points_are_bit_for_bit_their_reference(h):
+    # the one broadcast add moves each coordinate as the reference's
+    # in-place adds do and keeps every other coordinate's bits, -0.0 and
+    # 0.0 included, for a point and for batches
+    rng = np.random.default_rng(17)
+    batch = rng.uniform(-5.0, 5.0, size=(6, 3, 4))
+    batch[0, 0] = (-0.0, 0.0, -0.0, 0.0)
+    batch[1, :, 1:3] = (0.0, -0.0)
+    batch[2, 1] = (-1e-300, 1e300, -7.5, -0.0)
+    for point in (batch, batch[0, 0], batch[1], np.asarray(PT)):
+        got = numerics.stencil_points(point, h)
+        want = oracles.stencil_points(point, h)
+        assert got.shape == want.shape == point.shape[:-1] + (16, 4)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("field", [
     cubic,
     cat.spinor(cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=1, p_perp=0.8,

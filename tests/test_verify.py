@@ -10,6 +10,7 @@ import pytest
 import oracles
 from rdibeams import catalog as cat
 from rdibeams import inversion, numerics, spinors, verify, waveforms
+from rdibeams import specialfn as sf
 
 
 def test_dirac_residual_plane_wave_baseline():
@@ -182,6 +183,25 @@ def test_volkov_dual_path():
     for _ in range(20):
         pt = tuple(rng.uniform(0.5, 5.0, size=4))
         assert verify.volkov_equivalence(spec, pt) < 1e-10
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_volkov_row_passes_at_higher_orders(l, monkeypatch):
+    # the explicit column takes J_l from the l + 1 ladder, which starts one
+    # index above J_l's own where 2 <= x < l + 1 and may move it there by
+    # round-off; on 1000 points that reach those x, the row still passes
+    real, args = sf.bessel_j_all, []
+    monkeypatch.setattr(sf, "bessel_j_all", lambda nmax, x: (
+        args.append(np.asarray(x)) if nmax == l + 1 else None) or real(nmax, x))
+    tol = next(c.tolerance for c in verify.CHECKS if c.name == "volkov")
+    for wf, omega in ((waveforms.circular(0.3), 1.1),
+                      (waveforms.pulse(0.2), 1.0)):
+        spec = cat.SolutionSpec(cat.Family.VOLKOV_BESSEL, l=l, p_perp=1.0,
+                                waveform=wf, omega=omega)
+        pts = verify.sample_points(np.random.default_rng(l), 1000)
+        assert np.max(verify.volkov_equivalence(spec, pts)) <= tol
+        x = args.pop()
+        assert np.count_nonzero((x >= 2.0) & (x < l + 1)) > 10
 
 
 def test_volkov_row_detects_a_fault_in_the_catalog_shift(monkeypatch):
@@ -591,6 +611,12 @@ SHARED_RESIDUALS = {"dirac_residual": (verify, 3),
                     "invert": (inversion, 2)}
 
 
+def _parts(pool):
+    # each spec's slice of a verify._Pool's batch
+    stops = np.cumsum(pool.sizes).tolist()
+    return [slice(stop - n, stop) for n, stop in zip(pool.sizes, stops)]
+
+
 def _share(out, k, part):
     # spec k's share of a pooled call's value: its entry of a per-spec list,
     # else its slice of the points
@@ -633,13 +659,13 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
             assert m.tobytes() == pool.m.tobytes()
             calls = [(lambda s=s, part=part: fn(cat.spinor(s), args[1][part],
                                                 m=s.m, **kwargs), part)
-                     for s, part in zip(pool.specs, pool.parts())]
+                     for s, part in zip(pool.specs, _parts(pool))]
             shared = vars(shared)
         elif isinstance(args[0], verify._Pool):
             assert len(args) == lead + 1 and args[-1] is not None, name
             pool = args[0]
             calls = [(lambda s=s, part=part: fn(s, args[1][part], *args[2:lead]),
-                      part) for s, part in zip(pool.specs, pool.parts())]
+                      part) for s, part in zip(pool.specs, _parts(pool))]
             labels.update(verify.spec_label(s) for s in pool.specs)
         else:
             assert len(args) == lead + 1 and args[-1] is not None, name
@@ -739,10 +765,25 @@ def test_pooled_rows_are_the_subsampled_rows():
 
 
 @pytest.mark.parametrize("check", POOLED_ROWS, ids=lambda c: c.name)
+def _sign_change_radius(spec, lo, hi):
+    # the radius in (lo, hi) where the spec's scalar density changes sign,
+    # by bisection: rho / J^0 is about 0 on that circle
+    def sigma(r):
+        return cat.bilinear_fields(spec, 0.0, r, 0.0, 0.0)["scalar"]
+    assert sigma(lo) * sigma(hi) < 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sigma(lo) * sigma(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("check", POOLED_ROWS, ids=lambda c: c.name)
 def test_a_pooled_row_gives_each_item_its_one_item_result(check):
     # items of specs with another m and B, pooled beside a default spec,
     # get bit for bit the (worst, extra) of their one-item calls: a row
-    # that read one spec's mass, or mixed the specs' points, would not
+    # that read one spec's mass, or mixed the specs' points, would not.
+    # Two of the first spec's points sit where its scalar density changes
+    # sign, which the kinematics row excludes, so each spec's counts differ
     h = numerics.DEFAULT_STEP
     specs = [cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3),
              verify.default_specs()[cat.Family.REDMOND][1],
@@ -752,10 +793,51 @@ def test_a_pooled_row_gives_each_item_its_one_item_result(check):
     for spec, n in zip(specs, (9, 5, 13)):
         xs = verify.sample_points(rng, n)
         items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+    r0 = _sign_change_radius(specs[0], 1.0, 1.5)
+    items[0][1][:2, 1:3] = ((r0, 0.0), (0.6 * r0, -0.8 * r0))
+    items[0] = (*items[0][:2], verify._alone(specs[0], items[0][1], h,
+                                             check.name))
     pooled = check.measure(items, h)
     assert len(pooled) == len(items)
     for item, got in zip(items, pooled):
         assert repr(got) == repr(check.measure([item], h)[0]), check.name
+    if check.name == "kinematics":
+        extras = [extra for _, extra in pooled]
+        assert [e["excluded"] for e in extras] == [2, 0, 0]
+        assert [e["beta_pi_fraction"] > 0.0 for e in extras] == \
+            [True, False, False]
+
+
+@pytest.mark.parametrize("where", [0, 1, 2, None])
+def test_a_pooled_inversion_gives_a_spec_with_every_point_skipped_none(where):
+    # a spec whose every point lies in a far tail, first, between or last
+    # in the pool (None: every spec), gets no worst value, all its points
+    # skipped and a failing record that says so; the specs beside it keep
+    # their one-spec results bit for bit
+    h = numerics.DEFAULT_STEP
+    check = next(c for c in POOLED_ROWS if c.name == "inversion")
+    specs = [verify.default_specs()[cat.Family.REDMOND][0],
+             cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
+             cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3)]
+    rng = np.random.default_rng(5)
+    items = []
+    for k, (spec, n) in enumerate(zip(specs, (7, 6, 4))):
+        xs = verify.sample_points(rng, n)
+        if where in (k, None):
+            xs[:, 1:3] += 20.0
+        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+    pooled = check.measure(items, h)
+    for k, (item, got) in enumerate(zip(items, pooled)):
+        n = len(item[1])
+        if where in (k, None):
+            assert got == (None, {"constrained": 0.0, "skipped": n})
+            record, paired = check.records("far", "grid", n, got)
+            assert not record.passed and not paired.passed
+            assert record.extra["reason"] == \
+                f"no point checked: {n} of {n} skipped"
+        else:
+            assert got[0] is not None and got[1]["skipped"] < n
+            assert repr(got) == repr(check.measure([item], h)[0])
 
 
 def test_one_family_alone_gets_the_records_of_the_full_run():
