@@ -114,16 +114,17 @@ def _miller_all(nmax: int, x) -> list:
     # on the rest of the batch.  A rescale where an element nears overflow
     # is tested only at the steps where one can (_rescale_checkpoints)
     starts = _miller_start(nmax, x)
-    order = np.argsort(starts, kind="stable")
-    cuts = np.flatnonzero(np.diff(starts[order])) + 1
-    seeds = {int(starts[group[0]]): group for group in np.split(order, cuts)}
-    start = max(seeds)
+    order = np.argsort(starts)  # each start's elements, order[i:j]
+    ranked = starts[order]
+    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), len(ranked)]
+    seeds = {k: order[i:j] for k, i, j in
+             zip(ranked[cuts[:-1]].tolist(), cuts, cuts[1:])}
     check_from = _batch_checkpoints(starts, x).start
     jp = np.zeros_like(x)
     jc = np.zeros_like(x)
     out = [0.0] * (nmax + 1)
     half = np.zeros_like(x)
-    for k in range(start, 0, -1):
+    for k in range(max(seeds), 0, -1):
         if k in seeds:  # k > nmax, so jc is in no entry of out
             jc[seeds[k]] = _SEED
         jm = 2.0 * k / x

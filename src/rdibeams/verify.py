@@ -370,8 +370,7 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     for row, d in zip(worst, devs.values()):
         row[used] = np.max(np.abs(d), axis=tuple(range(1, d.ndim)),
                            initial=0.0)
-    negative = np.zeros(len(psis), dtype=bool)
-    negative[used] = scalar < 0
+    negative = used & (obs.scalar < 0)
     pool = spec if isinstance(spec, _Pool) else _Pool([spec], [len(psis)])
     out = [dict(zip(devs, most or [0.0] * len(devs)),
                 beta_pi_fraction=neg / max(kept, 1), excluded=n - kept)
