@@ -109,10 +109,9 @@ def _batch_checkpoints(starts, x) -> range:
 def _miller_all(nmax: int, x) -> list:
     # downward recurrence from well above the turning point, normalized by
     # J0 + 2*sum J_{2k} = 1 (half the sum, doubled at the end: exact, as no
-    # partial sum is subnormal).  Each element stays exactly 0 until the
-    # recurrence reaches its own start index, so its value does not depend
-    # on the rest of the batch.  A rescale where an element nears overflow
-    # is tested only at the steps where one can (_rescale_checkpoints)
+    # partial sum is subnormal).  Each element stays exactly 0 until its own
+    # start index, so its value does not depend on the rest of the batch.
+    # A rescale is tested only where one can be due (_rescale_checkpoints)
     starts = _miller_start(nmax, x)
     order = np.argsort(starts)  # each start's elements, order[i:j]
     ranked = starts[order]

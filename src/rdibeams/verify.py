@@ -32,9 +32,10 @@ call than per point.  Each keeps its slice of every spec's evaluation, as
 arrays of its own, and calls its residual once per pass, after the last
 spec, on all specs' points together, with a `_Pool` in place of the spec:
 it gives each point its spec's mass, and each spec's worst value and counts
-from one segment reduction over the batch.  The inversion row finds the singular points of all specs and inverts the
-rest on one `inversion.density`.  The dirac row reads every point and stays
-per spec: pooled, it would hold every spec's spinor stencils at once.
+from one segment reduction over the batch.  The inversion row finds the
+singular points of all specs and inverts the rest on one
+`inversion.density`.  The dirac row reads every point and stays per spec:
+pooled, it would hold every spec's spinor stencils at once.
 
 Negative controls assert detection power, not only agreement.  FAULTS names
 each control's rows and the `catalog` attribute it wraps while each runs, on
@@ -199,8 +200,7 @@ class _Pool:
 
     def count(self, mask) -> list:
         """How many of each spec's points mask[N] holds at."""
-        return np.bincount(self.owner[mask],
-                           minlength=len(self.specs)).tolist()
+        return np.bincount(self.owner[mask], minlength=len(self.specs)).tolist()
 
     def maxima(self, values) -> list:
         """Each spec's maximum over the last axis of values[..., N], from one
@@ -729,7 +729,8 @@ def _pointwise(residual):
     # item's worst is that of its own slice
     def measure(items, h):
         pool, xs, sample = _pooled(items)
-        return [(most, {}) for most in pool.maxima(residual(pool, xs, h, sample))]
+        res = residual(pool, xs, h, sample)
+        return [(most, {}) for most in pool.maxima(res)]
     return measure
 
 

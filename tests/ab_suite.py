@@ -43,7 +43,8 @@ def main(argv=None) -> None:
     parser.add_argument("--pairs", type=int, default=100)
     parser.add_argument("--points", type=int, default=100)
     args = parser.parse_args(argv)
-    sides = {"base": load(args.base, "ab_base"), "new": load(args.new, "ab_new")}
+    sides = {side: load(src, f"ab_{side}")
+             for side, src in (("base", args.base), ("new", args.new))}
     times = {side: [] for side in sides}
     reports = {}
     for side, verify in sides.items():  # a warm-up pass each, untimed
