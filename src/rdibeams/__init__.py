@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .catalog import (  # noqa: F401
     Family,
-    FieldSample,
     NotNormalizable,
     OnAxisError,
     SolutionSpec,

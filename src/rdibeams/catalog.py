@@ -39,7 +39,8 @@ shifted by the dressing; the dressed families at p_z = 0, omega > 0 with
 envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
-`fields`, `sources`, `bilinear_fields`, `velocity_spin`,
+`fields` (e(E, B) as one array, [..., 6]), `sources` (the 4-current
+e mu0 (rho_e, J_e), [..., 4]), `bilinear_fields`, `velocity_spin`,
 `null_rotation_generator`, `null_rotation_lorentz`) take their coordinates
 as numpy arrays of one shape, a float being the one-point case (a float
 among arrays stands for every point); a batch keeps its axes in front and
@@ -650,19 +651,11 @@ def potential(spec: SolutionSpec, t, x, y, z) -> Array:
     return parts["static"] + parts["radiation"] + parts["laser"]
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Fields at a point, or at a batch of points along the leading axes
-    (vectors carry a trailing axis of length 3)."""
-
-    electric: Array       # e E
-    magnetic: Array       # e B
-
-
-def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
-    """Closed-form electromagnetic fields, at float or array coordinates:
-    B_z at the primed point, the plane wave, and B_z's dressing, a null
-    field of amplitude B_z / (eps omega); their sources are `sources`."""
+def fields(spec: SolutionSpec, t, x, y, z) -> Array:
+    """Closed-form electromagnetic fields e(E, B), [..., 6], e E first, at
+    float or array coordinates: B_z at the primed point, the plane wave,
+    and B_z's dressing, a null field of amplitude B_z / (eps omega); their
+    sources are `sources`."""
     xp, yp, xi, (d1, d2) = _primed(spec, t, x, y, z)
     zero = _zero(t, x, y, z)
     eE = [zero] * 3
@@ -680,28 +673,27 @@ def fields(spec: SolutionSpec, t, x, y, z) -> FieldSample:
             k = b / (d * eps * spec.omega)
             eE = [eE[0] + k * d2, eE[1] + k * -d1, eE[2]]
             eB = [eB[0] + k * d1, eB[1] + k * d2, eB[2]]
-    return FieldSample(_stack(eE), _stack(eB))
+    return _stack(eE + eB)
 
 
-def sources(spec: SolutionSpec, t, x, y, z) -> tuple[Array, Array]:
-    """The closed-form source densities of `fields`, (e mu0 rho_e,
-    e mu0 J_e[..., 3]), at float or array coordinates: zero but for the
-    loop-like current of the 1/r field and its dressing."""
+def sources(spec: SolutionSpec, t, x, y, z) -> Array:
+    """The closed-form sources of `fields` as one 4-current,
+    e mu0 (rho_e, J_e), [..., 4], at float or array coordinates: zero but
+    for the loop-like current of the 1/r field and its dressing."""
     zero = _zero(t, x, y, z)
     if spec.family not in SINGULAR_ON_AXIS:  # a uniform B_z has none
-        return zero, _stack([zero] * 3)
+        return _stack([zero] * 4)
     xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     b, d, _ = _axial(spec, xp, yp)
     rp3 = (d / 4.0) ** 3  # d = 4 r', so d / 4 is r' exactly
     if not spec.is_dressed:
-        return zero, _stack([zero + (b / 4.0) * -yp / rp3,
-                             zero + (b / 4.0) * xp / rp3,
-                             zero])
+        return _stack([zero, zero + (b / 4.0) * -yp / rp3,
+                       zero + (b / 4.0) * xp / rp3, zero])
     eps = eigenvalue(spec)
     rho_e = b * (yp * d1 - xp * d2) / (4.0 * eps * spec.omega * rp3)
     J_e = [(b / (4.0 * rp3)) * v
            for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
-    return rho_e, _stack(J_e)
+    return _stack([rho_e, *J_e])
 
 
 # ---------------------------------------------------------------------------

@@ -221,13 +221,13 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
     # names it.  The fields come first, so that a point on the (shifted)
     # axis of a 1/r field is refused as such, not for its density.
     with np.errstate(all="ignore"):
-        smp = cat.fields(spec, t, x, y, z)
+        eb = cat.fields(spec, t, x, y, z)
         eA = cat.potential(spec, t, x, y, z)
         psi = cat.spinor(spec)(t, x, y, z)
         bil = bilinears(psi)
     parts = np.stack([psi.real, psi.imag], axis=-1).reshape(-1, 8)
-    table = np.column_stack([points, parts, bil.current, eA, smp.electric,
-                             smp.magnetic, bil.rho, bil.beta])
+    table = np.column_stack([points, parts, bil.current, eA, eb, bil.rho,
+                             bil.beta])
     bad = ~np.isfinite(table)
     if bad.any():
         row, col = np.argwhere(bad)[0]

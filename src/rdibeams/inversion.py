@@ -64,9 +64,9 @@ MIN_STEP, MAX_STEP = 1e-6, 1e-2  # the stencil steps `invert` takes
 
 def dirac_operator(psi, grad, m: float) -> tuple[Array, Array]:
     """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from
-    psi[..., 4] and its `numerics.gradient4` grad[..., 4, 4].  d_mu Psi is
-    the lift of d_mu psi, exact as the lift is real-linear; the first column
-    of D is the column form i gamma^mu d_mu psi - m psi."""
+    psi[..., 4] and its `StencilSample.gradient` grad[..., 4, 4].  d_mu Psi
+    is the lift of d_mu psi, exact as the lift is real-linear; the first
+    column of D is the column form i gamma^mu d_mu psi - m psi."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
     slash_d = sta.gather_product(
@@ -106,18 +106,23 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     mass has no default: the field does not carry it, and any other mass
     gives a wrong potential whose constraint traces still vanish.  m is a
     float, or one mass per point, m[..., 1, 1], broadcast against each
-    point's 4 x 4 matrices.  The step must sit in [MIN_STEP, MAX_STEP].  SingularSpinor is raised if Psi
-    is singular at any point of the batch, before the field is
-    differentiated.  `sample`, when given, is (the field's
-    `numerics.sample` at point of step h, that of step h/2, the `density` of
-    the spinor at point), already evaluated; an entry that is None is
-    evaluated here.  With both samples given, field is never called and
-    may be None.
+    point's 4 x 4 matrices.  The step must sit in [MIN_STEP, MAX_STEP].
+
+    The field is sampled once, by one `numerics.sample` call at the points
+    and on their stencils of steps h and h/2, before the singular test:
+    SingularSpinor is raised if Psi is singular at any point of the batch,
+    before the stencils are combined.  `sample`, when given, is (the
+    field's `numerics.sample` at point of step h, that of step h/2, the
+    `density` of the spinor at point or None); field is then never called
+    and may be None.
     """
     if not MIN_STEP <= h <= MAX_STEP:
         raise ValueError(f"step h outside [{MIN_STEP}, {MAX_STEP}]")
-    full, half, dens = sample or (None, None, None)
-    psi = numerics.at(field, point) if full is None else full.at_points
+    if sample is None:
+        steps = [(..., h), (..., h / 2.0)]
+        sample = (*numerics.sample(field, point, steps)[1], None)
+    full, half, dens = sample
+    psi = full.at_points
     scalar, pseudo = density(psi) if dens is None else dens
     rho2 = scalar ** 2 + pseudo ** 2
     if np.any(rho2 < SINGULAR_RHO2):
@@ -126,13 +131,11 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     duality = scalar[..., None, None] * sta.ID \
         - pseudo[..., None, None] * sta.PSEUDO
 
-    def inverted(step, smp):
-        grad = numerics.gradient4(field, point, step) if smp is None \
-            else smp.gradient()
-        Psi, D = dirac_operator(psi, grad, m)
+    def inverted(smp):
+        Psi, D = dirac_operator(psi, smp.gradient(), m)
         return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
 
-    full, half = inverted(h, full), inverted(h / 2.0, half)
+    full, half = inverted(full), inverted(half)
     est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0
     # Tr[half Gamma_k] / 4
     coeffs = sta.gather_product(

@@ -18,7 +18,10 @@ points of several (points, step) requests in one call, so that several
 readers share one evaluation: the field at the points, and per request its
 4-gradient and the 4-gradient of a map of it, for all its points or a slice
 of them (`StencilSample`).  The verify suite evaluates each closed form of a
-spec this way, once, over the union of what its checks read.
+spec this way, once, over the union of what its checks read, and a
+standalone `inversion.invert` samples its field this way, once, at steps h
+and h/2.  The maxwell row's `gradient4` is the one library caller of the
+stencils outside `sample`.
 
 `rk4_path` is the other way round: each step depends on the one before, so
 it holds its state as Python floats and hands the right-hand side a tuple

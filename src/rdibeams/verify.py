@@ -94,20 +94,12 @@ _READS = {
 _STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
 
 
-def _e_and_b(spec):
-    # e E and e B side by side, [..., 6]
-    def field(*q):
-        smp = cat.fields(spec, *q)
-        return np.concatenate([smp.electric, smp.magnetic], axis=-1)
-    return field
-
-
 # the closed forms of (t, x, y, z), each with one trailing component axis
 # (the profile, of lam, is `catalog.profile`); each reads its catalog
 # attribute when it is called, so that a fault's rebinding reaches it
 _FORMS = {"spinor": lambda spec: cat.spinor(spec),
           "potential": lambda spec: lambda *q: cat.potential(spec, *q),
-          "fields": _e_and_b}
+          "fields": lambda spec: lambda *q: cat.fields(spec, *q)}
 
 
 def _union(size, indices):
@@ -309,10 +301,10 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
                      h: float = numerics.DEFAULT_STEP):
     """Max residual of Gauss and Ampere laws against the closed-form
     sources, at point[..., 4]."""
-    charge, current = numerics.at(lambda *q: cat.sources(spec, *q), point)
-    g = numerics.gradient4(_e_and_b(spec), point, h).real
-    gauss = numerics.spatial_divergence(g[..., :3]) - charge
-    ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - current
+    src = numerics.at(lambda *q: cat.sources(spec, *q), point)
+    g = numerics.gradient4(_FORMS["fields"](spec), point, h).real
+    gauss = numerics.spatial_divergence(g[..., :3]) - src[..., 0]
+    ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - src[..., 1:]
     return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
 
 

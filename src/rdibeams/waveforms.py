@@ -21,8 +21,9 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _PULSE_REACH = 12.0
 # points per block of the pulse gauge integral: the phases of a whole
-# `numerics.gradient4` batch (16 stencil points per point) at once would
-# hold several arrays of 64 x its size in memory together
+# `numerics.sample` batch of spinor evaluations (16 stencil points per
+# point and step) at once would hold several arrays of 64 x its size in
+# memory together
 _PULSE_BLOCK = 32
 
 

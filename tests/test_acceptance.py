@@ -242,14 +242,14 @@ def test_criterion_7_field_identities():
     for spec in (red, ral):
         for _ in range(20):
             pt = tuple(rng.uniform(0.5, 5.0, size=4))
-            smp = cat.fields(spec, *pt)
-            dot = float(np.dot(smp.electric, smp.magnetic))
+            eb = cat.fields(spec, *pt)
+            dot = float(np.dot(eb[..., :3], eb[..., 3:]))
             worst_dot = max(worst_dot, abs(dot))
             if spec is ral:
                 xp, yp, *_ = cat._primed(spec, *pt)
                 expected = -spec.B ** 2 / (16.0 * (xp * xp + yp * yp))
-                inv2 = float(np.dot(smp.electric, smp.electric)
-                             - np.dot(smp.magnetic, smp.magnetic))
+                inv2 = float(np.dot(eb[..., :3], eb[..., :3])
+                             - np.dot(eb[..., 3:], eb[..., 3:]))
                 worst_inv = max(worst_inv, abs(inv2 - expected))
             worst_gauge = max(worst_gauge,
                               verify.lorentz_gauge_residual(spec, pt))

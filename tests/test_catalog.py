@@ -588,33 +588,36 @@ def test_dressed_potential_structure():
 
 def test_field_values_and_sources():
     uni = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0, B=1.1)
-    smp = cat.fields(uni, 0.0, 0.8, 0.5, 0.2)
-    np.testing.assert_allclose(smp.magnetic, [0, 0, 1.1 ** 2], atol=1e-15)
-    np.testing.assert_array_equal(smp.electric, np.zeros(3))
+    eb = cat.fields(uni, 0.0, 0.8, 0.5, 0.2)
+    assert eb.shape == (6,)
+    np.testing.assert_allclose(eb[..., 3:], [0, 0, 1.1 ** 2], atol=1e-15)
+    np.testing.assert_array_equal(eb[..., :3], np.zeros(3))
     rad = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1, B=0.8)
     x, y = 1.2, -0.7
     r = math.hypot(x, y)
-    smp = cat.fields(rad, 0.0, x, y, 0.0)
-    assert np.linalg.norm(smp.magnetic) == pytest.approx(0.8 / (4.0 * r),
-                                                         rel=1e-14)
-    charge, current = cat.sources(rad, 0.0, x, y, 0.0)
-    assert charge == 0.0
+    eb = cat.fields(rad, 0.0, x, y, 0.0)
+    assert np.linalg.norm(eb[..., 3:]) == pytest.approx(0.8 / (4.0 * r),
+                                                        rel=1e-14)
+    src = cat.sources(rad, 0.0, x, y, 0.0)
+    assert src.shape == (4,)
+    assert src[..., 0] == 0.0
     np.testing.assert_allclose(
-        current, (0.8 / 4.0) * np.array([-y, x, 0.0]) / r ** 3, atol=1e-15)
-    charge, current = cat.sources(uni, 0.0, 0.8, 0.5, 0.2)
-    assert charge == 0.0
-    np.testing.assert_array_equal(current, np.zeros(3))
+        src[..., 1:], (0.8 / 4.0) * np.array([-y, x, 0.0]) / r ** 3,
+        atol=1e-15)
+    src = cat.sources(uni, 0.0, 0.8, 0.5, 0.2)
+    assert src[..., 0] == 0.0
+    np.testing.assert_array_equal(src[..., 1:], np.zeros(3))
 
 
 def test_uniform_envelope_gives_constant_field_radial_gives_inverse_r():
     # the magnetic field is constant iff the envelope is Gaussian
     uni = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
-    vals = [cat.fields(uni, 0.0, x, y, 0.0).magnetic[2]
+    vals = [cat.fields(uni, 0.0, x, y, 0.0)[..., 5]
             for x, y in ((0.5, 0.1), (1.0, 2.0), (3.3, 0.4))]
     assert np.var(vals) == 0.0
     rad = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0)
     for x, y in ((0.5, 0.1), (1.0, 2.0)):
-        bz = cat.fields(rad, 0.0, x, y, 0.0).magnetic[2]
+        bz = cat.fields(rad, 0.0, x, y, 0.0)[..., 5]
         assert bz == pytest.approx(1.0 / (4.0 * math.hypot(x, y)), rel=1e-14)
 
 
@@ -639,9 +642,9 @@ def test_fields_from_potential_cross_check():
                 pt = tuple(rng.uniform(0.6, 4.0, size=4))
                 fd = oracles.fields_from_potential(spec, pt)
                 closed = cat.fields(spec, *pt)
-                np.testing.assert_allclose(fd["electric"], closed.electric,
+                np.testing.assert_allclose(fd["electric"], closed[..., :3],
                                            atol=1e-9)
-                np.testing.assert_allclose(fd["magnetic"], closed.magnetic,
+                np.testing.assert_allclose(fd["magnetic"], closed[..., 3:],
                                            atol=1e-9)
                 assert verify.maxwell_residual(spec, np.array(pt)) <= 1e-9
 
@@ -655,11 +658,11 @@ def test_dressed_1_over_r_field_is_singular_on_the_shifted_axis():
     t, z = 0.7, 0.4
     _, (dx, dy), _ = cat._plane_wave(spec, t, z)
     assert dx != 0.0 and dy != 0.0
-    smp = cat.fields(spec, t, 0.0, 0.0, z)
-    charge, current = cat.sources(spec, t, 0.0, 0.0, z)
+    eb = cat.fields(spec, t, 0.0, 0.0, z)
+    src = cat.sources(spec, t, 0.0, 0.0, z)
     assert np.isfinite(np.concatenate([
-        cat.potential(spec, t, 0.0, 0.0, z), smp.electric, smp.magnetic,
-        [charge], current])).all()
+        cat.potential(spec, t, 0.0, 0.0, z), eb[..., :3], eb[..., 3:],
+        src[..., :1], src[..., 1:]])).all()
     x, y = np.array([1.0, -dx]), np.array([0.0, -dy])
     for evaluator in (cat.potential_split, cat.fields, cat.sources):
         for point in ((t, -dx, -dy, z), (t, x, y, z)):
@@ -1017,12 +1020,12 @@ def test_batches_match_float_calls(spec):
     agree(cat.potential(spec, t, x, y, z), [cat.potential(spec, *p) for p in pts])
     batch = cat.fields(spec, t, x, y, z)
     floats = [cat.fields(spec, *p) for p in pts]
-    for key in ("electric", "magnetic"):
-        agree(getattr(batch, key), [getattr(f, key) for f in floats])
+    for part in (np.s_[..., :3], np.s_[..., 3:]):
+        agree(batch[part], [f[part] for f in floats])
     batch = cat.sources(spec, t, x, y, z)
     floats = [cat.sources(spec, *p) for p in pts]
-    for i in range(2):
-        agree(batch[i], [f[i] for f in floats])
+    for part in (np.s_[..., 0], np.s_[..., 1:]):
+        agree(batch[part], [f[part] for f in floats])
     if not spec.is_dressed:
         bil = cat.bilinear_fields(spec, t, x, y, z)
         for key, val in bil.items():

@@ -97,9 +97,32 @@ def test_invert_step_validation_and_errors():
         inv.invert(col, (1.0, 1.0, 1.0, 1.0), m=spec.m, h=0.5)
     # a field with a genuinely singular point
     def bad(t, x, y, z):
-        return np.zeros(4, dtype=complex)
+        return np.zeros(np.shape(t) + (4,), complex)
     with pytest.raises(inv.SingularSpinor):
         inv.invert(bad, (1.0, 1.0, 1.0, 1.0), m=spec.m)
+
+
+def test_invert_calls_its_field_once():
+    # the points and both stencils (h and h/2) come from one
+    # numerics.sample call, for one point and for a batch, to the bits of
+    # the suite's path through a sample it is handed
+    spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
+    col = cat.spinor(spec)
+    calls = []
+
+    def counted(t, x, y, z):
+        calls.append(np.shape(t))
+        return col(t, x, y, z)
+
+    rng = np.random.default_rng(5)
+    for pts in (rng.uniform(0.6, 3.0, size=4), rng.uniform(0.6, 3.0, (3, 4))):
+        calls.clear()
+        sample = inv.invert(counted, pts, m=spec.m)
+        assert len(calls) == 1
+        _, steps = numerics.sample(col, pts, [(..., 1e-3), (..., 5e-4)])
+        given = inv.invert(None, pts, m=spec.m, sample=(*steps, None))
+        np.testing.assert_array_equal(sample.coefficients, given.coefficients)
+        assert sample.eA.shape == pts.shape
 
 
 def test_cross_check_gaussian_envelope_on_grid():
@@ -195,10 +218,11 @@ def test_invert_is_gauge_covariant():
 
 def test_field_that_forgets_the_component_axis_raises():
     # the gauged field of test_invert_is_gauge_covariant without [..., None]:
-    # the stencil hands it coordinates shaped (*batch, 16), and its per-point
-    # factor does not broadcast against psi[..., 16, 4], at one point and at
-    # batches of 3 and 4 points alike (a batch of 4 once matched the
-    # component axis and gave a wrong potential without an error)
+    # the stencil hands it coordinates shaped (*batch, 16), and invert's one
+    # sample 33 per point on one axis, and its per-point factor does not
+    # broadcast against psi[..., 4], at one point and at batches of 3 and 4
+    # points alike (a batch of 4 once matched the component axis and gave a
+    # wrong potential without an error)
     spec = cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0)
     base = cat.spinor(spec)
 
