@@ -10,9 +10,8 @@ one 4-gradient instead of re-running the stencil per component.
 The stencils take a batch of points, point[..., 4], and call the field once
 per `partial4`, on the 16 stencil points of every point of the batch (four
 per coordinate), all on one axis after the batch axes (fields take t, x, y,
-z as arrays and return components trailing); `gradient4` is that call.  Its
-two halves are public: `stencil_points` builds the points and
-`gradient_from_stencil` combines the field's values there.
+z as arrays and return components trailing); `gradient4` is that call, on
+the points of `stencil_points`.
 `sample` evaluates a field at a batch of points and on the 16 stencil
 points of several (points, step) requests in one call, so that several
 readers share one evaluation: the field at the points, and per request its
@@ -86,13 +85,6 @@ def _to_axis(d, axis):
     return d.transpose(*range(1, axis + 1), 0, *range(axis + 1, d.ndim))
 
 
-def gradient_from_stencil(vals, axis, h=DEFAULT_STEP):
-    """The 4-gradient of `gradient4`, g[..., mu, :], from a field's values
-    on stencil_points(point, h), vals[*batch, 16, ...], whose stencil axis
-    `axis` is the number of batch axes."""
-    return _to_axis(_partials(vals, axis, h), axis)
-
-
 def partial4(fn, point, *, h=DEFAULT_STEP):
     """The four 4th-order central partials of fn(t, x, y, z) at
     point[..., 4], d[mu, ...] = d_mu fn.  fn is called once, on the 16
@@ -106,7 +98,7 @@ def gradient4(fn, point, h=DEFAULT_STEP):
     """All four partials of fn(t, x, y, z) at point[..., 4], stacked after
     the batch axes: g[..., mu, :] = d_mu fn, the time row in d/dt (not
     d/d(ct)).  One `partial4` call, so fn is called once, on all 16
-    `stencil_points` of every point; `gradient_from_stencil` is the same
+    `stencil_points` of every point; `StencilSample.gradient` is the same
     combination of values already evaluated there."""
     return _to_axis(partial4(fn, point, h=h), np.ndim(point) - 1)
 
@@ -125,7 +117,8 @@ class StencilSample:
         """`gradient4` at the points of the field, or of of(field) for a map
         `of` of its trailing component axis: [*batch, 4, k]."""
         vals = self.stencil if of is None else of(self.stencil)
-        return gradient_from_stencil(vals, self.stencil.ndim - 2, self.h)
+        axis = self.stencil.ndim - 2
+        return _to_axis(_partials(vals, axis, self.h), axis)
 
     def __getitem__(self, index) -> StencilSample:
         return StencilSample(self.at_points[index], self.stencil[index], self.h)

@@ -8,22 +8,22 @@ null-rotation block identity.  The standard suite is one table, CHECKS, run
 over seeded uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
-per point.  The suite evaluates each closed form a row reads (`_READS`: the
-spinor, the potential, e E and e B, the profile) once per spec, on the
-first row that reads it, as one batch over the union of what the spec's
-rows read of it: one `numerics.sample` at the union of their points and of
-each step's stencil points (every point, with no union taken, once a row
-reads every point), one `catalog.profile` call on all their lam grids.
-Each row reads its own slice: the spinor at the points and their
-h-stencil and the inversion's h/2 stencil, the potential at the points and
-the gauge row's h-stencil, the profile of the ode and circularity grids.
-Each residual takes its row's sample as an optional last argument and,
-called without it, builds its own through the same evaluation, to the same
-bits.  The maxwell row differentiates e E and e B itself, with
-`numerics.gradient4`.  The Dirac residual shares the matrix Dirac operator
-of the inversion, `inversion.dirac_operator`, which takes its derivative
-from the column one.  A record that checked no point fails, and its extras
-give the reason.
+per point.  Each row names the closed forms it reads (`Check.reads`: the
+spinor, the potential, e E and e B, the profile).  The suite evaluates each
+once per spec, before the spec's rows are measured, as one batch over the
+union of what the spec's rows read of it (`_evaluate`): one
+`numerics.sample` at the union of their points and of each step's stencil
+points (every point, with no union taken, once a row reads every point),
+one `catalog.profile` call on all their lam grids.  Each row reads its own
+slice: the spinor at the points and their h-stencil and the inversion's h/2
+stencil, the potential at the points and the gauge row's h-stencil, the
+profile of the ode and circularity grids.  Each residual takes its row's
+sample as an optional last argument and, called without it, builds its own
+through the same evaluation, to the same bits.  The maxwell row
+differentiates e E and e B itself, with `numerics.gradient4`.  The Dirac
+residual shares the matrix Dirac operator of the inversion,
+`inversion.dirac_operator`, which takes its derivative from the column one.
+A record that checked no point fails, and its extras give the reason.
 
 Most rows call their residual once per spec, on all its points.  The
 pooled rows (`Check.pooled`: continuity, gauge, inversion and kinematics)
@@ -39,8 +39,9 @@ pooled, it would hold every spec's spinor stencils at once.
 
 Negative controls assert detection power, not only agreement.  FAULTS names
 each control's rows and the `catalog` attribute it wraps while each runs, on
-an evaluation of its own.  A control that reaches none of the selected
-checks is a SelectionError (a usage error in the CLI).
+an evaluation of its own, once per spec, pooled or not.  A control that
+reaches none of the selected checks is a SelectionError (a usage error in
+the CLI).
 """
 from __future__ import annotations
 
@@ -76,21 +77,6 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
-# what each row of CHECKS reads of its spec's closed forms, the same for a
-# residual called alone: a form at the row's points, "form@h" with its
-# h-stencil as well, "form@h/2" with its h/2-stencil
-_READS = {
-    "dirac": ("spinor@h", "potential"),
-    "continuity": ("spinor@h",),
-    "gauge": ("potential@h",),
-    "inversion": ("spinor@h", "spinor@h/2", "potential"),
-    "maxwell": (),  # it differentiates e E and e B with numerics.gradient4
-    "kinematics": ("spinor",),
-    "ode": ("profile",),
-    "circularity": ("profile",),
-    "volkov": ("spinor",),
-    "fields": ("fields",),
-}
 _STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
 
 
@@ -117,66 +103,60 @@ def _union(size, indices):
     return np.flatnonzero(mask), [rank[index] for index in indices]
 
 
-class _Evaluation:
-    """What some rows read of one spec's closed forms, per `_READS`.  Each
-    form is evaluated once, when a row first asks for it, as one batch over
-    the union of what the rows read of it: one `numerics.sample` at the
-    union of their points and of each step's stencil points, or one
-    `catalog.profile` call on all their lam grids.  row(name) is that row's
-    own slice of each form it reads, keyed by its reads.
+def _profile(spec, users):
+    # one catalog.profile call on the (row, read, lams) users' grids
+    pr = cat.profile(spec, np.concatenate([lams for *_, lams in users]))
+    out, start = {}, 0
+    for name, read, lams in users:
+        part = slice(start, start + len(lams))
+        out[name, read] = {k: v[part] if np.ndim(v) else v
+                           for k, v in pr.items()}
+        start = part.stop
+    return out
 
-    rows maps a row's name to (its reads, where): points[where] for a slice
-    or ..., else the lam grid `where` itself."""
 
-    def __init__(self, spec, h, points, rows):
-        self.spec, self.h, self.points, self.rows = spec, h, points, rows
-        self.done = {}
+def _field(spec, h, points, form, users):
+    # one numerics.sample of `form` for the (row, read, where) users
+    centre, pos = _union(len(points), [u[2] for u in users])
+    points = points[centre]
+    by_step = {}  # stencil step over h (None: none) -> its users
+    for j, (_, read, _) in enumerate(users):
+        by_step.setdefault(_STEPS[read.partition("@")[2]], []).append(j)
+    stencils = {f: _union(len(points), [pos[j] for j in js])
+                for f, js in by_step.items() if f is not None}
+    values, samples = numerics.sample(
+        _FORMS[form](spec), points,
+        [(index, f * h) for f, (index, _) in stencils.items()])
+    out = {users[j][:2]: values[pos[j]] for j in by_step.get(None, ())}
+    for smp, (f, (_, where)) in zip(samples, stencils.items()):
+        out |= {users[j][:2]: smp[p] for j, p in zip(by_step[f], where)}
+    return out
 
-    def row(self, name) -> dict:
-        return {read: self._form(read.partition("@")[0])[name, read]
-                for read in self.rows[name][0]}
 
-    def _form(self, form):
-        if form not in self.done:
-            users = [(name, read, where)
-                     for name, (reads, where) in self.rows.items()
-                     for read in reads if read.partition("@")[0] == form]
-            self.done[form] = self._profile(users) if form == "profile" \
-                else self._field(form, users)
-        return self.done[form]
-
-    def _profile(self, users):
-        pr = cat.profile(self.spec, np.concatenate([u[2] for u in users]))
-        out, start = {}, 0
-        for name, read, lams in users:
-            part = slice(start, start + len(lams))
-            out[name, read] = {k: v[part] if np.ndim(v) else v
-                               for k, v in pr.items()}
-            start = part.stop
-        return out
-
-    def _field(self, form, users):
-        centre, pos = _union(len(self.points), [u[2] for u in users])
-        points = self.points[centre]
-        by_step = {}  # stencil step over h (None: none) -> its users
-        for j, (_, read, _) in enumerate(users):
-            by_step.setdefault(_STEPS[read.partition("@")[2]], []).append(j)
-        stencils = {f: _union(len(points), [pos[j] for j in js])
-                    for f, js in by_step.items() if f is not None}
-        values, samples = numerics.sample(
-            _FORMS[form](self.spec), points,
-            [(index, f * self.h) for f, (index, _) in stencils.items()])
-        out = {users[j][:2]: values[pos[j]] for j in by_step.get(None, ())}
-        for smp, (f, (_, where)) in zip(samples, stencils.items()):
-            out |= {users[j][:2]: smp[p] for j, p in zip(by_step[f], where)}
-        return out
+def _evaluate(spec, h, points, rows) -> dict:
+    """{row: {read: its slice}} of what rows read of one spec's closed
+    forms, each evaluated once, in the order the rows first read it.  rows
+    maps a row's name to (its reads, where): points[where] for a slice or
+    ..., else the lam grid `where` itself."""
+    users = {}  # form -> its (row, read, where), in the order first read
+    for name, (reads, where) in rows.items():
+        for read in reads:
+            users.setdefault(read.partition("@")[0], []).append(
+                (name, read, where))
+    got = {}
+    for form, some in users.items():
+        got |= _profile(spec, some) if form == "profile" \
+            else _field(spec, h, points, form, some)
+    return {name: {read: got[name, read] for read in reads}
+            for name, (reads, _) in rows.items()}
 
 
 def _alone(spec, point, h, name):
     # the sample of row `name` at point[..., 4] alone: what a residual
     # called without one evaluates
-    return _Evaluation(spec, h, np.asarray(point, dtype=float),
-                       {name: (_READS[name], ...)}).row(name)
+    reads = next(c.reads for c in CHECKS if c.name == name)
+    return _evaluate(spec, h, np.asarray(point, dtype=float),
+                     {name: (reads, ...)})[name]
 
 
 class _Pool:
@@ -245,8 +225,8 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     4-gradient.  Its first column is the column form, so the returned value
     is the larger of the column residual and half the full matrix norm
     (they agree for a consistent lift).
-    `sample`, when given, holds the row's reads (`_READS`) at point, step h,
-    already evaluated; so for every residual below.
+    `sample`, when given, holds the row's reads (`Check.reads`) at point,
+    step h, already evaluated; so for every residual below.
     """
     if sample is None:
         sample = _alone(spec, point, h, "dirac")
@@ -309,12 +289,13 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
 
 
 def field_invariants(spec: cat.SolutionSpec, point,
-                     sample: dict | None = None) -> dict:
-    """e E . e B for the dressed magnetic families, at point[..., 4]."""
+                     sample: dict | None = None):
+    """e E . e B for the dressed magnetic families, at point[..., 4], one
+    value per point."""
     if sample is None:
         sample = _alone(spec, point, numerics.DEFAULT_STEP, "fields")
     eb = sample["fields"]
-    return {"E_dot_B": np.sum(eb[..., :3] * eb[..., 3:], axis=-1)}
+    return np.sum(eb[..., :3] * eb[..., 3:], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +650,14 @@ class Check:
     tolerance: float
     # (items, h) -> one (worst residual, extra) per item, with each item
     # (spec, xs, sample): xs all of the spec's points at once and sample the
-    # row's reads of its spec's closed forms at xs (`_READS`; none for a row
-    # that reads none), already evaluated; the worst residual is None when
+    # row's reads at xs, already evaluated; the worst residual is None when
     # no point could be checked, and the record then fails, its extra
     # giving the reason
     measure: Callable
+    # what the row reads of its spec's closed forms, the same for its
+    # residual called alone: a form at the row's points, "form@h" with its
+    # h-stencil as well, "form@h/2" with its h/2-stencil
+    reads: tuple = ()
     # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
     # lams) pair in place of the sampled points, or None: every point
     source: int | tuple | None = None
@@ -781,35 +765,40 @@ def _circularity(items, h):
 # Each row runs, in this order, on every default spec it applies to.  The
 # measures call their residuals through the module attribute at call time,
 # so patching that attribute reaches the suite.  Each row reads its spec's
-# closed forms (`_READS`) from the spec's one evaluation of each.  The
-# pooled rows read a subsample of each spec's points and run once a pass,
-# on all specs' points; dirac reads every point, and pooling it would hold
-# every spec's spinor stencils at once.
+# closed forms (`Check.reads`) from the spec's one evaluation of each; the
+# maxwell row reads none, and differentiates e E and e B with
+# numerics.gradient4.  The pooled rows read a subsample of each spec's
+# points and run once a pass, on all specs' points; dirac reads every
+# point, and pooling it would hold every spec's spinor stencils at once.
 CHECKS = (
-    Check("dirac", 1e-7, _each(lambda *a: dirac_residual(*a))),
+    Check("dirac", 1e-7, _each(lambda *a: dirac_residual(*a)),
+          reads=("spinor@h", "potential")),
     Check("continuity", 1e-7, _pointwise(lambda *a: continuity_residual(*a)),
-          source=12, pooled=True),
+          reads=("spinor@h",), source=12, pooled=True),
     Check("gauge", 2e-7, _pointwise(lambda *a: lorentz_gauge_residual(*a)),
-          source=12, pooled=True),
-    Check("inversion", 1.0, _inversion, source=8,
+          reads=("potential@h",), source=12, pooled=True),
+    Check("inversion", 1.0, _inversion,
+          reads=("spinor@h", "spinor@h/2", "potential"), source=8,
           paired=("constraints", 2e-7, "constrained"), pooled=True),
     Check("maxwell", 1e-6,
           _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
-    Check("kinematics", 1e-10, _kinematics, source=25, pooled=True),
+    Check("kinematics", 1e-10, _kinematics, reads=("spinor",), source=25,
+          pooled=True),
     Check("ode", 1e-8,
           _each(lambda s, lam, h, smp: inversion.radial_ode_residual(
-              s, lam, smp["profile"])),
+              s, lam, smp["profile"])), reads=("profile",),
           source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
           applies=lambda s: not s.is_dressed),
-    Check("circularity", 1e-8, _circularity,
+    Check("circularity", 1e-8, _circularity, reads=("profile",),
           source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
           applies=lambda s: not s.is_dressed),
     Check("volkov", 1e-10,
           _each(lambda s, x, h, smp: volkov_equivalence(s, x, smp)),
-          source=50, applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
+          reads=("spinor",), source=50,
+          applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
     Check("fields", 1e-9,
-          _each(lambda s, x, h, smp: abs(field_invariants(s, x, smp)["E_dot_B"])),
-          source=20, applies=lambda s: s.is_dressed
+          _each(lambda s, x, h, smp: abs(field_invariants(s, x, smp))),
+          reads=("fields",), source=20, applies=lambda s: s.is_dressed
           and s.family is not cat.Family.VOLKOV_BESSEL),
 )
 CHECK_NAMES = (*(name for c in CHECKS for name in (c.name, *c.paired[:1])),
@@ -848,18 +837,25 @@ FAULTS = {
 def run_suite(families=None, checks=None, points: int = 100, seed: int = 20240801,
               h: float = numerics.DEFAULT_STEP,
               negative_control: str | None = None) -> VerificationReport:
-    """Run the selected rows of CHECKS on the default specs, then the
-    suite-level null-rotation check.
+    """Run the selected rows of CHECKS on the default specs of the selected
+    families (None: every family), then the suite-level null-rotation
+    check.
 
     `negative_control` (a key of FAULTS) injects its fault into the rows
     it reaches, which must then fail at their normal tolerances.
-    Raises SelectionError for an unknown name, for a control that reaches
-    no selected row and for fewer than one point."""
+    Raises SelectionError for an unknown name, for no family, for a control
+    that reaches no selected row and for fewer than one point."""
     t0 = time.perf_counter()
     if points < 1:
         raise SelectionError(f"need at least one point, got {points}")
-    wanted = {cat.Family(f) for f in families or cat.Family}
-    specs = [spec for fam, group in default_specs().items() if fam in wanted
+    known = [f.value for f in cat.Family]
+    families = set(known if families is None else families)
+    if unknown := ", ".join(sorted(map(str, families - set(known)))):
+        raise SelectionError(f"unknown family(s) {unknown}; known: "
+                             f"{', '.join(known)}")
+    if not families:
+        raise SelectionError(f"no family selected; known: {', '.join(known)}")
+    specs = [spec for fam, group in default_specs().items() if fam in families
              for spec in group]
     checks = set(CHECK_NAMES if checks is None else checks)
     if checks - set(CHECK_NAMES):
@@ -874,50 +870,53 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                                     for c in rows for s in specs):
         raise SelectionError(f"negative control {negative_control} touches "
                              "none of the selected checks")
-    slots = []  # each spec's records of each row, in order
+    slots = []  # each spec's row's (label, grid), in order, then its records
     pools = {c.name: [] for c in rows if c.pooled and c.name not in faults}
+
+    def measure(check, kept):
+        # one call of the row's measure on kept, a list of (slot, item),
+        # that turns each slot's (label, grid) into the item's records
+        results = check.measure([item for _, item in kept], h)
+        for (slot, (_, xs, _)), result in zip(kept, results):
+            slots[slot] = check.records(*slots[slot], len(xs), result)
+
     rng = np.random.default_rng(seed)
     grid_desc = f"uniform[{BOX_LOW},{BOX_HIGH}]^4 x{points} seed={seed}"
     for spec in specs:
         pts = sample_points(rng, points)
         label = spec_label(spec)
         todo = [(c, *c.points(pts, grid_desc)) for c in rows if c.applies(spec)]
-        # each closed form of the spec, evaluated on the first row that
-        # reads it, on the union of what the unfaulted rows read, and kept
-        # for this spec's rows alone
-        shared = _Evaluation(spec, h, pts, {
-            c.name: (_READS[c.name], where) for c, _, _, where in todo
+        # each closed form of the spec, evaluated once on the union of what
+        # the unfaulted rows read, and kept for this spec's rows alone
+        shared = _evaluate(spec, h, pts, {
+            c.name: (c.reads, where) for c, _, _, where in todo
             if c.name not in faults})
         for check, grid, xs, where in todo:
+            slot = len(slots)
+            slots.append((label, grid))
             if check.name in pools:
-                # its slot is filled by the row's one call after the last
-                # spec, from arrays of its own: a view would keep this
-                # spec's whole evaluation alive until then
-                pools[check.name].append((len(slots), label, grid, (
-                    spec, xs.copy(), _joined([shared.row(check.name)]))))
-                slots.append(None)
-                continue
-            if check.name not in faults:
-                slots.append(check.records(label, grid, len(xs), check.measure(
-                    [(spec, xs, shared.row(check.name))], h)[0]))
-                continue
-            attr, wrap = faults[check.name]
-            real = getattr(cat, attr)
-            setattr(cat, attr, wrap(real))
-            try:  # on an evaluation of its own, made under the fault
-                own = _Evaluation(spec, h, pts,
-                                  {check.name: (_READS[check.name], where)})
-                slots.append(check.records(label, grid, len(xs), check.measure(
-                    [(spec, xs, own.row(check.name))], h)[0]))
-            finally:
-                setattr(cat, attr, real)
-    del shared  # the last spec's evaluation goes before the pooled calls
+                # measured in the row's one call after the last spec, from
+                # arrays of its own: a view would keep this spec's whole
+                # evaluation alive until then
+                pools[check.name].append((slot, (
+                    spec, xs.copy(), _joined([shared[check.name]]))))
+            elif check.name not in faults:
+                measure(check, [(slot, (spec, xs, shared[check.name]))])
+            else:
+                attr, wrap = faults[check.name]
+                real = getattr(cat, attr)
+                setattr(cat, attr, wrap(real))
+                try:  # on an evaluation of its own, made under the fault
+                    own = _evaluate(spec, h, pts,
+                                    {check.name: (check.reads, where)})
+                    measure(check, [(slot, (spec, xs, own[check.name]))])
+                finally:
+                    setattr(cat, attr, real)
+        del shared  # before the next spec's evaluation and the pooled calls
     for check in rows:
         kept = pools.pop(check.name, ())
         if kept:  # freed once the row's one call returns
-            results = check.measure([item for *_, item in kept], h)
-            for (slot, label, grid, (_, xs, _)), result in zip(kept, results):
-                slots[slot] = check.records(label, grid, len(xs), result)
+            measure(check, kept)
     records = [r for slot in slots for r in slot]
     if "nullrotor" in checks:  # the null-rotation generator, once per run
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))

@@ -33,7 +33,7 @@ def test_batched_residuals_equal_a_per_point_loop(spec):
         inversion.density(numerics.at(cat.spinor(spec), pts)))]
     cases = [(verify.dirac_residual, pts), (verify.continuity_residual, pts),
              (verify.lorentz_gauge_residual, pts), (verify.maxwell_residual, pts),
-             (lambda s, p: verify.field_invariants(s, p)["E_dot_B"], pts)]
+             (verify.field_invariants, pts)]
     cases += [(lambda s, p, key=key: verify.inversion_agreement(s, p)[key],
                invertible) for key in ("potential_diff", "constrained",
                                        "richardson")]
@@ -517,6 +517,51 @@ def test_control_run_restores_the_catalog_when_its_row_raises(control, row,
     assert all(getattr(cat, a) is obj for a, obj in real.items())
 
 
+def test_a_faulted_pooled_row_is_measured_per_spec_under_its_fault(
+        monkeypatch):
+    # a control that reaches a pooled row takes the row out of the pool:
+    # the gauge row, with 0.01 t added to eA^0 (a 4-divergence of 0.01), is
+    # measured once per spec (a pool of one), on an evaluation made under
+    # the fault; every gauge record fails, every other record keeps its
+    # bits, and the catalog gets its potential back
+    real = cat.potential
+    clean = verify.run_suite(points=12, seed=2)
+    monkeypatch.setitem(verify.FAULTS, "drift-gauge", {"gauge": (
+        "potential", lambda real: lambda spec, t, *q: real(spec, t, *q)
+        + np.asarray(t)[..., None] * (0.01, 0.0, 0.0, 0.0))})
+    gauge, seen = verify.lorentz_gauge_residual, []
+
+    def recording(pool, *args):
+        seen.append(([verify.spec_label(s) for s in pool.specs],
+                     cat.potential is not real))
+        return gauge(pool, *args)
+
+    monkeypatch.setattr(verify, "lorentz_gauge_residual", recording)
+    faulted = verify.run_suite(points=12, seed=2,
+                               negative_control="drift-gauge")
+    assert cat.potential is real
+    assert seen == [([verify.spec_label(s)], True)
+                    for group in verify.default_specs().values() for s in group]
+    assert len(faulted.records) == len(clean.records)
+    for ours, theirs in zip(clean.records, faulted.records):
+        if ours.name == "gauge":
+            assert not theirs.passed
+            assert theirs.max_residual == pytest.approx(0.01, rel=1e-6)
+        else:
+            assert repr(theirs) == repr(ours)
+
+
+@pytest.mark.parametrize("families, match", [
+    ([], "no family selected; known: free-bessel, "),
+    (["uniform-b", "nope"], "unknown family.s. nope; known: free-bessel, "),
+])
+def test_run_suite_family_selection_errors(families, match):
+    # only None selects every family: an empty selection would check
+    # nothing, and an unknown family is named beside the known ones
+    with pytest.raises(verify.SelectionError, match=match):
+        verify.run_suite(families=families, checks={"dirac"}, points=1)
+
+
 @pytest.mark.parametrize("points", [0, -3])
 def test_run_suite_without_points_is_selection_error(points):
     with pytest.raises(verify.SelectionError, match="point"):
@@ -764,7 +809,6 @@ def test_pooled_rows_are_the_subsampled_rows():
                                              "inversion", "kinematics"]
 
 
-@pytest.mark.parametrize("check", POOLED_ROWS, ids=lambda c: c.name)
 def _sign_change_radius(spec, lo, hi):
     # the radius in (lo, hi) where the spec's scalar density changes sign,
     # by bisection: rho / J^0 is about 0 on that circle
