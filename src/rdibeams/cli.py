@@ -30,8 +30,10 @@ class UsageError(ValueError):
 # the largest work a command accepts, refused as a usage error before
 # anything is allocated: peak RSS, measured at 10^3 and 10^4 points (Linux
 # x86-64, Python 3.11, numpy 2.4), grows by about 11 KB per verify point
-# over 40 MB and 2.3 KB per eval grid point over 35 MB, so either bound
-# holds a run to about 1.2 GB
+# over 40 MB, so that bound holds a run to about 1.2 GB, and by about
+# 0.8 KB per eval grid point over 35 MB in either format (the evaluation's
+# arrays; a map's text is held one block of rows at a time), so that bound
+# holds a map to about 0.45 GB
 MAX_POINTS = 100_000
 MAX_GRID_POINTS = 500_000
 
@@ -106,7 +108,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad range spec {text!r}, want lo:hi:count") from exc
     if count < 0:
         raise UsageError(f"bad range spec {text!r}, negative count")
-    if not np.isfinite([lo, hi, hi - lo]).all():
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
         raise UsageError(f"bad range spec {text!r}, bound or span not finite")
     return lo, hi, count
 
@@ -161,15 +163,21 @@ _CSV_HEADER = (
     + [f"eB{ax}" for ax in "xyz"]
     + ["rho", "beta"]
 )
-# one %-format per output row: the csv text of f"{v:.12g}" fields with csv's
-# "\r\n" line end (no such field needs quoting), and the jsonl text of
-# json.dumps(row, sort_keys=True) for finite floats, whose columns are read
-# in _JSONL_ORDER
+# each format's row: its start, field separator and end, and its fields in
+# order, each a column of _CSV_HEADER with its %-format.  csv is the text of
+# f"{v:.12g}" fields with csv's "\r\n" line end (no such field needs
+# quoting), jsonl that of json.dumps(row, sort_keys=True) for finite floats
 _CSV_TEXT_HEADER = ",".join(_CSV_HEADER) + "\r\n"
-_CSV_ROW = ",".join(["%.12g"] * len(_CSV_HEADER)) + "\r\n"
-_JSONL_ORDER = sorted(range(len(_CSV_HEADER)), key=_CSV_HEADER.__getitem__)
-_JSONL_ROW = "{" + ", ".join(f'"{_CSV_HEADER[i]}": %r' for i in _JSONL_ORDER) \
-    + "}\n"
+_ROW_FORMATS = {
+    "csv": ("", ",", "\r\n", [(i, "%.12g") for i in range(len(_CSV_HEADER))]),
+    "jsonl": ("{", ", ", "}\n", [
+        (i, f'"{_CSV_HEADER[i]}": %r')
+        for i in sorted(range(len(_CSV_HEADER)), key=_CSV_HEADER.__getitem__)]),
+}
+# the rows a %-call formats at once: a map holds its table and one block's
+# floats and text, under 2 MB at 1024 rows, which fit in the room its
+# evaluation's freed arrays leave (a 10^4-point map peaks in the evaluation)
+_BLOCK_ROWS = 1024
 
 
 def _grid_points(cfg: dict) -> np.ndarray:
@@ -225,16 +233,40 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
         eA = cat.potential(spec, t, x, y, z)
         psi = cat.spinor(spec)(t, x, y, z)
         bil = bilinears(psi)
-    parts = np.stack([psi.real, psi.imag], axis=-1).reshape(-1, 8)
+    # psi[..., 4] as its 8 float parts, re before im; a dressed spinor of
+    # many points can come with its components strided, so it is made
+    # contiguous first (a copy only then)
+    parts = np.ascontiguousarray(psi).view(float)
     table = np.column_stack([points, parts, bil.current, eA, eb, bil.rho,
                              bil.beta])
-    bad = ~np.isfinite(table)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise DomainError(f"{_CSV_HEADER[col]} = {table[row, col]} is not "
                           f"finite at (t, x, y, z) = "
                           f"{tuple(points[row].tolist())}")
     return table
+
+
+def _map_text(head: str, table: np.ndarray, fmt: str):
+    """The text of a map in `fmt`: its head, then the rows of table, a block
+    of rows a string.  A column whose every row has the same bits (so not
+    one that mixes 0.0 and -0.0) is formatted once, as literal text of the
+    row template; the other columns of a block are formatted by one
+    %-call."""
+    yield head
+    if not len(table):
+        return
+    start, sep, end, fields = _ROW_FORMATS[fmt]
+    bits = table.view(np.int64)
+    same = (bits == bits[0]).all(axis=0)
+    first = table[0].tolist()
+    template = start + sep.join(form % first[i] if same[i] else form
+                                for i, form in fields) + end
+    varying = [i for i, _ in fields if not same[i]]
+    for k in range(0, len(table), _BLOCK_ROWS):
+        block = table[k:k + _BLOCK_ROWS, varying]
+        yield (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def cmd_eval(args) -> int:
@@ -257,16 +289,15 @@ def cmd_eval(args) -> int:
     table = _evaluate(spec, points[~near])
     if cfg["format"] == "csv":
         head = "# " + json.dumps(meta, sort_keys=True) + "\n" + _CSV_TEXT_HEADER
-        row_text = _CSV_ROW
     else:
         head = json.dumps({"meta": meta}, sort_keys=True) + "\n"
-        row_text, table = _JSONL_ROW, table[:, _JSONL_ORDER]
-    body = "".join([row_text % tuple(row) for row in table.tolist()])
+    # one call, which writes each block of rows as it is formatted
+    text = _map_text(head, table, cfg["format"])
     if cfg["out"] == "-":
-        sys.stdout.write(head + body)
+        sys.stdout.writelines(text)
     else:
         with open(cfg["out"], "w", newline="") as fh:
-            fh.write(head + body)
+            fh.writelines(text)
     return 0
 
 
@@ -287,9 +318,6 @@ def cmd_verify(args) -> int:
         families=families, checks=cfg["check"] or None, points=cfg["points"],
         seed=cfg["seed"], h=cfg["fd_step"],
         negative_control=cfg["negative_control"])
-    if not report.records:
-        raise UsageError("the selected checks do not apply to the selected "
-                         "families; nothing was checked")
     payload = report.payload(include_timing=cfg["timings"])
     payload["meta"] = meta
     payload["histogram"] = _residual_histogram(report)

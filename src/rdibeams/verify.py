@@ -638,8 +638,8 @@ def spec_label(spec: cat.SolutionSpec) -> str:
 
 
 class SelectionError(ValueError):
-    """Unknown check or control name, a control that reaches no check, or
-    no points to check on."""
+    """Unknown check or control name, no check that applies to a selected
+    family, a control that reaches no check, or no points to check on."""
 
 
 @dataclass(frozen=True)
@@ -843,8 +843,9 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
 
     `negative_control` (a key of FAULTS) injects its fault into the rows
     it reaches, which must then fail at their normal tolerances.
-    Raises SelectionError for an unknown name, for no family, for a control
-    that reaches no selected row and for fewer than one point."""
+    Raises SelectionError for an unknown name, for no family, for checks
+    that apply to no selected family (none selected included), for a
+    control that reaches no selected row and for fewer than one point."""
     t0 = time.perf_counter()
     if points < 1:
         raise SelectionError(f"need at least one point, got {points}")
@@ -863,6 +864,10 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
             f"unknown check(s) {', '.join(sorted(checks - set(CHECK_NAMES)))}"
             f"; known: {', '.join(CHECK_NAMES)}")
     rows = [c for c in CHECKS if checks & {c.name, *c.paired[:1]}]
+    if "nullrotor" not in checks and not any(c.applies(s) for c in rows
+                                             for s in specs):
+        raise SelectionError("the selected checks do not apply to the "
+                             "selected families; nothing was checked")
     if negative_control not in (None, *FAULTS):
         raise SelectionError(f"unknown negative control {negative_control!r}")
     faults = FAULTS.get(negative_control, {})

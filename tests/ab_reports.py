@@ -7,9 +7,12 @@ BASE_SRC and NEW_SRC are directories that each hold an `rdibeams` package,
 such as the `src` folder of two checkouts.  Each case runs the CLI once per
 tree, in a subprocess with that tree alone on PYTHONPATH, and compares the
 exit codes, stdout and stderr.  The cases are `verify` at 100 points (three
-seeds and both negative controls), at 1000 points (four seeds) and on two
-check subsets whose reads take `verify._union`'s mask branch, and an `eval`
-map of every family in csv and in jsonl, with one pulse-dressed map more.
+seeds and both negative controls), at 1000 points (four seeds), on two check
+subsets whose reads take `verify._union`'s mask branch and on one that
+applies to no selected family (a usage error); an `eval` map of every family
+in csv and in jsonl, with one pulse-dressed map more; and maps that reach
+each branch of the map writer: one of no row, one of one row, a 100 x 100
+stationary map and one whose t and z vary.
 
 Prints `same` or `DIFF` and the case, one line each, and exits 1 on any
 difference.  pytest does not collect this file.
@@ -47,10 +50,26 @@ CASES = [
     ["verify", "--points", "50", "--seed", "3",
      "--check", "continuity", "--check", "inversion"],
     ["verify", "--family", "redmond", "--check", "fields", "--check", "gauge"],
+    ["verify", "--family", "uniform-b", "--check", "volkov"],  # no record
     *(["eval", "--family", family, *args, *_GRID, "--format", fmt]
       for family, args in _MAPS.items() for fmt in ("csv", "jsonl")),
     ["eval", "--family", "redmond", "--n", "2", "--waveform", "pulse:0.2",
      *_GRID],
+    # each branch of the map writer: no row (every point inside
+    # --axis-exclude), one row (every column constant), a 100 x 100
+    # stationary map (many zero columns, several blocks of rows), and a map
+    # whose t and z vary
+    ["eval", "--family", "uniform-b", "--n", "1", *_GRID,
+     "--axis-exclude", "100"],
+    *(["eval", "--family", "radial-b-laser", "--n", "1", "--M", "1",
+       "--waveform", "linear:0.25", "--grid-x=0.9:0.9:1", "--grid-y=1.3:1.3:1",
+       "--format", fmt] for fmt in ("csv", "jsonl")),
+    *(["eval", "--family", "uniform-b", "--n", "0", "--grid-x=0.5:5:100",
+       "--grid-y=0.5:5:100", "--format", fmt] for fmt in ("csv", "jsonl")),
+    *(["eval", "--family", "volkov-bessel", "--l", "1", "--waveform",
+       "circular:0.3", "--grid-t=0:2:4", "--grid-x=0.5:5:6",
+       "--grid-y=0.5:5:6", "--grid-z=-1:1:3", "--format", fmt]
+      for fmt in ("csv", "jsonl")),
 ]
 
 

@@ -24,16 +24,17 @@ import time
 from pathlib import Path
 
 
-def load(src: str, name: str):
-    """The `rdibeams` package under `src`, imported as `name`, and its
-    verify module."""
-    root = Path(src).resolve() / "rdibeams"
-    spec = importlib.util.spec_from_file_location(
-        name, root / "__init__.py", submodule_search_locations=[str(root)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.verify")
+def load(src: str, name: str, module: str = "verify"):
+    """The `rdibeams` package under `src`, imported as `name` (once per
+    name), and its module `module`."""
+    if name not in sys.modules:
+        root = Path(src).resolve() / "rdibeams"
+        spec = importlib.util.spec_from_file_location(
+            name, root / "__init__.py", submodule_search_locations=[str(root)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package
+        spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.{module}")
 
 
 def main(argv=None) -> None:

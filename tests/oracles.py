@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rdibeams import catalog as cat
-from rdibeams import numerics, spinors, sta, verify
+from rdibeams import cli, numerics, spinors, sta, verify
 from rdibeams import specialfn as sf
 
 
@@ -689,3 +689,20 @@ def stationary_potential_terms(spec, t, x, y, z,
         "momentum": mom,
         "eA": np.array([eA0, eAk[0], eAk[1], eAk[2]]),
     }
+
+
+_CSV_ROW = ",".join(["%.12g"] * len(cli._CSV_HEADER)) + "\r\n"
+_JSONL_ORDER = sorted(range(len(cli._CSV_HEADER)),
+                      key=cli._CSV_HEADER.__getitem__)
+_JSONL_ROW = "{" + ", ".join(f'"{cli._CSV_HEADER[i]}": %r'
+                             for i in _JSONL_ORDER) + "}\n"
+
+
+def map_rows(table, fmt: str) -> str:
+    """The rows of an eval map table[n, 28] as text, one %-format and one
+    tuple per row, every value formatted where it stands: the reference for
+    the constant columns and blocks of rows of `cli._map_text`."""
+    row_text = _CSV_ROW
+    if fmt == "jsonl":
+        row_text, table = _JSONL_ROW, table[:, _JSONL_ORDER]
+    return "".join([row_text % tuple(row) for row in table.tolist()])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -574,6 +575,117 @@ def test_eval_of_a_pulse_dressed_map_matches_golden_bytes(name, tmp_path):
     golden = (GOLDEN / f"{name}-pulse.jsonl").read_bytes()
     assert out.read_bytes() == golden
     assert len(golden.splitlines()) == 10  # the meta line and 9 rows
+
+
+def _grid(t, x, y, z):
+    return np.stack(np.meshgrid(t, x, y, z, indexing="ij"), axis=-1) \
+        .reshape(-1, 4)
+
+
+# a transverse grid, on which t and z are constant columns, and one on which
+# every coordinate varies
+MAP_GRIDS = {
+    "transverse": _grid([0.7], np.linspace(0.5, 5.0, 6),
+                        np.linspace(0.5, 5.0, 6), [0.4]),
+    "t and z vary": _grid([0.0, 0.7, 1.9], np.linspace(0.5, 5.0, 5),
+                          np.linspace(-2.0, 2.0, 5), [-0.4, 0.4]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("grid", sorted(MAP_GRIDS))
+def test_map_text_is_bit_for_bit_its_reference(grid, fmt):
+    # every default spec's map, its constant columns (t and z of a
+    # transverse grid, a stationary state's zero columns) written once,
+    # against the writer that formats every value of every row
+    for group in verify.default_specs().values():
+        for spec in group:
+            table = cli._evaluate(spec, MAP_GRIDS[grid])
+            assert "".join(cli._map_text("", table, fmt)) \
+                == oracles.map_rows(table, fmt), verify.spec_label(spec)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("exclude, rows", [("100", 0), ("0", 1)])
+def test_map_of_no_row_or_one_row_is_its_reference(exclude, rows, fmt,
+                                                   tmp_path):
+    # an empty map (every point inside --axis-exclude) is its head alone,
+    # and a one-row map's columns are all constant
+    out = tmp_path / "map"
+    assert cli.main(["eval", "--family", "redmond", "--n", "1",
+                     "--waveform", "circular:0.3", "--grid-x=0.5:0.5:1",
+                     "--grid-y=0.7:0.7:1", "--axis-exclude", exclude,
+                     "--format", fmt, "--out", str(out)]) == 0
+    lines = out.read_bytes().decode().splitlines(keepends=True)
+    head = {"csv": 2, "jsonl": 1}[fmt]
+    assert len(lines) == head + rows
+    spec = cat.SolutionSpec(cat.Family.REDMOND, n=1,
+                            waveform=waveforms.circular(0.3))
+    table = cli._evaluate(spec, np.array([[0.0, 0.5, 0.7, 0.0]]))[:rows]
+    assert "".join(lines[head:]) == oracles.map_rows(table, fmt)
+
+
+_AWKWARD = np.array([5e-324, 1e16, 1e-5, -0.0])
+_VALUES = st.sampled_from([0.0, -0.0, *_AWKWARD, -5e-324, -1e16, 0.1, 1e300]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def map_tables(draw):
+    """A table of a map's 28 columns: one mixes 0.0 and -0.0, one is
+    constant but in its last row, one holds the awkward values of float
+    text, and some others are constant."""
+    rows = draw(st.integers(2, 9))
+    table = np.array(draw(st.lists(
+        st.lists(_VALUES, min_size=28, max_size=28),
+        min_size=rows, max_size=rows)))
+    mixed, last, awkward, *rest = draw(st.permutations(range(28)))
+    table[:, mixed] = 0.0
+    table[draw(st.integers(0, rows - 1)), mixed] = -0.0
+    table[:, last] = value = draw(_VALUES)
+    table[-1, last] = draw(_VALUES.filter(lambda v: repr(v) != repr(value)))
+    table[:, awkward] = np.roll(np.resize(_AWKWARD, rows),
+                                draw(st.integers(0, 3)))
+    for col in rest[:draw(st.integers(0, len(rest)))]:
+        table[:, col] = table[0, col]
+    return table
+
+
+@given(map_tables(), st.sampled_from([1, 2, 3, 1024]))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_map_text_of_drawn_tables_is_its_reference(table, block):
+    # blocks of 1 to 3 rows split the table, the last block short
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        for fmt in ("csv", "jsonl"):
+            assert "".join(cli._map_text("", table, fmt)) \
+                == oracles.map_rows(table, fmt)
+
+
+def test_eval_reads_a_strided_spinor_into_its_parts(monkeypatch):
+    # a dressed spinor of many points can come with its components strided
+    # (volkov-bessel at 10^4 points does); its parts are the same bits
+    spec = verify.default_specs()[cat.Family.VOLKOV_BESSEL][0]
+    points = MAP_GRIDS["t and z vary"]
+    table = cli._evaluate(spec, points)
+    real = cat.spinor
+    monkeypatch.setattr(cat, "spinor", lambda s: lambda *a: np.asfortranarray(
+        real(s)(*a)))
+    strided = cli._evaluate(spec, points)
+    assert strided.tobytes() == table.tobytes()
+    psi = real(spec)(*points.T)
+    assert table[:, 4:12].tobytes() == np.stack(
+        [psi.real, psi.imag], axis=-1).reshape(-1, 8).tobytes()
+
+
+def test_verify_of_checks_that_apply_to_no_family_is_a_usage_error(capsys):
+    # the volkov row applies to volkov-bessel alone; the suite refuses the
+    # selection before it draws a point
+    assert cli.main(["verify", "--family", "uniform-b", "--check",
+                     "volkov"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: the selected checks do not apply "
+                            "to the selected families; nothing was checked\n")
 
 
 def test_eval_refuses_a_1_over_r_axis_in_its_own_frame(capsys):

@@ -569,6 +569,20 @@ def test_run_suite_without_points_is_selection_error(points):
                          points=points)
 
 
+@pytest.mark.parametrize("families, checks", [
+    (None, []),
+    (["uniform-b"], ["volkov"]),  # the volkov row applies to volkov-bessel
+])
+def test_run_suite_with_no_applying_check_is_selection_error(
+        monkeypatch, families, checks):
+    # a selection that checks nothing is refused before a point is drawn
+    drawn = []
+    monkeypatch.setattr(verify, "sample_points", lambda *a: drawn.append(a))
+    with pytest.raises(verify.SelectionError, match="nothing was checked"):
+        verify.run_suite(families=families, checks=checks, points=3)
+    assert drawn == []
+
+
 STATIONARY_RECORDS = ["dirac", "continuity", "gauge", "inversion",
                       "constraints", "maxwell", "kinematics", "ode",
                       "circularity"]
