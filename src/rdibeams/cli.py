@@ -175,8 +175,9 @@ _ROW_FORMATS = {
         for i in sorted(range(len(_CSV_HEADER)), key=_CSV_HEADER.__getitem__)]),
 }
 # the rows a %-call formats at once: a map holds its table and one block's
-# floats and text, under 2 MB at 1024 rows, which fit in the room its
-# evaluation's freed arrays leave (a 10^4-point map peaks in the evaluation)
+# floats and text, at most about 3 MB at 1024 rows, which fit in the room
+# its evaluation's freed arrays leave (a 10^4-point map peaks in the
+# evaluation)
 _BLOCK_ROWS = 1024
 
 
