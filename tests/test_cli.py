@@ -577,18 +577,15 @@ def test_eval_of_a_pulse_dressed_map_matches_golden_bytes(name, tmp_path):
     assert len(golden.splitlines()) == 10  # the meta line and 9 rows
 
 
-def _grid(t, x, y, z):
-    return np.stack(np.meshgrid(t, x, y, z, indexing="ij"), axis=-1) \
-        .reshape(-1, 4)
-
-
 # a transverse grid, on which t and z are constant columns, and one on which
 # every coordinate varies
 MAP_GRIDS = {
-    "transverse": _grid([0.7], np.linspace(0.5, 5.0, 6),
-                        np.linspace(0.5, 5.0, 6), [0.4]),
-    "t and z vary": _grid([0.0, 0.7, 1.9], np.linspace(0.5, 5.0, 5),
-                          np.linspace(-2.0, 2.0, 5), [-0.4, 0.4]),
+    "transverse": cli._grid_points({
+        "grid_t": "0.7:0.7:1", "grid_x": "0.5:5:6", "grid_y": "0.5:5:6",
+        "grid_z": "0.4:0.4:1"}),
+    "t and z vary": cli._grid_points({
+        "grid_t": "0:1.9:3", "grid_x": "0.5:5:5", "grid_y": "-2:2:5",
+        "grid_z": "-0.4:0.4:2"}),
 }
 
 
