@@ -1,21 +1,16 @@
 """Closed-form evaluators for the seven vortex-beam solution families.
 
-Stationary families (arbitrary longitudinal momentum p_z):
-
-* free-bessel      -- field-free Bessel beam with orbital angular momentum,
-* uniform-b        -- uniform axial magnetic field; levels independent of
-                      the orbital index (phase winds against the flow),
-* uniform-b-split  -- uniform field with the opposite winding; levels split
-                      by the orbital index,
-* radial-b         -- axial magnetic field falling off as 1/r, sourced by a
-                      loop-like azimuthal current.
-
-Laser-dressed families (plane wave along the magnetic axis, generated from
-the stationary states by a null rotation; built at p_z = 0):
-
-* volkov-bessel    -- dressed free beam,
-* redmond          -- dressed uniform-field state,
-* radial-b-laser   -- dressed 1/r-field state.
+Four are stationary, at any longitudinal momentum p_z: the free Bessel beam
+(free-bessel), the uniform axial magnetic field in its two windings
+(uniform-b, levels independent of the orbital index, and uniform-b-split,
+levels split by it) and the 1/r field of a loop-like azimuthal current
+(radial-b).  Every fact that tells them apart (the level's transverse term
+K, the winding rule, the pair kernel and its amplitude, the quadrature,
+f'', the field, the closed-form averages and the catalog text) is one
+record of the table `_FAMILIES`, read in place of a branch on the family.
+The other three (volkov-bessel, redmond, radial-b-laser) dress one of them
+(`DRESSED_BASE`, whose record they read) with a plane wave along the
+magnetic axis by a null rotation, at p_z = 0.
 
 Everything is in natural units (hbar = c = 1) and expressed through the
 dimensionless radius lam = B sqrt(x^2+y^2) / 2; potentials carry the
@@ -53,6 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -110,8 +106,6 @@ DRESSED_BASE = {
     Family.REDMOND: Family.UNIFORM_B,
     Family.RADIAL_B_LASER: Family.RADIAL_B,
 }
-MAGNETIC_FAMILIES = (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT, Family.RADIAL_B)
-SINGULAR_ON_AXIS = (Family.RADIAL_B, Family.RADIAL_B_LASER)
 
 
 @dataclass(frozen=True)
@@ -145,6 +139,7 @@ class SolutionSpec:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
+        record = _FAMILIES[DRESSED_BASE.get(fam, fam)]
         for name in ("n", "l") if self.M is None else ("n", "l", "M"):
             value = getattr(self, name)
             if isinstance(value, bool) \
@@ -158,23 +153,22 @@ class SolutionSpec:
         for name in ("p_z", "p_perp", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"need a finite {name}")
-        if fam in (Family.RADIAL_B, Family.RADIAL_B_LASER):
+        if record.winding is None:
             M = self.l if self.M is None else self.M
             if M < 0:
                 raise ValueError("radial-b families need M >= 0")
             if self.l not in (0, M):
                 raise ValueError(f"inconsistent l={self.l} for {fam.value} "
                                  f"M={M}: l is 0 or M")
-            object.__setattr__(self, "M", M)
             object.__setattr__(self, "l", M)
         else:
             if self.l < 0:
                 raise ValueError("need l >= 0")
-            M = -2 * self.l if fam is Family.UNIFORM_B_SPLIT else 2 * self.l
+            M = record.winding * self.l
             if self.M is not None and self.M != M:
                 raise ValueError(f"inconsistent M={self.M} for {fam.value}")
-            object.__setattr__(self, "M", M)
-        if fam in DRESSED_BASE:
+        object.__setattr__(self, "M", M)
+        if self.is_dressed:
             if self.waveform is None:
                 raise ValueError(f"{fam.value} requires a waveform")
             if self.p_z != 0.0:
@@ -192,15 +186,16 @@ class SolutionSpec:
         if not sys.float_info.min <= level * level < math.inf:
             raise ValueError(f"{fam.value}: the level {level:g} is outside "
                              "the float range")
-        if fam in (Family.FREE_BESSEL, Family.VOLKOV_BESSEL) and not (
-                self.p_perp > 0.0 and _free_kt2(self) > 0.0):
+        # p_perp^2 as the level carries it, eps^2 - m^2 - p_z^2
+        if "pperp" in record.params and not (self.p_perp > 0.0
+                and level ** 2 - self.m ** 2 - self.p_z ** 2 > 0.0):
             raise ValueError("free beam needs p_perp > 0, its square not "
                              "rounded away beside m^2 + p_z^2")
         # 2 eps omega^3 divides the gauge phase, and the dressing's other
         # divisors, 2 eps omega and eps omega^2, lie between it and eps (a
         # product, unlike a power, overflows to inf)
         cube = 2.0 * level * self.omega * self.omega * self.omega
-        if fam in DRESSED_BASE and not sys.float_info.min <= cube < math.inf:
+        if self.is_dressed and not sys.float_info.min <= cube < math.inf:
             raise ValueError(f"{fam.value}: omega = {self.omega} puts "
                              "2 eps omega^3 outside the float range")
 
@@ -219,19 +214,9 @@ class SolutionSpec:
 
 
 def eigenvalue(spec: SolutionSpec) -> float:
-    """Energy of the state; longitudinal momentum adds p_z^2 under the
-    square root."""
-    base = spec.m ** 2 + spec.p_z ** 2
-    fam = spec.static_base().family
-    if fam is Family.FREE_BESSEL:
-        return math.sqrt(base + spec.p_perp ** 2)
-    if fam is Family.UNIFORM_B:
-        return math.sqrt(base + 2.0 * spec.B ** 2 * spec.n)
-    if fam is Family.UNIFORM_B_SPLIT:
-        return math.sqrt(base + 2.0 * spec.B ** 2 * (spec.l + spec.n))
-    n, M = spec.n, spec.M
-    return math.sqrt(base + n * (n + M + 1) * spec.B ** 2
-                     / (4.0 * (2 * n + M + 1) ** 2))
+    """Energy of the state, eps = sqrt((m^2 + p_z^2) + K), K the family's
+    transverse term."""
+    return math.sqrt((spec.m ** 2 + spec.p_z ** 2) + _record(spec).K(spec))
 
 
 def lam_of_r(spec: SolutionSpec, r: float) -> float:
@@ -247,17 +232,6 @@ def radial_kappa(spec: SolutionSpec) -> float:
     polynomial in kappa lam."""
     base = spec.static_base()
     return (base.M + 1) / (2 * base.n + base.M + 1)
-
-
-def _free_kt2(spec: SolutionSpec) -> float:
-    # p_perp^2 as the level carries it, eps^2 - m^2 - p_z^2
-    return eigenvalue(spec) ** 2 - spec.m ** 2 - spec.p_z ** 2
-
-
-def _free_q(spec: SolutionSpec) -> float:
-    # Bessel argument scale: f = lam^-l J_l(q lam), from p_perp itself, not
-    # sqrt(_free_kt2), which cancels when p_perp is small beside m
-    return 2.0 * spec.p_perp / spec.B
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +250,15 @@ def normalization(spec: SolutionSpec) -> float:
     of f is P times a ratio of factorials); a state past MAX_DEGREE raises
     DomainError.  The free Bessel beam, which has no finite transverse
     norm, takes the per-area constant B/(sqrt(2) eps sqrt(m/eps + 1)) at
-    every p_z."""
+    every p_z.  P = B / the record's scale."""
     base = spec.static_base()
-    eps = eigenvalue(base)
-    if base.family is Family.FREE_BESSEL:
-        return base.B / (math.sqrt(2.0) * eps * math.sqrt(base.m / eps + 1.0))
-    n, l = base.n, base.l
-    if 2 * n + l > MAX_DEGREE:
-        orbital = "M" if base.family is Family.RADIAL_B else "l"
+    record, n, l = _record(base), base.n, base.l
+    if record.degree is not None and 2 * n + l > MAX_DEGREE:
         raise sf.DomainError(
-            f"{base.family.value} n={n} {orbital}={l}: Laguerre degree "
-            f"2n + {orbital} = {2 * n + l} is past the validity envelope "
-            f"({MAX_DEGREE})")
-    scale = math.pi * eps * (eps + base.m)
-    if base.family is Family.RADIAL_B:
-        scale = 4 * (2 * n + l + 1) * scale / radial_kappa(base) ** 2
-    return base.B / math.sqrt(scale)
+            f"{base.family.value} n={n} {record.orbital}={l}: Laguerre degree"
+            f" 2n + {record.orbital} = {2 * n + l} is past the validity "
+            f"envelope ({MAX_DEGREE})")
+    return base.B / record.scale(base, eigenvalue(base))
 
 
 def _pair_kernel(spec: SolutionSpec):
@@ -311,47 +278,7 @@ def _pair_kernel(spec: SolutionSpec):
 
     The split state with l = 0 is the uniform-b one (same M, level, f)."""
     base = spec.static_base()
-    fam = base.family
-    n, l = base.n, base.l
-    P = normalization(base)
-    if fam is Family.FREE_BESSEL:
-        q = _free_q(base)
-
-        def bessel(lam):
-            vals = sf.bessel_j_all(l + 2, q * lam)
-            return P * vals[l], P * (-q * vals[l + 1])
-
-        return bessel
-    ell_a = sf.laguerre_function(n, l)
-    if fam is Family.RADIAL_B:
-        kappa = radial_kappa(base)
-        half = 0.5 * (1.0 - kappa)
-        kb = kappa * math.sqrt(n) * P
-        ell_b = sf.laguerre_function(n - 1, l + 1)
-        # ell_(n-1)^(M+1)(u) / sqrt(u) at u = 0
-        axis = math.sqrt(n) if l == 0 else 0.0
-
-        def radial(lam):
-            u = kappa * lam
-            aH = P * ell_a(u)
-            on_axis = u == 0.0
-            tail = ell_b(u) / (u + on_axis) ** 0.5 + axis * on_axis
-            return aH, half * aH - kb * tail
-
-        return radial
-    if fam is Family.UNIFORM_B_SPLIT and l > 0:
-        P = (-1) ** l * P
-        kb = 2.0 * math.sqrt(2.0 * (n + l)) * P
-        ell_b = sf.laguerre_function(n, l - 1)
-    else:
-        kb = -2.0 * math.sqrt(2.0 * n) * P
-        ell_b = sf.laguerre_function(n - 1, l + 1)
-
-    def uniform(lam):
-        u = 2.0 * lam * lam
-        return P * ell_a(u), kb * ell_b(u)
-
-    return uniform
+    return _record(base).pair(base, normalization(base))
 
 
 def stationary_bilinears(spec: SolutionSpec):
@@ -404,17 +331,11 @@ def _transverse_average(spec: SolutionSpec, g):
     the bilinears, e^(-u) times polynomials of degree d = l + 2n (uniform
     field) or d = M + 2n + 1 (1/r field, the measure included)."""
     base = spec.static_base()
-    fam = base.family
-    if fam is Family.FREE_BESSEL:
+    record = _record(base)
+    if record.degree is None:
         raise NotNormalizable("free Bessel beam averages are undefined")
-    uniform = fam in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
-    degree = base.l + 2 * base.n if uniform else base.M + 2 * base.n + 1
-    nodes, weights = _laguerre_rule(max(96, degree // 2 + 1))
-    if uniform:
-        lam, weights = np.sqrt(nodes / 2.0), weights / 4.0
-    else:
-        kappa = radial_kappa(base)
-        lam, weights = nodes / kappa, weights * nodes / kappa ** 2
+    lam, weights = record.variable(
+        base, *_laguerre_rule(max(96, record.degree(base) // 2 + 1)))
     return 2.0 * math.pi * (weights @ g(lam))
 
 
@@ -423,52 +344,14 @@ def profile(spec: SolutionSpec, lam) -> dict:
     of `_pair_kernel`, and the paper convention's f, its lam-derivatives
     fp, fpp and the weight H with its derivative Hp.  The magnetic
     families take f from the same Laguerre functions, at lam > 0 where H
-    does not underflow; f'' takes ell_(n-2)^(alpha+2) (split: ell_(n-1)^l).
-    """
+    does not underflow, and f'' H from their record's `cH`."""
     base = spec.static_base()
-    fam = base.family
-    n, l, M = base.n, base.l, base.M
-    P = normalization(base)
-    if fam is Family.FREE_BESSEL:
-        # off the axis, through the five-point Bessel ladder for f'' (kept
-        # independent of the radial equation being verified); on the axis,
-        # the limits
-        q = _free_q(base)
-        vals = sf.bessel_j_all(l + 2, q * lam)
-        jl, jl1 = vals[l], vals[l + 1]
-        pos = lam > 0
-        r = np.where(pos, lam, 1.0)
-        jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
-        jlm1 = vals[l - 1] if l >= 1 else -vals[1]
-        jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
-        jd = 0.5 * (jlm1 - jl1)
-        f = np.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
-        fp = np.where(pos, -q * jl1 / r ** l, 0.0)
-        fpp = np.where(pos, q * q * jdd / r ** l
-                       - 2.0 * l * q * jd / r ** (l + 1)
-                       + l * (l + 1) * jl / r ** (l + 2), 0.0)
-        return {"f": P * f, "fp": P * fp, "fpp": P * fpp, "H": 1.0,
-                "Hp": 0.0, "aH": P * jl, "bH": P * (-q * jl1)}
+    record, P = _record(base), normalization(base)
+    if record.cH is None:  # the free beam, which has no weight
+        return _bessel_profile(base, P, lam)
     aH, bH = _pair_kernel(base)(lam)
-    ell = sf.laguerre_function
-    # cH = lam^(M/2) f'' H
-    if fam is Family.RADIAL_B:
-        kappa = radial_kappa(base)
-        H, half = np.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
-        Hp = -0.5 * H
-        cH = half * (2.0 * bH - half * aH) + kappa * math.sqrt(n * (n - 1)) \
-            * P * ell(n - 2, l + 2)(kappa * lam) / lam
-    else:
-        u = 2.0 * lam * lam
-        H = np.exp(-lam * lam)
-        Hp = -2.0 * lam * H
-        if fam is Family.UNIFORM_B_SPLIT and l > 0:
-            cH = (2 * l - 1) * bH / lam - (-1) ** l * 8.0 \
-                * math.sqrt(n * (n + l)) * P * ell(n - 1, l)(u)
-        else:
-            cH = bH / lam \
-                + 8.0 * math.sqrt(n * (n - 1)) * P * ell(n - 2, l + 2)(u)
-    weight = lam ** (M / 2.0) * H
+    H, Hp, cH = record.cH(base, P, lam, aH, bH)
+    weight = lam ** (base.M / 2.0) * H
     return {"f": aH / weight, "fp": bH / weight, "fpp": cH / weight,
             "H": H, "Hp": Hp, "aH": aH, "bH": bH}
 
@@ -606,19 +489,13 @@ def _primed(spec: SolutionSpec, t, x, y, z):
 
 def _axial(spec: SolutionSpec, xp, yp):
     """A magnetic family's static field at its primed point (x', y') as
-    (b, d, n): B_z = b / d and eA_phi / r = B_z / n, (B^2, 1, 2) in the
-    uniform field and (B, 4 r', 1) in the 1/r field, which raises
+    its record's (b, d, n): B_z = b / d and eA_phi / r = B_z / n, (B^2, 1,
+    2) in the uniform field and (B, 4 r', 1) in the 1/r field, which raises
     OnAxisError at r' = 0 (for a dressed state, the shifted axis); None for
     the free beams.  d keeps the power of two, so that each value rounds as
     a formula written out per family would."""
-    if spec.family in SINGULAR_ON_AXIS:
-        rp = np.hypot(xp, yp)
-        if np.any(rp == 0.0):
-            raise OnAxisError("the 1/r field is singular on its axis, r' = 0")
-        return spec.B, 4.0 * rp, 1
-    if spec.static_base().family in MAGNETIC_FAMILIES:
-        return spec.B ** 2, 1.0, 2
-    return None
+    axial = _record(spec).axial
+    return None if axial is None else axial(spec, xp, yp)
 
 
 def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
@@ -681,7 +558,7 @@ def sources(spec: SolutionSpec, t, x, y, z) -> Array:
     e mu0 (rho_e, J_e), [..., 4], at float or array coordinates: zero but
     for the loop-like current of the 1/r field and its dressing."""
     zero = _zero(t, x, y, z)
-    if spec.family not in SINGULAR_ON_AXIS:  # a uniform B_z has none
+    if not _record(spec).singular:  # a uniform B_z has none
         return _stack([zero] * 4)
     xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     b, d, _ = _axial(spec, xp, yp)
@@ -760,92 +637,216 @@ def averages(spec: SolutionSpec, xi: float = 0.0) -> dict:
     stationary bilinears.
     """
     base = spec.static_base()
-    eps = eigenvalue(base)
-    uniform = base.family in (Family.UNIFORM_B, Family.UNIFORM_B_SPLIT)
-
+    record, eps = _record(base), eigenvalue(base)
     pair, bilinears = _pair_kernel(base), stationary_bilinears(base)
 
     def g(lam):
         k = bilinears(*pair(lam))
-        weight = math.sqrt(2.0) * lam if uniform else 1.0
-        return np.stack([k["scalar"], k["J0"], weight * k["J_phi"], k["J_z"],
-                         r_of_lam(base, lam) * k["J_phi"]], axis=-1)
+        return np.stack([k["scalar"], k["J0"], record.radius(lam) * k["J_phi"],
+                         k["J_z"], r_of_lam(base, lam) * k["J_phi"]], axis=-1)
 
     rho, j0, j_phi, j_z, r_j_phi = _transverse_average(base, g)
-    out = {"rho": rho, "rho_closed": base.m / eps, "norm": j0, "J_phi": j_phi}
-    if base.family is Family.UNIFORM_B:
-        out["J_phi_closed"] = -math.sqrt(2.0) * base.B * base.n / eps
-    elif base.family is Family.UNIFORM_B_SPLIT:
-        out["J_phi_closed"] = -math.sqrt(2.0) * base.B * (base.n + base.l) / eps
-    elif base.family is Family.RADIAL_B:
-        n, M = base.n, base.M
-        out["J_phi_closed"] = -base.B * n * (1 + n + M) \
-            / ((1 + 2 * n + M) ** 2 * eps)
-    if spec.is_dressed:
-        out.update(_dressed_averages(spec, xi, j0, j_z, r_j_phi))
-    return out
-
-
-def _dressed_averages(spec: SolutionSpec, xi: float, j0: float, j_z: float,
-                      r_j_phi: float) -> dict:
-    """<J_z> and transverse centroid of a dressed state at phase xi.
-
-    Over the primed plane the dressed current is Lambda(xi) times the
-    stationary one, and by azimuthal symmetry the stationary plane averages
-    are <J> = (<J0>, 0, 0, <J_z>), <x' J> = (0, 0, <r J_phi>/2, 0) and
-    <y' J> = (0, -<r J_phi>/2, 0, 0); j0, j_z and r_j_phi are those
-    stationary averages."""
-    base = spec.static_base()
-    eps = eigenvalue(base)
+    out = {"rho": rho, "rho_closed": base.m / eps, "norm": j0, "J_phi": j_phi,
+           "J_phi_closed": record.J_phi(base, eps)}
+    if not spec.is_dressed:
+        return out
+    # over the primed plane the dressed current is Lambda(xi) times the
+    # stationary one, and by azimuthal symmetry the stationary plane averages
+    # are <J> = (<J0>, 0, 0, <J_z>), <x' J> = (0, 0, <r J_phi>/2, 0) and
+    # <y' J> = (0, -<r J_phi>/2, 0, 0)
     d1, d2 = spec.waveform.fdot(xi)
     lorentz = null_rotation_lorentz(d1, d2, eps, spec.omega)
     current = lorentz @ np.array([j0, 0.0, 0.0, j_z])
     cx = lorentz @ np.array([0.0, 0.0, r_j_phi / 2.0, 0.0])
     cy = lorentz @ np.array([0.0, -r_j_phi / 2.0, 0.0, 0.0])
-    tan2 = (math.hypot(d1, d2) / (2.0 * eps * spec.omega)) ** 2
-    out = {
+    coeff = record.centroid(base, spec.omega, eps)
+    out.update({
         "J_z": current[3],
-        "J_z_closed": (d1 * d1 + d2 * d2)
-        / (2.0 * eps ** 2 * spec.omega ** 2),
+        "J_z_closed": (d1 * d1 + d2 * d2) / (2.0 * eps ** 2 * spec.omega ** 2),
         "centroid": (cx[0], cy[0]),
-        "tan2_half_angle": tan2,
-    }
-    if base.family is Family.UNIFORM_B:
-        coeff = base.n / (spec.omega * eps ** 2)
-        out["centroid_closed"] = (coeff * d2, -coeff * d1)
-    elif base.family is Family.RADIAL_B:
-        n, M = base.n, base.M
-        coeff = 3.0 * n * (n + M + 1) \
-            / (2.0 * (M + 1) * spec.omega * eps ** 2)
-        out["centroid_closed"] = (coeff * d2, -coeff * d1)
+        "tan2_half_angle": (math.hypot(d1, d2) / (2.0 * eps * spec.omega)) ** 2,
+        "centroid_closed": (coeff * d2, -coeff * d1)})
     return out
 
 
 # ---------------------------------------------------------------------------
-# catalog description (CLI surface)
+# the stationary families: one record each
 # ---------------------------------------------------------------------------
+
+
+def _record(spec: SolutionSpec) -> "_Stationary":
+    """The record of the family spec is, or of the one it dresses."""
+    return _FAMILIES[spec.static_base().family]
+
+
+def _bessel_pair(base: SolutionSpec, P: float):
+    # f = lam^-l J_l(q lam), q = 2 p_perp / B from p_perp itself, not from
+    # the level, which cancels when p_perp is small beside m
+    l, q = base.l, 2.0 * base.p_perp / base.B
+
+    def bessel(lam):
+        vals = sf.bessel_j_all(l + 2, q * lam)
+        return P * vals[l], P * (-q * vals[l + 1])
+
+    return bessel
+
+
+def _bessel_profile(base: SolutionSpec, P: float, lam) -> dict:
+    # off the axis, f'' from the five-point Bessel ladder (kept independent
+    # of the radial equation being verified); on the axis, the limits
+    l, q = base.l, 2.0 * base.p_perp / base.B
+    vals = sf.bessel_j_all(l + 2, q * lam)
+    jl, jl1 = vals[l], vals[l + 1]
+    pos = lam > 0
+    r = np.where(pos, lam, 1.0)
+    jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
+    jlm1 = vals[l - 1] if l >= 1 else -vals[1]
+    jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
+    jd = 0.5 * (jlm1 - jl1)
+    f = np.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
+    fp = np.where(pos, -q * jl1 / r ** l, 0.0)
+    fpp = np.where(pos, q * q * jdd / r ** l - 2.0 * l * q * jd / r ** (l + 1)
+                   + l * (l + 1) * jl / r ** (l + 2), 0.0)
+    return {"f": P * f, "fp": P * fp, "fpp": P * fpp, "H": 1.0, "Hp": 0.0,
+            "aH": P * jl, "bH": P * (-q * jl1)}
+
+
+def _landau_pair(base: SolutionSpec, P: float):
+    # a state winding against the flow (M = -2l < 0, the split family at
+    # l > 0) takes its lower function, and f'', from other Laguerre functions
+    n, l, ell = base.n, base.l, sf.laguerre_function
+    ell_a = ell(n, l)
+    if base.M < 0:
+        P = (-1) ** l * P
+        kb, ell_b = 2.0 * math.sqrt(2.0 * (n + l)) * P, ell(n, l - 1)
+    else:
+        kb, ell_b = -2.0 * math.sqrt(2.0 * n) * P, ell(n - 1, l + 1)
+
+    def uniform(lam):
+        u = 2.0 * lam * lam
+        return P * ell_a(u), kb * ell_b(u)
+
+    return uniform
+
+
+def _landau_cH(base: SolutionSpec, P: float, lam, aH, bH):
+    n, l, ell = base.n, base.l, sf.laguerre_function
+    u, H = 2.0 * lam * lam, np.exp(-lam * lam)
+    if base.M < 0:
+        cH = (2 * l - 1) * bH / lam - (-1) ** l * 8.0 \
+            * math.sqrt(n * (n + l)) * P * ell(n - 1, l)(u)
+    else:
+        cH = bH / lam + 8.0 * math.sqrt(n * (n - 1)) * P * ell(n - 2, l + 2)(u)
+    return H, -2.0 * lam * H, cH
+
+
+def _radial_pair(base: SolutionSpec, P: float):
+    n, l, kappa, ell = base.n, base.l, radial_kappa(base), sf.laguerre_function
+    half, kb = 0.5 * (1.0 - kappa), kappa * math.sqrt(n) * P
+    ell_a, ell_b = ell(n, l), ell(n - 1, l + 1)
+    # ell_(n-1)^(M+1)(u) / sqrt(u) at u = 0
+    axis = math.sqrt(n) if l == 0 else 0.0
+
+    def radial(lam):
+        u = kappa * lam
+        aH = P * ell_a(u)
+        on_axis = u == 0.0
+        tail = ell_b(u) / (u + on_axis) ** 0.5 + axis * on_axis
+        return aH, half * aH - kb * tail
+
+    return radial
+
+
+def _radial_cH(base: SolutionSpec, P: float, lam, aH, bH):
+    n, l, kappa = base.n, base.l, radial_kappa(base)
+    H, half = np.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
+    cH = half * (2.0 * bH - half * aH) + kappa * math.sqrt(n * (n - 1)) \
+        * P * sf.laguerre_function(n - 2, l + 2)(kappa * lam) / lam
+    return H, -0.5 * H, cH
+
+
+def _radial_field(spec: SolutionSpec, xp, yp):
+    rp = np.hypot(xp, yp)
+    if np.any(rp == 0.0):
+        raise OnAxisError("the 1/r field is singular on its axis, r' = 0")
+    return spec.B, 4.0 * rp, 1
+
+
+@dataclass(frozen=True)
+class _Stationary:
+    """One stationary family's facts, which the evaluators read in place of
+    a branch on the family; a dressed family is its base's record plus the
+    dressing.  base is the stationary spec and P its `normalization`.  The
+    free beam, which has no weight, norm or field, leaves those None."""
+
+    text: str  # `describe_families`' description
+    laser: str | None  # and the dressed family's
+    params: dict  # its own `eval` options; "pperp": it reads p_perp
+    K: Callable  # spec -> the transverse term, eps^2 = (m^2 + p_z^2) + K
+    winding: int | None  # M = winding l; None: M given, l is 0 or M
+    pair: Callable  # (base, P) -> `_pair_kernel`'s kernel
+    scale: Callable  # (base, eps) -> B / P
+    orbital: str = "l"  # the orbital number's name
+    cH: Callable | None = None  # (base, P, lam, aH, bH) -> H, H', cH
+    degree: Callable | None = None  # base -> degree of `averages`' integrand
+    variable: Callable | None = None  # (base, u, w) -> lam, w at nodes u
+    radius: Callable | None = None  # lam -> `averages`' weight of J_phi
+    J_phi: Callable | None = None  # (base, eps) -> <J_phi> in closed form
+    centroid: Callable | None = None  # (base, omega, eps) -> dressed <x>/f2'
+    axial: Callable | None = None  # (spec, x', y') -> `_axial`'s (b, d, n)
+    singular: bool = False  # the 1/r field: singular on its axis, sourced
 
 
 _N = {"n": "principal index"}
 _L = {"l": "orbital index, winding M = 2l"}
-_WINDING = {"M": "winding (>= 0)"}
-_BESSEL = {**_L, "pperp": "transverse momentum (> 0)"}
-# family -> (description, its own parameters)
-_LISTING = {
-    Family.FREE_BESSEL: ("field-free Bessel beam", _BESSEL),
-    Family.UNIFORM_B: ("uniform axial magnetic field, levels degenerate in l",
-                       {**_N, **_L}),
-    Family.UNIFORM_B_SPLIT: ("uniform axial magnetic field, levels split by l",
-                             {**_N, "l": "orbital index, winding M = -2l"}),
-    Family.RADIAL_B: ("axial magnetic field falling off as 1/r",
-                      {**_N, **_WINDING}),
-    Family.VOLKOV_BESSEL: ("Bessel beam dressed by a plane wave (Volkov-type)",
-                           _BESSEL),
-    Family.REDMOND: ("uniform magnetic field plus co-propagating plane wave",
-                     {**_N, **_L}),
-    Family.RADIAL_B_LASER: ("1/r magnetic field plus co-propagating plane "
-                            "wave", {**_N, **_WINDING}),
+_LANDAU = dict(  # the uniform field's facts, the same in both windings
+    pair=_landau_pair, cH=_landau_cH,
+    scale=lambda b, eps: math.sqrt(math.pi * eps * (eps + b.m)),
+    degree=lambda b: b.l + 2 * b.n,
+    variable=lambda b, u, w: (np.sqrt(u / 2.0), w / 4.0),
+    radius=lambda lam: math.sqrt(2.0) * lam,
+    axial=lambda spec, xp, yp: (spec.B ** 2, 1.0, 2))
+_FAMILIES = {
+    Family.FREE_BESSEL: _Stationary(
+        "field-free Bessel beam",
+        "Bessel beam dressed by a plane wave (Volkov-type)",
+        {**_L, "pperp": "transverse momentum (> 0)"},
+        K=lambda s: s.p_perp ** 2, winding=2, pair=_bessel_pair,
+        scale=lambda b, eps: math.sqrt(2.0) * eps * math.sqrt(b.m / eps + 1.0)),
+    Family.UNIFORM_B: _Stationary(
+        "uniform axial magnetic field, levels degenerate in l",
+        "uniform magnetic field plus co-propagating plane wave", {**_N, **_L},
+        K=lambda s: 2.0 * s.B ** 2 * s.n, winding=2,
+        J_phi=lambda b, eps: -math.sqrt(2.0) * b.B * b.n / eps,
+        centroid=lambda b, omega, eps: b.n / (omega * eps ** 2), **_LANDAU),
+    Family.UNIFORM_B_SPLIT: _Stationary(
+        "uniform axial magnetic field, levels split by l", None,
+        {**_N, "l": "orbital index, winding M = -2l"},
+        K=lambda s: 2.0 * s.B ** 2 * (s.l + s.n), winding=-2,
+        J_phi=lambda b, eps: -math.sqrt(2.0) * b.B * (b.n + b.l) / eps,
+        **_LANDAU),
+    Family.RADIAL_B: _Stationary(
+        "axial magnetic field falling off as 1/r",
+        "1/r magnetic field plus co-propagating plane wave",
+        {**_N, "M": "winding (>= 0)"},
+        K=lambda s: s.n * (s.n + s.M + 1) * s.B ** 2
+        / (4.0 * (2 * s.n + s.M + 1) ** 2),
+        winding=None, orbital="M", pair=_radial_pair, cH=_radial_cH,
+        scale=lambda b, eps: math.sqrt(4 * (2 * b.n + b.l + 1) * (
+            math.pi * eps * (eps + b.m)) / radial_kappa(b) ** 2),
+        degree=lambda b: b.M + 2 * b.n + 1,
+        variable=lambda b, u, w: (u / radial_kappa(b),
+                                  w * u / radial_kappa(b) ** 2),
+        radius=lambda lam: 1.0,
+        J_phi=lambda b, eps: -b.B * b.n * (1 + b.n + b.M)
+        / ((1 + 2 * b.n + b.M) ** 2 * eps),
+        centroid=lambda b, omega, eps: 3.0 * b.n * (b.n + b.M + 1)
+        / (2.0 * (b.M + 1) * omega * eps ** 2),
+        axial=_radial_field, singular=True),
 }
+MAGNETIC_FAMILIES = tuple(f for f, r in _FAMILIES.items() if r.axial)
+SINGULAR_ON_AXIS = tuple(f for f in Family
+                         if _FAMILIES[DRESSED_BASE.get(f, f)].singular)
 _COMMON = {"B": "field-strength constant (energy units)",
            "mass": "electron mass"}
 _STATIONARY = {"pz": "longitudinal momentum"}
@@ -856,8 +857,9 @@ _DRESSING = {"waveform": "circular | linear | pulse, with amplitude",
 def describe_families() -> list[dict]:
     """Parameter schema of every family, for the command-line catalog: the
     `eval` option keys it takes (a dressed family is built at p_z = 0)."""
+    rows = [(fam, r.text, r, _STATIONARY) for fam, r in _FAMILIES.items()]
+    rows += [(fam, _FAMILIES[base].laser, _FAMILIES[base], _DRESSING)
+             for fam, base in DRESSED_BASE.items()]
     return [{"family": fam.value, "description": text,
-             "parameters": {**_COMMON, **own,
-                            **(_DRESSING if fam in DRESSED_BASE
-                               else _STATIONARY)}}
-            for fam, (text, own) in _LISTING.items()]
+             "parameters": {**_COMMON, **r.params, **extra}}
+            for fam, text, r, extra in rows]

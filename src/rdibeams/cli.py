@@ -234,10 +234,7 @@ def _evaluate(spec: cat.SolutionSpec, points: np.ndarray) -> np.ndarray:
         eA = cat.potential(spec, t, x, y, z)
         psi = cat.spinor(spec)(t, x, y, z)
         bil = bilinears(psi)
-    # psi[..., 4] as its 8 float parts, re before im; a dressed spinor of
-    # many points can come with its components strided, so it is made
-    # contiguous first (a copy only then)
-    parts = np.ascontiguousarray(psi).view(float)
+    parts = psi.view(float)  # psi[..., 4] as its 8 float parts, re first
     table = np.column_stack([points, parts, bil.current, eA, eb, bil.rho,
                              bil.beta])
     finite = np.isfinite(table)

@@ -109,11 +109,12 @@ def gather_product(table, x, axis: int = -1) -> Array:
     order from +0, as einsum and matmul accumulate: for finite x it is
     their product bit for bit, the sign of a zero included."""
     column, coefficient = table
+    # np.take lays its result out in C order, as x[..., column] does not
     if axis == -1:
-        terms = x[..., column]
+        terms = np.take(x, column, axis=-1, mode="clip")
         terms *= coefficient
     else:
-        terms = x[..., column, :]
+        terms = np.take(x, column, axis=-2, mode="clip")
         terms *= coefficient[..., None]
         terms = terms.swapaxes(-1, -2)
     out = terms[..., 0] + 0.0

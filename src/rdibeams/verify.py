@@ -629,7 +629,7 @@ def default_specs() -> dict:
 def spec_label(spec: cat.SolutionSpec) -> str:
     bits = [spec.family.value, f"n={spec.n}", f"l={spec.l}", f"M={spec.M}",
             f"B={spec.B}", f"pz={spec.p_z}"]
-    if spec.family in (cat.Family.FREE_BESSEL, cat.Family.VOLKOV_BESSEL):
+    if "pperp" in cat._record(spec).params:
         bits.append(f"pperp={spec.p_perp}")
     if spec.waveform is not None:
         bits.append(f"wf={spec.waveform.kind}:{spec.waveform.amplitude}")

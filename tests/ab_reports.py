@@ -9,10 +9,13 @@ tree, in a subprocess with that tree alone on PYTHONPATH, and compares the
 exit codes, stdout and stderr.  The cases are `verify` at 100 points (three
 seeds and both negative controls), at 1000 points (four seeds), on two check
 subsets whose reads take `verify._union`'s mask branch and on one that
-applies to no selected family (a usage error); an `eval` map of every family
-in csv and in jsonl, with one pulse-dressed map more; and maps that reach
-each branch of the map writer: one of no row, one of one row, a 100 x 100
-stationary map and one whose t and z vary.
+applies to no selected family (a usage error); the `catalog` listing, as
+text and as JSON; an `eval` map of every family in csv and in jsonl, with
+one pulse-dressed map more, and again in jsonl at B = 1.3 and m = 0.7, so
+that no power of B or m cancels (the stationary families at p_z != 0);
+`eval` with an --M that the family's winding rule refuses (a usage error);
+and maps that reach each branch of the map writer: one of no row, one of
+one row, a 100 x 100 stationary map and one whose t and z vary.
 
 Prints `same` or `DIFF` and the case, one line each, and exits 1 on any
 difference.  pytest does not collect this file.
@@ -54,6 +57,16 @@ CASES = [
     *(["eval", "--family", family, *args, *_GRID, "--format", fmt]
       for family, args in _MAPS.items() for fmt in ("csv", "jsonl")),
     ["eval", "--family", "redmond", "--n", "2", "--waveform", "pulse:0.2",
+     *_GRID],
+    ["catalog"],
+    ["catalog", "--json"],
+    *(["eval", "--family", family, *args, "--B", "1.3", "--mass", "0.7",
+       *_GRID, "--format", "jsonl"] for family, args in _MAPS.items()),
+    # usage errors of the winding rule: M = -2l in the split field, l = 0
+    # or M in the 1/r field
+    ["eval", "--family", "uniform-b-split", "--n", "1", "--l", "1", "--M",
+     "2", *_GRID],
+    ["eval", "--family", "radial-b", "--n", "1", "--l", "2", "--M", "1",
      *_GRID],
     # each branch of the map writer: no row (every point inside
     # --axis-exclude), one row (every column constant), a 100 x 100

@@ -706,3 +706,131 @@ def map_rows(table, fmt: str) -> str:
     if fmt == "jsonl":
         row_text, table = _JSONL_ROW, table[:, _JSONL_ORDER]
     return "".join([row_text % tuple(row) for row in table.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# the per-family if-chains that `catalog._FAMILIES` replaced, kept as the
+# reference the table is checked against bit for bit
+# ---------------------------------------------------------------------------
+
+F = cat.Family
+
+
+def eigenvalue(spec) -> float:
+    """The level, one branch per family."""
+    base = spec.m ** 2 + spec.p_z ** 2
+    fam = spec.static_base().family
+    if fam is F.FREE_BESSEL:
+        return math.sqrt(base + spec.p_perp ** 2)
+    if fam is F.UNIFORM_B:
+        return math.sqrt(base + 2.0 * spec.B ** 2 * spec.n)
+    if fam is F.UNIFORM_B_SPLIT:
+        return math.sqrt(base + 2.0 * spec.B ** 2 * (spec.l + spec.n))
+    n, M = spec.n, spec.M
+    return math.sqrt(base + n * (n + M + 1) * spec.B ** 2
+                     / (4.0 * (2 * n + M + 1) ** 2))
+
+
+def normalization(spec) -> float:
+    """The amplitude P, one branch per family, past MAX_DEGREE DomainError
+    naming the orbital number."""
+    base = spec.static_base()
+    eps = eigenvalue(base)
+    if base.family is F.FREE_BESSEL:
+        return base.B / (math.sqrt(2.0) * eps * math.sqrt(base.m / eps + 1.0))
+    n, l = base.n, base.l
+    if 2 * n + l > cat.MAX_DEGREE:
+        orbital = "M" if base.family is F.RADIAL_B else "l"
+        raise sf.DomainError(
+            f"{base.family.value} n={n} {orbital}={l}: Laguerre degree "
+            f"2n + {orbital} = {2 * n + l} is past the validity envelope "
+            f"({cat.MAX_DEGREE})")
+    scale = math.pi * eps * (eps + base.m)
+    if base.family is F.RADIAL_B:
+        scale = 4 * (2 * n + l + 1) * scale / cat.radial_kappa(base) ** 2
+    return base.B / math.sqrt(scale)
+
+
+def quantum_numbers(family, l: int, M: int | None) -> tuple:
+    """(l, M) as a valid spec of the family stores them: the winding rule."""
+    if family in (F.RADIAL_B, F.RADIAL_B_LASER):
+        M = l if M is None else M
+        return M, M
+    return l, -2 * l if family is F.UNIFORM_B_SPLIT else 2 * l
+
+
+_N = {"n": "principal index"}
+_L = {"l": "orbital index, winding M = 2l"}
+_WINDING = {"M": "winding (>= 0)"}
+_BESSEL = {**_L, "pperp": "transverse momentum (> 0)"}
+_LISTING = {
+    F.FREE_BESSEL: ("field-free Bessel beam", _BESSEL),
+    F.UNIFORM_B: ("uniform axial magnetic field, levels degenerate in l",
+                  {**_N, **_L}),
+    F.UNIFORM_B_SPLIT: ("uniform axial magnetic field, levels split by l",
+                        {**_N, "l": "orbital index, winding M = -2l"}),
+    F.RADIAL_B: ("axial magnetic field falling off as 1/r",
+                 {**_N, **_WINDING}),
+    F.VOLKOV_BESSEL: ("Bessel beam dressed by a plane wave (Volkov-type)",
+                      _BESSEL),
+    F.REDMOND: ("uniform magnetic field plus co-propagating plane wave",
+                {**_N, **_L}),
+    F.RADIAL_B_LASER: ("1/r magnetic field plus co-propagating plane "
+                       "wave", {**_N, **_WINDING}),
+}
+_COMMON = {"B": "field-strength constant (energy units)",
+           "mass": "electron mass"}
+_STATIONARY = {"pz": "longitudinal momentum"}
+_DRESSING = {"waveform": "circular | linear | pulse, with amplitude",
+             "omega": "plane-wave frequency"}
+
+
+def describe_families() -> list[dict]:
+    """The catalog's schema from one listing of all seven families."""
+    return [{"family": fam.value, "description": text,
+             "parameters": {**_COMMON, **own,
+                            **(_DRESSING if fam in cat.DRESSED_BASE
+                               else _STATIONARY)}}
+            for fam, (text, own) in _LISTING.items()]
+
+
+def spec_label(spec) -> str:
+    """A spec's report label, p_perp shown for the two Bessel families."""
+    bits = [spec.family.value, f"n={spec.n}", f"l={spec.l}", f"M={spec.M}",
+            f"B={spec.B}", f"pz={spec.p_z}"]
+    if spec.family in (F.FREE_BESSEL, F.VOLKOV_BESSEL):
+        bits.append(f"pperp={spec.p_perp}")
+    if spec.waveform is not None:
+        bits.append(f"wf={spec.waveform.kind}:{spec.waveform.amplitude}")
+        bits.append(f"omega={spec.omega}")
+    return " ".join(bits)
+
+
+def closed_averages(spec, xi: float = 0.0) -> dict:
+    """The closed forms `catalog.averages` sets beside its quadratures of a
+    magnetic family's state: rho, J_phi, and for a dressed state J_z and the
+    centroid at phase xi."""
+    base = spec.static_base()
+    eps = eigenvalue(base)
+    n, l, M = base.n, base.l, base.M
+    out = {"rho_closed": base.m / eps}
+    if base.family is F.UNIFORM_B:
+        out["J_phi_closed"] = -math.sqrt(2.0) * base.B * base.n / eps
+    elif base.family is F.UNIFORM_B_SPLIT:
+        out["J_phi_closed"] = -math.sqrt(2.0) * base.B * (n + l) / eps
+    elif base.family is F.RADIAL_B:
+        out["J_phi_closed"] = -base.B * n * (1 + n + M) \
+            / ((1 + 2 * n + M) ** 2 * eps)
+    if not spec.is_dressed:
+        return out
+    d1, d2 = spec.waveform.fdot(xi)
+    out["J_z_closed"] = (d1 * d1 + d2 * d2) \
+        / (2.0 * eps ** 2 * spec.omega ** 2)
+    if base.family is F.UNIFORM_B:
+        coeff = base.n / (spec.omega * eps ** 2)
+        out["centroid_closed"] = (coeff * d2, -coeff * d1)
+    elif base.family is F.RADIAL_B:
+        coeff = 3.0 * n * (n + M + 1) \
+            / (2.0 * (M + 1) * spec.omega * eps ** 2)
+        out["centroid_closed"] = (coeff * d2, -coeff * d1)
+    return out

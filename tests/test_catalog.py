@@ -1162,3 +1162,151 @@ def test_static_base_is_built_once_and_leaves_identity_alone():
     assert repr(twin) == repr(spec) and "_base" not in repr(spec)
     moved = replace(spec, omega=1.3)
     assert moved.static_base().omega == 1.3 and moved != spec
+
+
+# ---------------------------------------------------------------------------
+# the family table (`catalog._FAMILIES`) against the per-family if-chains it
+# replaced (`oracles`), bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_table_is_its_oracle(spec, l, M, xi=0.0):
+    """Every fact the table gives the spec, against its oracle: level,
+    amplitude (or its DomainError), winding rule from the given l and M,
+    report label and closed-form averages."""
+    assert _bits(cat.eigenvalue(spec)) == _bits(oracles.eigenvalue(spec))
+    assert (spec.l, spec.M) == oracles.quantum_numbers(spec.family, l, M)
+    assert verify.spec_label(spec) == oracles.spec_label(spec)
+    try:
+        amplitude = oracles.normalization(spec)
+    except sf.DomainError as exc:
+        with pytest.raises(sf.DomainError) as raised:
+            cat.normalization(spec)
+        assert str(raised.value) == str(exc)
+        return
+    assert _bits(cat.normalization(spec)) == _bits(amplitude)
+    if spec.static_base().family in cat.MAGNETIC_FAMILIES:
+        closed = oracles.closed_averages(spec, xi)
+        got = cat.averages(spec, xi)
+        assert {k: _bits(got[k]) for k in closed} \
+            == {k: _bits(v) for k, v in closed.items()}
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=verify.spec_label)
+def test_family_table_gives_each_default_spec_its_oracle_bits(spec):
+    _assert_table_is_its_oracle(spec, spec.l, spec.M, xi=0.4)
+
+
+@pytest.mark.parametrize("family, n, l, M", [
+    (cat.Family.UNIFORM_B, 400, 1, None),
+    (cat.Family.UNIFORM_B_SPLIT, 0, 801, None),
+    (cat.Family.RADIAL_B, 1, 0, 799),
+    (cat.Family.REDMOND, 401, 0, None)])
+def test_family_table_names_the_orbital_past_max_degree(family, n, l, M):
+    kwargs = {"waveform": waveforms.circular(0.3)} \
+        if family in cat.DRESSED_BASE else {}
+    spec = cat.SolutionSpec(family, n=n, l=l, M=M, **kwargs)
+    with pytest.raises(sf.DomainError):
+        cat.normalization(spec)
+    _assert_table_is_its_oracle(spec, l, M)
+
+
+@st.composite
+def _drawn_specs(draw, family):
+    """A spec of the family inside the envelope: n and l (or M) within
+    MAX_DEGREE (Bessel order l + 2 <= 200 for the free beams), B and m in
+    [0.3, 3], p_z in [-5, 5] for a stationary family, p_perp in [0.01, 5],
+    and for a dressed family a waveform of any kind and a phase xi; with
+    the l and M it was given."""
+    base = cat.DRESSED_BASE.get(family, family)
+    kwargs = {name: draw(st.floats(0.3, 3.0)) for name in ("B", "m")}
+    if base is cat.Family.FREE_BESSEL:
+        l, M = draw(st.integers(0, 198)), None
+        kwargs["p_perp"] = draw(st.floats(0.01, 5.0))
+    else:
+        n = kwargs["n"] = draw(st.integers(0, cat.MAX_DEGREE // 2))
+        orbital = draw(st.integers(0, cat.MAX_DEGREE - 2 * n))
+        l, M = orbital, None
+        if base is cat.Family.RADIAL_B:
+            l, M = draw(st.sampled_from([0, orbital])), orbital
+    if family in cat.DRESSED_BASE:
+        kind = draw(st.sampled_from(sorted(waveforms.KINDS)))
+        kwargs["waveform"] = waveforms.KINDS[kind](draw(st.floats(0.0, 1.0)))
+        kwargs["omega"] = draw(st.floats(0.5, 2.0))
+    else:
+        kwargs["p_z"] = draw(st.floats(-5.0, 5.0))
+    spec = cat.SolutionSpec(family, l=l, M=M, **kwargs)
+    return spec, l, M, draw(st.floats(-3.0, 3.0))
+
+
+@pytest.mark.parametrize("family", list(cat.Family), ids=lambda f: f.value)
+@given(data=st.data())
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_family_table_gives_drawn_specs_their_oracle_bits(family, data):
+    _assert_table_is_its_oracle(*data.draw(_drawn_specs(family)))
+
+
+def test_family_table_keeps_the_catalog_listing_and_family_sets():
+    assert cat.describe_families() == oracles.describe_families()
+    assert list(cat.DRESSED_BASE.items()) == [
+        (cat.Family.VOLKOV_BESSEL, cat.Family.FREE_BESSEL),
+        (cat.Family.REDMOND, cat.Family.UNIFORM_B),
+        (cat.Family.RADIAL_B_LASER, cat.Family.RADIAL_B)]
+    assert cat.MAGNETIC_FAMILIES == (cat.Family.UNIFORM_B,
+                                     cat.Family.UNIFORM_B_SPLIT,
+                                     cat.Family.RADIAL_B)
+    assert cat.SINGULAR_ON_AXIS == (cat.Family.RADIAL_B,
+                                    cat.Family.RADIAL_B_LASER)
+
+
+_WAVE = waveforms.circular(0.3)
+
+
+@pytest.mark.parametrize("family, kwargs, message", [
+    ("radial-b", dict(M=-1), "radial-b families need M >= 0"),
+    ("radial-b-laser", dict(l=2, M=1, waveform=_WAVE),
+     "inconsistent l=2 for radial-b-laser M=1: l is 0 or M"),
+    ("uniform-b", dict(l=-1), "need l >= 0"),
+    ("uniform-b-split", dict(l=1, M=2), "inconsistent M=2 for uniform-b-split"),
+    ("free-bessel", dict(l=1, M=-2), "inconsistent M=-2 for free-bessel"),
+    ("redmond", dict(l=1, M=-2, waveform=_WAVE),
+     "inconsistent M=-2 for redmond"),
+    ("redmond", dict(), "redmond requires a waveform"),
+    ("volkov-bessel", dict(waveform=_WAVE, p_z=0.1),
+     "dressed families are built at p_z = 0"),
+    ("radial-b-laser", dict(waveform=_WAVE, omega=0.0), "need omega > 0"),
+    ("uniform-b", dict(n=1, B=1e200),
+     "uniform-b: the level inf is outside the float range"),
+    ("free-bessel", dict(m=1e-170, p_perp=1e-170),
+     "free-bessel: the level 0 is outside the float range"),
+    ("free-bessel", dict(p_perp=0.0), "free beam needs p_perp > 0, its "
+     "square not rounded away beside m^2 + p_z^2"),
+    ("volkov-bessel", dict(p_perp=1e-9, waveform=_WAVE), "free beam needs "
+     "p_perp > 0, its square not rounded away beside m^2 + p_z^2"),
+    ("redmond", dict(waveform=_WAVE, omega=1e-110), "redmond: omega = "
+     "1e-110 puts 2 eps omega^3 outside the float range"),
+    ("radial-b", dict(M=1.5), "need an integer M, got 1.5"),
+    ("uniform-b-split", dict(n=-1),
+     "need n >= 0, B > 0, m > 0, B and m finite"),
+    ("radial-b", dict(p_z=math.inf), "need a finite p_z"),
+])
+def test_spec_errors_keep_their_messages(family, kwargs, message):
+    with pytest.raises(ValueError) as raised:
+        cat.SolutionSpec(family, **kwargs)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("spec", [
+    s for fam in cat.DRESSED_BASE for s in verify.default_specs()[fam]],
+    ids=verify.spec_label)
+def test_dressed_spinor_is_c_ordered_at_many_points(spec):
+    # at 10^4 points numpy's gather used to hand the null rotation's turn
+    # back component-major, and the dressed spinor with it
+    x = np.linspace(0.5, 5.0, 10 ** 4)
+    t = np.full_like(x, 0.7)
+    psi = cat.spinor(spec)(t, x, x, t)
+    assert psi.flags.c_contiguous and psi.strides == (64, 16)

