@@ -65,14 +65,22 @@ MIN_STEP, MAX_STEP = 1e-6, 1e-2  # the stencil steps `invert` takes
 def dirac_operator(psi, grad, m: float) -> tuple[Array, Array]:
     """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from
     psi[..., 4] and its `StencilSample.gradient` grad[..., 4, 4].  d_mu Psi
-    is the lift of d_mu psi, exact as the lift is real-linear; the first
-    column of D is the column form i gamma^mu d_mu psi - m psi."""
+    is the lift of d_mu psi, exact as the lift is real-linear, and the
+    first column of D is the column form, `dirac_column`."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
     slash_d = sta.gather_product(
         _SLASH, dPsi.reshape(dPsi.shape[:-3] + (16, 4)), axis=-2)
     return Psi, sta.gather_product(_TIMES_PHASE_PLANE, slash_d) \
         - sta.gather_product(_TIMES_GAMMA0, m * Psi)
+
+
+def dirac_column(psi, grad, m: float) -> Array:
+    """i gamma^mu d_mu psi - m psi, the column Dirac operator, from psi[..., 4]
+    and its `StencilSample.gradient` grad[..., 4, 4]: gamma^mu d_mu psi is
+    one signed gather of the 4-gradient, with the d-slash table."""
+    slash = sta.gather_product(_SLASH, grad.reshape(grad.shape[:-2] + (16,)))
+    return 1j * slash - m * psi
 
 
 def density(psi) -> tuple[Array, Array]:

@@ -1,7 +1,7 @@
 """Independent machine checks for the solution catalog.
 
-Every closed-form solution is verified by substitution: finite-difference
-Dirac residuals (column and matrix form), current continuity, Lorentz gauge,
+Every closed-form solution is verified by substitution: the finite-difference
+Dirac residual (column form), current continuity, Lorentz gauge,
 Maxwell sources, potential inversion agreement, the radial profile equation,
 kinematic/tetrad invariants, the dual-path dressed-beam equivalence and the
 null-rotation block identity.  The standard suite is one table, CHECKS, run
@@ -20,10 +20,8 @@ stencil, the potential at the points and the gauge row's h-stencil, the
 profile of the ode and circularity grids.  Each residual takes its row's
 sample as an optional last argument and, called without it, builds its own
 through the same evaluation, to the same bits.  The maxwell row
-differentiates e E and e B itself, with `numerics.gradient4`.  The Dirac
-residual shares the matrix Dirac operator of the inversion,
-`inversion.dirac_operator`, which takes its derivative from the column one.
-A record that checked no point fails, and its extras give the reason.
+differentiates e E and e B itself, with `numerics.gradient4`.  A record
+that checked no point fails, and its extras give the reason.
 
 Most rows call their residual once per spec, on all its points.  The
 pooled rows (`Check.pooled`: continuity, gauge, inversion and kinematics)
@@ -217,14 +215,9 @@ def _pooled(items):
 
 def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_STEP,
                    sample: dict | None = None):
-    """Relative residual of gamma^mu (i d_mu - eA_mu) psi = m psi at
-    point[..., 4], one value per point.
-
-    The matrix form D - eA-slash Psi is evaluated, with D the matrix Dirac
-    operator of `inversion.dirac_operator` on the column field and its
-    4-gradient.  Its first column is the column form, so the returned value
-    is the larger of the column residual and half the full matrix norm
-    (they agree for a consistent lift).
+    """Relative residual |i gamma^mu d_mu psi - gamma^mu eA_mu psi - m psi|
+    / (m |psi|) of the Dirac equation in column form at point[..., 4], one
+    value per point, from `inversion.dirac_column` on psi and its gradient.
     `sample`, when given, holds the row's reads (`Check.reads`) at point,
     step h, already evaluated; so for every residual below.
     """
@@ -232,11 +225,10 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
         sample = _alone(spec, point, h, "dirac")
     spinor = sample["spinor@h"]
     psi = spinor.at_points
-    Psi, D = inversion.dirac_operator(psi, spinor.gradient(), spec.m)
-    mat = D - sta.from_vector(sample["potential"]) @ Psi
+    col = inversion.dirac_column(psi, spinor.gradient(), spec.m) \
+        - np.matvec(sta.from_vector(sample["potential"]), psi)
     scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
-    return np.maximum(np.linalg.norm(mat[..., :, 0], axis=-1) / scale,
-                      np.linalg.norm(mat, axis=(-2, -1)) / (2.0 * scale))
+    return np.linalg.norm(col, axis=-1) / scale
 
 
 def continuity_residual(spec: cat.SolutionSpec, point,

@@ -145,6 +145,13 @@ def dirac_operator(psi, grad, m):
     return Psi, slash_d @ spinors.PHASE_PLANE - m * Psi @ sta.GAMMA0
 
 
+def dirac_column(psi, grad, m):
+    """i gamma^mu d_mu psi - m psi with gamma^mu d_mu psi an einsum over
+    the gamma^mu stack: the reference for `inversion.dirac_column`."""
+    slash = np.einsum("mij,...mj->...i", np.stack(sta.GAMMA_UP), grad)
+    return 1j * slash - m * psi
+
+
 def trace_coefficients(a):
     """Tr[A Gamma_k] for the 16 Gamma_k of matrices a[..., 4, 4], as one
     einsum: the reference for the traces `inversion.invert` takes."""

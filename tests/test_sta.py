@@ -117,6 +117,10 @@ def test_gathers_are_bitwise_their_einsum_and_matmul(shape):
         for g, r in zip(got, ref):
             assert g.shape == r.shape == shape + (4, 4)
             assert g.tobytes() == r.tobytes()
+        got = inversion.dirac_column(psi, grad, 1.3)
+        assert got.shape == shape + (4,)
+        assert got.tobytes() == \
+            oracles.dirac_column(psi, grad, 1.3).tobytes()
         for x in (a, np.swapaxes(a, -1, -2)):  # contiguous and strided
             assert sta.reversion(x).tobytes() == \
                 oracles.reversion(x).tobytes()

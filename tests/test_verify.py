@@ -496,6 +496,34 @@ def test_each_fault_fails_its_row(control, row):
     assert all(getattr(cat, a) is obj for a, obj in real.items())
 
 
+def _first_negated(table):
+    # a signed gather's table, or a sign table, with its first coefficient
+    # negated
+    if isinstance(table, tuple):
+        return table[0], _first_negated(table[1])
+    out = table.copy()
+    out.flat[0] = -out.flat[0]
+    return out
+
+
+# single-entry mutants of the matrix lift and of the matrix Dirac operator,
+# which the dirac row does not read: the inversion row alone must catch them
+LIFT_MUTANTS = {
+    "spinors._SIGN[0]": (spinors, "_SIGN"),
+    "inversion._TIMES_PHASE_PLANE[0]": (inversion, "_TIMES_PHASE_PLANE"),
+    "inversion._TIMES_GAMMA0[0]": (inversion, "_TIMES_GAMMA0")}
+
+
+@pytest.mark.parametrize("seed", [20240801, 1, 7])
+@pytest.mark.parametrize("mutant", list(LIFT_MUTANTS))
+def test_lift_mutant_fails_every_inversion_record(mutant, seed, monkeypatch):
+    module, attr = LIFT_MUTANTS[mutant]
+    monkeypatch.setattr(module, attr, _first_negated(getattr(module, attr)))
+    rep = verify.run_suite(checks=["inversion"], points=100, seed=seed)
+    assert sorted((r.name, r.passed) for r in rep.records) == \
+        [("constraints", False)] * 21 + [("inversion", False)] * 21
+
+
 @pytest.mark.parametrize("control, row", FAULT_ROWS)
 def test_control_run_restores_the_catalog_when_its_row_raises(control, row,
                                                               monkeypatch):

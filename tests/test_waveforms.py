@@ -105,9 +105,11 @@ def test_float_phase_is_the_one_point_array_call(wf):
 
 def test_pulse_integrates_each_distinct_phase_once_bit_for_bit():
     # repeated phases are integrated once and gathered back, distinct by
-    # their bits: -0.0 keeps its sign, and every value is the per-point call
+    # their bits: -0.0 keeps its sign, and every value is the per-point call,
+    # over more than two blocks of distinct phases, the last one partial
     wf = waveforms.pulse(0.3, center=5.0, width=1.5)
-    phases = np.random.default_rng(44).uniform(-5.0, 25.0, 40)
+    phases = np.random.default_rng(44).uniform(
+        -5.0, 25.0, 2 * waveforms._PULSE_BLOCK + 40)
     xi = np.concatenate([phases, phases[::-1], [0.0, -0.0, 0.0, -0.0]])
     xi = xi.reshape(4, -1)
     each = np.array([wf.gauge_integral(v) for v in xi.ravel().tolist()])
