@@ -226,7 +226,7 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     spinor = sample["spinor@h"]
     psi = spinor.at_points
     col = inversion.dirac_column(psi, spinor.gradient(), spec.m) \
-        - np.matvec(sta.from_vector(sample["potential"]), psi)
+        - (sta.from_vector(sample["potential"]) @ psi[..., None])[..., 0]
     scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
     return np.linalg.norm(col, axis=-1) / scale
 

@@ -1,7 +1,7 @@
 """Count the single-entry mutants of the spinor lift and of the constant
 Clifford tables that the standard suite catches.
 
-    python tests/mutants.py [SRC] [--points 20] [--seed 1]
+    python tests/mutants.py [SRC]
 
 SRC is a directory that holds an `rdibeams` package, such as the `src`
 folder of a checkout (default: this checkout's).  The tables are the lift's
@@ -10,8 +10,9 @@ tables of `inversion` (`_SLASH`, `_TIMES_PHASE_PLANE`, `_TIMES_GAMMA0`,
 `_TRACES`) and the signs of `sta.from_vector` (`sta._VECTOR_SIGN`).  Each
 mutant changes one entry of one table: a sign or coefficient negated, or a
 column index moved on to the next column (the last to the first).  The
-table is rebound on its module for one `verify.run_suite` pass and the
-original restored in a `finally`, so that no mutant outlives its pass.
+table is rebound on its module for one `verify.run_suite(points=20,
+seed=1)` pass and the original restored in a `finally`, so that no mutant
+outlives its pass.
 
 Prints each mutant and the rows that fail under it (`-` for none, the
 exception's name for a pass that raised), then how many of each table's
@@ -62,10 +63,10 @@ def mutants(table):
                _one_entry(table, index, column))
 
 
-def failing_rows(verify, points: int, seed: int) -> str:
+def failing_rows(verify) -> str:
     """The rows with a failing record in one suite pass, in table order."""
     try:
-        report = verify.run_suite(points=points, seed=seed)
+        report = verify.run_suite(points=20, seed=1)
     except Exception as exc:  # a mutant that breaks the pass is caught
         return type(exc).__name__
     failed = {r.name for r in report.records if not r.passed}
@@ -76,11 +77,9 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?",
                         default=str(Path(__file__).resolve().parents[1] / "src"))
-    parser.add_argument("--points", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     verify = load(args.src, "mutated")
-    if failing_rows(verify, args.points, args.seed) != "-":
+    if failing_rows(verify) != "-":
         raise SystemExit("the unmutated tree fails a row")
     kills = {}
     for name, attrs in TABLES.items():
@@ -91,7 +90,7 @@ def main(argv=None) -> None:
             for label, table in mutants(real):
                 setattr(module, attr, table)
                 try:
-                    rows = failing_rows(verify, args.points, args.seed)
+                    rows = failing_rows(verify)
                 finally:
                     setattr(module, attr, real)
                 print(f"{name}.{attr} {label}: {rows}")

@@ -794,9 +794,7 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
     # its checks read, and pin that every check still reads the same bits.
     # All of them, and the negative-control reports, were rewritten once the
     # free beam's constant stopped jumping by sqrt(2) at p_z = 0: only the
-    # p_z = 0.5 free-bessel records and the histogram moved, at round-off.
-    # All five were rewritten again once the dirac row took the column form
-    # alone: only dirac max_residual values moved, at round-off
+    # p_z = 0.5 free-bessel records and the histogram moved, at round-off
     assert cli.main(["verify", "--points", str(points), "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"verify-{seed}.json").read_bytes()
