@@ -1,14 +1,18 @@
 """Dynamic inversion: recover the driving potential from a spinor field.
 
 The electromagnetic potential is obtained by solving the matrix Dirac
-equation backwards, eA-slash = D Psi^-1 with (`dirac_operator`)
+equation backwards, eA-slash = D Psi^-1 with
 
-    D = (d-slash Psi) gamma^2 gamma^1 - m Psi gamma^0,
+    D = (d-slash Psi) gamma^2 gamma^1 - m Psi gamma^0
+      = lift(i gamma^mu d_mu psi - m psi) gamma^0,
     Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho,  so |det Psi| = rho^2,
 
-with the derivatives taken by 4th-order central differences and a Richardson
-(h, h/2) pair attached as the error estimate, at one point or at a batch of
-points at once.  A valid electromagnetic inversion leaves only the vector
+where Psi = lift(psi) (`spinors.hestenes_matrix`): D is odd and
+gamma^0 u1 = u1, so D gamma^0 is the even element whose first column is
+D u1, the column Dirac operator (`dirac_column`).  The derivatives are
+taken by 4th-order central differences, with a Richardson (h, h/2) pair
+attached as the error estimate, at one point or at a batch of points at
+once.  A valid electromagnetic inversion leaves only the vector
 grade: the 12 constrained trace projections (scalar, the six bivectors, the
 four trivectors and the pseudoscalar) must vanish.
 
@@ -49,30 +53,14 @@ class PotentialSample:
 
 
 # d-slash as one 4 x 16 matrix on (mu, j): row i holds gamma^mu[i, j] at
-# column 4 mu + j; right products with the phase plane and gamma0 as left
-# products of their transposes; Tr[A Gamma_k] as one 16 x 16 matrix on
-# A[i, j] at column 4 i + j
+# column 4 mu + j; Tr[A Gamma_k] as one 16 x 16 matrix on A[i, j] at
+# column 4 i + j
 _SLASH = sta.signed_gather(np.stack(sta.GAMMA_UP, axis=1).reshape(4, 16))
-_TIMES_PHASE_PLANE = sta.signed_gather(spinors.PHASE_PLANE.T)
-_TIMES_GAMMA0 = sta.signed_gather(sta.GAMMA0.T)
 _TRACES = sta.signed_gather(np.stack(sta.GAMMA16).transpose(0, 2, 1)
                             .reshape(16, 16))
 _CONSTRAINED = [k - 1 for k in sta.CONSTRAINED_INDICES]
 SINGULAR_RHO2 = 1e-12  # rho^2 = |det Psi| below which Psi is not inverted
 MIN_STEP, MAX_STEP = 1e-6, 1e-2  # the stencil steps `invert` takes
-
-
-def dirac_operator(psi, grad, m: float) -> tuple[Array, Array]:
-    """Psi = hestenes_matrix(psi) and the matrix Dirac operator D, from
-    psi[..., 4] and its `StencilSample.gradient` grad[..., 4, 4].  d_mu Psi
-    is the lift of d_mu psi, exact as the lift is real-linear, and the
-    first column of D is the column form, `dirac_column`."""
-    Psi = spinors.hestenes_matrix(psi)
-    dPsi = spinors.hestenes_matrix(grad)
-    slash_d = sta.gather_product(
-        _SLASH, dPsi.reshape(dPsi.shape[:-3] + (16, 4)), axis=-2)
-    return Psi, sta.gather_product(_TIMES_PHASE_PLANE, slash_d) \
-        - sta.gather_product(_TIMES_GAMMA0, m * Psi)
 
 
 def dirac_column(psi, grad, m: float) -> Array:
@@ -113,8 +101,8 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     `field` maps (t, x, y, z) to a column spinor, whose lift is unique.  The
     mass has no default: the field does not carry it, and any other mass
     gives a wrong potential whose constraint traces still vanish.  m is a
-    float, or one mass per point, m[..., 1, 1], broadcast against each
-    point's 4 x 4 matrices.  The step must sit in [MIN_STEP, MAX_STEP].
+    float, or one mass per point, m[..., 1], broadcast against each
+    point's spinor.  The step must sit in [MIN_STEP, MAX_STEP].
 
     The field is sampled once, by one `numerics.sample` call at the points
     and on their stencils of steps h and h/2, before the singular test:
@@ -138,10 +126,13 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
     # Psi^-1 = rev(Psi) exp(-PSEUDO beta) / rho
     duality = scalar[..., None, None] * sta.ID \
         - pseudo[..., None, None] * sta.PSEUDO
+    rev = sta.reversion(spinors.hestenes_matrix(psi))
 
     def inverted(smp):
-        Psi, D = dirac_operator(psi, smp.gradient(), m)
-        return D @ sta.reversion(Psi) @ duality / rho2[..., None, None]
+        # D = lift(dirac_column) gamma^0: its columns 2 and 3 negated
+        D = spinors.hestenes_matrix(dirac_column(psi, smp.gradient(), m))
+        np.negative(D[..., 2:], out=D[..., 2:])
+        return D @ rev @ duality / rho2[..., None, None]
 
     full, half = inverted(full), inverted(half)
     est = np.max(np.abs(half - full), axis=(-2, -1)) / 15.0

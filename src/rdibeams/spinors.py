@@ -49,10 +49,6 @@ _PART = np.argmax(np.abs(_FLOATS_OF_LIFT), axis=0)
 _SIGN = _FLOATS_OF_LIFT[_PART, np.arange(32)]
 _GATHER = 2 * (_PART % 4) + _PART // 4
 
-# plane of the phase rotation: gamma^2 gamma^1 (== gamma_2 gamma_1)
-PHASE_PLANE = GAMMA_UP[2] @ GAMMA_UP[1]
-
-
 class NullDensity(ValueError):
     """psi^dagger psi vanished; observables are undefined at this point."""
 

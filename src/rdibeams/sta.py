@@ -102,21 +102,15 @@ def signed_gather(matrix) -> tuple[Array, Array]:
     return column.reshape(shape), coefficient.reshape(shape)
 
 
-def gather_product(table, x, axis: int = -1) -> Array:
-    """matrix @ x for the tables of `signed_gather(matrix)`: along the last
-    axis of x[..., n'] (axis=-1), or along the next-to-last of x[..., n', m]
-    (axis=-2).  Each entry is its row's k exact products, summed in column
-    order from +0, as einsum and matmul accumulate: for finite x it is
-    their product bit for bit, the sign of a zero included."""
+def gather_product(table, x) -> Array:
+    """matrix @ x along the last axis of x[..., n'], for the tables of
+    `signed_gather(matrix)`.  Each entry is its row's k exact products,
+    summed in column order from +0, as einsum and matmul accumulate: for
+    finite x it is their product bit for bit, the sign of a zero included."""
     column, coefficient = table
     # np.take lays its result out in C order, as x[..., column] does not
-    if axis == -1:
-        terms = np.take(x, column, axis=-1, mode="clip")
-        terms *= coefficient
-    else:
-        terms = np.take(x, column, axis=-2, mode="clip")
-        terms *= coefficient[..., None]
-        terms = terms.swapaxes(-1, -2)
+    terms = np.take(x, column, axis=-1, mode="clip")
+    terms *= coefficient
     out = terms[..., 0] + 0.0
     for t in range(1, column.shape[1]):
         out += terms[..., t]

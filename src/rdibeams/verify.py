@@ -160,13 +160,13 @@ def _alone(spec, point, h, name):
 class _Pool:
     """In place of a spec in a pooled residual call (`Check.pooled`): the
     specs whose points make up the batch, spec k owning the next sizes[k]
-    points, in order.  m is each point's mass, m[N, 1, 1], which
-    `inversion.invert` broadcasts against the point's 4 x 4 matrices."""
+    points, in order.  m is each point's mass, m[N, 1], which
+    `inversion.invert` broadcasts against the point's spinor psi[N, 4]."""
 
     def __init__(self, specs, sizes):
         self.specs, self.sizes = tuple(specs), tuple(sizes)
         self.owner = np.repeat(np.arange(len(self.specs)), self.sizes)
-        self.m = np.array([s.m for s in self.specs])[self.owner, None, None]
+        self.m = np.array([s.m for s in self.specs])[self.owner, None]
 
     def count(self, mask) -> list:
         """How many of each spec's points mask[N] holds at."""

@@ -5,11 +5,11 @@ Clifford tables that the standard suite catches.
 
 SRC is a directory that holds an `rdibeams` package, such as the `src`
 folder of a checkout (default: this checkout's).  The tables are the lift's
-signed gather (`spinors._SIGN`, `spinors._GATHER`), the operator and trace
-tables of `inversion` (`_SLASH`, `_TIMES_PHASE_PLANE`, `_TIMES_GAMMA0`,
-`_TRACES`) and the signs of `sta.from_vector` (`sta._VECTOR_SIGN`).  Each
-mutant changes one entry of one table: a sign or coefficient negated, or a
-column index moved on to the next column (the last to the first).  The
+signed gather (`spinors._SIGN`, `spinors._GATHER`), the d-slash and trace
+tables of `inversion` (`_SLASH`, `_TRACES`) and the signs of
+`sta.from_vector` (`sta._VECTOR_SIGN`).  Each mutant changes one entry of
+one table: a sign or coefficient negated, or a column index moved on to the
+next column (the last to the first).  The
 table is rebound on its module for one `verify.run_suite(points=20,
 seed=1)` pass and the original restored in a `finally`, so that no mutant
 outlives its pass.
@@ -32,7 +32,7 @@ from ab_suite import load
 # columns (moved on) or a `sta.signed_gather` pair (column, coefficient)
 TABLES = {
     "spinors": ("_SIGN", "_GATHER"),
-    "inversion": ("_SLASH", "_TIMES_PHASE_PLANE", "_TIMES_GAMMA0", "_TRACES"),
+    "inversion": ("_SLASH", "_TRACES"),
     "sta": ("_VECTOR_SIGN",),
 }
 

@@ -134,15 +134,19 @@ def hestenes_matrix(psi):
 # the products with constant Clifford matrices as einsum and matmul: the
 # references for the signed gathers of the library (`sta.gather_product`)
 
+# plane of the phase rotation: gamma^2 gamma^1 (== gamma_2 gamma_1)
+PHASE_PLANE = sta.GAMMA_UP[2] @ sta.GAMMA_UP[1]
+
 
 def dirac_operator(psi, grad, m):
-    """Psi and D = (d-slash Psi) gamma^2 gamma^1 - m Psi gamma^0 with
-    d-slash an einsum over the gamma^mu stack and the right products
-    matmuls: the reference for `inversion.dirac_operator`."""
+    """Psi and the matrix Dirac operator D = (d-slash Psi) gamma^2 gamma^1
+    - m Psi gamma^0, with d-slash an einsum over the gamma^mu stack and the
+    right products matmuls: the reference for the D that `inversion.invert`
+    forms as lift(`inversion.dirac_column`) gamma^0."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
     slash_d = np.einsum("mij,...mjk->...ik", np.stack(sta.GAMMA_UP), dPsi)
-    return Psi, slash_d @ spinors.PHASE_PLANE - m * Psi @ sta.GAMMA0
+    return Psi, slash_d @ PHASE_PLANE - m * Psi @ sta.GAMMA0
 
 
 def dirac_column(psi, grad, m):
@@ -198,7 +202,7 @@ def from_components(r, s):
 def phase_rotor(arg: float):
     """exp(-gamma^2 gamma^1 * arg); acts on u1 as multiplication by
     exp(-i*arg)."""
-    return np.cos(arg) * sta.ID - np.sin(arg) * spinors.PHASE_PLANE
+    return np.cos(arg) * sta.ID - np.sin(arg) * PHASE_PLANE
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import NonVectorResult, to_vector
 from rdibeams import catalog as cat
-from rdibeams import inversion, sta
+from rdibeams import inversion, spinors, sta
 
 
 def sandwich(r, v):
@@ -112,15 +112,21 @@ def test_gathers_are_bitwise_their_einsum_and_matmul(shape):
         psi = _parts(rng, shape + (4,), zeros)
         grad = _parts(rng, shape + (4, 4), zeros)
         a = _parts(rng, shape + (4, 4), zeros)
-        got = inversion.dirac_operator(psi, grad, 1.3)
-        ref = oracles.dirac_operator(psi, grad, 1.3)
-        for g, r in zip(got, ref):
-            assert g.shape == r.shape == shape + (4, 4)
-            assert g.tobytes() == r.tobytes()
         got = inversion.dirac_column(psi, grad, 1.3)
         assert got.shape == shape + (4,)
         assert got.tobytes() == \
             oracles.dirac_column(psi, grad, 1.3).tobytes()
+        # the D that `invert` forms: the lifted column times gamma^0, its
+        # columns 2 and 3 negated, is the matrix operator; a zero's sign
+        # may differ between the two sums
+        D = spinors.hestenes_matrix(got)
+        np.negative(D[..., 2:], out=D[..., 2:])
+        ref = oracles.dirac_operator(psi, grad, 1.3)[1]
+        assert D.shape == ref.shape == shape + (4, 4)
+        if zeros:
+            assert np.array_equal(D, ref)
+        else:
+            assert D.tobytes() == ref.tobytes()
         for x in (a, np.swapaxes(a, -1, -2)):  # contiguous and strided
             assert sta.reversion(x).tobytes() == \
                 oracles.reversion(x).tobytes()

@@ -496,32 +496,49 @@ def test_each_fault_fails_its_row(control, row):
     assert all(getattr(cat, a) is obj for a, obj in real.items())
 
 
-def _first_negated(table):
-    # a signed gather's table, or a sign table, with its first coefficient
-    # negated
+def _first_changed(table):
+    # a signed gather's table, a sign table or a column table with its first
+    # coefficient or sign negated, or its first column moved on to the next
     if isinstance(table, tuple):
-        return table[0], _first_negated(table[1])
+        return table[0], _first_changed(table[1])
     out = table.copy()
-    out.flat[0] = -out.flat[0]
+    out.flat[0] = (out.flat[0] + 1) % (table.max() + 1) \
+        if table.dtype.kind == "i" else -out.flat[0]
     return out
 
 
-# single-entry mutants of the matrix lift and of the matrix Dirac operator,
-# which the dirac row does not read: the inversion row alone must catch them
-LIFT_MUTANTS = {
-    "spinors._SIGN[0]": (spinors, "_SIGN"),
-    "inversion._TIMES_PHASE_PLANE[0]": (inversion, "_TIMES_PHASE_PLANE"),
-    "inversion._TIMES_GAMMA0[0]": (inversion, "_TIMES_GAMMA0")}
+# single-entry mutants of the matrix lift, which the dirac row does not
+# read: the inversion row alone must catch them, on every spec with a
+# field.  On a field-free state i gamma^mu d_mu psi - m psi is about 0
+# whatever the lift, so the potential inverted from its lift is the right
+# one, 0, and the three free-bessel specs pass
+LIFT_MUTANTS = {"spinors._SIGN[0]": (spinors, "_SIGN"),
+                "spinors._GATHER[0]": (spinors, "_GATHER")}
 
 
 @pytest.mark.parametrize("seed", [20240801, 1, 7])
 @pytest.mark.parametrize("mutant", list(LIFT_MUTANTS))
 def test_lift_mutant_fails_every_inversion_record(mutant, seed, monkeypatch):
     module, attr = LIFT_MUTANTS[mutant]
-    monkeypatch.setattr(module, attr, _first_negated(getattr(module, attr)))
+    monkeypatch.setattr(module, attr, _first_changed(getattr(module, attr)))
     rep = verify.run_suite(checks=["inversion"], points=100, seed=seed)
     assert sorted((r.name, r.passed) for r in rep.records) == \
-        [("constraints", False)] * 21 + [("inversion", False)] * 21
+        [("constraints", False)] * 18 + [("constraints", True)] * 3 \
+        + [("inversion", False)] * 18 + [("inversion", True)] * 3
+    assert all(r.family.startswith("free-bessel ")
+               for r in rep.records if r.passed)
+
+
+@pytest.mark.parametrize("seed", [20240801, 1, 7])
+def test_slash_mutant_fails_every_dirac_and_inversion_record(seed,
+                                                             monkeypatch):
+    # the d-slash table with its first coefficient negated: the dirac row
+    # reads it through `dirac_column`, and `invert` through the same column
+    monkeypatch.setattr(inversion, "_SLASH", _first_changed(inversion._SLASH))
+    rep = verify.run_suite(checks=["dirac", "inversion"], points=100,
+                           seed=seed)
+    got = [r.passed for r in rep.records if r.name in ("dirac", "inversion")]
+    assert got == [False] * 42
 
 
 @pytest.mark.parametrize("control, row", FAULT_ROWS)
