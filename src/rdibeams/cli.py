@@ -7,6 +7,7 @@ error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -334,13 +335,12 @@ def cmd_verify(args) -> int:
 
 
 def _residual_histogram(report) -> dict:
+    # counts[i] holds the records in [edges[i], edges[i + 1]); the last, the
+    # records at or above edges[-1], and NaN
     edges = [0.0] + [10.0 ** k for k in range(-16, 1)]
-    counts = [0] * (len(edges) - 1)
+    counts = [0] * len(edges)
     for r in report.records:
-        for i in range(len(edges) - 1):
-            if edges[i] <= r.max_residual < edges[i + 1]:
-                counts[i] += 1
-                break
+        counts[bisect.bisect_right(edges, r.max_residual) - 1] += 1
     return {"edges": edges, "counts": counts}
 
 

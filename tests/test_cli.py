@@ -784,6 +784,16 @@ def test_verify_subset_passes(tmp_path):
     assert "wall_clock" not in payload
 
 
+def test_residual_histogram_counts_every_record():
+    # one count per edge: the last holds the records at or above the last
+    # edge, 1, and a NaN residual, so that every record is counted
+    report = mock.Mock(records=[mock.Mock(max_residual=r) for r in (
+        0.0, 5e-17, 0.5, 1.0, 7.0, math.inf, math.nan)])
+    hist = cli._residual_histogram(report)
+    assert hist["edges"][0] == 0.0 and hist["edges"][-1] == 1.0
+    assert hist["counts"] == [2] + [0] * 15 + [1, 4]
+
+
 @pytest.mark.parametrize("seed, points", [(20240801, 20), (1, 100), (7, 100)])
 def test_verify_report_matches_golden_bytes(seed, points, capsys):
     # tests/golden/verify-20240801.json is this report as written once each
@@ -794,7 +804,8 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
     # its checks read, and pin that every check still reads the same bits.
     # All of them, and the negative-control reports, were rewritten once the
     # free beam's constant stopped jumping by sqrt(2) at p_z = 0: only the
-    # p_z = 0.5 free-bessel records and the histogram moved, at round-off
+    # p_z = 0.5 free-bessel records and the histogram moved, at round-off.
+    # Each histogram gained a last count, of the records at or above 1
     assert cli.main(["verify", "--points", str(points), "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"verify-{seed}.json").read_bytes()
@@ -804,7 +815,8 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
 def test_negative_control_report_matches_golden_bytes(control, capsys):
     # tests/golden/verify-20240801-<control>.json is this report as written
     # before the constant gamma products became signed gathers: a kernel
-    # change that moves a failing residual shows here
+    # change that moves a failing residual shows here.  Its histogram gained
+    # a last count, of the records at or above 1
     assert cli.main(["verify", "--points", "20", "--seed", "20240801",
                      "--negative-control", control]) == 1
     captured = capsys.readouterr()
