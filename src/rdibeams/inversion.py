@@ -12,9 +12,9 @@ gamma^0 u1 = u1, so D gamma^0 is the even element whose first column is
 D u1, the column Dirac operator (`dirac_column`).  The derivatives are
 taken by 4th-order central differences, with a Richardson (h, h/2) pair
 attached as the error estimate, at one point or at a batch of points at
-once.  A valid electromagnetic inversion leaves only the vector
-grade: the 12 constrained trace projections (scalar, the six bivectors, the
-four trivectors and the pseudoscalar) must vanish.
+once.  A valid electromagnetic inversion leaves only the vector grade: the
+12 constrained trace projections (scalar, the six bivectors, the four
+trivectors and the pseudoscalar) must vanish.
 
 The module also carries the circular-orbit residual |eA_0|, which vanishes
 exactly when the radial profile solves its second-order equation.

@@ -9,10 +9,9 @@ signed gather (`spinors._SIGN`, `spinors._GATHER`), the d-slash and trace
 tables of `inversion` (`_SLASH`, `_TRACES`) and the signs of
 `sta.from_vector` (`sta._VECTOR_SIGN`).  Each mutant changes one entry of
 one table: a sign or coefficient negated, or a column index moved on to the
-next column (the last to the first).  The
-table is rebound on its module for one `verify.run_suite(points=20,
-seed=1)` pass and the original restored in a `finally`, so that no mutant
-outlives its pass.
+next column (the last to the first).  The table is rebound on its module
+for one `verify.run_suite(points=20, seed=1)` pass and the original
+restored in a `finally`, so that no mutant outlives its pass.
 
 Prints each mutant and the rows that fail under it (`-` for none, the
 exception's name for a pass that raised), then how many of each table's

@@ -139,14 +139,14 @@ PHASE_PLANE = sta.GAMMA_UP[2] @ sta.GAMMA_UP[1]
 
 
 def dirac_operator(psi, grad, m):
-    """Psi and the matrix Dirac operator D = (d-slash Psi) gamma^2 gamma^1
+    """The matrix Dirac operator D = (d-slash Psi) gamma^2 gamma^1
     - m Psi gamma^0, with d-slash an einsum over the gamma^mu stack and the
     right products matmuls: the reference for the D that `inversion.invert`
     forms as lift(`inversion.dirac_column`) gamma^0."""
     Psi = spinors.hestenes_matrix(psi)
     dPsi = spinors.hestenes_matrix(grad)
     slash_d = np.einsum("mij,...mjk->...ik", np.stack(sta.GAMMA_UP), dPsi)
-    return Psi, slash_d @ PHASE_PLANE - m * Psi @ sta.GAMMA0
+    return slash_d @ PHASE_PLANE - m * Psi @ sta.GAMMA0
 
 
 def dirac_column(psi, grad, m):

@@ -804,8 +804,7 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
     # its checks read, and pin that every check still reads the same bits.
     # All of them, and the negative-control reports, were rewritten once the
     # free beam's constant stopped jumping by sqrt(2) at p_z = 0: only the
-    # p_z = 0.5 free-bessel records and the histogram moved, at round-off.
-    # Each histogram gained a last count, of the records at or above 1
+    # p_z = 0.5 free-bessel records and the histogram moved, at round-off
     assert cli.main(["verify", "--points", str(points), "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"verify-{seed}.json").read_bytes()
@@ -815,8 +814,7 @@ def test_verify_report_matches_golden_bytes(seed, points, capsys):
 def test_negative_control_report_matches_golden_bytes(control, capsys):
     # tests/golden/verify-20240801-<control>.json is this report as written
     # before the constant gamma products became signed gathers: a kernel
-    # change that moves a failing residual shows here.  Its histogram gained
-    # a last count, of the records at or above 1
+    # change that moves a failing residual shows here
     assert cli.main(["verify", "--points", "20", "--seed", "20240801",
                      "--negative-control", control]) == 1
     captured = capsys.readouterr()
