@@ -1,7 +1,7 @@
 """Time one suite pass of two source trees of the library against each other,
 in one process.
 
-    python tests/ab_suite.py BASE_SRC NEW_SRC [--pairs 100] [--points 100]
+    python tests/ab_suite.py BASE_SRC NEW_SRC [--pairs 100] [--points 100] [--peak]
 
 BASE_SRC and NEW_SRC are directories that each hold an `rdibeams` package,
 such as the `src` folder of two checkouts.  Both trees are imported, under
@@ -12,7 +12,9 @@ where two separate benchmark runs would each see a different spell.
 
 Prints each side's median pass time, the median of the per-pair ratios
 new / base, the pairs that the new tree won, and whether the two trees'
-last reports were equal.  pytest does not collect this file.
+last reports were equal.  With --peak, each side then runs one more pass
+under tracemalloc, after the timed pairs, whose times it leaves alone, and
+its traced peak is printed.  pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -43,6 +46,8 @@ def main(argv=None) -> None:
     parser.add_argument("new")
     parser.add_argument("--pairs", type=int, default=100)
     parser.add_argument("--points", type=int, default=100)
+    parser.add_argument("--peak", action="store_true",
+                        help="print each side's traced peak of one pass")
     args = parser.parse_args(argv)
     sides = {side: load(src, f"ab_{side}")
              for side, src in (("base", args.base), ("new", args.new))}
@@ -63,6 +68,12 @@ def main(argv=None) -> None:
     print(f"pairs won by new: {sum(r < 1.0 for r in ratios)} of {len(ratios)}")
     same = reports["base"].to_json() == reports["new"].to_json()
     print(f"last reports equal: {same}")
+    for side, verify in sides.items() if args.peak else ():
+        tracemalloc.start()
+        verify.run_suite(points=args.points)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{side}: traced peak {peak / 2 ** 20:.2f} MiB")
 
 
 if __name__ == "__main__":

@@ -995,3 +995,17 @@ def test_verify_redmond_dirac_at_1000_points(tmp_path):
 def test_module_entrypoint_runs():
     proc = run_cli(["--version"])
     assert proc.stdout.strip()
+
+
+def test_help_names_every_negative_control():
+    # the verify help lists the controls without importing verify, which
+    # `eval` and `catalog` leave unimported
+    assert cli.NEGATIVE_CONTROLS == tuple(verify.FAULTS)
+
+
+def test_eval_and_catalog_import_no_verify():
+    code = ("import sys, rdibeams.cli as c; c.main(['catalog']); "
+            "sys.exit('rdibeams.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    assert proc.returncode == 0, proc.stderr
