@@ -155,9 +155,19 @@ def _constants(rows) -> tuple:
     at each point's spec."""
     if len(rows) == 1:
         return rows[0]
-    return tuple(column[0] if len({
-        (v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
-        for v in column}) == 1 else np.array(column) for column in zip(*rows))
+    return tuple(column[0] if _same(column) else np.array(column)
+                 for column in zip(*rows))
+
+
+def _same(column) -> bool:
+    # every number of column has the same bits: equal, and where a part is
+    # zero, of one sign
+    if len(set(column)) > 1:
+        return False
+    parts = ([v.real for v in column], [v.imag for v in column]) \
+        if isinstance(column[0], complex) else (column,)
+    return all(p[0] or len({math.copysign(1.0, x) for x in p}) == 1
+               for p in parts)
 
 
 def _read(constants, owner):
