@@ -43,20 +43,9 @@ the components trail, as in psi[..., 4].  Each formula is written once, in
 numpy, and `_stack` and `_zero` shape its results.  A `spinor` field takes
 a point of floats as the one-element batch, so its value is bit for bit
 that point's value in any batch.
-
-`spinor`, `profile`, `potential`, `fields` and `sources` also take a block,
-a sequence of specs of one family evaluated as one batch, with an owner
-index beside the coordinates, each point's spec.  Each per-spec constant
-is read per point through the owner (one number where the specs share it,
-`per_point`), the pair kernels and cH included; what a per-point constant
-cannot carry runs once per spec on its own points (`each_spec`): the
-Laguerre functions of each (n, alpha), a power of the radius, and each
-waveform.  Each point's value is its spec's own, bit for bit, and a block
-of one is a spec.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Callable
@@ -92,139 +81,6 @@ def _stack(parts):
 def _zero(*values):
     """Zero with the shape of the highest-rank argument."""
     return np.zeros(_shape(values))
-
-
-def _block(spec) -> tuple:
-    """The specs of spec: a SolutionSpec, or a block, a sequence of specs
-    of one family evaluated as one batch."""
-    if isinstance(spec, SolutionSpec):
-        return (spec,)
-    specs = tuple(spec)
-    if any(s.family is not specs[0].family for s in specs):
-        raise ValueError("a block holds specs of one family")
-    return specs
-
-
-def _bases(spec) -> tuple:
-    return tuple(s.static_base() for s in _block(spec))
-
-
-class _Owner:
-    """Each point's spec in a block of several: index[...], the spec's k
-    at each point.  `runs()` joins each spec's points of the flattened
-    batch: (order, specs, bounds), spec specs[j] owning the positions
-    order[bounds[j]:bounds[j + 1]] (order None where the points already
-    come spec after spec), which `_each` hands each spec's callable."""
-
-    def __init__(self, index):
-        self.index = np.asarray(index)
-        self._runs = None
-
-    def runs(self) -> tuple:
-        if self._runs is None:
-            flat = self.index.reshape(-1)
-            cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
-            starts = [0, *cuts] if flat.size else []
-            runs = sorted(zip(flat[starts].tolist(), starts,
-                              [*cuts, flat.size]))  # by spec, in order
-            order = None if [lo for _, lo, _ in runs] == starts else \
-                np.concatenate([np.arange(lo, hi) for _, lo, hi in runs])
-            specs, bounds, at = [], [], 0
-            for k, lo, hi in runs:
-                if not specs or specs[-1] != k:
-                    specs.append(k)
-                    bounds.append(at)
-                at += hi - lo
-            self._runs = (order, specs, [*bounds, at])
-        return self._runs
-
-
-def _owner(specs, owner):
-    # each point's spec, an _Owner, for a block of several; None for one
-    if len(specs) == 1:
-        return None
-    if owner is None:
-        raise ValueError("a block of several specs needs each point's owner")
-    return owner if isinstance(owner, _Owner) else _Owner(owner)
-
-
-def _constants(rows) -> tuple:
-    """rows[k], spec k's tuple of constants, as one entry per constant:
-    the number itself where every spec has the same bits (the sign of a
-    zero part counts), else an array of one per spec, which `_read` reads
-    at each point's spec."""
-    if len(rows) == 1:
-        return rows[0]
-    return tuple(column[0] if _same(column) else np.array(column)
-                 for column in zip(*rows))
-
-
-def _same(column) -> bool:
-    # every number of column has the same bits: equal, and where a part is
-    # zero, of one sign
-    if len(set(column)) > 1:
-        return False
-    parts = ([v.real for v in column], [v.imag for v in column]) \
-        if isinstance(column[0], complex) else (column,)
-    return all(p[0] or len({math.copysign(1.0, x) for x in p}) == 1
-               for p in parts)
-
-
-def _read(constants, owner):
-    """Each of `_constants` at each point, its spec's: a number where the
-    specs share it (always, for a block of one, owner None)."""
-    if owner is None:
-        return constants
-    return [c[owner.index] if isinstance(c, np.ndarray) else c
-            for c in constants]
-
-
-def _each(fns, owner, *arrays):
-    """fns[k](*arrays) at the points of spec k, fns one callable per spec of
-    a block: one call for a block of one (owner None) or of one callable,
-    else one call per spec on its points alone, the results laid back in
-    the points' order: a tuple of parts (each an array or a number), as
-    the callables give, or one."""
-    if owner is None or all(fn == fns[0] for fn in fns):
-        return fns[0](*arrays)
-    order, specs, bounds = owner.runs()
-    flat = [np.ravel(a) if order is None else np.ravel(a)[order]
-            for a in arrays]
-    got = [fns[k](*(a[lo:hi] for a in flat))
-           for k, lo, hi in zip(specs, bounds, bounds[1:])]
-    parts = [g if isinstance(g, tuple) else (g,) for g in got]
-    out = []
-    for column in zip(*parts):
-        joined = np.concatenate([
-            p if np.ndim(p) else np.full(hi - lo, p)
-            for p, lo, hi in zip(column, bounds, bounds[1:])])
-        if order is not None:
-            joined[order] = joined.copy()
-        out.append(joined.reshape(owner.index.shape))
-    return tuple(out) if isinstance(got[0], tuple) else out[0]
-
-
-def per_point(spec, owner, value):
-    """value(s), a number, at each point of a batch, s the point's spec:
-    value(spec) for a spec or a block of one, else an array shaped as
-    owner[...], each point's index into the block's specs.  Every per-spec
-    constant of a block is read this way, so each point's arithmetic is
-    its spec's own, bit for bit."""
-    specs = _block(spec)
-    (got,) = _read(_constants([(value(s),) for s in specs]),
-                   _owner(specs, owner))
-    return got
-
-
-def each_spec(spec, owner, fn, *arrays):
-    """fn(s, *arrays) at the points of each spec s of a block, owner[...]
-    each point's index into its specs (for a spec, one call): what a
-    per-point constant cannot carry, such as a power x ** n, which numpy
-    takes by a faster rule for n = 2, 0.5 or -1 than its power of an array
-    of exponents."""
-    specs = _block(spec)
-    return _each([functools.partial(fn, s) for s in specs],
-                 _owner(specs, owner), *arrays)
 
 
 class OnAxisError(ValueError):
@@ -405,7 +261,7 @@ def normalization(spec: SolutionSpec) -> float:
     return base.B / record.scale(base, eigenvalue(base))
 
 
-def _pair_kernel(spec):
+def _pair_kernel(spec: SolutionSpec):
     """lam -> (aH, bH) = lam^(M/2) (f, f') H, the normalized phase-free
     pair the spinor reads, at lam >= 0 (a float or an array), with the
     spec's constants bound once, the amplitude P = `normalization` among
@@ -420,30 +276,23 @@ def _pair_kernel(spec):
         radial-b:   aH = P ell_n^M,  bH = (1-kappa)/2 aH
                                  - kappa sqrt(n) P ell_(n-1)^(M+1)/sqrt(u).
 
-    The split state with l = 0 is the uniform-b one (same M, level, f).
-    spec may be a block: the kernel, kernel(lam, owner), then gives each
-    element of lam its own spec's pair, owner[...] the spec's index."""
-    bases = _bases(spec)
-    return _record(bases[0]).pair(bases, [normalization(b) for b in bases])
+    The split state with l = 0 is the uniform-b one (same M, level, f)."""
+    base = spec.static_base()
+    return _record(base).pair(base, normalization(base))
 
 
-def stationary_bilinears(spec):
+def stationary_bilinears(spec: SolutionSpec):
     """(a, b) -> J^0, J_phi, J^z, rho cos(beta) ("scalar") and rho s^3 of
     a stationary state from its phase-free pair (a, b) = (aH, bH), with the
-    spec's constants bound once, as `_pair_kernel` binds its own (and, for
-    a block, read at each point's spec, kernel(a, b, owner))."""
-    def own(base):
-        A = base.m + eigenvalue(base)
-        pz2 = base.p_z ** 2
-        return (A ** 2 + pz2, A ** 2 - pz2, base.B, base.B ** 2, -A,
-                2.0 * A * base.p_z)
+    spec's constants bound once, as `_pair_kernel` binds its own."""
+    base = spec.static_base()
+    A = base.m + eigenvalue(base)
+    pz2 = base.p_z ** 2
+    B, B2 = base.B, base.B ** 2
+    plus, minus = A ** 2 + pz2, A ** 2 - pz2
+    neg_A, two_A_pz = -A, 2.0 * A * base.p_z
 
-    bases = _bases(spec)
-    constants = _constants([own(b) for b in bases])
-
-    def kernel(a, b, owner=None):
-        plus, minus, B, B2, neg_A, two_A_pz = constants if owner is None \
-            else _read(constants, _owner(bases, owner))
+    def kernel(a, b):
         upper = plus * a ** 2 / B2
         lower = b ** 2 / 4.0
         return {"J0": upper + lower,
@@ -490,21 +339,19 @@ def _transverse_average(spec: SolutionSpec, g):
     return 2.0 * math.pi * (weights @ g(lam))
 
 
-def profile(spec, lam, owner=None) -> dict:
+def profile(spec: SolutionSpec, lam) -> dict:
     """Normalized profile data at lam, a float or an array: the pair aH, bH
     of `_pair_kernel`, and the paper convention's f, its lam-derivatives
     fp, fpp and the weight H with its derivative Hp.  The magnetic
     families take f from the same Laguerre functions, at lam > 0 where H
-    does not underflow, and f'' H from their record's `cH`.  spec may be a
-    block, owner[...] giving each element of lam its spec."""
-    bases = _bases(spec)
-    owner = _owner(bases, owner)
-    record, P = _record(bases[0]), [normalization(b) for b in bases]
+    does not underflow, and f'' H from their record's `cH`."""
+    base = spec.static_base()
+    record, P = _record(base), normalization(base)
     if record.cH is None:  # the free beam, which has no weight
-        return _bessel_profile(bases, P, lam, owner)
-    aH, bH = _pair_kernel(bases)(lam, owner)
-    H, Hp, cH = record.cH(bases, P, lam, aH, bH, owner)
-    weight = each_spec(bases, owner, lambda b, v: v ** (b.M / 2.0), lam) * H
+        return _bessel_profile(base, P, lam)
+    aH, bH = _pair_kernel(base)(lam)
+    H, Hp, cH = record.cH(base, P, lam, aH, bH)
+    weight = lam ** (base.M / 2.0) * H
     return {"f": aH / weight, "fp": bH / weight, "fpp": cH / weight,
             "H": H, "Hp": Hp, "aH": aH, "bH": bH}
 
@@ -517,9 +364,8 @@ def profile(spec, lam, owner=None) -> dict:
 # the generator is g (f1' C1 + f2' C2), g = 1 / (2 eps omega)
 _NULL_C1 = -sta.ALPHA[0] - sta.PSEUDO @ sta.ALPHA[1]
 _NULL_C2 = -sta.ALPHA[1] + sta.PSEUDO @ sta.ALPHA[0]
-# C1 psi and C2 psi as signed gathers: two products, whose terms at 5.5k
-# points fit a 2-core Xeon's cache where the 8 x 4 [C1; C2] did not
-_NULL_TURN = (sta.signed_gather(_NULL_C1), sta.signed_gather(_NULL_C2))
+# (C1 psi, C2 psi) as one product with the 8 x 4 matrix [C1; C2]
+_NULL_TURN = sta.signed_gather(np.concatenate([_NULL_C1, _NULL_C2]))
 
 
 def null_rotation_generator(fdot1, fdot2, eps: float, omega: float) -> Array:
@@ -546,37 +392,14 @@ def null_rotation_lorentz(fdot1, fdot2, eps: float, omega: float) -> Array:
         (-a2, 0.0, 1.0, -a2), (-s, a1, a2, 1.0 - s))])
 
 
-def _wave(specs, owner, xi, method: str):
-    """The waveforms' `method` (f, fdot, fddot or gauge_integral) at each
-    point's phase xi: for a block, once per spec on its own points, or once
-    where the specs share one waveform."""
-    return _each([getattr(s.waveform, method) for s in specs], owner, xi)
-
-
-def _ells(pairs):
-    """(u, owner) -> ell_n^alpha(u) of each point's spec, (n, alpha) =
-    pairs[k] for spec k: `sf.laguerre_function` itself where the specs
-    share one pair (always, for a block of one), else each spec's, called
-    on its own points through `_each`."""
-    fns = {pair: sf.laguerre_function(*pair) for pair in dict.fromkeys(pairs)}
-    if len(fns) == 1:
-        return fns[pairs[0]]
-    each = [fns[pair] for pair in pairs]
-    return lambda u, owner: _each(each, owner, u)
-
-
-def _plane_wave(spec, t, z, owner=None):
+def _plane_wave(spec: SolutionSpec, t, z):
     """A dressed spec's plane wave at (t, z), the one evaluation its
     readers share: the phase xi = omega (t - z), the quiver shift
-    (x' - x, y' - y) = f(xi) / (eps omega^2) and f'(xi); for a block,
-    owner[...] gives each point its spec."""
-    specs = _block(spec)
-    owner = _owner(specs, owner)
-    omega, scale = _read(_constants([
-        (s.omega, 1.0 / (eigenvalue(s) * s.omega ** 2)) for s in specs]), owner)
-    xi = omega * (t - z)
-    f1, f2 = _wave(specs, owner, xi, "f")
-    return xi, (scale * f1, scale * f2), _wave(specs, owner, xi, "fdot")
+    (x' - x, y' - y) = f(xi) / (eps omega^2) and f'(xi)."""
+    xi = spec.omega * (t - z)
+    f1, f2 = spec.waveform.f(xi)
+    scale = 1.0 / (eigenvalue(spec) * spec.omega ** 2)
+    return xi, (scale * f1, scale * f2), spec.waveform.fdot(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +407,7 @@ def _plane_wave(spec, t, z, owner=None):
 # ---------------------------------------------------------------------------
 
 
-def spinor(spec):
+def spinor(spec: SolutionSpec):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family.
 
     t, x, y, z are floats, giving psi[4], or arrays of one shape, giving
@@ -596,97 +419,56 @@ def spinor(spec):
 
     The per-spec constants, the amplitude `normalization` among them, are
     bound here, once: a point costs the raw profile and the phase, no cache
-    lookup.  spec may be a block, a sequence of specs of one family: the
-    field, psi(t, x, y, z, owner), then reads each point's constants at its
-    spec, owner[...] the spec's index, and runs the static field once on
-    every point and each waveform once on its specs' points."""
-    specs = _block(spec)
-    bases = _bases(specs)
+    lookup."""
+    base = spec.static_base()
+    eps = eigenvalue(base)
+    A = base.m + eps
+    M = base.M
+    # the upper and lower amplitude factors of components 0 and 2
+    k0, k2 = A / base.B, base.p_z / base.B
+    pair = _pair_kernel(base)
 
-    def own(base):
-        eps = eigenvalue(base)
-        # the upper and lower amplitude factors of components 0 and 2
-        return (base.B, eps, base.p_z, 0.5j * base.M, (base.m + eps) / base.B,
-                base.p_z / base.B)
-
-    constants = _constants([own(b) for b in bases])
-    pair = _pair_kernel(bases)
-
-    def static_field(t, x, y, z, owner):
-        B, eps, p_z, half_M, k0, k2 = _read(constants, owner)
-        lam = B * np.hypot(x, y) / 2.0  # lam_of_r
-        aH, bH = pair(lam, owner)
+    def static_field(t, x, y, z):
+        lam = lam_of_r(base, np.hypot(x, y))
+        aH, bH = pair(lam)
         phi = np.arctan2(y, x)
-        # the products in their order, in place where a term is new
-        arg = eps * t
-        arg -= p_z * z
-        phase = -1j * arg
-        phase += half_M * phi
-        np.exp(phase, out=phase)
-        return _stack([k0 * aH * phase, 0.0, k2 * aH * phase,
-                       -0.5j * bH * phase * np.exp(1j * phi)])
+        phase = np.exp(-1j * (eps * t - base.p_z * z) + 0.5j * M * phi)
+        return _stack([
+            k0 * aH * phase,
+            0.0,
+            k2 * aH * phase,
+            -0.5j * bH * phase * np.exp(1j * phi),
+        ])
 
-    if not specs[0].is_dressed:
-        return _as_batch(static_field, specs)
-    # g as in null_rotation_generator; the gauge phase's -1 / (2 eps omega^3)
-    dressing = _constants([
-        (1.0 / (2.0 * eps * s.omega), -1.0 / (2.0 * eps * s.omega ** 3))
-        for s, eps in zip(specs, map(eigenvalue, bases))])
+    if not spec.is_dressed:
+        return _as_batch(static_field)
+    g = 1.0 / (2.0 * eps * spec.omega)  # as in null_rotation_generator
+    gauge = -1.0 / (2.0 * eps * spec.omega ** 3)
 
-    def dressed(t, x, y, z, owner):
-        xi, (dx, dy), (d1, d2) = _plane_wave(specs, t, z, owner)
-        g, gauge = _read(dressing, owner)
-        phi = gauge * _wave(specs, owner, xi, "gauge_integral")
-        # each spec whose wave moves nothing at its points is its static
-        # field there: the exact identity transform
-        moved = _moved(owner, (dx, dy, d1, d2, phi))
-        if not np.any(moved):
-            return static_field(t, x, y, z, owner)
-        if np.all(moved):
-            psi = static_field(t, x + dx, y + dy, z, owner)
-        else:
-            psi = static_field(t, np.where(moved, x + dx, x),
-                               np.where(moved, y + dy, y), z, owner)
+    def dressed(t, x, y, z):
+        xi, (dx, dy), (d1, d2) = _plane_wave(spec, t, z)
+        phi = gauge * spec.waveform.gauge_integral(xi)
+        if not any(np.any(v != 0.0) for v in (dx, dy, d1, d2, phi)):
+            return static_field(t, x, y, z)  # exact identity transform
+        psi = static_field(t, x + dx, y + dy, z)
         # (1 + N) psi = psi + g (f1' C1 psi + f2' C2 psi), the generator
         # applied to the column: no 4x4 matrix per point
-        # in place, each product in its order
-        turn, c2 = (sta.gather_product(table, psi) for table in _NULL_TURN)
-        np.multiply(np.asarray(d1)[..., None], turn, out=turn)
-        np.multiply(np.asarray(d2)[..., None], c2, out=c2)
-        turn += c2
-        np.multiply(np.asarray(g)[..., None], turn, out=turn)
-        np.add(psi, turn, out=turn)
-        np.multiply(np.exp(1j * phi)[..., None], turn, out=turn)
-        return turn if np.all(moved) else np.where(moved[..., None], turn, psi)
+        c12 = sta.gather_product(_NULL_TURN, psi)
+        turn = (np.asarray(d1)[..., None] * c12[..., :4]
+                + np.asarray(d2)[..., None] * c12[..., 4:])
+        return np.exp(1j * phi)[..., None] * (psi + g * turn)
 
-    return _as_batch(dressed, specs)
+    return _as_batch(dressed)
 
 
-def _moved(owner, values):
-    # whether the dressing values move anything: for one spec a bool, for a
-    # block each point's, true where its spec's values move any of its points
-    if owner is None:
-        return any(np.any(v != 0.0) for v in values)
-    order, specs, bounds = owner.runs()
-    flat = [np.ravel(v) if order is None else np.ravel(v)[order]
-            for v in np.broadcast_arrays(*values)]
-    moved = [k for k, lo, hi in zip(specs, bounds, bounds[1:])
-             if any(np.any(v[lo:hi] != 0.0) for v in flat)]
-    if len(moved) in (0, len(specs)):
-        return bool(moved)
-    return np.isin(owner.index, moved)
-
-
-def _as_batch(field, specs):
+def _as_batch(field):
     """field, with a point of floats run as the one-element batch: numpy
     rounds some calls on a scalar otherwise than on an array, so this keeps
     a point's value bit for bit its value in any batch."""
-    def column(t, x, y, z, owner=None):
-        owner = _owner(specs, owner)
+    def column(t, x, y, z):
         if np.ndim(t) + np.ndim(x) + np.ndim(y) + np.ndim(z):
-            return field(t, x, y, z, owner)
-        return field(*np.array([[t], [x], [y], [z]], dtype=float),
-                     None if owner is None else np.reshape(owner, 1))[0]
+            return field(t, x, y, z)
+        return field(*np.array([[t], [x], [y], [z]], dtype=float))[0]
 
     return column
 
@@ -696,114 +478,98 @@ def _as_batch(field, specs):
 # ---------------------------------------------------------------------------
 
 
-def _primed(spec, t, x, y, z, owner=None):
+def _primed(spec: SolutionSpec, t, x, y, z):
     """(x', y', xi, f'(xi)): the point shifted by `_plane_wave`, its phase
     and the wave's slope there; (x, y, 0.0, (0.0, 0.0)) if not dressed."""
-    if not _block(spec)[0].is_dressed:
+    if not spec.is_dressed:
         return x, y, 0.0, (0.0, 0.0)
-    xi, (dx, dy), fdot = _plane_wave(spec, t, z, owner)
+    xi, (dx, dy), fdot = _plane_wave(spec, t, z)
     return x + dx, y + dy, xi, fdot
 
 
-def _axial(specs, xp, yp, owner):
+def _axial(spec: SolutionSpec, xp, yp):
     """A magnetic family's static field at its primed point (x', y') as
     its record's (b, d, n): B_z = b / d and eA_phi / r = B_z / n, (B^2, 1,
     2) in the uniform field and (B, 4 r', 1) in the 1/r field, which raises
     OnAxisError at r' = 0 (for a dressed state, the shifted axis); None for
     the free beams.  d keeps the power of two, so that each value rounds as
-    a formula written out per family would; b is each point's spec's."""
-    record = _record(specs[0])
-    if record.axial is None:
-        return None
-    d, n = record.axial(xp, yp)
-    return per_point(specs, owner, record.b), d, n
+    a formula written out per family would."""
+    axial = _record(spec).axial
+    return None if axial is None else axial(spec, xp, yp)
 
 
-def _dressing(specs, owner):
-    # each point's (eps, omega) of a dressed block
-    return _read(_constants([(eigenvalue(s), s.omega) for s in specs]), owner)
-
-
-def potential_split(spec, t, x, y, z, owner=None) -> dict:
+def potential_split(spec: SolutionSpec, t, x, y, z) -> dict:
     """The potential split into static/radiation/laser pieces (each a
     4-component eA array, [..., 4] for array coordinates): B_z/n (-y', x')
-    at the primed point, -(eA_static . f') / (eps omega) and f' / omega.
-    spec may be a block, owner[...] giving each point its spec; so for
-    `potential`, `fields` and `sources`."""
-    specs = _block(spec)
-    owner = _owner(specs, owner)
-    xp, yp, _, (d1, d2) = _primed(specs, t, x, y, z, owner)
+    at the primed point, -(eA_static . f') / (eps omega) and f' / omega."""
+    xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
     zero = _zero(t, x, y, z)
     static = radiation = laser = (zero,) * 4
-    axial = _axial(specs, xp, yp, owner)
+    axial = _axial(spec, xp, yp)
     if axial is not None:
         b, d, n = axial
         coeff = b / (n * d)
         static = (zero, -coeff * yp, coeff * xp, zero)
-    if specs[0].is_dressed:
-        eps, omega = _dressing(specs, owner)
-        laser = (zero, d1 / omega, d2 / omega, zero)
+    if spec.is_dressed:
+        eps = eigenvalue(spec)
+        laser = (zero, d1 / spec.omega, d2 / spec.omega, zero)
         if axial is not None:
-            a0 = -b * (xp * d2 - yp * d1) / (n * eps * omega * d)
+            a0 = -b * (xp * d2 - yp * d1) / (n * eps * spec.omega * d)
             radiation = (a0, zero, zero, a0)
     return {"static": _stack(static),
             "radiation": _stack(radiation),
             "laser": _stack(laser)}
 
 
-def potential(spec, t, x, y, z, owner=None) -> Array:
+def potential(spec: SolutionSpec, t, x, y, z) -> Array:
     """Total driving potential eA^mu at a lab-frame point, or eA[..., 4]
     at array coordinates."""
-    parts = potential_split(spec, t, x, y, z, owner)
+    parts = potential_split(spec, t, x, y, z)
     return parts["static"] + parts["radiation"] + parts["laser"]
 
 
-def fields(spec, t, x, y, z, owner=None) -> Array:
+def fields(spec: SolutionSpec, t, x, y, z) -> Array:
     """Closed-form electromagnetic fields e(E, B), [..., 6], e E first, at
     float or array coordinates: B_z at the primed point, the plane wave,
     and B_z's dressing, a null field of amplitude B_z / (eps omega); their
     sources are `sources`."""
-    specs = _block(spec)
-    owner = _owner(specs, owner)
-    xp, yp, xi, (d1, d2) = _primed(specs, t, x, y, z, owner)
+    xp, yp, xi, (d1, d2) = _primed(spec, t, x, y, z)
     zero = _zero(t, x, y, z)
     eE = [zero] * 3
     eB = [zero] * 3
-    axial = _axial(specs, xp, yp, owner)
+    axial = _axial(spec, xp, yp)
     if axial is not None:
         b, d, _ = axial
         eB[2] = eB[2] + b / d
-    if specs[0].is_dressed:
-        eps, omega = _dressing(specs, owner)
-        dd1, dd2 = _wave(specs, owner, xi, "fddot")
+    if spec.is_dressed:
+        eps = eigenvalue(spec)
+        dd1, dd2 = spec.waveform.fddot(xi)
         eE = [eE[0] - dd1, eE[1] - dd2, eE[2]]
         eB = [eB[0] + dd2, eB[1] - dd1, eB[2]]
         if axial is not None:
-            k = b / (d * eps * omega)
+            k = b / (d * eps * spec.omega)
             eE = [eE[0] + k * d2, eE[1] + k * -d1, eE[2]]
             eB = [eB[0] + k * d1, eB[1] + k * d2, eB[2]]
     return _stack(eE + eB)
 
 
-def sources(spec, t, x, y, z, owner=None) -> Array:
+def sources(spec: SolutionSpec, t, x, y, z) -> Array:
     """The closed-form sources of `fields` as one 4-current,
     e mu0 (rho_e, J_e), [..., 4], at float or array coordinates: zero but
     for the loop-like current of the 1/r field and its dressing."""
-    specs = _block(spec)
-    owner = _owner(specs, owner)
     zero = _zero(t, x, y, z)
-    if not _record(specs[0]).singular:  # a uniform B_z has none
+    if not _record(spec).singular:  # a uniform B_z has none
         return _stack([zero] * 4)
-    xp, yp, _, (d1, d2) = _primed(specs, t, x, y, z, owner)
-    b, d, _ = _axial(specs, xp, yp, owner)
+    xp, yp, _, (d1, d2) = _primed(spec, t, x, y, z)
+    b, d, _ = _axial(spec, xp, yp)
     rp3 = (d / 4.0) ** 3  # d = 4 r', so d / 4 is r' exactly
-    if not specs[0].is_dressed:
+    if not spec.is_dressed:
         return _stack([zero, zero + (b / 4.0) * -yp / rp3,
                        zero + (b / 4.0) * xp / rp3, zero])
-    eps, omega = _dressing(specs, owner)
-    rho_e = b * (yp * d1 - xp * d2) / (4.0 * eps * omega * rp3)
+    eps = eigenvalue(spec)
+    rho_e = b * (yp * d1 - xp * d2) / (4.0 * eps * spec.omega * rp3)
     J_e = [(b / (4.0 * rp3)) * v
-           for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * omega))]
+           for v in (-yp, xp, (yp * d1 - xp * d2) / (eps * spec.omega))]
     return _stack([rho_e, *J_e])
 
 
@@ -913,161 +679,121 @@ def _record(spec: SolutionSpec) -> "_Stationary":
     return _FAMILIES[spec.static_base().family]
 
 
-def _bessel_pair(bases, P):
+def _bessel_pair(base: SolutionSpec, P: float):
     # f = lam^-l J_l(q lam), q = 2 p_perp / B from p_perp itself, not from
     # the level, which cancels when p_perp is small beside m
-    constants = _constants([(b.l, 2.0 * b.p_perp / b.B, p)
-                            for b, p in zip(bases, P)])
+    l, q = base.l, 2.0 * base.p_perp / base.B
 
-    def bessel(lam, owner=None):
-        l, q, P = constants if owner is None \
-            else _read(constants, _owner(bases, owner))
+    def bessel(lam):
         vals = sf.bessel_j_all(l + 2, q * lam)
-        return P * sf.at_order(vals, l), P * (-q * sf.at_order(vals, l + 1))
+        return P * vals[l], P * (-q * vals[l + 1])
 
     return bessel
 
 
-def _bessel_profile(bases, P, lam, owner) -> dict:
+def _bessel_profile(base: SolutionSpec, P: float, lam) -> dict:
     # off the axis, f'' from the five-point Bessel ladder (kept independent
-    # of the radial equation being verified); on the axis, the limits.
-    # J_(l-2) and J_(l-1) below order 0 are J_(2-l), J_(1-l) times a sign
-    def own(base, P):
-        l, q = base.l, 2.0 * base.p_perp / base.B
-        return (l, q, P, (q / 2.0) ** l / math.factorial(l),
-                (-1) ** (2 - l) if l < 2 else 1, -1 if l == 0 else 1)
-
-    l, q, P, f0, sign2, sign1 = _read(
-        _constants([own(b, p) for b, p in zip(bases, P)]), owner)
+    # of the radial equation being verified); on the axis, the limits
+    l, q = base.l, 2.0 * base.p_perp / base.B
     vals = sf.bessel_j_all(l + 2, q * lam)
-    jl, jl1 = sf.at_order(vals, l), sf.at_order(vals, l + 1)
+    jl, jl1 = vals[l], vals[l + 1]
     pos = lam > 0
     r = np.where(pos, lam, 1.0)
-    jlm2 = sign2 * sf.at_order(vals, abs(l - 2))
-    jlm1 = sign1 * sf.at_order(vals, abs(l - 1))
-    jdd = 0.25 * (jlm2 - 2.0 * jl + sf.at_order(vals, l + 2))
+    jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
+    jlm1 = vals[l - 1] if l >= 1 else -vals[1]
+    jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
     jd = 0.5 * (jlm1 - jl1)
-    rl, rl1, rl2 = each_spec(bases, owner, lambda b, v: (
-        v ** b.l, v ** (b.l + 1), v ** (b.l + 2)), r)
-    f = np.where(pos, jl / rl, f0)
-    fp = np.where(pos, -q * jl1 / rl, 0.0)
-    fpp = np.where(pos, q * q * jdd / rl - 2.0 * l * q * jd / rl1
-                   + l * (l + 1) * jl / rl2, 0.0)
+    f = np.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
+    fp = np.where(pos, -q * jl1 / r ** l, 0.0)
+    fpp = np.where(pos, q * q * jdd / r ** l - 2.0 * l * q * jd / r ** (l + 1)
+                   + l * (l + 1) * jl / r ** (l + 2), 0.0)
     return {"f": P * f, "fp": P * fp, "fpp": P * fpp, "H": 1.0, "Hp": 0.0,
             "aH": P * jl, "bH": P * (-q * jl1)}
 
 
-def _landau_pair(bases, P):
-    # aH = P ell_n^l(u) and bH = kb ell_nb^lb(u); a state winding against
-    # the flow (M = -2l < 0, the split family at l > 0) takes its lower
-    # function, and f'', from other Laguerre functions
-    def own(base, P):
-        n, l = base.n, base.l
-        if base.M < 0:
-            P = (-1) ** l * P
-            return P, 2.0 * math.sqrt(2.0 * (n + l)) * P
-        return P, -2.0 * math.sqrt(2.0 * n) * P
+def _landau_pair(base: SolutionSpec, P: float):
+    # a state winding against the flow (M = -2l < 0, the split family at
+    # l > 0) takes its lower function, and f'', from other Laguerre functions
+    n, l, ell = base.n, base.l, sf.laguerre_function
+    ell_a = ell(n, l)
+    if base.M < 0:
+        P = (-1) ** l * P
+        kb, ell_b = 2.0 * math.sqrt(2.0 * (n + l)) * P, ell(n, l - 1)
+    else:
+        kb, ell_b = -2.0 * math.sqrt(2.0 * n) * P, ell(n - 1, l + 1)
 
-    constants = _constants([own(b, p) for b, p in zip(bases, P)])
-    ell_a = _ells([(b.n, b.l) for b in bases])
-    ell_b = _ells([(b.n, b.l - 1) if b.M < 0 else (b.n - 1, b.l + 1)
-                   for b in bases])
-
-    def uniform(lam, owner=None):
-        if owner is not None:
-            owner = _owner(bases, owner)
-        P, kb = constants if owner is None else _read(constants, owner)
+    def uniform(lam):
         u = 2.0 * lam * lam
-        return P * ell_a(u, owner), kb * ell_b(u, owner)
+        return P * ell_a(u), kb * ell_b(u)
 
     return uniform
 
 
-def _landau_cH(bases, P, lam, aH, bH, owner):
-    # cH = c1 bH / lam + c2 ell_nc^lc(u), in the winding of _landau_pair
-    def own(base, P):
-        n, l = base.n, base.l
-        if base.M < 0:
-            return 2 * l - 1, -((-1) ** l * 8.0 * math.sqrt(n * (n + l)) * P)
-        return 1, 8.0 * math.sqrt(n * (n - 1)) * P
-
-    c1, c2 = _read(_constants([own(b, p) for b, p in zip(bases, P)]), owner)
-    ell = _ells([(b.n - 1, b.l) if b.M < 0 else (b.n - 2, b.l + 2)
-                 for b in bases])
+def _landau_cH(base: SolutionSpec, P: float, lam, aH, bH):
+    n, l, ell = base.n, base.l, sf.laguerre_function
     u, H = 2.0 * lam * lam, np.exp(-lam * lam)
-    return H, -2.0 * lam * H, c1 * bH / lam + c2 * ell(u, owner)
+    if base.M < 0:
+        cH = (2 * l - 1) * bH / lam - (-1) ** l * 8.0 \
+            * math.sqrt(n * (n + l)) * P * ell(n - 1, l)(u)
+    else:
+        cH = bH / lam + 8.0 * math.sqrt(n * (n - 1)) * P * ell(n - 2, l + 2)(u)
+    return H, -2.0 * lam * H, cH
 
 
-def _radial_pair(bases, P):
-    def own(base, P):
-        n, kappa = base.n, radial_kappa(base)
-        # the last: ell_(n-1)^(M+1)(u) / sqrt(u) at u = 0
-        return (P, kappa, 0.5 * (1.0 - kappa), kappa * math.sqrt(n) * P,
-                math.sqrt(n) if base.l == 0 else 0.0)
+def _radial_pair(base: SolutionSpec, P: float):
+    n, l, kappa, ell = base.n, base.l, radial_kappa(base), sf.laguerre_function
+    half, kb = 0.5 * (1.0 - kappa), kappa * math.sqrt(n) * P
+    ell_a, ell_b = ell(n, l), ell(n - 1, l + 1)
+    # ell_(n-1)^(M+1)(u) / sqrt(u) at u = 0
+    axis = math.sqrt(n) if l == 0 else 0.0
 
-    constants = _constants([own(b, p) for b, p in zip(bases, P)])
-    ell_a = _ells([(b.n, b.l) for b in bases])
-    ell_b = _ells([(b.n - 1, b.l + 1) for b in bases])
-
-    def radial(lam, owner=None):
-        if owner is not None:
-            owner = _owner(bases, owner)
-        P, kappa, half, kb, axis = \
-            constants if owner is None else _read(constants, owner)
+    def radial(lam):
         u = kappa * lam
-        aH = P * ell_a(u, owner)
+        aH = P * ell_a(u)
         on_axis = u == 0.0
-        tail = ell_b(u, owner) / (u + on_axis) ** 0.5 + axis * on_axis
+        tail = ell_b(u) / (u + on_axis) ** 0.5 + axis * on_axis
         return aH, half * aH - kb * tail
 
     return radial
 
 
-def _radial_cH(bases, P, lam, aH, bH, owner):
-    def own(base, P):
-        n, kappa = base.n, radial_kappa(base)
-        return kappa, 0.5 * (1.0 - kappa), kappa * math.sqrt(n * (n - 1)) * P
-
-    kappa, half, c = _read(_constants([own(b, p) for b, p in zip(bases, P)]),
-                           owner)
-    ell = _ells([(b.n - 2, b.l + 2) for b in bases])
-    H = np.exp(-lam / 2.0)
-    return H, -0.5 * H, \
-        half * (2.0 * bH - half * aH) + c * ell(kappa * lam, owner) / lam
+def _radial_cH(base: SolutionSpec, P: float, lam, aH, bH):
+    n, l, kappa = base.n, base.l, radial_kappa(base)
+    H, half = np.exp(-lam / 2.0), 0.5 * (1.0 - kappa)
+    cH = half * (2.0 * bH - half * aH) + kappa * math.sqrt(n * (n - 1)) \
+        * P * sf.laguerre_function(n - 2, l + 2)(kappa * lam) / lam
+    return H, -0.5 * H, cH
 
 
-def _radial_field(xp, yp):
+def _radial_field(spec: SolutionSpec, xp, yp):
     rp = np.hypot(xp, yp)
     if np.any(rp == 0.0):
         raise OnAxisError("the 1/r field is singular on its axis, r' = 0")
-    return 4.0 * rp, 1
+    return spec.B, 4.0 * rp, 1
 
 
 @dataclass(frozen=True)
 class _Stationary:
     """One stationary family's facts, which the evaluators read in place of
     a branch on the family; a dressed family is its base's record plus the
-    dressing.  base is the stationary spec and P its `normalization`; the
-    pair and cH take a block's bases and their P, one per spec, and owner
-    gives each point its spec.  The free beam, which has no weight, norm or
-    field, leaves those None."""
+    dressing.  base is the stationary spec and P its `normalization`.  The
+    free beam, which has no weight, norm or field, leaves those None."""
 
     text: str  # `describe_families`' description
     laser: str | None  # and the dressed family's
     params: dict  # its own `eval` options; "pperp": it reads p_perp
     K: Callable  # spec -> the transverse term, eps^2 = (m^2 + p_z^2) + K
     winding: int | None  # M = winding l; None: M given, l is 0 or M
-    pair: Callable  # (bases, Ps) -> `_pair_kernel`'s kernel(lam, owner)
+    pair: Callable  # (base, P) -> `_pair_kernel`'s kernel
     scale: Callable  # (base, eps) -> B / P
     orbital: str = "l"  # the orbital number's name
-    cH: Callable | None = None  # (bases, Ps, lam, aH, bH, owner) -> H, H', cH
+    cH: Callable | None = None  # (base, P, lam, aH, bH) -> H, H', cH
     degree: Callable | None = None  # base -> degree of `averages`' integrand
     variable: Callable | None = None  # (base, u, w) -> lam, w at nodes u
     radius: Callable | None = None  # lam -> `averages`' weight of J_phi
     J_phi: Callable | None = None  # (base, eps) -> <J_phi> in closed form
     centroid: Callable | None = None  # (base, omega, eps) -> dressed <x>/f2'
-    axial: Callable | None = None  # (x', y') -> `_axial`'s (d, n)
-    b: Callable | None = None  # spec -> `_axial`'s b
+    axial: Callable | None = None  # (spec, x', y') -> `_axial`'s (b, d, n)
     singular: bool = False  # the 1/r field: singular on its axis, sourced
 
 
@@ -1079,7 +805,7 @@ _LANDAU = dict(  # the uniform field's facts, the same in both windings
     degree=lambda b: b.l + 2 * b.n,
     variable=lambda b, u, w: (np.sqrt(u / 2.0), w / 4.0),
     radius=lambda lam: math.sqrt(2.0) * lam,
-    axial=lambda xp, yp: (1.0, 2), b=lambda s: s.B ** 2)
+    axial=lambda spec, xp, yp: (spec.B ** 2, 1.0, 2))
 _FAMILIES = {
     Family.FREE_BESSEL: _Stationary(
         "field-free Bessel beam",
@@ -1116,7 +842,7 @@ _FAMILIES = {
         / ((1 + 2 * b.n + b.M) ** 2 * eps),
         centroid=lambda b, omega, eps: 3.0 * b.n * (b.n + b.M + 1)
         / (2.0 * (b.M + 1) * omega * eps ** 2),
-        axial=_radial_field, b=lambda s: s.B, singular=True),
+        axial=_radial_field, singular=True),
 }
 MAGNETIC_FAMILIES = tuple(f for f, r in _FAMILIES.items() if r.axial)
 SINGULAR_ON_AXIS = tuple(f for f in Family

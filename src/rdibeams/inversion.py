@@ -21,7 +21,6 @@ exactly when the radial profile solves its second-order equation.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +144,7 @@ def invert(field, point, *, m: float, h: float = numerics.DEFAULT_STEP,
                            richardson=est)
 
 
-def circularity_residual(spec, lam, pr: dict | None = None, owner=None):
+def circularity_residual(spec: cat.SolutionSpec, lam, pr: dict | None = None):
     """|eA_0(lam)| of a stationary state, evaluated in closed form at a
     float or an array lam, from `pr`, its `catalog.profile` there, when
     given (already evaluated).
@@ -157,35 +156,33 @@ def circularity_residual(spec, lam, pr: dict | None = None, owner=None):
     and vanishes identically exactly when the radial profile satisfies its
     second-order equation (the circular-orbit condition).  A lam where the
     signed density sigma is exactly 0 (a null-current circle) raises
-    SingularSpinor.  spec may be a block of specs of one family, owner[...]
-    giving each lam its spec (`catalog.per_point`); so for
-    `radial_ode_residual`.
+    SingularSpinor.
     """
-    own = functools.partial(cat.per_point, spec, owner)
-    if np.any(own(lambda s: s.is_dressed)):
+    if spec.is_dressed:
         raise ValueError("stationary families only")
-    eps, m, A, B, M = (own(value) for value in (
-        lambda s: cat.eigenvalue(s), lambda s: s.m,
-        lambda s: s.m + cat.eigenvalue(s), lambda s: s.B, lambda s: s.M))
+    base = spec.static_base()
+    eps = cat.eigenvalue(base)
+    A = base.m + eps
+    B = base.B
     if pr is None:
-        pr = cat.profile(spec, lam, owner)
-    k = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"], owner)
+        pr = cat.profile(base, lam)
+    k = cat.stationary_bilinears(base)(pr["aH"], pr["bH"])
     j0, sigma = k["J0"], k["scalar"]
     if np.any(sigma == 0.0):
         raise SingularSpinor("null-current circle")
     # d/dlam of lam * J_phi with J_phi = -A lam^M f f' H^2 / B, via the
     # analytic profile derivatives
+    M = base.M
     f, fp, fpp, H, Hp = pr["f"], pr["fp"], pr["fpp"], pr["H"], pr["Hp"]
-    lamM, lamM1 = cat.each_spec(spec, owner, lambda s, v: (
-        v ** s.M, v ** (s.M + 1)), lam)
+    lamM = lam ** M
     d_lam_jphi = -(A / B) * ((M + 1) * lamM * f * fp * H * H
-                             + lamM1 * (fp * fp + f * fpp) * H * H
-                             + 2.0 * lamM1 * f * fp * H * Hp)
+                             + lam ** (M + 1) * (fp * fp + f * fpp) * H * H
+                             + 2.0 * lam ** (M + 1) * f * fp * H * Hp)
     term = -(B / (4.0 * lam * sigma)) * d_lam_jphi
-    return abs(eps - m * j0 / sigma + term)
+    return abs(eps - base.m * j0 / sigma + term)
 
 
-def radial_ode_residual(spec, lam, pr: dict | None = None, owner=None):
+def radial_ode_residual(spec: cat.SolutionSpec, lam, pr: dict | None = None):
     """Residual of the profile equation
 
         f'' - 4 (m^2 + p_z^2 - eps^2) f / B^2
@@ -193,16 +190,14 @@ def radial_ode_residual(spec, lam, pr: dict | None = None, owner=None):
 
     normalized by the local profile scale, at a float or an array lam, from
     `pr`, its `catalog.profile` there, when given (already evaluated)."""
-    def gap(spec):
-        base = spec.static_base()
-        return 4.0 * (base.m ** 2 + base.p_z ** 2 - cat.eigenvalue(base) ** 2) \
-            / base.B ** 2
-
-    own = functools.partial(cat.per_point, spec, owner)
+    base = spec.static_base()
+    eps = cat.eigenvalue(base)
     if pr is None:
-        pr = cat.profile(spec, lam, owner)
-    res = pr["fpp"] - own(gap) * pr["f"] \
-        + pr["fp"] * (own(lambda s: s.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])
+        pr = cat.profile(base, lam)
+    gap = 4.0 * (base.m ** 2 + base.p_z ** 2 - eps ** 2) \
+        / base.B ** 2
+    res = pr["fpp"] - gap * pr["f"] \
+        + pr["fp"] * ((base.M + 1) / lam + 2.0 * pr["Hp"] / pr["H"])
     scale = np.maximum(np.maximum(abs(pr["f"]), abs(pr["fp"])),
                        np.maximum(abs(pr["fpp"]), 1e-30))
     return abs(res) / scale

@@ -16,12 +16,10 @@ the points of `stencil_points`.
 points of several (points, step) requests in one call, so that several
 readers share one evaluation: the field at the points, and per request its
 4-gradient and the 4-gradient of a map of it, for all its points or a slice
-of them (`StencilSample`).  Given each point's owner, its index into a
-block of specs, it hands the field the owner beside the points and beside
-each stencil's 16 rows.  The verify suite evaluates each closed form of a
-block of specs this way, once, over the union of what its checks read, and
-a standalone `inversion.invert` samples its field this way, once, at steps
-h and h/2.  The maxwell row's `gradient4` is the one library caller of the
+of them (`StencilSample`).  The verify suite evaluates each closed form of a
+spec this way, once, over the union of what its checks read, and a
+standalone `inversion.invert` samples its field this way, once, at steps h
+and h/2.  The maxwell row's `gradient4` is the one library caller of the
 stencils outside `sample`.
 
 `rk4_path` is the other way round: each step depends on the one before, so
@@ -126,24 +124,16 @@ class StencilSample:
         return StencilSample(self.at_points[index], self.stencil[index], self.h)
 
 
-def sample(fn, point, steps, owner=None) -> tuple[Array, list[StencilSample]]:
+def sample(fn, point, steps) -> tuple[Array, list[StencilSample]]:
     """fn(t, x, y, z), with one trailing component axis, at point[..., 4]
     and, for each (index, h) of `steps`, on the 16 stencil points of step h
     of point[index] (index ... for every point), all in one call: the
     values at the points, and one StencilSample per step, over
-    point[index].  `owner`, when given, is each point's index into a block
-    of specs, owner[...] beside point[..., 4]: fn is then called as fn(t,
-    x, y, z, owner), the owner repeated beside each stencil's 16 rows."""
+    point[index]."""
     point = np.asarray(point, dtype=float)
     stencils = [stencil_points(point[index], h) for index, h in steps]
-    rows = np.concatenate(
-        [point.reshape(-1, 4), *(s.reshape(-1, 4) for s in stencils)])
-    if owner is None:
-        values = at(fn, rows)
-    else:
-        owners = np.concatenate([np.ravel(owner), *(
-            np.repeat(np.ravel(owner[index]), 16) for index, _ in steps)])
-        values = at(lambda *q: fn(*q, owners), rows)
+    values = at(fn, np.concatenate(
+        [point.reshape(-1, 4), *(s.reshape(-1, 4) for s in stencils)]))
     start = point.size // 4
     at_points = values[:start].reshape(point.shape[:-1] + values.shape[1:])
     out = []

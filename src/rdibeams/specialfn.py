@@ -2,16 +2,13 @@
 
 Integer-order Bessel J of all orders up to nmax (`bessel_j_all`) by
 Miller's downward recurrence (power series below x = 2) on a whole array
-of arguments at once, a float being the one-point case, and nmax one order
-per element if need be, as a block of specs of several orders reads them
-(`at_order` reads each element at its own order).  Each element starts the
-recurrence at its own index, from its own order, so a point's value does
-not depend on the rest of its batch, and a step runs on the elements that
-have started; the recurrence tests for overflow only at the steps where a
-growth bound, per start index from its smallest argument, says an element
-can near it (none for the catalog's orders and radii, so a step is three
-array operations, one more every other step), and takes the series for all
-orders and terms in one broadcast.  The orthonormal
+of arguments at once, a float being the one-point case.  Each element
+starts the recurrence at its own index, so a point's value does not depend
+on the rest of its batch; the recurrence tests for overflow only at the
+steps where a growth bound, per start index from its smallest argument,
+says an element can near it (none for the catalog's orders and radii, so a
+step is three array operations, one more every other step), and takes the
+series for all orders and terms in one broadcast.  The orthonormal
 Laguerre functions of the magnetic profiles by their normalised three-term
 recurrence, started in log space so that no factor overflows or underflows
 on its own; one of them at a float runs on two floats, the case of the
@@ -66,10 +63,9 @@ _RESCALE_AT = 1e250
 _RESCALE = 1e-250
 
 
-def _miller_start(nmax, x):
-    # well above the turning point of order nmax (an int or one per
-    # element) at each element of an array x; even, which keeps the
-    # normalization sum aligned
+def _miller_start(nmax: int, x):
+    # well above the turning point of order nmax at each element of an
+    # array x; even, which keeps the normalization sum aligned
     top = np.maximum(nmax, x)
     start = (top + 15.0 * top ** (1.0 / 3.0) + 20).astype(int)
     return start + start % 2
@@ -110,102 +106,75 @@ def _batch_checkpoints(starts, x) -> range:
                 for s in set(starts.tolist())), key=len)
 
 
-def _miller_all(nmax, x):
-    # J_0 .. J_top of an array x >= 2, top the largest of nmax (an int or
-    # one per element): (order, rows), rows[top + 1, x.size] the values of
-    # x[order], x in the order of its elements' starts, by the downward
-    # recurrence from
-    # each element's own start, normalized by J0 + 2*sum J_{2k} = 1 (half
-    # the sum, doubled at the end: exact, as no partial sum is subnormal).
-    # The elements are stepped in the order of their starts, so step k runs
-    # on the tail of that order that has started, in place on views of
-    # three buffers: an element before its start is exactly +0 and would
-    # stay so, which keeps every value's bits.  A rescale is tested only
-    # where one can be due (_rescale_checkpoints)
+def _miller_all(nmax: int, x) -> list:
+    # downward recurrence from well above the turning point, normalized by
+    # J0 + 2*sum J_{2k} = 1 (half the sum, doubled at the end: exact, as no
+    # partial sum is subnormal).  Each element stays exactly 0 until its own
+    # start index, so its value does not depend on the rest of the batch.
+    # A rescale is tested only where one can be due (_rescale_checkpoints)
     starts = _miller_start(nmax, x)
-    order = np.argsort(starts)
-    ranked, xs = starts[order], x[order]
-    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist()]
-    joins = dict(zip(ranked[cuts].tolist(), cuts))  # start -> its first
-    top = int(np.max(nmax))
+    order = np.argsort(starts)  # each start's elements, order[i:j]
+    ranked = starts[order]
+    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), len(ranked)]
+    seeds = {k: order[i:j] for k, i, j in
+             zip(ranked[cuts[:-1]].tolist(), cuts, cuts[1:])}
     check_from = _batch_checkpoints(starts, x).start
-    # views of three buffers, J_(k+1), J_k and a scratch, and of the sum
-    jp, jc, jm, half = (np.zeros(len(xs))[len(xs):] for _ in range(4))
-    rows = np.zeros((top + 1, len(xs)))
-    first = len(xs)
-    for k in range(int(ranked[-1]), 0, -1):
-        if k in joins:  # joining at J_k = seed, J_(k+1) = 0
-            jc.base[joins[k]:first] = _SEED
-            first = joins[k]
-            tail = xs[first:]
-            jp, jc, jm, half = (v.base[first:] for v in (jp, jc, jm, half))
-        np.divide(2.0 * k, tail, jm)
+    jp = np.zeros_like(x)
+    jc = np.zeros_like(x)
+    out = [0.0] * (nmax + 1)
+    half = np.zeros_like(x)
+    for k in range(max(seeds), 0, -1):
+        if k in seeds:  # k > nmax, so jc is in no entry of out
+            jc[seeds[k]] = _SEED
+        jm = 2.0 * k / x
         jm *= jc
         jm -= jp
-        jp, jc, jm = jc, jm, jp
+        jp, jc = jc, jm
         if k <= check_from:
             # every step from the first checkpoint on is tested, so jp was
             # tested a step ago and |jc| alone decides
             over = abs(jc) > _RESCALE_AT
             if over.any():
                 scale = np.where(over, _RESCALE, 1.0)
-                jc *= scale
-                jp *= scale
-                half *= scale
-                rows[:, first:] *= scale
-        if (k - 1) <= top:
-            rows[k - 1, first:] = jc
+                jc = jc * scale
+                jp = jp * scale
+                half = half * scale
+                out = [v * scale for v in out]
+        if (k - 1) <= nmax:
+            out[k - 1] = jc
         if (k - 1) % 2 == 0:
             half += jc
-    rows /= 2.0 * half - jc  # J0 counted once
-    return order, rows
+    norm = 2.0 * half - jc  # J0 counted once
+    return [v / norm for v in out]
 
 
-def bessel_j_all(nmax, x):
+def bessel_j_all(nmax: int, x):
     """J_0(x) .. J_nmax(x) in one pass, for x >= 0 a float or an array.
 
     Indexed by order first: an array of shape (nmax + 1, *np.shape(x)), so
     (nmax + 1,) for a float x, which is the one-point case of the array
     code.  Elements with x < 2 take the ascending series, the rest one
     Miller recurrence, each from its own start index: every element is bit
-    for bit its one-point call.  nmax may be one order per element of x,
-    as a block of specs of several orders reads them: the rows then run to
-    the largest, and each element is its one-point call up to its own
-    nmax (its rows past that are not to be read).  `at_order` reads each
-    element at an order of its own.
+    for bit its one-point call.
     """
     x = np.asarray(x, dtype=float)
-    top = int(np.max(nmax))
-    if np.min(nmax) < 0:
+    if nmax < 0:
         raise DomainError("negative order")
-    if top > BESSEL_MAX_ORDER or np.any(x > BESSEL_MAX_ARG):
-        raise DomainError(f"outside validity window: nmax={top}, "
+    if nmax > BESSEL_MAX_ORDER or np.any(x > BESSEL_MAX_ARG):
+        raise DomainError(f"outside validity window: nmax={nmax}, "
                           f"x={np.max(x)}")
     if np.any(x < 0.0):
         raise DomainError("negative argument; use parity J_n(-x)=(-1)^n J_n(x)")
     flat = x.reshape(-1)
-    out = np.zeros((top + 1, flat.size))
+    out = np.zeros((nmax + 1, flat.size))
     out[0, flat == 0.0] = 1.0
     small = (flat > 0.0) & (flat < 2.0)
     if small.any():
-        out[:, small] = _bessel_series_all(top, flat[small])
+        out[:, small] = _bessel_series_all(nmax, flat[small])
     large = flat >= 2.0
     if large.any():
-        orders = nmax if np.ndim(nmax) == 0 else np.ravel(nmax)[large]
-        order, rows = _miller_all(orders, flat[large])
-        out[:len(rows), np.flatnonzero(large)[order]] = rows
-    return out.reshape((top + 1,) + x.shape)
-
-
-def at_order(values, order):
-    """values[order] of a result indexed by order first (`bessel_j_all`'s
-    array, a list of `laguerre_functions`), for an int order, or each
-    element at its own order, one per element: zero below order 0."""
-    if np.ndim(order) == 0:
-        return values[order]
-    got = np.take_along_axis(np.asarray(values), np.maximum(order, 0)[None],
-                             axis=0)[0]
-    return np.where(order < 0, 0.0, got)
+        out[:, large] = _miller_all(nmax, flat[large])
+    return out.reshape((nmax + 1,) + x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +257,13 @@ def laguerre_function(n: int, alpha: int):
     u, with the recurrence's coefficients bound once; zero (shaped as u)
     for n < 0.  A float u > 0 whose start exp(s) is in range, the
     streamline's per-point case, runs on two floats; other floats run as
-    0-d arrays.  A second argument, a block's owner index, is ignored: the
-    closure is its block's function when every spec has the same (n,
-    alpha)."""
+    0-d arrays."""
     if n < 0:
-        return lambda u, owner=None: \
-            0.0 if type(u) is float else np.zeros(np.shape(u))
+        return lambda u: 0.0 if type(u) is float else np.zeros(np.shape(u))
     steps = _steps(n, alpha)
     lgam = math.lgamma(alpha + 1.0)
 
-    def ell(u, owner=None):
+    def ell(u):
         if type(u) is not float:
             return laguerre_functions(n, alpha, u)[n]
         if u > 0.0:

@@ -9,35 +9,37 @@ over seeded uniform points in the box [0.5, 5]^4 (natural units).
 
 Each residual takes a batch of points, point[..., 4], and returns one value
 per point.  Each row names the closed forms it reads (`Check.reads`: the
-spinor, the potential, e E and e B, the profile).  The suite draws every
-spec's points first, then works through the specs in blocks: runs of whole
-specs of one family, as many as keep 17 points a sampled point within
-BLOCK_POINTS (a family's three specs at 100 points, a spec at 1000).  It
-evaluates each closed form once per block, before the block's rows are
-measured, as one batch over the union of what the rows read of it
-(`_evaluate`): one `numerics.sample` at the union of their points and of
-each step's stencil points (every point, with no union taken, once a row
-reads every point), each point owned by its spec, and one
-`catalog.profile` call on all their lam grids.  Each row reads its own
-slice: the spinor at the points and their h-stencil and the inversion's
-h/2 stencil, the potential at the points and the gauge row's h-stencil,
-the profile of the ode and circularity grids.  Each residual takes its
-row's sample as an optional last argument and, called without it, builds
-its own through the same evaluation, to the same bits.  The maxwell row
+spinor, the potential, e E and e B, the profile).  The suite evaluates each
+once per spec, before the spec's rows are measured, as one batch over the
+union of what the spec's rows read of it (`_evaluate`): one
+`numerics.sample` at the union of their points and of each step's stencil
+points (every point, with no union taken, once a row reads every point),
+one `catalog.profile` call on all their lam grids.  Each row reads its own
+slice: the spinor at the points and their h-stencil and the inversion's h/2
+stencil, the potential at the points and the gauge row's h-stencil, the
+profile of the ode and circularity grids.  Each residual takes its row's
+sample as an optional last argument and, called without it, builds its own
+through the same evaluation, to the same bits.  The maxwell row
 differentiates e E and e B itself, with `numerics.gradient4`.  A record
 that checked no point fails, and its extras give the reason.
 
-Every row is called once per block, with a `_Pool` in place of the spec:
-it gives each point its spec's mass, and each spec's worst value and
-counts from one segment reduction over the block's points, so there is one
-row path, and nothing of a block's evaluation outlives the block.  The
-inversion row finds the singular points of the block and inverts the rest
-on one `inversion.density`.
+Most rows call their residual once per spec, on all its points.  The
+pooled rows (`Check.pooled`: continuity, gauge, inversion and kinematics)
+read a subsample of each spec's points, so a call of theirs costs more per
+call than per point.  Each keeps its slice of every spec's evaluation, as
+arrays of its own, and calls its residual once per pass, after the last
+spec, on all specs' points together, with a `_Pool` in place of the spec:
+it gives each point its spec's mass, and each spec's worst value and counts
+from one segment reduction over the batch.  The inversion row finds the
+singular points of all specs and inverts the rest on one
+`inversion.density`.  The dirac row reads every point and stays per spec:
+pooled, it would hold every spec's spinor stencils at once.
 
 Negative controls assert detection power, not only agreement.  FAULTS names
 each control's rows and the `catalog` attribute it wraps while each runs, on
-an evaluation of its own, once per block.  A control that reaches none of
-the selected checks is a SelectionError (a usage error in the CLI).
+an evaluation of its own, once per spec, pooled or not.  A control that
+reaches none of the selected checks is a SelectionError (a usage error in
+the CLI).
 """
 from __future__ import annotations
 
@@ -74,21 +76,14 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 
 
 _STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
-# the most points of centres and h-stencil rows, 17 per sampled point, that
-# the specs of one block bring: a family's three specs at 100 points (about
-# 5.5k spinor evaluations, the inversion's h/2 stencils included), but one
-# spec a block at 1000 points, where a family's block would triple the
-# traced peak
-BLOCK_POINTS = 6000
 
 
 # the closed forms of (t, x, y, z), each with one trailing component axis
-# (the profile, of lam, is `catalog.profile`), of a block of specs, each
-# point's spec an owner index; each reads its catalog attribute when it is
-# called, so that a fault's rebinding reaches it
-_FORMS = {"spinor": lambda specs: cat.spinor(specs),
-          "potential": lambda specs: lambda *q: cat.potential(specs, *q),
-          "fields": lambda specs: lambda *q: cat.fields(specs, *q)}
+# (the profile, of lam, is `catalog.profile`); each reads its catalog
+# attribute when it is called, so that a fault's rebinding reaches it
+_FORMS = {"spinor": lambda spec: cat.spinor(spec),
+          "potential": lambda spec: lambda *q: cat.potential(spec, *q),
+          "fields": lambda spec: lambda *q: cat.fields(spec, *q)}
 
 
 def _union(size, indices):
@@ -106,14 +101,11 @@ def _union(size, indices):
     return np.flatnonzero(mask), [rank[index] for index in indices]
 
 
-def _profile(specs, users):
-    # one catalog.profile call on the (row, read, (lams, owner)) users' grids
-    grids = [where for *_, where in users]
-    owner = None if grids[0][1] is None \
-        else np.concatenate([owner for _, owner in grids])
-    pr = cat.profile(specs, np.concatenate([lams for lams, _ in grids]), owner)
+def _profile(spec, users):
+    # one catalog.profile call on the (row, read, lams) users' grids
+    pr = cat.profile(spec, np.concatenate([lams for *_, lams in users]))
     out, start = {}, 0
-    for name, read, (lams, _) in users:
+    for name, read, lams in users:
         part = slice(start, start + len(lams))
         out[name, read] = {k: v[part] if np.ndim(v) else v
                            for k, v in pr.items()}
@@ -121,32 +113,29 @@ def _profile(specs, users):
     return out
 
 
-def _field(specs, h, points, owner, form, users):
+def _field(spec, h, points, form, users):
     # one numerics.sample of `form` for the (row, read, where) users
     centre, pos = _union(len(points), [u[2] for u in users])
     points = points[centre]
-    owner = None if owner is None else owner[centre]
     by_step = {}  # stencil step over h (None: none) -> its users
     for j, (_, read, _) in enumerate(users):
         by_step.setdefault(_STEPS[read.partition("@")[2]], []).append(j)
     stencils = {f: _union(len(points), [pos[j] for j in js])
                 for f, js in by_step.items() if f is not None}
     values, samples = numerics.sample(
-        _FORMS[form](specs), points,
-        [(index, f * h) for f, (index, _) in stencils.items()], owner)
+        _FORMS[form](spec), points,
+        [(index, f * h) for f, (index, _) in stencils.items()])
     out = {users[j][:2]: values[pos[j]] for j in by_step.get(None, ())}
     for smp, (f, (_, where)) in zip(samples, stencils.items()):
         out |= {users[j][:2]: smp[p] for j, p in zip(by_step[f], where)}
     return out
 
 
-def _evaluate(specs, h, points, owner, rows) -> dict:
-    """{row: {read: its slice}} of what rows read of a block's closed
-    forms, each evaluated once, in the order the rows first read it.
-    specs is the block, owner each point's index into it (None for a block
-    of one); rows maps a row's name to (its reads, where): points[where]
-    for a slice, an index array or ..., else the lam grid `where` itself,
-    (lams, each one's owner)."""
+def _evaluate(spec, h, points, rows) -> dict:
+    """{row: {read: its slice}} of what rows read of one spec's closed
+    forms, each evaluated once, in the order the rows first read it.  rows
+    maps a row's name to (its reads, where): points[where] for a slice or
+    ..., else the lam grid `where` itself."""
     users = {}  # form -> its (row, read, where), in the order first read
     for name, (reads, where) in rows.items():
         for read in reads:
@@ -154,45 +143,30 @@ def _evaluate(specs, h, points, owner, rows) -> dict:
                 (name, read, where))
     got = {}
     for form, some in users.items():
-        got |= _profile(specs, some) if form == "profile" \
-            else _field(specs, h, points, owner, form, some)
+        got |= _profile(spec, some) if form == "profile" \
+            else _field(spec, h, points, form, some)
     return {name: {read: got[name, read] for read in reads}
             for name, (reads, _) in rows.items()}
 
 
-def _block(spec) -> tuple:
-    # (specs, each point's owner) of a spec or a _Pool, as the catalog
-    # takes a block: owner None for one spec
-    if not isinstance(spec, _Pool):
-        return (spec,), None
-    return spec.specs, spec.owner if len(spec.specs) > 1 else None
-
-
 def _alone(spec, point, h, name):
     # the sample of row `name` at point[..., 4] alone: what a residual
-    # called without one evaluates, of a spec or a _Pool's block
+    # called without one evaluates
     reads = next(c.reads for c in CHECKS if c.name == name)
-    specs, owner = _block(spec)
-    return _evaluate(specs, h, np.asarray(point, dtype=float), owner,
+    return _evaluate(spec, h, np.asarray(point, dtype=float),
                      {name: (reads, ...)})[name]
 
 
 class _Pool:
-    """In place of a spec in a residual call: the block of specs of one
-    family whose points make up the batch, spec k owning the next sizes[k]
-    points, in order, owner[N] each point's k.  m is each point's mass,
-    m[N, 1], which `inversion.invert` broadcasts against the point's
-    spinor psi[N, 4] (the spec's m for a pool of one)."""
+    """In place of a spec in a pooled residual call (`Check.pooled`): the
+    specs whose points make up the batch, spec k owning the next sizes[k]
+    points, in order.  m is each point's mass, m[N, 1], which
+    `inversion.invert` broadcasts against the point's spinor psi[N, 4]."""
 
     def __init__(self, specs, sizes):
         self.specs, self.sizes = tuple(specs), tuple(sizes)
         self.owner = np.repeat(np.arange(len(self.specs)), self.sizes)
-
-    @property
-    def m(self):
-        if len(self.specs) == 1:
-            return self.specs[0].m
-        return np.array([s.m for s in self.specs])[self.owner, None]
+        self.m = np.array([s.m for s in self.specs])[self.owner, None]
 
     def count(self, mask) -> list:
         """How many of each spec's points mask[N] holds at."""
@@ -210,9 +184,28 @@ class _Pool:
         """The pool of the points where keep[N] holds."""
         return _Pool(self.specs, self.count(keep))
 
-    def split(self, values) -> list:
-        """values[N, ...] as each spec's part, in order."""
-        return np.split(values, np.cumsum(self.sizes)[:-1])
+
+def _joined(samples) -> dict:
+    # several batches' samples of one row as one, in order, each read in
+    # arrays of its own (np.concatenate copies, a single part too)
+    out = {}
+    for read in samples[0]:
+        got = [s[read] for s in samples]
+        if isinstance(got[0], numerics.StencilSample):
+            out[read] = numerics.StencilSample(
+                np.concatenate([g.at_points for g in got]),
+                np.concatenate([g.stencil for g in got]), got[0].h)
+        else:
+            out[read] = np.concatenate(got)
+    return out
+
+
+def _pooled(items):
+    # a pooled row's items (spec, xs, sample) as one: the _Pool of their
+    # specs, all their points and their samples, in order
+    specs, xs, samples = zip(*items)
+    return (_Pool(specs, [len(x) for x in xs]), np.concatenate(xs),
+            _joined(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +219,7 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     / (m |psi|) of the Dirac equation in column form at point[..., 4], one
     value per point, from `inversion.dirac_column` on psi and its gradient.
     `sample`, when given, holds the row's reads (`Check.reads`) at point,
-    step h, already evaluated; so for every residual below.  spec may be a
-    `_Pool`, a block of specs with each point's own, as the suite calls
-    every residual.
+    step h, already evaluated; so for every residual below.
     """
     if sample is None:
         sample = _alone(spec, point, h, "dirac")
@@ -236,8 +227,7 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     psi = spinor.at_points
     col = inversion.dirac_column(psi, spinor.gradient(), spec.m) \
         - (sta.from_vector(sample["potential"]) @ psi[..., None])[..., 0]
-    scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1, keepdims=True),
-                       1e-30)[..., 0]
+    scale = np.maximum(spec.m * np.linalg.norm(psi, axis=-1), 1e-30)
     return np.linalg.norm(col, axis=-1) / scale
 
 
@@ -266,8 +256,8 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
     """invert() against the family's closed-form potential, at
     point[..., 4]; each entry holds one value per point.  invert() reads
     the spinor at steps h and h/2 from the sample, so it evaluates no
-    field, and its `inversion.density` too when the sample holds it.  A
-    `_Pool`'s m gives each point its spec's mass."""
+    field, and its `inversion.density` too when the sample holds it.  spec
+    may be a `_Pool`, whose m gives each point its spec's mass."""
     if sample is None:
         sample = _alone(spec, point, h, "inversion")
     inv = inversion.invert(None, point, h=h, m=spec.m, sample=(
@@ -282,14 +272,9 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
 def maxwell_residual(spec: cat.SolutionSpec, point,
                      h: float = numerics.DEFAULT_STEP):
     """Max residual of Gauss and Ampere laws against the closed-form
-    sources, at point[..., 4]: e E and e B differentiated by
-    `numerics.gradient4`, each stencil row owned by its point's spec."""
-    specs, owner = _block(spec)
-    src = numerics.at(lambda *q: cat.sources(specs, *q, owner), point)
-    rows = None if owner is None \
-        else np.broadcast_to(owner[..., None], owner.shape + (16,))
-    g = numerics.gradient4(lambda *q: cat.fields(specs, *q, rows), point,
-                           h).real
+    sources, at point[..., 4]."""
+    src = numerics.at(lambda *q: cat.sources(spec, *q), point)
+    g = numerics.gradient4(_FORMS["fields"](spec), point, h).real
     gauss = numerics.spatial_divergence(g[..., :3]) - src[..., 0]
     ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - src[..., 1:]
     return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
@@ -407,14 +392,10 @@ def volkov_equivalence(spec: cat.SolutionSpec, point,
                        sample: dict | None = None):
     """Norm difference between the null-rotation construction and the
     explicit dressed Bessel column, at point[..., 4]; the construction is
-    read from `sample`, when given.  The explicit column is transcribed
-    per spec, so a `_Pool`'s specs each take their own points."""
+    read from `sample`, when given."""
     if sample is None:
         sample = _alone(spec, point, numerics.DEFAULT_STEP, "volkov")
-    parts = zip(spec.specs, spec.split(point)) if isinstance(spec, _Pool) \
-        else [(spec, point)]
-    b = np.concatenate([numerics.at(volkov_bessel_explicit(s), x)
-                        for s, x in parts])
+    b = numerics.at(volkov_bessel_explicit(spec), point)
     return np.linalg.norm(sample["spinor"] - b, axis=-1)
 
 
@@ -648,20 +629,6 @@ def spec_label(spec: cat.SolutionSpec) -> str:
     return " ".join(bits)
 
 
-def _blocks(specs, points: int) -> list:
-    """The indices of specs in blocks, in order: runs of specs of one
-    family, each as long as keeps 17 points a sampled point (each point and
-    its 16 h-stencil rows) within BLOCK_POINTS, and one spec at least."""
-    blocks = []
-    for i, spec in enumerate(specs):
-        if blocks and specs[blocks[-1][0]].family is spec.family \
-                and 17 * points * (len(blocks[-1]) + 1) <= BLOCK_POINTS:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
 class SelectionError(ValueError):
     """Unknown check or control name, no check that applies to a selected
     family, a control that reaches no check, or no points to check on."""
@@ -673,40 +640,32 @@ class Check:
 
     name: str
     tolerance: float
-    # (pool, xs, sample, h) -> one (worst residual, extra) per spec of the
-    # block the _Pool holds, with xs all the block's points of the row, in
-    # spec order, and sample the row's reads at xs, already evaluated; the
-    # worst residual is None when no point of the spec could be checked,
-    # and its record then fails, its extra giving the reason
+    # (items, h) -> one (worst residual, extra) per item, with each item
+    # (spec, xs, sample): xs all of the spec's points at once and sample the
+    # row's reads at xs, already evaluated; the worst residual is None when
+    # no point could be checked, and the record then fails, its extra
+    # giving the reason
     measure: Callable
-    # what the row reads of its specs' closed forms, the same for its
+    # what the row reads of its spec's closed forms, the same for its
     # residual called alone: a form at the row's points, "form@h" with its
     # h-stencil as well, "form@h/2" with its h/2-stencil
     reads: tuple = ()
-    # each spec's pts[::max(1, len(pts) // k)] for an int k, a fixed (grid
-    # label, lams) pair in place of the sampled points, or None: every point
+    # xs = pts[::max(1, len(pts) // k)] for an int k, a fixed (grid label,
+    # lams) pair in place of the sampled points, or None: every point
     source: int | tuple | None = None
-    # spec -> whether the row runs on it, by its family alone, so that a
-    # block's specs agree
     applies: Callable = lambda spec: True
     paired: tuple = ()  # (name, tolerance, extra key) of a second record
+    # measured once a pass, on every spec's items, instead of once per spec
+    pooled: bool = False
 
-    def points(self, pts, count: int, grid):
-        """The row's grid label, its points and where they are read, for a
-        block of `count` specs whose points pts come in equal runs, spec
-        after spec: pts[where], or the lams of a fixed grid once per spec,
-        where then (those lams, each one's spec; None for one spec)."""
+    def points(self, pts, grid):
+        """The row's grid label, its points and where they are read:
+        pts[where], or the lams of a fixed grid, where itself."""
         if isinstance(self.source, tuple):
             grid, lams = self.source
-            xs = np.tile(lams, count)
-            owner = None if count == 1 \
-                else np.repeat(np.arange(count), len(lams))
-            return grid, xs, (xs, owner)
-        where = ...
-        if self.source is not None:
-            n = len(pts) // count
-            where = np.arange(len(pts)).reshape(count, n)[
-                :, ::max(1, n // self.source)].ravel()
+            return grid, lams, lams
+        where = ... if self.source is None \
+            else slice(None, None, max(1, len(pts) // self.source))
         return grid, pts[where], where
 
     def records(self, label, grid, n, result) -> list:
@@ -727,18 +686,28 @@ class Check:
         return out
 
 
+def _each(residual):
+    # the residual on each item's points at once, one value per point
+    return lambda items, h: [(float(np.max(residual(spec, xs, h, sample))), {})
+                             for spec, xs, sample in items]
+
+
 def _pointwise(residual):
-    # the residual once, on every spec's points of the block, one value per
-    # point; each spec's worst is that of its own points
-    return lambda pool, xs, sample, h: [
-        (most, {}) for most in pool.maxima(residual(pool, xs, h, sample))]
+    # the residual once, on all items' points, one value per point; each
+    # item's worst is that of its own slice
+    def measure(items, h):
+        pool, xs, sample = _pooled(items)
+        res = residual(pool, xs, h, sample)
+        return [(most, {}) for most in pool.maxima(res)]
+    return measure
 
 
-def _inversion(pool, xs, sample, h):
+def _inversion(items, h):
     # Psi is singular (rho < 1e-6 absolute, a far tail) at the skipped
-    # points, which are counted apart; the rest of the block's points are
+    # points, which are counted apart; the rest of all items' points are
     # inverted as one batch, on the one density of the spinor that found
     # them
+    pool, xs, sample = _pooled(items)
     dens = inversion.density(sample["spinor@h"].at_points)
     keep = ~inversion.singular(dens)
     kept = pool.take(keep)
@@ -754,7 +723,8 @@ def _inversion(pool, xs, sample, h):
                 (got or (None, 0.0) for got in most), pool.sizes, kept.sizes)]
 
 
-def _kinematics(pool, xs, sample, h):
+def _kinematics(items, h):
+    pool, xs, sample = _pooled(items)
     out = []
     for kin, n in zip(kinematics_check(pool, xs, sample), pool.sizes):
         worst = max(kin[k] for k in ("vv", "ss", "vs", "gram", "plane",
@@ -764,58 +734,62 @@ def _kinematics(pool, xs, sample, h):
     return out
 
 
-def _circularity(pool, lams, sample, h):
+def _circularity(items, h):
     # the residual divides by the signed density: the lams where that is
     # exactly 0 (null-current circles) are skipped and counted apart; the
-    # rest of the block's are checked as one batch
-    specs, owner = _block(pool)
-    pr = sample["profile"]
-    sigma = cat.stationary_bilinears(specs)(pr["aH"], pr["bH"], owner)["scalar"]
-    keep = sigma != 0.0
-    kept = pool.take(keep)
-    most = [None] * len(pool.specs)
-    if keep.any():
-        most = kept.maxima(inversion.circularity_residual(
-            specs, lams[keep], {k: v[keep] if np.ndim(v) else v
-                                for k, v in pr.items()}, _block(kept)[1]))
-    return [(worst, {"skipped": n - held})
-            for worst, n, held in zip(most, pool.sizes, kept.sizes)]
+    # rest are checked as one batch
+    out = []
+    for spec, lams, sample in items:
+        pr = sample["profile"]
+        sigma = cat.stationary_bilinears(spec)(pr["aH"], pr["bH"])["scalar"]
+        keep = sigma != 0.0
+        extra = {"skipped": int(np.count_nonzero(~keep))}
+        if not keep.any():
+            out.append((None, extra))
+            continue
+        res = inversion.circularity_residual(
+            spec, lams[keep], {k: v[keep] if np.ndim(v) else v
+                               for k, v in pr.items()})
+        out.append((float(np.max(res)), extra))
+    return out
 
 
-# Each row runs, in this order, on every default spec it applies to, once
-# per block of specs of one family (`BLOCK_POINTS`), with a `_Pool` in
-# place of the spec.  The measures call their residuals through the module
-# attribute at call time, so patching that attribute reaches the suite.
-# Each row reads the block's closed forms (`Check.reads`) from the block's
-# one evaluation of each; the maxwell row reads none, and differentiates
-# e E and e B with numerics.gradient4.
+# Each row runs, in this order, on every default spec it applies to.  The
+# measures call their residuals through the module attribute at call time,
+# so patching that attribute reaches the suite.  Each row reads its spec's
+# closed forms (`Check.reads`) from the spec's one evaluation of each; the
+# maxwell row reads none, and differentiates e E and e B with
+# numerics.gradient4.  The pooled rows read a subsample of each spec's
+# points and run once a pass, on all specs' points; dirac reads every
+# point, and pooling it would hold every spec's spinor stencils at once.
 CHECKS = (
-    Check("dirac", 1e-7, _pointwise(lambda *a: dirac_residual(*a)),
+    Check("dirac", 1e-7, _each(lambda *a: dirac_residual(*a)),
           reads=("spinor@h", "potential")),
     Check("continuity", 1e-7, _pointwise(lambda *a: continuity_residual(*a)),
-          reads=("spinor@h",), source=12),
+          reads=("spinor@h",), source=12, pooled=True),
     Check("gauge", 2e-7, _pointwise(lambda *a: lorentz_gauge_residual(*a)),
-          reads=("potential@h",), source=12),
+          reads=("potential@h",), source=12, pooled=True),
     Check("inversion", 1.0, _inversion,
           reads=("spinor@h", "spinor@h/2", "potential"), source=8,
-          paired=("constraints", 2e-7, "constrained")),
+          paired=("constraints", 2e-7, "constrained"), pooled=True),
     Check("maxwell", 1e-6,
-          _pointwise(lambda p, x, h, _: maxwell_residual(p, x, h)), source=8),
-    Check("kinematics", 1e-10, _kinematics, reads=("spinor",), source=25),
+          _each(lambda s, x, h, _: maxwell_residual(s, x, h)), source=8),
+    Check("kinematics", 1e-10, _kinematics, reads=("spinor",), source=25,
+          pooled=True),
     Check("ode", 1e-8,
-          _pointwise(lambda p, lam, h, smp: inversion.radial_ode_residual(
-              p.specs, lam, smp["profile"], _block(p)[1])), reads=("profile",),
+          _each(lambda s, lam, h, smp: inversion.radial_ode_residual(
+              s, lam, smp["profile"])), reads=("profile",),
           source=("lam linspace(0.05,4)x200", np.linspace(0.05, 4.0, 200)),
           applies=lambda s: not s.is_dressed),
     Check("circularity", 1e-8, _circularity, reads=("profile",),
           source=("lam linspace(0.1,3)x40", np.linspace(0.1, 3.0, 40)),
           applies=lambda s: not s.is_dressed),
     Check("volkov", 1e-10,
-          _pointwise(lambda p, x, h, smp: volkov_equivalence(p, x, smp)),
+          _each(lambda s, x, h, smp: volkov_equivalence(s, x, smp)),
           reads=("spinor",), source=50,
           applies=lambda s: s.family is cat.Family.VOLKOV_BESSEL),
     Check("fields", 1e-9,
-          _pointwise(lambda p, x, h, smp: abs(field_invariants(p, x, smp))),
+          _each(lambda s, x, h, smp: abs(field_invariants(s, x, smp))),
           reads=("fields",), source=20, applies=lambda s: s.is_dressed
           and s.family is not cat.Family.VOLKOV_BESSEL),
 )
@@ -831,9 +805,9 @@ def perturb_profile(pr: dict, lam: float) -> dict:
                 fpp=pr["fpp"] * g + 0.02 * pr["fp"])
 
 
-def _perturbed_pair(pair, lam, owner=None):
+def _perturbed_pair(pair, lam):
     # the pair lam^(M/2) (f, f') H of f (1 + 0.01 lam), for the dirac row
-    aH, bH = pair(lam, owner)
+    aH, bH = pair(lam)
     g = 1.0 + 0.01 * lam
     return aH * g, bH * g + 0.01 * aH
 
@@ -841,14 +815,16 @@ def _perturbed_pair(pair, lam, owner=None):
 # control -> {row it reaches: (catalog attribute, wrapper)}: run_suite rebinds
 # the attribute to wrapper(the real one) while the row runs.  The ode row
 # wraps `profile`, which builds f'' from its own closed form, not the pair.
+# `cli.NEGATIVE_CONTROLS` repeats the keys, so that `cli` can print its help
+# without importing this module: a new control is named there too.
 FAULTS = {
     "scale-potential": {
         "dirac": ("potential", lambda real: lambda *a: 1.01 * real(*a))},
     "perturb-profile": {
         "dirac": ("_pair_kernel", lambda real: lambda spec: functools.partial(
             _perturbed_pair, real(spec))),
-        "ode": ("profile", lambda real: lambda spec, lam, owner=None:
-                perturb_profile(real(spec, lam, owner), lam))},
+        "ode": ("profile", lambda real: lambda spec, lam: perturb_profile(
+            real(spec, lam), lam))},
 }
 
 
@@ -893,41 +869,54 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                                     for c in rows for s in specs):
         raise SelectionError(f"negative control {negative_control} touches "
                              "none of the selected checks")
+    slots = []  # each spec's row's (label, grid), in order, then its records
+    pools = {c.name: [] for c in rows if c.pooled and c.name not in faults}
+
+    def measure(check, kept):
+        # one call of the row's measure on kept, a list of (slot, item),
+        # that turns each slot's (label, grid) into the item's records
+        results = check.measure([item for _, item in kept], h)
+        for (slot, (_, xs, _)), result in zip(kept, results):
+            slots[slot] = check.records(*slots[slot], len(xs), result)
+
     rng = np.random.default_rng(seed)
     grid_desc = f"uniform[{BOX_LOW},{BOX_HIGH}]^4 x{points} seed={seed}"
-    drawn = [sample_points(rng, points) for _ in specs]  # in spec order
-    labels = [spec_label(spec) for spec in specs]
-    records = [[] for _ in specs]  # each spec's, row after row
-    for block in _blocks(specs, points):
-        group = [specs[i] for i in block]
-        pts = np.concatenate([drawn[i] for i in block])
-        owner = np.repeat(np.arange(len(group)), points) \
-            if len(group) > 1 else None
-        todo = [(c, *c.points(pts, len(group), grid_desc)) for c in rows
-                if c.applies(group[0])]
-        # each closed form of the block, evaluated once on the union of
-        # what the unfaulted rows read
-        shared = _evaluate(group, h, pts, owner, {
+    for spec in specs:
+        pts = sample_points(rng, points)
+        label = spec_label(spec)
+        todo = [(c, *c.points(pts, grid_desc)) for c in rows if c.applies(spec)]
+        # each closed form of the spec, evaluated once on the union of what
+        # the unfaulted rows read, and kept for this spec's rows alone
+        shared = _evaluate(spec, h, pts, {
             c.name: (c.reads, where) for c, _, _, where in todo
             if c.name not in faults})
         for check, grid, xs, where in todo:
-            pool = _Pool(group, [len(xs) // len(group)] * len(group))
-            if check.name not in faults:
-                results = check.measure(pool, xs, shared[check.name], h)
+            slot = len(slots)
+            slots.append((label, grid))
+            if check.name in pools:
+                # measured in the row's one call after the last spec, from
+                # arrays of its own: a view would keep this spec's whole
+                # evaluation alive until then
+                pools[check.name].append((slot, (
+                    spec, xs.copy(), _joined([shared[check.name]]))))
+            elif check.name not in faults:
+                measure(check, [(slot, (spec, xs, shared[check.name]))])
             else:
                 attr, wrap = faults[check.name]
                 real = getattr(cat, attr)
                 setattr(cat, attr, wrap(real))
                 try:  # on an evaluation of its own, made under the fault
-                    own = _evaluate(group, h, pts, owner,
+                    own = _evaluate(spec, h, pts,
                                     {check.name: (check.reads, where)})
-                    results = check.measure(pool, xs, own[check.name], h)
+                    measure(check, [(slot, (spec, xs, own[check.name]))])
                 finally:
                     setattr(cat, attr, real)
-            for i, n, result in zip(block, pool.sizes, results):
-                records[i] += check.records(labels[i], grid, n, result)
-        del shared  # before the next block's evaluation
-    records = [r for ours in records for r in ours]
+        del shared  # before the next spec's evaluation and the pooled calls
+    for check in rows:
+        kept = pools.pop(check.name, ())
+        if kept:  # freed once the row's one call returns
+            measure(check, kept)
+    records = [r for slot in slots for r in slot]
     if "nullrotor" in checks:  # the null-rotation generator, once per run
         eps = cat.eigenvalue(cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0))
         res = null_rotation_block_residual(

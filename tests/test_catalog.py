@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rdibeams import catalog as cat
 from rdibeams import specialfn as sf
-from rdibeams import numerics, spinors, sta, verify, waveforms
+from rdibeams import spinors, sta, verify, waveforms
 import oracles
 from oracles import adaptive_simpson, hyp1f1_poly
 
@@ -1310,95 +1310,3 @@ def test_dressed_spinor_is_c_ordered_at_many_points(spec):
     t = np.full_like(x, 0.7)
     psi = cat.spinor(spec)(t, x, x, t)
     assert psi.flags.c_contiguous and psi.strides == (64, 16)
-
-
-# ---------------------------------------------------------------------------
-# a block of specs of one family, each point owned by one spec, against the
-# per-spec calls, bit for bit
-# ---------------------------------------------------------------------------
-
-
-def _block_rows(count, rng):
-    """Each spec's rows, spec after spec: a few points of the suite's box,
-    then their 16 stencil points of steps h and h/2, so each spec owns
-    three runs of the block's flattened points."""
-    h = 1e-3
-    points = [rng.uniform(verify.BOX_LOW, verify.BOX_HIGH, (3, 4))
-              for _ in range(count)]
-    runs = [points] + [[sta_points.reshape(-1, 4) for sta_points in (
-        numerics.stencil_points(p, step) for p in points)]
-        for step in (h, h / 2.0)]
-    rows = [(k, r) for part in runs for k, r in enumerate(part)]
-    return np.concatenate([r for _, r in rows]), np.concatenate(
-        [np.full(len(r), k) for k, r in rows])
-
-
-def _assert_block_is_its_specs(specs, rng):
-    rows, owner = _block_rows(len(specs), rng)
-    q, lams = rows.T, np.linspace(0.05, 4.0, 7)
-    got = {"spinor": cat.spinor(specs)(*q, owner),
-           "potential": cat.potential(specs, *q, owner),
-           "fields": cat.fields(specs, *q, owner),
-           "sources": cat.sources(specs, *q, owner)}
-    for k, spec in enumerate(specs):
-        mine = owner == k
-        want = {"spinor": cat.spinor(spec)(*rows[mine].T),
-                "potential": cat.potential(spec, *rows[mine].T),
-                "fields": cat.fields(spec, *rows[mine].T),
-                "sources": cat.sources(spec, *rows[mine].T)}
-        for form, value in want.items():
-            assert got[form][mine].tobytes() == value.tobytes(), (form, k)
-    if not specs[0].is_dressed:
-        grid = np.tile(lams, len(specs))
-        lam_owner = np.repeat(np.arange(len(specs)), len(lams))
-        try:
-            alone = [cat.profile(spec, lams) for spec in specs]
-        except OverflowError:  # (q/2)^l / l! of a free beam at l > 170
-            with pytest.raises(OverflowError):
-                cat.profile(specs, grid, lam_owner)
-            return
-        block = cat.profile(specs, grid, lam_owner)
-        for k, one in enumerate(alone):
-            for key, value in one.items():
-                part = block[key][lam_owner == k] if np.ndim(block[key]) \
-                    else block[key]
-                assert np.asarray(part).tobytes() == \
-                    np.asarray(value, dtype=float).tobytes() \
-                    or np.shape(value) == (), (key, k)
-
-
-@pytest.mark.parametrize("family", list(cat.Family), ids=lambda f: f.value)
-def test_a_block_gives_each_default_spec_its_own_bits(family):
-    # the spinor, potential, fields, sources and profile of a family's
-    # three default specs, called once on the block, at the points and on
-    # their h and h/2 stencils, are each spec's own call bit for bit
-    _assert_block_is_its_specs(verify.default_specs()[family],
-                               np.random.default_rng(4))
-
-
-@pytest.mark.parametrize("family", list(cat.Family), ids=lambda f: f.value)
-@given(data=st.data())
-@settings(derandomize=True, max_examples=10, deadline=None)
-def test_a_block_gives_drawn_specs_their_own_bits(family, data):
-    # blocks of three drawn specs of one family, mixing n, l or M, p_perp,
-    # p_z, B and m, and for a dressed family waveform kinds and omega; a
-    # profile whose weight underflows is 0/0 alike in both calls
-    specs = [data.draw(_drawn_specs(family))[0] for _ in range(3)]
-    with np.errstate(all="ignore"):
-        _assert_block_is_its_specs(specs, np.random.default_rng(5))
-
-
-def test_a_block_keeps_the_sign_of_a_zero_constant():
-    # p_z = 0.0 and -0.0 are equal numbers of other bits, as the spinor's
-    # lower amplitude p_z / B and the phase's p_z z keep them
-    specs = [cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, p_z=p_z)
-             for p_z in (0.0, -0.0, -0.0)]
-    _assert_block_is_its_specs(specs, np.random.default_rng(7))
-
-
-def test_a_block_of_several_specs_needs_each_points_owner():
-    specs = verify.default_specs()[cat.Family.UNIFORM_B]
-    with pytest.raises(ValueError, match="owner"):
-        cat.potential(specs, 0.5, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="one family"):
-        cat.spinor([specs[0], verify.default_specs()[cat.Family.REDMOND][0]])

@@ -169,9 +169,7 @@ def test_miller_loop_is_bit_for_bit_its_reference():
                                                size=size))))
     rescaled = 0
     for nmax, x in cases:
-        order, rows = sf._miller_all(nmax, x)
-        got, want = np.empty_like(rows), oracles.miller_all(nmax, x)
-        got[:, order] = rows
+        got, want = sf._miller_all(nmax, x), oracles.miller_all(nmax, x)
         assert len(got) == len(want) == nmax + 1
         for nu, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), \

@@ -1,8 +1,8 @@
 """Verifier checks: residual machinery, identity checks, streamlines,
 reports, negative controls, determinism."""
+import dataclasses
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -211,8 +211,8 @@ def test_volkov_row_detects_a_fault_in_the_catalog_shift(monkeypatch):
     # record at round-off (below 5e-16), and only the dirac row saw it
     real = cat._plane_wave
 
-    def scaled_shift(spec, t, z, owner=None):
-        xi, (dx, dy), fdot = real(spec, t, z, owner)
+    def scaled_shift(spec, t, z):
+        xi, (dx, dy), fdot = real(spec, t, z)
         return xi, (1.01 * dx, 1.01 * dy), fdot
 
     monkeypatch.setattr(cat, "_plane_wave", scaled_shift)
@@ -562,11 +562,13 @@ def test_control_run_restores_the_catalog_when_its_row_raises(control, row,
     assert all(getattr(cat, a) is obj for a, obj in real.items())
 
 
-def test_a_faulted_row_is_measured_per_block_under_its_fault(monkeypatch):
+def test_a_faulted_pooled_row_is_measured_per_spec_under_its_fault(
+        monkeypatch):
+    # a control that reaches a pooled row takes the row out of the pool:
     # the gauge row, with 0.01 t added to eA^0 (a 4-divergence of 0.01), is
-    # measured once per block, on the block's evaluation made under the
-    # fault; every gauge record fails, every other record keeps its bits,
-    # and the catalog gets its potential back
+    # measured once per spec (a pool of one), on an evaluation made under
+    # the fault; every gauge record fails, every other record keeps its
+    # bits, and the catalog gets its potential back
     real = cat.potential
     clean = verify.run_suite(points=12, seed=2)
     monkeypatch.setitem(verify.FAULTS, "drift-gauge", {"gauge": (
@@ -583,8 +585,8 @@ def test_a_faulted_row_is_measured_per_block_under_its_fault(monkeypatch):
     faulted = verify.run_suite(points=12, seed=2,
                                negative_control="drift-gauge")
     assert cat.potential is real
-    assert seen == [([verify.spec_label(s) for s in group], True)
-                    for group in verify.default_specs().values()]
+    assert seen == [([verify.spec_label(s)], True)
+                    for group in verify.default_specs().values() for s in group]
     assert len(faulted.records) == len(clean.records)
     for ours, theirs in zip(clean.records, faulted.records):
         if ours.name == "gauge":
@@ -656,8 +658,7 @@ def test_circularity_with_every_radius_singular_fails(monkeypatch):
 
     def null_density(spec):
         kernel = real(spec)
-        return lambda a, b, owner=None: kernel(a, b, owner) | {
-            "scalar": 0.0 * a}
+        return lambda a, b: kernel(a, b) | {"scalar": 0.0 * a}
 
     monkeypatch.setattr(cat, "stationary_bilinears", null_density)
     rep = verify.run_suite(families=["uniform-b"], checks={"circularity"},
@@ -720,16 +721,8 @@ def _parts(pool):
     return [slice(stop - n, stop) for n, stop in zip(pool.sizes, stops)]
 
 
-def _runs(owner, count):
-    # each spec's slice of a block's points, owner[N] each one's spec
-    if owner is None:
-        return [...]
-    return [slice(at[0], at[-1] + 1)
-            for at in (np.flatnonzero(owner == k) for k in range(count))]
-
-
 def _share(out, k, part):
-    # spec k's share of a block call's value: its entry of a per-spec list,
+    # spec k's share of a pooled call's value: its entry of a per-spec list,
     # else its slice of the points
     if isinstance(out, list):
         return out[k]
@@ -739,13 +732,12 @@ def _share(out, k, part):
 
 
 def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
-    # each residual the suite computes from its block's one evaluation of
-    # each closed form is, spec by spec on each spec's slice of the block's
-    # points, bit for bit the standalone (spec, point[, h]) call, which
-    # evaluates them itself, for every default spec: the rows of verify
-    # with a verify._Pool in place of the spec, those of inversion with the
-    # block's specs and each point's owner; so is invert, h/2 stencil and
-    # density included, called in the inversion row with a mass per point
+    # each residual the suite computes from its spec's one evaluation of
+    # each closed form is bit for bit the standalone (spec, point[, h])
+    # call, which evaluates them itself, for every default spec; a pooled
+    # call, with a verify._Pool in place of the spec, is so spec by spec,
+    # on each spec's slice of its points; so is invert, h/2 stencil and
+    # density included, called in the pooled inversion with a mass per point
     seen = []
 
     def recording(name, fn):
@@ -768,7 +760,7 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
             assert seen[i + 1][0] == "inversion_agreement"
             assert None not in kwargs.pop("sample"), name
             pool, m = seen[i + 1][2][0], kwargs.pop("m")
-            assert np.asarray(m).tobytes() == np.asarray(pool.m).tobytes()
+            assert m.tobytes() == pool.m.tobytes()
             calls = [(lambda s=s, part=part: fn(cat.spinor(s), args[1][part],
                                                 m=s.m, **kwargs), part)
                      for s, part in zip(pool.specs, _parts(pool))]
@@ -779,12 +771,10 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
             calls = [(lambda s=s, part=part: fn(s, args[1][part], *args[2:lead]),
                       part) for s, part in zip(pool.specs, _parts(pool))]
             labels.update(verify.spec_label(s) for s in pool.specs)
-        else:  # a block of specs and each lam's owner
-            specs, owner = args[0], args[-1]
-            assert len(args) == lead + 2 and args[lead] is not None, name
-            calls = [(lambda s=s, part=part: fn(s, args[1][part]), part)
-                     for s, part in zip(specs, _runs(owner, len(specs)))]
-            labels.update(verify.spec_label(s) for s in specs)
+        else:
+            assert len(args) == lead + 1 and args[-1] is not None, name
+            calls, shared = [(lambda: fn(*args[:lead]), ...)], [shared]
+            labels.add(verify.spec_label(args[0]))
         for k, (alone, part) in enumerate(calls):
             mine, alone = _share(shared, k, part), alone()
             if name == "invert":
@@ -798,16 +788,10 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
     assert len(labels) == 21
 
 
-def _labels(spec) -> tuple:
-    # the labels of a spec or a block's specs
-    specs = (spec,) if isinstance(spec, cat.SolutionSpec) else spec
-    return tuple(verify.spec_label(s) for s in specs)
-
-
 def count_evaluations(monkeypatch, **suite):
-    # evaluations of each closed form per (form, block labels, faulted) in
-    # one run_suite call, and of the inversion density per (form, faulted);
-    # a spinor is faulted when it was built on a rebound `_pair_kernel`
+    # evaluations of each closed form per (form, spec label, faulted) in one
+    # run_suite call, and of the inversion density per (form, faulted); a
+    # spinor is faulted when it was built on a rebound `_pair_kernel`
     counts = {}
     real, kernel = cat.spinor, cat._pair_kernel
 
@@ -816,7 +800,7 @@ def count_evaluations(monkeypatch, **suite):
 
     def counting_spinor(spec):
         col = real(spec)
-        key = ("spinor", _labels(spec), cat._pair_kernel is not kernel)
+        key = ("spinor", verify.spec_label(spec), cat._pair_kernel is not kernel)
 
         def field(*q):
             add(key)
@@ -825,7 +809,7 @@ def count_evaluations(monkeypatch, **suite):
 
     def counting(form, fn):
         def wrapper(spec, *args):
-            add((form, _labels(spec), False))
+            add((form, verify.spec_label(spec), False))
             return fn(spec, *args)
         return wrapper
 
@@ -835,53 +819,37 @@ def count_evaluations(monkeypatch, **suite):
     density = inversion.density
     monkeypatch.setattr(inversion, "density", lambda psi: add(
         ("density", None, False)) or density(psi))
-    verify.run_suite(**suite)
+    verify.run_suite(points=5, **suite)
     return counts
 
 
-@pytest.mark.parametrize("points", [5, 1000])
-def test_suite_evaluates_each_closed_form_once_per_block(monkeypatch, points):
-    # one evaluation per block of the spinor, the potential and the profile,
+def test_suite_evaluates_each_closed_form_once_per_spec(monkeypatch):
+    # one evaluation per spec of the spinor, the potential and the profile,
     # each on the union of what its rows read; e E and e B once for the
     # maxwell row's own gradient4 and once for the fields row where it
-    # applies; the inversion density once per block, in the inversion row.
-    # A block is a family's three specs at 5 points, and a spec at 1000
-    counts = count_evaluations(monkeypatch, points=points)
+    # applies; the inversion density once a pass, in the pooled row
+    counts = count_evaluations(monkeypatch)
     assert not any(faulted for *_, faulted in counts)
-    blocks = [tuple(group) if points == 5 else (s,)
-              for group in verify.default_specs().values() for s in group]
-    blocks = list(dict.fromkeys(blocks))
-    want = {("spinor", _labels(b), False): 1 for b in blocks}
-    want |= {("potential", _labels(b), False): 1 for b in blocks}
-    want |= {("fields", _labels(b), False): 1 + (
-        b[0].is_dressed and b[0].family is not cat.Family.VOLKOV_BESSEL)
-        for b in blocks}
-    want |= {("profile", _labels(b), False): 1
-             for b in blocks if not b[0].is_dressed}
-    want[("density", None, False)] = len(blocks)
-    assert counts == want
-    if points > 5:
-        return
-    # the faulted spinor of the control keeps its own evaluation, in the
-    # dirac row of every block, and the true one is still evaluated once
-    counts = count_evaluations(monkeypatch, points=5,
-                               negative_control="perturb-profile")
-    spinors_ = {key: n for key, n in counts.items() if key[0] == "spinor"}
-    assert sorted(spinors_.values()) == [1] * 14
-    assert sum(faulted for *_, faulted in spinors_) == 7
-    # no selected row reads the spinor: it is never evaluated
-    counts = count_evaluations(monkeypatch, points=5, checks={"gauge"})
-    assert not [key for key in counts if key[0] == "spinor"]
-
-
-def test_blocks_hold_a_familys_specs_under_the_cap():
-    # a family's three specs are one block at 100 points, about 5.5k spinor
-    # points; at 1000 points no block holds two specs
     specs = [s for group in verify.default_specs().values() for s in group]
-    assert verify._blocks(specs, 100) == [[3 * f, 3 * f + 1, 3 * f + 2]
-                                          for f in range(7)]
-    assert verify._blocks(specs, 1000) == [[i] for i in range(21)]
-    assert 17 * 3 * 100 <= verify.BLOCK_POINTS < 17 * 2 * 1000
+    labels = [verify.spec_label(s) for s in specs]
+    want = {("spinor", label, False): 1 for label in labels}
+    want |= {("potential", label, False): 1 for label in labels}
+    want |= {("fields", verify.spec_label(s), False): 1 + (
+        s.is_dressed and s.family is not cat.Family.VOLKOV_BESSEL)
+        for s in specs}
+    want |= {("profile", verify.spec_label(s), False): 1
+             for s in specs if not s.is_dressed}
+    want[("density", None, False)] = 1
+    assert counts == want
+    # the faulted spinor of the control keeps its own evaluation, in the
+    # dirac row of every spec, and the true one is still evaluated once
+    counts = count_evaluations(monkeypatch, negative_control="perturb-profile")
+    spinors_ = {key: n for key, n in counts.items() if key[0] == "spinor"}
+    assert sorted(spinors_.values()) == [1] * 42
+    assert sum(faulted for *_, faulted in spinors_) == 21
+    # no selected row reads the spinor: it is never evaluated
+    counts = count_evaluations(monkeypatch, checks={"gauge"})
+    assert not [key for key in counts if key[0] == "spinor"]
 
 
 def test_suite_leaves_nothing_behind_between_runs():
@@ -892,21 +860,12 @@ def test_suite_leaves_nothing_behind_between_runs():
     assert verify.run_suite(points=8, seed=41).to_json() == a
 
 
-def test_a_rows_points_in_a_block_are_each_specs_own():
-    # in a block of specs whose points come spec after spec, a row reads
-    # each spec's own subsample, or a fixed grid once per spec, in order
-    pts = np.arange(3 * 40 * 4, dtype=float).reshape(3 * 40, 4)
-    for check in verify.CHECKS:
-        grid, xs, where = check.points(pts, 3, "g")
-        alone = [check.points(pts[40 * k:40 * (k + 1)], 1, "g")[1]
-                 for k in range(3)]
-        assert np.concatenate(alone).tobytes() == xs.tobytes(), check.name
-        if isinstance(check.source, tuple):
-            assert grid == check.source[0]
-            assert where[1].tolist() == sorted(where[1].tolist()) \
-                == [k for k in range(3) for _ in check.source[1]]
-        else:
-            assert grid == "g" and pts[where].tobytes() == xs.tobytes()
+POOLED_ROWS = [c for c in verify.CHECKS if c.pooled]
+
+
+def test_pooled_rows_are_the_subsampled_rows():
+    assert [c.name for c in POOLED_ROWS] == ["continuity", "gauge",
+                                             "inversion", "kinematics"]
 
 
 def _sign_change_radius(spec, lo, hi):
@@ -921,97 +880,67 @@ def _sign_change_radius(spec, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _block_sample(specs, xs, h, check):
-    # the row's sample at xs of a block of specs, spec k owning the k-th
-    # equal run of xs, evaluated once: xs are points, or a row's lam grid
-    owner = np.repeat(np.arange(len(specs)), len(xs) // len(specs)) \
-        if len(specs) > 1 else None
-    where = (xs, owner) if xs.ndim == 1 else ...
-    return verify._evaluate(tuple(specs), h, xs, owner,
-                            {check.name: (check.reads, where)})[check.name]
-
-
-# one family's specs with other m, B and quantum numbers than its
-# defaults, for each row: a row that read one spec's constant, or mixed
-# the specs' points, would give them another result
-BLOCK_SPECS = {
-    cat.Family.UNIFORM_B: [
-        cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3),
-        cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=1, p_z=0.4),
-        cat.SolutionSpec(cat.Family.UNIFORM_B, n=0, l=2, m=1.6, B=0.8)],
-    cat.Family.VOLKOV_BESSEL: verify.default_specs()[cat.Family.VOLKOV_BESSEL],
-    cat.Family.REDMOND: [
-        verify.default_specs()[cat.Family.REDMOND][1],
-        cat.SolutionSpec(cat.Family.REDMOND, n=2, l=1, m=0.7, B=1.3,
-                         waveform=waveforms.pulse(0.2), omega=0.8),
-        verify.default_specs()[cat.Family.REDMOND][0]],
-}
-BLOCK_ROWS = [(family, check) for family, specs in BLOCK_SPECS.items()
-              for check in verify.CHECKS if check.applies(specs[0])]
-
-
-@pytest.mark.parametrize("family, check", BLOCK_ROWS,
-                         ids=lambda v: getattr(v, "name", None) or v.value)
-def test_a_block_row_gives_each_spec_its_one_spec_result(family, check):
-    # a row called once on a block of three specs of one family gives each
-    # spec bit for bit the (worst, extra) of the row on that spec alone.
-    # Two of the first uniform-b spec's points sit where its scalar density
-    # changes sign, which the kinematics row excludes, so the counts differ
+@pytest.mark.parametrize("check", POOLED_ROWS, ids=lambda c: c.name)
+def test_a_pooled_row_gives_each_item_its_one_item_result(check):
+    # items of specs with another m and B, pooled beside a default spec,
+    # get bit for bit the (worst, extra) of their one-item calls: a row
+    # that read one spec's mass, or mixed the specs' points, would not.
+    # Two of the first spec's points sit where its scalar density changes
+    # sign, which the kinematics row excludes, so each spec's counts differ
     h = numerics.DEFAULT_STEP
-    specs = BLOCK_SPECS[family]
+    specs = [cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3),
+             verify.default_specs()[cat.Family.REDMOND][1],
+             cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1, m=1.6, B=0.8)]
     rng = np.random.default_rng(12)
-    xs = [verify.sample_points(rng, 9) for _ in specs]
-    if family is cat.Family.UNIFORM_B:
-        r0 = _sign_change_radius(specs[0], 1.0, 1.5)
-        xs[0][:2, 1:3] = ((r0, 0.0), (0.6 * r0, -0.8 * r0))
-    if isinstance(check.source, tuple):
-        xs = [check.source[1]] * 3
-    block = check.measure(verify._Pool(specs, [len(x) for x in xs]),
-                          np.concatenate(xs), _block_sample(
-                              specs, np.concatenate(xs), h, check), h)
-    assert len(block) == len(specs)
-    for spec, x, got in zip(specs, xs, block):
-        alone = check.measure(verify._Pool([spec], [len(x)]), x,
-                              _block_sample([spec], x, h, check), h)
-        assert repr(got) == repr(alone[0]), check.name
-    if check.name == "kinematics" and family is cat.Family.UNIFORM_B:
-        extras = [extra for _, extra in block]
+    items = []
+    for spec, n in zip(specs, (9, 5, 13)):
+        xs = verify.sample_points(rng, n)
+        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+    r0 = _sign_change_radius(specs[0], 1.0, 1.5)
+    items[0][1][:2, 1:3] = ((r0, 0.0), (0.6 * r0, -0.8 * r0))
+    items[0] = (*items[0][:2], verify._alone(specs[0], items[0][1], h,
+                                             check.name))
+    pooled = check.measure(items, h)
+    assert len(pooled) == len(items)
+    for item, got in zip(items, pooled):
+        assert repr(got) == repr(check.measure([item], h)[0]), check.name
+    if check.name == "kinematics":
+        extras = [extra for _, extra in pooled]
         assert [e["excluded"] for e in extras] == [2, 0, 0]
         assert [e["beta_pi_fraction"] > 0.0 for e in extras] == \
             [True, False, False]
 
 
 @pytest.mark.parametrize("where", [0, 1, 2, None])
-def test_a_block_inversion_gives_a_spec_with_every_point_skipped_none(where):
+def test_a_pooled_inversion_gives_a_spec_with_every_point_skipped_none(where):
     # a spec whose every point lies in a far tail, first, between or last
-    # in the block (None: every spec), gets no worst value, all its points
+    # in the pool (None: every spec), gets no worst value, all its points
     # skipped and a failing record that says so; the specs beside it keep
     # their one-spec results bit for bit
     h = numerics.DEFAULT_STEP
-    check = next(c for c in verify.CHECKS if c.name == "inversion")
-    specs = [cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
-             verify.default_specs()[cat.Family.UNIFORM_B][2],
+    check = next(c for c in POOLED_ROWS if c.name == "inversion")
+    specs = [verify.default_specs()[cat.Family.REDMOND][0],
+             cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=0),
              cat.SolutionSpec(cat.Family.UNIFORM_B, n=1, l=1, m=0.7, B=1.3)]
     rng = np.random.default_rng(5)
-    xs = []
-    for k, spec in enumerate(specs):
-        x = verify.sample_points(rng, 6)
+    items = []
+    for k, (spec, n) in enumerate(zip(specs, (7, 6, 4))):
+        xs = verify.sample_points(rng, n)
         if where in (k, None):
-            x[:, 1:3] += 20.0
-        xs.append(x)
-    block = check.measure(verify._Pool(specs, [6] * 3), np.concatenate(xs),
-                          _block_sample(specs, np.concatenate(xs), h, check), h)
-    for k, (spec, x, got) in enumerate(zip(specs, xs, block)):
+            xs[:, 1:3] += 20.0
+        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+    pooled = check.measure(items, h)
+    for k, (item, got) in enumerate(zip(items, pooled)):
+        n = len(item[1])
         if where in (k, None):
-            assert got == (None, {"constrained": 0.0, "skipped": 6})
-            record, paired = check.records("far", "grid", 6, got)
+            assert got == (None, {"constrained": 0.0, "skipped": n})
+            record, paired = check.records("far", "grid", n, got)
             assert not record.passed and not paired.passed
-            assert record.extra["reason"] == "no point checked: 6 of 6 skipped"
+            assert record.extra["reason"] == \
+                f"no point checked: {n} of {n} skipped"
         else:
-            assert got[0] is not None and got[1]["skipped"] < 6
-            alone = check.measure(verify._Pool([spec], [6]), x,
-                                  _block_sample([spec], x, h, check), h)
-            assert repr(got) == repr(alone[0])
+            assert got[0] is not None and got[1]["skipped"] < n
+            assert repr(got) == repr(check.measure([item], h)[0])
 
 
 def test_one_family_alone_gets_the_records_of_the_full_run():
@@ -1027,49 +956,32 @@ def test_one_family_alone_gets_the_records_of_the_full_run():
         [repr(r) for r in alone.records if r.name != "nullrotor"]
 
 
-def test_no_block_evaluation_outlives_its_block(monkeypatch):
-    # every array of a block's evaluation, which its rows read in place, is
-    # freed before the next block is evaluated
-    alive, blocks = [], []
-    real = verify._evaluate
+def test_pooled_inputs_share_no_memory_with_their_evaluation(monkeypatch):
+    # what a pooled row keeps past its spec's loop is owned, not a view of
+    # the spec's union evaluation, which would stay alive with it
+    unions, kept = [], {}
+    real_sample = numerics.sample
 
-    def recording(specs, *args):
-        if blocks and blocks[-1] != specs:
-            assert not [ref for ref in alive if ref() is not None], specs
-        blocks.append(specs)
-        out = real(specs, *args)
-        alive.extend(weakref.ref(a) for sample in out.values()
-                     for got in sample.values() for a in (
-                         (got.at_points, got.stencil)
-                         if hasattr(got, "stencil") else
-                         got.values() if isinstance(got, dict) else (got,))
-                     if isinstance(a, np.ndarray))
-        return out
+    def recording_sample(fn, point, steps):
+        values, samples = real_sample(fn, point, steps)
+        unions.append([values, *(s.stencil for s in samples)])
+        return values, samples
 
-    monkeypatch.setattr(verify, "_evaluate", recording)
+    def keeping(check):
+        def measure(items, h):
+            kept[check.name] = items
+            return check.measure(items, h)
+        return dataclasses.replace(check, measure=measure)
+
+    monkeypatch.setattr(numerics, "sample", recording_sample)
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        keeping(c) if c.pooled else c for c in verify.CHECKS))
     verify.run_suite(points=12, seed=4)
-    assert alive and len(dict.fromkeys(map(tuple, blocks))) == 7
-
-
-@pytest.mark.parametrize("family", list(cat.Family), ids=lambda f: f.value)
-def test_each_rows_alone_is_its_specs_slice_of_the_block_sample(family):
-    # what a residual called alone evaluates for a spec is, read by read,
-    # the spec's slice of the sample its block's one evaluation gives
-    h = numerics.DEFAULT_STEP
-    specs = verify.default_specs()[family]
-    xs = verify.sample_points(np.random.default_rng(6), 3 * 7)
-    pool = verify._Pool(specs, [7] * 3)
-    for check in verify.CHECKS:
-        if not check.reads or isinstance(check.source, tuple) \
-                or not check.applies(specs[0]):
-            continue
-        block = verify._alone(pool, xs, h, check.name)
-        for spec, part in zip(specs, _parts(pool)):
-            alone = verify._alone(spec, xs[part], h, check.name)
-            assert alone.keys() == block.keys()
-            for read, got in alone.items():
-                mine = block[read][part]
-                for a, b in ((got, mine),) if not hasattr(got, "stencil") \
-                        else ((got.at_points, mine.at_points),
-                              (got.stencil, mine.stencil)):
-                    assert a.tobytes() == b.tobytes(), (check.name, read)
+    assert set(kept) == {c.name for c in POOLED_ROWS}
+    arrays = [a for items in kept.values() for _, xs, sample in items
+              for a in (xs, *(a for got in sample.values() for a in (
+                  (got.at_points, got.stencil) if hasattr(got, "stencil")
+                  else (got,))))]
+    assert arrays
+    assert not any(np.shares_memory(a, u) for a in arrays
+                   for union in unions for u in union)
