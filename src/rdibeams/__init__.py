@@ -3,8 +3,7 @@ electromagnetic potentials by dynamic inversion, and the machine checks that
 verify every closed form by substitution.
 
 Everything is pure and immutable after construction; fields may be evaluated
-in parallel without shared state, except that a negative-control run rebinds
-the `catalog` attributes that `verify.FAULTS` names while its faulted rows run.
+in parallel without shared state.
 """
 
 __version__ = "0.1.0"

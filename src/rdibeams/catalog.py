@@ -29,9 +29,10 @@ n, l and M; the magnetic families up to Laguerre degree 2n + l =
 MAX_DEGREE = 800 (l = M in the 1/r field; past it, DomainError) at any
 radius, a profile below the float range being exactly zero; the free and
 Volkov beams for Bessel order l + 2 <= 200 and argument p_perp r <= 1e4, r
-shifted by the dressing; the dressed families at p_z = 0, omega > 0 with
-2 eps omega^3 a normal float, and any amplitude, the pulse while its
-envelope is negligible past center +- 12 widths.
+shifted by the dressing, a free profile past the float range (near the axis
+at large l and p_perp) raising DomainError; the dressed families at p_z =
+0, omega > 0 with 2 eps omega^3 a normal float, and any amplitude, the
+pulse while its envelope is negligible past center +- 12 widths.
 
 The evaluators (`spinor` fields, `profile`, `potential_split`/`potential`,
 `fields` (e(E, B) as one array, [..., 6]), `sources` (the 4-current
@@ -407,7 +408,7 @@ def _plane_wave(spec: SolutionSpec, t, z):
 # ---------------------------------------------------------------------------
 
 
-def spinor(spec: SolutionSpec):
+def spinor(spec: SolutionSpec, *, pair=None):
     """Column-spinor field (t, x, y, z) -> psi for the chosen family.
 
     t, x, y, z are floats, giving psi[4], or arrays of one shape, giving
@@ -419,14 +420,15 @@ def spinor(spec: SolutionSpec):
 
     The per-spec constants, the amplitude `normalization` among them, are
     bound here, once: a point costs the raw profile and the phase, no cache
-    lookup."""
+    lookup.  `pair` is the phase-free pair lam -> (aH, bH) the field reads,
+    `_pair_kernel(spec)` by default; `verify.FAULTS` passes a perturbed one."""
     base = spec.static_base()
     eps = eigenvalue(base)
     A = base.m + eps
     M = base.M
     # the upper and lower amplitude factors of components 0 and 2
     k0, k2 = A / base.B, base.p_z / base.B
-    pair = _pair_kernel(base)
+    pair = _pair_kernel(base) if pair is None else pair
 
     def static_field(t, x, y, z):
         lam = lam_of_r(base, np.hypot(x, y))
@@ -691,24 +693,76 @@ def _bessel_pair(base: SolutionSpec, P: float):
     return bessel
 
 
+# the ladder's f'' cancels its terms by up to 2 l (l+1)^2 / x^2; where
+# that passes this, which the axis does at any l, f and its derivatives
+# come from the ascending series instead
+_LADDER_LOSS = 1e4
+
+
 def _bessel_profile(base: SolutionSpec, P: float, lam) -> dict:
-    # off the axis, f'' from the five-point Bessel ladder (kept independent
-    # of the radial equation being verified); on the axis, the limits
+    # f = lam^-l J_l(x), x = q lam: off the axis, f'' from the five-point
+    # Bessel ladder (kept independent of the radial equation being
+    # verified); near it, where J_l and lam^l underflow together and the
+    # ladder cancels, f, f' and f'' from `_bessel_series`
     l, q = base.l, 2.0 * base.p_perp / base.B
-    vals = sf.bessel_j_all(l + 2, q * lam)
+    x = q * np.asarray(lam, dtype=float)
+    vals = sf.bessel_j_all(l + 2, x)
     jl, jl1 = vals[l], vals[l + 1]
-    pos = lam > 0
-    r = np.where(pos, lam, 1.0)
+    near = 2 * l * (l + 1) ** 2 >= _LADDER_LOSS * x * x  # lam = 0 included
+    r = np.where(near, 1.0, lam)
     jlm2 = vals[l - 2] if l >= 2 else ((-1) ** (2 - l)) * vals[2 - l]
     jlm1 = vals[l - 1] if l >= 1 else -vals[1]
     jdd = 0.25 * (jlm2 - 2.0 * jl + vals[l + 2])
     jd = 0.5 * (jlm1 - jl1)
-    f = np.where(pos, jl / r ** l, (q / 2.0) ** l / math.factorial(l))
-    fp = np.where(pos, -q * jl1 / r ** l, 0.0)
-    fpp = np.where(pos, q * q * jdd / r ** l - 2.0 * l * q * jd / r ** (l + 1)
-                   + l * (l + 1) * jl / r ** (l + 2), 0.0)
-    return {"f": P * f, "fp": P * fp, "fpp": P * fpp, "H": 1.0, "Hp": 0.0,
+    ladder = (_per_power(jl, r, l), _per_power(-q * jl1, r, l),
+              _per_power(q * q * jdd, r, l)
+              - _per_power(2.0 * l * q * jd, r, l + 1)
+              + _per_power(l * (l + 1) * jl, r, l + 2))
+    series = np.zeros((3, *x.shape))
+    if near.any():
+        series[:, near] = _bessel_series(l, q, P, x[near])
+    f, fp, fpp = (np.where(near, s, P * d)[()] for s, d in zip(series, ladder))
+    if not all(np.isfinite(v).all() for v in (f, fp, fpp)):
+        raise sf.DomainError(
+            f"free-bessel l={l} p_perp={base.p_perp}: the profile "
+            f"lam^-l J_l(q lam) leaves the float range")
+    return {"f": f, "fp": fp, "fpp": fpp, "H": 1.0, "Hp": 0.0,
             "aH": P * jl, "bH": P * (-q * jl1)}
+
+
+def _per_power(v, r, n):
+    # v / r**n; where r**n is below the normal floats, as v / m**n times
+    # 2**(-n e), r = m 2**e, so that a quotient within the float range
+    # keeps its digits
+    power = r ** n
+    low = power < sys.float_info.min
+    if not low.any():
+        return v / power
+    m, e = np.frexp(r)
+    with np.errstate(over="ignore"):  # past the float range: not finite
+        return np.where(low, np.ldexp(v / m ** n, -n * e),
+                        v / np.where(low, 1.0, power))
+
+
+def _bessel_series(l: int, q: float, P: float, x):
+    # P (f, f', f'') of f = lam^-l J_l(q lam) at x = q lam, from the
+    # ascending series f = C sum_k t_k, t_k = (-x^2/4)^k l! / (k! (k+l)!),
+    # C = (q/2)^l / l!: f' = -C q x/2 sum_k t_k / (k+l+1) and f'' = -C q^2/2
+    # sum_k (2k+1) t_k / (k+l+1).  Near the axis x^2/4 <= 2 (l+1), so the
+    # terms fall from the first few on and barely cancel; C is formed in
+    # logarithms, so that neither (q/2)^l nor l! overflows on the way
+    y = 0.25 * x * x
+    term, sums = np.ones_like(x), np.zeros((3, *x.shape))
+    for k in range(64):
+        share = term / (k + l + 1)
+        sums += (term, share, (2 * k + 1) * share)
+        if not np.any(np.abs(term) > 1e-17 * np.abs(sums[0])):
+            break
+        term = term * -y / ((k + 1) * (k + 1 + l))
+    with np.errstate(all="ignore"):  # past the float range: not finite
+        pc = P * np.exp(l * np.log(q / 2.0) - math.lgamma(l + 1))
+        return pc * sums[0], -pc * (0.5 * q * x * sums[1]), \
+            -pc * (0.5 * q * q * sums[2])
 
 
 def _landau_pair(base: SolutionSpec, P: float):

@@ -35,11 +35,11 @@ singular points of all specs and inverts the rest on one
 `inversion.density`.  The dirac row reads every point and stays per spec:
 pooled, it would hold every spec's spinor stencils at once.
 
-Negative controls assert detection power, not only agreement.  FAULTS names
-each control's rows and the `catalog` attribute it wraps while each runs, on
-an evaluation of its own, once per spec, pooled or not.  A control that
-reaches none of the selected checks is a SelectionError (a usage error in
-the CLI).
+Negative controls assert detection power, not only agreement.  FAULTS maps
+each control to its rows and a hook from a spec's closed forms (`_forms`)
+to its faulted forms, evaluated once per spec for those rows, pooled or not.
+A control that reaches none of the selected checks is a SelectionError (a
+usage error in the CLI).
 """
 from __future__ import annotations
 
@@ -78,12 +78,13 @@ def sample_points(rng: np.random.Generator, count: int) -> Array:
 _STEPS = {"": None, "h": 1.0, "h/2": 0.5}  # a read's stencil step over h
 
 
-# the closed forms of (t, x, y, z), each with one trailing component axis
-# (the profile, of lam, is `catalog.profile`); each reads its catalog
-# attribute when it is called, so that a fault's rebinding reaches it
-_FORMS = {"spinor": lambda spec: cat.spinor(spec),
-          "potential": lambda spec: lambda *q: cat.potential(spec, *q),
-          "fields": lambda spec: lambda *q: cat.fields(spec, *q)}
+def _forms(spec) -> dict:
+    # the closed forms the rows read, bound here: each of (t, x, y, z) with
+    # one trailing component axis, and the profile of lam
+    return {"spinor": cat.spinor(spec),
+            "potential": functools.partial(cat.potential, spec),
+            "fields": functools.partial(cat.fields, spec),
+            "profile": functools.partial(cat.profile, spec)}
 
 
 def _union(size, indices):
@@ -101,9 +102,9 @@ def _union(size, indices):
     return np.flatnonzero(mask), [rank[index] for index in indices]
 
 
-def _profile(spec, users):
-    # one catalog.profile call on the (row, read, lams) users' grids
-    pr = cat.profile(spec, np.concatenate([lams for *_, lams in users]))
+def _profile(forms, users):
+    # one call of the profile form on the (row, read, lams) users' grids
+    pr = forms["profile"](np.concatenate([lams for *_, lams in users]))
     out, start = {}, 0
     for name, read, lams in users:
         part = slice(start, start + len(lams))
@@ -113,7 +114,7 @@ def _profile(spec, users):
     return out
 
 
-def _field(spec, h, points, form, users):
+def _field(forms, h, points, form, users):
     # one numerics.sample of `form` for the (row, read, where) users
     centre, pos = _union(len(points), [u[2] for u in users])
     points = points[centre]
@@ -123,7 +124,7 @@ def _field(spec, h, points, form, users):
     stencils = {f: _union(len(points), [pos[j] for j in js])
                 for f, js in by_step.items() if f is not None}
     values, samples = numerics.sample(
-        _FORMS[form](spec), points,
+        forms[form], points,
         [(index, f * h) for f, (index, _) in stencils.items()])
     out = {users[j][:2]: values[pos[j]] for j in by_step.get(None, ())}
     for smp, (f, (_, where)) in zip(samples, stencils.items()):
@@ -131,7 +132,7 @@ def _field(spec, h, points, form, users):
     return out
 
 
-def _evaluate(spec, h, points, rows) -> dict:
+def _evaluate(forms, h, points, rows) -> dict:
     """{row: {read: its slice}} of what rows read of one spec's closed
     forms, each evaluated once, in the order the rows first read it.  rows
     maps a row's name to (its reads, where): points[where] for a slice or
@@ -143,17 +144,17 @@ def _evaluate(spec, h, points, rows) -> dict:
                 (name, read, where))
     got = {}
     for form, some in users.items():
-        got |= _profile(spec, some) if form == "profile" \
-            else _field(spec, h, points, form, some)
+        got |= _profile(forms, some) if form == "profile" \
+            else _field(forms, h, points, form, some)
     return {name: {read: got[name, read] for read in reads}
             for name, (reads, _) in rows.items()}
 
 
-def _alone(spec, point, h, name):
+def _alone(forms, point, name, h=numerics.DEFAULT_STEP):
     # the sample of row `name` at point[..., 4] alone: what a residual
     # called without one evaluates
     reads = next(c.reads for c in CHECKS if c.name == name)
-    return _evaluate(spec, h, np.asarray(point, dtype=float),
+    return _evaluate(forms, h, np.asarray(point, dtype=float),
                      {name: (reads, ...)})[name]
 
 
@@ -222,7 +223,7 @@ def dirac_residual(spec: cat.SolutionSpec, point, h: float = numerics.DEFAULT_ST
     step h, already evaluated; so for every residual below.
     """
     if sample is None:
-        sample = _alone(spec, point, h, "dirac")
+        sample = _alone(_forms(spec), point, "dirac", h)
     spinor = sample["spinor@h"]
     psi = spinor.at_points
     col = inversion.dirac_column(psi, spinor.gradient(), spec.m) \
@@ -237,7 +238,7 @@ def continuity_residual(spec: cat.SolutionSpec, point,
     """|d_mu J^mu| from the bilinear current of the spinor field, at
     point[..., 4]: J^mu of the spinor on its stencil points."""
     if sample is None:
-        sample = _alone(spec, point, h, "continuity")
+        sample = _alone(_forms(spec), point, "continuity", h)
     return abs(numerics.divergence(sample["spinor@h"].gradient(spinors.current)))
 
 
@@ -246,7 +247,7 @@ def lorentz_gauge_residual(spec: cat.SolutionSpec, point,
                            sample: dict | None = None):
     """|d_mu eA^mu| by finite differences, at point[..., 4]."""
     if sample is None:
-        sample = _alone(spec, point, h, "gauge")
+        sample = _alone(_forms(spec), point, "gauge", h)
     return abs(numerics.divergence(sample["potential@h"].gradient()))
 
 
@@ -259,7 +260,7 @@ def inversion_agreement(spec: cat.SolutionSpec, point,
     field, and its `inversion.density` too when the sample holds it.  spec
     may be a `_Pool`, whose m gives each point its spec's mass."""
     if sample is None:
-        sample = _alone(spec, point, h, "inversion")
+        sample = _alone(_forms(spec), point, "inversion", h)
     inv = inversion.invert(None, point, h=h, m=spec.m, sample=(
         sample["spinor@h"], sample["spinor@h/2"], sample.get("density")))
     return {
@@ -274,7 +275,7 @@ def maxwell_residual(spec: cat.SolutionSpec, point,
     """Max residual of Gauss and Ampere laws against the closed-form
     sources, at point[..., 4]."""
     src = numerics.at(lambda *q: cat.sources(spec, *q), point)
-    g = numerics.gradient4(_FORMS["fields"](spec), point, h).real
+    g = numerics.gradient4(functools.partial(cat.fields, spec), point, h).real
     gauss = numerics.spatial_divergence(g[..., :3]) - src[..., 0]
     ampere = numerics.spatial_curl(g[..., 3:]) - g[..., 0, :3] - src[..., 1:]
     return np.maximum(abs(gauss), np.max(np.abs(ampere), axis=-1))
@@ -285,7 +286,7 @@ def field_invariants(spec: cat.SolutionSpec, point,
     """e E . e B for the dressed magnetic families, at point[..., 4], one
     value per point."""
     if sample is None:
-        sample = _alone(spec, point, numerics.DEFAULT_STEP, "fields")
+        sample = _alone(_forms(spec), point, "fields")
     eb = sample["fields"]
     return np.sum(eb[..., :3] * eb[..., 3:], axis=-1)
 
@@ -316,7 +317,7 @@ def kinematics_check(spec: cat.SolutionSpec, points,
     the summary is then a list, one per spec, each of its own points.
     """
     if sample is None:
-        sample = _alone(spec, points, numerics.DEFAULT_STEP, "kinematics")
+        sample = _alone(_forms(spec), points, "kinematics")
     psis = sample["spinor"]
     obs = spinors.observables(psis)
     used = obs.rho >= CONDITION_FLOOR * obs.current[:, 0]
@@ -394,7 +395,7 @@ def volkov_equivalence(spec: cat.SolutionSpec, point,
     explicit dressed Bessel column, at point[..., 4]; the construction is
     read from `sample`, when given."""
     if sample is None:
-        sample = _alone(spec, point, numerics.DEFAULT_STEP, "volkov")
+        sample = _alone(_forms(spec), point, "volkov")
     b = numerics.at(volkov_bessel_explicit(spec), point)
     return np.linalg.norm(sample["spinor"] - b, axis=-1)
 
@@ -812,19 +813,18 @@ def _perturbed_pair(pair, lam):
     return aH * g, bH * g + 0.01 * aH
 
 
-# control -> {row it reaches: (catalog attribute, wrapper)}: run_suite rebinds
-# the attribute to wrapper(the real one) while the row runs.  The ode row
-# wraps `profile`, which builds f'' from its own closed form, not the pair.
-# `cli.NEGATIVE_CONTROLS` repeats the keys, so that `cli` can print its help
-# without importing this module: a new control is named there too.
+# control -> (the rows it reaches, (spec, forms) -> the faulted forms).  The
+# ode row reads the profile, which builds f'' from its own closed form, not
+# the pair.  `cli.NEGATIVE_CONTROLS` repeats the keys, so that `cli` can
+# print its help without importing this module: a new control is named
+# there too.
 FAULTS = {
-    "scale-potential": {
-        "dirac": ("potential", lambda real: lambda *a: 1.01 * real(*a))},
-    "perturb-profile": {
-        "dirac": ("_pair_kernel", lambda real: lambda spec: functools.partial(
-            _perturbed_pair, real(spec))),
-        "ode": ("profile", lambda real: lambda spec, lam: perturb_profile(
-            real(spec, lam), lam))},
+    "scale-potential": (("dirac",), lambda spec, forms: forms | {
+        "potential": lambda *q: 1.01 * forms["potential"](*q)}),
+    "perturb-profile": (("dirac", "ode"), lambda spec, forms: forms | {
+        "spinor": cat.spinor(spec, pair=functools.partial(
+            _perturbed_pair, cat._pair_kernel(spec))),
+        "profile": lambda lam: perturb_profile(forms["profile"](lam), lam)}),
 }
 
 
@@ -864,13 +864,13 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                              "selected families; nothing was checked")
     if negative_control not in (None, *FAULTS):
         raise SelectionError(f"unknown negative control {negative_control!r}")
-    faults = FAULTS.get(negative_control, {})
-    if negative_control and not any(c.name in faults and c.applies(s)
+    reached, fault = FAULTS.get(negative_control, ((), None))
+    if negative_control and not any(c.name in reached and c.applies(s)
                                     for c in rows for s in specs):
         raise SelectionError(f"negative control {negative_control} touches "
                              "none of the selected checks")
     slots = []  # each spec's row's (label, grid), in order, then its records
-    pools = {c.name: [] for c in rows if c.pooled and c.name not in faults}
+    pools = {c.name: [] for c in rows if c.pooled}
 
     def measure(check, kept):
         # one call of the row's measure on kept, a list of (slot, item),
@@ -886,10 +886,14 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
         label = spec_label(spec)
         todo = [(c, *c.points(pts, grid_desc)) for c in rows if c.applies(spec)]
         # each closed form of the spec, evaluated once on the union of what
-        # the unfaulted rows read, and kept for this spec's rows alone
-        shared = _evaluate(spec, h, pts, {
-            c.name: (c.reads, where) for c, _, _, where in todo
-            if c.name not in faults})
+        # its rows read and kept for them alone: the true forms for the rows
+        # the control does not reach, the faulted ones for the rows it does
+        forms, reads = _forms(spec), ({}, {})
+        for check, _, _, where in todo:
+            reads[check.name in reached][check.name] = (check.reads, where)
+        shared = _evaluate(forms, h, pts, reads[False])
+        if reads[True]:
+            shared |= _evaluate(fault(spec, forms), h, pts, reads[True])
         for check, grid, xs, where in todo:
             slot = len(slots)
             slots.append((label, grid))
@@ -899,18 +903,8 @@ def run_suite(families=None, checks=None, points: int = 100, seed: int = 2024080
                 # evaluation alive until then
                 pools[check.name].append((slot, (
                     spec, xs.copy(), _joined([shared[check.name]]))))
-            elif check.name not in faults:
-                measure(check, [(slot, (spec, xs, shared[check.name]))])
             else:
-                attr, wrap = faults[check.name]
-                real = getattr(cat, attr)
-                setattr(cat, attr, wrap(real))
-                try:  # on an evaluation of its own, made under the fault
-                    own = _evaluate(spec, h, pts,
-                                    {check.name: (check.reads, where)})
-                    measure(check, [(slot, (spec, xs, own[check.name]))])
-                finally:
-                    setattr(cat, attr, real)
+                measure(check, [(slot, (spec, xs, shared[check.name]))])
         del shared  # before the next spec's evaluation and the pooled calls
     for check in rows:
         kept = pools.pop(check.name, ())

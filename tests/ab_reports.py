@@ -7,9 +7,11 @@ BASE_SRC and NEW_SRC are directories that each hold an `rdibeams` package,
 such as the `src` folder of two checkouts.  Each case runs the CLI once per
 tree, in a subprocess with that tree alone on PYTHONPATH, and compares the
 exit codes, stdout and stderr.  The cases are `verify` at 100 points (three
-seeds and both negative controls), at 1000 points (four seeds), on two check
-subsets whose reads take `verify._union`'s mask branch and on one that
-applies to no selected family (a usage error); the `catalog` listing, as
+seeds and both negative controls), perturb-profile on a dressed family at
+1000 points and on the ode and circularity checks together, `verify` at
+1000 points (four seeds), on two check subsets whose reads take
+`verify._union`'s mask branch and on one that applies to no selected family
+(a usage error); the `catalog` listing, as
 text and as JSON; an `eval` map of every family in csv and in jsonl, with
 one pulse-dressed map more, and again in jsonl at B = 1.3 and m = 0.7, so
 that no power of B or m cancels (the stationary families at p_z != 0);
@@ -48,6 +50,12 @@ CASES = [
       for seed in ("20240801", "1", "7")),
     *(["verify", "--points", "100", "--negative-control", control]
       for control in ("scale-potential", "perturb-profile")),
+    # a control's hook through the dressing, and a row it does not reach
+    # (circularity) beside one it does (ode), on the same profile
+    ["verify", "--family", "radial-b-laser", "--negative-control",
+     "perturb-profile", "--points", "1000", "--seed", "2"],
+    ["verify", "--family", "uniform-b", "--check", "ode", "--check",
+     "circularity", "--negative-control", "perturb-profile"],
     *(["verify", "--points", "1000", "--seed", seed]
       for seed in ("1", "2", "3", "99")),
     ["verify", "--points", "50", "--seed", "3",

@@ -134,6 +134,45 @@ def test_free_bessel_profile_unnormalized_at_origin():
     assert pr["H"] == 1.0
 
 
+# free Bessel states near the axis at large l: l! past the float range
+# (l = 171), (q/2)^l past it (l = 170, p_perp = 100), J_l and lam^l both
+# underflowing (l = 150, p_perp = 50, lam = 1e-3), and lam^(l+2) below the
+# normal floats (0.021) or subnormal (0.027) where the ladder holds
+BESSEL_NEAR_AXIS = [(171, 1.0, (0.0, 1e-3, 0.5, 1.0, 5.0)),
+                    (170, 100.0, (0.0, 1e-3, 0.5, 1.0)),
+                    (150, 50.0, (1e-3, 0.1, 1.0)),
+                    (198, 1000.0, (0.021, 0.027))]
+
+
+@pytest.mark.parametrize("l, p_perp, lams", BESSEL_NEAR_AXIS)
+def test_free_bessel_profile_near_the_axis_at_large_l(l, p_perp, lams):
+    # P f, P f' and P f'' of f = lam^-l J_l(q lam) against 40-digit mpmath,
+    # f'' = -C q^2 / (2 (l+1)) on the axis, C = (q/2)^l / l!; a subnormal
+    # value is held to its own spacing
+    spec = cat.SolutionSpec(cat.Family.FREE_BESSEL, l=l, p_perp=p_perp)
+    P, q = cat.normalization(spec), 2.0 * p_perp / spec.B
+    pr = cat.profile(spec, np.array(lams))
+    with mpmath.workdps(40):
+        c = (mpmath.mpf(q) / 2) ** l / mpmath.factorial(l)
+
+        def f(t):
+            return mpmath.besselj(l, q * t) / t ** l
+
+        for k, lam in enumerate(lams):
+            want = [P * mpmath.diff(f, lam, n) for n in range(3)] if lam \
+                else [P * c, 0, -P * c * q * q / (2 * (l + 1))]
+            for key, value in zip(("f", "fp", "fpp"), want):
+                assert abs(pr[key][k] - float(value)) \
+                    <= 1e-11 * abs(value) + 1e-320, (key, lam)
+
+
+def test_free_bessel_profile_past_the_float_range_is_domain_error():
+    # f = (q/2)^l / l! on the axis is 1e362 here: a named error, not inf
+    spec = cat.SolutionSpec(cat.Family.FREE_BESSEL, l=198, p_perp=5000.0)
+    with pytest.raises(sf.DomainError, match="leaves the float range"):
+        cat.profile(spec, np.array([0.0, 1e-3]))
+
+
 def test_radial_profile_first_excited():
     # f proportional to exp(lam/2 - lam/6) (1 - lam/3) for n=1, M=0
     spec = cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=0)

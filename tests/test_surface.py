@@ -7,6 +7,8 @@ own body, from `bench/workloads.py` or from the README quick start; the
 console script counts for the function it names.  `__init__`'s re-exports
 reach nothing by themselves."""
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -144,3 +146,59 @@ def test_families_are_told_apart_by_the_table_alone():
                 if reads and not dressed:
                     compares.add((module, getattr(stmt, "name", None)))
     assert compares == {("verify", "proper_time_average")}
+
+
+def module_names(tree, package: str) -> set[str]:
+    """The names the code of tree binds to a module, anywhere in it:
+    `import x [as y]`, and `from p import m` where p's attribute m is a
+    module (a library module once it is imported)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(
+                "." * node.level + (node.module or ""), package)
+            names |= {a.asname or a.name for a in node.names
+                      if inspect.ismodule(getattr(source, a.name, None))}
+    return names
+
+
+def test_no_library_module_rebinds_an_attribute_of_a_module():
+    # a negative control is a hook on a spec's closed forms, not a patch of
+    # the library: no module assigns to an attribute of a name bound to a
+    # module, and none calls setattr, but for the frozen SolutionSpec's
+    # object.__setattr__ in its own __post_init__
+    found = []
+    for module in MODULES:
+        importlib.import_module(f"rdibeams.{module}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = module_names(tree, "rdibeams")
+        allowed = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)
+                   and cls.name == "SolutionSpec"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "__post_init__" for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "__setattr__"
+                   and getattr(node.func.value, "id", None) == "object"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and (
+                    getattr(node.func, "id", None) == "setattr"
+                    or getattr(node.func, "attr", None) == "__setattr__"):
+                found.append(f"{path.name}:{node.lineno}")
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target] if isinstance(node, (
+                    ast.AugAssign, ast.AnnAssign, ast.For)) else []
+            while any(isinstance(t, (ast.Tuple, ast.List, ast.Starred))
+                      for t in targets):  # unpacked: each element a target
+                targets = [e for t in targets for e in (
+                    t.elts if isinstance(t, (ast.Tuple, ast.List))
+                    else [t.value] if isinstance(t, ast.Starred) else [t])]
+            found += [f"{path.name}:{t.lineno}" for t in targets
+                      if isinstance(t, ast.Attribute)
+                      and isinstance(t.value, ast.Name)
+                      and t.value.id in modules]
+    assert found == []

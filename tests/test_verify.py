@@ -467,33 +467,46 @@ def test_negative_control_selection_errors():
                          points=2, negative_control="perturb-profile")
 
 
-FAULT_ROWS = [(control, row) for control, rows in verify.FAULTS.items()
+FAULT_ROWS = [(control, row) for control, (rows, _) in verify.FAULTS.items()
               for row in rows]
-FAULTED_ATTRIBUTES = {attr for rows in verify.FAULTS.values()
-                      for attr, _ in rows.values()}
 # the attribute each faulted row's residual is read through
 ROW_RESIDUALS = {"dirac": (verify, "dirac_residual"),
                  "ode": (inversion, "radial_ode_residual")}
 
 
-def test_fault_table_names_known_rows_and_catalog_callables():
-    for control, row in FAULT_ROWS:
-        attr, wrap = verify.FAULTS[control][row]
-        assert row in verify.CHECK_NAMES, (control, row)
-        real = getattr(cat, attr)
-        assert callable(real) and real.__module__ == cat.__name__, attr
-        assert callable(wrap(real)), (control, row)
-    assert FAULTED_ATTRIBUTES == {"potential", "profile", "_pair_kernel"}
+def test_fault_table_names_known_rows_and_hooks_on_forms():
+    # each control reaches known rows, and its hook maps a spec's closed
+    # forms to a dict of the same forms, the ones it faults replaced by new
+    # callables and every other one passed through as it is
+    faulted = {"scale-potential": {"potential"},
+               "perturb-profile": {"spinor", "profile"}}
+    assert set(verify.FAULTS) == set(faulted)
+    for control, (rows, hook) in verify.FAULTS.items():
+        assert set(rows) <= set(verify.CHECK_NAMES), control
+        for spec in (cat.SolutionSpec(cat.Family.RADIAL_B, n=1, M=1),
+                     verify.default_specs()[cat.Family.REDMOND][1]):
+            forms = verify._forms(spec)
+            got = hook(spec, forms)
+            assert got.keys() == forms.keys(), control
+            assert all(callable(f) for f in got.values()), control
+            assert {k for k in forms if got[k] is not forms[k]} \
+                == faulted[control], control
+
+
+def _catalog_unchanged(before):
+    # every attribute of the catalog module is the object it was in before
+    return vars(cat).keys() == before.keys() and all(
+        vars(cat)[name] is obj for name, obj in before.items())
 
 
 @pytest.mark.parametrize("control, row", FAULT_ROWS)
 def test_each_fault_fails_its_row(control, row):
-    real = {attr: getattr(cat, attr) for attr in FAULTED_ATTRIBUTES}
+    before = dict(vars(cat))
     rep = verify.run_suite(checks={row}, points=100, seed=20240801,
                            negative_control=control)
     assert {r.name for r in rep.records} == {row}
     assert any(not r.passed for r in rep.records), (control, row)
-    assert all(getattr(cat, a) is obj for a, obj in real.items())
+    assert _catalog_unchanged(before)
 
 
 def _first_changed(table):
@@ -542,51 +555,71 @@ def test_slash_mutant_fails_every_dirac_and_inversion_record(seed,
 
 
 @pytest.mark.parametrize("control, row", FAULT_ROWS)
-def test_control_run_restores_the_catalog_when_its_row_raises(control, row,
-                                                              monkeypatch):
-    # the faulted row's residual sees its attribute rebound, raises, and
-    # leaves every catalog attribute as it found it
-    real = {attr: getattr(cat, attr) for attr in FAULTED_ATTRIBUTES}
-    attr = verify.FAULTS[control][row][0]
-    seen = []
+def test_a_faulted_residual_sees_the_catalog_unchanged(control, row,
+                                                        monkeypatch):
+    # a control rebinds nothing: inside the faulted row's residual every
+    # attribute of the catalog is the object it was before the run, and the
+    # row still fails under its fault
+    before, seen = dict(vars(cat)), []
+    residual = getattr(*ROW_RESIDUALS[row])
 
-    def broken(*args):
-        seen.append(getattr(cat, attr) is not real[attr])
-        raise RuntimeError("residual failed")
+    def recording(*args):
+        seen.append(_catalog_unchanged(before))
+        return residual(*args)
 
-    monkeypatch.setattr(*ROW_RESIDUALS[row], broken)
-    with pytest.raises(RuntimeError, match="residual failed"):
-        verify.run_suite(families=["uniform-b"], checks={row}, points=2,
-                         negative_control=control)
-    assert seen == [True]
-    assert all(getattr(cat, a) is obj for a, obj in real.items())
+    monkeypatch.setattr(*ROW_RESIDUALS[row], recording)
+    rep = verify.run_suite(families=["uniform-b"], checks={row}, points=2,
+                           negative_control=control)
+    assert seen == [True] * 3
+    assert not any(r.passed for r in rep.records)
 
 
-def test_a_faulted_pooled_row_is_measured_per_spec_under_its_fault(
-        monkeypatch):
-    # a control that reaches a pooled row takes the row out of the pool:
-    # the gauge row, with 0.01 t added to eA^0 (a 4-divergence of 0.01), is
-    # measured once per spec (a pool of one), on an evaluation made under
-    # the fault; every gauge record fails, every other record keeps its
-    # bits, and the catalog gets its potential back
-    real = cat.potential
+@pytest.mark.parametrize("control", list(verify.FAULTS))
+def test_a_control_leaves_the_rows_it_does_not_reach_as_they_were(control):
+    # the rows a control does not reach read the true forms: each of their
+    # records equals the clean run's.  The rows it reaches fail on every
+    # spec their fault changes (a scaled potential leaves the three
+    # field-free specs as they were)
     clean = verify.run_suite(points=12, seed=2)
-    monkeypatch.setitem(verify.FAULTS, "drift-gauge", {"gauge": (
-        "potential", lambda real: lambda spec, t, *q: real(spec, t, *q)
-        + np.asarray(t)[..., None] * (0.01, 0.0, 0.0, 0.0))})
+    faulted = verify.run_suite(points=12, seed=2, negative_control=control)
+    rows = verify.FAULTS[control][0]
+    assert len(faulted.records) == len(clean.records)
+    failed = {}
+    for ours, theirs in zip(clean.records, faulted.records):
+        if theirs.name in rows:
+            failed[theirs.name] = failed.get(theirs.name, 0) + (
+                not theirs.passed)
+        else:
+            assert repr(theirs) == repr(ours)
+    assert failed == {"scale-potential": {"dirac": 18},
+                      "perturb-profile": {"dirac": 21, "ode": 12}}[control]
+
+
+def test_a_faulted_pooled_row_is_pooled_once_a_pass(monkeypatch):
+    # a control that reaches a pooled row leaves it pooled: the gauge row,
+    # with 0.01 t added to eA^0 (a 4-divergence of 0.01), is measured in
+    # one call on every spec's points, from the specs' faulted forms; every
+    # gauge record fails, and every other record keeps its bits
+    clean = verify.run_suite(points=12, seed=2)
+
+    def drift(spec, forms):
+        def potential(t, *q):
+            return forms["potential"](t, *q) \
+                + np.asarray(t)[..., None] * (0.01, 0.0, 0.0, 0.0)
+        return forms | {"potential": potential}
+
+    monkeypatch.setitem(verify.FAULTS, "drift-gauge", (("gauge",), drift))
     gauge, seen = verify.lorentz_gauge_residual, []
 
     def recording(pool, *args):
-        seen.append(([verify.spec_label(s) for s in pool.specs],
-                     cat.potential is not real))
+        seen.append([verify.spec_label(s) for s in pool.specs])
         return gauge(pool, *args)
 
     monkeypatch.setattr(verify, "lorentz_gauge_residual", recording)
     faulted = verify.run_suite(points=12, seed=2,
                                negative_control="drift-gauge")
-    assert cat.potential is real
-    assert seen == [([verify.spec_label(s)], True)
-                    for group in verify.default_specs().values() for s in group]
+    assert seen == [[verify.spec_label(s) for group in
+                     verify.default_specs().values() for s in group]]
     assert len(faulted.records) == len(clean.records)
     for ours, theirs in zip(clean.records, faulted.records):
         if ours.name == "gauge":
@@ -791,16 +824,16 @@ def test_residuals_from_the_shared_sample_equal_standalone_calls(monkeypatch):
 def count_evaluations(monkeypatch, **suite):
     # evaluations of each closed form per (form, spec label, faulted) in one
     # run_suite call, and of the inversion density per (form, faulted); a
-    # spinor is faulted when it was built on a rebound `_pair_kernel`
+    # spinor is faulted when it was built on a pair of its own
     counts = {}
-    real, kernel = cat.spinor, cat._pair_kernel
+    real = cat.spinor
 
     def add(key):
         counts[key] = counts.get(key, 0) + 1
 
-    def counting_spinor(spec):
-        col = real(spec)
-        key = ("spinor", verify.spec_label(spec), cat._pair_kernel is not kernel)
+    def counting_spinor(spec, **kwargs):
+        col = real(spec, **kwargs)
+        key = ("spinor", verify.spec_label(spec), "pair" in kwargs)
 
         def field(*q):
             add(key)
@@ -841,8 +874,8 @@ def test_suite_evaluates_each_closed_form_once_per_spec(monkeypatch):
              for s in specs if not s.is_dressed}
     want[("density", None, False)] = 1
     assert counts == want
-    # the faulted spinor of the control keeps its own evaluation, in the
-    # dirac row of every spec, and the true one is still evaluated once
+    # the control's faulted spinor is evaluated once per spec, for the
+    # dirac row, and the true one once per spec, for the other rows
     counts = count_evaluations(monkeypatch, negative_control="perturb-profile")
     spinors_ = {key: n for key, n in counts.items() if key[0] == "spinor"}
     assert sorted(spinors_.values()) == [1] * 42
@@ -895,11 +928,12 @@ def test_a_pooled_row_gives_each_item_its_one_item_result(check):
     items = []
     for spec, n in zip(specs, (9, 5, 13)):
         xs = verify.sample_points(rng, n)
-        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+        items.append((spec, xs, verify._alone(verify._forms(spec), xs,
+                                              check.name, h)))
     r0 = _sign_change_radius(specs[0], 1.0, 1.5)
     items[0][1][:2, 1:3] = ((r0, 0.0), (0.6 * r0, -0.8 * r0))
-    items[0] = (*items[0][:2], verify._alone(specs[0], items[0][1], h,
-                                             check.name))
+    items[0] = (*items[0][:2], verify._alone(verify._forms(specs[0]),
+                                             items[0][1], check.name, h))
     pooled = check.measure(items, h)
     assert len(pooled) == len(items)
     for item, got in zip(items, pooled):
@@ -928,7 +962,8 @@ def test_a_pooled_inversion_gives_a_spec_with_every_point_skipped_none(where):
         xs = verify.sample_points(rng, n)
         if where in (k, None):
             xs[:, 1:3] += 20.0
-        items.append((spec, xs, verify._alone(spec, xs, h, check.name)))
+        items.append((spec, xs, verify._alone(verify._forms(spec), xs,
+                                              check.name, h)))
     pooled = check.measure(items, h)
     for k, (item, got) in enumerate(zip(items, pooled)):
         n = len(item[1])
